@@ -60,6 +60,7 @@ from .homology import (
     BettiInequalityReport,
     BettiReport,
     betti_numbers,
+    exact_betti_numbers,
     explicit_down_laplacian,
     explicit_up_laplacian,
     integer_rank,

@@ -2,10 +2,15 @@
 
 The kernel of the full degree-i Laplace operator realizes the i-th
 reduced cohomology, so Betti numbers come from kernel dimensions.  Two
-routes are implemented and cross-validated: exact integer ranks of the
-coboundaries (fraction-free Bareiss elimination, the ground truth for
-combinatorial weights) and a numeric kernel count from the eigensolve
-(required for normalized or explicit weights).
+routes are implemented and cross-validated: exact ranks over the
+rationals of the integer coboundaries (the ground truth for combinatorial
+weights) and a numeric kernel count from the eigensolve (required for
+normalized or explicit weights).  The exact rank is sparse row elimination
+over the integers with gcd normalisation, pivoting on each row's lowest
+column as in the column reduction of persistent homology; each coboundary
+is ranked once.  Entries can grow during elimination of dense inputs;
+coboundaries, with entries +-1 and i+2 nonzeros per row, do not trigger
+this in practice (pivot entries stay +-1 on the torus covers benchmarked).
 
 Harmonic cochains of the base lift to harmonic cochains of a covering
 complex by composing with the projection and correcting each value by
@@ -15,6 +20,7 @@ stay independent, which is what forces the Betti inequality.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,32 +46,65 @@ KERNEL_TOL = 1e-7
 KERNEL_GUARD = 1e-9
 
 
-def integer_rank(matrix) -> int:
-    """Exact rank of an integer matrix by fraction-free elimination.
+def _is_integral(x) -> bool:
+    try:
+        return x == int(x)
+    except (TypeError, ValueError, OverflowError):
+        return False
 
-    Pure-integer Bareiss pivoting; exact for any matrix that fits in
-    Python ints, and independent of the floating eigensolver path.
+
+def integer_rank(matrix) -> int:
+    """Exact rank over the rationals of an integer matrix, by sparse elimination.
+
+    Each row is a ``{column: value}`` dict of its nonzero entries.  Rows
+    are reduced in order against the pivot owning their lowest column,
+    ``row <- (p[c]/g) row - (row[c]/g) p`` with ``g = gcd(p[c], row[c])``,
+    and divided by the gcd of their entries; a row whose lowest column
+    has no pivot yet becomes that column's pivot.  The rank is the
+    number of pivots.  All arithmetic is in Python ints, so the result
+    is exact and independent of the floating eigensolver path.
+
+    Entries may still grow on dense inputs, where fill-in compounds the
+    multipliers; coboundaries (entries +-1, i+2 nonzeros per row) do not
+    trigger this.  Integer-valued floats are accepted; any other entry
+    raises :class:`LiftlapError` naming its position.
     """
-    m = [[int(x) for x in row] for row in np.asarray(matrix)]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        piv = next((r for r in range(rank, n_rows) if m[r][col] != 0), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, n_rows):
-            for c in range(col + 1, n_cols):
-                m[r][c] = (m[rank][col] * m[r][c] - m[r][col] * m[rank][c]) // prev
-            m[r][col] = 0
-        prev = m[rank][col]
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
+    a = np.asarray(matrix)
+    if a.ndim != 2:
+        raise LiftlapError(f"integer_rank needs a 2-d matrix, got shape {a.shape}")
+    if a.dtype.kind not in "iub":
+        with np.errstate(invalid="ignore"):  # int(nan) raises and also sets the flag
+            integral = np.frompyfunc(_is_integral, 1, 1)(a).astype(bool)
+        if not integral.all():
+            pos = tuple(int(t) for t in np.argwhere(~integral)[0])
+            raise LiftlapError(
+                f"integer_rank needs integer entries; entry {a.item(pos)!r} at {pos} is not integral"
+            )
+    nz_rows, nz_cols = np.nonzero(a)
+    values = a[nz_rows, nz_cols].tolist()
+    if a.dtype.kind != "i":
+        values = [int(v) for v in values]
+    rows: dict[int, dict[int, int]] = {}
+    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), values):
+        rows.setdefault(r, {})[c] = v
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows.values():
+        while row:
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            g = math.gcd(pivot[col], row[col])
+            scale, factor = pivot[col] // g, row[col] // g
+            reduced = {c: scale * v for c, v in row.items()}
+            for c, v in pivot.items():
+                reduced[c] = reduced.get(c, 0) - factor * v
+            row = {c: v for c, v in reduced.items() if v}
+    return len(pivots)
 
 
 @dataclass
@@ -108,6 +147,16 @@ def _numeric_kernel(op: OperatorMatrix, kernel_tol: float):
     return basis, tuple(notes), int(keep.sum())
 
 
+def exact_betti_numbers(K: SimplicialComplex) -> dict:
+    """Betti numbers ``dim C^i - rank d_i - rank d_(i-1)`` from exact ranks.
+
+    Each coboundary d_j is built and ranked once, though it bounds both
+    degree j (up) and degree j + 1 (down).
+    """
+    ranks = {j: integer_rank(coboundary_matrix(K, j)) for j in range(K.min_dim, K.top_dim)}
+    return {i: K.face_count(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in K.dims()}
+
+
 def betti_numbers(
     K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL, kernel_tol: float = KERNEL_TOL
 ) -> BettiReport:
@@ -128,10 +177,7 @@ def betti_numbers(
         betti[i] = dim
         bases[i] = basis
     if scheme.kind == COMBINATORIAL_KIND:
-        for i in K.dims():
-            up_rank = integer_rank(coboundary_matrix(K, i)) if i < K.top_dim else 0
-            down_rank = integer_rank(coboundary_matrix(K, i - 1)) if i > K.min_dim else 0
-            exact = K.face_count(i) - up_rank - down_rank
+        for i, exact in exact_betti_numbers(K).items():
             if exact != betti[i]:
                 raise LiftlapError(
                     f"kernel methods disagree at dimension {i}: "

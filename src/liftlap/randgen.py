@@ -13,17 +13,13 @@ from __future__ import annotations
 import numpy as np
 
 from . import perms
-from .complexes import SimplicialComplex, build_complex, coboundary_matrix
+from .complexes import SimplicialComplex, build_complex
 from .covering import DerivedComplexResult, EdgeVoltages, derived_complex, edge_voltages
-from .homology import integer_rank
+from .homology import exact_betti_numbers
 
 
 def first_betti(M: SimplicialComplex) -> int:
-    if M.top_dim < 1:
-        return 0
-    d0 = coboundary_matrix(M, 0)
-    d1 = coboundary_matrix(M, 1)
-    return M.face_count(1) - integer_rank(d0) - integer_rank(d1)
+    return exact_betti_numbers(M).get(1, 0)
 
 
 def random_complex(

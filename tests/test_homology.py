@@ -1,14 +1,23 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from oracles import bareiss_rank
 
+import liftlap.homology
 from liftlap import (
     COMBINATORIAL,
     NORMALIZED,
     Cochain,
+    LiftlapError,
     WeightError,
     WeightScheme,
     betti_numbers,
     build_complex,
+    coboundary_matrix,
     derived_complex,
     edge_voltages,
     explicit_down_laplacian,
@@ -35,8 +44,73 @@ class TestIntegerRank:
             m = rng.integers(-3, 4, size=(rng.integers(1, 8), rng.integers(1, 8)))
             assert integer_rank(m) == np.linalg.matrix_rank(m)
 
+    def test_integer_valued_floats_are_accepted(self):
+        assert integer_rank(np.array([[2.0, 4.0], [1.0, 2.0]])) == 1
+        assert integer_rank(np.array([[-3.0], [0.0]])) == 1
+
+    @pytest.mark.parametrize(
+        "matrix, entry, pos",
+        [
+            ([[0.5, 0.25]], "0.5", "(0, 0)"),
+            ([[1.0], [1.5]], "1.5", "(1, 0)"),
+            ([[1.0, np.nan]], "nan", "(0, 1)"),
+            ([[np.inf, 1.0]], "inf", "(0, 0)"),
+        ],
+    )
+    def test_non_integral_entries_are_rejected(self, matrix, entry, pos):
+        with pytest.raises(LiftlapError, match=re.escape(f"entry {entry} at {pos}")):
+            integer_rank(np.array(matrix))
+
+    def test_not_a_matrix_is_rejected(self):
+        with pytest.raises(LiftlapError, match="2-d"):
+            integer_rank(np.array([1, 2, 3]))
+
+
+# small integer matrices: empty, tall and wide shapes; sparse +-1 entries
+# or dense entries outside +-1.  Below 9 x 9 with entries of at most 6 in
+# size, sigma_max <= 48 and the nonzero singular values multiply to at
+# least 1, so each exceeds 48**-7, about 20 times the float rank's cutoff
+# 48 * 8 * eps: np.linalg.matrix_rank is exact there as well.
+_SHAPES = st.tuples(st.integers(0, 8), st.integers(0, 8))
+_MATRICES = st.one_of(
+    hnp.arrays(np.int64, _SHAPES, elements=st.sampled_from([0, 0, 0, 1, -1])),
+    hnp.arrays(np.int64, _SHAPES, elements=st.integers(-6, 6)),
+)
+
+
+class TestIntegerRankProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(_MATRICES)
+    def test_matches_bareiss_and_float_rank(self, m):
+        assert integer_rank(m) == bareiss_rank(m) == np.linalg.matrix_rank(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(hnp.arrays(object, _SHAPES, elements=st.integers(-(10**12), 10**12)))
+    def test_matches_bareiss_on_large_entries(self, m):
+        assert integer_rank(m) == bareiss_rank(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_coboundaries_of_random_complexes(self, seed):
+        K = random_complex(np.random.default_rng(seed))
+        for i in range(K.min_dim, K.top_dim):
+            d = coboundary_matrix(K, i)
+            assert integer_rank(d) == bareiss_rank(d) == np.linalg.matrix_rank(d)
+
 
 class TestBettiNumbers:
+    def test_each_coboundary_is_ranked_once(self, triangle, monkeypatch):
+        ranked = []
+
+        def counting_rank(matrix):
+            ranked.append(np.shape(matrix))
+            return integer_rank(matrix)
+
+        monkeypatch.setattr(liftlap.homology, "integer_rank", counting_rank)
+        betti_numbers(triangle)
+        # d_-1, d_0 and d_1 of the full triangle, once each
+        assert ranked == [(3, 1), (3, 3), (1, 3)]
+
     def test_contractible_triangle(self, triangle):
         rep = betti_numbers(triangle)
         assert rep.betti == {-1: 0, 0: 0, 1: 0, 2: 0}
