@@ -21,6 +21,8 @@ from .complexes import (
     build_complex,
     coboundary_matrix,
     compute_weights,
+    connected_components,
+    face_coboundary,
     relative_orientation_sign,
     weight_vector,
 )
@@ -30,15 +32,11 @@ from .covering import (
     DerivedComplexResult,
     EdgeVoltages,
     FiberLabeling,
-    Graph,
-    IncidenceGraph,
     IncidenceVoltages,
     SignDiagonal,
     coboundary_factorization,
     derived_complex,
-    derived_graph,
     edge_voltages,
-    incidence_graph,
     induced_incidence_voltage,
     verify_covering,
     voltage_coboundary_matrix,
@@ -61,8 +59,6 @@ from .homology import (
     BettiReport,
     betti_numbers,
     exact_betti_numbers,
-    explicit_down_laplacian,
-    explicit_up_laplacian,
     integer_rank,
     lift_cochain,
     verify_betti_inequality,
@@ -71,7 +67,6 @@ from .operators import (
     DOWN,
     FULL,
     UP,
-    IncidenceSigning,
     IncidenceWeighting,
     OperatorMatrix,
     SpectrumComparison,
@@ -88,7 +83,6 @@ from .representation import (
     abelian_weightings,
     block_laplacians,
     decompose_representation,
-    derived_coboundary,
     split_coboundary,
     two_fold_signing,
     voltage_group,

@@ -12,6 +12,8 @@ import argparse
 import hashlib
 import json
 import sys
+import warnings
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +24,7 @@ from .covering import derived_complex, induced_incidence_voltage, verify_coverin
 from .errors import CoveringViolation, GroupStructureError, LiftlapError, MalformedInputError
 from .reference_fixture import search_reference_fixture
 from .homology import verify_betti_inequality
-from .operators import compare_spectra, laplacian_matrix, spectrum
+from .operators import SpectrumMultiset, compare_spectra, laplacian_matrix, spectrum
 from .representation import (
     abelian_weightings,
     block_laplacians,
@@ -87,12 +89,16 @@ def cmd_spectrum(args, report):
     report["inputs"]["complex"] = _hash_file(args.complex)
     scheme = SCHEMES[args.scheme] if args.scheme else file_scheme
     decoration = None
-    if args.signing:
-        decoration = llio.load_signing(args.signing)
-        report["inputs"]["signing"] = _hash_file(args.signing)
-    if args.weighting:
-        decoration = llio.load_weighting(args.weighting)
-        report["inputs"]["weighting"] = _hash_file(args.weighting)
+    for key, load in (("signing", llio.load_signing), ("weighting", llio.load_weighting)):
+        path = getattr(args, key)
+        if path:
+            decoration = load(path)
+            report["inputs"][key] = _hash_file(path)
+            for (f, c), _ in decoration.items():
+                if not (K.has_face(c) and len(c) == len(f) + 1 and set(f) <= set(c)):
+                    raise MalformedInputError(
+                        f"{path}: ({list(f)}, {list(c)}) is not a (face, cofacet) incidence of the complex"
+                    )
     op = laplacian_matrix(K, args.dim, args.kind, scheme, decoration)
     s = spectrum(op, args.tol)
     report["results"] = {
@@ -164,10 +170,7 @@ def cmd_decompose(args, report):
     blocks = block_laplacians(cov.base, psi, args.dim, scheme, args.direction, dec)
     lifted = spectrum(laplacian_matrix(cov.cover, args.dim, args.direction, scheme), args.tol)
     spectra = [spectrum(b, args.tol) for b in blocks]
-    union = spectra[0]
-    for s in spectra[1:]:
-        union = union.union(s)
-    cmp_union = compare_spectra(lifted, union, "equal", tol=args.tol)
+    cmp_union = compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
     base_op = laplacian_matrix(cov.base, args.dim, args.direction, scheme)
     first_err = (
         float(np.max(np.abs(blocks[0].matrix - base_op.matrix))) if base_op.size else 0.0
@@ -199,69 +202,47 @@ def _dims(cov, direction, requested):
     return [requested] if requested in valid else []
 
 
-def cmd_verify_union(args, report):
+def _two_fold_signing(cov, layer, args):
+    return [two_fold_signing(induced_incidence_voltage(cov, layer))]
+
+
+def _characters(cov, layer, args):
+    return abelian_weightings(induced_incidence_voltage(cov, layer), seed=args.seed)
+
+
+def _union_results(cov, spectra, skipped):
+    keys = ("lifted", "base", "signed")
+    return {label: {key: _spec_values(s) for key, s in zip(keys, parts)} for label, parts in spectra.items()}
+
+
+# subcommand -> (claim, required cover degree, the base decorations of an
+# incidence layer whose spectra and the plain base spectrum must union to
+# the cover's (None: the base spectrum must lie inside the cover's), the
+# results payload)
+SPECTRAL_CLAIMS = {
+    "union": ("two-fold spectral union", 2, _two_fold_signing, _union_results),
+    "inclusion": ("spectral inclusion", None, None, lambda cov, spectra, skipped: {"degree": cov.degree}),
+    "abelian": (
+        "abelian character decomposition",
+        None,
+        _characters,
+        lambda cov, spectra, skipped: {"degree": cov.degree, "skipped_layers": skipped},
+    ),
+}
+
+
+def cmd_verify_spectral(args, report):
+    claim, degree, decorate, results = SPECTRAL_CLAIMS[args.subcommand]
     cov = _resolve_covering(args, report["inputs"])
-    if cov.degree != 2:
-        raise LiftlapError(f"the two-fold union property needs a 2-fold cover, got degree {cov.degree}")
+    if degree is not None and cov.degree != degree:
+        raise LiftlapError(f"the {claim} property needs a {degree}-fold cover, got degree {cov.degree}")
     verdicts = []
-    payload = {}
-    for direction in ("up", "down"):
-        for i in _dims(cov, direction, args.dim):
-            psi = induced_incidence_voltage(cov, i if direction == "up" else i - 1)
-            signing = two_fold_signing(psi)
-            for name, scheme in _schemes(args.scheme):
-                lifted = spectrum(laplacian_matrix(cov.cover, i, direction, scheme), args.tol)
-                plain = spectrum(laplacian_matrix(cov.base, i, direction, scheme), args.tol)
-                signed = spectrum(laplacian_matrix(cov.base, i, direction, scheme, signing), args.tol)
-                cmp = compare_spectra(lifted, plain, "union", signed, tol=args.tol)
-                verdicts.append(
-                    _verdict(
-                        f"two-fold spectral union ({direction}, dim {i}, {name})",
-                        cmp.holds,
-                        args.tol,
-                        cmp.max_pairing_error,
-                    )
-                )
-                payload[f"{direction}/{i}/{name}"] = {
-                    "lifted": _spec_values(lifted),
-                    "base": _spec_values(plain),
-                    "signed": _spec_values(signed),
-                }
-    report["results"] = payload
-    return verdicts
-
-
-def cmd_verify_inclusion(args, report):
-    cov = _resolve_covering(args, report["inputs"])
-    verdicts = []
-    for direction in ("up", "down"):
-        for i in _dims(cov, direction, args.dim):
-            for name, scheme in _schemes(args.scheme):
-                big = spectrum(laplacian_matrix(cov.cover, i, direction, scheme), args.tol)
-                small = spectrum(laplacian_matrix(cov.base, i, direction, scheme), args.tol)
-                cmp = compare_spectra(small, big, "subset", tol=args.tol)
-                verdicts.append(
-                    _verdict(
-                        f"spectral inclusion ({direction}, dim {i}, {name})",
-                        cmp.holds,
-                        args.tol,
-                        cmp.max_pairing_error,
-                    )
-                )
-    report["results"] = {"degree": cov.degree}
-    return verdicts
-
-
-def cmd_verify_abelian(args, report):
-    cov = _resolve_covering(args, report["inputs"])
-    verdicts = []
+    spectra = {}
     skipped = []
     for direction in ("up", "down"):
         for i in _dims(cov, direction, args.dim):
-            psi = induced_incidence_voltage(cov, i if direction == "up" else i - 1)
-            group = voltage_group(psi)
             try:
-                weightings = abelian_weightings(psi, group, seed=args.seed)
+                decorations = decorate(cov, i if direction == "up" else i - 1, args) if decorate else []
             except GroupStructureError:
                 if args.dim is not None:
                     raise
@@ -271,21 +252,24 @@ def cmd_verify_abelian(args, report):
                 continue
             for name, scheme in _schemes(args.scheme):
                 lifted = spectrum(laplacian_matrix(cov.cover, i, direction, scheme), args.tol)
-                union = spectrum(laplacian_matrix(cov.base, i, direction, scheme), args.tol)
-                for w in weightings:
-                    union = union.union(
-                        spectrum(laplacian_matrix(cov.base, i, direction, scheme, w), args.tol)
-                    )
-                cmp = compare_spectra(lifted, union, "equal", tol=args.tol)
+                parts = [
+                    spectrum(laplacian_matrix(cov.base, i, direction, scheme, d), args.tol)
+                    for d in [None] + decorations
+                ]
+                if decorate is None:
+                    cmp = compare_spectra(parts[0], lifted, "subset", tol=args.tol)
+                else:
+                    cmp = compare_spectra(lifted, reduce(SpectrumMultiset.union, parts), "equal", tol=args.tol)
                 verdicts.append(
                     _verdict(
-                        f"abelian character decomposition ({direction}, dim {i}, {name})",
+                        f"{claim} ({direction}, dim {i}, {name})",
                         cmp.holds,
                         args.tol,
                         cmp.max_pairing_error,
                     )
                 )
-    report["results"] = {"degree": cov.degree, "skipped_layers": skipped}
+                spectra[f"{direction}/{i}/{name}"] = [lifted] + parts
+    report["results"] = results(cov, spectra, skipped)
     return verdicts
 
 
@@ -386,17 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify a spectral or homological claim")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
-    for name, fn in [
-        ("union", cmd_verify_union),
-        ("inclusion", cmd_verify_inclusion),
-        ("abelian", cmd_verify_abelian),
-        ("betti", cmd_verify_betti),
-    ]:
+    for name in list(SPECTRAL_CLAIMS) + ["betti"]:
         p = vsub.add_parser(name)
         _add_cover_inputs(p)
         p.add_argument("--dim", type=int)
         p.add_argument("--scheme", choices=sorted(SCHEMES) + ["both"], default="both")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_verify_betti if name == "betti" else cmd_verify_spectral)
 
     pf = sub.add_parser("fixture", help="fixture recovery oracles")
     fsub = pf.add_subparsers(dest="subcommand", required=True)
@@ -417,8 +396,6 @@ def main(argv=None) -> int:
         "results": {},
         "verdicts": [],
     }
-    import warnings
-
     try:
         with warnings.catch_warnings(record=True) as notes:
             warnings.simplefilter("always")

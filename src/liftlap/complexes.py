@@ -24,7 +24,10 @@ Face = tuple
 
 def as_face(vertices) -> Face:
     """Normalize an iterable of vertex ids into a canonical face tuple."""
-    vs = list(vertices)
+    try:
+        vs = list(vertices)
+    except TypeError:
+        raise MalformedInputError(f"face {vertices!r} is not a list of vertices") from None
     out = []
     for v in vs:
         iv = int(v)
@@ -87,7 +90,7 @@ class SimplicialComplex:
         self._index = {d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()}
         self._validate()
         self._cofacets: dict[Face, tuple[Face, ...]] | None = None
-        self._components = _components(self.faces(0), self.faces(1))
+        self._components = connected_components(self.vertices, self.faces(1))
 
     def _validate(self):
         for d, fs in self._faces.items():
@@ -191,8 +194,13 @@ class SimplicialComplex:
         return f"SimplicialComplex({counts})"
 
 
-def _components(vertices, edges) -> tuple[frozenset, ...]:
-    parent = {f[0]: f[0] for f in vertices}
+def connected_components(vertices, edges) -> tuple[frozenset, ...]:
+    """Vertex sets of the components of a graph, by union-find.
+
+    ``edges`` are vertex pairs; the components are ordered by their
+    sorted vertex lists.
+    """
+    parent = {v: v for v in vertices}
 
     def find(x):
         while parent[x] != x:
@@ -258,6 +266,23 @@ def boundary_faces(f) -> list[tuple[Face, int]]:
     return out
 
 
+def face_coboundary(rows, cols) -> np.ndarray:
+    """Integer coboundary matrix between two lists of faces.
+
+    ``rows`` holds (i+1)-faces and ``cols`` i-faces, each face an
+    increasing vertex tuple, and every boundary face of a row must be in
+    ``cols``.  Entry (r, c) is ``(-1)**j`` when ``cols[c]`` is ``rows[r]``
+    without its j-th vertex, and 0 otherwise.  Every coboundary in the
+    package, plain, decorated or lifted, takes its signs from here.
+    """
+    col_index = {f: c for c, f in enumerate(cols)}
+    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
+    for r, fbar in enumerate(rows):
+        for j in range(len(fbar)):
+            D[r, col_index[fbar[:j] + fbar[j + 1 :]]] = (-1) ** j
+    return D
+
+
 def coboundary_matrix(K: SimplicialComplex, i: int) -> np.ndarray:
     """Integer matrix of the degree-i coboundary map.
 
@@ -269,14 +294,7 @@ def coboundary_matrix(K: SimplicialComplex, i: int) -> np.ndarray:
     lo = K.min_dim
     if not (lo <= i <= K.top_dim):
         raise DimensionError(f"coboundary dimension {i} outside [{lo}, {K.top_dim}]")
-    cols = K.faces(i)
-    rows = K.faces(i + 1)
-    col_index = {f: c for c, f in enumerate(cols)}
-    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, fbar in enumerate(rows):
-        for sub, sgn in boundary_faces(fbar):
-            D[r, col_index[sub]] = sgn
-    return D
+    return face_coboundary(K.faces(i + 1), K.faces(i))
 
 
 # -- weights --------------------------------------------------------------

@@ -2,26 +2,25 @@
 
 The pieces implemented here:
 
-* incidence graphs (the bipartite face/cofacet graphs used to transport
-  a covering of complexes to a covering of graphs),
-* permutation voltage assignments on plain graphs and on incidence
-  graphs, with their derived graphs,
+* permutation voltage assignments on the 1-skeleton and on the
+  incidences (face, cofacet) of one dimension layer,
 * construction of a covering complex from voltages on the 1-skeleton of
   the base (edge voltages must compose consistently around every
   2-face; consistency then propagates to all higher faces because each
   lifted simplex is pinned by the sheet of one of its vertices),
 * verification of the covering axioms for a user-supplied vertex map,
-* the induced voltages on incidence graphs, and the exact integer
-  factorization of the lifted coboundary through two sign diagonals.
+* the voltages a covering induces on the base incidences, and the
+  exact integer factorization of the lifted coboundary through two sign
+  diagonals.
 
 Orientation conventions
 -----------------------
-For a graph edge stored as ``(u, v)``, the voltage ``p`` maps sheets at
-``v`` to sheets at ``u``: the derived graph joins ``(u, p[j])`` to
-``(v, j)``.  For an incidence ``(face, cofacet)`` the stored voltage
-maps face sheets to cofacet sheets: sheet ``j`` of the face is incident
-to sheet ``p[j]`` of the cofacet.  Fibers are always enumerated in
-lexicographic order of the covering face's vertex tuple.
+For an edge stored as ``(u, v)``, the voltage ``p`` maps sheets at ``v``
+to sheets at ``u``: the lift joins ``(u, p[j])`` to ``(v, j)``.  For an
+incidence ``(face, cofacet)`` the stored voltage maps face sheets to
+cofacet sheets: sheet ``j`` of the face is incident to sheet ``p[j]`` of
+the cofacet.  Fibers are always enumerated in lexicographic order of
+the covering face's vertex tuple.
 """
 
 from __future__ import annotations
@@ -48,82 +47,6 @@ from .errors import (
     VoltageError,
 )
 from .perms import Perm
-
-
-# -- graphs ----------------------------------------------------------------
-
-
-class Graph:
-    """A finite simple graph with hashable vertex labels."""
-
-    def __init__(self, vertices, edges):
-        self.vertices = tuple(vertices)
-        seen = set()
-        out = []
-        vset = set(self.vertices)
-        for a, b in edges:
-            if a == b:
-                raise MalformedInputError(f"loop edge at {a!r}")
-            if a not in vset or b not in vset:
-                raise MalformedInputError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
-            key = frozenset((a, b))
-            if key not in seen:
-                seen.add(key)
-                out.append((a, b))
-        self.edges = tuple(out)
-
-    def neighbors(self, v):
-        return tuple(b if a == v else a for a, b in self.edges if v in (a, b))
-
-    @property
-    def connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        adj: dict = {v: [] for v in self.vertices}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self.vertices)
-
-    def edge_set(self):
-        return {frozenset(e) for e in self.edges}
-
-
-@dataclass(frozen=True)
-class IncidenceGraph:
-    """Bipartite graph between the i-faces and (i+1)-faces of a complex."""
-
-    left: tuple
-    right: tuple
-    edges: tuple
-    dim: int
-
-    def as_graph(self) -> Graph:
-        verts = [("l", f) for f in self.left] + [("r", f) for f in self.right]
-        edges = [(("l", self.left[a]), ("r", self.right[b])) for a, b in self.edges]
-        return Graph(verts, edges)
-
-
-def incidence_graph(K: SimplicialComplex, i: int) -> IncidenceGraph:
-    """The bipartite incidence graph between ``S_i(K)`` and ``S_{i+1}(K)``."""
-    if not (K.min_dim <= i <= K.top_dim):
-        raise DimensionError(f"incidence graph needs {K.min_dim} <= i <= {K.top_dim}")
-    left = K.faces(i)
-    right = K.faces(i + 1)
-    idx = {f: c for c, f in enumerate(left)}
-    edges = []
-    for r, fbar in enumerate(right):
-        for sub, _ in boundary_faces(fbar):
-            edges.append((idx[sub], r))
-    return IncidenceGraph(left, right, tuple(edges), i)
 
 
 # -- voltage assignments -----------------------------------------------------
@@ -200,38 +123,6 @@ class IncidenceVoltages:
 
     def generators(self) -> tuple[Perm, ...]:
         return tuple(sorted(set(self.perms.values())))
-
-    def as_graph_voltages(self) -> tuple[Graph, EdgeVoltages]:
-        """The incidence graph (labelled) and its voltages, cofacet side first.
-
-        The stored face-to-cofacet permutation becomes the voltage of the
-        edge ``(("r", cofacet), ("l", face))`` so the generic derived-graph
-        rule reproduces the incidence adjacency of the covering complex.
-        """
-        left = sorted({f for f, _ in self.perms})
-        right = sorted({c for _, c in self.perms})
-        verts = [("l", f) for f in left] + [("r", c) for c in right]
-        edges = {}
-        for (f, c), p in self.perms.items():
-            edges[(("r", c), ("l", f))] = p
-        g = Graph(verts, list(edges))
-        return g, EdgeVoltages(self.k, edges)
-
-
-def derived_graph(B: Graph, psi: EdgeVoltages) -> Graph:
-    """The k-sheeted derived graph of a voltage assignment.
-
-    ``(u, i)`` and ``(v, j)`` are adjacent iff ``(u, v)`` is an edge of
-    ``B`` with voltage ``p`` and ``i == p[j]``.
-    """
-    k = psi.k
-    verts = [(v, j) for v in B.vertices for j in range(k)]
-    edges = []
-    for u, v in B.edges:
-        p = psi.voltage(u, v)
-        for j in range(k):
-            edges.append(((u, p[j]), (v, j)))
-    return Graph(verts, edges)
 
 
 # -- covering maps -----------------------------------------------------------
@@ -445,7 +336,7 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
 
 
 def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
-    """Voltages on the base incidence graph induced by a verified covering.
+    """Voltages on the base incidences induced by a verified covering.
 
     For an incidence ``(G, Gbar)`` the permutation sends sheet ``j`` to
     the sheet of the unique cofacet of ``lift(G, j)`` lying in the fiber
@@ -517,23 +408,21 @@ def orientation_sign_diagonal(cov: CoveringMap, i: int) -> SignDiagonal:
 def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: int) -> np.ndarray:
     """Entrywise lifted coboundary of the base from incidence voltages.
 
-    Block row/column order is (face index) * k + sheet.  The entry at
-    ``((Gbar, p[j]), (G, j))`` is the plain coboundary sign of the
-    incidence, where ``p`` is its stored voltage.
+    Block row/column order is (face index) * k + sheet.  Each nonzero of
+    the base coboundary, the sign of an incidence ``(G, Gbar)`` with
+    stored voltage ``p``, is placed at ``((Gbar, p[j]), (G, j))`` for
+    every sheet ``j``.
     """
     if psi.dim != i:
         raise DimensionError(f"voltages are for layer {psi.dim}, not {i}")
     k = psi.k
-    cols = M.faces(i)
-    rows = M.faces(i + 1)
-    col_index = {f: c for c, f in enumerate(cols)}
-    out = np.zeros((len(rows) * k, len(cols) * k), dtype=np.int64)
-    for r, gbar in enumerate(rows):
-        for g, sgn in boundary_faces(gbar):
-            p = psi.voltage(g, gbar)
-            c = col_index[g]
-            for j in range(k):
-                out[r * k + p[j], c * k + j] = sgn
+    D = coboundary_matrix(M, i)
+    rows, cols = np.nonzero(D)
+    cofacets, faces = M.faces(i + 1), M.faces(i)
+    images = [psi.voltage(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())]
+    out = np.zeros((D.shape[0] * k, D.shape[1] * k), dtype=np.int64)
+    sheet_rows = rows[:, None] * k + np.array(images, dtype=np.int64).reshape(-1, k)
+    out[sheet_rows, cols[:, None] * k + np.arange(k)] = D[rows, cols][:, None]
     return out
 
 

@@ -33,7 +33,6 @@ from .complexes import (
     Cochain,
     SimplicialComplex,
     WeightScheme,
-    boundary_faces,
     coboundary_matrix,
     compute_weights,
     relative_orientation_sign,
@@ -111,23 +110,18 @@ def integer_rank(matrix) -> int:
 class BettiReport:
     """Betti numbers per dimension with the kernel bases that witnessed them.
 
-    ``reduced`` is False when the complex omits the empty face, in which
-    case the degree-0 number counts components rather than components
-    minus one.
+    ``operators`` holds the full Laplacian of each dimension, whose
+    kernel ``kernel_bases`` spans.  ``reduced`` is False when the complex
+    omits the empty face, in which case the degree-0 number counts
+    components rather than components minus one.
     """
 
     betti: dict
     method: str
     kernel_bases: dict
+    operators: dict
     reduced: bool
     warnings: tuple = ()
-
-
-def _full_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme) -> OperatorMatrix:
-    # the down part only exists above the minimum dimension
-    if i > K.min_dim:
-        return laplacian_matrix(K, i, FULL, scheme)
-    return laplacian_matrix(K, i, UP, scheme)
 
 
 def _numeric_kernel(op: OperatorMatrix, kernel_tol: float):
@@ -169,10 +163,12 @@ def betti_numbers(
     """
     betti: dict[int, int] = {}
     bases: dict[int, np.ndarray] = {}
+    ops: dict[int, OperatorMatrix] = {}
     notes: list[str] = []
     for i in K.dims():
-        op = _full_laplacian(K, i, scheme)
-        basis, dim_notes, dim = _numeric_kernel(op, kernel_tol)
+        # the down part only exists above the minimum dimension
+        ops[i] = laplacian_matrix(K, i, FULL if i > K.min_dim else UP, scheme)
+        basis, dim_notes, dim = _numeric_kernel(ops[i], kernel_tol)
         notes.extend(dim_notes)
         betti[i] = dim
         bases[i] = basis
@@ -188,57 +184,7 @@ def betti_numbers(
         method = "numeric-kernel"
     for note in notes:
         warnings.warn(note, stacklevel=2)
-    return BettiReport(betti, method, bases, K.include_empty, tuple(notes))
-
-
-# -- explicit operator formulas (independent cross-check) ---------------------
-
-
-def explicit_up_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL):
-    """Up operator assembled face by face, without matrix products.
-
-    The diagonal at a face is the weight sum of its cofacets over its own
-    weight; the off-diagonal at (F, F') is the cofacet weight over w(F)
-    times the two boundary signs inside their common cofacet.
-    """
-    if not (K.min_dim <= i <= K.top_dim):
-        raise LiftlapError(f"dimension {i} out of range")
-    w = compute_weights(K, scheme)
-    faces = K.faces(i)
-    idx = {f: c for c, f in enumerate(faces)}
-    L = np.zeros((len(faces), len(faces)))
-    for fbar in K.faces(i + 1):
-        bdry = boundary_faces(fbar)
-        for f, sa in bdry:
-            L[idx[f], idx[f]] += w[fbar] / w[f]
-            for f2, sb in bdry:
-                if f2 != f:
-                    L[idx[f], idx[f2]] += w[fbar] / w[f] * sa * sb
-    return L
-
-
-def explicit_down_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL):
-    """Down operator assembled face by face, mirroring the up formula."""
-    if not (K.min_dim + 1 <= i <= K.top_dim):
-        raise LiftlapError(f"dimension {i} out of range for the down operator")
-    w = compute_weights(K, scheme)
-    faces = K.faces(i)
-    idx = {f: c for c, f in enumerate(faces)}
-    L = np.zeros((len(faces), len(faces)))
-    sign_in = {}
-    for f in faces:
-        for h, s in boundary_faces(f):
-            sign_in[(h, f)] = s
-            L[idx[f], idx[f]] += w[f] / w[h]
-    for h in K.faces(i - 1):
-        cof = [f for f in K.cofacets(h)]
-        for f in cof:
-            for f2 in cof:
-                if f2 != f and len(set(f) & set(f2)) == i:
-                    L[idx[f], idx[f2]] += (
-                        w[f2] / w[h] * sign_in[(h, f)] * sign_in[(h, f2)]
-                    )
-    return L
+    return BettiReport(betti, method, bases, ops, K.include_empty, tuple(notes))
 
 
 # -- harmonic lifting ----------------------------------------------------------
@@ -337,7 +283,7 @@ def verify_betti_inequality(
         sigma_min = None
         basis = base_report.kernel_bases[i]
         if basis.shape[1]:
-            op = _full_laplacian(cov.cover, i, scheme)
+            op = cover_report.operators[i]
             lifted = np.column_stack(
                 [
                     lift_cochain(Cochain(i, basis[:, t]), cov, scheme).values

@@ -3,12 +3,16 @@
 Faces are serialized as increasing vertex lists.  Permutations are
 serialized as 1-based image lists of ``1..k``.  Voltage files may omit
 edges, which then carry the identity; signing files list only the
-flipped incidences, weighting files only the non-unit ones.
+flipped incidences, weighting files only the non-unit ones.  Both load
+as an :class:`~liftlap.operators.IncidenceWeighting`, a signing with
+values -1.  A record of the wrong shape raises
+:class:`~liftlap.errors.MalformedInputError` naming the file and record.
 """
 
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import perms
@@ -18,29 +22,48 @@ from .complexes import (
     NORMALIZED,
     SimplicialComplex,
     WeightScheme,
+    as_face,
     build_complex,
 )
 from .covering import EdgeVoltages, IncidenceVoltages, edge_voltages
-from .errors import MalformedInputError
-from .operators import IncidenceSigning, IncidenceWeighting
+from .errors import MalformedInputError, WeightError
+from .operators import IncidenceWeighting
 
 
 def _load(path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path}: invalid JSON ({exc})") from exc
     except OSError as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise MalformedInputError(f"{path}: expected a JSON object")
+    return data
+
+
+@contextmanager
+def _reading(path, what):
+    """Re-raise a shape error met while reading ``what`` as malformed input."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError, MalformedInputError) as exc:
+        raise MalformedInputError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from exc
+
+
+def _incidence(rec) -> tuple:
+    return as_face(rec["face"]), as_face(rec["cofacet"])
 
 
 def load_complex(path) -> tuple[SimplicialComplex, WeightScheme]:
     data = _load(path)
     if "facets" not in data:
         raise MalformedInputError(f"{path}: missing 'facets'")
-    K = build_complex(data["facets"], include_empty=bool(data.get("include_empty", True)))
-    scheme = parse_weight_scheme(data.get("weights"))
+    with _reading(path, "facets"):
+        K = build_complex(data["facets"], include_empty=bool(data.get("include_empty", True)))
+    with _reading(path, "weights"):
+        scheme = parse_weight_scheme(data.get("weights"))
     return K, scheme
 
 
@@ -78,11 +101,13 @@ def save_complex(K: SimplicialComplex, path, scheme: WeightScheme = COMBINATORIA
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; absent edges get the identity."""
     data = _load(path)
-    k = int(data.get("k", 1))
+    with _reading(path, "fold count"):
+        k = int(data.get("k", 1))
     table = {}
     for rec in data.get("edges", ()):
-        edge = tuple(sorted(int(v) for v in rec["edge"]))
-        table[edge] = perms.from_one_based(rec["perm"])
+        with _reading(path, f"record {rec!r}"):
+            edge = tuple(sorted(int(v) for v in rec["edge"]))
+            table[edge] = perms.from_one_based(rec["perm"])
     return edge_voltages(M, k, table)
 
 
@@ -98,12 +123,12 @@ def edge_voltages_to_dict(psi: EdgeVoltages) -> dict:
 def load_incidence_voltages(path, M: SimplicialComplex, dim: int) -> IncidenceVoltages:
     """Voltages on the incidences between dim- and (dim+1)-faces of ``M``."""
     data = _load(path)
-    k = int(data.get("k", 1))
+    with _reading(path, "fold count"):
+        k = int(data.get("k", 1))
     given = {}
     for rec in data.get("edges", ()):
-        face = tuple(sorted(int(v) for v in rec["face"]))
-        cofacet = tuple(sorted(int(v) for v in rec["cofacet"]))
-        given[(face, cofacet)] = perms.from_one_based(rec["perm"])
+        with _reading(path, f"record {rec!r}"):
+            given[_incidence(rec)] = perms.from_one_based(rec["perm"])
     table = {}
     for cofacet in M.faces(dim + 1):
         for j in range(len(cofacet)):
@@ -114,22 +139,25 @@ def load_incidence_voltages(path, M: SimplicialComplex, dim: int) -> IncidenceVo
     return IncidenceVoltages(k, dim, table)
 
 
-def load_signing(path) -> IncidenceSigning:
+def load_signing(path) -> IncidenceWeighting:
     """Signing file: listed (face, cofacet) pairs are -1, all others +1."""
     data = _load(path)
-    pairs = [
-        (tuple(sorted(rec["face"])), tuple(sorted(rec["cofacet"])))
-        for rec in data.get("flips", ())
-    ]
-    return IncidenceSigning.from_pairs(pairs)
+    flips = {}
+    for rec in data.get("flips", ()):
+        with _reading(path, f"record {rec!r}"):
+            flips[_incidence(rec)] = -1.0
+    return IncidenceWeighting(flips)
 
 
-def signing_to_dict(signing: IncidenceSigning, dim_pair=None) -> dict:
-    doc = {
-        "flips": [
-            {"face": list(f), "cofacet": list(c)} for f, c in sorted(signing.flips)
-        ]
-    }
+def signing_to_dict(signing: IncidenceWeighting, dim_pair=None) -> dict:
+    """Signing file of a weighting whose values are all -1 or +1."""
+    flips = []
+    for (f, c), v in sorted(signing.items()):
+        if v not in (1, -1):
+            raise WeightError(f"incidence weight {v!r} on ({f!r}, {c!r}) is not a sign")
+        if v == -1:
+            flips.append({"face": list(f), "cofacet": list(c)})
+    doc = {"flips": flips}
     if dim_pair is not None:
         doc["dim_pair"] = list(dim_pair)
     return doc
@@ -140,10 +168,9 @@ def load_weighting(path) -> IncidenceWeighting:
     data = _load(path)
     values = {}
     for rec in data.get("entries", ()):
-        val = rec["value"]
-        values[(tuple(sorted(rec["face"])), tuple(sorted(rec["cofacet"])))] = complex(
-            float(val.get("re", 0.0)), float(val.get("im", 0.0))
-        )
+        with _reading(path, f"record {rec!r}"):
+            val = rec["value"]
+            values[_incidence(rec)] = complex(float(val.get("re", 0.0)), float(val.get("im", 0.0)))
     return IncidenceWeighting(values)
 
 
@@ -151,7 +178,8 @@ def load_vertex_map(path) -> dict:
     data = _load(path)
     if "vertex_map" not in data:
         raise MalformedInputError(f"{path}: missing 'vertex_map'")
-    return {int(a): int(b) for a, b in data["vertex_map"]}
+    with _reading(path, "vertex_map"):
+        return {int(a): int(b) for a, b in data["vertex_map"]}
 
 
 def vertex_map_to_dict(vertex_map) -> dict:

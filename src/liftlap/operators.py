@@ -4,9 +4,10 @@ The matrix conventions follow the coboundary layout of
 :mod:`liftlap.complexes`: the degree-i coboundary has rows indexed by
 (i+1)-faces and columns by i-faces, so the i-up operator is
 ``W_i^{-1} D_i^T W_{i+1} D_i`` and the i-down operator is
-``D_{i-1} W_{i-1}^{-1} D_{i-1}^T W_i``.  Incidence signings multiply
-coboundary entries by +-1, incidence weightings by a nonzero complex
-number (the adjoint then uses the conjugate transpose).
+``D_{i-1} W_{i-1}^{-1} D_{i-1}^T W_i``.  An incidence weighting
+multiplies each coboundary entry by a nonzero real or complex number (the
+adjoint then uses the conjugate transpose); an incidence signing is the
+weighting with values -1 on its flipped incidences.
 
 Everything is dense: the package targets desk-scale complexes where
 dense eigensolves are simpler and exactly testable.
@@ -38,40 +39,27 @@ DEFAULT_TOL = 1e-8
 HERMITICITY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class IncidenceSigning:
-    """A +-1 sign on every (face, cofacet) incidence.
-
-    Only the flipped pairs are stored; every incidence not listed
-    carries +1, matching the on-disk format.
-    """
-
-    flips: frozenset = frozenset()
-
-    @staticmethod
-    def from_pairs(pairs) -> "IncidenceSigning":
-        return IncidenceSigning(frozenset((tuple(a), tuple(b)) for a, b in pairs))
-
-    def sign(self, face: Face, cofacet: Face) -> int:
-        return -1 if (tuple(face), tuple(cofacet)) in self.flips else 1
-
-
 class IncidenceWeighting:
-    """A nonzero complex weight on every (face, cofacet) incidence.
+    """A nonzero weight on every (face, cofacet) incidence.
 
-    Pairs not listed carry weight 1.
+    Pairs not listed carry weight 1.  Real values are stored as floats
+    and complex ones as complex numbers; ``dtype``, the dtype of the
+    decorated coboundary, is float64 when every value is real and
+    complex128 otherwise.  A signing is the real case with values -1.
     """
 
     def __init__(self, values: Mapping | None = None):
         self._values = {}
         for (a, b), v in (values or {}).items():
-            v = complex(v)
+            v = complex(v) if np.iscomplexobj(v) else float(v)
             if v == 0:
                 raise WeightError(f"incidence weight for ({a!r}, {b!r}) must be nonzero")
             self._values[(tuple(a), tuple(b))] = v
+        real = not any(isinstance(v, complex) for v in self._values.values())
+        self.dtype = np.dtype(np.float64 if real else np.complex128)
 
-    def value(self, face: Face, cofacet: Face) -> complex:
-        return self._values.get((tuple(face), tuple(cofacet)), 1.0 + 0.0j)
+    def value(self, face: Face, cofacet: Face) -> float | complex:
+        return self._values.get((tuple(face), tuple(cofacet)), 1.0)
 
     def items(self):
         return self._values.items()
@@ -81,24 +69,17 @@ class IncidenceWeighting:
 
 
 def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.ndarray:
-    """Coboundary matrix with signs or complex weights applied entrywise."""
+    """Coboundary matrix with each nonzero scaled by its incidence weight."""
     D = coboundary_matrix(K, i)
     if decoration is None:
         return D
-    if isinstance(decoration, IncidenceSigning):
-        scale = decoration.sign
-        out = D.copy()
-    elif isinstance(decoration, IncidenceWeighting):
-        scale = decoration.value
-        out = D.astype(complex)
-    else:
+    if not isinstance(decoration, IncidenceWeighting):
         raise TypeError(f"unsupported decoration {decoration!r}")
-    cols = K.faces(i)
-    rows = K.faces(i + 1)
-    for r, fbar in enumerate(rows):
-        for c, f in enumerate(cols):
-            if D[r, c] != 0:
-                out[r, c] = D[r, c] * scale(f, fbar)
+    rows, cols = np.nonzero(D)
+    cofacets, faces = K.faces(i + 1), K.faces(i)
+    scale = [decoration.value(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())]
+    out = D.astype(decoration.dtype)
+    out[rows, cols] *= np.array(scale, dtype=decoration.dtype)
     return out
 
 
@@ -108,7 +89,7 @@ class OperatorMatrix:
 
     ``weights`` is the diagonal of the weight matrix on the operator's
     own cochain degree; it drives the similarity transform used by the
-    eigensolver path.  ``decoration`` records the signing or weighting
+    eigensolver path.  ``decoration`` records the incidence weighting
     the coboundary was built with, if any.
     """
 
@@ -147,9 +128,9 @@ def laplacian_matrix(
 ) -> OperatorMatrix:
     """Assemble the i-dimensional up/down/full Laplace operator of ``K``.
 
-    ``decoration`` (an :class:`IncidenceSigning` or
-    :class:`IncidenceWeighting`) applies to the coboundary layer each
-    part actually uses: (i, i+1) for up, (i-1, i) for down.
+    ``decoration`` (an :class:`IncidenceWeighting`) applies to the
+    coboundary layer each part actually uses: (i, i+1) for up, (i-1, i)
+    for down.
 
     Valid dimensions: up needs ``min_dim <= i <= top_dim`` (the top
     dimension yields a zero matrix), down needs ``min_dim + 1 <= i <=

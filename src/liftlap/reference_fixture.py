@@ -17,11 +17,17 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import COMBINATORIAL, SimplicialComplex, build_complex
+from .complexes import (
+    COMBINATORIAL,
+    SimplicialComplex,
+    build_complex,
+    connected_components,
+    face_coboundary,
+)
 from .covering import IncidenceVoltages, voltage_coboundary_matrix
 from .homology import integer_rank
 from .operators import (
-    IncidenceSigning,
+    IncidenceWeighting,
     OperatorMatrix,
     SpectrumMultiset,
     compare_spectra,
@@ -51,39 +57,6 @@ class ReferenceFixture:
         return self.complex.facets()
 
 
-def _connected(n: int, edges) -> bool:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(n)}) == 1
-
-
-def _edge_rank(edges, tris) -> int:
-    idx = {e: c for c, e in enumerate(edges)}
-    D = np.zeros((len(tris), len(edges)), dtype=np.int64)
-    for r, t in enumerate(tris):
-        for j in range(3):
-            sub = t[:j] + t[j + 1 :]
-            D[r, idx[sub]] = (-1) ** j
-    return integer_rank(D)
-
-
-def _up_spectrum(edges, tris) -> np.ndarray:
-    idx = {e: c for c, e in enumerate(edges)}
-    D = np.zeros((len(tris), len(edges)))
-    for r, t in enumerate(tris):
-        for j in range(3):
-            D[r, idx[t[:j] + t[j + 1 :]]] = (-1) ** j
-    return np.linalg.eigvalsh(D.T @ D)
-
-
 def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
     """All labeled candidates matching the target spectrum, sorted."""
     verts = range(6)
@@ -104,12 +77,12 @@ def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
         pool = [e for e in all_edges if e not in counts]
         for free in combinations(pool, 12 - len(used)):
             edges = sorted(used + list(free))
-            if not _connected(6, edges):
+            if len(connected_components(verts, edges)) != 1:
                 continue
-            if 12 - 5 - _edge_rank(edges, tris) != 1:
+            D = face_coboundary(tris, edges)
+            if 12 - 5 - integer_rank(D) != 1:
                 continue
-            vals = _up_spectrum(edges, tris)
-            if np.allclose(np.sort(vals), target, atol=tol):
+            if np.allclose(np.sort(np.linalg.eigvalsh(D.T @ D)), target, atol=tol):
                 found.append(build_complex(list(tris) + list(free)))
     found.sort(key=lambda K: tuple(K.facets()))
     return found
@@ -125,7 +98,7 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
     for tri in M.faces(2):
         for j in range(3):
             edge = tri[:j] + tri[j + 1 :]
-            signing = IncidenceSigning.from_pairs([(edge, tri)])
+            signing = IncidenceWeighting({(edge, tri): -1.0})
             signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing), tol)
             if not compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=tol).holds:
                 continue

@@ -2,10 +2,11 @@
 
 The coboundary of a base complex splits into one matrix per distinct
 incidence voltage; tensoring each piece with the corresponding
-permutation matrix rebuilds the lifted coboundary.  Conjugating by a
-matrix that block-diagonalizes the permutation representation then
-splits the lifted Laplacian into one block per sub-representation, the
-first block being the base Laplacian itself.
+permutation matrix and summing gives the lifted coboundary that
+:func:`~liftlap.covering.voltage_coboundary_matrix` places entrywise.
+Conjugating by a matrix that block-diagonalizes the permutation
+representation then splits the lifted Laplacian into one block per
+sub-representation, the first block being the base Laplacian itself.
 
 The block-diagonalizing transform is found numerically: a random
 Hermitian element of the commutant algebra is eigendecomposed, its
@@ -29,12 +30,12 @@ from .complexes import (
     COMBINATORIAL,
     SimplicialComplex,
     WeightScheme,
-    boundary_faces,
     coboundary_matrix,
     compute_weights,
+    connected_components,
     weight_vector,
 )
-from .covering import IncidenceVoltages, voltage_coboundary_matrix
+from .covering import IncidenceVoltages
 from .errors import (
     DecompositionError,
     DimensionError,
@@ -42,7 +43,7 @@ from .errors import (
     GroupStructureError,
     VoltageError,
 )
-from .operators import DOWN, UP, IncidenceSigning, IncidenceWeighting, OperatorMatrix, laplacian_matrix
+from .operators import DOWN, UP, IncidenceWeighting, OperatorMatrix, laplacian_matrix
 from .perms import Perm
 
 
@@ -71,18 +72,9 @@ class VoltageGroup:
 
     @property
     def transitive(self) -> bool:
-        if self.k == 0:
-            return True
-        orbit = {0}
-        frontier = [0]
-        while frontier:
-            x = frontier.pop()
-            for g in self.generators or self.elements:
-                y = g[x]
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return len(orbit) == self.k
+        # an orbit is a component of the graph with edges x - g[x]
+        moves = [(x, g[x]) for g in self.generators or self.elements for x in range(self.k)]
+        return len(connected_components(range(self.k), moves)) <= 1
 
 
 def voltage_group(psi, k: int | None = None, max_order: int | None = None) -> VoltageGroup:
@@ -131,37 +123,15 @@ def split_coboundary(
     if psi.dim != i:
         raise DimensionError(f"voltages are for layer {psi.dim}, not {i}")
     D = coboundary_matrix(M, i)
-    cols = {f: c for c, f in enumerate(M.faces(i))}
+    cofacets, faces = M.faces(i + 1), M.faces(i)
+    rows, cols = np.nonzero(D)
     out: dict[Perm, np.ndarray] = {}
-    for r, gbar in enumerate(M.faces(i + 1)):
-        for g, sgn in boundary_faces(gbar):
-            p = psi.voltage(g, gbar)
-            if p not in out:
-                out[p] = np.zeros_like(D)
-            out[p][r, cols[g]] = sgn
-    if not out and D.size == 0:
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        p = psi.voltage(faces[c], cofacets[r])
+        out.setdefault(p, np.zeros_like(D))[r, c] = D[r, c]
+    if not out:
         out[perms.identity(psi.k)] = D
     return out
-
-
-def derived_coboundary(M: SimplicialComplex, psi: IncidenceVoltages, i: int) -> np.ndarray:
-    """Lifted coboundary, built two ways and cross-checked exactly.
-
-    The entrywise construction places the incidence sign at
-    ``((cofacet, p[j]), (face, j))``; the tensor construction sums the
-    Kronecker products of the split pieces with their permutation
-    matrices.  Both are exact integer matrices and must agree entry for
-    entry.
-    """
-    direct = voltage_coboundary_matrix(M, psi, i)
-    k = psi.k
-    rows, cols = M.face_count(i + 1), M.face_count(i)
-    tensor = np.zeros((rows * k, cols * k), dtype=np.int64)
-    for p, Dg in split_coboundary(M, psi, i).items():
-        tensor += np.kron(Dg, perms.permutation_matrix(p))
-    if not np.array_equal(direct, tensor):
-        raise DecompositionError("entrywise and tensor lifted coboundaries disagree")
-    return direct
 
 
 @dataclass(frozen=True)
@@ -343,7 +313,7 @@ def block_laplacians(
     return blocks
 
 
-def two_fold_signing(psi: IncidenceVoltages) -> IncidenceSigning:
+def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
     """The incidence signing of a 2-fold cover: -1 where the voltage swaps.
 
     If every voltage is the identity the lift is disconnected (two
@@ -359,7 +329,7 @@ def two_fold_signing(psi: IncidenceVoltages) -> IncidenceSigning:
             "signed complex coincides with the base",
             stacklevel=2,
         )
-    return IncidenceSigning.from_pairs(flips)
+    return IncidenceWeighting({pair: -1.0 for pair in flips})
 
 
 def abelian_weightings(

@@ -1,6 +1,22 @@
 """Independent reference implementations that only the tests call."""
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from liftlap import (
+    COMBINATORIAL,
+    DimensionError,
+    EdgeVoltages,
+    LiftlapError,
+    MalformedInputError,
+    SimplicialComplex,
+    WeightScheme,
+    boundary_faces,
+    compute_weights,
+    split_coboundary,
+)
+from liftlap.perms import permutation_matrix
 
 
 def bareiss_rank(matrix) -> int:
@@ -29,3 +45,165 @@ def bareiss_rank(matrix) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:
+    """Lifted coboundary as the sum of the split pieces tensored with their
+    permutation matrices; ``voltage_coboundary_matrix`` must agree exactly."""
+    k = psi.k
+    out = np.zeros((M.face_count(i + 1) * k, M.face_count(i) * k), dtype=np.int64)
+    for p, Dg in split_coboundary(M, psi, i).items():
+        out += np.kron(Dg, permutation_matrix(p))
+    return out
+
+
+# -- explicit operator formulas ------------------------------------------------
+
+
+def explicit_up_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL):
+    """Up operator assembled face by face, without matrix products.
+
+    The diagonal at a face is the weight sum of its cofacets over its own
+    weight; the off-diagonal at (F, F') is the cofacet weight over w(F)
+    times the two boundary signs inside their common cofacet.
+    """
+    if not (K.min_dim <= i <= K.top_dim):
+        raise LiftlapError(f"dimension {i} out of range")
+    w = compute_weights(K, scheme)
+    faces = K.faces(i)
+    idx = {f: c for c, f in enumerate(faces)}
+    L = np.zeros((len(faces), len(faces)))
+    for fbar in K.faces(i + 1):
+        bdry = boundary_faces(fbar)
+        for f, sa in bdry:
+            L[idx[f], idx[f]] += w[fbar] / w[f]
+            for f2, sb in bdry:
+                if f2 != f:
+                    L[idx[f], idx[f2]] += w[fbar] / w[f] * sa * sb
+    return L
+
+
+def explicit_down_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL):
+    """Down operator assembled face by face, mirroring the up formula."""
+    if not (K.min_dim + 1 <= i <= K.top_dim):
+        raise LiftlapError(f"dimension {i} out of range for the down operator")
+    w = compute_weights(K, scheme)
+    faces = K.faces(i)
+    idx = {f: c for c, f in enumerate(faces)}
+    L = np.zeros((len(faces), len(faces)))
+    sign_in = {}
+    for f in faces:
+        for h, s in boundary_faces(f):
+            sign_in[(h, f)] = s
+            L[idx[f], idx[f]] += w[f] / w[h]
+    for h in K.faces(i - 1):
+        cof = [f for f in K.cofacets(h)]
+        for f in cof:
+            for f2 in cof:
+                if f2 != f and len(set(f) & set(f2)) == i:
+                    L[idx[f], idx[f2]] += (
+                        w[f2] / w[h] * sign_in[(h, f)] * sign_in[(h, f2)]
+                    )
+    return L
+
+
+# -- graphs --------------------------------------------------------------------
+
+
+class Graph:
+    """A finite simple graph with hashable vertex labels."""
+
+    def __init__(self, vertices, edges):
+        self.vertices = tuple(vertices)
+        seen = set()
+        out = []
+        vset = set(self.vertices)
+        for a, b in edges:
+            if a == b:
+                raise MalformedInputError(f"loop edge at {a!r}")
+            if a not in vset or b not in vset:
+                raise MalformedInputError(f"edge ({a!r}, {b!r}) uses an unknown vertex")
+            key = frozenset((a, b))
+            if key not in seen:
+                seen.add(key)
+                out.append((a, b))
+        self.edges = tuple(out)
+
+    def neighbors(self, v):
+        return tuple(b if a == v else a for a, b in self.edges if v in (a, b))
+
+    @property
+    def connected(self) -> bool:
+        if not self.vertices:
+            return True
+        seen = {self.vertices[0]}
+        stack = [self.vertices[0]]
+        adj: dict = {v: [] for v in self.vertices}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) == len(self.vertices)
+
+
+@dataclass(frozen=True)
+class IncidenceGraph:
+    """Bipartite graph between the i-faces and (i+1)-faces of a complex."""
+
+    left: tuple
+    right: tuple
+    edges: tuple
+    dim: int
+
+
+def incidence_graph(K: SimplicialComplex, i: int) -> IncidenceGraph:
+    """The bipartite incidence graph between ``S_i(K)`` and ``S_{i+1}(K)``."""
+    if not (K.min_dim <= i <= K.top_dim):
+        raise DimensionError(f"incidence graph needs {K.min_dim} <= i <= {K.top_dim}")
+    left = K.faces(i)
+    right = K.faces(i + 1)
+    idx = {f: c for c, f in enumerate(left)}
+    edges = []
+    for r, fbar in enumerate(right):
+        for sub, _ in boundary_faces(fbar):
+            edges.append((idx[sub], r))
+    return IncidenceGraph(left, right, tuple(edges), i)
+
+
+def as_graph_voltages(psi) -> tuple[Graph, EdgeVoltages]:
+    """The incidence graph (labelled) of incidence voltages and their
+    voltages, cofacet side first.
+
+    The stored face-to-cofacet permutation becomes the voltage of the
+    edge ``(("r", cofacet), ("l", face))`` so the generic derived-graph
+    rule reproduces the incidence adjacency of the covering complex.
+    """
+    left = sorted({f for f, _ in psi.perms})
+    right = sorted({c for _, c in psi.perms})
+    verts = [("l", f) for f in left] + [("r", c) for c in right]
+    edges = {}
+    for (f, c), p in psi.perms.items():
+        edges[(("r", c), ("l", f))] = p
+    g = Graph(verts, list(edges))
+    return g, EdgeVoltages(psi.k, edges)
+
+
+def derived_graph(B: Graph, psi: EdgeVoltages) -> Graph:
+    """The k-sheeted derived graph of a voltage assignment.
+
+    ``(u, i)`` and ``(v, j)`` are adjacent iff ``(u, v)`` is an edge of
+    ``B`` with voltage ``p`` and ``i == p[j]``.
+    """
+    k = psi.k
+    verts = [(v, j) for v in B.vertices for j in range(k)]
+    edges = []
+    for u, v in B.edges:
+        p = psi.voltage(u, v)
+        for j in range(k):
+            edges.append(((u, p[j]), (v, j)))
+    return Graph(verts, edges)

@@ -257,3 +257,39 @@ class TestFixtureSearch:
         assert [tuple(f) for f in report["results"]["facets"]] == list(REFERENCE_FACETS)
         cached = json.loads((tmp_path / "fig1_fixture.json").read_text())
         assert cached["found"] is True
+
+
+class TestMalformedInput:
+    """Bad files exit 2 with an error naming the file and the record."""
+
+    def test_signing_record_without_cofacet(self, capsys, tmp_path, triangle_file):
+        signing = write(tmp_path, "s.json", {"flips": [{"face": [0, 1]}]})
+        code, report, err = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", "1", "--signing", signing]
+        )
+        assert code == 2 and report is None
+        assert "s.json" in err and "'cofacet'" in err
+
+    def test_weighting_value_not_an_object(self, capsys, tmp_path, triangle_file):
+        weighting = write(
+            tmp_path, "w.json", {"entries": [{"face": [0, 1], "cofacet": [0, 1, 2], "value": 2.0}]}
+        )
+        code, report, err = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", "1", "--weighting", weighting]
+        )
+        assert code == 2 and report is None
+        assert "w.json" in err and "'value': 2.0" in err
+
+    def test_facet_not_a_list(self, capsys, tmp_path):
+        bad = write(tmp_path, "flat.json", {"facets": [0, 1, 2]})
+        code, report, err = run(capsys, ["spectrum", "--complex", bad, "--dim", "0"])
+        assert code == 2 and report is None
+        assert "flat.json" in err and "face 0" in err
+
+    def test_signing_flip_off_the_complex(self, capsys, tmp_path, triangle_file):
+        signing = write(tmp_path, "s.json", {"flips": [{"face": [0, 7], "cofacet": [0, 1, 7]}]})
+        code, report, err = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", "1", "--signing", signing]
+        )
+        assert code == 2 and report is None
+        assert "s.json" in err and "[0, 7], [0, 1, 7]" in err

@@ -13,6 +13,7 @@ from liftlap import (
     build_complex,
     coboundary_matrix,
     compute_weights,
+    face_coboundary,
     relative_orientation_sign,
 )
 from liftlap.randgen import random_complex
@@ -48,6 +49,10 @@ class TestBuildComplex:
             build_complex([])
         with pytest.raises(MalformedInputError):
             build_complex([[]])
+
+    def test_non_list_facet_rejected(self):
+        with pytest.raises(MalformedInputError, match="face 0 is not a list"):
+            build_complex([0, 1, 2])
 
     def test_negative_vertex_rejected(self):
         with pytest.raises(MalformedInputError):
@@ -140,6 +145,17 @@ class TestCoboundaryMatrix:
                 cols = (np.abs(D) != 0).sum(axis=0)
                 expected = [len(K.cofacets(f)) for f in K.faces(i)]
                 assert cols.tolist() == expected
+
+    def test_face_lists_agree_with_boundary_faces(self):
+        rng = np.random.default_rng(13)
+        for _ in range(10):
+            K = random_complex(rng)
+            for i in range(K.min_dim, K.top_dim):
+                D = face_coboundary(K.faces(i + 1), K.faces(i))
+                assert np.array_equal(D, coboundary_matrix(K, i))
+                for r, fbar in enumerate(K.faces(i + 1)):
+                    for f, sgn in boundary_faces(fbar):
+                        assert D[r, K.index(f)] == sgn
 
 
 class TestWeights:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import bareiss_rank
+from oracles import bareiss_rank, explicit_down_laplacian, explicit_up_laplacian
 
 import liftlap.homology
 from liftlap import (
@@ -20,8 +20,6 @@ from liftlap import (
     coboundary_matrix,
     derived_complex,
     edge_voltages,
-    explicit_down_laplacian,
-    explicit_up_laplacian,
     integer_rank,
     laplacian_matrix,
     lift_cochain,
@@ -192,6 +190,27 @@ class TestExplicitFormulas:
                     direct = explicit_down_laplacian(K, i, scheme)
                     viaD = laplacian_matrix(K, i, "down", scheme).matrix
                     assert np.max(np.abs(direct - viaD)) <= 1e-10
+
+
+class TestBettiReport:
+    def test_keeps_the_full_laplacians(self, triangle):
+        rep = betti_numbers(triangle)
+        assert np.array_equal(rep.operators[-1].matrix, laplacian_matrix(triangle, -1, "up").matrix)
+        for i in range(0, 3):
+            assert np.array_equal(rep.operators[i].matrix, laplacian_matrix(triangle, i, "full").matrix)
+
+    def test_inequality_builds_each_cover_operator_once(self, c3_double_cover, monkeypatch):
+        cov = c3_double_cover.covering
+        built = []
+
+        def counting_laplacian(K, i, *args):
+            if K is cov.cover:
+                built.append(i)
+            return laplacian_matrix(K, i, *args)
+
+        monkeypatch.setattr(liftlap.homology, "laplacian_matrix", counting_laplacian)
+        assert verify_betti_inequality(cov).holds
+        assert built == list(cov.cover.dims())
 
 
 class TestLiftCochain:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from liftlap import MalformedInputError, build_complex
+from liftlap import IncidenceWeighting, MalformedInputError, WeightError, build_complex
 from liftlap import io as llio
 
 
@@ -81,6 +81,12 @@ class TestVoltageFiles:
         with pytest.raises(Exception):
             llio.load_edge_voltages(p, M)
 
+    def test_fold_count_must_be_an_integer(self, tmp_path):
+        M = build_complex([{1, 2}])
+        p = write(tmp_path, "psi.json", {"k": "two", "edges": []})
+        with pytest.raises(MalformedInputError, match="psi.json: malformed fold count"):
+            llio.load_edge_voltages(p, M)
+
     def test_roundtrip(self, tmp_path):
         M = build_complex([{1, 2}, {2, 3}, {1, 3}])
         p = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]})
@@ -108,8 +114,8 @@ class TestSigningAndWeightingFiles:
             {"dim_pair": [1, 2], "flips": [{"face": [1, 2], "cofacet": [1, 2, 6]}]},
         )
         signing = llio.load_signing(p)
-        assert signing.sign((1, 2), (1, 2, 6)) == -1
-        assert signing.sign((1, 6), (1, 2, 6)) == 1
+        assert signing.value((1, 2), (1, 2, 6)) == -1
+        assert signing.value((1, 6), (1, 2, 6)) == 1
 
     def test_weighting_example(self, tmp_path):
         p = write(
@@ -134,6 +140,10 @@ class TestSigningAndWeightingFiles:
         doc = llio.signing_to_dict(signing, dim_pair=(1, 2))
         assert doc["flips"] == [{"face": [1, 2], "cofacet": [1, 2, 6]}]
         assert doc["dim_pair"] == [1, 2]
+
+    def test_signing_file_needs_signs(self):
+        with pytest.raises(WeightError):
+            llio.signing_to_dict(IncidenceWeighting({((1, 2), (1, 2, 6)): 0.5}))
 
 
 class TestVertexMapFiles:

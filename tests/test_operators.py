@@ -7,14 +7,15 @@ from liftlap import (
     COMBINATORIAL,
     NORMALIZED,
     DimensionError,
-    IncidenceSigning,
     IncidenceWeighting,
     OperatorMatrix,
     SpectrumMultiset,
     WeightScheme,
     build_complex,
     compare_spectra,
+    coboundary_matrix,
     compute_weights,
+    decorated_coboundary,
     laplacian_matrix,
     spectrum,
     symmetrized_form,
@@ -38,7 +39,7 @@ class TestLaplacianMatrix:
         rng = np.random.default_rng(5)
         K = random_complex(rng)
         plain = laplacian_matrix(K, 0, "up")
-        signed = laplacian_matrix(K, 0, "up", decoration=IncidenceSigning())
+        signed = laplacian_matrix(K, 0, "up", decoration=IncidenceWeighting())
         assert np.array_equal(plain.matrix, signed.matrix)
 
     def test_full_is_up_plus_down(self):
@@ -159,6 +160,19 @@ class TestCompareSpectra:
 
 
 class TestDecorations:
+    def test_dtype_follows_the_values(self, triangle):
+        signing = IncidenceWeighting({((0, 1), (0, 1, 2)): -1})
+        D = decorated_coboundary(triangle, 1, signing)
+        assert D.dtype == np.float64 and D.tolist() == [[-1.0, -1.0, 1.0]]
+        # the float coboundary gives the Laplacian of the int one, bit for bit
+        signed_int = coboundary_matrix(triangle, 1) * np.array([-1, 1, 1])
+        op = laplacian_matrix(triangle, 1, "full", decoration=signing)
+        down = laplacian_matrix(triangle, 1, "down").matrix
+        assert np.array_equal(op.matrix, signed_int.T @ signed_int + down)
+        w = IncidenceWeighting({((0, 1), (0, 1, 2)): 1j})
+        D = decorated_coboundary(triangle, 1, w)
+        assert D.dtype == np.complex128 and D.tolist() == [[1j, -1, 1]]
+
     def test_weighting_rejects_zero(self):
         with pytest.raises(Exception):
             IncidenceWeighting({((0,), (0, 1)): 0})

@@ -2,24 +2,26 @@ import numpy as np
 import pytest
 
 from conftest import cycle_complex
+from oracles import kronecker_coboundary
 
 from liftlap import (
     COMBINATORIAL,
     GroupStructureError,
     IncidenceVoltages,
+    IncidenceWeighting,
     VoltageError,
     abelian_weightings,
     block_laplacians,
     build_complex,
     coboundary_matrix,
     decompose_representation,
-    derived_coboundary,
     derived_complex,
     edge_voltages,
     induced_incidence_voltage,
     laplacian_matrix,
     split_coboundary,
     two_fold_signing,
+    voltage_coboundary_matrix,
     voltage_group,
 )
 from liftlap.perms import cycle, identity, permutation_matrix, transposition
@@ -40,6 +42,11 @@ class TestVoltageGroup:
         g = voltage_group([transposition(4, 0, 1), cycle(4)])
         assert g.order == 24
         assert not g.abelian
+
+    def test_transitive_means_one_orbit(self):
+        assert not voltage_group([(1, 0, 2)]).transitive
+        assert not voltage_group([(1, 0, 2, 3), (0, 1, 3, 2)]).transitive
+        assert voltage_group([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]).transitive
 
     def test_empty_generators_need_fold_count(self):
         assert voltage_group([], k=3).order == 1
@@ -98,7 +105,8 @@ class TestDerivedCoboundary:
         psi = induced_incidence_voltage(
             derived_complex(M, edge_voltages(M, 1)).covering, 0
         )
-        assert np.array_equal(derived_coboundary(M, psi, 0), coboundary_matrix(M, 0))
+        assert np.array_equal(voltage_coboundary_matrix(M, psi, 0), coboundary_matrix(M, 0))
+        assert np.array_equal(kronecker_coboundary(M, psi, 0), coboundary_matrix(M, 0))
 
     def test_routes_agree_on_random_instances(self):
         rng = np.random.default_rng(42)
@@ -111,7 +119,7 @@ class TestDerivedCoboundary:
             _, result = out
             for i in range(0, M.top_dim + 1):
                 iv = induced_incidence_voltage(result.covering, i)
-                derived_coboundary(M, iv, i)  # raises if the routes disagree
+                assert np.array_equal(voltage_coboundary_matrix(M, iv, i), kronecker_coboundary(M, iv, i))
             count += 1
 
 
@@ -173,27 +181,27 @@ class TestTwoFoldSigning:
                 e = t[:j] + t[j + 1 :]
                 table[(e, t)] = (1, 0) if (e, t) == reference.flip else (0, 1)
         signing = two_fold_signing(IncidenceVoltages(2, 1, table))
-        assert signing.sign(*reference.flip) == -1
+        assert signing.value(*reference.flip) == -1
         others = [
             (e, t)
             for t in M.faces(2)
             for e, _ in [(t[:j] + t[j + 1 :], None) for j in range(3)]
             if (e, t) != reference.flip
         ]
-        assert all(signing.sign(e, t) == 1 for e, t in others)
+        assert all(signing.value(e, t) == 1 for e, t in others)
 
     def test_all_identity_warns(self):
         M = cycle_complex(3)
         table = {((v,), e): (0, 1) for e in M.faces(1) for v in [e[0], e[1]]}
         with pytest.warns(UserWarning):
             signing = two_fold_signing(IncidenceVoltages(2, 0, table))
-        assert not signing.flips
+        assert signing == IncidenceWeighting()
 
     def test_all_swapped(self):
         M = cycle_complex(3)
         table = {((v,), e): (1, 0) for e in M.faces(1) for v in [e[0], e[1]]}
         signing = two_fold_signing(IncidenceVoltages(2, 0, table))
-        assert all(signing.sign((v,), e) == -1 for (v,), e in table)
+        assert all(signing.value((v,), e) == -1 for (v,), e in table)
 
     def test_wrong_fold_count(self):
         M = cycle_complex(3)
@@ -210,7 +218,7 @@ class TestAbelianWeightings:
         (weighting,) = abelian_weightings(iv)
         signing = two_fold_signing(iv)
         for pair in iv.perms:
-            assert np.isclose(weighting.value(*pair).real, signing.sign(*pair))
+            assert np.isclose(weighting.value(*pair).real, signing.value(*pair))
             assert abs(weighting.value(*pair).imag) < 1e-12
 
     def test_cyclic_three_values_are_roots_of_unity(self):
