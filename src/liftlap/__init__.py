@@ -83,7 +83,6 @@ from .representation import (
     abelian_weightings,
     block_laplacians,
     decompose_representation,
-    split_coboundary,
     two_fold_signing,
     voltage_group,
 )

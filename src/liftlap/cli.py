@@ -16,8 +16,6 @@ import warnings
 from functools import reduce
 from pathlib import Path
 
-import numpy as np
-
 from . import io as llio
 from .complexes import COMBINATORIAL, NORMALIZED
 from .covering import derived_complex, induced_incidence_voltage, verify_covering
@@ -171,10 +169,8 @@ def cmd_decompose(args, report):
     lifted = spectrum(laplacian_matrix(cov.cover, args.dim, args.direction, scheme), args.tol)
     spectra = [spectrum(b, args.tol) for b in blocks]
     cmp_union = compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
-    base_op = laplacian_matrix(cov.base, args.dim, args.direction, scheme)
-    first_err = (
-        float(np.max(np.abs(blocks[0].matrix - base_op.matrix))) if base_op.size else 0.0
-    )
+    # block 0 is the base operator exactly when rho_0 is the trivial representation
+    first_err = max(abs(complex(dec.blocks_of[g][0][0, 0]) - 1) for g in group.elements)
     report["results"] = {
         "group_order": group.order,
         "block_sizes": list(dec.block_sizes),
@@ -344,8 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--kind", choices=["up", "down", "full"], default="up")
     p.add_argument("--scheme", choices=sorted(SCHEMES))
-    p.add_argument("--signing")
-    p.add_argument("--weighting")
+    decorations = p.add_mutually_exclusive_group()
+    decorations.add_argument("--signing")
+    decorations.add_argument("--weighting")
     p.set_defaults(func=cmd_spectrum)
 
     pc = sub.add_parser("cover", help="build or verify coverings")

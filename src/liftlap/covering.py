@@ -46,6 +46,7 @@ from .errors import (
     MalformedInputError,
     VoltageError,
 )
+from .operators import IncidenceWeighting, decorated_coboundary
 from .perms import Perm
 
 
@@ -406,24 +407,21 @@ def orientation_sign_diagonal(cov: CoveringMap, i: int) -> SignDiagonal:
 
 
 def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: int) -> np.ndarray:
-    """Entrywise lifted coboundary of the base from incidence voltages.
+    """Lifted coboundary: the base coboundary decorated by the voltages'
+    permutation matrices, as exact integers.
 
     Block row/column order is (face index) * k + sheet.  Each nonzero of
     the base coboundary, the sign of an incidence ``(G, Gbar)`` with
-    stored voltage ``p``, is placed at ``((Gbar, p[j]), (G, j))`` for
-    every sheet ``j``.
+    stored voltage ``p``, becomes the block ``sign * P(p)``, so it lands
+    at ``((Gbar, p[j]), (G, j))`` for every sheet ``j``.
     """
     if psi.dim != i:
         raise DimensionError(f"voltages are for layer {psi.dim}, not {i}")
-    k = psi.k
-    D = coboundary_matrix(M, i)
-    rows, cols = np.nonzero(D)
-    cofacets, faces = M.faces(i + 1), M.faces(i)
-    images = [psi.voltage(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())]
-    out = np.zeros((D.shape[0] * k, D.shape[1] * k), dtype=np.int64)
-    sheet_rows = rows[:, None] * k + np.array(images, dtype=np.int64).reshape(-1, k)
-    out[sheet_rows, cols[:, None] * k + np.arange(k)] = D[rows, cols][:, None]
-    return out
+    if not psi.perms:
+        # a layer without incidences has no voltage to read k from
+        return np.zeros((M.face_count(i + 1) * psi.k, M.face_count(i) * psi.k), dtype=np.int64)
+    P = {pair: perms.permutation_matrix(p) for pair, p in psi.perms.items()}
+    return decorated_coboundary(M, i, IncidenceWeighting(P)).astype(np.int64)
 
 
 def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:

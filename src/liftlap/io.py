@@ -15,6 +15,8 @@ import json
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 from . import perms
 from .complexes import (
     COMBINATORIAL,
@@ -26,7 +28,7 @@ from .complexes import (
     build_complex,
 )
 from .covering import EdgeVoltages, IncidenceVoltages, edge_voltages
-from .errors import MalformedInputError, WeightError
+from .errors import MalformedInputError, VoltageError, WeightError
 from .operators import IncidenceWeighting
 
 
@@ -48,7 +50,7 @@ def _reading(path, what):
     """Re-raise a shape error met while reading ``what`` as malformed input."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, MalformedInputError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, MalformedInputError, VoltageError) as exc:
         raise MalformedInputError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from exc
 
 
@@ -107,7 +109,7 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     for rec in data.get("edges", ()):
         with _reading(path, f"record {rec!r}"):
             edge = tuple(sorted(int(v) for v in rec["edge"]))
-            table[edge] = perms.from_one_based(rec["perm"])
+            table[edge] = perms.check_perm(perms.from_one_based(rec["perm"]), k)
     return edge_voltages(M, k, table)
 
 
@@ -128,7 +130,7 @@ def load_incidence_voltages(path, M: SimplicialComplex, dim: int) -> IncidenceVo
     given = {}
     for rec in data.get("edges", ()):
         with _reading(path, f"record {rec!r}"):
-            given[_incidence(rec)] = perms.from_one_based(rec["perm"])
+            given[_incidence(rec)] = perms.check_perm(perms.from_one_based(rec["perm"]), k)
     table = {}
     for cofacet in M.faces(dim + 1):
         for j in range(len(cofacet)):
@@ -153,7 +155,7 @@ def signing_to_dict(signing: IncidenceWeighting, dim_pair=None) -> dict:
     """Signing file of a weighting whose values are all -1 or +1."""
     flips = []
     for (f, c), v in sorted(signing.items()):
-        if v not in (1, -1):
+        if np.ndim(v) or v not in (1, -1):
             raise WeightError(f"incidence weight {v!r} on ({f!r}, {c!r}) is not a sign")
         if v == -1:
             flips.append({"face": list(f), "cofacet": list(c)})

@@ -4,10 +4,17 @@ The matrix conventions follow the coboundary layout of
 :mod:`liftlap.complexes`: the degree-i coboundary has rows indexed by
 (i+1)-faces and columns by i-faces, so the i-up operator is
 ``W_i^{-1} D_i^T W_{i+1} D_i`` and the i-down operator is
-``D_{i-1} W_{i-1}^{-1} D_{i-1}^T W_i``.  An incidence weighting
-multiplies each coboundary entry by a nonzero real or complex number (the
-adjoint then uses the conjugate transpose); an incidence signing is the
-weighting with values -1 on its flipped incidences.
+``D_{i-1} W_{i-1}^{-1} D_{i-1}^T W_i``.
+
+An incidence weighting decorates the coboundary: each nonzero, the sign
+of an incidence, is multiplied by the incidence's value, a nonzero
+scalar or a d x d matrix (every value of one weighting has the same d).
+With matrix values each face becomes d rows and columns and each face
+weight is repeated d times, so one assembly serves every case: the
+plain operator, a signing (values -1), a complex character weighting,
+a block of a lifted operator (values rho_j(psi)), and the lifted
+coboundary itself (values the permutation matrices P(psi)).  The
+adjoint uses the conjugate transpose.
 
 Everything is dense: the package targets desk-scale complexes where
 dense eigensolves are simpler and exactly testable.
@@ -42,44 +49,78 @@ HERMITICITY_TOL = 1e-10
 class IncidenceWeighting:
     """A nonzero weight on every (face, cofacet) incidence.
 
-    Pairs not listed carry weight 1.  Real values are stored as floats
-    and complex ones as complex numbers; ``dtype``, the dtype of the
-    decorated coboundary, is float64 when every value is real and
-    complex128 otherwise.  A signing is the real case with values -1.
+    A value is a scalar or a square d x d matrix; all values share one
+    size ``block_size`` (1 for scalars, and a 1 x 1 matrix is stored as
+    its scalar).  Pairs not listed carry the d x d identity, which is 1
+    for scalars.  Real values are stored as floats and complex ones as
+    complex numbers; ``dtype``, the dtype of the decorated coboundary,
+    is float64 when every value is real and complex128 otherwise.  A
+    signing is the scalar real case with values -1.
     """
 
     def __init__(self, values: Mapping | None = None):
         self._values = {}
+        sizes = set()
         for (a, b), v in (values or {}).items():
-            v = complex(v) if np.iscomplexobj(v) else float(v)
-            if v == 0:
+            v = np.asarray(v)
+            if v.shape == (1, 1):
+                v = v[0, 0]
+            # only a scalar (shape ()) or a square matrix (shape (d, d)) passes
+            if v.shape[:1] != v.shape[1:]:
+                raise WeightError(
+                    f"incidence weight for ({a!r}, {b!r}) is neither a scalar nor a square matrix"
+                )
+            v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
+            if not v.any():
                 raise WeightError(f"incidence weight for ({a!r}, {b!r}) must be nonzero")
-            self._values[(tuple(a), tuple(b))] = v
-        real = not any(isinstance(v, complex) for v in self._values.values())
+            sizes.add(len(v) if v.ndim else 1)
+            self._values[(tuple(a), tuple(b))] = v if v.ndim else v.item()
+        if len(sizes) > 1:
+            raise WeightError(f"incidence weights mix block sizes {sorted(sizes)}")
+        self.block_size = sizes.pop() if sizes else 1
+        self._unit = 1.0 if self.block_size == 1 else np.eye(self.block_size)
+        real = not any(np.iscomplexobj(v) for v in self._values.values())
         self.dtype = np.dtype(np.float64 if real else np.complex128)
 
-    def value(self, face: Face, cofacet: Face) -> float | complex:
-        return self._values.get((tuple(face), tuple(cofacet)), 1.0)
+    def value(self, face: Face, cofacet: Face):
+        return self._values.get((tuple(face), tuple(cofacet)), self._unit)
 
     def items(self):
         return self._values.items()
 
     def __eq__(self, other):
-        return isinstance(other, IncidenceWeighting) and self._values == other._values
+        return (
+            isinstance(other, IncidenceWeighting)
+            and self._values.keys() == other._values.keys()
+            and all(np.array_equal(v, other._values[pair]) for pair, v in self._values.items())
+        )
 
 
 def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.ndarray:
-    """Coboundary matrix with each nonzero scaled by its incidence weight."""
+    """Coboundary matrix with each nonzero scaled by its incidence weight.
+
+    With d x d weights the nonzero of incidence (F, Fbar) becomes the
+    block ``sign * value(F, Fbar)``: row ``r`` and column ``c`` of the
+    plain coboundary become rows ``r*d .. r*d+d-1`` and columns
+    ``c*d .. c*d+d-1``.
+    """
     D = coboundary_matrix(K, i)
     if decoration is None:
         return D
     if not isinstance(decoration, IncidenceWeighting):
         raise TypeError(f"unsupported decoration {decoration!r}")
+    d = decoration.block_size
     rows, cols = np.nonzero(D)
     cofacets, faces = K.faces(i + 1), K.faces(i)
-    scale = [decoration.value(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())]
-    out = D.astype(decoration.dtype)
-    out[rows, cols] *= np.array(scale, dtype=decoration.dtype)
+    values = np.array(
+        [decoration.value(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())],
+        dtype=decoration.dtype,
+    ).reshape(-1, d, d)
+    out = np.zeros((D.shape[0] * d, D.shape[1] * d), dtype=decoration.dtype)
+    within = np.arange(d)
+    out[(rows * d)[:, None, None] + within[:, None], (cols * d)[:, None, None] + within] = (
+        D[rows, cols][:, None, None] * values
+    )
     return out
 
 
@@ -130,14 +171,20 @@ def laplacian_matrix(
 
     ``decoration`` (an :class:`IncidenceWeighting`) applies to the
     coboundary layer each part actually uses: (i, i+1) for up, (i-1, i)
-    for down.
+    for down.  With d x d values the operator is d times as wide, every
+    face weight repeated d times.
 
     Valid dimensions: up needs ``min_dim <= i <= top_dim`` (the top
     dimension yields a zero matrix), down needs ``min_dim + 1 <= i <=
     top_dim``; full needs both.
     """
+    d = getattr(decoration, "block_size", 1)
     w = compute_weights(K, scheme)
-    w_i = weight_vector(K, i, w) if K.faces(i) else np.zeros(0)
+
+    def weights(j):
+        return np.repeat(weight_vector(K, j, w), d)
+
+    w_i = weights(i)
     if kind not in (UP, DOWN, FULL):
         raise DimensionError(f"unknown operator kind {kind!r}")
     lo_up, hi_up = _up_range(K)
@@ -147,17 +194,16 @@ def laplacian_matrix(
         if not (lo_up <= i <= hi_up):
             raise DimensionError(f"up operator needs {lo_up} <= i <= {hi_up}, got {i}")
         if i == K.top_dim:
-            n = K.face_count(i)
-            return np.zeros((n, n))
+            return np.zeros((len(w_i), len(w_i)))
         D = decorated_coboundary(K, i, decoration)
-        w_hi = weight_vector(K, i + 1, w)
+        w_hi = weights(i + 1)
         return (D.conj().T * w_hi) @ D / w_i[:, None]
 
     def down_part():
         if not (lo_dn <= i <= hi_dn):
             raise DimensionError(f"down operator needs {lo_dn} <= i <= {hi_dn}, got {i}")
         D = decorated_coboundary(K, i - 1, decoration)
-        w_lo = weight_vector(K, i - 1, w)
+        w_lo = weights(i - 1)
         return (D / w_lo) @ (D.conj().T * w_i)
 
     if kind == UP:
@@ -186,9 +232,10 @@ def spectrum(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> "SpectrumMultiset"
     """Eigenvalues of an operator, sorted ascending, clamped at zero.
 
     Uses the symmetrized form; its hermiticity residue is asserted at
-    ``1e-10`` (relative), and eigenvalues in ``[-1e-9, 0)`` are clamped
-    to 0 with the clamp count recorded.  Anything below ``-1e-9`` means
-    the operator was not positive semidefinite and raises.
+    ``1e-10`` (relative).  Eigenvalues with ``|v| <= 1e-9`` (relative)
+    are the kernel up to eigensolver noise: they are set to exactly 0,
+    and ``clamped`` counts those that were not 0 already.  Anything below
+    ``-1e-9`` means the operator was not positive semidefinite and raises.
     """
     if op.size == 0:
         return SpectrumMultiset((), tol)
@@ -201,11 +248,11 @@ def spectrum(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> "SpectrumMultiset"
         vals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    clamped = int(np.sum((vals < 0) & (vals >= -1e-9 * scale)))
     if np.any(vals < -1e-9 * scale):
         raise EigensolverError(f"negative eigenvalue {vals.min():g} in a PSD operator")
-    vals = np.where(vals < 0, 0.0, vals)
-    return SpectrumMultiset(tuple(float(v) for v in np.sort(vals)), tol, clamped)
+    noise = (np.abs(vals) <= 1e-9 * scale) & (vals != 0)
+    vals = np.where(noise, 0.0, vals)
+    return SpectrumMultiset(tuple(float(v) for v in np.sort(vals)), tol, int(noise.sum()))
 
 
 @dataclass(frozen=True)

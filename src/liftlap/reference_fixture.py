@@ -24,11 +24,9 @@ from .complexes import (
     connected_components,
     face_coboundary,
 )
-from .covering import IncidenceVoltages, voltage_coboundary_matrix
 from .homology import integer_rank
 from .operators import (
     IncidenceWeighting,
-    OperatorMatrix,
     SpectrumMultiset,
     compare_spectra,
     laplacian_matrix,
@@ -92,8 +90,8 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
     """First incidence whose single flip matches both companion spectra.
 
     The flipped signing must reproduce the signed target, and the
-    2-sheeted lifted coboundary built from the voltage that swaps sheets
-    on exactly that incidence must reproduce the cover target.
+    2-sheeted lift whose voltage swaps sheets on exactly that incidence
+    must reproduce the cover target.
     """
     for tri in M.faces(2):
         for j in range(3):
@@ -102,15 +100,10 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
             signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing), tol)
             if not compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=tol).holds:
                 continue
-            table = {}
-            for t2 in M.faces(2):
-                for j2 in range(3):
-                    e2 = t2[:j2] + t2[j2 + 1 :]
-                    swap = (1, 0) if (e2, t2) == (edge, tri) else (0, 1)
-                    table[(e2, t2)] = swap
-            psi = IncidenceVoltages(2, 1, table)
-            dpsi = voltage_coboundary_matrix(M, psi, 1)
-            lifted = OperatorMatrix(dpsi.T @ dpsi, 1, "up", np.ones(dpsi.shape[1]))
+            # the lift's operator is the base operator decorated by the
+            # voltages' permutation matrices (the identity where unlisted)
+            swap = IncidenceWeighting({(edge, tri): [[0, 1], [1, 0]]})
+            lifted = laplacian_matrix(M, 1, "up", COMBINATORIAL, swap)
             if compare_spectra(spectrum(lifted, tol), COVER_SPECTRUM, "equal", tol=tol).holds:
                 return (edge, tri)
     return None

@@ -1,12 +1,13 @@
 """Voltage groups, their permutation representations, and block Laplacians.
 
-The coboundary of a base complex splits into one matrix per distinct
-incidence voltage; tensoring each piece with the corresponding
-permutation matrix and summing gives the lifted coboundary that
-:func:`~liftlap.covering.voltage_coboundary_matrix` places entrywise.
 Conjugating by a matrix that block-diagonalizes the permutation
-representation then splits the lifted Laplacian into one block per
-sub-representation, the first block being the base Laplacian itself.
+representation splits the lifted Laplacian into one block per
+sub-representation rho_j.  Block j is itself a decorated base Laplacian:
+the base operator with every incidence (F, Fbar) weighted by the matrix
+rho_j(psi(F, Fbar)), assembled by :func:`~liftlap.operators.laplacian_matrix`
+like any other weighting.  The first block is the base Laplacian itself;
+a two-fold cover's second block is the signed Laplacian, and the blocks
+of an abelian group are its character-weighted Laplacians.
 
 The block-diagonalizing transform is found numerically: a random
 Hermitian element of the commutant algebra is eigendecomposed, its
@@ -26,15 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from . import perms
-from .complexes import (
-    COMBINATORIAL,
-    SimplicialComplex,
-    WeightScheme,
-    coboundary_matrix,
-    compute_weights,
-    connected_components,
-    weight_vector,
-)
+from .complexes import COMBINATORIAL, SimplicialComplex, WeightScheme, connected_components
 from .covering import IncidenceVoltages
 from .errors import (
     DecompositionError,
@@ -110,28 +103,6 @@ def voltage_group(psi, k: int | None = None, max_order: int | None = None) -> Vo
                 elements.add(nxt)
                 frontier.append(nxt)
     return VoltageGroup(k, tuple(sorted(elements)), tuple(gens))
-
-
-def split_coboundary(
-    M: SimplicialComplex, psi: IncidenceVoltages, i: int
-) -> dict[Perm, np.ndarray]:
-    """Split the coboundary by voltage value.
-
-    Returns one integer matrix per distinct voltage; the supports are
-    disjoint and the matrices sum to the plain coboundary exactly.
-    """
-    if psi.dim != i:
-        raise DimensionError(f"voltages are for layer {psi.dim}, not {i}")
-    D = coboundary_matrix(M, i)
-    cofacets, faces = M.faces(i + 1), M.faces(i)
-    rows, cols = np.nonzero(D)
-    out: dict[Perm, np.ndarray] = {}
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        p = psi.voltage(faces[c], cofacets[r])
-        out.setdefault(p, np.zeros_like(D))[r, c] = D[r, c]
-    if not out:
-        out[perms.identity(psi.k)] = D
-    return out
 
 
 @dataclass(frozen=True)
@@ -266,51 +237,27 @@ def block_laplacians(
 
     For the up direction ``psi`` lives on the incidence layer ``(i,
     i+1)``; for the down direction on ``(i-1, i)``.  The first block is
-    exactly the base operator; block ``j >= 2`` tensors the split
-    coboundary pieces with the j-th sub-representation, mirroring the up
-    product for the down direction.
+    exactly the base operator; block ``j >= 1`` is the base operator
+    decorated by the j-th sub-representation of the voltages.
     """
-    if direction == UP:
-        layer = i
-        if psi.dim != i:
-            raise DimensionError(f"up blocks at dim {i} need voltages on layer {i}")
-    elif direction == DOWN:
-        layer = i - 1
-        if layer < 0:
-            raise DimensionError("down blocks need i >= 1")
-        if psi.dim != layer:
-            raise DimensionError(f"down blocks at dim {i} need voltages on layer {i - 1}")
-    else:
+    if direction not in (UP, DOWN):
         raise DimensionError(f"unknown direction {direction!r}")
+    layer = i if direction == UP else i - 1
+    if layer < 0 and direction == DOWN:
+        raise DimensionError("down blocks need i >= 1")
+    if psi.dim != layer:
+        raise DimensionError(f"{direction} blocks at dim {i} need voltages on layer {layer}")
 
     dec = decomposition or decompose_representation(voltage_group(psi), seed=seed)
-    split = split_coboundary(M, psi, layer)
-    w = compute_weights(M, scheme)
-    w_lo = weight_vector(M, layer, w)
-    w_hi = weight_vector(M, layer + 1, w)
-    w_i = w_hi if direction == DOWN else w_lo
+    return [laplacian_matrix(M, i, direction, scheme)] + [
+        laplacian_matrix(M, i, direction, scheme, _block_weighting(psi, dec, j))
+        for j in range(1, len(dec.block_sizes))
+    ]
 
-    blocks = [laplacian_matrix(M, i, direction, scheme)]
-    for j in range(1, len(dec.block_sizes)):
-        d = dec.block_sizes[j]
-        n = M.face_count(i) * d
-        left_terms = []
-        right_terms = []
-        for g, Dg in split.items():
-            rho = dec.blocks_of[g][j]
-            rho_inv = dec.blocks_of[perms.inverse(g)][j]
-            if direction == UP:
-                left_terms.append(np.kron(Dg.T / w_lo[:, None], rho_inv))
-                right_terms.append(np.kron(w_hi[:, None] * Dg, rho))
-            else:
-                left_terms.append(np.kron(Dg / w_lo[None, :], rho))
-                right_terms.append(np.kron(Dg.T * w_hi[None, :], rho_inv))
-        if left_terms:
-            mat = sum(left_terms) @ sum(right_terms)
-        else:
-            mat = np.zeros((n, n), dtype=complex)
-        blocks.append(OperatorMatrix(mat, i, direction, np.kron(w_i, np.ones(d))))
-    return blocks
+
+def _block_weighting(psi: IncidenceVoltages, dec: BlockDecomposition, j: int) -> IncidenceWeighting:
+    """The weighting sending each incidence to block j of its voltage."""
+    return IncidenceWeighting({pair: dec.blocks_of[p][j] for pair, p in psi.perms.items()})
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
@@ -355,10 +302,4 @@ def abelian_weightings(
     dec = decompose_representation(group, seed=seed)
     if any(s != 1 for s in dec.block_sizes):
         raise DecompositionError("abelian decomposition produced a block of size > 1")
-    out = []
-    for j in range(1, group.k):
-        values = {
-            pair: complex(dec.blocks_of[p][j][0, 0]) for pair, p in psi.perms.items()
-        }
-        out.append(IncidenceWeighting(values))
-    return out
+    return [_block_weighting(psi, dec, j) for j in range(1, group.k)]

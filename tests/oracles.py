@@ -13,8 +13,8 @@ from liftlap import (
     SimplicialComplex,
     WeightScheme,
     boundary_faces,
+    coboundary_matrix,
     compute_weights,
-    split_coboundary,
 )
 from liftlap.perms import permutation_matrix
 
@@ -48,12 +48,18 @@ def bareiss_rank(matrix) -> int:
 
 
 def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:
-    """Lifted coboundary as the sum of the split pieces tensored with their
-    permutation matrices; ``voltage_coboundary_matrix`` must agree exactly."""
-    k = psi.k
-    out = np.zeros((M.face_count(i + 1) * k, M.face_count(i) * k), dtype=np.int64)
-    for p, Dg in split_coboundary(M, psi, i).items():
-        out += np.kron(Dg, permutation_matrix(p))
+    """Lifted coboundary as the sum over voltage values p of the coboundary
+    restricted to the incidences with voltage p, tensored with P(p);
+    ``voltage_coboundary_matrix`` must agree exactly."""
+    D = coboundary_matrix(M, i)
+    cofacets, faces = M.faces(i + 1), M.faces(i)
+    pieces = {}
+    for r, c in zip(*np.nonzero(D)):
+        p = psi.voltage(faces[c], cofacets[r])
+        pieces.setdefault(p, np.zeros_like(D))[r, c] = D[r, c]
+    out = np.zeros((D.shape[0] * psi.k, D.shape[1] * psi.k), dtype=np.int64)
+    for p, Dp in pieces.items():
+        out += np.kron(Dp, permutation_matrix(p))
     return out
 
 

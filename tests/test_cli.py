@@ -60,6 +60,15 @@ class TestSpectrum:
         code, report, err = run(capsys, ["spectrum", "--complex", str(bad), "--dim", "0"])
         assert code == 2 and report is None
 
+    def test_signing_and_weighting_are_exclusive(self, capsys, tmp_path, triangle_file):
+        signing = write(tmp_path, "s.json", {"flips": [{"face": [0, 1], "cofacet": [0, 1, 2]}]})
+        weighting = write(tmp_path, "w.json", {"entries": []})
+        argv = ["spectrum", "--complex", triangle_file, "--dim", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--signing", signing, "--weighting", weighting])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_precondition_error_exits_3(self, capsys, triangle_file):
         code, report, err = run(
             capsys, ["spectrum", "--complex", triangle_file, "--dim", "0", "--kind", "down"]
@@ -179,6 +188,28 @@ class TestVerify:
         assert report["results"]["block_sizes"] == [1, 1]
         assert all(v["holds"] for v in report["verdicts"])
 
+    def test_decompose_checks_that_the_first_block_is_trivial(
+        self, capsys, monkeypatch, c3_file, c3_voltage_file
+    ):
+        from liftlap.representation import BlockDecomposition, decompose_representation
+
+        def sign_block_first(group, seed=0):
+            dec = decompose_representation(group, seed=seed)
+            blocks = {g: bs[::-1] for g, bs in dec.blocks_of.items()}
+            return BlockDecomposition(
+                dec.group, dec.transform[:, ::-1], dec.block_sizes[::-1], blocks, dec.residual
+            )
+
+        monkeypatch.setattr("liftlap.cli.decompose_representation", sign_block_first)
+        code, report, _ = run(
+            capsys,
+            ["decompose", "--base", c3_file, "--voltage", c3_voltage_file, "--dim", "0"],
+        )
+        assert code == 1
+        (first,) = [v for v in report["verdicts"] if "first block" in v["claim"]]
+        assert not first["holds"]
+        assert first["max_error"] == pytest.approx(2.0)
+
 
 class TestCoverMapInputs:
     def test_union_via_explicit_cover_files(self, capsys, tmp_path, c3_file):
@@ -279,6 +310,12 @@ class TestMalformedInput:
         )
         assert code == 2 and report is None
         assert "w.json" in err and "'value': 2.0" in err
+
+    def test_voltage_permutation_of_the_wrong_length(self, capsys, tmp_path, c3_file):
+        psi = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [0, 1], "perm": [2, 3, 1]}]})
+        code, report, err = run(capsys, ["cover", "build", "--base", c3_file, "--voltage", psi])
+        assert code == 2 and report is None
+        assert "psi.json" in err and "'perm': [2, 3, 1]" in err
 
     def test_facet_not_a_list(self, capsys, tmp_path):
         bad = write(tmp_path, "flat.json", {"facets": [0, 1, 2]})

@@ -5,17 +5,21 @@ from conftest import REFERENCE_FACETS, cycle_complex
 from oracles import Graph, as_graph_voltages, derived_graph, incidence_graph
 
 from liftlap import (
+    COMBINATORIAL,
     CocycleError,
     CoveringViolation,
+    IncidenceWeighting,
     build_complex,
     coboundary_factorization,
     coboundary_matrix,
     derived_complex,
     edge_voltages,
     induced_incidence_voltage,
+    laplacian_matrix,
     verify_covering,
 )
-from liftlap.perms import identity
+from liftlap.covering import orientation_sign_diagonal
+from liftlap.perms import identity, permutation_matrix
 from liftlap.randgen import random_complex, random_connected_cover
 
 
@@ -209,6 +213,16 @@ class TestInducedVoltages:
             done += 1
 
 
+def _scrambled(rng, K, vertex_map, M):
+    """The covering with the cover's vertices relabelled at random, so the
+    projection is not monotone and the orientation signs are nontrivial."""
+    relabel = {v: int(r) for v, r in zip(K.vertices, rng.permutation(len(K.vertices)))}
+    K2 = build_complex(
+        [tuple(relabel[v] for v in f) for f in K.facets()], include_empty=K.include_empty
+    )
+    return verify_covering(K2, M, {relabel[v]: vertex_map[v] for v in K.vertices})
+
+
 class TestCoboundaryFactorization:
     def test_hexagon_residual_zero(self, c3_double_cover):
         fac = coboundary_factorization(c3_double_cover.covering, 0)
@@ -235,17 +249,43 @@ class TestCoboundaryFactorization:
             if out is None:
                 continue
             _, result = out
-            K = result.complex
-            relabel = {v: r for v, r in zip(K.vertices, rng.permutation(len(K.vertices)))}
-            K2 = build_complex(
-                [tuple(relabel[v] for v in f) for f in K.facets()],
-                include_empty=K.include_empty,
-            )
-            vmap2 = {relabel[v]: result.vertex_map[v] for v in K.vertices}
-            cov2 = verify_covering(K2, M, vmap2)
+            cov2 = _scrambled(rng, result.complex, result.vertex_map, M)
             for i in range(0, M.top_dim + 1):
                 fac = coboundary_factorization(cov2, i)
                 assert fac.residual == 0
                 saw_negative = saw_negative or (fac.face_signs.entries == -1).any()
             done += 1
         assert saw_negative
+
+
+class TestPermutationWeighting:
+    def test_base_operator_weighted_by_permutations_is_the_cover_operator(self):
+        # with combinatorial weights, decorating the base Laplacian by the
+        # voltages' permutation matrices gives the cover's Laplacian in
+        # (base face, sheet) order, conjugated by the orientation signs
+        rng = np.random.default_rng(35)
+        done = 0
+        while done < 6:
+            M = random_complex(rng, max_vertices=6, min_beta1=1, max_dim=3)
+            out = random_connected_cover(M, int(rng.integers(2, 5)), rng)
+            if out is None:
+                continue
+            _, result = out
+            cov = _scrambled(rng, result.complex, result.vertex_map, M)
+            K, k = cov.cover, cov.degree
+            P = IncidenceWeighting(
+                {
+                    pair: permutation_matrix(p)
+                    for layer in range(0, M.top_dim + 1)
+                    for pair, p in induced_incidence_voltage(cov, layer).perms.items()
+                }
+            )
+            for i in range(0, M.top_dim + 1):
+                order = [K.index(cov.labeling.lift(g, j)) for g in M.faces(i) for j in range(k)]
+                signs = orientation_sign_diagonal(cov, i).entries
+                for kind in ("up", "down", "full") if i >= 1 else ("up",):
+                    cover_op = laplacian_matrix(K, i, kind).matrix[np.ix_(order, order)]
+                    expected = signs[:, None] * cover_op * signs[None, :]
+                    got = laplacian_matrix(M, i, kind, COMBINATORIAL, P).matrix
+                    assert np.array_equal(got, expected)
+            done += 1

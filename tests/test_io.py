@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from liftlap import IncidenceWeighting, MalformedInputError, WeightError, build_complex
@@ -105,6 +106,16 @@ class TestVoltageFiles:
         assert iv.voltage((1, 2), (1, 2, 6)) == (1, 0)
         assert iv.voltage((1, 2), (1, 2, 3)) == (0, 1)
 
+    def test_permutation_of_the_wrong_length(self, tmp_path):
+        M = build_complex([{1, 2, 6}, {1, 2, 3}])
+        p = write(
+            tmp_path,
+            "iv.json",
+            {"k": 2, "edges": [{"face": [1, 2], "cofacet": [1, 2, 6], "perm": [2, 3, 1]}]},
+        )
+        with pytest.raises(MalformedInputError, match=r"iv.json: malformed record .*\[2, 3, 1\]"):
+            llio.load_incidence_voltages(p, M, 1)
+
 
 class TestSigningAndWeightingFiles:
     def test_signing_example(self, tmp_path):
@@ -144,6 +155,9 @@ class TestSigningAndWeightingFiles:
     def test_signing_file_needs_signs(self):
         with pytest.raises(WeightError):
             llio.signing_to_dict(IncidenceWeighting({((1, 2), (1, 2, 6)): 0.5}))
+        # a matrix is never a sign
+        with pytest.raises(WeightError):
+            llio.signing_to_dict(IncidenceWeighting({((1, 2), (1, 2, 6)): -np.eye(2)}))
 
 
 class TestVertexMapFiles:

@@ -10,6 +10,7 @@ from liftlap import (
     IncidenceWeighting,
     OperatorMatrix,
     SpectrumMultiset,
+    WeightError,
     WeightScheme,
     build_complex,
     compare_spectra,
@@ -126,6 +127,13 @@ class TestSpectrum:
         assert list(s.values) == sorted(s.values)
         assert all(v >= 0 for v in s.values)
 
+    def test_kernel_noise_is_clamped_to_zero(self, triangle):
+        w = IncidenceWeighting({((0, 1), (0, 1, 2)): -0.5 + 0.8j, ((0,), (0, 2)): 1j})
+        s = spectrum(laplacian_matrix(triangle, 1, "up", decoration=w))
+        assert s.values[:2] == (0.0, 0.0)
+        assert s.values[2] == pytest.approx(2.89)
+        assert s.clamped == 2
+
 
 class TestCompareSpectra:
     def test_equal(self):
@@ -176,6 +184,29 @@ class TestDecorations:
     def test_weighting_rejects_zero(self):
         with pytest.raises(Exception):
             IncidenceWeighting({((0,), (0, 1)): 0})
+
+    def test_matrix_weighting_needs_square_values_of_one_size(self):
+        a, b = ((0,), (0, 1)), ((1,), (0, 1))
+        for values in (
+            {a: np.eye(2), b: np.eye(3)},
+            {a: np.eye(2), b: -1.0},
+            {a: np.ones((2, 3))},
+            {a: np.ones(2)},
+            {a: np.zeros((2, 2))},
+        ):
+            with pytest.raises(WeightError):
+                IncidenceWeighting(values)
+
+    def test_matrix_weighting_values_and_equality(self):
+        a, b = ((0,), (0, 1)), ((1,), (0, 1))
+        w = IncidenceWeighting({a: [[0, 1], [1, 0]]})
+        assert w.block_size == 2 and w.dtype == np.float64
+        assert np.array_equal(w.value(*b), np.eye(2))
+        assert w == IncidenceWeighting({a: np.array([[0.0, 1.0], [1.0, 0.0]])})
+        assert w != IncidenceWeighting({a: np.eye(2)})
+        assert w != IncidenceWeighting({a: -1.0})
+        # a 1 x 1 matrix is its scalar
+        assert IncidenceWeighting({a: [[1j]]}) == IncidenceWeighting({a: 1j})
 
     def test_unit_modulus_weighting_keeps_trace(self):
         C3 = cycle_complex(3)

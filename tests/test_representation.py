@@ -19,13 +19,12 @@ from liftlap import (
     edge_voltages,
     induced_incidence_voltage,
     laplacian_matrix,
-    split_coboundary,
     two_fold_signing,
     voltage_coboundary_matrix,
     voltage_group,
 )
 from liftlap.perms import cycle, identity, permutation_matrix, transposition
-from liftlap.randgen import random_complex, random_connected_cover, random_edge_voltages
+from liftlap.randgen import random_complex, random_connected_cover
 
 
 class TestVoltageGroup:
@@ -52,51 +51,6 @@ class TestVoltageGroup:
         assert voltage_group([], k=3).order == 1
         with pytest.raises(VoltageError):
             voltage_group([])
-
-
-class TestSplitCoboundary:
-    def test_trivial_voltages_give_single_piece(self):
-        M = cycle_complex(3)
-        psi = induced_incidence_voltage(
-            derived_complex(M, edge_voltages(M, 1)).covering, 0
-        )
-        pieces = split_coboundary(M, psi, 0)
-        assert list(pieces) == [identity(1)]
-        assert np.array_equal(pieces[identity(1)], coboundary_matrix(M, 0))
-
-    def test_supports_partition_nonzeros(self):
-        rng = np.random.default_rng(41)
-        M = random_complex(rng, min_beta1=1)
-        psi_edges = random_edge_voltages(M, 3, rng)
-        result = derived_complex(M, psi_edges)
-        # works connected or not: split only needs the voltages
-        cov = result.covering
-        if cov is None:
-            return
-        for i in range(0, M.top_dim + 1):
-            iv = induced_incidence_voltage(cov, i)
-            pieces = split_coboundary(M, iv, i)
-            D = coboundary_matrix(M, i)
-            total = sum(pieces.values())
-            assert np.array_equal(total, D)
-            stacked = np.stack([np.abs(p) for p in pieces.values()])
-            assert (stacked.sum(axis=0) == np.abs(D)).all()
-
-    def test_single_flip_piece_has_one_entry(self, reference):
-        M = reference.complex
-        flip_face, flip_cofacet = reference.flip
-        table = {}
-        for t in M.faces(2):
-            for j in range(3):
-                e = t[:j] + t[j + 1 :]
-                table[(e, t)] = (1, 0) if (e, t) == (flip_face, flip_cofacet) else (0, 1)
-        psi = IncidenceVoltages(2, 1, table)
-        pieces = split_coboundary(M, psi, 1)
-        swap_piece = pieces[(1, 0)]
-        assert int(np.abs(swap_piece).sum()) == 1
-        r = M.index(flip_cofacet)
-        c = M.index(flip_face)
-        assert abs(swap_piece[r, c]) == 1
 
 
 class TestDerivedCoboundary:
