@@ -47,7 +47,6 @@ from .errors import (
     DecompositionError,
     DimensionError,
     EigensolverError,
-    GroupClosureError,
     GroupStructureError,
     LiftlapError,
     MalformedInputError,

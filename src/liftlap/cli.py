@@ -24,6 +24,7 @@ from .reference_fixture import search_reference_fixture
 from .homology import verify_betti_inequality
 from .operators import SpectrumMultiset, compare_spectra, laplacian_matrix, spectrum
 from .representation import (
+    RESIDUAL_TOL,
     abelian_weightings,
     block_laplacians,
     decompose_representation,
@@ -179,7 +180,7 @@ def cmd_decompose(args, report):
         "residual": dec.residual,
     }
     return [
-        _verdict("block decomposition: off-block residual", dec.residual <= 1e-10, 1e-10, dec.residual),
+        _verdict("block decomposition: off-block residual", dec.residual <= RESIDUAL_TOL, RESIDUAL_TOL, dec.residual),
         _verdict("block decomposition: first block is the base operator", first_err <= 1e-12, 1e-12, first_err),
         _verdict(
             "block decomposition: block spectra union to the lifted spectrum",
@@ -274,7 +275,7 @@ def cmd_verify_betti(args, report):
     verdicts = []
     payload = {}
     for name, scheme in _schemes(args.scheme):
-        rep = verify_betti_inequality(cov, scheme, args.tol, args.kernel_tol)
+        rep = verify_betti_inequality(cov, scheme, args.tol)
         for v in rep.per_dim:
             if args.dim is not None and v.dim != args.dim:
                 continue
@@ -332,7 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="liftlap", description=__doc__)
     ap.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
     ap.add_argument("--tol", type=float, default=1e-8, help="spectrum comparison tolerance")
-    ap.add_argument("--kernel-tol", type=float, default=1e-7, help="kernel eigenvalue cutoff")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a Laplace operator")

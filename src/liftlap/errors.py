@@ -49,10 +49,6 @@ class GroupStructureError(LiftlapError):
     """The voltage group lacks a property required by the operation."""
 
 
-class GroupClosureError(LiftlapError):
-    """Group closure exceeded the configured element bound."""
-
-
 class DecompositionError(LiftlapError):
     """Numerical block decomposition could not certify its residual."""
 

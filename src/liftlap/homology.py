@@ -1,11 +1,11 @@
 """Reduced Betti numbers, harmonic cochain lifting, and the Betti inequality.
 
 The kernel of the full degree-i Laplace operator realizes the i-th
-reduced cohomology, so Betti numbers come from kernel dimensions.  Two
-routes are implemented and cross-validated: exact ranks over the
-rationals of the integer coboundaries (the ground truth for combinatorial
-weights) and a numeric kernel count from the eigensolve (required for
-normalized or explicit weights).  The exact rank is sparse row elimination
+reduced cohomology, so its dimension is topological: no face weight
+changes it.  Betti numbers therefore have one route, exact ranks over the
+rationals of the integer coboundaries, whatever the weight scheme; the
+eigensolve is kept only to produce harmonic bases, and runs only where
+the Betti number is nonzero.  The exact rank is sparse row elimination
 over the integers with gcd normalisation, pivoting on each row's lowest
 column as in the column reduction of persistent homology; each coboundary
 is ranked once.  Entries can grow during elimination of dense inputs;
@@ -21,14 +21,12 @@ stay independent, which is what forces the Betti inequality.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import (
     COMBINATORIAL,
-    COMBINATORIAL_KIND,
     EXPLICIT_KIND,
     Cochain,
     SimplicialComplex,
@@ -39,10 +37,7 @@ from .complexes import (
 )
 from .covering import CoveringMap
 from .errors import LiftlapError, WeightError
-from .operators import FULL, UP, OperatorMatrix, laplacian_matrix, symmetrized_form
-
-KERNEL_TOL = 1e-7
-KERNEL_GUARD = 1e-9
+from .operators import FULL, UP, laplacian_matrix, symmetrized_form
 
 
 def _is_integral(x) -> bool:
@@ -108,37 +103,17 @@ def integer_rank(matrix) -> int:
 
 @dataclass
 class BettiReport:
-    """Betti numbers per dimension with the kernel bases that witnessed them.
+    """Betti numbers per dimension with harmonic bases of the same size.
 
-    ``operators`` holds the full Laplacian of each dimension, whose
-    kernel ``kernel_bases`` spans.  ``reduced`` is False when the complex
-    omits the empty face, in which case the degree-0 number counts
-    components rather than components minus one.
+    ``kernel_bases[i]`` has ``betti[i]`` columns spanning the kernel of
+    the full Laplacian.  ``reduced`` is False when the complex omits the
+    empty face, in which case the degree-0 number counts components
+    rather than components minus one.
     """
 
     betti: dict
-    method: str
     kernel_bases: dict
-    operators: dict
     reduced: bool
-    warnings: tuple = ()
-
-
-def _numeric_kernel(op: OperatorMatrix, kernel_tol: float):
-    if op.size == 0:
-        return np.zeros((0, 0)), (), 0
-    sym = symmetrized_form(op.matrix, op.weights)
-    vals, vecs = np.linalg.eigh((sym + sym.conj().T) / 2)
-    notes = []
-    for v in vals:
-        if KERNEL_GUARD < v < kernel_tol:
-            notes.append(
-                f"ill-conditioned kernel: eigenvalue {v:.3e} inside "
-                f"({KERNEL_GUARD:g}, {kernel_tol:g}) at dimension {op.dim}"
-            )
-    keep = vals <= kernel_tol
-    basis = vecs[:, keep] / np.sqrt(op.weights)[:, None]
-    return basis, tuple(notes), int(keep.sum())
 
 
 def exact_betti_numbers(K: SimplicialComplex) -> dict:
@@ -151,40 +126,31 @@ def exact_betti_numbers(K: SimplicialComplex) -> dict:
     return {i: K.face_count(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in K.dims()}
 
 
-def betti_numbers(
-    K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL, kernel_tol: float = KERNEL_TOL
-) -> BettiReport:
-    """Reduced Betti numbers of ``K`` as Laplacian kernel dimensions.
+def _full_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme):
+    # the down part only exists above the minimum dimension
+    return laplacian_matrix(K, i, FULL if i > K.min_dim else UP, scheme)
 
-    For combinatorial weights the exact integer-rank route is computed
-    as well and the two must agree; a mismatch indicates a bug and
-    raises.  Eigenvalues inside the guard band just below the kernel
-    tolerance are reported as warnings.
+
+def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) -> BettiReport:
+    """Reduced Betti numbers of ``K`` with a harmonic basis for each.
+
+    The numbers come from :func:`exact_betti_numbers` for every scheme.
+    Where b_i > 0 the basis is the b_i eigenvectors of least eigenvalue
+    of the full degree-i Laplacian under ``scheme``, rescaled from the
+    symmetrized form back to cochain values; where b_i = 0 it is empty
+    and no operator is built.
     """
-    betti: dict[int, int] = {}
-    bases: dict[int, np.ndarray] = {}
-    ops: dict[int, OperatorMatrix] = {}
-    notes: list[str] = []
-    for i in K.dims():
-        # the down part only exists above the minimum dimension
-        ops[i] = laplacian_matrix(K, i, FULL if i > K.min_dim else UP, scheme)
-        basis, dim_notes, dim = _numeric_kernel(ops[i], kernel_tol)
-        notes.extend(dim_notes)
-        betti[i] = dim
-        bases[i] = basis
-    if scheme.kind == COMBINATORIAL_KIND:
-        for i, exact in exact_betti_numbers(K).items():
-            if exact != betti[i]:
-                raise LiftlapError(
-                    f"kernel methods disagree at dimension {i}: "
-                    f"exact rank gives {exact}, numeric kernel gives {betti[i]}"
-                )
-        method = "exact-rank"
-    else:
-        method = "numeric-kernel"
-    for note in notes:
-        warnings.warn(note, stacklevel=2)
-    return BettiReport(betti, method, bases, ops, K.include_empty, tuple(notes))
+    betti = exact_betti_numbers(K)
+    bases = {}
+    for i, b in betti.items():
+        if b == 0:
+            bases[i] = np.zeros((K.face_count(i), 0))
+            continue
+        op = _full_laplacian(K, i, scheme)
+        sym = symmetrized_form(op.matrix, op.weights)
+        vecs = np.linalg.eigh((sym + sym.conj().T) / 2)[1]
+        bases[i] = vecs[:, :b] / np.sqrt(op.weights)[:, None]
+    return BettiReport(betti, bases, K.include_empty)
 
 
 # -- harmonic lifting ----------------------------------------------------------
@@ -257,7 +223,6 @@ def verify_betti_inequality(
     cov: CoveringMap,
     scheme: WeightScheme = COMBINATORIAL,
     tol: float = 1e-8,
-    kernel_tol: float = KERNEL_TOL,
 ) -> BettiInequalityReport:
     """Check the covering Betti inequality dimension by dimension.
 
@@ -266,24 +231,27 @@ def verify_betti_inequality(
     cover's kernel (residual at most ``tol``), and the lifted set must
     stay independent (smallest singular value at least ``tol``).  Any
     failed sub-check marks the report as not holding; it never raises.
+    Both Betti numbers are exact; the residual and the singular value
+    are the numeric side of the verdict, so the cover's full Laplacian
+    is built only where the base kernel is nonzero and never eigensolved.
     """
     if scheme.kind == EXPLICIT_KIND:
         raise WeightError(
             "the Betti inequality is only claimed for the combinatorial and "
             "normalized schemes"
         )
-    base_report = betti_numbers(cov.base, scheme, kernel_tol)
-    cover_report = betti_numbers(cov.cover, scheme, kernel_tol)
+    base_report = betti_numbers(cov.base, scheme)
+    cover_betti = exact_betti_numbers(cov.cover)
     verdicts = []
     for i in sorted(base_report.betti):
         b_base = base_report.betti[i]
-        b_cover = cover_report.betti.get(i, 0)
+        b_cover = cover_betti.get(i, 0)
         inequality = b_cover >= b_base
         residual = 0.0
         sigma_min = None
         basis = base_report.kernel_bases[i]
         if basis.shape[1]:
-            op = cover_report.operators[i]
+            op = _full_laplacian(cov.cover, i, scheme)
             lifted = np.column_stack(
                 [
                     lift_cochain(Cochain(i, basis[:, t]), cov, scheme).values
@@ -292,7 +260,7 @@ def verify_betti_inequality(
             )
             norms = np.linalg.norm(lifted, axis=0)
             lifted = lifted / norms
-            residual = float(np.max(np.abs(op.matrix @ lifted))) if op.size else 0.0
+            residual = float(np.max(np.abs(op.matrix @ lifted)))
             sigma_min = float(np.linalg.svd(lifted, compute_uv=False)[-1])
         ok = inequality and residual <= tol and (sigma_min is None or sigma_min >= tol)
         verdicts.append(

@@ -54,6 +54,12 @@ def _reading(path, what):
         raise MalformedInputError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from exc
 
 
+def _records(path, data, key) -> list:
+    """The record list ``data[key]`` (empty when absent), read inside :func:`_reading`."""
+    with _reading(path, f"{key!r} list"):
+        return list(data.get(key, ()))
+
+
 def _incidence(rec) -> tuple:
     return as_face(rec["face"]), as_face(rec["cofacet"])
 
@@ -106,7 +112,7 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     with _reading(path, "fold count"):
         k = int(data.get("k", 1))
     table = {}
-    for rec in data.get("edges", ()):
+    for rec in _records(path, data, "edges"):
         with _reading(path, f"record {rec!r}"):
             edge = tuple(sorted(int(v) for v in rec["edge"]))
             table[edge] = perms.check_perm(perms.from_one_based(rec["perm"]), k)
@@ -128,7 +134,7 @@ def load_incidence_voltages(path, M: SimplicialComplex, dim: int) -> IncidenceVo
     with _reading(path, "fold count"):
         k = int(data.get("k", 1))
     given = {}
-    for rec in data.get("edges", ()):
+    for rec in _records(path, data, "edges"):
         with _reading(path, f"record {rec!r}"):
             given[_incidence(rec)] = perms.check_perm(perms.from_one_based(rec["perm"]), k)
     table = {}
@@ -145,7 +151,7 @@ def load_signing(path) -> IncidenceWeighting:
     """Signing file: listed (face, cofacet) pairs are -1, all others +1."""
     data = _load(path)
     flips = {}
-    for rec in data.get("flips", ()):
+    for rec in _records(path, data, "flips"):
         with _reading(path, f"record {rec!r}"):
             flips[_incidence(rec)] = -1.0
     return IncidenceWeighting(flips)
@@ -169,7 +175,7 @@ def load_weighting(path) -> IncidenceWeighting:
     """Weighting file: listed pairs carry the given complex value, others 1."""
     data = _load(path)
     values = {}
-    for rec in data.get("entries", ()):
+    for rec in _records(path, data, "entries"):
         with _reading(path, f"record {rec!r}"):
             val = rec["value"]
             values[_incidence(rec)] = complex(float(val.get("re", 0.0)), float(val.get("im", 0.0)))

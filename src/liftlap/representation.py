@@ -32,12 +32,16 @@ from .covering import IncidenceVoltages
 from .errors import (
     DecompositionError,
     DimensionError,
-    GroupClosureError,
     GroupStructureError,
     VoltageError,
 )
 from .operators import DOWN, UP, IncidenceWeighting, OperatorMatrix, laplacian_matrix
 from .perms import Perm
+
+# the off-block residual that certifies a decomposition, and how many
+# random commutant elements are tried before giving up
+RESIDUAL_TOL = 1e-10
+MAX_RETRIES = 8
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,7 @@ class VoltageGroup:
         return len(connected_components(range(self.k), moves)) <= 1
 
 
-def voltage_group(psi, k: int | None = None, max_order: int | None = None) -> VoltageGroup:
+def voltage_group(psi, k: int | None = None) -> VoltageGroup:
     """Closure of the voltage values under composition.
 
     ``psi`` may be an :class:`~liftlap.covering.IncidenceVoltages`, an
@@ -88,7 +92,6 @@ def voltage_group(psi, k: int | None = None, max_order: int | None = None) -> Vo
             k = len(gens[0])
         elif k is None:
             raise VoltageError("cannot infer the fold count from an empty generator set")
-    bound = max_order if max_order is not None else math.factorial(k)
     ident = perms.identity(k)
     elements = {ident}
     frontier = [ident]
@@ -98,8 +101,6 @@ def voltage_group(psi, k: int | None = None, max_order: int | None = None) -> Vo
         for g in gens:
             nxt = perms.compose(g, cur)
             if nxt not in elements:
-                if len(elements) >= bound:
-                    raise GroupClosureError(f"group closure exceeded {bound} elements")
                 elements.add(nxt)
                 frontier.append(nxt)
     return VoltageGroup(k, tuple(sorted(elements)), tuple(gens))
@@ -135,12 +136,7 @@ def _cluster(sorted_vals: np.ndarray, gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def decompose_representation(
-    group: VoltageGroup,
-    seed: int = 0,
-    residual_tol: float = 1e-10,
-    max_retries: int = 8,
-) -> BlockDecomposition:
+def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecomposition:
     """Numerically split the permutation representation into blocks.
 
     The first column of the transform is the normalized all-ones vector
@@ -164,7 +160,7 @@ def decompose_representation(
 
     rng = np.random.default_rng(seed)
     last_residual = float("inf")
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         raw = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         herm = (raw + raw.conj().T) / 2
         commutant = sum(pmats[g] @ herm @ pmats[g].T for g in group.elements) / group.order
@@ -185,11 +181,11 @@ def decompose_representation(
         for g in group.elements:
             residual = max(residual, float(np.max(np.abs(conj[g][mask]))) if mask.any() else 0.0)
         last_residual = residual
-        if residual <= residual_tol:
+        if residual <= RESIDUAL_TOL:
             order = _block_order(group, conj, sizes, offsets)
             return _assemble(group, transform, sizes, offsets, conj, residual, order)
     raise DecompositionError(
-        f"block decomposition residual {last_residual:g} above {residual_tol:g}"
+        f"block decomposition residual {last_residual:g} above {RESIDUAL_TOL:g}"
     )
 
 

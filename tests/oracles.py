@@ -15,6 +15,8 @@ from liftlap import (
     boundary_faces,
     coboundary_matrix,
     compute_weights,
+    laplacian_matrix,
+    symmetrized_form,
 )
 from liftlap.perms import permutation_matrix
 
@@ -45,6 +47,15 @@ def bareiss_rank(matrix) -> int:
         if rank == n_rows:
             break
     return rank
+
+
+def numeric_kernel_dimension(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL) -> int:
+    """Betti number counted as the eigenvalues at most 1e-7 of the
+    symmetrized full degree-i Laplacian (the up part alone at the lowest
+    dimension); ``exact_betti_numbers`` must agree."""
+    op = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme)
+    sym = symmetrized_form(op.matrix, op.weights)
+    return int(np.sum(np.linalg.eigvalsh((sym + sym.conj().T) / 2) <= 1e-7))
 
 
 def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:

@@ -12,7 +12,12 @@ from itertools import product
 import numpy as np
 
 from conftest import REFERENCE_FACETS, REFERENCE_FLIP
-from oracles import explicit_down_laplacian, explicit_up_laplacian, kronecker_coboundary
+from oracles import (
+    explicit_down_laplacian,
+    explicit_up_laplacian,
+    kronecker_coboundary,
+    numeric_kernel_dimension,
+)
 
 from liftlap import (
     COMBINATORIAL,
@@ -338,11 +343,13 @@ def test_criterion_8_cross_method_oracles():
     # exact integer rank vs numeric kernel on 30 random complexes
     for _ in range(30):
         K = random_complex(rng)
-        report = betti_numbers(K)  # raises internally if the routes disagree
+        report = betti_numbers(K)
         for i in K.dims():
             up_rank = integer_rank(coboundary_matrix(K, i)) if i < K.top_dim else 0
             down_rank = integer_rank(coboundary_matrix(K, i - 1)) if i > K.min_dim else 0
             assert report.betti[i] == K.face_count(i) - up_rank - down_rank
+            for scheme in SCHEMES:
+                assert numeric_kernel_dimension(K, i, scheme) == report.betti[i]
 
     # tensor vs entrywise lifted coboundary, exact, on random coverings
     done = 0

@@ -330,3 +330,22 @@ class TestMalformedInput:
         )
         assert code == 2 and report is None
         assert "s.json" in err and "[0, 7], [0, 1, 7]" in err
+
+    @pytest.mark.parametrize(
+        "name, doc, flag",
+        [
+            ("psi.json", {"k": 2, "edges": 5}, "--voltage"),
+            ("s.json", {"flips": 5}, "--signing"),
+            ("w.json", {"entries": 5}, "--weighting"),
+        ],
+    )
+    def test_record_list_not_a_list(self, capsys, tmp_path, c3_file, name, doc, flag):
+        path = write(tmp_path, name, doc)
+        if flag == "--voltage":
+            argv = ["cover", "build", "--base", c3_file, "--voltage", path]
+        else:
+            argv = ["spectrum", "--complex", c3_file, "--dim", "0", flag, path]
+        code, report, err = run(capsys, argv)
+        assert code == 2 and report is None
+        key = next(k for k in doc if k != "k")
+        assert name in err and f"malformed '{key}' list" in err

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from oracles import bareiss_rank, explicit_down_laplacian, explicit_up_laplacian
+from oracles import bareiss_rank, explicit_down_laplacian, explicit_up_laplacian, numeric_kernel_dimension
 
 import liftlap.homology
 from liftlap import (
@@ -20,6 +20,7 @@ from liftlap import (
     coboundary_matrix,
     derived_complex,
     edge_voltages,
+    exact_betti_numbers,
     integer_rank,
     laplacian_matrix,
     lift_cochain,
@@ -112,7 +113,6 @@ class TestBettiNumbers:
     def test_contractible_triangle(self, triangle):
         rep = betti_numbers(triangle)
         assert rep.betti == {-1: 0, 0: 0, 1: 0, 2: 0}
-        assert rep.method == "exact-rank"
 
     def test_hollow_triangle_has_one_loop(self, hollow_triangle):
         rep = betti_numbers(hollow_triangle)
@@ -142,15 +142,29 @@ class TestBettiNumbers:
             )
             assert total == 0
 
-    def test_borderline_eigenvalue_warns(self):
-        # scaling the edge weights down pushes genuinely nonzero
-        # eigenvalues into the guard band just below the kernel cutoff
-        K = build_complex([{0, 1}, {1, 2}, {0, 2}])
-        w = {f: 1.0 for f in K.all_faces()}
-        for e in K.faces(1):
+    def test_tiny_explicit_weights_keep_the_topology(self, hollow_triangle):
+        # edge weights of 1e-8 push nonzero eigenvalues of the vertex
+        # Laplacian below any fixed kernel cutoff; the count must not move
+        w = {f: 1.0 for f in hollow_triangle.all_faces()}
+        for e in hollow_triangle.faces(1):
             w[e] = 1e-8
-        with pytest.warns(UserWarning, match="ill-conditioned kernel"):
-            betti_numbers(K, WeightScheme.explicit(w))
+        rep = betti_numbers(hollow_triangle, WeightScheme.explicit(w))
+        assert rep.betti == {-1: 0, 0: 0, 1: 1}
+        assert rep.kernel_bases[1].shape == (3, 1)
+
+    def test_builds_operators_only_for_nonzero_betti_numbers(self, triangle, hollow_triangle, monkeypatch):
+        built = []
+
+        def counting_laplacian(K, i, *args):
+            built.append(i)
+            return laplacian_matrix(K, i, *args)
+
+        monkeypatch.setattr(liftlap.homology, "laplacian_matrix", counting_laplacian)
+        rep = betti_numbers(triangle)
+        assert built == []
+        assert all(rep.kernel_bases[i].shape == (triangle.face_count(i), 0) for i in triangle.dims())
+        betti_numbers(hollow_triangle, NORMALIZED)
+        assert built == [1]
 
     def test_full_kernel_is_up_down_intersection(self):
         rng = np.random.default_rng(53)
@@ -168,6 +182,21 @@ class TestBettiNumbers:
                     stacked, tol=1e-9
                 )
                 assert dim_intersection == rep.betti[i]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_numeric_kernel_count_matches_exact_rank(self, seed):
+        K = random_complex(np.random.default_rng(seed))
+        exact = exact_betti_numbers(K)
+        for scheme in (COMBINATORIAL, NORMALIZED):
+            rep = betti_numbers(K, scheme)
+            for i in K.dims():
+                assert numeric_kernel_dimension(K, i, scheme) == exact[i]
+                if exact[i]:
+                    op = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme)
+                    basis = rep.kernel_bases[i]
+                    assert basis.shape == (K.face_count(i), exact[i])
+                    assert np.max(np.abs(op.matrix @ basis)) <= 1e-9
 
 
 class TestExplicitFormulas:
@@ -193,24 +222,27 @@ class TestExplicitFormulas:
 
 
 class TestBettiReport:
-    def test_keeps_the_full_laplacians(self, triangle):
-        rep = betti_numbers(triangle)
-        assert np.array_equal(rep.operators[-1].matrix, laplacian_matrix(triangle, -1, "up").matrix)
-        for i in range(0, 3):
-            assert np.array_equal(rep.operators[i].matrix, laplacian_matrix(triangle, i, "full").matrix)
-
     def test_inequality_builds_each_cover_operator_once(self, c3_double_cover, monkeypatch):
         cov = c3_double_cover.covering
         built = []
+        solved = []
+        eigh = np.linalg.eigh
 
         def counting_laplacian(K, i, *args):
             if K is cov.cover:
                 built.append(i)
             return laplacian_matrix(K, i, *args)
 
+        def counting_eigh(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigh(a, *args, **kwargs)
+
         monkeypatch.setattr(liftlap.homology, "laplacian_matrix", counting_laplacian)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         assert verify_betti_inequality(cov).holds
-        assert built == list(cov.cover.dims())
+        # only the base kernel at dim 1 is nonzero; the cover is never eigensolved
+        assert built == [1]
+        assert solved == [3]
 
 
 class TestLiftCochain:

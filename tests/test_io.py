@@ -116,6 +116,12 @@ class TestVoltageFiles:
         with pytest.raises(MalformedInputError, match=r"iv.json: malformed record .*\[2, 3, 1\]"):
             llio.load_incidence_voltages(p, M, 1)
 
+    def test_incidence_records_not_a_list(self, tmp_path):
+        M = build_complex([{1, 2, 6}])
+        p = write(tmp_path, "iv.json", {"k": 2, "edges": 5})
+        with pytest.raises(MalformedInputError, match="iv.json: malformed 'edges' list"):
+            llio.load_incidence_voltages(p, M, 1)
+
 
 class TestSigningAndWeightingFiles:
     def test_signing_example(self, tmp_path):
