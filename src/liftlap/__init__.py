@@ -31,7 +31,6 @@ from .covering import (
     CoveringMap,
     DerivedComplexResult,
     EdgeVoltages,
-    FiberLabeling,
     IncidenceVoltages,
     SignDiagonal,
     coboundary_factorization,

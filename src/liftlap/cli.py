@@ -19,7 +19,13 @@ from pathlib import Path
 from . import io as llio
 from .complexes import COMBINATORIAL, NORMALIZED
 from .covering import derived_complex, induced_incidence_voltage, verify_covering
-from .errors import CoveringViolation, GroupStructureError, LiftlapError, MalformedInputError
+from .errors import (
+    CoveringViolation,
+    DimensionError,
+    GroupStructureError,
+    LiftlapError,
+    MalformedInputError,
+)
 from .reference_fixture import search_reference_fixture
 from .homology import verify_betti_inequality
 from .operators import SpectrumMultiset, compare_spectra, laplacian_matrix, spectrum
@@ -191,6 +197,16 @@ def cmd_decompose(args, report):
     ]
 
 
+def _check_dim(cov, requested, lowest):
+    """Refuse a requested dimension outside ``lowest``..top of the base,
+    where the claim would check nothing."""
+    top = cov.base.top_dim
+    if requested is not None and not lowest <= requested <= top:
+        raise DimensionError(
+            f"--dim {requested} is outside {lowest}..{top}, the base dimensions this claim is checked at"
+        )
+
+
 def _dims(cov, direction, requested):
     top = cov.base.top_dim
     valid = range(0, top + 1) if direction == "up" else range(1, top + 1)
@@ -233,6 +249,7 @@ def cmd_verify_spectral(args, report):
     cov = _resolve_covering(args, report["inputs"])
     if degree is not None and cov.degree != degree:
         raise LiftlapError(f"the {claim} property needs a {degree}-fold cover, got degree {cov.degree}")
+    _check_dim(cov, args.dim, 0)
     verdicts = []
     spectra = {}
     skipped = []
@@ -272,16 +289,17 @@ def cmd_verify_spectral(args, report):
 
 def cmd_verify_betti(args, report):
     cov = _resolve_covering(args, report["inputs"])
+    _check_dim(cov, args.dim, cov.base.min_dim)
     verdicts = []
     payload = {}
-    for name, scheme in _schemes(args.scheme):
-        rep = verify_betti_inequality(cov, scheme, args.tol)
+    reports = verify_betti_inequality(cov, [scheme for _, scheme in _schemes(args.scheme)], args.tol)
+    for rep in reports:
         for v in rep.per_dim:
             if args.dim is not None and v.dim != args.dim:
                 continue
             verdicts.append(
                 _verdict(
-                    f"betti inequality via harmonic lifting (dim {v.dim}, {name})",
+                    f"betti inequality via harmonic lifting (dim {v.dim}, {rep.scheme})",
                     v.holds,
                     args.tol,
                     v.lift_residual,
@@ -289,7 +307,7 @@ def cmd_verify_betti(args, report):
                     betti_cover=v.betti_cover,
                 )
             )
-        payload[name] = {str(v.dim): [v.betti_base, v.betti_cover] for v in rep.per_dim}
+        payload[rep.scheme] = {str(v.dim): [v.betti_base, v.betti_cover] for v in rep.per_dim}
     report["results"] = payload
     return verdicts
 

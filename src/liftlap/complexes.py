@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -64,46 +64,43 @@ def _as_oriented(f) -> OrientedFace:
 
 
 class SimplicialComplex:
-    """A downward-closed family of faces, listed per dimension.
+    """The downward closure of a list of facets, listed per dimension.
 
-    Within each dimension the faces are sorted lexicographically, and that
-    ordering defines the row/column indices of every matrix derived from
-    the complex.  Use :func:`build_complex` to construct one from facets.
+    Every facet passes through :func:`as_face`, and every non-empty
+    subset of a facet is a face, so the family is downward closed and
+    each face is canonical by construction.  Within each dimension the
+    faces are sorted lexicographically, and that ordering defines the
+    row/column indices of every matrix derived from the complex.
+
+    Parameters
+    ----------
+    facets : iterable of vertex iterables
+        Non-empty collection of non-empty vertex sets.
+    include_empty : bool
+        Include the empty face of dimension -1 (the reduced convention).
     """
 
-    def __init__(self, faces_by_dim: Mapping[int, Iterable[Face]], include_empty: bool = True):
-        faces: dict[int, tuple[Face, ...]] = {}
-        for d, fs in faces_by_dim.items():
-            fs = tuple(sorted(set(tuple(f) for f in fs)))
-            if fs:
-                faces[int(d)] = fs
-        if include_empty:
-            faces[-1] = ((),)
-        else:
-            faces.pop(-1, None)
-        dims = [d for d in faces if d >= 0]
-        if not dims:
-            raise MalformedInputError("complex has no faces of dimension >= 0")
-        self._faces = faces
+    def __init__(self, facets, include_empty: bool = True):
+        facets = list(facets)
+        if not facets:
+            raise MalformedInputError("facet list is empty")
+        closure: set[Face] = set()
+        for raw in facets:
+            f = as_face(raw)
+            if not f:
+                raise MalformedInputError("facets must be non-empty vertex sets")
+            for r in range(1, len(f) + 1):
+                closure.update(combinations(f, r))
+        faces: dict[int, list[Face]] = {-1: [()]} if include_empty else {}
+        # lexicographic order of all faces is lexicographic within each dimension
+        for f in sorted(closure):
+            faces.setdefault(len(f) - 1, []).append(f)
+        self._faces = {d: tuple(fs) for d, fs in faces.items()}
         self._include_empty = include_empty
-        self._top_dim = max(dims)
-        self._index = {d: {f: i for i, f in enumerate(fs)} for d, fs in faces.items()}
-        self._validate()
+        self._top_dim = max(self._faces)
+        self._index = {d: {f: i for i, f in enumerate(fs)} for d, fs in self._faces.items()}
         self._cofacets: dict[Face, tuple[Face, ...]] | None = None
         self._components = connected_components(self.vertices, self.faces(1))
-
-    def _validate(self):
-        for d, fs in self._faces.items():
-            for f in fs:
-                if len(f) != d + 1:
-                    raise MalformedInputError(f"face {f!r} listed at dimension {d}")
-                as_face(f)
-                if d >= 0:
-                    for sub in combinations(f, d):
-                        if sub not in self._index.get(d - 1, {}) and not (d == 0 and not self._include_empty):
-                            raise MalformedInputError(
-                                f"complex is not downward closed: {sub!r} missing under {f!r}"
-                            )
 
     # -- basic queries ---------------------------------------------------
 
@@ -217,36 +214,8 @@ def connected_components(vertices, edges) -> tuple[frozenset, ...]:
 
 
 def build_complex(facets, include_empty: bool = True) -> SimplicialComplex:
-    """Downward closure of a list of facets.
-
-    Parameters
-    ----------
-    facets : iterable of vertex iterables
-        Non-empty collection of non-empty vertex sets.  Faces implied by
-        inclusion are generated automatically.
-    include_empty : bool
-        Include the empty face of dimension -1 (the reduced convention).
-
-    Returns
-    -------
-    SimplicialComplex
-        Faces sorted lexicographically in every dimension, 1-skeleton
-        connectivity precomputed.
-    """
-    facets = list(facets)
-    if not facets:
-        raise MalformedInputError("facet list is empty")
-    faces: set[Face] = set()
-    for raw in facets:
-        f = as_face(raw)
-        if not f:
-            raise MalformedInputError("facets must be non-empty vertex sets")
-        for r in range(1, len(f) + 1):
-            faces.update(combinations(f, r))
-    by_dim: dict[int, list[Face]] = {}
-    for f in faces:
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    return SimplicialComplex(by_dim, include_empty=include_empty)
+    """Downward closure of a list of facets; see :class:`SimplicialComplex`."""
+    return SimplicialComplex(facets, include_empty)
 
 
 def boundary_faces(f) -> list[tuple[Face, int]]:
@@ -386,7 +355,8 @@ def relative_orientation_sign(f, image_vertex_order) -> int:
 
 @dataclass(frozen=True)
 class Cochain:
-    """A vector indexed by the canonical ordering of the dim-faces."""
+    """Values indexed by the canonical ordering of the dim-faces: a vector,
+    or a matrix holding one cochain per column."""
 
     dim: int
     values: np.ndarray

@@ -122,53 +122,27 @@ class IncidenceVoltages:
         except KeyError:
             raise VoltageError(f"no voltage on incidence ({face!r}, {cofacet!r})") from None
 
-    def generators(self) -> tuple[Perm, ...]:
-        return tuple(sorted(set(self.perms.values())))
-
 
 # -- covering maps -----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class FiberLabeling:
-    """For each base face, its fiber enumerated in lexicographic order."""
-
-    fibers: Mapping
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "fibers", {tuple(g): tuple(fs) for g, fs in dict(self.fibers).items()}
-        )
-
-    def lift(self, base_face, sheet: int) -> Face:
-        return self.fibers[tuple(base_face)][sheet]
-
-    def fiber(self, base_face) -> tuple[Face, ...]:
-        return self.fibers[tuple(base_face)]
-
-    def sheet(self, base_face, cover_face) -> int:
-        return self.fibers[tuple(base_face)].index(tuple(cover_face))
-
-
-@dataclass(frozen=True)
 class CoveringMap:
-    """A verified covering of complexes with its canonical fiber labeling."""
+    """A verified covering of complexes.
+
+    ``fibers[g]`` lists the cover faces over the base face ``g`` in
+    lexicographic order, so a face's position in its fiber is its sheet;
+    :func:`verify_covering` fills it once and every reader of the
+    covering reads it.  Over a face of dimension 0 or more each fiber
+    has ``degree`` faces.  ``vertex_map`` is the projection on vertices,
+    which the orientation sign of a cover face needs.
+    """
 
     cover: SimplicialComplex
     base: SimplicialComplex
     vertex_map: Mapping
     degree: int
-    labeling: FiberLabeling
-
-    def map_vertex(self, v: int) -> int:
-        return self.vertex_map[v]
-
-    def map_face(self, face) -> Face:
-        return tuple(sorted(self.vertex_map[v] for v in face))
-
-    def image_order(self, face) -> tuple:
-        """Pointwise images of an increasing cover face, in that order."""
-        return tuple(self.vertex_map[v] for v in face)
+    fibers: Mapping
 
 
 def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_map: Mapping) -> CoveringMap:
@@ -224,17 +198,22 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
                 )
             used.update(f)
 
-    # strong condition: every base incidence lifts at every fiber point
+    # strong condition: every base incidence lifts at every fiber point.
+    # Images are base faces, no face collapses and fibers do not overlap,
+    # so the cofacets of f over g lie over distinct cofacets of g: the
+    # condition holds at f exactly when the two counts agree.  Only a
+    # short count searches for the witness.
     for d in range(0, base.top_dim):
         for g in base.faces(d):
-            for gbar in base.cofacets(g):
+            up = base.cofacets(g)
+            if all(len(cover.cofacets(f)) == len(up) for f in fibers[g]):
+                continue
+            for gbar in up:
                 for f in fibers[g]:
-                    lifted = [
-                        fbar
+                    if not any(
+                        tuple(sorted(vertex_map[v] for v in fbar)) == gbar
                         for fbar in cover.cofacets(f)
-                        if tuple(sorted(vertex_map[v] for v in fbar)) == gbar
-                    ]
-                    if not lifted:
+                    ):
                         raise CoveringViolation(
                             "strong-violation",
                             f"incidence ({g!r}, {gbar!r}) has no lift at {f!r}",
@@ -258,8 +237,8 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
             "fiber-size", "cover and base have different top dimensions", cover.top_dim
         )
 
-    labeling = FiberLabeling({g: tuple(sorted(fs)) for g, fs in fibers.items()})
-    return CoveringMap(cover, base, vertex_map, degree, labeling)
+    # each fiber was filled in the lexicographic order of cover.faces(d)
+    return CoveringMap(cover, base, vertex_map, degree, {g: tuple(fs) for g, fs in fibers.items()})
 
 
 # -- derived complexes --------------------------------------------------------
@@ -340,20 +319,19 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     """Voltages on the base incidences induced by a verified covering.
 
     For an incidence ``(G, Gbar)`` the permutation sends sheet ``j`` to
-    the sheet of the unique cofacet of ``lift(G, j)`` lying in the fiber
-    of ``Gbar``; the derived graph of the result is isomorphic to the
-    cover's incidence graph under the fiber labeling.
+    the sheet of the unique cofacet of ``fibers[G][j]`` lying in the
+    fiber of ``Gbar``; the derived graph of the result is isomorphic to
+    the cover's incidence graph, each face read at its sheet.
     """
     M, K = cov.base, cov.cover
     if not (0 <= i <= M.top_dim):
         raise DimensionError(f"induced voltages need 0 <= i <= {M.top_dim}, got {i}")
     table = {}
     for gbar in M.faces(i + 1):
-        fiber_gbar = cov.labeling.fiber(gbar)
-        sheet_of = {f: l for l, f in enumerate(fiber_gbar)}
+        sheet_of = {f: l for l, f in enumerate(cov.fibers[gbar])}
         for g, _ in boundary_faces(gbar):
             image = [0] * cov.degree
-            for j, f in enumerate(cov.labeling.fiber(g)):
+            for j, f in enumerate(cov.fibers[g]):
                 ups = [fbar for fbar in K.cofacets(f) if fbar in sheet_of]
                 if len(ups) != 1:
                     raise CoveringViolation(
@@ -382,8 +360,8 @@ class CoboundaryFactorization:
     """Exact factorization of the lifted coboundary.
 
     ``cover_coboundary`` is the coboundary of the covering complex with
-    rows and columns relabeled through the fiber labeling into (base
-    face, sheet) order; it equals ``cofacet_signs @ voltage_coboundary @
+    rows and columns relabeled through the fibers into (base face, sheet)
+    order; it equals ``cofacet_signs @ voltage_coboundary @
     face_signs`` exactly, and ``residual`` is the largest absolute
     deviation (always 0 for a verified covering).
     """
@@ -401,8 +379,8 @@ def orientation_sign_diagonal(cov: CoveringMap, i: int) -> SignDiagonal:
     k = cov.degree
     entries = np.zeros(M.face_count(i) * k, dtype=np.int64)
     for c, g in enumerate(M.faces(i)):
-        for j, f in enumerate(cov.labeling.fiber(g)):
-            entries[c * k + j] = relative_orientation_sign(f, cov.image_order(f))
+        for j, f in enumerate(cov.fibers[g]):
+            entries[c * k + j] = relative_orientation_sign(f, [cov.vertex_map[v] for v in f])
     return SignDiagonal(i, entries)
 
 
@@ -427,14 +405,9 @@ def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: i
 def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:
     """Cover coboundary with rows/columns in (base face, sheet) order."""
     K, M = cov.cover, cov.base
-    k = cov.degree
     D = coboundary_matrix(K, i)
-    col_order = [
-        K.index(cov.labeling.lift(g, j)) for g in M.faces(i) for j in range(k)
-    ]
-    row_order = [
-        K.index(cov.labeling.lift(gbar, j)) for gbar in M.faces(i + 1) for j in range(k)
-    ]
+    col_order = [K.index(f) for g in M.faces(i) for f in cov.fibers[g]]
+    row_order = [K.index(f) for gbar in M.faces(i + 1) for f in cov.fibers[gbar]]
     return D[np.ix_(row_order, col_order)] if D.size else D.reshape(len(row_order), len(col_order))
 
 

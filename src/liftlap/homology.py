@@ -32,7 +32,6 @@ from .complexes import (
     SimplicialComplex,
     WeightScheme,
     coboundary_matrix,
-    compute_weights,
     relative_orientation_sign,
 )
 from .covering import CoveringMap
@@ -141,6 +140,10 @@ def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) ->
     and no operator is built.
     """
     betti = exact_betti_numbers(K)
+    return BettiReport(betti, _harmonic_bases(K, betti, scheme), K.include_empty)
+
+
+def _harmonic_bases(K: SimplicialComplex, betti: dict, scheme: WeightScheme) -> dict:
     bases = {}
     for i, b in betti.items():
         if b == 0:
@@ -150,55 +153,33 @@ def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) ->
         sym = symmetrized_form(op.matrix, op.weights)
         vecs = np.linalg.eigh((sym + sym.conj().T) / 2)[1]
         bases[i] = vecs[:, :b] / np.sqrt(op.weights)[:, None]
-    return BettiReport(betti, bases, K.include_empty)
+    return bases
 
 
 # -- harmonic lifting ----------------------------------------------------------
 
 
-def _check_weight_ratios(cov: CoveringMap, dim: int, scheme, base_scheme):
-    wK = compute_weights(cov.cover, scheme)
-    wM = compute_weights(cov.base, base_scheme)
-    for layer in (dim, dim - 1):
-        if not (cov.cover.min_dim <= layer <= cov.cover.top_dim):
-            continue
-        for f in cov.cover.faces(layer):
-            for fbar in cov.cover.cofacets(f):
-                lhs = wK[fbar] / wK[f]
-                rhs = wM[cov.map_face(fbar)] / wM[cov.map_face(f)]
-                if abs(lhs - rhs) > 1e-12 * max(1.0, abs(lhs), abs(rhs)):
-                    raise WeightError(
-                        "weight ratios differ between cover and base at "
-                        f"({f!r}, {fbar!r}): {lhs:g} vs {rhs:g}"
-                    )
-
-
-def lift_cochain(
-    f: Cochain,
-    cov: CoveringMap,
-    scheme: WeightScheme = COMBINATORIAL,
-    base_scheme: WeightScheme | None = None,
-) -> Cochain:
-    """Pull a base cochain back to the cover, correcting orientations.
+def lift_cochain(f: Cochain, cov: CoveringMap) -> Cochain:
+    """Pull a base cochain, or a basis of them, back to the cover.
 
     The lifted value on a cover face is the base value on its image
-    times the orientation sign of the pointwise vertex map.  The kernel
-    preservation this is used for needs matching weight ratios across
-    incidences; that holds automatically for the combinatorial and
-    normalized schemes and is checked (with a witness pair on failure)
-    for explicit ones.
+    times the orientation sign of the pointwise vertex map.  ``f.values``
+    is a vector, or a matrix with one cochain per column; the face index
+    and the signs are built once and serve every column.  Kernels are
+    preserved because the combinatorial and normalized weight ratios
+    across incidences match between cover and base.
     """
-    base_scheme = base_scheme or scheme
-    if scheme.kind == EXPLICIT_KIND or base_scheme.kind == EXPLICIT_KIND:
-        _check_weight_ratios(cov, f.dim, scheme, base_scheme)
-    faces = cov.cover.faces(f.dim)
-    base_index = {g: c for c, g in enumerate(cov.base.faces(f.dim))}
-    values = np.zeros(len(faces), dtype=np.result_type(np.asarray(f.values).dtype, float))
-    for c, face in enumerate(faces):
-        img = cov.map_face(face)
-        sgn = relative_orientation_sign(face, cov.image_order(face)) if face else 1
-        values[c] = f.values[base_index[img]] * sgn
-    return Cochain(f.dim, values)
+    i = f.dim
+    rows, cols, signs = [], [], []
+    for c, g in enumerate(cov.base.faces(i)):
+        for face in cov.fibers[g]:
+            rows.append(cov.cover.index(face))
+            cols.append(c)
+            signs.append(relative_orientation_sign(face, [cov.vertex_map[v] for v in face]))
+    values = np.asarray(f.values)
+    out = np.zeros((cov.cover.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
+    out[rows] = np.reshape(signs, (-1,) + (1,) * (values.ndim - 1)) * values[cols]
+    return Cochain(i, out)
 
 
 @dataclass
@@ -221,43 +202,46 @@ class BettiInequalityReport:
 
 def verify_betti_inequality(
     cov: CoveringMap,
-    scheme: WeightScheme = COMBINATORIAL,
+    schemes=(COMBINATORIAL,),
     tol: float = 1e-8,
-) -> BettiInequalityReport:
-    """Check the covering Betti inequality dimension by dimension.
+) -> tuple:
+    """Check the covering Betti inequality dimension by dimension, per scheme.
 
-    For each dimension: the cover's Betti number must be at least the
-    base's, a kernel basis of the base operator must lift into the
-    cover's kernel (residual at most ``tol``), and the lifted set must
-    stay independent (smallest singular value at least ``tol``).  Any
-    failed sub-check marks the report as not holding; it never raises.
-    Both Betti numbers are exact; the residual and the singular value
-    are the numeric side of the verdict, so the cover's full Laplacian
-    is built only where the base kernel is nonzero and never eigensolved.
+    Returns one :class:`BettiInequalityReport` per scheme in ``schemes``,
+    in that order.  For each dimension: the cover's Betti number must be
+    at least the base's, a kernel basis of the base operator must lift
+    into the cover's kernel (residual at most ``tol``), and the lifted
+    set must stay independent (smallest singular value at least
+    ``tol``).  Any failed sub-check marks the report as not holding; it
+    never raises.  Both Betti numbers are exact and do not depend on the
+    scheme, so each complex is ranked once for all schemes; the residual
+    and the singular value are the numeric side of the verdict, so the
+    cover's full Laplacian is built only where the base kernel is
+    nonzero and never eigensolved.
     """
-    if scheme.kind == EXPLICIT_KIND:
+    if any(scheme.kind == EXPLICIT_KIND for scheme in schemes):
         raise WeightError(
             "the Betti inequality is only claimed for the combinatorial and "
             "normalized schemes"
         )
-    base_report = betti_numbers(cov.base, scheme)
+    base_betti = exact_betti_numbers(cov.base)
     cover_betti = exact_betti_numbers(cov.cover)
+    return tuple(_inequality_report(cov, scheme, base_betti, cover_betti, tol) for scheme in schemes)
+
+
+def _inequality_report(cov, scheme, base_betti, cover_betti, tol) -> BettiInequalityReport:
+    # one scheme per call, so its cover operators are freed before the next scheme builds its own
+    bases = _harmonic_bases(cov.base, base_betti, scheme)
     verdicts = []
-    for i in sorted(base_report.betti):
-        b_base = base_report.betti[i]
+    for i in sorted(base_betti):
+        b_base = base_betti[i]
         b_cover = cover_betti.get(i, 0)
         inequality = b_cover >= b_base
         residual = 0.0
         sigma_min = None
-        basis = base_report.kernel_bases[i]
-        if basis.shape[1]:
+        if b_base:
             op = _full_laplacian(cov.cover, i, scheme)
-            lifted = np.column_stack(
-                [
-                    lift_cochain(Cochain(i, basis[:, t]), cov, scheme).values
-                    for t in range(basis.shape[1])
-                ]
-            )
+            lifted = lift_cochain(Cochain(i, bases[i]), cov).values
             norms = np.linalg.norm(lifted, axis=0)
             lifted = lifted / norms
             residual = float(np.max(np.abs(op.matrix @ lifted)))

@@ -60,6 +60,13 @@ def _records(path, data, key) -> list:
         return list(data.get(key, ()))
 
 
+def _add(table, key, value) -> None:
+    """Store ``value`` under ``key``; a key read twice is ambiguous input."""
+    if key in table:
+        raise MalformedInputError(f"{key!r} is listed twice, the second time as {value!r}")
+    table[key] = value
+
+
 def _incidence(rec) -> tuple:
     return as_face(rec["face"]), as_face(rec["cofacet"])
 
@@ -84,7 +91,9 @@ def parse_weight_scheme(doc) -> WeightScheme:
     if kind == "normalized":
         return NORMALIZED
     if kind == "explicit":
-        values = {tuple(rec["face"]): float(rec["w"]) for rec in doc.get("values", ())}
+        values = {}
+        for rec in doc.get("values", ()):
+            _add(values, as_face(rec["face"]), float(rec["w"]))
         return WeightScheme.explicit(values)
     raise MalformedInputError(f"unknown weight scheme {kind!r}")
 
@@ -115,7 +124,7 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     for rec in _records(path, data, "edges"):
         with _reading(path, f"record {rec!r}"):
             edge = tuple(sorted(int(v) for v in rec["edge"]))
-            table[edge] = perms.check_perm(perms.from_one_based(rec["perm"]), k)
+            _add(table, edge, perms.check_perm(perms.from_one_based(rec["perm"]), k))
     return edge_voltages(M, k, table)
 
 
@@ -136,7 +145,7 @@ def load_incidence_voltages(path, M: SimplicialComplex, dim: int) -> IncidenceVo
     given = {}
     for rec in _records(path, data, "edges"):
         with _reading(path, f"record {rec!r}"):
-            given[_incidence(rec)] = perms.check_perm(perms.from_one_based(rec["perm"]), k)
+            _add(given, _incidence(rec), perms.check_perm(perms.from_one_based(rec["perm"]), k))
     table = {}
     for cofacet in M.faces(dim + 1):
         for j in range(len(cofacet)):
@@ -153,7 +162,7 @@ def load_signing(path) -> IncidenceWeighting:
     flips = {}
     for rec in _records(path, data, "flips"):
         with _reading(path, f"record {rec!r}"):
-            flips[_incidence(rec)] = -1.0
+            _add(flips, _incidence(rec), -1.0)
     return IncidenceWeighting(flips)
 
 
@@ -178,7 +187,7 @@ def load_weighting(path) -> IncidenceWeighting:
     for rec in _records(path, data, "entries"):
         with _reading(path, f"record {rec!r}"):
             val = rec["value"]
-            values[_incidence(rec)] = complex(float(val.get("re", 0.0)), float(val.get("im", 0.0)))
+            _add(values, _incidence(rec), complex(float(val.get("re", 0.0)), float(val.get("im", 0.0))))
     return IncidenceWeighting(values)
 
 
@@ -186,8 +195,11 @@ def load_vertex_map(path) -> dict:
     data = _load(path)
     if "vertex_map" not in data:
         raise MalformedInputError(f"{path}: missing 'vertex_map'")
+    table = {}
     with _reading(path, "vertex_map"):
-        return {int(a): int(b) for a, b in data["vertex_map"]}
+        for a, b in data["vertex_map"]:
+            _add(table, int(a), int(b))
+    return table
 
 
 def vertex_map_to_dict(vertex_map) -> dict:

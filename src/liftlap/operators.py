@@ -130,15 +130,13 @@ class OperatorMatrix:
 
     ``weights`` is the diagonal of the weight matrix on the operator's
     own cochain degree; it drives the similarity transform used by the
-    eigensolver path.  ``decoration`` records the incidence weighting
-    the coboundary was built with, if any.
+    eigensolver path.
     """
 
     matrix: np.ndarray
     dim: int
     kind: str
     weights: np.ndarray
-    decoration: object = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
@@ -212,7 +210,7 @@ def laplacian_matrix(
         mat = down_part()
     else:
         mat = up_part() + down_part()
-    return OperatorMatrix(mat, i, kind, w_i, decoration)
+    return OperatorMatrix(mat, i, kind, w_i)
 
 
 def symmetrized_form(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:

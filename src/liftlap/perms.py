@@ -36,24 +36,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def sign(p: Perm) -> int:
-    """Parity of the permutation: +1 for even, -1 for odd."""
-    seen = [False] * len(p)
-    sgn = 1
-    for start in range(len(p)):
-        if seen[start]:
-            continue
-        length = 0
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sgn = -sgn
-    return sgn
-
-
 def cycle(k: int) -> Perm:
     """The k-cycle 0 -> 1 -> ... -> k-1 -> 0."""
     return tuple((j + 1) % k for j in range(k))

@@ -123,9 +123,6 @@ class BlockDecomposition:
     blocks_of: Mapping
     residual: float
 
-    def blocks(self, g: Perm) -> list:
-        return self.blocks_of[tuple(g)]
-
 
 def _cluster(sorted_vals: np.ndarray, gap: float) -> list[slice]:
     bounds = [0]

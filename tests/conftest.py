@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from liftlap import build_complex, edge_voltages
+from liftlap import build_complex, edge_voltages, verify_covering
 from liftlap.reference_fixture import search_reference_fixture
 
 _CRITERION = re.compile(r"test_criterion_(\d+[a-z]?)_(\w+)")
@@ -29,6 +29,16 @@ def cycle_complex(n, include_empty=True):
     return build_complex(
         [(i, (i + 1) % n) for i in range(n)], include_empty=include_empty
     )
+
+
+def scrambled_covering(rng, K, vertex_map, M):
+    """The covering with the cover's vertices relabelled at random, so the
+    projection is not monotone and the orientation signs are nontrivial."""
+    relabel = {v: int(r) for v, r in zip(K.vertices, rng.permutation(len(K.vertices)))}
+    K2 = build_complex(
+        [tuple(relabel[v] for v in f) for f in K.facets()], include_empty=K.include_empty
+    )
+    return verify_covering(K2, M, {relabel[v]: vertex_map[v] for v in K.vertices})
 
 
 def cycle_laplacian_values(n):

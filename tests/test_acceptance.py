@@ -293,8 +293,7 @@ def test_criterion_7_betti_inequality():
         if out is None:
             continue
         _, result = out
-        for scheme in SCHEMES:
-            rep = verify_betti_inequality(result.covering, scheme, tol=1e-8)
+        for rep in verify_betti_inequality(result.covering, SCHEMES, tol=1e-8):
             assert rep.holds
             for v in rep.per_dim:
                 assert v.betti_cover >= v.betti_base
@@ -329,7 +328,7 @@ def test_criterion_7b_reference_pair_equality(reference):
     assert out is not None
     _, result = out
     assert betti_numbers(result.complex).betti == base_betti
-    rep = verify_betti_inequality(result.covering)
+    (rep,) = verify_betti_inequality(result.covering)
     assert rep.holds
     assert all(v.betti_base == v.betti_cover for v in rep.per_dim)
     # the lifted coboundary of the reference pair factors exactly too

@@ -179,6 +179,34 @@ class TestVerify:
         assert code == 0
         assert report["results"]["combinatorial"]["1"] == [1, 1]
 
+    def test_betti_ranks_each_complex_once_for_both_schemes(
+        self, capsys, monkeypatch, c3_file, c3_voltage_file
+    ):
+        from liftlap.homology import integer_rank
+
+        ranked = []
+
+        def counting_rank(matrix):
+            ranked.append(matrix.shape)
+            return integer_rank(matrix)
+
+        monkeypatch.setattr("liftlap.homology.integer_rank", counting_rank)
+        code, report, _ = run(
+            capsys, ["verify", "betti", "--base", c3_file, "--voltage", c3_voltage_file]
+        )
+        assert code == 0 and sorted(report["results"]) == ["combinatorial", "normalized"]
+        # d_-1 and d_0 of the triangle, then of the hexagon
+        assert ranked == [(3, 1), (3, 3), (6, 1), (6, 6)]
+
+    @pytest.mark.parametrize("claim, lowest", [("union", 0), ("inclusion", 0), ("abelian", 0), ("betti", -1)])
+    def test_dim_outside_the_base_exits_3(self, capsys, c3_file, c3_voltage_file, claim, lowest):
+        code, report, err = run(
+            capsys,
+            ["verify", claim, "--base", c3_file, "--voltage", c3_voltage_file, "--dim", "7"],
+        )
+        assert code == 3 and report is None
+        assert f"--dim 7 is outside {lowest}..1" in err
+
     def test_decompose(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(
             capsys,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftlap import (
     COMBINATORIAL,
@@ -10,6 +12,7 @@ from liftlap import (
     WeightError,
     WeightScheme,
     boundary_faces,
+    as_face,
     build_complex,
     coboundary_matrix,
     compute_weights,
@@ -73,6 +76,30 @@ class TestBuildComplex:
     def test_connectivity_cached(self):
         assert build_complex([{0, 1}, {2, 3}]).connected is False
         assert build_complex([{0, 1}, {1, 3}]).connected is True
+
+
+_FACETS = st.lists(
+    st.lists(st.integers(0, 9), min_size=1, max_size=5, unique=True), min_size=1, max_size=6
+)
+
+
+class TestClosureProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_FACETS, st.booleans())
+    def test_closed_canonical_and_sorted(self, facets, include_empty):
+        K = build_complex(facets, include_empty=include_empty)
+        assert K.faces(-1) == (((),) if include_empty else ())
+        spans = [set(f) for f in facets]
+        for d in K.dims():
+            fs = K.faces(d)
+            assert list(fs) == sorted(set(fs))
+            for f in fs:
+                assert as_face(f) == f and len(f) == d + 1
+                assert any(set(f) <= span for span in spans)
+                if d >= 1 or include_empty:
+                    assert all(K.has_face(f[:j] + f[j + 1 :]) for j in range(len(f)))
+        for facet in facets:
+            assert K.has_face(as_face(facet))
 
 
 class TestBoundary:

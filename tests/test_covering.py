@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_FACETS, cycle_complex
+from conftest import REFERENCE_FACETS, cycle_complex, scrambled_covering
 from oracles import Graph, as_graph_voltages, derived_graph, incidence_graph
 
 from liftlap import (
@@ -72,7 +72,7 @@ class TestVerifyCovering:
         M = cycle_complex(3)
         cov = verify_covering(K, M, {v: v % 3 for v in range(6)})
         assert cov.degree == 2
-        assert cov.map_face((0, 1)) == (0, 1)
+        assert cov.fibers[(0, 1)] == ((0, 1), (3, 4))
 
     def test_disconnected_cover_rejected(self):
         K = build_complex([{0, 1, 2}, {3, 4, 5}])
@@ -87,6 +87,17 @@ class TestVerifyCovering:
         with pytest.raises(CoveringViolation) as err:
             verify_covering(K, M, {0: 0, 1: 1, 2: 2})
         assert err.value.kind == "strong-violation"
+
+    def test_first_of_several_strong_violations_is_the_witness(self):
+        # the path 0-1-2-3-4 over the 4-cycle: vertex 4 has no edge over
+        # (0, 1) and vertex 0 none over (0, 3); incidences are searched
+        # cofacet by cofacet, then along the fiber
+        K = build_complex([(0, 1), (1, 2), (2, 3), (3, 4)])
+        M = cycle_complex(4)
+        with pytest.raises(CoveringViolation) as err:
+            verify_covering(K, M, {v: v % 4 for v in range(5)})
+        assert err.value.kind == "strong-violation"
+        assert err.value.witness == ((4,), (0, 1))
 
     def test_degenerate_face_detected(self):
         K = cycle_complex(4)
@@ -106,7 +117,7 @@ class TestVerifyCovering:
         cov = c3_double_cover.covering
         for d in range(0, cov.base.top_dim + 1):
             for g in cov.base.faces(d):
-                assert len(cov.labeling.fiber(g)) == cov.degree
+                assert len(cov.fibers[g]) == cov.degree
 
 
 class TestDerivedComplex:
@@ -199,28 +210,18 @@ class TestInducedVoltages:
                 expected = {
                     frozenset((BK.left[a], BK.right[b])) for a, b in BK.edges
                 }
-                # map derived vertices ((side, face), sheet) through the labeling
+                # map derived vertices ((side, face), sheet) through the fibers
                 mapped = {
                     frozenset(
                         (
-                            cov.labeling.lift(u[0][1], u[1]),
-                            cov.labeling.lift(v[0][1], v[1]),
+                            cov.fibers[u[0][1]][u[1]],
+                            cov.fibers[v[0][1]][v[1]],
                         )
                     )
                     for u, v in D.edges
                 }
                 assert mapped == expected
             done += 1
-
-
-def _scrambled(rng, K, vertex_map, M):
-    """The covering with the cover's vertices relabelled at random, so the
-    projection is not monotone and the orientation signs are nontrivial."""
-    relabel = {v: int(r) for v, r in zip(K.vertices, rng.permutation(len(K.vertices)))}
-    K2 = build_complex(
-        [tuple(relabel[v] for v in f) for f in K.facets()], include_empty=K.include_empty
-    )
-    return verify_covering(K2, M, {relabel[v]: vertex_map[v] for v in K.vertices})
 
 
 class TestCoboundaryFactorization:
@@ -249,7 +250,7 @@ class TestCoboundaryFactorization:
             if out is None:
                 continue
             _, result = out
-            cov2 = _scrambled(rng, result.complex, result.vertex_map, M)
+            cov2 = scrambled_covering(rng, result.complex, result.vertex_map, M)
             for i in range(0, M.top_dim + 1):
                 fac = coboundary_factorization(cov2, i)
                 assert fac.residual == 0
@@ -271,8 +272,8 @@ class TestPermutationWeighting:
             if out is None:
                 continue
             _, result = out
-            cov = _scrambled(rng, result.complex, result.vertex_map, M)
-            K, k = cov.cover, cov.degree
+            cov = scrambled_covering(rng, result.complex, result.vertex_map, M)
+            K = cov.cover
             P = IncidenceWeighting(
                 {
                     pair: permutation_matrix(p)
@@ -281,7 +282,7 @@ class TestPermutationWeighting:
                 }
             )
             for i in range(0, M.top_dim + 1):
-                order = [K.index(cov.labeling.lift(g, j)) for g in M.faces(i) for j in range(k)]
+                order = [K.index(f) for g in M.faces(i) for f in cov.fibers[g]]
                 signs = orientation_sign_diagonal(cov, i).entries
                 for kind in ("up", "down", "full") if i >= 1 else ("up",):
                     cover_op = laplacian_matrix(K, i, kind).matrix[np.ix_(order, order)]

@@ -171,3 +171,57 @@ class TestVertexMapFiles:
         vmap = {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
         p = write(tmp_path, "phi.json", llio.vertex_map_to_dict(vmap))
         assert llio.load_vertex_map(p) == vmap
+
+
+def _twice(face, cofacet, **extra):
+    return [
+        {"face": face, "cofacet": cofacet, **extra},
+        {"face": face[::-1], "cofacet": cofacet, **extra},
+    ]
+
+
+class TestRepeatedRecords:
+    """A key listed twice is ambiguous: the file is refused, naming the file
+    and the record."""
+
+    M = build_complex([{1, 2, 6}])
+
+    @pytest.mark.parametrize(
+        "doc, load, record",
+        [
+            (
+                {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}, {"edge": [2, 1], "perm": [1, 2]}]},
+                lambda p: llio.load_edge_voltages(p, TestRepeatedRecords.M),
+                "'edge': [2, 1]",
+            ),
+            (
+                {"k": 2, "edges": _twice([1, 2], [1, 2, 6], perm=[2, 1])},
+                lambda p: llio.load_incidence_voltages(p, TestRepeatedRecords.M, 1),
+                "'face': [2, 1]",
+            ),
+            ({"flips": _twice([1, 2], [1, 2, 6])}, llio.load_signing, "'face': [2, 1]"),
+            (
+                {"entries": _twice([1, 2], [1, 2, 6], value={"re": 2.0})},
+                llio.load_weighting,
+                "'face': [2, 1]",
+            ),
+            ({"vertex_map": [[0, 0], [1, 1], [0, 2]]}, llio.load_vertex_map, "0 is listed twice, the second time as 2"),
+            (
+                {
+                    "facets": [[0, 1]],
+                    "weights": {
+                        "scheme": "explicit",
+                        "values": [{"face": [0, 1], "w": 2.0}, {"face": [1, 0], "w": 3.0}],
+                    },
+                },
+                lambda p: llio.load_complex(p),
+                "(0, 1) is listed twice, the second time as 3.0",
+            ),
+        ],
+        ids=["edge-voltages", "incidence-voltages", "signing", "weighting", "vertex-map", "face-weights"],
+    )
+    def test_repeated_key_is_malformed(self, tmp_path, doc, load, record):
+        p = write(tmp_path, "in.json", doc)
+        with pytest.raises(MalformedInputError, match="listed twice") as err:
+            load(p)
+        assert str(p) in str(err.value) and record in str(err.value)
