@@ -72,6 +72,7 @@ from .operators import (
     compare_spectra,
     decorated_coboundary,
     laplacian_matrix,
+    layer_spectra,
     spectrum,
     symmetrized_form,
 )
@@ -79,7 +80,7 @@ from .representation import (
     BlockDecomposition,
     VoltageGroup,
     abelian_weightings,
-    block_laplacians,
+    block_weightings,
     decompose_representation,
     two_fold_signing,
     voltage_group,

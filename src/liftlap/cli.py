@@ -28,11 +28,11 @@ from .errors import (
 )
 from .reference_fixture import search_reference_fixture
 from .homology import verify_betti_inequality
-from .operators import SpectrumMultiset, compare_spectra, laplacian_matrix, spectrum
+from .operators import SpectrumMultiset, compare_spectra, laplacian_matrix, layer_spectra, spectrum
 from .representation import (
     RESIDUAL_TOL,
     abelian_weightings,
-    block_laplacians,
+    block_weightings,
     decompose_representation,
     voltage_group,
     two_fold_signing,
@@ -168,13 +168,15 @@ def cmd_cover_verify(args, report):
 def cmd_decompose(args, report):
     cov = _resolve_covering(args, report["inputs"])
     scheme = SCHEMES[args.scheme]
-    layer = args.dim if args.direction == "up" else args.dim - 1
+    _check_dim(cov, args.dim, 0 if args.direction == "up" else 1)
+    layer, side = _layer_side(args.direction, args.dim)
     psi = induced_incidence_voltage(cov, layer)
     group = voltage_group(psi)
     dec = decompose_representation(group, seed=args.seed)
-    blocks = block_laplacians(cov.base, psi, args.dim, scheme, args.direction, dec)
-    lifted = spectrum(laplacian_matrix(cov.cover, args.dim, args.direction, scheme), args.tol)
-    spectra = [spectrum(b, args.tol) for b in blocks]
+    lifted = layer_spectra(cov.cover, layer, scheme, tol=args.tol)[side]
+    spectra = [
+        layer_spectra(cov.base, layer, scheme, w, args.tol)[side] for w in [None] + block_weightings(psi, dec)
+    ]
     cmp_union = compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
     # block 0 is the base operator exactly when rho_0 is the trivial representation
     first_err = max(abs(complex(dec.blocks_of[g][0][0, 0]) - 1) for g in group.elements)
@@ -205,6 +207,12 @@ def _check_dim(cov, requested, lowest):
         raise DimensionError(
             f"--dim {requested} is outside {lowest}..{top}, the base dimensions this claim is checked at"
         )
+
+
+def _layer_side(direction, i):
+    """The incidence layer of the i-dimensional operator, and its side
+    (0 up, 1 down) in that layer's :func:`layer_spectra`."""
+    return (i, 0) if direction == "up" else (i - 1, 1)
 
 
 def _dims(cov, direction, requested):
@@ -244,6 +252,24 @@ SPECTRAL_CLAIMS = {
 }
 
 
+def _solve_layer(cov, layer, decorate, args):
+    """Per scheme, the layer spectra of the cover and of the base under
+    each of the layer's decorations; None where the claim's hypothesis
+    is not met (trivial or intransitive voltage group), so the claim
+    does not apply on this layer."""
+    try:
+        decorations = decorate(cov, layer, args) if decorate else []
+    except GroupStructureError:
+        if args.dim is not None:
+            raise
+        return None
+    return {
+        name: [layer_spectra(cov.cover, layer, scheme, tol=args.tol)]
+        + [layer_spectra(cov.base, layer, scheme, d, args.tol) for d in [None] + decorations]
+        for name, scheme in _schemes(args.scheme)
+    }
+
+
 def cmd_verify_spectral(args, report):
     claim, degree, decorate, results = SPECTRAL_CLAIMS[args.subcommand]
     cov = _resolve_covering(args, report["inputs"])
@@ -253,23 +279,17 @@ def cmd_verify_spectral(args, report):
     verdicts = []
     spectra = {}
     skipped = []
+    solved = {}
     for direction in ("up", "down"):
         for i in _dims(cov, direction, args.dim):
-            try:
-                decorations = decorate(cov, i if direction == "up" else i - 1, args) if decorate else []
-            except GroupStructureError:
-                if args.dim is not None:
-                    raise
-                # hypothesis not met on this layer (trivial or intransitive
-                # voltage group); the claim does not apply there
+            layer, side = _layer_side(direction, i)
+            if layer not in solved:
+                solved[layer] = _solve_layer(cov, layer, decorate, args)
+            if solved[layer] is None:
                 skipped.append(f"{direction}/{i}")
                 continue
-            for name, scheme in _schemes(args.scheme):
-                lifted = spectrum(laplacian_matrix(cov.cover, i, direction, scheme), args.tol)
-                parts = [
-                    spectrum(laplacian_matrix(cov.base, i, direction, scheme, d), args.tol)
-                    for d in [None] + decorations
-                ]
+            for name, layers in solved[layer].items():
+                lifted, *parts = [pair[side] for pair in layers]
                 if decorate is None:
                     cmp = compare_spectra(parts[0], lifted, "subset", tol=args.tol)
                 else:

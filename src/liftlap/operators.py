@@ -16,6 +16,18 @@ a block of a lifted operator (values rho_j(psi)), and the lifted
 coboundary itself (values the permutation matrices P(psi)).  The
 adjoint uses the conjugate transpose.
 
+One incidence layer serves two operators.  With
+``A = W_{i+1}^{1/2} D_i W_i^{-1/2}`` (``D_i`` decorated or not), the
+symmetrized i-up operator is ``A^H A`` and the symmetrized (i+1)-down
+operator is ``A A^H``; their spectra agree except for
+``|n_{i+1} - n_i|`` extra zeros.  :func:`layer_spectra` therefore
+eigensolves only the smaller Gram matrix and pads the other side with
+exact zeros, and at the top dimension (no (i+1)-faces) it solves
+nothing.  The ``verify`` and ``decompose`` commands take every spectrum
+they compare from it; ``liftlap spectrum`` eigensolves the assembled
+operator, so its ``clamped`` count reports the operator's own kernel
+noise.
+
 Everything is dense: the package targets desk-scale complexes where
 dense eigensolves are simpler and exactly testable.
 """
@@ -176,13 +188,8 @@ def laplacian_matrix(
     dimension yields a zero matrix), down needs ``min_dim + 1 <= i <=
     top_dim``; full needs both.
     """
-    d = getattr(decoration, "block_size", 1)
     w = compute_weights(K, scheme)
-
-    def weights(j):
-        return np.repeat(weight_vector(K, j, w), d)
-
-    w_i = weights(i)
+    w_i = _weights(K, i, w, decoration)
     if kind not in (UP, DOWN, FULL):
         raise DimensionError(f"unknown operator kind {kind!r}")
     lo_up, hi_up = _up_range(K)
@@ -194,14 +201,14 @@ def laplacian_matrix(
         if i == K.top_dim:
             return np.zeros((len(w_i), len(w_i)))
         D = decorated_coboundary(K, i, decoration)
-        w_hi = weights(i + 1)
+        w_hi = _weights(K, i + 1, w, decoration)
         return (D.conj().T * w_hi) @ D / w_i[:, None]
 
     def down_part():
         if not (lo_dn <= i <= hi_dn):
             raise DimensionError(f"down operator needs {lo_dn} <= i <= {hi_dn}, got {i}")
         D = decorated_coboundary(K, i - 1, decoration)
-        w_lo = weights(i - 1)
+        w_lo = _weights(K, i - 1, w, decoration)
         return (D / w_lo) @ (D.conj().T * w_i)
 
     if kind == UP:
@@ -213,16 +220,59 @@ def laplacian_matrix(
     return OperatorMatrix(mat, i, kind, w_i)
 
 
+def _weights(K: SimplicialComplex, j: int, w, decoration) -> np.ndarray:
+    """The dimension-j weight diagonal, each weight repeated once per row
+    of the decoration's d x d values."""
+    return np.repeat(weight_vector(K, j, w), getattr(decoration, "block_size", 1))
+
+
+def _roots(weights: np.ndarray) -> np.ndarray:
+    if np.any(weights <= 0):
+        raise WeightError("weights must be strictly positive")
+    return np.sqrt(weights)
+
+
+def layer_spectra(
+    K: SimplicialComplex,
+    i: int,
+    scheme: WeightScheme = COMBINATORIAL,
+    decoration=None,
+    tol: float = DEFAULT_TOL,
+) -> tuple["SpectrumMultiset", "SpectrumMultiset"]:
+    """Spectra of the i-up and the (i+1)-down operator from one eigensolve.
+
+    Returns ``(up_i, down_{i+1})``, each the multiset :func:`spectrum`
+    gives for the assembled operator, up to rounding.  ``A = W_{i+1}^{1/2} D_i
+    W_i^{-1/2}`` is built once from :func:`decorated_coboundary`; the
+    smaller of ``A^H A`` (up) and ``A A^H`` (down) goes through
+    :func:`spectrum` with unit weights, and the other side is the same
+    multiset padded with exact zeros.  At ``i == top_dim`` the up
+    spectrum is all zeros and the down side is empty, and nothing is
+    solved.  Valid layers: ``min_dim <= i <= top_dim``.
+    """
+    lo, hi = _up_range(K)
+    if not lo <= i <= hi:
+        raise DimensionError(f"incidence layer needs {lo} <= i <= {hi}, got {i}")
+    w = compute_weights(K, scheme)
+    A = decorated_coboundary(K, i, decoration) * (
+        _roots(_weights(K, i + 1, w, decoration))[:, None] / _roots(_weights(K, i, w, decoration))
+    )
+    n_hi, n_lo = A.shape
+    if n_lo <= n_hi:
+        solved = spectrum(OperatorMatrix(A.conj().T @ A, i, UP, np.ones(n_lo)), tol)
+    else:
+        solved = spectrum(OperatorMatrix(A @ A.conj().T, i + 1, DOWN, np.ones(n_hi)), tol)
+    padded = SpectrumMultiset(solved.values + (0.0,) * abs(n_hi - n_lo), tol, solved.clamped)
+    return (solved, padded) if n_lo <= n_hi else (padded, solved)
+
+
 def symmetrized_form(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Similarity transform ``W^{1/2} L W^{-1/2}`` with identical spectrum.
 
     For the operators assembled here the result is Hermitian positive
     semidefinite, which is what the eigensolver path relies on.
     """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights <= 0):
-        raise WeightError("weights must be strictly positive")
-    root = np.sqrt(weights)
+    root = _roots(np.asarray(weights, dtype=float))
     return (matrix * root[:, None]) / root[None, :]
 
 

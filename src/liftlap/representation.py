@@ -4,10 +4,11 @@ Conjugating by a matrix that block-diagonalizes the permutation
 representation splits the lifted Laplacian into one block per
 sub-representation rho_j.  Block j is itself a decorated base Laplacian:
 the base operator with every incidence (F, Fbar) weighted by the matrix
-rho_j(psi(F, Fbar)), assembled by :func:`~liftlap.operators.laplacian_matrix`
-like any other weighting.  The first block is the base Laplacian itself;
-a two-fold cover's second block is the signed Laplacian, and the blocks
-of an abelian group are its character-weighted Laplacians.
+rho_j(psi(F, Fbar)), given by :func:`block_weightings` and solved by
+:func:`~liftlap.operators.layer_spectra` like any other weighting.  The
+first block is the base Laplacian itself; a two-fold cover's second
+block is the signed Laplacian, and the blocks of an abelian group are
+its character-weighted Laplacians.
 
 The block-diagonalizing transform is found numerically: a random
 Hermitian element of the commutant algebra is eigendecomposed, its
@@ -27,15 +28,10 @@ from typing import Mapping
 import numpy as np
 
 from . import perms
-from .complexes import COMBINATORIAL, SimplicialComplex, WeightScheme, connected_components
+from .complexes import connected_components
 from .covering import IncidenceVoltages
-from .errors import (
-    DecompositionError,
-    DimensionError,
-    GroupStructureError,
-    VoltageError,
-)
-from .operators import DOWN, UP, IncidenceWeighting, OperatorMatrix, laplacian_matrix
+from .errors import DecompositionError, GroupStructureError, VoltageError
+from .operators import IncidenceWeighting
 from .perms import Perm
 
 # the off-block residual that certifies a decomposition, and how many
@@ -217,40 +213,19 @@ def _assemble(group, transform, sizes, offsets, conj, residual, order):
     return BlockDecomposition(group, transform, new_sizes, blocks_of, residual)
 
 
-def block_laplacians(
-    M: SimplicialComplex,
-    psi: IncidenceVoltages,
-    i: int,
-    scheme: WeightScheme = COMBINATORIAL,
-    direction: str = UP,
-    decomposition: BlockDecomposition | None = None,
-    seed: int = 0,
-) -> list[OperatorMatrix]:
-    """The blocks whose spectra union to the lifted Laplacian's spectrum.
+def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[IncidenceWeighting]:
+    """The decorations of the blocks after the first.
 
-    For the up direction ``psi`` lives on the incidence layer ``(i,
-    i+1)``; for the down direction on ``(i-1, i)``.  The first block is
-    exactly the base operator; block ``j >= 1`` is the base operator
-    decorated by the j-th sub-representation of the voltages.
+    Block 0 of the lifted operator is the base operator itself; block
+    ``j >= 1`` is the base operator with each incidence weighted by
+    block j of its voltage, ``rho_j(psi(F, Fbar))``.  ``psi`` lives on
+    the incidence layer the blocks are taken on: ``(i, i+1)`` for the
+    i-up operator, and the same layer serves the (i+1)-down operator.
     """
-    if direction not in (UP, DOWN):
-        raise DimensionError(f"unknown direction {direction!r}")
-    layer = i if direction == UP else i - 1
-    if layer < 0 and direction == DOWN:
-        raise DimensionError("down blocks need i >= 1")
-    if psi.dim != layer:
-        raise DimensionError(f"{direction} blocks at dim {i} need voltages on layer {layer}")
-
-    dec = decomposition or decompose_representation(voltage_group(psi), seed=seed)
-    return [laplacian_matrix(M, i, direction, scheme)] + [
-        laplacian_matrix(M, i, direction, scheme, _block_weighting(psi, dec, j))
+    return [
+        IncidenceWeighting({pair: dec.blocks_of[p][j] for pair, p in psi.perms.items()})
         for j in range(1, len(dec.block_sizes))
     ]
-
-
-def _block_weighting(psi: IncidenceVoltages, dec: BlockDecomposition, j: int) -> IncidenceWeighting:
-    """The weighting sending each incidence to block j of its voltage."""
-    return IncidenceWeighting({pair: dec.blocks_of[p][j] for pair, p in psi.perms.items()})
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
@@ -295,4 +270,4 @@ def abelian_weightings(
     dec = decompose_representation(group, seed=seed)
     if any(s != 1 for s in dec.block_sizes):
         raise DecompositionError("abelian decomposition produced a block of size > 1")
-    return [_block_weighting(psi, dec, j) for j in range(1, group.k)]
+    return block_weightings(psi, dec)

@@ -12,11 +12,14 @@ from liftlap import (
     MalformedInputError,
     SimplicialComplex,
     WeightScheme,
+    block_weightings,
     boundary_faces,
     coboundary_matrix,
     compute_weights,
+    decompose_representation,
     laplacian_matrix,
     symmetrized_form,
+    voltage_group,
 )
 from liftlap.perms import permutation_matrix
 
@@ -56,6 +59,20 @@ def numeric_kernel_dimension(K: SimplicialComplex, i: int, scheme: WeightScheme 
     op = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme)
     sym = symmetrized_form(op.matrix, op.weights)
     return int(np.sum(np.linalg.eigvalsh((sym + sym.conj().T) / 2) <= 1e-7))
+
+
+def block_laplacians(
+    M: SimplicialComplex, psi, i: int, scheme: WeightScheme = COMBINATORIAL, direction="up", decomposition=None
+):
+    """The assembled blocks whose spectra union to the lifted i-dimensional
+    Laplacian's: block 0 the base operator, block j >= 1 the base operator
+    decorated by ``block_weightings``.  ``psi`` lives on the incidence layer
+    the operator reads, (i, i+1) for up and (i-1, i) for down."""
+    layer = i if direction == "up" else i - 1
+    if psi.dim != layer:
+        raise DimensionError(f"{direction} blocks at dim {i} need voltages on layer {layer}")
+    dec = decomposition or decompose_representation(voltage_group(psi))
+    return [laplacian_matrix(M, i, direction, scheme, w) for w in [None] + block_weightings(psi, dec)]
 
 
 def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import REFERENCE_FACETS, REFERENCE_FLIP
 from oracles import (
+    block_laplacians,
     explicit_down_laplacian,
     explicit_up_laplacian,
     kronecker_coboundary,
@@ -26,7 +27,6 @@ from liftlap import (
     OperatorMatrix,
     abelian_weightings,
     betti_numbers,
-    block_laplacians,
     build_complex,
     coboundary_factorization,
     coboundary_matrix,

@@ -207,6 +207,42 @@ class TestVerify:
         assert code == 3 and report is None
         assert f"--dim 7 is outside {lowest}..1" in err
 
+    def test_union_solves_each_incidence_layer_once(self, capsys, monkeypatch, tmp_path):
+        import numpy as np
+
+        from liftlap.covering import induced_incidence_voltage
+
+        # the 4 x 4 torus; flipping every edge across the row seam gives a
+        # connected 2-fold cover (each triangle crosses the seam twice or not at all)
+        n = 4
+        facets = []
+        for i in range(n):
+            for j in range(n):
+                a, b = i * n + j, ((i + 1) % n) * n + j
+                c, d = i * n + (j + 1) % n, ((i + 1) % n) * n + (j + 1) % n
+                facets += [sorted((a, b, d)), sorted((a, c, d))]
+        seam = {tuple(sorted((u, v))) for f in facets for u in f for v in f if u // n == n - 1 and v // n == 0}
+        torus = write(tmp_path, "torus.json", {"facets": facets})
+        psi = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": list(e), "perm": [2, 1]} for e in sorted(seam)]})
+        calls = {"eigvalsh": 0, "induced_incidence_voltage": 0}
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(*args, **kwargs):
+            calls["eigvalsh"] += 1
+            return eigvalsh(*args, **kwargs)
+
+        def counting_voltage(*args, **kwargs):
+            calls["induced_incidence_voltage"] += 1
+            return induced_incidence_voltage(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        monkeypatch.setattr("liftlap.cli.induced_incidence_voltage", counting_voltage)
+        code, report, _ = run(capsys, ["verify", "union", "--base", torus, "--voltage", psi])
+        assert code == 0 and len(report["verdicts"]) == 10
+        # layers 0 and 1 are each solved once per scheme for the cover, the
+        # base and the signed base; the top layer needs no eigensolve
+        assert calls == {"eigvalsh": 12, "induced_incidence_voltage": 3}
+
     def test_decompose(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(
             capsys,
@@ -215,6 +251,13 @@ class TestVerify:
         assert code == 0
         assert report["results"]["block_sizes"] == [1, 1]
         assert all(v["holds"] for v in report["verdicts"])
+
+    @pytest.mark.parametrize("direction, dim, lowest", [("down", 0, 1), ("down", 7, 1), ("up", 7, 0)])
+    def test_decompose_dim_outside_the_base_exits_3(self, capsys, c3_file, c3_voltage_file, direction, dim, lowest):
+        argv = ["decompose", "--base", c3_file, "--voltage", c3_voltage_file, "--dim", str(dim)]
+        code, report, err = run(capsys, argv + ["--direction", direction])
+        assert code == 3 and report is None
+        assert f"--dim {dim} is outside {lowest}..1" in err
 
     def test_decompose_checks_that_the_first_block_is_trivial(
         self, capsys, monkeypatch, c3_file, c3_voltage_file

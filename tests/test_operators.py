@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_complex, cycle_laplacian_values
 
@@ -18,6 +20,7 @@ from liftlap import (
     compute_weights,
     decorated_coboundary,
     laplacian_matrix,
+    layer_spectra,
     spectrum,
     symmetrized_form,
 )
@@ -93,6 +96,64 @@ class TestLaplacianMatrix:
                     up = [v for v in spectrum(laplacian_matrix(K, i, "up", scheme)).values if v > 1e-9]
                     down = [v for v in spectrum(laplacian_matrix(K, i + 1, "down", scheme)).values if v > 1e-9]
                     assert np.allclose(up, down)
+
+
+_FACETS = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), min_size=1, max_size=6)
+
+
+def _decoration(K, kind, rng):
+    """A decoration of every incidence layer of ``K``: none, a -1 signing,
+    a complex character weighting or a 2 x 2 matrix weighting."""
+    pairs = [(f, c) for d in K.dims() for f in K.faces(d) for c in K.cofacets(f)]
+    picked = [p for p in pairs if rng.random() < 0.5]
+    if kind == "none":
+        return None
+    if kind == "signing":
+        return IncidenceWeighting({p: -1.0 for p in picked})
+    if kind == "character":
+        return IncidenceWeighting({p: np.exp(2j * np.pi * rng.integers(1, 5) / 5) for p in picked})
+    # every incidence carries a matrix, so d = 2 on every layer, the top one included
+    return IncidenceWeighting({p: rng.normal(size=(2, 2)) for p in pairs})
+
+
+class TestLayerSpectra:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        _FACETS,
+        st.booleans(),
+        st.sampled_from([COMBINATORIAL, NORMALIZED]),
+        st.sampled_from(["none", "signing", "character", "matrix"]),
+        st.integers(0, 2**32 - 1),
+    )
+    # the filled triangle with the empty face: n_-1 < n_0 and n_1 > n_2
+    @example([[0, 1, 2]], True, NORMALIZED, "matrix", 0)
+    @example([[0, 1, 2]], True, COMBINATORIAL, "character", 1)
+    def test_both_sides_match_the_direct_solves(self, facets, include_empty, scheme, kind, seed):
+        K = build_complex(facets, include_empty=include_empty)
+        w = _decoration(K, kind, np.random.default_rng(seed))
+        for i in range(K.min_dim, K.top_dim + 1):
+            up, down = layer_spectra(K, i, scheme, w)
+            direct_up = spectrum(laplacian_matrix(K, i, "up", scheme, w))
+            direct_down = (
+                spectrum(laplacian_matrix(K, i + 1, "down", scheme, w)) if i < K.top_dim else SpectrumMultiset(())
+            )
+            for ours, direct in ((up, direct_up), (down, direct_down)):
+                assert len(ours) == len(direct)
+                for a, b in zip(ours.values, direct.values):
+                    assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), (i, a, b)
+
+    def test_top_dimension_solves_nothing(self, monkeypatch, triangle):
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("eigensolve at the top dimension")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        up, down = layer_spectra(triangle, 2, NORMALIZED)
+        assert up.values == (0.0,) and down.values == ()
+
+    def test_out_of_range(self, triangle):
+        for i in (-2, 3):
+            with pytest.raises(DimensionError):
+                layer_spectra(triangle, i)
 
 
 class TestSymmetrizedForm:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import cycle_complex
-from oracles import kronecker_coboundary
+from oracles import block_laplacians, kronecker_coboundary
 
 from liftlap import (
     COMBINATORIAL,
@@ -11,7 +11,6 @@ from liftlap import (
     IncidenceWeighting,
     VoltageError,
     abelian_weightings,
-    block_laplacians,
     build_complex,
     coboundary_matrix,
     decompose_representation,
