@@ -13,7 +13,6 @@ from .complexes import (
     NORMALIZED,
     Cochain,
     Face,
-    OrientedFace,
     SimplicialComplex,
     WeightScheme,
     as_face,
@@ -27,18 +26,14 @@ from .complexes import (
     weight_vector,
 )
 from .covering import (
-    CoboundaryFactorization,
     CoveringMap,
     DerivedComplexResult,
     EdgeVoltages,
     IncidenceVoltages,
-    SignDiagonal,
-    coboundary_factorization,
     derived_complex,
     edge_voltages,
     induced_incidence_voltage,
     verify_covering,
-    voltage_coboundary_matrix,
 )
 from .errors import (
     CocycleError,

@@ -94,6 +94,8 @@ def cmd_spectrum(args, report):
     report["inputs"]["complex"] = _hash_file(args.complex)
     scheme = SCHEMES[args.scheme] if args.scheme else file_scheme
     decoration = None
+    # the cofacet dimensions of the incidence layers the operator reads
+    read = {"up": {args.dim + 1}, "down": {args.dim}, "full": {args.dim, args.dim + 1}}[args.kind]
     for key, load in (("signing", llio.load_signing), ("weighting", llio.load_weighting)):
         path = getattr(args, key)
         if path:
@@ -104,8 +106,13 @@ def cmd_spectrum(args, report):
                     raise MalformedInputError(
                         f"{path}: ({list(f)}, {list(c)}) is not a (face, cofacet) incidence of the complex"
                     )
+                if len(c) - 1 not in read:
+                    raise MalformedInputError(
+                        f"{path}: ({list(f)}, {list(c)}) is not an incidence the dim {args.dim} "
+                        f"{args.kind} operator reads"
+                    )
     op = laplacian_matrix(K, args.dim, args.kind, scheme, decoration)
-    s = spectrum(op, args.tol)
+    s = spectrum(op)
     report["results"] = {
         "dim": args.dim,
         "kind": args.kind,
@@ -173,9 +180,9 @@ def cmd_decompose(args, report):
     psi = induced_incidence_voltage(cov, layer)
     group = voltage_group(psi)
     dec = decompose_representation(group, seed=args.seed)
-    lifted = layer_spectra(cov.cover, layer, scheme, tol=args.tol)[side]
+    lifted = layer_spectra(cov.cover, layer, scheme)[side]
     spectra = [
-        layer_spectra(cov.base, layer, scheme, w, args.tol)[side] for w in [None] + block_weightings(psi, dec)
+        layer_spectra(cov.base, layer, scheme, w)[side] for w in [None] + block_weightings(psi, dec)
     ]
     cmp_union = compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
     # block 0 is the base operator exactly when rho_0 is the trivial representation
@@ -264,8 +271,8 @@ def _solve_layer(cov, layer, decorate, args):
             raise
         return None
     return {
-        name: [layer_spectra(cov.cover, layer, scheme, tol=args.tol)]
-        + [layer_spectra(cov.base, layer, scheme, d, args.tol) for d in [None] + decorations]
+        name: [layer_spectra(cov.cover, layer, scheme)]
+        + [layer_spectra(cov.base, layer, scheme, d) for d in [None] + decorations]
         for name, scheme in _schemes(args.scheme)
     }
 

@@ -39,30 +39,6 @@ def as_face(vertices) -> Face:
     return tuple(sorted(out))
 
 
-@dataclass(frozen=True)
-class OrientedFace:
-    """A face with a parity relative to the canonical (increasing) order."""
-
-    base: Face
-    parity: int = 1
-
-    def __post_init__(self):
-        if self.parity not in (1, -1):
-            raise MalformedInputError("parity must be +1 or -1")
-        if tuple(sorted(self.base)) != tuple(self.base):
-            raise MalformedInputError("base face must be in increasing vertex order")
-
-    @property
-    def dim(self) -> int:
-        return len(self.base) - 1
-
-
-def _as_oriented(f) -> OrientedFace:
-    if isinstance(f, OrientedFace):
-        return f
-    return OrientedFace(as_face(f))
-
-
 class SimplicialComplex:
     """The downward closure of a list of facets, listed per dimension.
 
@@ -219,20 +195,15 @@ def build_complex(facets, include_empty: bool = True) -> SimplicialComplex:
 
 
 def boundary_faces(f) -> list[tuple[Face, int]]:
-    """Boundary of an oriented face: pairs ``(face, sign)``.
+    """Boundary of a face: pairs ``(face, sign)``.
 
     The j-th boundary face omits the j-th vertex and carries sign
-    ``(-1)**j`` times the parity of ``f``.  The boundary of a vertex is
-    the empty face with sign +1.
+    ``(-1)**j``.  The boundary of a vertex is the empty face with sign +1.
     """
-    of = _as_oriented(f)
-    if of.dim < 0:
+    f = as_face(f)
+    if not f:
         raise DimensionError("the empty face has no boundary")
-    out = []
-    for j in range(len(of.base)):
-        sub = of.base[:j] + of.base[j + 1 :]
-        out.append((sub, (-1) ** j * of.parity))
-    return out
+    return [(f[:j] + f[j + 1 :], (-1) ** j) for j in range(len(f))]
 
 
 def face_coboundary(rows, cols) -> np.ndarray:
@@ -339,9 +310,9 @@ def relative_orientation_sign(f, image_vertex_order) -> int:
     the order ``f`` carries them.  Returns +1 when that sequence is an
     even permutation of its sorted order, -1 otherwise.
     """
-    of = _as_oriented(f)
+    f = as_face(f)
     image = [int(v) for v in image_vertex_order]
-    if len(image) != len(of.base):
+    if len(image) != len(f):
         raise MalformedInputError("image sequence length does not match the face")
     if len(set(image)) != len(image):
         raise MalformedInputError(

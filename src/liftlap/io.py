@@ -27,7 +27,7 @@ from .complexes import (
     as_face,
     build_complex,
 )
-from .covering import EdgeVoltages, IncidenceVoltages, edge_voltages
+from .covering import EdgeVoltages, edge_voltages
 from .errors import MalformedInputError, VoltageError, WeightError
 from .operators import IncidenceWeighting
 
@@ -50,7 +50,9 @@ def _reading(path, what):
     """Re-raise a shape error met while reading ``what`` as malformed input."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, AttributeError, MalformedInputError, VoltageError) as exc:
+    except (
+        KeyError, TypeError, ValueError, AttributeError, MalformedInputError, VoltageError, WeightError
+    ) as exc:
         raise MalformedInputError(f"{path}: malformed {what} ({type(exc).__name__}: {exc})") from exc
 
 
@@ -75,8 +77,12 @@ def load_complex(path) -> tuple[SimplicialComplex, WeightScheme]:
     data = _load(path)
     if "facets" not in data:
         raise MalformedInputError(f"{path}: missing 'facets'")
+    with _reading(path, "'include_empty'"):
+        include_empty = data.get("include_empty", True)
+        if not isinstance(include_empty, bool):
+            raise TypeError(f"expected true or false, got {include_empty!r}")
     with _reading(path, "facets"):
-        K = build_complex(data["facets"], include_empty=bool(data.get("include_empty", True)))
+        K = build_complex(data["facets"], include_empty=include_empty)
     with _reading(path, "weights"):
         scheme = parse_weight_scheme(data.get("weights"))
     return K, scheme
@@ -119,7 +125,11 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; absent edges get the identity."""
     data = _load(path)
     with _reading(path, "fold count"):
-        k = int(data.get("k", 1))
+        k = data.get("k", 1)
+        # JSON true is a bool, and 2.0 is as integral as 2
+        if type(k) not in (int, float) or not (k >= 1 and k % 1 == 0):
+            raise ValueError(f"k must be an integer of at least 1, got {k!r}")
+        k = int(k)
     table = {}
     for rec in _records(path, data, "edges"):
         with _reading(path, f"record {rec!r}"):
@@ -135,25 +145,6 @@ def edge_voltages_to_dict(psi: EdgeVoltages) -> dict:
         if p != perms.identity(psi.k):
             records.append({"edge": list(e), "perm": perms.to_one_based(p)})
     return {"k": psi.k, "edges": records}
-
-
-def load_incidence_voltages(path, M: SimplicialComplex, dim: int) -> IncidenceVoltages:
-    """Voltages on the incidences between dim- and (dim+1)-faces of ``M``."""
-    data = _load(path)
-    with _reading(path, "fold count"):
-        k = int(data.get("k", 1))
-    given = {}
-    for rec in _records(path, data, "edges"):
-        with _reading(path, f"record {rec!r}"):
-            _add(given, _incidence(rec), perms.check_perm(perms.from_one_based(rec["perm"]), k))
-    table = {}
-    for cofacet in M.faces(dim + 1):
-        for j in range(len(cofacet)):
-            face = cofacet[:j] + cofacet[j + 1 :]
-            table[(face, cofacet)] = given.pop((face, cofacet), perms.identity(k))
-    if given:
-        raise MalformedInputError(f"{path}: voltages on non-incidences {sorted(given)}")
-    return IncidenceVoltages(k, dim, table)
 
 
 def load_signing(path) -> IncidenceWeighting:
@@ -188,7 +179,8 @@ def load_weighting(path) -> IncidenceWeighting:
         with _reading(path, f"record {rec!r}"):
             val = rec["value"]
             _add(values, _incidence(rec), complex(float(val.get("re", 0.0)), float(val.get("im", 0.0))))
-    return IncidenceWeighting(values)
+    with _reading(path, "weighting"):
+        return IncidenceWeighting(values)
 
 
 def load_vertex_map(path) -> dict:

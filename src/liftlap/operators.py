@@ -138,7 +138,7 @@ def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.nd
 
 @dataclass
 class OperatorMatrix:
-    """A Laplace operator matrix tied to its dimension and weight diagonal.
+    """A Laplace operator matrix and its weight diagonal.
 
     ``weights`` is the diagonal of the weight matrix on the operator's
     own cochain degree; it drives the similarity transform used by the
@@ -146,8 +146,6 @@ class OperatorMatrix:
     """
 
     matrix: np.ndarray
-    dim: int
-    kind: str
     weights: np.ndarray
 
     def __post_init__(self):
@@ -217,7 +215,7 @@ def laplacian_matrix(
         mat = down_part()
     else:
         mat = up_part() + down_part()
-    return OperatorMatrix(mat, i, kind, w_i)
+    return OperatorMatrix(mat, w_i)
 
 
 def _weights(K: SimplicialComplex, j: int, w, decoration) -> np.ndarray:
@@ -237,7 +235,6 @@ def layer_spectra(
     i: int,
     scheme: WeightScheme = COMBINATORIAL,
     decoration=None,
-    tol: float = DEFAULT_TOL,
 ) -> tuple["SpectrumMultiset", "SpectrumMultiset"]:
     """Spectra of the i-up and the (i+1)-down operator from one eigensolve.
 
@@ -259,10 +256,10 @@ def layer_spectra(
     )
     n_hi, n_lo = A.shape
     if n_lo <= n_hi:
-        solved = spectrum(OperatorMatrix(A.conj().T @ A, i, UP, np.ones(n_lo)), tol)
+        solved = spectrum(OperatorMatrix(A.conj().T @ A, np.ones(n_lo)))
     else:
-        solved = spectrum(OperatorMatrix(A @ A.conj().T, i + 1, DOWN, np.ones(n_hi)), tol)
-    padded = SpectrumMultiset(solved.values + (0.0,) * abs(n_hi - n_lo), tol, solved.clamped)
+        solved = spectrum(OperatorMatrix(A @ A.conj().T, np.ones(n_hi)))
+    padded = SpectrumMultiset(solved.values + (0.0,) * abs(n_hi - n_lo), solved.clamped)
     return (solved, padded) if n_lo <= n_hi else (padded, solved)
 
 
@@ -276,7 +273,7 @@ def symmetrized_form(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return (matrix * root[:, None]) / root[None, :]
 
 
-def spectrum(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> "SpectrumMultiset":
+def spectrum(op: OperatorMatrix) -> "SpectrumMultiset":
     """Eigenvalues of an operator, sorted ascending, clamped at zero.
 
     Uses the symmetrized form; its hermiticity residue is asserted at
@@ -286,7 +283,7 @@ def spectrum(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> "SpectrumMultiset"
     ``-1e-9`` means the operator was not positive semidefinite and raises.
     """
     if op.size == 0:
-        return SpectrumMultiset((), tol)
+        return SpectrumMultiset()
     sym = symmetrized_form(op.matrix, op.weights)
     scale = max(1.0, float(np.max(np.abs(sym))))
     residue = float(np.max(np.abs(sym - sym.conj().T)))
@@ -300,18 +297,15 @@ def spectrum(op: OperatorMatrix, tol: float = DEFAULT_TOL) -> "SpectrumMultiset"
         raise EigensolverError(f"negative eigenvalue {vals.min():g} in a PSD operator")
     noise = (np.abs(vals) <= 1e-9 * scale) & (vals != 0)
     vals = np.where(noise, 0.0, vals)
-    return SpectrumMultiset(tuple(float(v) for v in np.sort(vals)), tol, int(noise.sum()))
+    return SpectrumMultiset(tuple(float(v) for v in np.sort(vals)), int(noise.sum()))
 
 
 @dataclass(frozen=True)
 class SpectrumMultiset:
-    """Sorted real eigenvalue multiset with a blended comparison tolerance.
-
-    Two values match when ``|a - b| <= tol * max(1, |a|, |b|)``.
-    """
+    """Sorted real eigenvalue multiset; ``clamped`` counts the kernel
+    values :func:`spectrum` set to exactly 0."""
 
     values: tuple = ()
-    tol: float = DEFAULT_TOL
     clamped: int = 0
 
     def __post_init__(self):
@@ -321,7 +315,7 @@ class SpectrumMultiset:
         return len(self.values)
 
     def union(self, other: "SpectrumMultiset") -> "SpectrumMultiset":
-        return SpectrumMultiset(self.values + other.values, max(self.tol, other.tol))
+        return SpectrumMultiset(self.values + other.values)
 
 
 def _close(a: float, b: float, tol: float) -> bool:
@@ -342,16 +336,15 @@ def compare_spectra(
     b: SpectrumMultiset,
     mode: str = "equal",
     c: SpectrumMultiset | None = None,
-    tol: float | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> SpectrumComparison:
     """Compare eigenvalue multisets: ``equal``, ``subset``, or ``union``.
 
+    Two values match when ``|a - b| <= tol * max(1, |a|, |b|)``.
     ``subset`` greedily matches the sorted values of ``a`` into ``b``;
     ``union`` checks ``a`` against the merge of ``b`` and ``c``.  Failure
     is reported (with the first unmatched value as witness), never raised.
     """
-    if tol is None:
-        tol = max(a.tol, b.tol, c.tol if c is not None else 0.0)
     if mode == "union":
         if c is None:
             raise ValueError("union comparison needs a third multiset")

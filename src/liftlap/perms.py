@@ -36,17 +36,6 @@ def inverse(p: Perm) -> Perm:
     return tuple(inv)
 
 
-def cycle(k: int) -> Perm:
-    """The k-cycle 0 -> 1 -> ... -> k-1 -> 0."""
-    return tuple((j + 1) % k for j in range(k))
-
-
-def transposition(k: int, a: int, b: int) -> Perm:
-    im = list(range(k))
-    im[a], im[b] = im[b], im[a]
-    return tuple(im)
-
-
 def permutation_matrix(p: Perm) -> np.ndarray:
     """k x k 0/1 matrix P with P[p[j], j] = 1."""
     k = len(p)

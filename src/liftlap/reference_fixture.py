@@ -97,14 +97,14 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
         for j in range(3):
             edge = tri[:j] + tri[j + 1 :]
             signing = IncidenceWeighting({(edge, tri): -1.0})
-            signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing), tol)
+            signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing))
             if not compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=tol).holds:
                 continue
             # the lift's operator is the base operator decorated by the
             # voltages' permutation matrices (the identity where unlisted)
             swap = IncidenceWeighting({(edge, tri): [[0, 1], [1, 0]]})
             lifted = laplacian_matrix(M, 1, "up", COMBINATORIAL, swap)
-            if compare_spectra(spectrum(lifted, tol), COVER_SPECTRUM, "equal", tol=tol).holds:
+            if compare_spectra(spectrum(lifted), COVER_SPECTRUM, "equal", tol=tol).holds:
                 return (edge, tri)
     return None
 

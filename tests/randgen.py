@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import perms
-from .complexes import SimplicialComplex, build_complex
-from .covering import DerivedComplexResult, EdgeVoltages, derived_complex, edge_voltages
-from .homology import exact_betti_numbers
+from oracles import cycle
+
+from liftlap import perms
+from liftlap.complexes import SimplicialComplex, build_complex
+from liftlap.covering import DerivedComplexResult, EdgeVoltages, derived_complex, edge_voltages
+from liftlap.homology import exact_betti_numbers
 
 
 def first_betti(M: SimplicialComplex) -> int:
@@ -79,7 +81,7 @@ def _random_perm(rng, k: int, flavor: str):
         power = int(rng.integers(0, k))
         p = perms.identity(k)
         for _ in range(power):
-            p = perms.compose(perms.cycle(k), p)
+            p = perms.compose(cycle(k), p)
         return p
     return tuple(int(x) for x in rng.permutation(k))
 

@@ -14,11 +14,16 @@ import numpy as np
 from conftest import REFERENCE_FACETS, REFERENCE_FLIP
 from oracles import (
     block_laplacians,
+    coboundary_factorization,
+    cycle,
     explicit_down_laplacian,
     explicit_up_laplacian,
     kronecker_coboundary,
     numeric_kernel_dimension,
+    transposition,
+    voltage_coboundary_matrix,
 )
+from randgen import random_complex, random_connected_cover
 
 from liftlap import (
     COMBINATORIAL,
@@ -28,7 +33,6 @@ from liftlap import (
     abelian_weightings,
     betti_numbers,
     build_complex,
-    coboundary_factorization,
     coboundary_matrix,
     compare_spectra,
     decompose_representation,
@@ -40,11 +44,9 @@ from liftlap import (
     spectrum,
     two_fold_signing,
     verify_betti_inequality,
-    voltage_coboundary_matrix,
     voltage_group,
 )
 from liftlap import perms
-from liftlap.randgen import random_complex, random_connected_cover
 from liftlap.reference_fixture import BASE_SPECTRUM, COVER_SPECTRUM, SIGNED_SPECTRUM
 
 TOL = 1e-8
@@ -97,17 +99,17 @@ def test_criterion_1_reference_fixture_and_companion_spectra(reference):
     assert reference.flip == REFERENCE_FLIP
     M = reference.complex
 
-    base = spectrum(laplacian_matrix(M, 1, "up"), TOL)
+    base = spectrum(laplacian_matrix(M, 1, "up"))
     assert compare_spectra(base, BASE_SPECTRUM, "equal", tol=TOL).holds
 
     psi = _swap_only_voltage(M, reference.flip)
     signing = two_fold_signing(psi)
-    signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing), TOL)
+    signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing))
     assert compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=TOL).holds
 
     dpsi = voltage_coboundary_matrix(M, psi, 1)
     assert np.array_equal(dpsi, kronecker_coboundary(M, psi, 1))
-    lifted = spectrum(OperatorMatrix(dpsi.T @ dpsi, 1, "up", np.ones(dpsi.shape[1])), TOL)
+    lifted = spectrum(OperatorMatrix(dpsi.T @ dpsi, np.ones(dpsi.shape[1])))
     assert compare_spectra(lifted, COVER_SPECTRUM, "equal", tol=TOL).holds
 
     # the lift's spectrum is exactly the union of the other two
@@ -116,7 +118,7 @@ def test_criterion_1_reference_fixture_and_companion_spectra(reference):
     # the two-sheet block route reproduces the same pair
     blocks = block_laplacians(M, psi, 1)
     assert np.max(np.abs(blocks[0].matrix - laplacian_matrix(M, 1, "up").matrix)) <= 1e-12
-    signed_block = spectrum(blocks[1], TOL)
+    signed_block = spectrum(blocks[1])
     assert compare_spectra(signed_block, SIGNED_SPECTRUM, "equal", tol=TOL).holds
 
 
@@ -136,9 +138,9 @@ def test_criterion_2_two_fold_union():
             with _nowarn():
                 signing = two_fold_signing(psi)
             for scheme in SCHEMES:
-                lifted = spectrum(laplacian_matrix(K, i, "up", scheme), TOL)
-                plain = spectrum(laplacian_matrix(M, i, "up", scheme), TOL)
-                signed = spectrum(laplacian_matrix(M, i, "up", scheme, signing), TOL)
+                lifted = spectrum(laplacian_matrix(K, i, "up", scheme))
+                plain = spectrum(laplacian_matrix(M, i, "up", scheme))
+                signed = spectrum(laplacian_matrix(M, i, "up", scheme, signing))
                 cmp = compare_spectra(lifted, plain, "union", signed, tol=TOL)
                 assert cmp.holds, (instances, i, scheme.kind, cmp.witness)
         _assert_exact_identities(cov)
@@ -159,12 +161,12 @@ def test_criterion_3_spectral_inclusion():
         K = result.complex
         for scheme in SCHEMES:
             for i in range(0, M.top_dim + 1):
-                big = spectrum(laplacian_matrix(K, i, "up", scheme), TOL)
-                small = spectrum(laplacian_matrix(M, i, "up", scheme), TOL)
+                big = spectrum(laplacian_matrix(K, i, "up", scheme))
+                small = spectrum(laplacian_matrix(M, i, "up", scheme))
                 assert compare_spectra(small, big, "subset", tol=TOL).holds, (k, i, "up")
             for i in range(1, M.top_dim + 1):
-                big = spectrum(laplacian_matrix(K, i, "down", scheme), TOL)
-                small = spectrum(laplacian_matrix(M, i, "down", scheme), TOL)
+                big = spectrum(laplacian_matrix(K, i, "down", scheme))
+                small = spectrum(laplacian_matrix(M, i, "down", scheme))
                 assert compare_spectra(small, big, "subset", tol=TOL).holds, (k, i, "down")
         _assert_exact_identities(result.covering)
         per_fold[k] += 1
@@ -194,10 +196,10 @@ def test_criterion_4_abelian_cyclic_decomposition():
             weightings = abelian_weightings(psi, group)
             assert len(weightings) == k - 1
             for scheme in SCHEMES:
-                lifted = spectrum(laplacian_matrix(K, i, "up", scheme), TOL)
-                parts = [spectrum(laplacian_matrix(M, i, "up", scheme), TOL)]
+                lifted = spectrum(laplacian_matrix(K, i, "up", scheme))
+                parts = [spectrum(laplacian_matrix(M, i, "up", scheme))]
                 for w in weightings:
-                    parts.append(spectrum(laplacian_matrix(M, i, "up", scheme, w), TOL))
+                    parts.append(spectrum(laplacian_matrix(M, i, "up", scheme, w)))
                 cmp = compare_spectra(lifted, _union_spectrum(parts), "equal", tol=TOL)
                 assert cmp.holds, (instances, k, i, scheme.kind, cmp.witness)
             checked_here += 1
@@ -235,9 +237,9 @@ def _nonabelian_cover(k, gen_a, gen_b):
 
 def test_criterion_5_general_block_decomposition():
     cases = [
-        (3, perms.transposition(3, 0, 1), perms.cycle(3)),   # S3
-        (4, perms.transposition(4, 0, 1), perms.cycle(4)),   # S4
-        (5, perms.transposition(5, 0, 1), perms.cycle(5)),   # S5
+        (3, transposition(3, 0, 1), cycle(3)),   # S3
+        (4, transposition(4, 0, 1), cycle(4)),   # S4
+        (5, transposition(5, 0, 1), cycle(5)),   # S5
     ]
     nonabelian_seen = 0
     for k, a, b in cases:
@@ -258,8 +260,8 @@ def test_criterion_5_general_block_decomposition():
                     first = laplacian_matrix(M, i, direction, scheme)
                     if first.size:
                         assert np.max(np.abs(blocks[0].matrix - first.matrix)) <= 1e-12
-                    lifted = spectrum(laplacian_matrix(K, i, direction, scheme), TOL)
-                    parts = [spectrum(b, TOL) for b in blocks]
+                    lifted = spectrum(laplacian_matrix(K, i, direction, scheme))
+                    parts = [spectrum(b) for b in blocks]
                     cmp = compare_spectra(lifted, _union_spectrum(parts), "equal", tol=TOL)
                     assert cmp.holds, (k, direction, i, scheme.kind, cmp.witness)
         _assert_exact_identities(cov)

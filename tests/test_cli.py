@@ -312,7 +312,7 @@ class TestCoverMapInputs:
         import numpy as np
 
         from liftlap import io as llio
-        from liftlap.randgen import random_connected_cover
+        from randgen import random_connected_cover
 
         M = reference.complex
         base = tmp_path / "ref.json"
@@ -401,6 +401,34 @@ class TestMalformedInput:
         )
         assert code == 2 and report is None
         assert "s.json" in err and "[0, 7], [0, 1, 7]" in err
+
+    def test_signing_flip_the_operator_does_not_read(self, capsys, tmp_path, triangle_file):
+        # the 0-up operator reads only the (0, 1) layer, so this flip would change nothing
+        signing = write(tmp_path, "s.json", {"flips": [{"face": [0, 1], "cofacet": [0, 1, 2]}]})
+        code, report, err = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", "0", "--kind", "up", "--signing", signing]
+        )
+        assert code == 2 and report is None
+        assert "s.json" in err and "[0, 1], [0, 1, 2]" in err
+
+    # the same flip at dim 1 up is test_signed_spectrum
+    @pytest.mark.parametrize("dim, kind", [("1", "full"), ("2", "down")])
+    def test_signing_flip_the_operator_reads(self, capsys, tmp_path, triangle_file, dim, kind):
+        signing = write(tmp_path, "s.json", {"flips": [{"face": [0, 1], "cofacet": [0, 1, 2]}]})
+        code, report, _ = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", dim, "--kind", kind, "--signing", signing]
+        )
+        assert code == 0 and report["inputs"]["signing"]
+
+    def test_zero_weighting_value(self, capsys, tmp_path, triangle_file):
+        weighting = write(
+            tmp_path, "w.json", {"entries": [{"face": [0, 1], "cofacet": [0, 1, 2], "value": {"re": 0, "im": 0}}]}
+        )
+        code, report, err = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", "1", "--weighting", weighting]
+        )
+        assert code == 2 and report is None
+        assert "w.json" in err and "must be nonzero" in err
 
     @pytest.mark.parametrize(
         "name, doc, flag",

@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from randgen import random_complex
+
 from liftlap import (
     COMBINATORIAL,
     NORMALIZED,
     DimensionError,
     MalformedInputError,
-    OrientedFace,
     WeightError,
     WeightScheme,
     boundary_faces,
@@ -19,7 +20,6 @@ from liftlap import (
     face_coboundary,
     relative_orientation_sign,
 )
-from liftlap.randgen import random_complex
 
 
 class TestBuildComplex:
@@ -118,10 +118,6 @@ class TestBoundary:
             ((0, 1, 3), 1),
             ((0, 1, 2), -1),
         ]
-
-    def test_parity_flips_signs(self):
-        flipped = boundary_faces(OrientedFace((0, 1, 2), -1))
-        assert flipped == [((1, 2), -1), ((0, 2), 1), ((0, 1), -1)]
 
     def test_empty_face_has_no_boundary(self):
         with pytest.raises(DimensionError):

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_FACETS, cycle_complex, scrambled_covering
-from oracles import Graph, as_graph_voltages, derived_graph, incidence_graph
+from oracles import (
+    Graph,
+    as_graph_voltages,
+    coboundary_factorization,
+    derived_graph,
+    incidence_graph,
+    orientation_sign_diagonal,
+)
+from randgen import random_complex, random_connected_cover, random_edge_voltages
 
 from liftlap import (
     COMBINATORIAL,
@@ -10,7 +18,6 @@ from liftlap import (
     CoveringViolation,
     IncidenceWeighting,
     build_complex,
-    coboundary_factorization,
     coboundary_matrix,
     derived_complex,
     edge_voltages,
@@ -18,9 +25,7 @@ from liftlap import (
     laplacian_matrix,
     verify_covering,
 )
-from liftlap.covering import orientation_sign_diagonal
 from liftlap.perms import identity, permutation_matrix
-from liftlap.randgen import random_complex, random_connected_cover
 
 
 class TestIncidenceGraph:
@@ -171,9 +176,7 @@ class TestDerivedComplex:
                 [tuple(f) + (apex,) for f in base.facets()]
             )
             for k in (2, 3):
-                psi = __import__("liftlap.randgen", fromlist=["random_edge_voltages"]).random_edge_voltages(
-                    cone, k, rng
-                )
+                psi = random_edge_voltages(cone, k, rng)
                 if psi is None:
                     continue
                 assert not derived_complex(cone, psi).connected

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from conftest import scrambled_covering
 from oracles import bareiss_rank, explicit_down_laplacian, explicit_up_laplacian, numeric_kernel_dimension
+from randgen import random_complex, random_connected_cover
 
 import liftlap.homology
 from liftlap import (
@@ -28,7 +29,6 @@ from liftlap import (
     symmetrized_form,
     verify_betti_inequality,
 )
-from liftlap.randgen import random_complex, random_connected_cover
 
 
 class TestIntegerRank:

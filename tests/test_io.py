@@ -67,6 +67,12 @@ class TestComplexFiles:
         with pytest.raises(MalformedInputError):
             llio.load_complex(p)
 
+    @pytest.mark.parametrize("flag", ["false", 1])
+    def test_include_empty_must_be_a_boolean(self, tmp_path, flag):
+        p = write(tmp_path, "m.json", {"facets": [[0, 1]], "include_empty": flag})
+        with pytest.raises(MalformedInputError, match="m.json: malformed 'include_empty'"):
+            llio.load_complex(p)
+
 
 class TestVoltageFiles:
     def test_documented_example(self, tmp_path):
@@ -88,39 +94,19 @@ class TestVoltageFiles:
         with pytest.raises(MalformedInputError, match="psi.json: malformed fold count"):
             llio.load_edge_voltages(p, M)
 
+    @pytest.mark.parametrize("k", [2.5, 0, -1, True])
+    def test_fold_count_must_be_a_positive_integer(self, tmp_path, k):
+        M = build_complex([{1, 2}])
+        p = write(tmp_path, "psi.json", {"k": k, "edges": []})
+        with pytest.raises(MalformedInputError, match="psi.json: malformed fold count"):
+            llio.load_edge_voltages(p, M)
+
     def test_roundtrip(self, tmp_path):
         M = build_complex([{1, 2}, {2, 3}, {1, 3}])
         p = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]})
         psi = llio.load_edge_voltages(p, M)
         doc = llio.edge_voltages_to_dict(psi)
         assert doc == {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]}
-
-    def test_incidence_records(self, tmp_path):
-        M = build_complex([{1, 2, 6}, {1, 2, 3}])
-        p = write(
-            tmp_path,
-            "iv.json",
-            {"k": 2, "edges": [{"face": [1, 2], "cofacet": [1, 2, 6], "perm": [2, 1]}]},
-        )
-        iv = llio.load_incidence_voltages(p, M, 1)
-        assert iv.voltage((1, 2), (1, 2, 6)) == (1, 0)
-        assert iv.voltage((1, 2), (1, 2, 3)) == (0, 1)
-
-    def test_permutation_of_the_wrong_length(self, tmp_path):
-        M = build_complex([{1, 2, 6}, {1, 2, 3}])
-        p = write(
-            tmp_path,
-            "iv.json",
-            {"k": 2, "edges": [{"face": [1, 2], "cofacet": [1, 2, 6], "perm": [2, 3, 1]}]},
-        )
-        with pytest.raises(MalformedInputError, match=r"iv.json: malformed record .*\[2, 3, 1\]"):
-            llio.load_incidence_voltages(p, M, 1)
-
-    def test_incidence_records_not_a_list(self, tmp_path):
-        M = build_complex([{1, 2, 6}])
-        p = write(tmp_path, "iv.json", {"k": 2, "edges": 5})
-        with pytest.raises(MalformedInputError, match="iv.json: malformed 'edges' list"):
-            llio.load_incidence_voltages(p, M, 1)
 
 
 class TestSigningAndWeightingFiles:
@@ -194,11 +180,6 @@ class TestRepeatedRecords:
                 lambda p: llio.load_edge_voltages(p, TestRepeatedRecords.M),
                 "'edge': [2, 1]",
             ),
-            (
-                {"k": 2, "edges": _twice([1, 2], [1, 2, 6], perm=[2, 1])},
-                lambda p: llio.load_incidence_voltages(p, TestRepeatedRecords.M, 1),
-                "'face': [2, 1]",
-            ),
             ({"flips": _twice([1, 2], [1, 2, 6])}, llio.load_signing, "'face': [2, 1]"),
             (
                 {"entries": _twice([1, 2], [1, 2, 6], value={"re": 2.0})},
@@ -218,7 +199,7 @@ class TestRepeatedRecords:
                 "(0, 1) is listed twice, the second time as 3.0",
             ),
         ],
-        ids=["edge-voltages", "incidence-voltages", "signing", "weighting", "vertex-map", "face-weights"],
+        ids=["edge-voltages", "signing", "weighting", "vertex-map", "face-weights"],
     )
     def test_repeated_key_is_malformed(self, tmp_path, doc, load, record):
         p = write(tmp_path, "in.json", doc)

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_complex, cycle_laplacian_values
+from randgen import random_complex
 
 from liftlap import (
     COMBINATORIAL,
@@ -24,7 +25,6 @@ from liftlap import (
     spectrum,
     symmetrized_form,
 )
-from liftlap.randgen import random_complex
 
 
 class TestLaplacianMatrix:
@@ -180,7 +180,7 @@ class TestSymmetrizedForm:
 
 class TestSpectrum:
     def test_empty_operator(self):
-        op = OperatorMatrix(np.zeros((0, 0)), 0, "up", np.zeros(0))
+        op = OperatorMatrix(np.zeros((0, 0)), np.zeros(0))
         assert spectrum(op).values == ()
 
     def test_values_sorted_and_clamped(self, triangle):

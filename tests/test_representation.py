@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import cycle_complex
-from oracles import block_laplacians, kronecker_coboundary
+from oracles import block_laplacians, cycle, kronecker_coboundary, transposition, voltage_coboundary_matrix
+from randgen import random_complex, random_connected_cover
 
 from liftlap import (
     COMBINATORIAL,
@@ -19,11 +20,9 @@ from liftlap import (
     induced_incidence_voltage,
     laplacian_matrix,
     two_fold_signing,
-    voltage_coboundary_matrix,
     voltage_group,
 )
-from liftlap.perms import cycle, identity, permutation_matrix, transposition
-from liftlap.randgen import random_complex, random_connected_cover
+from liftlap.perms import identity, permutation_matrix
 
 
 class TestVoltageGroup:
