@@ -11,7 +11,6 @@ with the Betti inequality via harmonic cochain lifting.
 from .complexes import (
     COMBINATORIAL,
     NORMALIZED,
-    Cochain,
     Face,
     SimplicialComplex,
     WeightScheme,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import warnings
 from functools import reduce
@@ -63,13 +64,16 @@ def _schemes(name):
 
 
 def _resolve_covering(args, inputs):
-    if getattr(args, "map", None):
+    """The cover given as files (``--cover`` with ``--map``) or as
+    ``--voltage``: exactly one of the two."""
+    given = (args.cover is not None, args.map is not None, args.voltage is not None)
+    if given == (True, True, False):
         cover, _ = llio.load_complex(args.cover)
         base, _ = llio.load_complex(args.base)
         vmap = llio.load_vertex_map(args.map)
         inputs.update({"cover": _hash_file(args.cover), "base": _hash_file(args.base), "map": _hash_file(args.map)})
         return verify_covering(cover, base, vmap)
-    if getattr(args, "voltage", None):
+    if given == (False, False, True):
         base, _ = llio.load_complex(args.base)
         psi = llio.load_edge_voltages(args.voltage, base)
         inputs.update({"base": _hash_file(args.base), "voltage": _hash_file(args.voltage)})
@@ -367,6 +371,17 @@ def cmd_fixture(args, report):
 # -- argument parsing ----------------------------------------------------------
 
 
+def _tolerance(text):
+    """A comparison tolerance: a finite number of at least 0 (0 is exact)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
+    return tol
+
+
 def _add_cover_inputs(p):
     p.add_argument("--cover", help="covering complex file")
     p.add_argument("--base", required=True, help="base complex file")
@@ -377,7 +392,7 @@ def _add_cover_inputs(p):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="liftlap", description=__doc__)
     ap.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
-    ap.add_argument("--tol", type=float, default=1e-8, help="spectrum comparison tolerance")
+    ap.add_argument("--tol", type=_tolerance, default=1e-8, help="spectrum comparison tolerance")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a Laplace operator")

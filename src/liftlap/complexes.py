@@ -11,6 +11,7 @@ operation is a pure function, so concurrent reads are safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -276,7 +277,8 @@ def compute_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict[Face, fl
 
     The normalized recursion runs top-down by dimension: facets get 1,
     every other face the sum of its cofacets' weights.  Explicit schemes
-    must cover every face with a strictly positive weight.
+    must weight every face of ``K``, and nothing else, with a finite
+    positive weight.
     """
     if scheme.kind == COMBINATORIAL_KIND:
         return {f: 1.0 for f in K.all_faces()}
@@ -288,12 +290,15 @@ def compute_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict[Face, fl
                 w[f] = 1.0 if not cof else sum(w[c] for c in cof)
         return w
     table = dict(scheme.values)
+    stray = [f for f in table if not K.has_face(f)]
+    if stray:
+        raise WeightError(f"explicit scheme weights {stray[0]!r}, which is not a face of the complex")
     out = {}
     for f in K.all_faces():
         if f not in table:
             raise WeightError(f"explicit scheme does not weight face {f!r}")
-        if table[f] <= 0:
-            raise WeightError(f"weight of {f!r} must be positive, got {table[f]}")
+        if not 0 < table[f] < math.inf:
+            raise WeightError(f"weight of {f!r} must be finite and positive, got {table[f]}")
         out[f] = float(table[f])
     return out
 
@@ -322,15 +327,3 @@ def relative_orientation_sign(f, image_vertex_order) -> int:
         1 for a in range(len(image)) for b in range(a + 1, len(image)) if image[a] > image[b]
     )
     return -1 if inversions % 2 else 1
-
-
-@dataclass(frozen=True)
-class Cochain:
-    """Values indexed by the canonical ordering of the dim-faces: a vector,
-    or a matrix holding one cochain per column."""
-
-    dim: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values))

@@ -308,9 +308,11 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     """Voltages on the base incidences induced by a verified covering.
 
     For an incidence ``(G, Gbar)`` the permutation sends sheet ``j`` to
-    the sheet of the unique cofacet of ``fibers[G][j]`` lying in the
-    fiber of ``Gbar``; the derived graph of the result is isomorphic to
-    the cover's incidence graph, each face read at its sheet.
+    the sheet of the cofacet of ``fibers[G][j]`` lying in the fiber of
+    ``Gbar``; the derived graph of the result is isomorphic to the
+    cover's incidence graph, each face read at its sheet.
+    :func:`verify_covering` established the strong condition, so that
+    cofacet exists and is unique.
     """
     M, K = cov.base, cov.cover
     if not (0 <= i <= M.top_dim):
@@ -319,15 +321,7 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     for gbar in M.faces(i + 1):
         sheet_of = {f: l for l, f in enumerate(cov.fibers[gbar])}
         for g, _ in boundary_faces(gbar):
-            image = [0] * cov.degree
-            for j, f in enumerate(cov.fibers[g]):
-                ups = [fbar for fbar in K.cofacets(f) if fbar in sheet_of]
-                if len(ups) != 1:
-                    raise CoveringViolation(
-                        "strong-violation",
-                        f"{f!r} has {len(ups)} cofacets over {gbar!r}, expected exactly 1",
-                        (f, gbar),
-                    )
-                image[j] = sheet_of[ups[0]]
-            table[(g, gbar)] = tuple(image)
+            table[(g, gbar)] = tuple(
+                next(sheet_of[fbar] for fbar in K.cofacets(f) if fbar in sheet_of) for f in cov.fibers[g]
+            )
     return IncidenceVoltages(cov.degree, i, table)

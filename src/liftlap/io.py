@@ -1,11 +1,13 @@
 """JSON file formats for complexes, voltages, signings, and coverings.
 
-Faces are serialized as increasing vertex lists.  Permutations are
-serialized as 1-based image lists of ``1..k``.  Voltage files may omit
-edges, which then carry the identity; signing files list only the
-flipped incidences, weighting files only the non-unit ones.  Both load
-as an :class:`~liftlap.operators.IncidenceWeighting`, a signing with
-values -1.  A record of the wrong shape raises
+Every format is read; only a complex is written (:func:`save_complex`,
+for ``cover build --out``).  Faces are serialized as increasing vertex
+lists.  Permutations are serialized as 1-based image lists of ``1..k``.
+Voltage files may omit edges, which then carry the identity; signing
+files list only the flipped incidences, weighting files only the
+non-unit ones.  Both load as an
+:class:`~liftlap.operators.IncidenceWeighting`, a signing with values
+-1.  A record of the wrong shape raises
 :class:`~liftlap.errors.MalformedInputError` naming the file and record.
 """
 
@@ -14,8 +16,6 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from pathlib import Path
-
-import numpy as np
 
 from . import perms
 from .complexes import (
@@ -26,6 +26,7 @@ from .complexes import (
     WeightScheme,
     as_face,
     build_complex,
+    compute_weights,
 )
 from .covering import EdgeVoltages, edge_voltages
 from .errors import MalformedInputError, VoltageError, WeightError
@@ -85,6 +86,8 @@ def load_complex(path) -> tuple[SimplicialComplex, WeightScheme]:
         K = build_complex(data["facets"], include_empty=include_empty)
     with _reading(path, "weights"):
         scheme = parse_weight_scheme(data.get("weights"))
+        if scheme.kind == EXPLICIT_KIND:
+            compute_weights(K, scheme)
     return K, scheme
 
 
@@ -104,21 +107,14 @@ def parse_weight_scheme(doc) -> WeightScheme:
     raise MalformedInputError(f"unknown weight scheme {kind!r}")
 
 
-def complex_to_dict(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) -> dict:
+def save_complex(K: SimplicialComplex, path) -> None:
+    """Write ``K`` as a complex file under the combinatorial scheme."""
     doc = {
         "facets": [list(f) for f in K.facets()],
         "include_empty": K.include_empty,
-        "weights": {"scheme": scheme.kind},
+        "weights": {"scheme": COMBINATORIAL.kind},
     }
-    if scheme.kind == EXPLICIT_KIND:
-        doc["weights"]["values"] = [
-            {"face": list(f), "w": w} for f, w in scheme.values
-        ]
-    return doc
-
-
-def save_complex(K: SimplicialComplex, path, scheme: WeightScheme = COMBINATORIAL) -> None:
-    Path(path).write_text(json.dumps(complex_to_dict(K, scheme), sort_keys=True, indent=1))
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
 
 
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
@@ -138,15 +134,6 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     return edge_voltages(M, k, table)
 
 
-def edge_voltages_to_dict(psi: EdgeVoltages) -> dict:
-    records = []
-    for e in sorted(psi.perms):
-        p = psi.perms[e]
-        if p != perms.identity(psi.k):
-            records.append({"edge": list(e), "perm": perms.to_one_based(p)})
-    return {"k": psi.k, "edges": records}
-
-
 def load_signing(path) -> IncidenceWeighting:
     """Signing file: listed (face, cofacet) pairs are -1, all others +1."""
     data = _load(path)
@@ -155,20 +142,6 @@ def load_signing(path) -> IncidenceWeighting:
         with _reading(path, f"record {rec!r}"):
             _add(flips, _incidence(rec), -1.0)
     return IncidenceWeighting(flips)
-
-
-def signing_to_dict(signing: IncidenceWeighting, dim_pair=None) -> dict:
-    """Signing file of a weighting whose values are all -1 or +1."""
-    flips = []
-    for (f, c), v in sorted(signing.items()):
-        if np.ndim(v) or v not in (1, -1):
-            raise WeightError(f"incidence weight {v!r} on ({f!r}, {c!r}) is not a sign")
-        if v == -1:
-            flips.append({"face": list(f), "cofacet": list(c)})
-    doc = {"flips": flips}
-    if dim_pair is not None:
-        doc["dim_pair"] = list(dim_pair)
-    return doc
 
 
 def load_weighting(path) -> IncidenceWeighting:
@@ -192,7 +165,3 @@ def load_vertex_map(path) -> dict:
         for a, b in data["vertex_map"]:
             _add(table, int(a), int(b))
     return table
-
-
-def vertex_map_to_dict(vertex_map) -> dict:
-    return {"vertex_map": [[int(a), int(b)] for a, b in sorted(vertex_map.items())]}

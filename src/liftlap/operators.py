@@ -324,49 +324,44 @@ def _close(a: float, b: float, tol: float) -> bool:
 
 @dataclass(frozen=True)
 class SpectrumComparison:
-    mode: str
+    """``witness`` is the first unmatched value (None when ``holds``)."""
+
     holds: bool
     max_pairing_error: float
     witness: float | None
-    tol: float
 
 
 def compare_spectra(
     a: SpectrumMultiset,
     b: SpectrumMultiset,
     mode: str = "equal",
-    c: SpectrumMultiset | None = None,
     tol: float = DEFAULT_TOL,
 ) -> SpectrumComparison:
-    """Compare eigenvalue multisets: ``equal``, ``subset``, or ``union``.
+    """Compare eigenvalue multisets: ``equal`` or ``subset``.
 
     Two values match when ``|a - b| <= tol * max(1, |a|, |b|)``.
-    ``subset`` greedily matches the sorted values of ``a`` into ``b``;
-    ``union`` checks ``a`` against the merge of ``b`` and ``c``.  Failure
+    ``subset`` greedily matches the sorted values of ``a`` into ``b``.  A
+    union claim compares against ``b.union(c)`` with ``equal``.  Failure
     is reported (with the first unmatched value as witness), never raised.
     """
-    if mode == "union":
-        if c is None:
-            raise ValueError("union comparison needs a third multiset")
-        return _equal(a, b.union(c), tol, "union")
     if mode == "equal":
-        return _equal(a, b, tol, "equal")
+        return _equal(a, b, tol)
     if mode == "subset":
         return _subset(a, b, tol)
     raise ValueError(f"unknown comparison mode {mode!r}")
 
 
-def _equal(a, b, tol, mode) -> SpectrumComparison:
+def _equal(a, b, tol) -> SpectrumComparison:
     worst = 0.0
     for x, y in zip(a.values, b.values):
         if not _close(x, y, tol):
-            return SpectrumComparison(mode, False, abs(x - y), x, tol)
+            return SpectrumComparison(False, abs(x - y), x)
         worst = max(worst, abs(x - y))
     if len(a) != len(b):
         n = min(len(a), len(b))
         extra = a.values[n] if len(a) > n else b.values[n]
-        return SpectrumComparison(mode, False, float("inf"), extra, tol)
-    return SpectrumComparison(mode, True, worst, None, tol)
+        return SpectrumComparison(False, float("inf"), extra)
+    return SpectrumComparison(True, worst, None)
 
 
 def _subset(a, b, tol) -> SpectrumComparison:
@@ -376,7 +371,7 @@ def _subset(a, b, tol) -> SpectrumComparison:
         while j < len(b.values) and b.values[j] < x and not _close(b.values[j], x, tol):
             j += 1
         if j >= len(b.values) or not _close(b.values[j], x, tol):
-            return SpectrumComparison("subset", False, float("inf"), x, tol)
+            return SpectrumComparison(False, float("inf"), x)
         worst = max(worst, abs(b.values[j] - x))
         j += 1
-    return SpectrumComparison("subset", True, worst, None, tol)
+    return SpectrumComparison(True, worst, None)

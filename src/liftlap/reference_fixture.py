@@ -56,10 +56,13 @@ class ReferenceFixture:
 
 
 def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
-    """All labeled candidates matching the target spectrum, sorted."""
+    """All labeled candidates matching the target spectrum, sorted.
+
+    A candidate matches under the rule of every verdict,
+    :func:`~liftlap.operators.compare_spectra` at ``tol``.
+    """
     verts = range(6)
     all_edges = list(combinations(verts, 2))
-    target = np.array(BASE_SPECTRUM.values)
     found = []
     for tris in combinations(combinations(verts, 3), 6):
         counts: dict[tuple, int] = {}
@@ -80,7 +83,8 @@ def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
             D = face_coboundary(tris, edges)
             if 12 - 5 - integer_rank(D) != 1:
                 continue
-            if np.allclose(np.sort(np.linalg.eigvalsh(D.T @ D)), target, atol=tol):
+            eigs = SpectrumMultiset(np.linalg.eigvalsh(D.T @ D))
+            if compare_spectra(eigs, BASE_SPECTRUM, tol=tol).holds:
                 found.append(build_complex(list(tris) + list(free)))
     found.sort(key=lambda K: tuple(K.facets()))
     return found

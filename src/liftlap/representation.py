@@ -32,7 +32,6 @@ from .complexes import connected_components
 from .covering import IncidenceVoltages
 from .errors import DecompositionError, GroupStructureError, VoltageError
 from .operators import IncidenceWeighting
-from .perms import Perm
 
 # the off-block residual that certifies a decomposition, and how many
 # random commutant elements are tried before giving up
@@ -51,10 +50,6 @@ class VoltageGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    @property
-    def identity(self) -> Perm:
-        return perms.identity(self.k)
 
     @property
     def abelian(self) -> bool:
@@ -247,12 +242,8 @@ def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
     return IncidenceWeighting({pair: -1.0 for pair in flips})
 
 
-def abelian_weightings(
-    psi: IncidenceVoltages,
-    group: VoltageGroup | None = None,
-    seed: int = 0,
-) -> list[IncidenceWeighting]:
-    """The k-1 nontrivial character weightings of an abelian voltage group.
+def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceWeighting]:
+    """The k-1 nontrivial character weightings of ``psi``'s voltage group.
 
     The group must be abelian and act transitively (it is then regular
     of order k, and simultaneous diagonalization of the commuting
@@ -260,7 +251,7 @@ def abelian_weightings(
     Each weighting sends an incidence to the character value of its
     voltage; all values lie on the unit circle.
     """
-    group = group or voltage_group(psi)
+    group = voltage_group(psi)
     if not group.abelian:
         raise GroupStructureError("character weightings require an abelian voltage group")
     if not group.transitive:

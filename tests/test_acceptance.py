@@ -113,7 +113,7 @@ def test_criterion_1_reference_fixture_and_companion_spectra(reference):
     assert compare_spectra(lifted, COVER_SPECTRUM, "equal", tol=TOL).holds
 
     # the lift's spectrum is exactly the union of the other two
-    assert compare_spectra(lifted, base, "union", signed, tol=TOL).holds
+    assert compare_spectra(lifted, base.union(signed), tol=TOL).holds
 
     # the two-sheet block route reproduces the same pair
     blocks = block_laplacians(M, psi, 1)
@@ -141,7 +141,7 @@ def test_criterion_2_two_fold_union():
                 lifted = spectrum(laplacian_matrix(K, i, "up", scheme))
                 plain = spectrum(laplacian_matrix(M, i, "up", scheme))
                 signed = spectrum(laplacian_matrix(M, i, "up", scheme, signing))
-                cmp = compare_spectra(lifted, plain, "union", signed, tol=TOL)
+                cmp = compare_spectra(lifted, plain.union(signed), tol=TOL)
                 assert cmp.holds, (instances, i, scheme.kind, cmp.witness)
         _assert_exact_identities(cov)
         instances += 1
@@ -193,7 +193,7 @@ def test_criterion_4_abelian_cyclic_decomposition():
             if not group.transitive:
                 # the regular-action hypothesis fails on this layer
                 continue
-            weightings = abelian_weightings(psi, group)
+            weightings = abelian_weightings(psi)
             assert len(weightings) == k - 1
             for scheme in SCHEMES:
                 lifted = spectrum(laplacian_matrix(K, i, "up", scheme))

@@ -297,6 +297,20 @@ class TestCoverMapInputs:
         assert code == 0
         assert all(v["holds"] for v in report["verdicts"])
 
+    @pytest.mark.parametrize("routes", [["--map"], ["--cover", "--map", "--voltage"]], ids=["map-alone", "both-routes"])
+    def test_cover_given_by_exactly_one_route(self, capsys, tmp_path, c3_file, c3_voltage_file, routes):
+        files = {
+            "--cover": write(tmp_path, "c6.json", {"facets": [[i, (i + 1) % 6] for i in range(6)]}),
+            "--map": write(tmp_path, "phi.json", {"vertex_map": [[v, v % 3] for v in range(6)]}),
+            "--voltage": c3_voltage_file,
+        }
+        argv = ["verify", "union", "--base", c3_file]
+        for flag in routes:
+            argv += [flag, files[flag]]
+        code, report, err = run(capsys, argv)
+        assert code == 2 and report is None
+        assert "provide either --cover/--base/--map or --base/--voltage" in err
+
     def test_decompose_down_direction(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(
             capsys,
@@ -322,7 +336,7 @@ class TestCoverMapInputs:
         _, result = out
         cover = tmp_path / "ref_cover.json"
         llio.save_complex(result.complex, cover)
-        phi = write(tmp_path, "ref_phi.json", llio.vertex_map_to_dict(result.vertex_map))
+        phi = write(tmp_path, "ref_phi.json", {"vertex_map": sorted(result.vertex_map.items())})
         code, report, _ = run(
             capsys,
             ["verify", "betti", "--cover", str(cover), "--base", str(base), "--map", phi],
@@ -361,8 +375,38 @@ class TestFixtureSearch:
         assert cached["found"] is True
 
 
+class TestTolerance:
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_tol_must_be_finite_and_non_negative(self, capsys, c3_file, c3_voltage_file, tol):
+        with pytest.raises(SystemExit) as exc:
+            main(["--tol", tol, "verify", "union", "--base", c3_file, "--voltage", c3_voltage_file])
+        assert exc.value.code == 2
+        assert "argument --tol: expected a finite number of at least 0" in capsys.readouterr().err
+
+    def test_zero_tol_is_exact_comparison(self, capsys, c3_file, c3_voltage_file):
+        code, report, _ = run(capsys, ["--tol", "0", "verify", "union", "--base", c3_file, "--voltage", c3_voltage_file])
+        assert code in (0, 1)
+        assert {v["tolerance"] for v in report["verdicts"]} == {0.0}
+
+
 class TestMalformedInput:
     """Bad files exit 2 with an error naming the file and the record."""
+
+    @pytest.mark.parametrize(
+        "edge_records, message",
+        [
+            ([{"face": [0, 1], "w": 0}], "weight of (0, 1) must be finite and positive"),
+            ([], "does not weight face (0, 1)"),
+            ([{"face": [0, 1], "w": 1.0}, {"face": [7, 8], "w": 1.0}], "weights (7, 8), which is not a face"),
+        ],
+        ids=["zero-weight", "unweighted-face", "non-face"],
+    )
+    def test_explicit_weights_are_checked_on_load(self, capsys, tmp_path, edge_records, message):
+        records = [{"face": f, "w": 1.0} for f in ([], [0], [1])] + edge_records
+        edge = write(tmp_path, "edge.json", {"facets": [[0, 1]], "weights": {"scheme": "explicit", "values": records}})
+        code, report, err = run(capsys, ["spectrum", "--complex", edge, "--dim", "0"])
+        assert code == 2 and report is None
+        assert "edge.json: malformed weights" in err and message in err
 
     def test_signing_record_without_cofacet(self, capsys, tmp_path, triangle_file):
         signing = write(tmp_path, "s.json", {"flips": [{"face": [0, 1]}]})

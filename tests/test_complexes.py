@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -216,6 +218,16 @@ class TestWeights:
         bad = WeightScheme.explicit({f: (-1.0 if f == (0, 1) else 1.0) for f in faces})
         with pytest.raises(WeightError):
             compute_weights(hollow_triangle, bad)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [({(7, 8): 1.0}, "weights (7, 8), which is not a face"), ({(0, 1): float("nan")}, "finite and positive")],
+        ids=["non-face", "nan"],
+    )
+    def test_explicit_refuses_non_faces_and_non_finite_weights(self, hollow_triangle, extra, message):
+        scheme = WeightScheme.explicit({**{f: 1.0 for f in hollow_triangle.all_faces()}, **extra})
+        with pytest.raises(WeightError, match=re.escape(message)):
+            compute_weights(hollow_triangle, scheme)
 
 
 class TestRelativeOrientationSign:

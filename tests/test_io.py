@@ -1,9 +1,8 @@
 import json
 
-import numpy as np
 import pytest
 
-from liftlap import IncidenceWeighting, MalformedInputError, WeightError, build_complex
+from liftlap import MalformedInputError, build_complex, perms
 from liftlap import io as llio
 
 
@@ -53,8 +52,10 @@ class TestComplexFiles:
 
     def test_faces_serialized_increasing(self, tmp_path):
         K = build_complex([{2, 0, 1}])
-        doc = llio.complex_to_dict(K)
-        assert doc["facets"] == [[0, 1, 2]]
+        p = tmp_path / "k.json"
+        llio.save_complex(K, p)
+        doc = {"facets": [[0, 1, 2]], "include_empty": True, "weights": {"scheme": "combinatorial"}}
+        assert p.read_text() == json.dumps(doc, sort_keys=True, indent=1)
 
     def test_bad_json_is_malformed_input(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -105,8 +106,12 @@ class TestVoltageFiles:
         M = build_complex([{1, 2}, {2, 3}, {1, 3}])
         p = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]})
         psi = llio.load_edge_voltages(p, M)
-        doc = llio.edge_voltages_to_dict(psi)
-        assert doc == {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]}
+        records = [
+            {"edge": list(e), "perm": perms.to_one_based(q)}
+            for e, q in sorted(psi.perms.items())
+            if q != perms.identity(psi.k)
+        ]
+        assert {"k": psi.k, "edges": records} == {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]}
 
 
 class TestSigningAndWeightingFiles:
@@ -114,7 +119,7 @@ class TestSigningAndWeightingFiles:
         p = write(
             tmp_path,
             "s.json",
-            {"dim_pair": [1, 2], "flips": [{"face": [1, 2], "cofacet": [1, 2, 6]}]},
+            {"flips": [{"face": [1, 2], "cofacet": [1, 2, 6]}]},
         )
         signing = llio.load_signing(p)
         assert signing.value((1, 2), (1, 2, 6)) == -1
@@ -125,7 +130,6 @@ class TestSigningAndWeightingFiles:
             tmp_path,
             "w.json",
             {
-                "dim_pair": [1, 2],
                 "entries": [
                     {"face": [1, 2], "cofacet": [1, 2, 6], "value": {"re": -0.5, "im": 0.8}}
                 ],
@@ -136,26 +140,15 @@ class TestSigningAndWeightingFiles:
         assert w.value((9,), (9, 10)) == 1.0
 
     def test_signing_roundtrip(self, tmp_path):
-        p = write(
-            tmp_path, "s.json", {"flips": [{"face": [1, 2], "cofacet": [1, 2, 6]}]}
-        )
-        signing = llio.load_signing(p)
-        doc = llio.signing_to_dict(signing, dim_pair=(1, 2))
-        assert doc["flips"] == [{"face": [1, 2], "cofacet": [1, 2, 6]}]
-        assert doc["dim_pair"] == [1, 2]
-
-    def test_signing_file_needs_signs(self):
-        with pytest.raises(WeightError):
-            llio.signing_to_dict(IncidenceWeighting({((1, 2), (1, 2, 6)): 0.5}))
-        # a matrix is never a sign
-        with pytest.raises(WeightError):
-            llio.signing_to_dict(IncidenceWeighting({((1, 2), (1, 2, 6)): -np.eye(2)}))
+        flips = [{"face": [1, 2], "cofacet": [1, 2, 6]}]
+        signing = llio.load_signing(write(tmp_path, "s.json", {"flips": flips}))
+        assert [{"face": list(f), "cofacet": list(c)} for (f, c), v in signing.items() if v == -1] == flips
 
 
 class TestVertexMapFiles:
     def test_roundtrip(self, tmp_path):
         vmap = {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
-        p = write(tmp_path, "phi.json", llio.vertex_map_to_dict(vmap))
+        p = write(tmp_path, "phi.json", {"vertex_map": [[a, b] for a, b in vmap.items()]})
         assert llio.load_vertex_map(p) == vmap
 
 

@@ -212,8 +212,8 @@ class TestCompareSpectra:
         a = SpectrumMultiset((0, 1, 1, 3, 3, 4))
         b = SpectrumMultiset((0, 3, 3))
         c = SpectrumMultiset((1, 1, 4))
-        rep = compare_spectra(a, b, "union", c)
-        assert rep.holds
+        assert compare_spectra(a, b.union(c)).holds
+        assert not compare_spectra(a, b).holds
 
     def test_failure_reports_witness(self):
         a = SpectrumMultiset((0.0, 2.0))

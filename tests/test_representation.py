@@ -195,20 +195,20 @@ class TestAbelianWeightings:
         iv = induced_incidence_voltage(cov, 0)
         group = voltage_group(iv)
         assert group.order == 4 and group.abelian
-        ws = abelian_weightings(iv, group)
+        ws = abelian_weightings(iv)
         assert len(ws) == 3
         for w in ws:
             vals = {np.round(w.value(*pair).real, 9) for pair in iv.perms}
             assert vals <= {1.0, -1.0}
 
     def test_non_abelian_rejected(self):
-        group = voltage_group([transposition(3, 0, 1), cycle(3)])
-        M = cycle_complex(3)
-        iv = induced_incidence_voltage(
-            derived_complex(M, edge_voltages(M, 1)).covering, 0
-        )
+        # a transposition and a 3-cycle on the two loops of a theta graph
+        M = build_complex([{0, 1}, {1, 2}, {0, 2}, {0, 3}, {1, 3}])
+        psi = edge_voltages(M, 3, {(0, 1): transposition(3, 0, 1), (0, 3): cycle(3)})
+        iv = induced_incidence_voltage(derived_complex(M, psi).covering, 0)
+        assert not voltage_group(iv).abelian
         with pytest.raises(GroupStructureError):
-            abelian_weightings(iv, group)
+            abelian_weightings(iv)
 
     def test_non_transitive_rejected(self):
         M = cycle_complex(3)
@@ -238,7 +238,7 @@ class TestBlockLaplacians:
         group = voltage_group(iv)
         assert group.abelian and group.transitive
         dec = decompose_representation(group)
-        weightings = abelian_weightings(iv, group)
+        weightings = abelian_weightings(iv)
         blocks = block_laplacians(M, iv, 0, COMBINATORIAL, "up", dec)
         assert len(blocks) == 1 + len(weightings)
         for j, w in enumerate(weightings, start=1):

@@ -18,10 +18,12 @@ input files and in the same order.  Monkeypatches made inside a test are
 not replayed: each recorded call runs against the unpatched library.
 For each case the script prints what differs: the exit code, the set of
 report keys (list positions collapsed to ``[]``), the verdicts' ``holds``
-flags, exact values (integers, strings, lengths) and stderr when the exit
-code is nonzero; and in every case the largest difference between
-corresponding floats, with its location.  It exits 1 when an exit code,
-key set, holds flag or exact value differs, 0 otherwise.
+flags, exact values (integers, strings, lengths), the bytes of the file
+named by ``--out`` (read right after each tree's run, since both trees
+write it to the same place) and stderr when the exit code is nonzero; and
+in every case the largest difference between corresponding floats, with
+its location.  It exits 1 when an exit code, key set, holds flag, exact
+value or ``--out`` file differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ class Outcome:
     code: int
     stdout: str
     stderr: str
+    written: bytes | None  # the --out file after the run; None when absent
 
 
 def bench_cases(workdir: Path, seed: int) -> list[Case]:
@@ -141,10 +144,21 @@ def replay(tree: Path, cases: list[Case]) -> list[Outcome]:
                 code = main(list(case.argv))
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 1
+        except Exception as exc:  # a crash, which the interpreter would end with exit 1
+            code = 1
+            err.write(f"uncaught {type(exc).__name__}: {exc}\n")
         finally:
             os.chdir(here)
-        outcomes.append(Outcome(code, out.getvalue(), err.getvalue()))
+        outcomes.append(Outcome(code, out.getvalue(), err.getvalue(), _written(case)))
     return outcomes
+
+
+def _written(case: Case) -> bytes | None:
+    argv = case.argv
+    if "--out" not in argv[:-1]:
+        return None
+    path = case.cwd / argv[argv.index("--out") + 1]
+    return path.read_bytes() if path.is_file() else None
 
 
 def _key_paths(obj, prefix="") -> set:
@@ -187,6 +201,9 @@ def compare(parent: Outcome, change: Outcome) -> tuple[list[str], list[str], lis
     fails, notes, floats = [], [], [0.0, None]
     if parent.code != change.code:
         fails.append(f"exit {parent.code} -> {change.code}")
+    if parent.written != change.written:
+        sizes = [None if w is None else len(w) for w in (parent.written, change.written)]
+        fails.append(f"--out file differs ({sizes[0]} -> {sizes[1]} bytes)")
     if (parent.code or change.code) and parent.stderr != change.stderr:
         notes.append(f"stderr {parent.stderr.strip()!r} -> {change.stderr.strip()!r}")
     reports = [json.loads(o.stdout) if o.stdout.strip() else None for o in (parent, change)]
@@ -230,7 +247,7 @@ def main(argv=None) -> int:
             print(f"    {line}")
         if floats[1] is not None and floats[0] >= worst[0]:
             worst = [floats[0], case.label]
-    print(f"{len(cases)} cases, {failed} with a changed exit code, key set, holds flag or exact value; "
+    print(f"{len(cases)} cases, {failed} with a changed exit code, key set, holds flag, exact value or --out file; "
           f"largest float difference {worst[0]:.3g}" + (f" ({worst[1]})" if worst[1] else ""))
     return 1 if failed else 0
 
