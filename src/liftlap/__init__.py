@@ -68,7 +68,6 @@ from .operators import (
     laplacian_matrix,
     layer_spectra,
     spectrum,
-    symmetrized_form,
 )
 from .representation import (
     BlockDecomposition,

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import sys
-import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -454,17 +453,13 @@ def main(argv=None) -> int:
         "verdicts": [],
     }
     try:
-        with warnings.catch_warnings(record=True) as notes:
-            warnings.simplefilter("always")
-            verdicts = args.func(args, report)
+        verdicts = args.func(args, report)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LiftlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    for note in notes:
-        print(f"note: {note.message}", file=sys.stderr)
     report["verdicts"] = verdicts
     print(json.dumps(report, sort_keys=True))
     for v in verdicts:

@@ -12,6 +12,7 @@ operation is a pure function, so concurrent reads are safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping
@@ -23,18 +24,26 @@ from .errors import DimensionError, MalformedInputError, WeightError
 Face = tuple
 
 
+def _index(v, what: str = "vertex") -> int:
+    """``v`` as a non-negative integer id: an integral float such as 2.0
+    is one, a boolean or a string is not."""
+    if type(v) is int or (isinstance(v, numbers.Real) and not isinstance(v, bool) and v % 1 == 0):
+        if v >= 0:
+            return int(v)
+    raise MalformedInputError(f"{what} {v!r} is not a non-negative integer")
+
+
 def as_face(vertices) -> Face:
     """Normalize an iterable of vertex ids into a canonical face tuple."""
     try:
         vs = list(vertices)
     except TypeError:
         raise MalformedInputError(f"face {vertices!r} is not a list of vertices") from None
-    out = []
-    for v in vs:
-        iv = int(v)
-        if iv != v or iv < 0:
-            raise MalformedInputError(f"vertex {v!r} is not a non-negative integer")
-        out.append(iv)
+    try:
+        # plain ints inline: this runs for every face of every complex built
+        out = [v if type(v) is int and v >= 0 else _index(v) for v in vs]
+    except MalformedInputError as exc:
+        raise MalformedInputError(f"face {vs!r}: {exc}") from None
     if len(set(out)) != len(out):
         raise MalformedInputError(f"face {vs!r} repeats a vertex")
     return tuple(sorted(out))

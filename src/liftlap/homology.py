@@ -35,7 +35,7 @@ from .complexes import (
 )
 from .covering import CoveringMap
 from .errors import LiftlapError, WeightError
-from .operators import FULL, UP, laplacian_matrix, symmetrized_form
+from .operators import FULL, UP, laplacian_matrix
 
 
 def integer_rank(matrix) -> int:
@@ -117,8 +117,8 @@ def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) ->
 
     The numbers come from :func:`exact_betti_numbers` for every scheme.
     Where b_i > 0 the basis is the b_i eigenvectors of least eigenvalue
-    of the full degree-i Laplacian under ``scheme``, rescaled from the
-    symmetrized form back to cochain values; where b_i = 0 it is empty
+    of the full degree-i Laplacian under ``scheme``, mapped from the
+    Hermitian operator back to cochain values; where b_i = 0 it is empty
     and no operator is built.
     """
     betti = exact_betti_numbers(K)
@@ -132,9 +132,7 @@ def _harmonic_bases(K: SimplicialComplex, betti: dict, scheme: WeightScheme) -> 
             bases[i] = np.zeros((K.face_count(i), 0))
             continue
         op = _full_laplacian(K, i, scheme)
-        sym = symmetrized_form(op.matrix, op.weights)
-        vecs = np.linalg.eigh((sym + sym.conj().T) / 2)[1]
-        bases[i] = vecs[:, :b] / np.sqrt(op.weights)[:, None]
+        bases[i] = np.linalg.eigh(op.matrix)[1][:, :b] / np.sqrt(op.weights)[:, None]
     return bases
 
 
@@ -224,7 +222,9 @@ def _inequality_report(cov, scheme, base_betti, cover_betti, tol) -> BettiInequa
             lifted = lift_cochain(bases[i], i, cov)
             norms = np.linalg.norm(lifted, axis=0)
             lifted = lifted / norms
-            residual = float(np.max(np.abs(op.matrix @ lifted)))
+            # L x in cochain units, L = W^{-1/2} op.matrix W^{1/2}
+            root = np.sqrt(op.weights)[:, None]
+            residual = float(np.max(np.abs(op.matrix @ (root * lifted) / root)))
             sigma_min = float(np.linalg.svd(lifted, compute_uv=False)[-1])
         ok = b_cover >= b_base and residual <= tol and (sigma_min is None or sigma_min >= tol)
         verdicts.append(DimensionVerdict(i, b_base, b_cover, residual, sigma_min, ok))

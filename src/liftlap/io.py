@@ -24,6 +24,7 @@ from .complexes import (
     NORMALIZED,
     SimplicialComplex,
     WeightScheme,
+    _index,
     as_face,
     build_complex,
     compute_weights,
@@ -121,16 +122,14 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; absent edges get the identity."""
     data = _load(path)
     with _reading(path, "fold count"):
-        k = data.get("k", 1)
-        # JSON true is a bool, and 2.0 is as integral as 2
-        if type(k) not in (int, float) or not (k >= 1 and k % 1 == 0):
+        k = _index(data.get("k", 1), "fold count")
+        if k < 1:
             raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-        k = int(k)
     table = {}
     for rec in _records(path, data, "edges"):
         with _reading(path, f"record {rec!r}"):
-            edge = tuple(sorted(int(v) for v in rec["edge"]))
-            _add(table, edge, perms.check_perm(perms.from_one_based(rec["perm"]), k))
+            perm = perms.check_perm([_index(x, "perm image") - 1 for x in rec["perm"]], k)
+            _add(table, as_face(rec["edge"]), perm)
     return edge_voltages(M, k, table)
 
 
@@ -162,6 +161,10 @@ def load_vertex_map(path) -> dict:
         raise MalformedInputError(f"{path}: missing 'vertex_map'")
     table = {}
     with _reading(path, "vertex_map"):
-        for a, b in data["vertex_map"]:
-            _add(table, int(a), int(b))
+        for rec in data["vertex_map"]:
+            try:
+                a, b = rec
+                _add(table, _index(a), _index(b))
+            except (TypeError, ValueError, MalformedInputError) as exc:
+                raise MalformedInputError(f"record {rec!r}: {exc}") from None
     return table

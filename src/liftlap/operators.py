@@ -1,10 +1,13 @@
 """Up/down/full Laplace operators and tolerance-aware spectra.
 
-The matrix conventions follow the coboundary layout of
-:mod:`liftlap.complexes`: the degree-i coboundary has rows indexed by
-(i+1)-faces and columns by i-faces, so the i-up operator is
-``W_i^{-1} D_i^T W_{i+1} D_i`` and the i-down operator is
-``D_{i-1} W_{i-1}^{-1} D_{i-1}^T W_i``.
+The degree-i coboundary ``D_i`` of :mod:`liftlap.complexes` has rows
+indexed by (i+1)-faces and columns by i-faces.  Every operator is
+assembled Hermitian positive semidefinite from the weighted coboundary
+``A_i = W_{i+1}^{1/2} D_i W_i^{-1/2}``: the i-up operator is
+``A_i^H A_i`` and the i-down operator ``A_{i-1} A_{i-1}^H``.  Through
+``W_i^{1/2}`` each is similar to its operator on cochains,
+``W_i^{-1} D_i^H W_{i+1} D_i`` (up) or ``D_{i-1} W_{i-1}^{-1}
+D_{i-1}^H W_i`` (down), so the spectrum is the same.
 
 An incidence weighting decorates the coboundary: each nonzero, the sign
 of an incidence, is multiplied by the incidence's value, a nonzero
@@ -16,10 +19,8 @@ a block of a lifted operator (values rho_j(psi)), and the lifted
 coboundary itself (values the permutation matrices P(psi)).  The
 adjoint uses the conjugate transpose.
 
-One incidence layer serves two operators.  With
-``A = W_{i+1}^{1/2} D_i W_i^{-1/2}`` (``D_i`` decorated or not), the
-symmetrized i-up operator is ``A^H A`` and the symmetrized (i+1)-down
-operator is ``A A^H``; their spectra agree except for
+One incidence layer serves two operators: the spectra of ``A_i^H A_i``
+and ``A_i A_i^H``, the i-up and (i+1)-down operators, agree except for
 ``|n_{i+1} - n_i|`` extra zeros.  :func:`layer_spectra` therefore
 eigensolves only the smaller Gram matrix and pads the other side with
 exact zeros, and at the top dimension (no (i+1)-faces) it solves
@@ -55,7 +56,6 @@ DOWN = "down"
 FULL = "full"
 
 DEFAULT_TOL = 1e-8
-HERMITICITY_TOL = 1e-10
 
 
 class IncidenceWeighting:
@@ -138,11 +138,10 @@ def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.nd
 
 @dataclass
 class OperatorMatrix:
-    """A Laplace operator matrix and its weight diagonal.
+    """A Laplace operator and the weight diagonal ``W`` of its degree.
 
-    ``weights`` is the diagonal of the weight matrix on the operator's
-    own cochain degree; it drives the similarity transform used by the
-    eigensolver path.
+    ``matrix`` is the Hermitian PSD form ``W^{1/2} L W^{-1/2}`` of the
+    operator ``L`` on cochains; ``L = W^{-1/2} matrix W^{1/2}``.
     """
 
     matrix: np.ndarray
@@ -160,14 +159,6 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
-def _up_range(K: SimplicialComplex):
-    return K.min_dim, K.top_dim
-
-
-def _down_range(K: SimplicialComplex):
-    return K.min_dim + 1, K.top_dim
-
-
 def laplacian_matrix(
     K: SimplicialComplex,
     i: int,
@@ -177,6 +168,8 @@ def laplacian_matrix(
 ) -> OperatorMatrix:
     """Assemble the i-dimensional up/down/full Laplace operator of ``K``.
 
+    Up is ``A_i^H A_i``, down is ``A_{i-1} A_{i-1}^H`` and full is their
+    sum, with ``A`` the weighted coboundary of the module docstring.
     ``decoration`` (an :class:`IncidenceWeighting`) applies to the
     coboundary layer each part actually uses: (i, i+1) for up, (i-1, i)
     for down.  With d x d values the operator is d times as wide, every
@@ -187,35 +180,20 @@ def laplacian_matrix(
     top_dim``; full needs both.
     """
     w = compute_weights(K, scheme)
-    w_i = _weights(K, i, w, decoration)
     if kind not in (UP, DOWN, FULL):
         raise DimensionError(f"unknown operator kind {kind!r}")
-    lo_up, hi_up = _up_range(K)
-    lo_dn, hi_dn = _down_range(K)
-
-    def up_part():
-        if not (lo_up <= i <= hi_up):
-            raise DimensionError(f"up operator needs {lo_up} <= i <= {hi_up}, got {i}")
-        if i == K.top_dim:
-            return np.zeros((len(w_i), len(w_i)))
-        D = decorated_coboundary(K, i, decoration)
-        w_hi = _weights(K, i + 1, w, decoration)
-        return (D.conj().T * w_hi) @ D / w_i[:, None]
-
-    def down_part():
-        if not (lo_dn <= i <= hi_dn):
-            raise DimensionError(f"down operator needs {lo_dn} <= i <= {hi_dn}, got {i}")
-        D = decorated_coboundary(K, i - 1, decoration)
-        w_lo = _weights(K, i - 1, w, decoration)
-        return (D / w_lo) @ (D.conj().T * w_i)
-
-    if kind == UP:
-        mat = up_part()
-    elif kind == DOWN:
-        mat = down_part()
-    else:
-        mat = up_part() + down_part()
-    return OperatorMatrix(mat, w_i)
+    mat = 0
+    if kind != DOWN:
+        if not K.min_dim <= i <= K.top_dim:
+            raise DimensionError(f"up operator needs {K.min_dim} <= i <= {K.top_dim}, got {i}")
+        A = _weighted_coboundary(K, i, w, decoration)
+        mat = A.conj().T @ A
+    if kind != UP:
+        if not K.min_dim + 1 <= i <= K.top_dim:
+            raise DimensionError(f"down operator needs {K.min_dim + 1} <= i <= {K.top_dim}, got {i}")
+        A = _weighted_coboundary(K, i - 1, w, decoration)
+        mat = mat + A @ A.conj().T
+    return OperatorMatrix(mat, _weights(K, i, w, decoration))
 
 
 def _weights(K: SimplicialComplex, j: int, w, decoration) -> np.ndarray:
@@ -224,10 +202,12 @@ def _weights(K: SimplicialComplex, j: int, w, decoration) -> np.ndarray:
     return np.repeat(weight_vector(K, j, w), getattr(decoration, "block_size", 1))
 
 
-def _roots(weights: np.ndarray) -> np.ndarray:
-    if np.any(weights <= 0):
-        raise WeightError("weights must be strictly positive")
-    return np.sqrt(weights)
+def _weighted_coboundary(K: SimplicialComplex, i: int, w, decoration) -> np.ndarray:
+    """``A = W_{i+1}^{1/2} D_i W_i^{-1/2}`` for the decorated degree-i
+    coboundary ``D_i`` and the face weights ``w`` (all positive)."""
+    roots_hi = np.sqrt(_weights(K, i + 1, w, decoration))
+    roots_lo = np.sqrt(_weights(K, i, w, decoration))
+    return decorated_coboundary(K, i, decoration) * (roots_hi[:, None] / roots_lo)
 
 
 def layer_spectra(
@@ -239,21 +219,16 @@ def layer_spectra(
     """Spectra of the i-up and the (i+1)-down operator from one eigensolve.
 
     Returns ``(up_i, down_{i+1})``, each the multiset :func:`spectrum`
-    gives for the assembled operator, up to rounding.  ``A = W_{i+1}^{1/2} D_i
-    W_i^{-1/2}`` is built once from :func:`decorated_coboundary`; the
-    smaller of ``A^H A`` (up) and ``A A^H`` (down) goes through
-    :func:`spectrum` with unit weights, and the other side is the same
-    multiset padded with exact zeros.  At ``i == top_dim`` the up
-    spectrum is all zeros and the down side is empty, and nothing is
-    solved.  Valid layers: ``min_dim <= i <= top_dim``.
+    gives for the assembled operator, up to rounding.  The weighted
+    coboundary ``A`` is built once; the smaller of ``A^H A`` (up) and
+    ``A A^H`` (down) goes through :func:`spectrum`, and the other side
+    is the same multiset padded with exact zeros.  At ``i == top_dim``
+    the up spectrum is all zeros and the down side is empty, and nothing
+    is solved.  Valid layers: ``min_dim <= i <= top_dim``.
     """
-    lo, hi = _up_range(K)
-    if not lo <= i <= hi:
-        raise DimensionError(f"incidence layer needs {lo} <= i <= {hi}, got {i}")
-    w = compute_weights(K, scheme)
-    A = decorated_coboundary(K, i, decoration) * (
-        _roots(_weights(K, i + 1, w, decoration))[:, None] / _roots(_weights(K, i, w, decoration))
-    )
+    if not K.min_dim <= i <= K.top_dim:
+        raise DimensionError(f"incidence layer needs {K.min_dim} <= i <= {K.top_dim}, got {i}")
+    A = _weighted_coboundary(K, i, compute_weights(K, scheme), decoration)
     n_hi, n_lo = A.shape
     if n_lo <= n_hi:
         solved = spectrum(OperatorMatrix(A.conj().T @ A, np.ones(n_lo)))
@@ -263,34 +238,21 @@ def layer_spectra(
     return (solved, padded) if n_lo <= n_hi else (padded, solved)
 
 
-def symmetrized_form(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Similarity transform ``W^{1/2} L W^{-1/2}`` with identical spectrum.
-
-    For the operators assembled here the result is Hermitian positive
-    semidefinite, which is what the eigensolver path relies on.
-    """
-    root = _roots(np.asarray(weights, dtype=float))
-    return (matrix * root[:, None]) / root[None, :]
-
-
 def spectrum(op: OperatorMatrix) -> "SpectrumMultiset":
     """Eigenvalues of an operator, sorted ascending, clamped at zero.
 
-    Uses the symmetrized form; its hermiticity residue is asserted at
-    ``1e-10`` (relative).  Eigenvalues with ``|v| <= 1e-9`` (relative)
-    are the kernel up to eigensolver noise: they are set to exactly 0,
-    and ``clamped`` counts those that were not 0 already.  Anything below
-    ``-1e-9`` means the operator was not positive semidefinite and raises.
+    Eigenvalues with ``|v| <= 1e-9`` (relative) are the kernel up to
+    eigensolver noise: they are set to exactly 0, and ``clamped`` counts
+    those that were not 0 already.  Anything below ``-1e-9`` means the
+    operator was not positive semidefinite and raises.
     """
     if op.size == 0:
         return SpectrumMultiset()
-    sym = symmetrized_form(op.matrix, op.weights)
+    # a complex Gram product is Hermitian only up to rounding
+    sym = (op.matrix + op.matrix.conj().T) / 2
     scale = max(1.0, float(np.max(np.abs(sym))))
-    residue = float(np.max(np.abs(sym - sym.conj().T)))
-    if residue > HERMITICITY_TOL * scale:
-        raise EigensolverError(f"symmetrized form is not Hermitian: residue {residue:g}")
     try:
-        vals = np.linalg.eigvalsh((sym + sym.conj().T) / 2)
+        vals = np.linalg.eigvalsh(sym)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     if np.any(vals < -1e-9 * scale):

@@ -45,11 +45,5 @@ def permutation_matrix(p: Perm) -> np.ndarray:
     return mat
 
 
-def from_one_based(images) -> Perm:
-    """Convert a 1-based image list (file format) to a 0-based Perm."""
-    images = [int(x) for x in images]
-    return check_perm((x - 1 for x in images), len(images))
-
-
 def to_one_based(p: Perm) -> list:
     return [x + 1 for x in p]

@@ -21,7 +21,6 @@ trivial first block - which is all the spectral statements need.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -226,20 +225,12 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
     """The incidence signing of a 2-fold cover: -1 where the voltage swaps.
 
-    If every voltage is the identity the lift is disconnected (two
-    copies of the base); the all-plus signing is returned with a warning
-    since the spectral union statement then degenerates gracefully.
+    A layer with no swapped incidence, the empty top layer among them,
+    gets the all-plus signing, whose operator is the base operator.
     """
     if psi.k != 2:
         raise VoltageError(f"two-fold signing needs k = 2, got k = {psi.k}")
-    flips = [pair for pair, p in psi.perms.items() if p == (1, 0)]
-    if not flips:
-        warnings.warn(
-            "all voltages are trivial: the 2-fold lift is disconnected and the "
-            "signed complex coincides with the base",
-            stacklevel=2,
-        )
-    return IncidenceWeighting({pair: -1.0 for pair in flips})
+    return IncidenceWeighting({pair: -1.0 for pair, p in psi.perms.items() if p == (1, 0)})
 
 
 def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceWeighting]:

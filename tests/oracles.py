@@ -25,8 +25,8 @@ from liftlap import (
     induced_incidence_voltage,
     laplacian_matrix,
     relative_orientation_sign,
-    symmetrized_form,
     voltage_group,
+    weight_vector,
 )
 from liftlap.perms import Perm, permutation_matrix
 
@@ -72,11 +72,45 @@ def bareiss_rank(matrix) -> int:
 
 def numeric_kernel_dimension(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL) -> int:
     """Betti number counted as the eigenvalues at most 1e-7 of the
-    symmetrized full degree-i Laplacian (the up part alone at the lowest
-    dimension); ``exact_betti_numbers`` must agree."""
-    op = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme)
-    sym = symmetrized_form(op.matrix, op.weights)
+    symmetrized full degree-i cochain Laplacian (the up part alone at the
+    lowest dimension); ``exact_betti_numbers`` must agree."""
+    kind = "full" if i > K.min_dim else "up"
+    sym = symmetrized_form(cochain_laplacian(K, i, kind, scheme), cochain_weights(K, i, scheme))
     return int(np.sum(np.linalg.eigvalsh((sym + sym.conj().T) / 2) <= 1e-7))
+
+
+# -- the cochain form of the operators -----------------------------------------
+
+
+def cochain_weights(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL, decoration=None):
+    """The dimension-i weight diagonal, each weight repeated once per row
+    of the decoration's d x d values."""
+    return np.repeat(weight_vector(K, i, compute_weights(K, scheme)), getattr(decoration, "block_size", 1))
+
+
+def cochain_laplacian(
+    K: SimplicialComplex, i: int, kind: str = "up", scheme: WeightScheme = COMBINATORIAL, decoration=None
+) -> np.ndarray:
+    """The operator on i-cochains: up ``W_i^{-1} D_i^H W_{i+1} D_i``, down
+    ``D_{i-1} W_{i-1}^{-1} D_{i-1}^H W_i``, full their sum (up is zero at
+    the top dimension).  ``laplacian_matrix`` must give its
+    :func:`symmetrized_form`."""
+    w_i = cochain_weights(K, i, scheme, decoration)
+    mat = np.zeros((len(w_i), len(w_i)))
+    if kind != "down" and i < K.top_dim:
+        D = decorated_coboundary(K, i, decoration)
+        mat = mat + (D.conj().T * cochain_weights(K, i + 1, scheme, decoration)) @ D / w_i[:, None]
+    if kind != "up":
+        D = decorated_coboundary(K, i - 1, decoration)
+        mat = mat + (D / cochain_weights(K, i - 1, scheme, decoration)) @ (D.conj().T * w_i)
+    return mat
+
+
+def symmetrized_form(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Similarity transform ``W^{1/2} L W^{-1/2}``: Hermitian positive
+    semidefinite for the cochain operators above, with the same spectrum."""
+    root = np.sqrt(np.asarray(weights, dtype=float))
+    return (matrix * root[:, None]) / root[None, :]
 
 
 def block_laplacians(

@@ -15,11 +15,14 @@ from conftest import REFERENCE_FACETS, REFERENCE_FLIP
 from oracles import (
     block_laplacians,
     coboundary_factorization,
+    cochain_laplacian,
+    cochain_weights,
     cycle,
     explicit_down_laplacian,
     explicit_up_laplacian,
     kronecker_coboundary,
     numeric_kernel_dimension,
+    symmetrized_form,
     transposition,
     voltage_coboundary_matrix,
 )
@@ -51,21 +54,6 @@ from liftlap.reference_fixture import BASE_SPECTRUM, COVER_SPECTRUM, SIGNED_SPEC
 
 TOL = 1e-8
 SCHEMES = (COMBINATORIAL, NORMALIZED)
-
-
-class _nowarn:
-    """Silence the documented degraded-layer warning inside bulk loops."""
-
-    def __enter__(self):
-        import warnings
-
-        self._ctx = warnings.catch_warnings()
-        self._ctx.__enter__()
-        warnings.simplefilter("ignore")
-        return self
-
-    def __exit__(self, *exc):
-        return self._ctx.__exit__(*exc)
 
 
 def _swap_only_voltage(M, flip):
@@ -135,8 +123,7 @@ def test_criterion_2_two_fold_union():
         K = result.complex
         for i in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, i)
-            with _nowarn():
-                signing = two_fold_signing(psi)
+            signing = two_fold_signing(psi)
             for scheme in SCHEMES:
                 lifted = spectrum(laplacian_matrix(K, i, "up", scheme))
                 plain = spectrum(laplacian_matrix(M, i, "up", scheme))
@@ -365,12 +352,17 @@ def test_criterion_8_cross_method_oracles():
             assert np.array_equal(voltage_coboundary_matrix(M, psi, i), kronecker_coboundary(M, psi, i))
         done += 1
 
-    # face-by-face operator assembly vs the matrix product
+    # face-by-face cochain operators vs the cochain matrix products, and
+    # their symmetrized forms vs the assembled Hermitian operators
     for _ in range(20):
         K = random_complex(rng)
         for scheme in SCHEMES:
             for i in range(0, K.top_dim + 1):
-                up = laplacian_matrix(K, i, "up", scheme).matrix
-                assert np.max(np.abs(explicit_up_laplacian(K, i, scheme) - up)) <= 1e-10
-                down = laplacian_matrix(K, i, "down", scheme).matrix
-                assert np.max(np.abs(explicit_down_laplacian(K, i, scheme) - down)) <= 1e-10
+                weights = cochain_weights(K, i, scheme)
+                for kind, explicit in (
+                    ("up", explicit_up_laplacian(K, i, scheme)),
+                    ("down", explicit_down_laplacian(K, i, scheme)),
+                ):
+                    assert np.max(np.abs(cochain_laplacian(K, i, kind, scheme) - explicit)) <= 1e-10
+                    ours = laplacian_matrix(K, i, kind, scheme).matrix
+                    assert np.max(np.abs(symmetrized_form(explicit, weights) - ours)) <= 1e-10

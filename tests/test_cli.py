@@ -28,6 +28,11 @@ def c3_voltage_file(tmp_path):
     return write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [0, 1], "perm": [2, 1]}]})
 
 
+# the hexagon's covering map of the 3-cycle without vertex 3, whose image 0
+# a map may not give as 0.9 or false
+_HEXAGON_MAP = [[v, v % 3] for v in (0, 1, 2, 4, 5)]
+
+
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -131,6 +136,12 @@ class TestVerify:
         assert code == 0
         assert all(v["holds"] for v in report["verdicts"])
         assert any("two-fold spectral union" in v["claim"] for v in report["verdicts"])
+
+    def test_union_on_hexagon_prints_no_note(self, capsys, c3_file, c3_voltage_file):
+        # the empty top layer (1, 2) of the graph has no swapped incidence, yet the lift is connected
+        code, _, err = run(capsys, ["verify", "union", "--base", c3_file, "--voltage", c3_voltage_file])
+        assert code == 0
+        assert "note:" not in err
 
     def test_union_dim_filter(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(
@@ -492,3 +503,28 @@ class TestMalformedInput:
         assert code == 2 and report is None
         key = next(k for k in doc if k != "k")
         assert name in err and f"malformed '{key}' list" in err
+
+    @pytest.mark.parametrize(
+        "name, doc, record, message",
+        [
+            ("phi.json", {"vertex_map": _HEXAGON_MAP + [[3, 0.9]]}, "[3, 0.9]", "vertex 0.9 is not a non-negative integer"),
+            ("phi.json", {"vertex_map": _HEXAGON_MAP + [[3, False]]}, "[3, False]", "vertex False is not"),
+            ("psi.json", {"k": 2, "edges": [{"edge": [0, 1.7], "perm": [2, 1]}]}, "[0, 1.7]", "vertex 1.7 is not"),
+            ("psi.json", {"k": 2, "edges": [{"edge": [0, 1], "perm": ["2", 1.9]}]}, "['2', 1.9]", "image '2' is not"),
+            ("psi.json", {"k": 2, "edges": [{"edge": [0, 1], "perm": [2, 1.9]}]}, "[2, 1.9]", "image 1.9 is not"),
+            ("bad.json", {"facets": [[0, 1], [2, True]]}, "[2, True]", "vertex True is not"),
+        ],
+        ids=["map-float", "map-bool", "edge-float", "perm-string", "perm-float", "facet-bool"],
+    )
+    def test_ids_are_not_coerced(self, capsys, tmp_path, c3_file, name, doc, record, message):
+        path = write(tmp_path, name, doc)
+        if name == "phi.json":
+            hexagon = write(tmp_path, "hexagon.json", {"facets": [[v, (v + 1) % 6] for v in range(6)]})
+            argv = ["cover", "verify", "--cover", hexagon, "--base", c3_file, "--map", path]
+        elif name == "psi.json":
+            argv = ["cover", "build", "--base", c3_file, "--voltage", path]
+        else:
+            argv = ["spectrum", "--complex", path, "--dim", "0"]
+        code, report, err = run(capsys, argv)
+        assert code == 2 and report is None
+        assert name in err and record in err and message in err

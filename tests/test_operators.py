@@ -4,6 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_complex, cycle_laplacian_values
+from oracles import cochain_laplacian, cochain_weights, symmetrized_form
 from randgen import random_complex
 
 from liftlap import (
@@ -23,7 +24,6 @@ from liftlap import (
     laplacian_matrix,
     layer_spectra,
     spectrum,
-    symmetrized_form,
 )
 
 
@@ -156,26 +156,61 @@ class TestLayerSpectra:
                 layer_spectra(triangle, i)
 
 
+def _explicit_scheme(K, rng):
+    return WeightScheme.explicit({f: float(rng.uniform(0.5, 3.0)) for f in K.all_faces()})
+
+
 class TestSymmetrizedForm:
+    """``laplacian_matrix`` is the symmetrized form of the cochain operator."""
+
     def test_identity_weights_are_a_no_op(self, triangle):
         op = laplacian_matrix(triangle, 1, "up")
-        assert np.array_equal(symmetrized_form(op.matrix, op.weights), op.matrix)
+        cochain = cochain_laplacian(triangle, 1, "up")
+        assert np.array_equal(symmetrized_form(cochain, op.weights), cochain)
+        assert np.array_equal(op.matrix, cochain)
 
     def test_normalized_form_is_hermitian(self, triangle):
         op = laplacian_matrix(triangle, 0, "up", NORMALIZED)
-        sym = symmetrized_form(op.matrix, op.weights)
-        assert np.max(np.abs(sym - sym.T)) < 1e-12
+        assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
+        # weights map it back to cochains: L = W^{-1/2} matrix W^{1/2}
+        root = np.sqrt(op.weights)
+        cochain = op.matrix / root[:, None] * root[None, :]
+        assert np.max(np.abs(cochain - cochain_laplacian(triangle, 0, "up", NORMALIZED))) < 1e-12
 
     def test_spectrum_matches_general_eigensolve(self):
         rng = np.random.default_rng(9)
         C3 = cycle_complex(3)
-        faces = list(C3.all_faces())
-        weights = WeightScheme.explicit({f: float(rng.uniform(0.5, 3.0)) for f in faces})
+        weights = _explicit_scheme(C3, rng)
         for i in (0, 1):
-            op = laplacian_matrix(C3, i, "full", weights)
-            ours = spectrum(op).values
-            oracle = sorted(np.linalg.eigvals(op.matrix).real)
+            ours = spectrum(laplacian_matrix(C3, i, "full", weights)).values
+            oracle = sorted(np.linalg.eigvals(cochain_laplacian(C3, i, "full", weights)).real)
             assert np.allclose(ours, oracle, atol=1e-10)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _FACETS,
+        st.booleans(),
+        st.sampled_from(["combinatorial", "normalized", "explicit"]),
+        st.sampled_from(["none", "signing", "character", "matrix"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_operator_is_hermitian_and_the_oracle(self, facets, include_empty, scheme_kind, kind, seed):
+        K = build_complex(facets, include_empty=include_empty)
+        rng = np.random.default_rng(seed)
+        w = _decoration(K, kind, rng)
+        schemes = {"combinatorial": COMBINATORIAL, "normalized": NORMALIZED}
+        scheme = schemes[scheme_kind] if scheme_kind in schemes else _explicit_scheme(K, rng)
+        for i in K.dims():
+            for op_kind in ("up", "down", "full"):
+                if op_kind != "up" and i == K.min_dim:
+                    continue
+                M = laplacian_matrix(K, i, op_kind, scheme, w).matrix
+                scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
+                assert np.max(np.abs(M - M.conj().T), initial=0.0) <= 1e-12 * scale
+                oracle = symmetrized_form(
+                    cochain_laplacian(K, i, op_kind, scheme, w), cochain_weights(K, i, scheme, w)
+                )
+                assert np.max(np.abs(M - oracle), initial=0.0) <= 1e-10 * scale, (i, op_kind)
 
 
 class TestSpectrum:

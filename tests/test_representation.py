@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -142,12 +144,14 @@ class TestTwoFoldSigning:
         ]
         assert all(signing.value(e, t) == 1 for e, t in others)
 
-    def test_all_identity_warns(self):
+    def test_all_identity_does_not_warn(self):
         M = cycle_complex(3)
         table = {((v,), e): (0, 1) for e in M.faces(1) for v in [e[0], e[1]]}
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             signing = two_fold_signing(IncidenceVoltages(2, 0, table))
-        assert signing == IncidenceWeighting()
+            empty_top = two_fold_signing(IncidenceVoltages(2, 1, {}))
+        assert signing == IncidenceWeighting() == empty_top
 
     def test_all_swapped(self):
         M = cycle_complex(3)
@@ -254,8 +258,6 @@ class TestBlockLaplacians:
         assert np.array_equal(blocks[0].matrix, laplacian_matrix(M, 0, "up").matrix)
 
     def test_two_fold_blocks_match_plain_and_signed(self):
-        import warnings as warnmod
-
         rng = np.random.default_rng(44)
         done = 0
         while done < 8:
@@ -267,10 +269,7 @@ class TestBlockLaplacians:
             cov = result.covering
             for i in range(0, M.top_dim + 1):
                 iv = induced_incidence_voltage(cov, i)
-                with warnmod.catch_warnings():
-                    # a layer untouched by the twist legitimately degrades
-                    warnmod.simplefilter("ignore")
-                    signing = two_fold_signing(iv)
+                signing = two_fold_signing(iv)
                 blocks = block_laplacians(M, iv, i)
                 plain = laplacian_matrix(M, i, "up")
                 signed = laplacian_matrix(M, i, "up", decoration=signing)

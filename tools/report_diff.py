@@ -18,12 +18,13 @@ input files and in the same order.  Monkeypatches made inside a test are
 not replayed: each recorded call runs against the unpatched library.
 For each case the script prints what differs: the exit code, the set of
 report keys (list positions collapsed to ``[]``), the verdicts' ``holds``
-flags, exact values (integers, strings, lengths), the bytes of the file
-named by ``--out`` (read right after each tree's run, since both trees
-write it to the same place) and stderr when the exit code is nonzero; and
-in every case the largest difference between corresponding floats, with
-its location.  It exits 1 when an exit code, key set, holds flag, exact
-value or ``--out`` file differs, 0 otherwise.
+flags, exact values (integers, strings, lengths), the files the case
+creates or changes in its folder (read right after the case runs; each
+tree replays from a fresh copy of the inputs, so both start from the same
+files) and stderr when the exit code is nonzero; and in every case the
+largest difference between corresponding floats, with its location.  It
+exits 1 when an exit code, key set, holds flag, exact value or written
+file differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class Outcome:
     code: int
     stdout: str
     stderr: str
-    written: bytes | None  # the --out file after the run; None when absent
+    written: dict  # file name -> bytes, for each file the run created or changed in its folder
 
 
 def bench_cases(workdir: Path, seed: int) -> list[Case]:
@@ -138,6 +139,7 @@ def replay(tree: Path, cases: list[Case]) -> list[Outcome]:
     outcomes = []
     for case in cases:
         out, err = io.StringIO(), io.StringIO()
+        before = _files(case.cwd)
         os.chdir(case.cwd)
         try:
             with redirect_stdout(out), redirect_stderr(err):
@@ -149,16 +151,13 @@ def replay(tree: Path, cases: list[Case]) -> list[Outcome]:
             err.write(f"uncaught {type(exc).__name__}: {exc}\n")
         finally:
             os.chdir(here)
-        outcomes.append(Outcome(code, out.getvalue(), err.getvalue(), _written(case)))
+        written = {name: data for name, data in _files(case.cwd).items() if before.get(name) != data}
+        outcomes.append(Outcome(code, out.getvalue(), err.getvalue(), written))
     return outcomes
 
 
-def _written(case: Case) -> bytes | None:
-    argv = case.argv
-    if "--out" not in argv[:-1]:
-        return None
-    path = case.cwd / argv[argv.index("--out") + 1]
-    return path.read_bytes() if path.is_file() else None
+def _files(folder: Path) -> dict:
+    return {str(p.relative_to(folder)): p.read_bytes() for p in folder.rglob("*") if p.is_file()}
 
 
 def _key_paths(obj, prefix="") -> set:
@@ -201,9 +200,10 @@ def compare(parent: Outcome, change: Outcome) -> tuple[list[str], list[str], lis
     fails, notes, floats = [], [], [0.0, None]
     if parent.code != change.code:
         fails.append(f"exit {parent.code} -> {change.code}")
-    if parent.written != change.written:
-        sizes = [None if w is None else len(w) for w in (parent.written, change.written)]
-        fails.append(f"--out file differs ({sizes[0]} -> {sizes[1]} bytes)")
+    for name in sorted(parent.written.keys() | change.written.keys()):
+        if parent.written.get(name) != change.written.get(name):
+            sizes = [len(w[name]) if name in w else None for w in (parent.written, change.written)]
+            fails.append(f"written file {name} differs ({sizes[0]} -> {sizes[1]} bytes)")
     if (parent.code or change.code) and parent.stderr != change.stderr:
         notes.append(f"stderr {parent.stderr.strip()!r} -> {change.stderr.strip()!r}")
     reports = [json.loads(o.stdout) if o.stdout.strip() else None for o in (parent, change)]
@@ -234,9 +234,15 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True
     parent, change = args.parent.resolve(), args.change.resolve()
     with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
-        work = Path(tmp)
+        work, inputs = Path(tmp) / "cases", Path(tmp) / "inputs"
         cases = cli_test_cases(change, work / "cli") + bench_cases(work / "bench", args.seed)
-        outcomes = {tree: replay(tree, cases) for tree in (parent, change)}
+        shutil.copytree(work, inputs)
+        outcomes = {}
+        for tree in (parent, change):
+            # each tree starts from the inputs alone, not from the files the other wrote
+            shutil.rmtree(work)
+            shutil.copytree(inputs, work)
+            outcomes[tree] = replay(tree, cases)
     failed = 0
     worst = [0.0, None]
     for case, p_out, c_out in zip(cases, outcomes[parent], outcomes[change]):
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
             print(f"    {line}")
         if floats[1] is not None and floats[0] >= worst[0]:
             worst = [floats[0], case.label]
-    print(f"{len(cases)} cases, {failed} with a changed exit code, key set, holds flag, exact value or --out file; "
+    print(f"{len(cases)} cases, {failed} with a changed exit code, key set, holds flag, exact value or written file; "
           f"largest float difference {worst[0]:.3g}" + (f" ({worst[1]})" if worst[1] else ""))
     return 1 if failed else 0
 
