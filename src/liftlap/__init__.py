@@ -17,7 +17,7 @@ from .complexes import (
     as_face,
     boundary_faces,
     build_complex,
-    coboundary_matrix,
+    coboundary,
     compute_weights,
     connected_components,
     face_coboundary,

@@ -216,34 +216,36 @@ def boundary_faces(f) -> list[tuple[Face, int]]:
     return [(f[:j] + f[j + 1 :], (-1) ** j) for j in range(len(f))]
 
 
-def face_coboundary(rows, cols) -> np.ndarray:
-    """Integer coboundary matrix between two lists of faces.
+def face_coboundary(rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of the integer coboundary between two lists of faces.
 
     ``rows`` holds (i+1)-faces and ``cols`` i-faces, each face an
     increasing vertex tuple, and every boundary face of a row must be in
-    ``cols``.  Entry (r, c) is ``(-1)**j`` when ``cols[c]`` is ``rows[r]``
-    without its j-th vertex, and 0 otherwise.  Every coboundary in the
-    package, plain, decorated or lifted, takes its signs from here.
+    ``cols``.  Returns ``(row, col, sign)`` int64 arrays, i+2 entries per
+    row in row order, each row's boundary faces in lexicographic order:
+    the matrix entry (r, c) is ``(-1)**j`` when ``cols[c]`` is
+    ``rows[r]`` without its j-th vertex, and 0 where no triplet names it.
+    Every coboundary in the package, plain, decorated or lifted, takes
+    its signs from here.
     """
     col_index = {f: c for c, f in enumerate(cols)}
-    D = np.zeros((len(rows), len(cols)), dtype=np.int64)
-    for r, fbar in enumerate(rows):
-        for j in range(len(fbar)):
-            D[r, col_index[fbar[:j] + fbar[j + 1 :]]] = (-1) ** j
-    return D
+    width = len(rows[0]) if len(rows) else 0
+    # the k-th (i+1)-subset in lexicographic order omits vertex width-1-k
+    col = [col_index[sub] for f in rows for sub in combinations(f, width - 1)]
+    row = np.arange(len(rows), dtype=np.int64).repeat(width)
+    sign = np.array(([1, -1] * width)[width - 1 :: -1] * len(rows), dtype=np.int64)
+    return row, np.array(col, dtype=np.int64), sign
 
 
-def coboundary_matrix(K: SimplicialComplex, i: int) -> np.ndarray:
-    """Integer matrix of the degree-i coboundary map.
+def coboundary(K: SimplicialComplex, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros ``(row, col, sign)`` of the degree-i coboundary of ``K``.
 
     Rows are indexed by the (i+1)-faces, columns by the i-faces, both in
-    their canonical orders.  Entry (row F-bar, col F) is the orientation
-    sign of F inside the boundary of F-bar, or 0 when F is not a
-    boundary face.  For ``i == top_dim`` the matrix has zero rows.
+    their canonical orders; see :func:`face_coboundary`.  Valid degrees
+    are ``min_dim <= i <= top_dim``; at ``top_dim`` there are no rows.
     """
-    lo = K.min_dim
-    if not (lo <= i <= K.top_dim):
-        raise DimensionError(f"coboundary dimension {i} outside [{lo}, {K.top_dim}]")
+    if not K.min_dim <= i <= K.top_dim:
+        raise DimensionError(f"coboundary dimension {i} outside [{K.min_dim}, {K.top_dim}]")
     return face_coboundary(K.faces(i + 1), K.faces(i))
 
 
@@ -325,7 +327,7 @@ def relative_orientation_sign(f, image_vertex_order) -> int:
     even permutation of its sorted order, -1 otherwise.
     """
     f = as_face(f)
-    image = [int(v) for v in image_vertex_order]
+    image = [v if type(v) is int else _index(v, "image vertex") for v in image_vertex_order]
     if len(image) != len(f):
         raise MalformedInputError("image sequence length does not match the face")
     if len(set(image)) != len(image):

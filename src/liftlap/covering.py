@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from . import perms
-from .complexes import Face, SimplicialComplex, boundary_faces, build_complex
+from .complexes import Face, SimplicialComplex, _index, boundary_faces, build_complex
 from .errors import (
     CocycleError,
     CoveringViolation,
@@ -149,7 +149,7 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
       point,
     * ``fiber-size`` - fibers are not all of one constant size.
     """
-    vertex_map = {int(a): int(b) for a, b in dict(vertex_map).items()}
+    vertex_map = {_index(a, "vertex"): _index(b, "vertex image") for a, b in dict(vertex_map).items()}
     missing = [v for v in cover.vertices if v not in vertex_map]
     if missing:
         raise CoveringViolation("unmapped-vertex", f"vertex {missing[0]} has no image", missing[0])

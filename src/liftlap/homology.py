@@ -7,10 +7,12 @@ rationals of the integer coboundaries, whatever the weight scheme; the
 eigensolve is kept only to produce harmonic bases, and runs only where
 the Betti number is nonzero.  The exact rank is sparse row elimination
 over the integers with gcd normalisation, pivoting on each row's lowest
-column as in the column reduction of persistent homology; each coboundary
-is ranked once.  Entries can grow during elimination of dense inputs;
-coboundaries, with entries +-1 and i+2 nonzeros per row, do not trigger
-this in practice (pivot entries stay +-1 on the torus covers benchmarked).
+column as in the column reduction of persistent homology; it reads the
+nonzeros of each coboundary from :func:`~liftlap.complexes.coboundary`,
+so no dense matrix is built, and each coboundary is ranked once.
+Entries can grow during elimination of dense inputs; coboundaries, with
+entries +-1 and i+2 nonzeros per row, do not trigger this in practice
+(pivot entries stay +-1 on the torus covers benchmarked).
 
 Harmonic cochains of the base lift to harmonic cochains of a covering
 complex by composing with the projection and correcting each value by
@@ -30,7 +32,7 @@ from .complexes import (
     EXPLICIT_KIND,
     SimplicialComplex,
     WeightScheme,
-    coboundary_matrix,
+    coboundary,
     relative_orientation_sign,
 )
 from .covering import CoveringMap
@@ -38,30 +40,38 @@ from .errors import LiftlapError, WeightError
 from .operators import FULL, UP, laplacian_matrix
 
 
-def integer_rank(matrix) -> int:
+def integer_rank(triplets) -> int:
     """Exact rank over the rationals of an integer matrix, by sparse elimination.
 
-    Each row is a ``{column: value}`` dict of its nonzero entries.  Rows
-    are reduced in order against the pivot owning their lowest column,
-    ``row <- (p[c]/g) row - (row[c]/g) p`` with ``g = gcd(p[c], row[c])``,
-    and divided by the gcd of their entries; a row whose lowest column
-    has no pivot yet becomes that column's pivot.  The rank is the
-    number of pivots.  All arithmetic is in Python ints, so the result
-    is exact and independent of the floating eigensolver path.
+    The matrix is given by its nonzeros ``(rows, cols, values)``, three
+    1-d integer arrays of one length naming each (row, column) pair at
+    most once, as :func:`~liftlap.complexes.coboundary` returns
+    them; a zero value is no entry.  Each row is a ``{column: value}``
+    dict.  Rows are reduced in order against the pivot owning their
+    lowest column, ``row <- (p[c]/g) row - (row[c]/g) p`` with
+    ``g = gcd(p[c], row[c])``, and divided by the gcd of their entries;
+    a row whose lowest column has no pivot yet becomes that column's
+    pivot.  The rank is the number of pivots.  All arithmetic is in
+    Python ints, so the result is exact and independent of the floating
+    eigensolver path.
 
     Entries may still grow on dense inputs, where fill-in compounds the
     multipliers; coboundaries (entries +-1, i+2 nonzeros per row) do not
-    trigger this.  Anything but a 2-d integer array raises
-    :class:`LiftlapError`.
+    trigger this.  Any other input raises :class:`LiftlapError`.
     """
-    a = np.asarray(matrix)
-    if a.ndim != 2 or a.dtype.kind not in "iu":
-        raise LiftlapError(f"integer_rank needs a 2-d integer array, got {a.dtype} of shape {a.shape}")
-    nz_rows, nz_cols = np.nonzero(a)
-    values = a[nz_rows, nz_cols].tolist()
+    if not isinstance(triplets, (tuple, list)) or len(triplets) != 3:
+        raise LiftlapError("integer_rank needs the nonzeros (rows, cols, values) of a matrix")
+    at_row, at_col, values = arrays = tuple(map(np.asarray, triplets))
+    one_length = at_row.shape == at_col.shape == values.shape == (values.size,)
+    if not one_length or {a.dtype.kind for a in arrays} - {"i", "u"}:
+        got = ", ".join(f"{a.dtype} of shape {a.shape}" for a in arrays)
+        raise LiftlapError(f"integer_rank needs three 1-d integer arrays of one length, got {got}")
     rows: dict[int, dict[int, int]] = {}
-    for r, c, v in zip(nz_rows.tolist(), nz_cols.tolist(), values):
-        rows.setdefault(r, {})[c] = v
+    for r, c, v in zip(at_row.tolist(), at_col.tolist(), values.tolist()):
+        if v:
+            rows.setdefault(r, {})[c] = v
+    if sum(map(len, rows.values())) != np.count_nonzero(values):
+        raise LiftlapError("integer_rank was given one (row, column) pair twice")
     pivots: dict[int, dict[int, int]] = {}
     for row in rows.values():
         while row:
@@ -103,7 +113,7 @@ def exact_betti_numbers(K: SimplicialComplex) -> dict:
     Each coboundary d_j is built and ranked once, though it bounds both
     degree j (up) and degree j + 1 (down).
     """
-    ranks = {j: integer_rank(coboundary_matrix(K, j)) for j in range(K.min_dim, K.top_dim)}
+    ranks = {j: integer_rank(coboundary(K, j)) for j in range(K.min_dim, K.top_dim)}
     return {i: K.face_count(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) for i in K.dims()}
 
 

@@ -12,12 +12,13 @@ D_{i-1}^H W_i`` (down), so the spectrum is the same.
 An incidence weighting decorates the coboundary: each nonzero, the sign
 of an incidence, is multiplied by the incidence's value, a nonzero
 scalar or a d x d matrix (every value of one weighting has the same d).
-With matrix values each face becomes d rows and columns and each face
-weight is repeated d times, so one assembly serves every case: the
-plain operator, a signing (values -1), a complex character weighting,
-a block of a lifted operator (values rho_j(psi)), and the lifted
-coboundary itself (values the permutation matrices P(psi)).  The
-adjoint uses the conjugate transpose.
+With matrix values each face becomes d rows and columns, each nonzero
+the d² entries of its block, and each face weight is repeated d times,
+so one assembly serves every case: the plain operator, a signing
+(values -1), a complex character weighting, a block of a lifted
+operator (values rho_j(psi)), and the lifted coboundary itself (values
+the permutation matrices P(psi)).  The adjoint uses the conjugate
+transpose.
 
 One incidence layer serves two operators: the spectra of ``A_i^H A_i``
 and ``A_i A_i^H``, the i-up and (i+1)-down operators, agree except for
@@ -29,8 +30,12 @@ they compare from it; ``liftlap spectrum`` eigensolves the assembled
 operator, so its ``clamped`` count reports the operator's own kernel
 noise.
 
-Everything is dense: the package targets desk-scale complexes where
-dense eigensolves are simpler and exactly testable.
+Incidence layers are stored as their nonzeros, (row, col, value)
+triplets: a plain coboundary row has i+2 of them, a decorated one
+(i+2)·d.  Only the eigensolve is dense: each entry of a Gram product is
+summed over the cofacets (up) or faces (down) its two faces share,
+straight into a dense array.  The package targets desk-scale complexes,
+where dense eigensolves are simpler and exactly testable.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from .complexes import (
     Face,
     SimplicialComplex,
     WeightScheme,
-    coboundary_matrix,
+    coboundary,
     compute_weights,
     weight_vector,
 )
@@ -108,32 +113,32 @@ class IncidenceWeighting:
         )
 
 
-def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.ndarray:
-    """Coboundary matrix with each nonzero scaled by its incidence weight.
+def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
+    """Nonzeros ``(row, col, value)`` of the degree-i coboundary, each
+    scaled by its incidence weight.
 
-    With d x d weights the nonzero of incidence (F, Fbar) becomes the
-    block ``sign * value(F, Fbar)``: row ``r`` and column ``c`` of the
-    plain coboundary become rows ``r*d .. r*d+d-1`` and columns
-    ``c*d .. c*d+d-1``.
+    Without a decoration these are the triplets of
+    :func:`~liftlap.complexes.coboundary`.  With d x d weights the
+    nonzero at (r, c) of incidence (F, Fbar) becomes the d² entries of
+    the block ``sign * value(F, Fbar)``, zeros included, at rows
+    ``r*d .. r*d+d-1`` and columns ``c*d .. c*d+d-1``.
     """
-    D = coboundary_matrix(K, i)
+    rows, cols, signs = coboundary(K, i)
     if decoration is None:
-        return D
+        return rows, cols, signs
     if not isinstance(decoration, IncidenceWeighting):
         raise TypeError(f"unsupported decoration {decoration!r}")
-    d = decoration.block_size
-    rows, cols = np.nonzero(D)
     cofacets, faces = K.faces(i + 1), K.faces(i)
+    d = decoration.block_size
     values = np.array(
         [decoration.value(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())],
         dtype=decoration.dtype,
     ).reshape(-1, d, d)
-    out = np.zeros((D.shape[0] * d, D.shape[1] * d), dtype=decoration.dtype)
+    values = signs[:, None, None] * values
     within = np.arange(d)
-    out[(rows * d)[:, None, None] + within[:, None], (cols * d)[:, None, None] + within] = (
-        D[rows, cols][:, None, None] * values
-    )
-    return out
+    rows = np.broadcast_to((rows * d)[:, None, None] + within[:, None], values.shape)
+    cols = np.broadcast_to((cols * d)[:, None, None] + within, values.shape)
+    return rows.ravel(), cols.ravel(), values.ravel()
 
 
 @dataclass
@@ -186,13 +191,11 @@ def laplacian_matrix(
     if kind != DOWN:
         if not K.min_dim <= i <= K.top_dim:
             raise DimensionError(f"up operator needs {K.min_dim} <= i <= {K.top_dim}, got {i}")
-        A = _weighted_coboundary(K, i, w, decoration)
-        mat = A.conj().T @ A
+        mat = _gram(_weighted_coboundary(K, i, w, decoration), UP)
     if kind != UP:
         if not K.min_dim + 1 <= i <= K.top_dim:
             raise DimensionError(f"down operator needs {K.min_dim + 1} <= i <= {K.top_dim}, got {i}")
-        A = _weighted_coboundary(K, i - 1, w, decoration)
-        mat = mat + A @ A.conj().T
+        mat = mat + _gram(_weighted_coboundary(K, i - 1, w, decoration), DOWN)
     return OperatorMatrix(mat, _weights(K, i, w, decoration))
 
 
@@ -202,12 +205,49 @@ def _weights(K: SimplicialComplex, j: int, w, decoration) -> np.ndarray:
     return np.repeat(weight_vector(K, j, w), getattr(decoration, "block_size", 1))
 
 
-def _weighted_coboundary(K: SimplicialComplex, i: int, w, decoration) -> np.ndarray:
-    """``A = W_{i+1}^{1/2} D_i W_i^{-1/2}`` for the decorated degree-i
-    coboundary ``D_i`` and the face weights ``w`` (all positive)."""
-    roots_hi = np.sqrt(_weights(K, i + 1, w, decoration))
-    roots_lo = np.sqrt(_weights(K, i, w, decoration))
-    return decorated_coboundary(K, i, decoration) * (roots_hi[:, None] / roots_lo)
+def _weighted_coboundary(K: SimplicialComplex, i: int, w, decoration):
+    """Nonzeros ``(row, col, value)`` of ``A = W_{i+1}^{1/2} D_i W_i^{-1/2}``
+    for the decorated degree-i coboundary ``D_i`` and the face weights
+    ``w`` (all positive), followed by the shape of ``A``."""
+    hi, lo = _weights(K, i + 1, w, decoration), _weights(K, i, w, decoration)
+    rows, cols, values = decorated_coboundary(K, i, decoration)
+    return rows, cols, values * np.sqrt(hi[rows] / lo[cols]), (len(hi), len(lo))
+
+
+def _gram(layer, kind: str) -> np.ndarray:
+    """``A^H A`` (``kind`` UP) or ``A A^H`` (DOWN) as a dense array, from
+    the nonzeros of ``A`` that :func:`_weighted_coboundary` returns.
+
+    Entry (a, b) is the sum of ``conj(u) * v`` over the pairs of nonzeros
+    u at a and v at b that share a row (up) or a column (down; there the
+    values enter conjugated).  The nonzeros are grouped by the shared
+    index and each is paired with every member of its group, so a group
+    of size s costs s² products, all formed at once and summed by
+    ``np.bincount``, real and imaginary parts apart.  Entries (a, b) and
+    (b, a) sum mirrored products in the same group order, so the result
+    is exactly Hermitian.
+    """
+    rows, cols, values, (n_hi, n_lo) = layer
+    if kind == UP:
+        groups, index, n = rows, cols, n_lo
+    else:
+        groups, index, values, n = cols, rows, values.conj(), n_hi
+    order = np.argsort(groups, kind="stable")
+    groups, index, values = groups[order], index[order], values[order]
+    counts = np.bincount(groups)
+    size = counts[groups]
+    # nonzero k is repeated size[k] times as the first of a pair; the
+    # second runs over its group, which starts at first[k]
+    first = (np.cumsum(counts) - counts)[groups]
+    a = np.repeat(np.arange(len(index)), size)
+    b = np.arange(len(a)) + np.repeat(first - (np.cumsum(size) - size), size)
+    pairs = index[a] * n + index[b]
+    u, v = values[a], values[b]
+    if not np.iscomplexobj(u):
+        return np.bincount(pairs, u * v, n * n).reshape(n, n)
+    gram = np.bincount(pairs, u.real * v.real + u.imag * v.imag, n * n).astype(complex)
+    gram.imag = np.bincount(pairs, u.real * v.imag - u.imag * v.real, n * n)
+    return gram.reshape(n, n)
 
 
 def layer_spectra(
@@ -228,14 +268,12 @@ def layer_spectra(
     """
     if not K.min_dim <= i <= K.top_dim:
         raise DimensionError(f"incidence layer needs {K.min_dim} <= i <= {K.top_dim}, got {i}")
-    A = _weighted_coboundary(K, i, compute_weights(K, scheme), decoration)
-    n_hi, n_lo = A.shape
-    if n_lo <= n_hi:
-        solved = spectrum(OperatorMatrix(A.conj().T @ A, np.ones(n_lo)))
-    else:
-        solved = spectrum(OperatorMatrix(A @ A.conj().T, np.ones(n_hi)))
+    layer = _weighted_coboundary(K, i, compute_weights(K, scheme), decoration)
+    n_hi, n_lo = layer[3]
+    up = n_lo <= n_hi
+    solved = spectrum(OperatorMatrix(_gram(layer, UP if up else DOWN), np.ones(min(n_hi, n_lo))))
     padded = SpectrumMultiset(solved.values + (0.0,) * abs(n_hi - n_lo), solved.clamped)
-    return (solved, padded) if n_lo <= n_hi else (padded, solved)
+    return (solved, padded) if up else (padded, solved)
 
 
 def spectrum(op: OperatorMatrix) -> "SpectrumMultiset":
@@ -244,15 +282,15 @@ def spectrum(op: OperatorMatrix) -> "SpectrumMultiset":
     Eigenvalues with ``|v| <= 1e-9`` (relative) are the kernel up to
     eigensolver noise: they are set to exactly 0, and ``clamped`` counts
     those that were not 0 already.  Anything below ``-1e-9`` means the
-    operator was not positive semidefinite and raises.
+    operator was not positive semidefinite and raises.  ``eigvalsh``
+    reads one triangle of ``op.matrix``, which this module assembles
+    exactly Hermitian; a matrix built elsewhere should be as well.
     """
     if op.size == 0:
         return SpectrumMultiset()
-    # a complex Gram product is Hermitian only up to rounding
-    sym = (op.matrix + op.matrix.conj().T) / 2
-    scale = max(1.0, float(np.max(np.abs(sym))))
+    scale = max(1.0, float(np.max(np.abs(op.matrix))))
     try:
-        vals = np.linalg.eigvalsh(sym)
+        vals = np.linalg.eigvalsh(op.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     if np.any(vals < -1e-9 * scale):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .complexes import _index
 from .errors import VoltageError
 
 Perm = tuple
@@ -18,7 +19,7 @@ def identity(k: int) -> Perm:
 
 
 def check_perm(p, k: int) -> Perm:
-    p = tuple(int(x) for x in p)
+    p = tuple(x if type(x) is int else _index(x, "perm image") for x in p)
     if len(p) != k or sorted(p) != list(range(k)):
         raise VoltageError(f"{p!r} is not a permutation of 0..{k - 1}")
     return p
@@ -43,7 +44,3 @@ def permutation_matrix(p: Perm) -> np.ndarray:
     for j in range(k):
         mat[p[j], j] = 1
     return mat
-
-
-def to_one_based(p: Perm) -> list:
-    return [x + 1 for x in p]

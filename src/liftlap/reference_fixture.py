@@ -80,9 +80,11 @@ def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
             edges = sorted(used + list(free))
             if len(connected_components(verts, edges)) != 1:
                 continue
-            D = face_coboundary(tris, edges)
-            if 12 - 5 - integer_rank(D) != 1:
+            nonzeros = face_coboundary(tris, edges)
+            if 12 - 5 - integer_rank(nonzeros) != 1:
                 continue
+            D = np.zeros((6, 12))
+            D[nonzeros[:2]] = nonzeros[2]
             eigs = SpectrumMultiset(np.linalg.eigvalsh(D.T @ D))
             if compare_spectra(eigs, BASE_SPECTRUM, tol=tol).holds:
                 found.append(build_complex(list(tris) + list(free)))

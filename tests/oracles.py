@@ -18,7 +18,7 @@ from liftlap import (
     WeightScheme,
     block_weightings,
     boundary_faces,
-    coboundary_matrix,
+    coboundary,
     compute_weights,
     decompose_representation,
     decorated_coboundary,
@@ -40,6 +40,34 @@ def transposition(k: int, a: int, b: int) -> Perm:
     im = list(range(k))
     im[a], im[b] = im[b], im[a]
     return tuple(im)
+
+
+def to_one_based(p: Perm) -> list:
+    """A permutation as the 1-based image list of the voltage files."""
+    return [x + 1 for x in p]
+
+
+def nonzeros(matrix) -> tuple:
+    """The ``(rows, cols, values)`` of a 2-d array's nonzeros, the input
+    form of ``integer_rank``."""
+    a = np.asarray(matrix)
+    rows, cols = np.nonzero(a)
+    return rows, cols, a[rows, cols]
+
+
+def dense_matrix(triplets, shape) -> np.ndarray:
+    """The ``shape`` array with the values of ``(rows, cols, values)``
+    at their positions and zeros elsewhere."""
+    rows, cols, values = triplets
+    out = np.zeros(shape, values.dtype)
+    out[rows, cols] = values
+    return out
+
+
+def coboundary_matrix(K: SimplicialComplex, i: int) -> np.ndarray:
+    """The degree-i coboundary of ``K`` as a dense integer matrix, rows
+    the (i+1)-faces and columns the i-faces in their canonical orders."""
+    return dense_matrix(coboundary(K, i), (K.face_count(i + 1), K.face_count(i)))
 
 
 def bareiss_rank(matrix) -> int:
@@ -88,6 +116,23 @@ def cochain_weights(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINA
     return np.repeat(weight_vector(K, i, compute_weights(K, scheme)), getattr(decoration, "block_size", 1))
 
 
+def dense_decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.ndarray:
+    """The decorated coboundary as a dense matrix, placed block by block
+    from ``coboundary_matrix``: nonzero (r, c) becomes ``sign * value``
+    at rows ``r*d ..`` and columns ``c*d ..``.  The densified
+    ``decorated_coboundary`` must equal it."""
+    D = coboundary_matrix(K, i)
+    if decoration is None:
+        return D
+    d = decoration.block_size
+    out = np.zeros((D.shape[0] * d, D.shape[1] * d), decoration.dtype)
+    cofacets, faces = K.faces(i + 1), K.faces(i)
+    for r, c in zip(*np.nonzero(D)):
+        block = np.reshape(decoration.value(faces[c], cofacets[r]), (d, d))
+        out[r * d : (r + 1) * d, c * d : (c + 1) * d] = D[r, c] * block
+    return out
+
+
 def cochain_laplacian(
     K: SimplicialComplex, i: int, kind: str = "up", scheme: WeightScheme = COMBINATORIAL, decoration=None
 ) -> np.ndarray:
@@ -98,11 +143,35 @@ def cochain_laplacian(
     w_i = cochain_weights(K, i, scheme, decoration)
     mat = np.zeros((len(w_i), len(w_i)))
     if kind != "down" and i < K.top_dim:
-        D = decorated_coboundary(K, i, decoration)
+        D = dense_decorated_coboundary(K, i, decoration)
         mat = mat + (D.conj().T * cochain_weights(K, i + 1, scheme, decoration)) @ D / w_i[:, None]
     if kind != "up":
-        D = decorated_coboundary(K, i - 1, decoration)
+        D = dense_decorated_coboundary(K, i - 1, decoration)
         mat = mat + (D / cochain_weights(K, i - 1, scheme, decoration)) @ (D.conj().T * w_i)
+    return mat
+
+
+def dense_laplacian(
+    K: SimplicialComplex, i: int, kind: str = "up", scheme: WeightScheme = COMBINATORIAL, decoration=None
+) -> np.ndarray:
+    """``A_i^H A_i`` (up), ``A_{i-1} A_{i-1}^H`` (down) or their sum as
+    dense matrix products, with ``A_j = W_{j+1}^{1/2} D_j W_j^{-1/2}`` from
+    :func:`dense_decorated_coboundary`: the dense reference that
+    ``laplacian_matrix`` must match to rounding."""
+
+    def weighted(j):
+        D = dense_decorated_coboundary(K, j, decoration)
+        hi, lo = cochain_weights(K, j + 1, scheme, decoration), cochain_weights(K, j, scheme, decoration)
+        return D * (np.sqrt(hi)[:, None] / np.sqrt(lo))
+
+    n = len(cochain_weights(K, i, scheme, decoration))
+    mat = np.zeros((n, n))
+    if kind != "down":
+        A = weighted(i)
+        mat = mat + A.conj().T @ A
+    if kind != "up":
+        A = weighted(i - 1)
+        mat = mat + A @ A.conj().T
     return mat
 
 
@@ -353,7 +422,8 @@ def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: i
         # a layer without incidences has no voltage to read k from
         return np.zeros((M.face_count(i + 1) * psi.k, M.face_count(i) * psi.k), dtype=np.int64)
     P = {pair: permutation_matrix(p) for pair, p in psi.perms.items()}
-    return decorated_coboundary(M, i, IncidenceWeighting(P)).astype(np.int64)
+    shape = (M.face_count(i + 1) * psi.k, M.face_count(i) * psi.k)
+    return dense_matrix(decorated_coboundary(M, i, IncidenceWeighting(P)), shape).astype(np.int64)
 
 
 def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:

@@ -15,12 +15,14 @@ from conftest import REFERENCE_FACETS, REFERENCE_FLIP
 from oracles import (
     block_laplacians,
     coboundary_factorization,
+    coboundary_matrix,
     cochain_laplacian,
     cochain_weights,
     cycle,
     explicit_down_laplacian,
     explicit_up_laplacian,
     kronecker_coboundary,
+    nonzeros,
     numeric_kernel_dimension,
     symmetrized_form,
     transposition,
@@ -36,7 +38,6 @@ from liftlap import (
     abelian_weightings,
     betti_numbers,
     build_complex,
-    coboundary_matrix,
     compare_spectra,
     decompose_representation,
     derived_complex,
@@ -333,8 +334,8 @@ def test_criterion_8_cross_method_oracles():
         K = random_complex(rng)
         report = betti_numbers(K)
         for i in K.dims():
-            up_rank = integer_rank(coboundary_matrix(K, i)) if i < K.top_dim else 0
-            down_rank = integer_rank(coboundary_matrix(K, i - 1)) if i > K.min_dim else 0
+            up_rank = integer_rank(nonzeros(coboundary_matrix(K, i))) if i < K.top_dim else 0
+            down_rank = integer_rank(nonzeros(coboundary_matrix(K, i - 1))) if i > K.min_dim else 0
             assert report.betti[i] == K.face_count(i) - up_rank - down_rank
             for scheme in SCHEMES:
                 assert numeric_kernel_dimension(K, i, scheme) == report.betti[i]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import liftlap
 from liftlap.cli import main
 
 from conftest import REFERENCE_FACETS
@@ -38,6 +43,22 @@ def run(capsys, argv):
     captured = capsys.readouterr()
     report = json.loads(captured.out) if captured.out.strip() else None
     return code, report, captured.err
+
+
+def test_verdicts_import_numpy_only(c3_file, c3_voltage_file):
+    # numpy is the one declared dependency, so a verdict run in a fresh
+    # interpreter must not pull in scipy even where it is installed
+    argv = ["verify", "union", "--base", c3_file, "--voltage", c3_voltage_file]
+    script = (
+        "import sys\n"
+        "from liftlap.cli import main\n"
+        f"code = main({argv!r})\n"
+        "sys.exit('scipy was imported' if 'scipy' in sys.modules else code)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(liftlap.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert all(v["holds"] for v in json.loads(done.stdout)["verdicts"])
 
 
 class TestSpectrum:
@@ -197,17 +218,19 @@ class TestVerify:
 
         ranked = []
 
-        def counting_rank(matrix):
-            ranked.append(matrix.shape)
-            return integer_rank(matrix)
+        def counting_rank(triplets):
+            rows, cols, _ = triplets
+            ranked.append((len(set(rows.tolist())), len(set(cols.tolist())), len(rows)))
+            return integer_rank(triplets)
 
         monkeypatch.setattr("liftlap.homology.integer_rank", counting_rank)
         code, report, _ = run(
             capsys, ["verify", "betti", "--base", c3_file, "--voltage", c3_voltage_file]
         )
         assert code == 0 and sorted(report["results"]) == ["combinatorial", "normalized"]
-        # d_-1 and d_0 of the triangle, then of the hexagon
-        assert ranked == [(3, 1), (3, 3), (6, 1), (6, 6)]
+        # d_-1 (3 x 1) and d_0 (3 x 3) of the triangle, then of the
+        # hexagon (6 x 1 and 6 x 6): rows, columns and nonzeros
+        assert ranked == [(3, 1, 3), (3, 3, 6), (6, 1, 6), (6, 6, 12)]
 
     @pytest.mark.parametrize("claim, lowest", [("union", 0), ("inclusion", 0), ("abelian", 0), ("betti", -1)])
     def test_dim_outside_the_base_exits_3(self, capsys, c3_file, c3_voltage_file, claim, lowest):

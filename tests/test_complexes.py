@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import coboundary_matrix, dense_matrix
 from randgen import random_complex
 
 from liftlap import (
@@ -17,7 +18,7 @@ from liftlap import (
     boundary_faces,
     as_face,
     build_complex,
-    coboundary_matrix,
+    coboundary,
     compute_weights,
     face_coboundary,
     relative_orientation_sign,
@@ -142,12 +143,12 @@ class TestCoboundaryMatrix:
 
     def test_out_of_range(self, triangle):
         with pytest.raises(DimensionError):
-            coboundary_matrix(triangle, 3)
+            coboundary(triangle, 3)
         with pytest.raises(DimensionError):
-            coboundary_matrix(triangle, -2)
+            coboundary(triangle, -2)
         K = build_complex([{0, 1}], include_empty=False)
         with pytest.raises(DimensionError):
-            coboundary_matrix(K, -1)
+            coboundary(K, -1)
 
     def test_composition_vanishes_exactly(self):
         rng = np.random.default_rng(11)
@@ -176,11 +177,17 @@ class TestCoboundaryMatrix:
         for _ in range(10):
             K = random_complex(rng)
             for i in range(K.min_dim, K.top_dim):
-                D = face_coboundary(K.faces(i + 1), K.faces(i))
-                assert np.array_equal(D, coboundary_matrix(K, i))
-                for r, fbar in enumerate(K.faces(i + 1)):
-                    for f, sgn in boundary_faces(fbar):
-                        assert D[r, K.index(f)] == sgn
+                triplets = face_coboundary(K.faces(i + 1), K.faces(i))
+                assert all(a.dtype == np.int64 for a in triplets)
+                D = coboundary_matrix(K, i)
+                assert np.array_equal(dense_matrix(triplets, D.shape), D)
+                # row by row in row order, each row's boundary faces sorted
+                expected = [
+                    (r, K.index(f), sgn)
+                    for r, fbar in enumerate(K.faces(i + 1))
+                    for f, sgn in sorted(boundary_faces(fbar))
+                ]
+                assert list(zip(*(a.tolist() for a in triplets))) == expected
 
 
 class TestWeights:
@@ -247,3 +254,9 @@ class TestRelativeOrientationSign:
     def test_length_mismatch_rejected(self):
         with pytest.raises(MalformedInputError):
             relative_orientation_sign((0, 1, 2), (3, 4))
+
+    @pytest.mark.parametrize("image", [0.9, True])
+    def test_images_are_not_coerced(self, image):
+        with pytest.raises(MalformedInputError, match="not a non-negative integer"):
+            relative_orientation_sign((0, 1), (image, 3))
+        assert relative_orientation_sign((0, 1), np.array([9, 4])) == -1

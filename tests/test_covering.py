@@ -5,6 +5,7 @@ from conftest import REFERENCE_FACETS, cycle_complex, scrambled_covering
 from oracles import (
     Graph,
     as_graph_voltages,
+    coboundary_matrix,
     coboundary_factorization,
     derived_graph,
     incidence_graph,
@@ -17,15 +18,16 @@ from liftlap import (
     CocycleError,
     CoveringViolation,
     IncidenceWeighting,
+    MalformedInputError,
+    VoltageError,
     build_complex,
-    coboundary_matrix,
     derived_complex,
     edge_voltages,
     induced_incidence_voltage,
     laplacian_matrix,
     verify_covering,
 )
-from liftlap.perms import identity, permutation_matrix
+from liftlap.perms import check_perm, identity, permutation_matrix
 
 
 class TestIncidenceGraph:
@@ -117,6 +119,23 @@ class TestVerifyCovering:
         with pytest.raises(CoveringViolation) as err:
             verify_covering(K, M, {v: v % 3 for v in range(5)})
         assert err.value.kind == "unmapped-vertex"
+
+    @pytest.mark.parametrize("image", [0.9, True])
+    def test_ids_are_not_coerced(self, image):
+        K, M = cycle_complex(6), cycle_complex(3)
+        vertex_map = {v: v % 3 for v in range(6)}
+        vertex_map[3] = image
+        with pytest.raises(MalformedInputError, match="not a non-negative integer"):
+            verify_covering(K, M, vertex_map)
+        # numpy integers are integers
+        cov = verify_covering(K, M, {np.int64(v): np.int64(v % 3) for v in range(6)})
+        assert cov.vertex_map[3] == 0 and type(cov.vertex_map[3]) is int
+
+    @pytest.mark.parametrize("perm", [(1, 0.9), (True, 0)])
+    def test_perm_images_are_not_coerced(self, perm):
+        with pytest.raises((MalformedInputError, VoltageError)):
+            check_perm(perm, 2)
+        assert check_perm(np.array([1, 0]), 2) == (1, 0)
 
     def test_fiber_sizes_constant_across_dimensions(self, c3_double_cover):
         cov = c3_double_cover.covering

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from oracles import to_one_based
+
 from liftlap import MalformedInputError, build_complex, perms
 from liftlap import io as llio
 
@@ -107,7 +109,7 @@ class TestVoltageFiles:
         p = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]})
         psi = llio.load_edge_voltages(p, M)
         records = [
-            {"edge": list(e), "perm": perms.to_one_based(q)}
+            {"edge": list(e), "perm": to_one_based(q)}
             for e, q in sorted(psi.perms.items())
             if q != perms.identity(psi.k)
         ]

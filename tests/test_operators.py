@@ -1,10 +1,20 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_complex, cycle_laplacian_values
-from oracles import cochain_laplacian, cochain_weights, symmetrized_form
+from oracles import (
+    coboundary_matrix,
+    cochain_laplacian,
+    cochain_weights,
+    dense_decorated_coboundary,
+    dense_laplacian,
+    dense_matrix,
+    symmetrized_form,
+)
 from randgen import random_complex
 
 from liftlap import (
@@ -18,13 +28,13 @@ from liftlap import (
     WeightScheme,
     build_complex,
     compare_spectra,
-    coboundary_matrix,
     compute_weights,
     decorated_coboundary,
     laplacian_matrix,
     layer_spectra,
     spectrum,
 )
+from liftlap.perms import permutation_matrix
 
 
 class TestLaplacianMatrix:
@@ -103,7 +113,8 @@ _FACETS = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=Tr
 
 def _decoration(K, kind, rng):
     """A decoration of every incidence layer of ``K``: none, a -1 signing,
-    a complex character weighting or a 2 x 2 matrix weighting."""
+    a complex character weighting, a 2 x 2 matrix weighting or the
+    permutation matrices P(psi) of a 3-fold lift."""
     pairs = [(f, c) for d in K.dims() for f in K.faces(d) for c in K.cofacets(f)]
     picked = [p for p in pairs if rng.random() < 0.5]
     if kind == "none":
@@ -112,7 +123,9 @@ def _decoration(K, kind, rng):
         return IncidenceWeighting({p: -1.0 for p in picked})
     if kind == "character":
         return IncidenceWeighting({p: np.exp(2j * np.pi * rng.integers(1, 5) / 5) for p in picked})
-    # every incidence carries a matrix, so d = 2 on every layer, the top one included
+    # every incidence carries a matrix, so d is the same on every layer, the top one included
+    if kind == "lift":
+        return IncidenceWeighting({p: permutation_matrix(tuple(rng.permutation(3).tolist())) for p in pairs})
     return IncidenceWeighting({p: rng.normal(size=(2, 2)) for p in pairs})
 
 
@@ -213,6 +226,66 @@ class TestSymmetrizedForm:
                 assert np.max(np.abs(M - oracle), initial=0.0) <= 1e-10 * scale, (i, op_kind)
 
 
+class TestGram:
+    """Each Gram product summed over shared faces is the dense product."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _FACETS,
+        st.booleans(),
+        st.sampled_from(["combinatorial", "normalized", "explicit"]),
+        st.sampled_from(["none", "signing", "character", "matrix", "lift"]),
+        st.integers(0, 2**32 - 1),
+    )
+    # facets of three dimensions with the empty face: layer -1, and a top
+    # layer without cofacets
+    @example([[0, 1, 2], [2, 3], [4]], True, "normalized", "lift", 0)
+    @example([[0, 1, 2], [2, 3], [4]], True, "explicit", "character", 1)
+    def test_every_operator_is_the_dense_product(self, facets, include_empty, scheme_kind, kind, seed):
+        K = build_complex(facets, include_empty=include_empty)
+        rng = np.random.default_rng(seed)
+        w = _decoration(K, kind, rng)
+        schemes = {"combinatorial": COMBINATORIAL, "normalized": NORMALIZED}
+        scheme = schemes[scheme_kind] if scheme_kind in schemes else _explicit_scheme(K, rng)
+        for i in K.dims():
+            oracle = dense_decorated_coboundary(K, i, w)
+            assert np.array_equal(dense_matrix(decorated_coboundary(K, i, w), oracle.shape), oracle)
+            for op_kind in ("up", "down", "full"):
+                if op_kind != "up" and i == K.min_dim:
+                    continue
+                M = laplacian_matrix(K, i, op_kind, scheme, w).matrix
+                assert np.array_equal(M, M.conj().T), (i, op_kind)
+                oracle = dense_laplacian(K, i, op_kind, scheme, w)
+                scale = max(1.0, float(np.max(np.abs(oracle), initial=0.0)))
+                assert np.max(np.abs(M - oracle), initial=0.0) <= 1e-13 * scale, (i, op_kind)
+
+    @pytest.mark.parametrize(
+        "facets, i, kind",
+        [
+            # 100 hollow triangles sharing vertex 0: the down part groups by vertex
+            ([[0, k] for k in range(1, 201)] + [[2 * k + 1, 2 * k + 2] for k in range(100)], 1, "full"),
+            # a star with 100 leaves: the hub vertex is in every edge
+            ([[0, k] for k in range(1, 101)], 1, "down"),
+            # a book of 100 triangles on the edge (0, 1)
+            ([[0, 1, k] for k in range(2, 102)], 2, "down"),
+        ],
+        ids=["bouquet", "star", "book"],
+    )
+    def test_a_hub_face_costs_only_its_own_pairs(self, facets, i, kind):
+        """A face shared by s cofacets adds s² products; the other groups
+        are not widened to its size, so the peak memory stays a small
+        multiple of the operator itself."""
+        K = build_complex(facets)
+        tracemalloc.start()
+        try:
+            M = laplacian_matrix(K, i, kind).matrix
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * M.nbytes
+        assert np.array_equal(M, dense_laplacian(K, i, kind))
+
+
 class TestSpectrum:
     def test_empty_operator(self):
         op = OperatorMatrix(np.zeros((0, 0)), np.zeros(0))
@@ -267,7 +340,7 @@ class TestDecorations:
     def test_dtype_follows_the_values(self, triangle):
         signing = IncidenceWeighting({((0, 1), (0, 1, 2)): -1})
         D = decorated_coboundary(triangle, 1, signing)
-        assert D.dtype == np.float64 and D.tolist() == [[-1.0, -1.0, 1.0]]
+        assert D[2].dtype == np.float64 and dense_matrix(D, (1, 3)).tolist() == [[-1.0, -1.0, 1.0]]
         # the float coboundary gives the Laplacian of the int one, bit for bit
         signed_int = coboundary_matrix(triangle, 1) * np.array([-1, 1, 1])
         op = laplacian_matrix(triangle, 1, "full", decoration=signing)
@@ -275,7 +348,7 @@ class TestDecorations:
         assert np.array_equal(op.matrix, signed_int.T @ signed_int + down)
         w = IncidenceWeighting({((0, 1), (0, 1, 2)): 1j})
         D = decorated_coboundary(triangle, 1, w)
-        assert D.dtype == np.complex128 and D.tolist() == [[1j, -1, 1]]
+        assert D[2].dtype == np.complex128 and dense_matrix(D, (1, 3)).tolist() == [[1j, -1, 1]]
 
     def test_weighting_rejects_zero(self):
         with pytest.raises(Exception):

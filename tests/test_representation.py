@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import cycle_complex
-from oracles import block_laplacians, cycle, kronecker_coboundary, transposition, voltage_coboundary_matrix
+from oracles import (
+    block_laplacians,
+    coboundary_matrix,
+    cycle,
+    kronecker_coboundary,
+    transposition,
+    voltage_coboundary_matrix,
+)
 from randgen import random_complex, random_connected_cover
 
 from liftlap import (
@@ -15,7 +22,6 @@ from liftlap import (
     VoltageError,
     abelian_weightings,
     build_complex,
-    coboundary_matrix,
     decompose_representation,
     derived_complex,
     edge_voltages,
