@@ -264,15 +264,15 @@ SPECTRAL_CLAIMS = {
 
 def _solve_layer(cov, layer, decorate, args):
     """Per scheme, the layer spectra of the cover and of the base under
-    each of the layer's decorations; None where the claim's hypothesis
-    is not met (trivial or intransitive voltage group), so the claim
-    does not apply on this layer."""
+    each of the layer's decorations; the error where the claim's
+    hypothesis is not met (trivial or intransitive voltage group), so
+    the claim does not apply on this layer."""
     try:
         decorations = decorate(cov, layer, args) if decorate else []
-    except GroupStructureError:
+    except GroupStructureError as exc:
         if args.dim is not None:
             raise
-        return None
+        return exc
     return {
         name: [layer_spectra(cov.cover, layer, scheme)]
         + [layer_spectra(cov.base, layer, scheme, d) for d in [None] + decorations]
@@ -295,7 +295,7 @@ def cmd_verify_spectral(args, report):
             layer, side = _layer_side(direction, i)
             if layer not in solved:
                 solved[layer] = _solve_layer(cov, layer, decorate, args)
-            if solved[layer] is None:
+            if isinstance(solved[layer], GroupStructureError):
                 skipped.append(f"{direction}/{i}")
                 continue
             for name, layers in solved[layer].items():
@@ -313,6 +313,9 @@ def cmd_verify_spectral(args, report):
                     )
                 )
                 spectra[f"{direction}/{i}/{name}"] = [lifted] + parts
+    if not verdicts:
+        # every layer was skipped, so nothing was verified: the first skip's reason
+        raise next(iter(solved.values()))
     report["results"] = results(cov, spectra, skipped)
     return verdicts
 
@@ -353,10 +356,8 @@ def cmd_fixture(args, report):
         "flip": {"face": list(fixture.flip[0]), "cofacet": list(fixture.flip[1])},
         "labeled_matches": fixture.matches,
     }
-    report["results"] = doc
-    out = Path(args.out)
-    out.write_text(json.dumps(doc, sort_keys=True, indent=1))
-    report["results"]["out"] = str(out)
+    llio._save(args.out, doc)
+    report["results"] = {**doc, "out": args.out}
     return [
         _verdict(
             "reference 2-complex recovered and companion spectra reproduced",

@@ -1,13 +1,13 @@
 """JSON file formats for complexes, voltages, signings, and coverings.
 
-Every format is read; only a complex is written (:func:`save_complex`,
-for ``cover build --out``).  Faces are serialized as increasing vertex
-lists.  Permutations are serialized as 1-based image lists of ``1..k``.
-Voltage files may omit edges, which then carry the identity; signing
-files list only the flipped incidences, weighting files only the
-non-unit ones.  Both load as an
-:class:`~liftlap.operators.IncidenceWeighting`, a signing with values
--1.  A record of the wrong shape raises
+Every format is read; only a complex (:func:`save_complex`, for
+``cover build --out``) and the recovered reference fixture are written.
+Faces are serialized as increasing vertex lists.  Permutations are
+serialized as 1-based image lists of ``1..k``.  Voltage files may omit
+edges, which then carry the identity; signing files list only the
+flipped incidences, weighting files only the non-unit ones.  Both load
+as an :class:`~liftlap.operators.IncidenceWeighting`, a signing with
+values -1.  A record of the wrong shape raises
 :class:`~liftlap.errors.MalformedInputError` naming the file and record.
 """
 
@@ -45,6 +45,15 @@ def _load(path) -> dict:
     if not isinstance(data, dict):
         raise MalformedInputError(f"{path}: expected a JSON object")
     return data
+
+
+def _save(path, doc) -> None:
+    """Write ``doc`` as stable JSON; a path that cannot be written is bad input."""
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise MalformedInputError(f"{path}: {exc}") from exc
 
 
 @contextmanager
@@ -115,7 +124,7 @@ def save_complex(K: SimplicialComplex, path) -> None:
         "include_empty": K.include_empty,
         "weights": {"scheme": COMBINATORIAL.kind},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1))
+    _save(path, doc)
 
 
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:

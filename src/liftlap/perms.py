@@ -6,8 +6,6 @@ image lists; everything in memory is 0-based.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .complexes import _index
 from .errors import VoltageError
 
@@ -36,11 +34,3 @@ def inverse(p: Perm) -> Perm:
         inv[i] = j
     return tuple(inv)
 
-
-def permutation_matrix(p: Perm) -> np.ndarray:
-    """k x k 0/1 matrix P with P[p[j], j] = 1."""
-    k = len(p)
-    mat = np.zeros((k, k), dtype=np.int64)
-    for j in range(k):
-        mat[p[j], j] = 1
-    return mat

@@ -52,15 +52,14 @@ class VoltageGroup:
 
     @property
     def abelian(self) -> bool:
-        els = self.elements
-        return all(
-            perms.compose(g, h) == perms.compose(h, g) for g in els for h in els
-        )
+        # a group is abelian exactly when its generators commute
+        gens = self.generators
+        return all(perms.compose(g, h) == perms.compose(h, g) for g in gens for h in gens)
 
     @property
     def transitive(self) -> bool:
         # an orbit is a component of the graph with edges x - g[x]
-        moves = [(x, g[x]) for g in self.generators or self.elements for x in range(self.k)]
+        moves = [(x, g[x]) for g in self.generators for x in range(self.k)]
         return len(connected_components(range(self.k), moves)) <= 1
 
 
@@ -115,12 +114,8 @@ class BlockDecomposition:
 
 
 def _cluster(sorted_vals: np.ndarray, gap: float) -> list[slice]:
-    bounds = [0]
-    for idx in range(1, len(sorted_vals)):
-        if sorted_vals[idx] - sorted_vals[idx - 1] > gap:
-            bounds.append(idx)
-    bounds.append(len(sorted_vals))
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    cuts = [0, *(np.flatnonzero(np.diff(sorted_vals) > gap) + 1), len(sorted_vals)]
+    return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
 def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecomposition:
@@ -132,79 +127,55 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
     ``sum_g P^g H P^{g^-1}``; those eigenspaces are invariant under the
     whole group.  Fresh randomness is drawn until the off-block residual
     certifies the result, and a failure to certify raises rather than
-    returning an unverified transform.
+    returning an unverified transform.  The blocks follow the trivial
+    one by size, then by character over the sorted group elements.
     """
     k = group.k
-    pmats = {g: perms.permutation_matrix(g).astype(float) for g in group.elements}
+    # the permutation matrices P^g, P^g[g[j], j] = 1, stacked in element order
+    stack = np.zeros((group.order, k, k))
+    stack[np.arange(group.order)[:, None], np.array(group.elements), np.arange(k)] = 1.0
     ones = np.ones((k, 1)) / math.sqrt(k)
-    if k == 1:
-        blocks = {g: [np.array([[1.0 + 0j]])] for g in group.elements}
-        return BlockDecomposition(group, np.array([[1.0 + 0j]]), (1,), blocks, 0.0)
-
     # orthonormal basis of the complement of the all-ones vector
     basis = np.linalg.qr(np.hstack([ones, np.eye(k)[:, : k - 1]]))[0]
     comp = basis[:, 1:]
 
     rng = np.random.default_rng(seed)
-    last_residual = float("inf")
+    residual = float("inf")
     for _ in range(MAX_RETRIES):
         raw = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
         herm = (raw + raw.conj().T) / 2
-        commutant = sum(pmats[g] @ herm @ pmats[g].T for g in group.elements) / group.order
+        commutant = (stack @ herm @ stack.transpose(0, 2, 1)).sum(axis=0) / group.order
         reduced = comp.conj().T @ commutant @ comp
         vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2)
         spread = max(1.0, float(vals[-1] - vals[0])) if len(vals) else 1.0
         clusters = _cluster(vals, 1e-6 * spread)
-        columns = [ones] + [comp @ vecs[:, sl] for sl in clusters]
-        transform = np.hstack(columns).astype(complex)
+        transform = np.hstack([ones] + [comp @ vecs[:, sl] for sl in clusters]).astype(complex)
         sizes = [1] + [sl.stop - sl.start for sl in clusters]
-
-        conj = {g: transform.conj().T @ pmats[g] @ transform for g in group.elements}
-        residual = 0.0
         offsets = np.cumsum([0] + sizes)
+        conj = transform.conj().T @ stack @ transform
         mask = np.ones((k, k), dtype=bool)
         for a, b in zip(offsets, offsets[1:]):
             mask[a:b, a:b] = False
-        for g in group.elements:
-            residual = max(residual, float(np.max(np.abs(conj[g][mask]))) if mask.any() else 0.0)
-        last_residual = residual
+        residual = float(np.max(np.abs(conj[:, mask]))) if mask.any() else 0.0
         if residual <= RESIDUAL_TOL:
-            order = _block_order(group, conj, sizes, offsets)
-            return _assemble(group, transform, sizes, offsets, conj, residual, order)
-    raise DecompositionError(
-        f"block decomposition residual {last_residual:g} above {RESIDUAL_TOL:g}"
-    )
+            break
+    else:
+        raise DecompositionError(f"block decomposition residual {residual:g} above {RESIDUAL_TOL:g}")
 
-
-def _block_order(group, conj, sizes, offsets):
-    """Deterministic block order: the trivial block first, then by size and
-    by the character signature over the sorted group elements."""
     keys = []
     for j in range(1, len(sizes)):
         a, b = offsets[j], offsets[j + 1]
-        signature = tuple(
-            (round(float(np.trace(conj[g][a:b, a:b]).real), 8),
-             round(float(np.trace(conj[g][a:b, a:b]).imag), 8))
-            for g in group.elements
-        )
-        keys.append((sizes[j], signature, j))
-    return [0] + [j for _, _, j in sorted(keys)]
-
-
-def _assemble(group, transform, sizes, offsets, conj, residual, order):
-    col_order = []
-    for j in order:
-        col_order.extend(range(offsets[j], offsets[j + 1]))
-    transform = transform[:, col_order]
-    new_sizes = tuple(sizes[j] for j in order)
-    new_offsets = np.cumsum([0] + list(new_sizes))
-    blocks_of = {}
-    for g in group.elements:
-        mat = transform.conj().T @ perms.permutation_matrix(g) @ transform
-        blocks_of[g] = [
-            mat[a:b, a:b] for a, b in zip(new_offsets, new_offsets[1:])
-        ]
-    return BlockDecomposition(group, transform, new_sizes, blocks_of, residual)
+        character = np.trace(conj[:, a:b, a:b], axis1=1, axis2=2).tolist()
+        keys.append((sizes[j], tuple((round(c.real, 8), round(c.imag, 8)) for c in character), j))
+    order = [0] + [j for _, _, j in sorted(keys)]
+    cols = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in order])
+    conj = conj[:, cols[:, None], cols]
+    sizes = tuple(sizes[j] for j in order)
+    offsets = np.cumsum((0,) + sizes)
+    blocks_of = {
+        g: [mat[a:b, a:b] for a, b in zip(offsets, offsets[1:])] for g, mat in zip(group.elements, conj)
+    }
+    return BlockDecomposition(group, transform[:, cols], sizes, blocks_of, residual)
 
 
 def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[IncidenceWeighting]:

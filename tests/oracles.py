@@ -28,7 +28,7 @@ from liftlap import (
     voltage_group,
     weight_vector,
 )
-from liftlap.perms import Perm, permutation_matrix
+from liftlap.perms import Perm
 
 
 def cycle(k: int) -> Perm:
@@ -40,6 +40,15 @@ def transposition(k: int, a: int, b: int) -> Perm:
     im = list(range(k))
     im[a], im[b] = im[b], im[a]
     return tuple(im)
+
+
+def permutation_matrix(p: Perm) -> np.ndarray:
+    """k x k 0/1 matrix P with P[p[j], j] = 1."""
+    k = len(p)
+    mat = np.zeros((k, k), dtype=np.int64)
+    for j in range(k):
+        mat[p[j], j] = 1
+    return mat
 
 
 def to_one_based(p: Perm) -> list:

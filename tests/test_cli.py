@@ -128,6 +128,15 @@ class TestCover:
         assert code == 0
         assert report["verdicts"][0]["holds"]
 
+    @pytest.mark.parametrize("target", ["missing/k.json", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2_naming_the_path(self, capsys, tmp_path, c3_file, c3_voltage_file, target):
+        out = str(tmp_path / target)
+        code, report, err = run(
+            capsys, ["cover", "build", "--base", c3_file, "--voltage", c3_voltage_file, "--out", out]
+        )
+        assert code == 2 and report is None
+        assert f"error: {out}: " in err
+
     def test_disconnected_build_fails_verdict(self, capsys, tmp_path, triangle_file):
         psi = write(tmp_path, "trivial.json", {"k": 2, "edges": []})
         code, report, _ = run(
@@ -193,6 +202,21 @@ class TestVerify:
         )
         assert code == 0
         assert all(v["holds"] for v in report["verdicts"])
+        # the edge/triangle layer of a graph is edgeless, so its group is trivial
+        assert report["results"]["skipped_layers"] == ["up/1"]
+
+    def test_abelian_skipping_every_layer_exits_3_with_the_reason(self, capsys, tmp_path):
+        # a bouquet of two 3-cycles at vertex 0 with a transposition and a
+        # 3-cycle as voltages: the vertex/edge layer's group is S_3
+        bouquet = write(tmp_path, "bouquet.json", {"facets": [[0, 1], [1, 2], [0, 2], [0, 3], [3, 4], [0, 4]]})
+        psi = write(
+            tmp_path,
+            "s3.json",
+            {"k": 3, "edges": [{"edge": [0, 1], "perm": [2, 1, 3]}, {"edge": [0, 3], "perm": [2, 3, 1]}]},
+        )
+        code, report, err = run(capsys, ["verify", "abelian", "--base", bouquet, "--voltage", psi])
+        assert code == 3 and report is None
+        assert "error: character weightings require an abelian voltage group" in err
 
     def test_abelian_explicit_degenerate_dim_errors(self, capsys, tmp_path, c3_file):
         psi3 = write(tmp_path, "k3.json", {"k": 3, "edges": [{"edge": [0, 1], "perm": [2, 3, 1]}]})
@@ -407,6 +431,14 @@ class TestFixtureSearch:
         assert [tuple(f) for f in report["results"]["facets"]] == list(REFERENCE_FACETS)
         cached = json.loads((tmp_path / "fig1_fixture.json").read_text())
         assert cached["found"] is True
+
+    @pytest.mark.parametrize("target", ["missing/f.json", "."], ids=["missing-directory", "a-directory"])
+    def test_unwritable_out_exits_2_naming_the_path(self, capsys, tmp_path, monkeypatch, reference, target):
+        monkeypatch.setattr("liftlap.cli.search_reference_fixture", lambda tol: reference)
+        out = str(tmp_path / target)
+        code, report, err = run(capsys, ["fixture", "search-fig1", "--out", out])
+        assert code == 2 and report is None
+        assert f"error: {out}: " in err
 
 
 class TestTolerance:

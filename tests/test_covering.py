@@ -10,6 +10,7 @@ from oracles import (
     derived_graph,
     incidence_graph,
     orientation_sign_diagonal,
+    permutation_matrix,
 )
 from randgen import random_complex, random_connected_cover, random_edge_voltages
 
@@ -27,7 +28,7 @@ from liftlap import (
     laplacian_matrix,
     verify_covering,
 )
-from liftlap.perms import check_perm, identity, permutation_matrix
+from liftlap.perms import check_perm, identity
 
 
 class TestIncidenceGraph:

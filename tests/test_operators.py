@@ -13,6 +13,7 @@ from oracles import (
     dense_decorated_coboundary,
     dense_laplacian,
     dense_matrix,
+    permutation_matrix,
     symmetrized_form,
 )
 from randgen import random_complex
@@ -34,7 +35,6 @@ from liftlap import (
     layer_spectra,
     spectrum,
 )
-from liftlap.perms import permutation_matrix
 
 
 class TestLaplacianMatrix:

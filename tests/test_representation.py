@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_complex
 from oracles import (
@@ -9,6 +11,7 @@ from oracles import (
     coboundary_matrix,
     cycle,
     kronecker_coboundary,
+    permutation_matrix,
     transposition,
     voltage_coboundary_matrix,
 )
@@ -30,7 +33,13 @@ from liftlap import (
     two_fold_signing,
     voltage_group,
 )
-from liftlap.perms import identity, permutation_matrix
+from liftlap.perms import compose, identity
+from liftlap.representation import RESIDUAL_TOL
+
+# 1-3 random permutations of range(k), k <= 6
+_GENERATORS = st.integers(1, 6).flatmap(
+    lambda k: st.lists(st.permutations(range(k)).map(tuple), min_size=1, max_size=3)
+)
 
 
 class TestVoltageGroup:
@@ -130,6 +139,39 @@ class TestDecomposeRepresentation:
         a = decompose_representation(group, seed=5)
         b = decompose_representation(group, seed=5)
         assert np.array_equal(a.transform, b.transform)
+
+
+class TestDecompositionProperties:
+    @staticmethod
+    def characters(dec):
+        """Per block, its character over the sorted group elements."""
+        return [
+            [np.trace(blocks[j]) for blocks in (dec.blocks_of[g] for g in dec.group.elements)]
+            for j in range(len(dec.block_sizes))
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(_GENERATORS)
+    def test_blocks_are_the_diagonal_of_every_conjugated_element(self, gens):
+        group = voltage_group(gens)
+        dec = decompose_representation(group, seed=0)
+        T = dec.transform
+        offsets = np.cumsum((0,) + dec.block_sizes)
+        off_block = np.ones(T.shape, dtype=bool)
+        for a, b in zip(offsets, offsets[1:]):
+            off_block[a:b, a:b] = False
+        for g in group.elements:
+            conj = T.conj().T @ permutation_matrix(g) @ T
+            assert len(dec.blocks_of[g]) == len(dec.block_sizes)
+            for a, b, block in zip(offsets, offsets[1:], dec.blocks_of[g]):
+                assert np.max(np.abs(conj[a:b, a:b] - block)) <= 1e-12
+            if off_block.any():
+                assert np.max(np.abs(conj[off_block])) <= RESIDUAL_TOL
+        other = decompose_representation(group, seed=1)
+        assert other.block_sizes == dec.block_sizes
+        assert np.allclose(self.characters(other), self.characters(dec), rtol=0, atol=1e-9)
+        els = group.elements
+        assert group.abelian == all(compose(g, h) == compose(h, g) for g in els for h in els)
 
 
 class TestTwoFoldSigning:

@@ -21,9 +21,9 @@ report keys (list positions collapsed to ``[]``), the verdicts' ``holds``
 flags, exact values (integers, strings, lengths), the files the case
 creates or changes in its folder (read right after the case runs; each
 tree replays from a fresh copy of the inputs, so both start from the same
-files) and stderr when the exit code is nonzero; and in every case the
-largest difference between corresponding floats, with its location.  It
-exits 1 when an exit code, key set, holds flag, exact value or written
+files) and stderr when the exit code is nonzero; and, where a float
+differs, the largest difference between corresponding floats, with its
+location.  It exits 1 when an exit code, key set, holds flag, exact value or written
 file differs, 0 otherwise.
 """
 
@@ -188,7 +188,7 @@ def _walk(a, b, path, floats, exact):
         for j, (x, y) in enumerate(zip(a, b)):
             _walk(x, y, f"{path}[{j}]", floats, exact)
     elif _number(a) and _number(b) and float in (type(a), type(b)):
-        if floats[1] is None or abs(a - b) > floats[0]:
+        if abs(a - b) > floats[0]:
             floats[:] = [abs(a - b), path]
     elif a != b:
         exact.append(f"{path}: {a!r} -> {b!r}")
@@ -196,7 +196,7 @@ def _walk(a, b, path, floats, exact):
 
 def compare(parent: Outcome, change: Outcome) -> tuple[list[str], list[str], list]:
     """The differences that fail the comparison, informational lines, and
-    the largest float difference with its path (path None: no floats)."""
+    the largest float difference with its path (path None: no float differs)."""
     fails, notes, floats = [], [], [0.0, None]
     if parent.code != change.code:
         fails.append(f"exit {parent.code} -> {change.code}")
@@ -251,7 +251,7 @@ def main(argv=None) -> int:
         print(f"[{'DIFF' if fails else 'same'}] {case.label} (exit {p_out.code} -> {c_out.code})")
         for line in fails + notes:
             print(f"    {line}")
-        if floats[1] is not None and floats[0] >= worst[0]:
+        if floats[0] > worst[0]:
             worst = [floats[0], case.label]
     print(f"{len(cases)} cases, {failed} with a changed exit code, key set, holds flag, exact value or written file; "
           f"largest float difference {worst[0]:.3g}" + (f" ({worst[1]})" if worst[1] else ""))
