@@ -318,8 +318,9 @@ class SpectrumMultiset:
         return SpectrumMultiset(self.values + other.values)
 
 
-def _close(a: float, b: float, tol: float) -> bool:
-    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+def _close(a, b, tol: float):
+    """``|a - b| <= tol * max(1, |a|, |b|)``, elementwise on floats or arrays."""
+    return abs(a - b) <= tol * np.maximum(1.0, np.maximum(abs(a), abs(b)))
 
 
 @dataclass(frozen=True)
@@ -352,16 +353,16 @@ def compare_spectra(
 
 
 def _equal(a, b, tol) -> SpectrumComparison:
-    worst = 0.0
-    for x, y in zip(a.values, b.values):
-        if not _close(x, y, tol):
-            return SpectrumComparison(False, abs(x - y), x)
-        worst = max(worst, abs(x - y))
+    n = min(len(a), len(b))
+    x, y = np.array(a.values[:n]), np.array(b.values[:n])
+    close = _close(x, y, tol)
+    if not close.all():
+        j = int(np.argmin(close))
+        return SpectrumComparison(False, float(abs(x[j] - y[j])), a.values[j])
     if len(a) != len(b):
-        n = min(len(a), len(b))
         extra = a.values[n] if len(a) > n else b.values[n]
         return SpectrumComparison(False, float("inf"), extra)
-    return SpectrumComparison(True, worst, None)
+    return SpectrumComparison(True, float(np.max(abs(x - y), initial=0.0)), None)
 
 
 def _subset(a, b, tol) -> SpectrumComparison:

@@ -2,9 +2,11 @@
 factorization they are checked with, that only the tests call."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
+import liftlap.reference_fixture as rf
 from liftlap import (
     COMBINATORIAL,
     CoveringMap,
@@ -15,14 +17,20 @@ from liftlap import (
     LiftlapError,
     MalformedInputError,
     SimplicialComplex,
+    SpectrumMultiset,
     WeightScheme,
     block_weightings,
     boundary_faces,
+    build_complex,
     coboundary,
+    compare_spectra,
     compute_weights,
+    connected_components,
     decompose_representation,
     decorated_coboundary,
+    face_coboundary,
     induced_incidence_voltage,
+    integer_rank,
     laplacian_matrix,
     relative_orientation_sign,
     voltage_group,
@@ -461,3 +469,44 @@ def coboundary_factorization(cov: CoveringMap, i: int) -> CoboundaryFactorizatio
     product = (lam_hi.entries[:, None] * dpsi) * lam_lo.entries[None, :]
     residual = int(np.max(np.abs(dk - product))) if dk.size else 0
     return CoboundaryFactorization(lam_lo, lam_hi, dpsi, dk, residual)
+
+
+# -- the reference fixture search ---------------------------------------------
+
+
+def brute_force_base_matches(tol: float) -> list[SimplicialComplex]:
+    """Every labeled 6-vertex complex with 6 triangles and 12 edges, each
+    edge in at most two triangles, connected, with first Betti number 1
+    and edge up-spectrum ``rf.BASE_SPECTRUM`` at ``tol``, sorted by facets.
+
+    Visits each labeled candidate apart: a union-find for connectivity,
+    an exact rank for b₁, and the full 12 x 12 DᵀD eigensolve compared
+    by :func:`compare_spectra`.
+    """
+    verts = range(6)
+    all_edges = list(combinations(verts, 2))
+    found = []
+    for tris in combinations(combinations(verts, 3), 6):
+        counts: dict[tuple, int] = {}
+        for t in tris:
+            for e in combinations(t, 2):
+                counts[e] = counts.get(e, 0) + 1
+        if any(c > 2 for c in counts.values()):
+            continue
+        used = sorted(counts)
+        if len(used) > 12:
+            continue
+        pool = [e for e in all_edges if e not in counts]
+        for free in combinations(pool, 12 - len(used)):
+            edges = sorted(used + list(free))
+            if len(connected_components(verts, edges)) != 1:
+                continue
+            triplets = face_coboundary(tris, edges)
+            if 12 - 5 - integer_rank(triplets) != 1:
+                continue
+            D = dense_matrix(triplets, (6, 12))
+            eigs = SpectrumMultiset(np.linalg.eigvalsh(D.T @ D))
+            if compare_spectra(eigs, rf.BASE_SPECTRUM, tol=tol).holds:
+                found.append(build_complex(list(tris) + list(free)))
+    found.sort(key=lambda K: tuple(K.facets()))
+    return found

@@ -329,6 +329,17 @@ class TestCompareSpectra:
         assert not rep.holds
         assert rep.witness == 2.0
 
+    def test_equal_reports_the_first_unmatched_pair_and_the_worst_matched_error(self):
+        rep = compare_spectra(SpectrumMultiset((0.0, 2.0, 3.0)), SpectrumMultiset((0.0, 2.5, 4.0)))
+        assert (rep.holds, rep.max_pairing_error, rep.witness) == (False, 0.5, 2.0)
+        rep = compare_spectra(SpectrumMultiset((0.0, 1.0)), SpectrumMultiset((0.0, 1.0, 5.0)))
+        assert (rep.holds, rep.max_pairing_error, rep.witness) == (False, float("inf"), 5.0)
+        rep = compare_spectra(SpectrumMultiset((1.0, 2.0)), SpectrumMultiset((1.0 + 4e-9, 2.0 + 1e-9)))
+        assert rep.holds and rep.max_pairing_error == abs(1.0 - (1.0 + 4e-9))
+        assert type(rep.max_pairing_error) is float
+        empty = compare_spectra(SpectrumMultiset(), SpectrumMultiset())
+        assert (empty.holds, empty.max_pairing_error) == (True, 0.0)
+
     def test_tolerance_blend(self):
         a = SpectrumMultiset((1e6,))
         b = SpectrumMultiset((1e6 + 0.001,))

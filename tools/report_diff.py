@@ -9,7 +9,9 @@ commit, or the working tree itself).  The cases are
 
 * every call of ``liftlap.cli.main`` made by CHANGE_TREE's
   ``tests/test_cli.py``, recorded by running that file under pytest with
-  each input file copied aside as the call is made, and
+  each input file copied aside as the call is made and each ``--out``
+  moved into the case's folder at its place relative to the test's
+  ``tmp_path`` (so an ``--out`` that cannot be written still cannot), and
 * every case of the benchmark workloads, generated at ``--seed`` by this
   repository's ``perfbench.workloads`` (imported, never modified).
 
@@ -78,14 +80,14 @@ class _Recorder:
         self.workdir = workdir
         self.cases: list[Case] = []
 
-    def _snapshot(self, nodeid: str, argv) -> Case:
+    def _snapshot(self, nodeid: str, argv, tmp_path) -> Case:
         folder = self.workdir / str(len(self.cases))
         folder.mkdir(parents=True)
         argv = [str(a) for a in argv]
         kept = []
         for j, arg in enumerate(argv):
             if j and argv[j - 1] == "--out":
-                arg = str(folder / Path(arg).name)
+                arg = str(folder / _out_path(Path(arg), tmp_path))
             elif Path(arg).is_file():
                 arg = str(shutil.copy(arg, folder / f"{j}_{Path(arg).name}"))
             kept.append(arg)
@@ -98,11 +100,21 @@ class _Recorder:
             return
 
         def recording(argv=None):
-            self.cases.append(self._snapshot(item.nodeid, argv))
+            self.cases.append(self._snapshot(item.nodeid, argv, item.funcargs.get("tmp_path")))
             return real(argv)
 
         module.main = recording
         item.addfinalizer(lambda: setattr(module, "main", real))
+
+
+def _out_path(out: Path, tmp_path) -> Path:
+    """Where an ``--out`` goes within its case folder: its place relative
+    to the test's ``tmp_path`` when it lies there, so that a missing
+    parent stays missing and a directory stays a directory; otherwise
+    its file name."""
+    if tmp_path is not None and out.is_relative_to(tmp_path):
+        return out.relative_to(tmp_path)
+    return Path(out.name)
 
 
 def cli_test_cases(tree: Path, workdir: Path) -> list[Case]:
