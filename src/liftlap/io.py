@@ -153,7 +153,10 @@ def load_signing(path) -> IncidenceWeighting:
 
 
 def load_weighting(path) -> IncidenceWeighting:
-    """Weighting file: listed pairs carry the given complex value, others 1."""
+    """Weighting file: listed pairs carry the given complex value, others 1.
+
+    A value without a nonzero ``im`` part is real, so a file of real
+    values loads as a float64 weighting."""
     data = _load(path)
     values = {}
     for rec in _records(path, data, "entries"):

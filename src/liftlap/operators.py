@@ -69,9 +69,11 @@ class IncidenceWeighting:
     A value is a scalar or a square d x d matrix; all values share one
     size ``block_size`` (1 for scalars, and a 1 x 1 matrix is stored as
     its scalar).  Pairs not listed carry the d x d identity, which is 1
-    for scalars.  Real values are stored as floats and complex ones as
-    complex numbers; ``dtype``, the dtype of the decorated coboundary,
-    is float64 when every value is real and complex128 otherwise.  A
+    for scalars.  A value whose imaginary part is exactly zero is stored
+    real (float64) and any other as complex128; ``dtype``, the dtype of
+    the decorated coboundary, is float64 when every value is real and
+    complex128 otherwise, so a weighting file with only real parts, or a
+    real block of a lifted operator, is solved in real arithmetic.  A
     signing is the scalar real case with values -1.
     """
 
@@ -87,6 +89,8 @@ class IncidenceWeighting:
                 raise WeightError(
                     f"incidence weight for ({a!r}, {b!r}) is neither a scalar nor a square matrix"
                 )
+            if np.iscomplexobj(v) and not v.imag.any():
+                v = v.real
             v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
             if not v.any():
                 raise WeightError(f"incidence weight for ({a!r}, {b!r}) must be nonzero")

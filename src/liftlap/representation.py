@@ -16,6 +16,24 @@ eigenspaces (which are invariant subspaces) become the blocks, and the
 result is certified a posteriori by an off-block residual bound.  Full
 irreducibility of the blocks is not certified - only invariance and the
 trivial first block - which is all the spectral statements need.
+
+Real blocks.  The commutant element stays complex Hermitian: a real one
+cannot separate complex-conjugate characters (on Z_3 it leaves one
+block of size 2).  But an eigenspace whose projector ``Q Q^H`` has
+imaginary parts at most ``REAL_TOL`` is closed under conjugation, and
+its columns are replaced by a real orthonormal basis of the same span,
+the top eigenvectors of the real projector.  Its values rho_j(g) are
+then real, and :func:`block_weightings` gives float64 decorations that
+are solved in real arithmetic.  Every irreducible of S_k is real
+(Serre, *Linear Representations of Finite Groups*, 13.2), so every
+block of the natural action of S_k is.  The replacement moves the span
+by about k * ``REAL_TOL``, far below ``RESIDUAL_TOL``, and cannot hide
+an error: the residual, the block order and ``blocks_of`` are read from
+the final transform, so the certificate covers every block.  A real
+irreducible of multiplicity m > 1 keeps a complex block: each block is
+one copy ``v (x) rho`` for an eigenvector v in C^m of a random complex
+Hermitian m x m matrix, real up to a phase almost never (the regular
+action of S_3 holds its 2-dimensional irreducible twice).
 """
 
 from __future__ import annotations
@@ -36,6 +54,9 @@ from .operators import IncidenceWeighting
 # random commutant elements are tried before giving up
 RESIDUAL_TOL = 1e-10
 MAX_RETRIES = 8
+# an eigenspace whose projector has imaginary parts at most this is
+# closed under conjugation and gets a real basis (module docstring)
+REAL_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -103,7 +124,9 @@ class BlockDecomposition:
     ``transform^H P^g transform`` is block diagonal with ``block_sizes``
     on the diagonal, the first block is the 1x1 identity on the span of
     the all-ones vector, and ``residual`` bounds the largest off-block
-    magnitude over the whole group.
+    magnitude over the whole group.  ``blocks_of[g][j]`` is block j of
+    that matrix: float64 when the block's columns of ``transform`` are
+    real (its span is closed under conjugation), complex128 otherwise.
     """
 
     group: VoltageGroup
@@ -114,7 +137,7 @@ class BlockDecomposition:
 
 
 def _cluster(sorted_vals: np.ndarray, gap: float) -> list[slice]:
-    cuts = [0, *(np.flatnonzero(np.diff(sorted_vals) > gap) + 1), len(sorted_vals)]
+    cuts = [0, *(np.flatnonzero(np.diff(sorted_vals) > gap) + 1).tolist(), len(sorted_vals)]
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
@@ -125,10 +148,12 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
     (the trivial sub-representation).  The orthogonal complement is
     split along the eigenspaces of a random Hermitian commutant element
     ``sum_g P^g H P^{g^-1}``; those eigenspaces are invariant under the
-    whole group.  Fresh randomness is drawn until the off-block residual
-    certifies the result, and a failure to certify raises rather than
-    returning an unverified transform.  The blocks follow the trivial
-    one by size, then by character over the sorted group elements.
+    whole group.  An eigenspace closed under conjugation gets a real
+    basis (module docstring).  Fresh randomness is drawn until the
+    off-block residual of the final transform certifies the result, and
+    a failure to certify raises rather than returning an unverified
+    transform.  The blocks follow the trivial one by size, then by
+    character over the sorted group elements.
     """
     k = group.k
     # the permutation matrices P^g, P^g[g[j], j] = 1, stacked in element order
@@ -149,7 +174,14 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
         vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2)
         spread = max(1.0, float(vals[-1] - vals[0])) if len(vals) else 1.0
         clusters = _cluster(vals, 1e-6 * spread)
-        transform = np.hstack([ones] + [comp @ vecs[:, sl] for sl in clusters]).astype(complex)
+        columns = [ones]
+        for sl in clusters:
+            span = comp @ vecs[:, sl]
+            proj = span @ span.conj().T
+            if np.max(np.abs(proj.imag)) <= REAL_TOL:
+                span = np.linalg.eigh(proj.real)[1][:, -span.shape[1] :]
+            columns.append(span)
+        transform = np.hstack(columns).astype(complex)
         sizes = [1] + [sl.stop - sl.start for sl in clusters]
         offsets = np.cumsum([0] + sizes)
         conj = transform.conj().T @ stack @ transform
@@ -172,10 +204,14 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
     conj = conj[:, cols[:, None], cols]
     sizes = tuple(sizes[j] for j in order)
     offsets = np.cumsum((0,) + sizes)
+    transform = transform[:, cols]
+    spans = list(zip(offsets, offsets[1:]))
+    real = [not transform[:, a:b].imag.any() for a, b in spans]
     blocks_of = {
-        g: [mat[a:b, a:b] for a, b in zip(offsets, offsets[1:])] for g, mat in zip(group.elements, conj)
+        g: [mat[a:b, a:b].real if r else mat[a:b, a:b] for (a, b), r in zip(spans, real)]
+        for g, mat in zip(group.elements, conj)
     }
-    return BlockDecomposition(group, transform[:, cols], sizes, blocks_of, residual)
+    return BlockDecomposition(group, transform, sizes, blocks_of, residual)
 
 
 def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[IncidenceWeighting]:

@@ -213,6 +213,21 @@ def block_laplacians(
     return [laplacian_matrix(M, i, direction, scheme, w) for w in [None] + block_weightings(psi, dec)]
 
 
+def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
+    """A Haar-random d x d unitary: the Q of a complex Gaussian matrix,
+    its columns rephased by the signs of R's diagonal."""
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def conjugated_weighting(weighting: IncidenceWeighting, unitary: np.ndarray) -> IncidenceWeighting:
+    """The weighting with every value v replaced by ``U^H v U``: the same
+    representation written in another orthonormal basis.  Unlisted
+    incidences carry the identity, which conjugation keeps."""
+    u = np.asarray(unitary)
+    return IncidenceWeighting({pair: u.conj().T @ np.atleast_2d(v) @ u for pair, v in weighting.items()})
+
+
 def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:
     """Lifted coboundary as the sum over voltage values p of the coboundary
     restricted to the incidences with voltage p, tensored with P(p);

@@ -80,6 +80,19 @@ class TestSpectrum:
         assert code == 0
         assert len(report["results"]["values"]) == 3
 
+    def test_real_weighting_matches_the_signing(self, capsys, tmp_path, triangle_file):
+        flips = [{"face": [0, 1], "cofacet": [0, 1, 2]}, {"face": [1, 2], "cofacet": [0, 1, 2]}]
+        signing = write(tmp_path, "s.json", {"flips": flips})
+        weighting = write(tmp_path, "w.json", {"entries": [{**f, "value": {"re": -1}} for f in flips]})
+        argv = ["spectrum", "--complex", triangle_file, "--dim", "1", "--kind", "full"]
+        code, signed, _ = run(capsys, argv + ["--signing", signing])
+        assert code == 0
+        code, weighted, _ = run(capsys, argv + ["--weighting", weighting])
+        assert code == 0
+        a, b = signed["results"]["values"], weighted["results"]["values"]
+        assert len(a) == len(b) == 3
+        assert max(abs(x - y) for x, y in zip(a, b)) <= 1e-12
+
     def test_parse_error_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{")
@@ -308,6 +321,15 @@ class TestVerify:
         )
         assert code == 0
         assert report["results"]["block_sizes"] == [1, 1]
+        assert all(v["holds"] for v in report["verdicts"])
+
+    @pytest.mark.parametrize("perm", [[2, 3, 1], [2, 3, 4, 1]], ids=["Z3", "Z4"])
+    def test_decompose_cyclic_cover_reports_every_character_block(self, capsys, tmp_path, c3_file, perm):
+        # two or more blocks after the trivial one
+        psi = write(tmp_path, "cyclic.json", {"k": len(perm), "edges": [{"edge": [0, 1], "perm": perm}]})
+        code, report, _ = run(capsys, ["decompose", "--base", c3_file, "--voltage", psi, "--dim", "0"])
+        assert code == 0
+        assert report["results"]["block_sizes"] == [1] * len(perm)
         assert all(v["holds"] for v in report["verdicts"])
 
     @pytest.mark.parametrize("direction, dim, lowest", [("down", 0, 1), ("down", 7, 1), ("up", 7, 0)])

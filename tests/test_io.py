@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from oracles import to_one_based
@@ -140,6 +141,16 @@ class TestSigningAndWeightingFiles:
         w = llio.load_weighting(p)
         assert w.value((1, 2), (1, 2, 6)) == complex(-0.5, 0.8)
         assert w.value((9,), (9, 10)) == 1.0
+        assert w.dtype == np.complex128
+
+    def test_weighting_with_real_parts_only_is_real(self, tmp_path):
+        entries = [
+            {"face": [1, 2], "cofacet": [1, 2, 6], "value": {"re": -0.5}},
+            {"face": [1, 6], "cofacet": [1, 2, 6], "value": {"re": 2.0, "im": 0.0}},
+        ]
+        w = llio.load_weighting(write(tmp_path, "w.json", {"entries": entries}))
+        assert w.dtype == np.float64
+        assert type(w.value((1, 2), (1, 2, 6))) is float and w.value((1, 6), (1, 2, 6)) == 2.0
 
     def test_signing_roundtrip(self, tmp_path):
         flips = [{"face": [1, 2], "cofacet": [1, 2, 6]}]

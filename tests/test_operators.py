@@ -316,6 +316,38 @@ class TestCompareSpectra:
         assert compare_spectra(a, b, "subset").holds
         assert not compare_spectra(b, a, "subset").holds
 
+    def test_subset_witness_is_the_first_unmatched_value_of_a(self):
+        rep = compare_spectra(SpectrumMultiset((0.0, 1.0, 5.0, 7.0)), SpectrumMultiset((0.0, 1.0, 2.0)), "subset")
+        assert (rep.holds, rep.max_pairing_error, rep.witness) == (False, float("inf"), 5.0)
+
+    def test_subset_reports_the_largest_matched_gap(self):
+        a = SpectrumMultiset((1.0, 2.0))
+        rep = compare_spectra(a, SpectrumMultiset((0.5, 1.0 + 4e-9, 2.0 + 1e-9, 9.0)), "subset")
+        assert rep.holds and rep.witness is None
+        assert rep.max_pairing_error == abs(1.0 - (1.0 + 4e-9))
+        assert type(rep.max_pairing_error) is float
+
+    def test_subset_skips_smaller_values_of_b_that_are_not_close(self):
+        rep = compare_spectra(SpectrumMultiset((2.0, 3.0)), SpectrumMultiset((0.0, 1.0, 2.0, 2.5, 3.0)), "subset")
+        assert (rep.holds, rep.max_pairing_error, rep.witness) == (True, 0.0, None)
+
+    def test_subset_with_zero_tolerance_is_exact(self):
+        a = SpectrumMultiset((1.0,))
+        assert compare_spectra(a, SpectrumMultiset((0.0, 1.0)), "subset", tol=0).holds
+        rep = compare_spectra(a, SpectrumMultiset((np.nextafter(1.0, 2.0),)), "subset", tol=0)
+        assert (rep.holds, rep.witness) == (False, 1.0)
+        assert compare_spectra(a, SpectrumMultiset((np.nextafter(1.0, 2.0),)), "subset").holds
+
+    def test_empty_subset_holds(self):
+        for b in (SpectrumMultiset(), SpectrumMultiset((1.0, 2.0))):
+            rep = compare_spectra(SpectrumMultiset(), b, "subset")
+            assert (rep.holds, rep.max_pairing_error, rep.witness) == (True, 0.0, None)
+
+    def test_subset_needs_the_multiplicity(self):
+        rep = compare_spectra(SpectrumMultiset((1.0, 1.0)), SpectrumMultiset((0.0, 1.0, 2.0)), "subset")
+        assert (rep.holds, rep.witness) == (False, 1.0)
+        assert compare_spectra(SpectrumMultiset((1.0, 1.0)), SpectrumMultiset((1.0, 1.0 + 1e-12)), "subset").holds
+
     def test_union(self):
         a = SpectrumMultiset((0, 1, 1, 3, 3, 4))
         b = SpectrumMultiset((0, 3, 3))
@@ -360,6 +392,17 @@ class TestDecorations:
         w = IncidenceWeighting({((0, 1), (0, 1, 2)): 1j})
         D = decorated_coboundary(triangle, 1, w)
         assert D[2].dtype == np.complex128 and dense_matrix(D, (1, 3)).tolist() == [[1j, -1, 1]]
+
+    def test_value_with_zero_imaginary_part_is_stored_real(self, triangle):
+        a, b = ((0, 1), (0, 1, 2)), ((0, 2), (0, 1, 2))
+        w = IncidenceWeighting({a: -1 + 0j, b: np.array([[2 + 0j]])})
+        assert w.dtype == np.float64 and type(w.value(*a)) is float and w.value(*b) == 2.0
+        assert w == IncidenceWeighting({a: -1.0, b: 2.0})
+        assert decorated_coboundary(triangle, 1, w)[2].dtype == np.float64
+        block = IncidenceWeighting({a: np.array([[0, 1], [1, 0]], dtype=complex)})
+        assert block.dtype == np.float64 and block.value(*a).dtype == np.float64
+        # one nonzero imaginary part anywhere keeps the value complex
+        assert IncidenceWeighting({a: -1.0, b: np.array([[2 + 1e-300j]])}).dtype == np.complex128
 
     def test_weighting_rejects_zero(self):
         with pytest.raises(Exception):

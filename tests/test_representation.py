@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from conftest import cycle_complex
 from oracles import (
     block_laplacians,
     coboundary_matrix,
+    conjugated_weighting,
     cycle,
     kronecker_coboundary,
     permutation_matrix,
+    random_unitary,
     transposition,
     voltage_coboundary_matrix,
 )
@@ -24,17 +28,30 @@ from liftlap import (
     IncidenceWeighting,
     VoltageError,
     abelian_weightings,
+    block_weightings,
     build_complex,
     decompose_representation,
     derived_complex,
     edge_voltages,
     induced_incidence_voltage,
     laplacian_matrix,
+    layer_spectra,
     two_fold_signing,
     voltage_group,
 )
+from liftlap import io as llio
+from liftlap.cli import main
 from liftlap.perms import compose, identity
 from liftlap.representation import RESIDUAL_TOL
+
+
+def _regular_s3():
+    """Generators of S_3 acting on its own six elements by left
+    multiplication, as permutations of the sorted element list."""
+    els = voltage_group([transposition(3, 0, 1), cycle(3)]).elements
+    index = {g: j for j, g in enumerate(els)}
+    return [tuple(index[compose(g, h)] for h in els) for g in (transposition(3, 0, 1), cycle(3))]
+
 
 # 1-3 random permutations of range(k), k <= 6
 _GENERATORS = st.integers(1, 6).flatmap(
@@ -102,6 +119,8 @@ class TestDecomposeRepresentation:
         swap = dec.blocks_of[(1, 0)]
         assert np.allclose(swap[0], [[1.0]])
         assert np.allclose(swap[1], [[-1.0]])
+        # the sign character is real, so its block is too
+        assert swap[1].dtype == np.float64
 
     def test_cyclic_three_characters(self):
         dec = decompose_representation(voltage_group([cycle(3)]))
@@ -114,6 +133,9 @@ class TestDecomposeRepresentation:
         assert np.allclose(vals, expected)
         for j in (1, 2):
             assert abs(abs(complex(dec.blocks_of[gen][j][0, 0])) - 1) < 1e-12
+            # a real basis would need a real commutant element, which
+            # cannot separate the two conjugate characters
+            assert dec.blocks_of[gen][j].dtype == np.complex128
 
     def test_natural_symmetric_action(self):
         group = voltage_group([transposition(3, 0, 1), cycle(3)])
@@ -129,10 +151,59 @@ class TestDecomposeRepresentation:
             assert np.max(np.abs(conj[0, 1:])) < 1e-10
 
     def test_transform_is_unitary(self):
-        for gens in ([(1, 0)], [cycle(4)], [transposition(4, 0, 1), cycle(4)]):
+        for gens in ([(1, 0)], [cycle(3)], [cycle(4)], [transposition(4, 0, 1), cycle(4)], _regular_s3()):
             dec = decompose_representation(voltage_group(gens))
             T = dec.transform
             assert np.allclose(T.conj().T @ T, np.eye(T.shape[0]), atol=1e-12)
+            # a block with real values is read from real columns of the transform
+            offsets = np.cumsum((0,) + dec.block_sizes)
+            for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
+                if dec.blocks_of[gens[0]][j].dtype == np.float64:
+                    assert not T[:, a:b].imag.any()
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    def test_natural_symmetric_action_has_real_blocks(self, k):
+        # the trivial and the standard representation of S_k are both real
+        dec = decompose_representation(voltage_group([transposition(k, 0, 1), cycle(k)]))
+        assert dec.block_sizes == (1, k - 1)
+        assert dec.residual <= RESIDUAL_TOL
+        assert all(block.dtype == np.float64 for blocks in dec.blocks_of.values() for block in blocks)
+
+    def test_cyclic_four_real_and_complex_characters(self):
+        gen = cycle(4)
+        dec = decompose_representation(voltage_group([gen]))
+        assert dec.block_sizes == (1, 1, 1, 1)
+        by_value = {np.round(complex(b[0, 0]), 9): b.dtype for b in dec.blocks_of[gen][1:]}
+        assert by_value == {-1: np.float64, 1j: np.complex128, -1j: np.complex128}
+
+    def test_regular_symmetric_three_keeps_repeated_irreducible_complex(self):
+        # the 2-dimensional irreducible occurs twice; each block is one copy,
+        # chosen by a random complex combination, so its span is not real
+        gens = _regular_s3()
+        dec = decompose_representation(voltage_group(gens))
+        assert dec.block_sizes == (1, 1, 2, 2)
+        assert dec.residual <= RESIDUAL_TOL
+        assert [b.dtype for b in dec.blocks_of[gens[0]]] == [np.float64, np.float64, np.complex128, np.complex128]
+
+    def test_bench_decompose_input_has_real_blocks(self, capsys, monkeypatch, tmp_path):
+        # the benchmark's `decompose S4 punctured` case: an S_4 cover of the
+        # punctured 12 x 12 torus, decomposed on its edge/triangle layer
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]))
+        from perfbench.workloads import build_cases
+
+        (case,) = [c for c in build_cases("spectral", 1, tmp_path) if c.command == "decompose"]
+        argv = case.argv
+        base, _ = llio.load_complex(argv[argv.index("--base") + 1])
+        psi = llio.load_edge_voltages(argv[argv.index("--voltage") + 1], base)
+        iv = induced_incidence_voltage(derived_complex(base, psi).covering, 1)
+        dec = decompose_representation(voltage_group(iv), seed=int(argv[argv.index("--seed") + 1]))
+        assert dec.block_sizes == (1, 3)
+        assert dec.residual <= RESIDUAL_TOL
+        assert [w.dtype for w in block_weightings(iv, dec)] == [np.float64]
+        assert main(argv) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        assert results["block_sizes"] == [1, 3]
+        assert results["residual"] <= RESIDUAL_TOL
 
     def test_deterministic_given_seed(self):
         group = voltage_group([transposition(4, 0, 1), cycle(4)])
@@ -172,6 +243,28 @@ class TestDecompositionProperties:
         assert np.allclose(self.characters(other), self.characters(dec), rtol=0, atol=1e-9)
         els = group.elements
         assert group.abelian == all(compose(g, h) == compose(h, g) for g in els for h in els)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_GENERATORS, st.integers(0, 2**32 - 1))
+    def test_block_spectra_do_not_depend_on_the_block_basis(self, gens, seed):
+        # a real block is solved in real arithmetic; in a random complex
+        # basis, U^H rho_j(g) U, the same block must give the same spectra
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, max_faces=16)
+        group = voltage_group(gens)
+        dec = decompose_representation(group)
+        i = int(rng.integers(0, M.top_dim))
+        table = {
+            (c[:j] + c[j + 1 :], c): group.elements[int(rng.integers(group.order))]
+            for c in M.faces(i + 1)
+            for j in range(len(c))
+        }
+        psi = IncidenceVoltages(group.k, i, table)
+        for j, w in enumerate(block_weightings(psi, dec), start=1):
+            turned = conjugated_weighting(w, random_unitary(rng, dec.block_sizes[j]))
+            for plain, other in zip(layer_spectra(M, i, decoration=w), layer_spectra(M, i, decoration=turned)):
+                assert len(plain) == len(other)
+                assert np.max(np.abs(np.subtract(plain.values, other.values)), initial=0.0) <= 1e-12
 
 
 class TestTwoFoldSigning:
