@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Mapping
 
 import numpy as np
@@ -24,10 +24,16 @@ from .errors import DimensionError, MalformedInputError, WeightError
 Face = tuple
 
 
+MAX_ID = 2**63 - 1  # ids are stored in int64 face arrays
+
+
 def _index(v, what: str = "vertex") -> int:
     """``v`` as a non-negative integer id: an integral float such as 2.0
-    is one, a boolean or a string is not."""
+    is one, a boolean or a string is not, and neither is an id above
+    :data:`MAX_ID`."""
     if type(v) is int or (isinstance(v, numbers.Real) and not isinstance(v, bool) and v % 1 == 0):
+        if v > MAX_ID:
+            raise MalformedInputError(f"{what} {v!r} does not fit in a 64-bit integer")
         if v >= 0:
             return int(v)
     raise MalformedInputError(f"{what} {v!r} is not a non-negative integer")
@@ -41,7 +47,7 @@ def as_face(vertices) -> Face:
         raise MalformedInputError(f"face {vertices!r} is not a list of vertices") from None
     try:
         # plain ints inline: this runs for every face of every complex built
-        out = [v if type(v) is int and v >= 0 else _index(v) for v in vs]
+        out = [v if type(v) is int and 0 <= v <= MAX_ID else _index(v) for v in vs]
     except MalformedInputError as exc:
         raise MalformedInputError(f"face {vs!r}: {exc}") from None
     if len(set(out)) != len(out):
@@ -86,6 +92,9 @@ class SimplicialComplex:
         self._top_dim = max(self._faces)
         self._index = {d: {f: i for i, f in enumerate(fs)} for d, fs in self._faces.items()}
         self._cofacets: dict[Face, tuple[Face, ...]] | None = None
+        self._arrays: dict[int, np.ndarray] = {}
+        self._keys: dict[int, np.ndarray] = {}
+        self._counts: dict[int, np.ndarray] = {}
         self._components = connected_components(self.vertices, self.faces(1))
 
     # -- basic queries ---------------------------------------------------
@@ -146,14 +155,58 @@ class SimplicialComplex:
             raise MalformedInputError(f"{face!r} is not a face of the complex")
         return self._cofacets[face]
 
-    def is_facet(self, face) -> bool:
-        return not self.cofacets(face)
-
     def facets(self) -> tuple[Face, ...]:
+        """The faces without cofacets, by dimension, each in canonical order."""
         out = []
         for d in range(0, self._top_dim + 1):
-            out.extend(f for f in self.faces(d) if self.is_facet(f))
+            out.extend(map(self._faces[d].__getitem__, np.flatnonzero(self._cofacet_counts(d) == 0).tolist()))
         return tuple(out)
+
+    # -- face arrays -------------------------------------------------------
+
+    def _face_array(self, d: int) -> np.ndarray:
+        """The d-faces as one ``(n_d, d+1)`` int64 array, rows in canonical order."""
+        if d not in self._arrays:
+            n = self.face_count(d)
+            flat = np.fromiter(chain.from_iterable(self.faces(d)), np.int64, n * (d + 1))
+            self._arrays[d] = flat.reshape(n, d + 1)
+        return self._arrays[d]
+
+    def _face_keys(self, d: int) -> np.ndarray:
+        """Key of each d-face (d >= 1): the index of its prefix (d-1)-face
+        times n_0 plus the index of its last vertex.  Keys increase with
+        the canonical order and stay below n_{d-1} * n_0, which no id
+        size can overflow."""
+        if d not in self._keys:
+            faces, verts = self._face_array(d), self._face_array(0)[:, 0]
+            self._keys[d] = self._locate(faces[:, :-1]) * len(verts) + np.searchsorted(verts, faces[:, -1])
+        return self._keys[d]
+
+    def _locate(self, rows: np.ndarray) -> np.ndarray:
+        """Index in ``faces(d)`` of each row of an ``(m, d+1)`` int64 array
+        of increasing vertex ids, -1 where the row is not a face: one
+        ``searchsorted`` per column, on the vertices and then on the keys."""
+        width = rows.shape[1]
+        if not 1 <= width <= self._top_dim + 1:
+            return np.full(len(rows), -1, np.int64)
+        verts = self._face_array(0)[:, 0]
+        pos = np.searchsorted(verts, rows).clip(max=len(verts) - 1)
+        found = (verts[pos] == rows).all(axis=1)
+        idx = pos[:, 0]
+        for c in range(1, width):
+            keys = self._face_keys(c)
+            key = idx * len(verts) + pos[:, c]
+            idx = np.searchsorted(keys, key).clip(max=len(keys) - 1)
+            found &= keys[idx] == key
+        return np.where(found, idx, -1)
+
+    def _cofacet_counts(self, d: int) -> np.ndarray:
+        """Number of cofacets of each d-face, in canonical order."""
+        if d not in self._counts:
+            n = self.face_count(d)
+            counts = np.bincount(coboundary(self, d)[1], minlength=n) if d < self._top_dim else np.zeros(n, np.int64)
+            self._counts[d] = counts
+        return self._counts[d]
 
     # -- connectivity ----------------------------------------------------
 
@@ -228,13 +281,14 @@ def face_coboundary(rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Every coboundary in the package, plain, decorated or lifted, takes
     its signs from here.
     """
-    col_index = {f: c for c, f in enumerate(cols)}
+    col_index = dict(zip(cols, range(len(cols))))
     width = len(rows[0]) if len(rows) else 0
     # the k-th (i+1)-subset in lexicographic order omits vertex width-1-k
-    col = [col_index[sub] for f in rows for sub in combinations(f, width - 1)]
+    subs = chain.from_iterable(map(combinations, rows, repeat(width - 1)))
+    col = np.fromiter(map(col_index.__getitem__, subs), np.int64, len(rows) * width)
     row = np.arange(len(rows), dtype=np.int64).repeat(width)
     sign = np.array(([1, -1] * width)[width - 1 :: -1] * len(rows), dtype=np.int64)
-    return row, np.array(col, dtype=np.int64), sign
+    return row, col, sign
 
 
 def coboundary(K: SimplicialComplex, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

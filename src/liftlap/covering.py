@@ -12,6 +12,21 @@ The pieces implemented here:
   and
 * the voltages a covering induces on the base incidences.
 
+Array checks
+------------
+Verification and construction run on the int64 face arrays a
+:class:`~liftlap.complexes.SimplicialComplex` keeps per dimension, one
+pass per dimension rather than a Python step per face; vertex ids must
+therefore fit in int64, and larger ones are refused as malformed input.
+The image of every cover face is one sorted row of the vertex images,
+found among the base faces by ``searchsorted``; a (base face, cover
+vertex) pair met twice is a fiber overlap.  The strong condition is
+certified by counts: once images are base faces, no face collapses and
+no fiber overlaps, the cofacets of a face over ``g`` lie over distinct
+cofacets of ``g``, so every incidence at ``g`` lifts at that face exactly
+when the two cofacet counts agree.  Every witness is the first failing
+face in the canonical order, as a face-by-face check finds it.
+
 Orientation conventions
 -----------------------
 For an edge stored as ``(u, v)``, the voltage ``p`` maps sheets at ``v``
@@ -25,7 +40,10 @@ the covering face's vertex tuple.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
+
+import numpy as np
 
 from . import perms
 from .complexes import Face, SimplicialComplex, _index, boundary_faces, build_complex
@@ -140,19 +158,26 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     Raises :class:`CoveringViolation` with a distinct ``kind`` and a
     witness for the first axiom that fails:
 
-    * ``not-connected`` - the covering complex is disconnected,
     * ``unmapped-vertex`` - the vertex map is not total,
+    * ``not-connected`` - the covering complex is disconnected,
     * ``not-simplicial`` / ``degenerate-face`` - some face does not map
       to a base face of the same dimension,
     * ``fiber-overlap`` - two faces of one fiber share a vertex,
     * ``strong-violation`` - a base incidence has no lift at some fiber
       point,
     * ``fiber-size`` - fibers are not all of one constant size.
+
+    Each axiom is checked on the face arrays of one dimension at a time
+    (see the module notes); the witness is the first failing face in the
+    canonical order.
     """
     vertex_map = {_index(a, "vertex"): _index(b, "vertex image") for a, b in dict(vertex_map).items()}
-    missing = [v for v in cover.vertices if v not in vertex_map]
-    if missing:
-        raise CoveringViolation("unmapped-vertex", f"vertex {missing[0]} has no image", missing[0])
+    verts = cover._face_array(0)[:, 0]
+    ids = verts.tolist()
+    vimg = np.fromiter(map(vertex_map.get, ids, repeat(-1)), np.int64, len(ids))
+    if (vimg < 0).any():
+        v = ids[int(np.argmax(vimg < 0))]
+        raise CoveringViolation("unmapped-vertex", f"vertex {v} has no image", v)
     if not cover.connected:
         raise CoveringViolation(
             "not-connected",
@@ -160,74 +185,80 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
             tuple(sorted(map(sorted, cover.components()))),
         )
 
-    fibers: dict[Face, list[Face]] = {g: [] for g in base.all_faces()}
+    # images[d][r]: index in base.faces(d) of the image of cover.faces(d)[r]
+    images = []
+    overlap = None
     for d in range(0, cover.top_dim + 1):
-        for f in cover.faces(d):
-            img = tuple(sorted({vertex_map[v] for v in f}))
-            if len(img) != len(f):
-                raise CoveringViolation(
-                    "degenerate-face", f"face {f!r} collapses under the vertex map", f
-                )
-            if not base.has_face(img):
-                raise CoveringViolation(
-                    "not-simplicial", f"image {img!r} of {f!r} is not a base face", f
-                )
-            fibers[img].append(f)
-    if base.include_empty and cover.include_empty:
-        fibers[()] = [()]
-
-    for g, fs in fibers.items():
-        if len(g) == 0:
-            continue
-        used: set[int] = set()
-        for f in fs:
-            if used.intersection(f):
-                raise CoveringViolation(
-                    "fiber-overlap", f"fiber of {g!r} contains overlapping faces", (g, f)
-                )
-            used.update(f)
+        at = np.searchsorted(verts, cover._face_array(d))
+        img = np.sort(vimg[at], axis=1)
+        degenerate = (img[:, 1:] == img[:, :-1]).any(axis=1)
+        g = base._locate(img)
+        bad = degenerate | (g < 0)
+        if bad.any():
+            r = int(np.argmax(bad))
+            f = cover.faces(d)[r]
+            if degenerate[r]:
+                raise CoveringViolation("degenerate-face", f"face {f!r} collapses under the vertex map", f)
+            image = tuple(img[r].tolist())
+            raise CoveringViolation("not-simplicial", f"image {image!r} of {f!r} is not a base face", f)
+        images.append(g)
+        if overlap is None:
+            # a (base face, cover vertex) pair met twice; in a stable sort
+            # every repeat comes from a face after the first one holding it
+            pairs = (g[:, None] * len(verts) + at).ravel()
+            order = np.argsort(pairs, kind="stable")
+            rows = order[1:][pairs[order[1:]] == pairs[order[:-1]]] // (d + 1)
+            if rows.size:
+                r = rows[np.lexsort((rows, g[rows]))[0]]
+                overlap = (base.faces(d)[g[r]], cover.faces(d)[r])
+    if overlap is not None:
+        raise CoveringViolation("fiber-overlap", f"fiber of {overlap[0]!r} contains overlapping faces", overlap)
 
     # strong condition: every base incidence lifts at every fiber point.
     # Images are base faces, no face collapses and fibers do not overlap,
     # so the cofacets of f over g lie over distinct cofacets of g: the
     # condition holds at f exactly when the two counts agree.  Only a
-    # short count searches for the witness.
+    # base face with a short count searches for the witness.
+    images += [np.zeros(0, np.int64)] * (base.top_dim - cover.top_dim)
     for d in range(0, base.top_dim):
-        for g in base.faces(d):
-            up = base.cofacets(g)
-            if all(len(cover.cofacets(f)) == len(up) for f in fibers[g]):
-                continue
-            for gbar in up:
-                for f in fibers[g]:
+        g = images[d]
+        short = cover._cofacet_counts(d) != base._cofacet_counts(d)[g]
+        for gi in sorted(set(g[short].tolist())):
+            fiber = [cover.faces(d)[r] for r in np.flatnonzero(g == gi).tolist()]
+            for gbar in base.cofacets(base.faces(d)[gi]):
+                for f in fiber:
                     if not any(
-                        tuple(sorted(vertex_map[v] for v in fbar)) == gbar
-                        for fbar in cover.cofacets(f)
+                        tuple(sorted(vertex_map[v] for v in fbar)) == gbar for fbar in cover.cofacets(f)
                     ):
                         raise CoveringViolation(
                             "strong-violation",
-                            f"incidence ({g!r}, {gbar!r}) has no lift at {f!r}",
+                            f"incidence ({base.faces(d)[gi]!r}, {gbar!r}) has no lift at {f!r}",
                             (f, gbar),
                         )
 
     degree = None
     for d in range(0, base.top_dim + 1):
-        for g in base.faces(d):
-            n = len(fibers[g])
-            if degree is None:
-                degree = n
-            if n != degree:
-                raise CoveringViolation(
-                    "fiber-size",
-                    f"fiber of {g!r} has size {n}, expected {degree}",
-                    g,
-                )
+        sizes = np.bincount(images[d], minlength=base.face_count(d))
+        if degree is None:
+            degree = int(sizes[0])
+        off = np.flatnonzero(sizes != degree)
+        if off.size:
+            g = base.faces(d)[off[0]]
+            raise CoveringViolation("fiber-size", f"fiber of {g!r} has size {int(sizes[off[0]])}, expected {degree}", g)
     if cover.top_dim != base.top_dim:
         raise CoveringViolation(
             "fiber-size", "cover and base have different top dimensions", cover.top_dim
         )
 
-    # each fiber was filled in the lexicographic order of cover.faces(d)
-    return CoveringMap(cover, base, vertex_map, degree, {g: tuple(fs) for g, fs in fibers.items()})
+    # a stable sort by image keeps each fiber in the lexicographic order
+    # of cover.faces(d); every fiber now has ``degree`` faces
+    fibers: dict[Face, tuple[Face, ...]] = {}
+    if base.include_empty:
+        fibers[()] = ((),) if cover.include_empty else ()
+    for d in range(0, base.top_dim + 1):
+        members = map(cover.faces(d).__getitem__, np.argsort(images[d], kind="stable").tolist())
+        fibers.update(zip(base.faces(d), zip(*[members] * degree)))
+    return CoveringMap(cover, base, vertex_map, degree, fibers)
 
 
 # -- derived complexes --------------------------------------------------------
@@ -253,13 +284,18 @@ class DerivedComplexResult:
         return self.covering is not None
 
 
-def check_cocycle(M: SimplicialComplex, psi: EdgeVoltages) -> None:
-    """Voltages must compose around every 2-face: psi(u,v) o psi(v,w) == psi(u,w)."""
-    for tri in M.faces(2):
-        u, v, w = tri
-        lhs = perms.compose(psi.voltage(u, v), psi.voltage(v, w))
-        if lhs != psi.voltage(u, w):
-            raise CocycleError(f"edge voltages are inconsistent around 2-face {tri!r}", tri)
+def check_cocycle(M: SimplicialComplex, volt: np.ndarray) -> None:
+    """Voltages must compose around every 2-face: psi(u,v) o psi(v,w) == psi(u,w).
+
+    ``volt[e]`` is the voltage of the edge ``M.faces(1)[e]`` read from
+    its lesser end, as :func:`derived_complex` builds it.
+    """
+    tris = M._face_array(2)
+    uv, vw, uw = (volt[M._locate(tris[:, cols])] for cols in ([0, 1], [1, 2], [0, 2]))
+    bad = (np.take_along_axis(uv, vw, axis=1) != uw).any(axis=1)
+    if bad.any():
+        tri = M.faces(2)[int(np.argmax(bad))]
+        raise CocycleError(f"edge voltages are inconsistent around 2-face {tri!r}", tri)
 
 
 def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexResult:
@@ -282,19 +318,24 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
     for e in M.faces(1):
         if not psi.has_edge(*e):
             raise VoltageError(f"no voltage on base edge {e!r}")
-    check_cocycle(M, psi)
+    _index(M.faces(0)[-1][0] * k + k - 1, "cover vertex")  # the largest cover id must fit in int64
+    volt = np.array([psi.voltage(u, v) for u, v in M.faces(1)], np.int64).reshape(-1, k)
+    check_cocycle(M, volt)
 
-    def lift_face(g: Face, j: int) -> Face:
-        anchor = g[0]
-        out = [anchor * k + j]
-        for v in g[1:]:
-            sheet = perms.inverse(psi.voltage(anchor, v))[j]
-            out.append(v * k + sheet)
-        return tuple(out)
-
-    lifted_facets = [lift_face(g, j) for g in M.facets() for j in range(k)]
+    # the vertex v of a facet sits on sheet inverse(psi(anchor, v))[j]
+    # when the facet's least vertex, its anchor, sits on sheet j
+    inverse = np.argsort(volt, axis=1)
+    lifted_facets = []
+    for d in range(0, M.top_dim + 1):
+        G = M._face_array(d)[M._cofacet_counts(d) == 0]
+        anchor_edges = np.stack([np.repeat(G[:, :1], d, axis=1), G[:, 1:]], axis=2).reshape(-1, 2)
+        sheets = np.empty((len(G), k, d + 1), np.int64)
+        sheets[:, :, 0] = np.arange(k)
+        sheets[:, :, 1:] = inverse[M._locate(anchor_edges)].reshape(len(G), d, k).transpose(0, 2, 1)
+        lifted_facets += (G[:, None, :] * k + sheets).reshape(-1, d + 1).tolist()
     K = build_complex(lifted_facets, include_empty=M.include_empty)
-    vmap = {v: v // k for v in K.vertices}
+    verts = K._face_array(0)[:, 0]
+    vmap = dict(zip(verts.tolist(), (verts // k).tolist()))
     if K.connected:
         cov = verify_covering(K, M, vmap)
         return DerivedComplexResult(K, cov, K.components(), vmap)

@@ -345,9 +345,12 @@ def compare_spectra(
     """Compare eigenvalue multisets: ``equal`` or ``subset``.
 
     Two values match when ``|a - b| <= tol * max(1, |a|, |b|)``.
-    ``subset`` greedily matches the sorted values of ``a`` into ``b``.  A
-    union claim compares against ``b.union(c)`` with ``equal``.  Failure
-    is reported (with the first unmatched value as witness), never raised.
+    ``subset`` greedily matches the sorted values of ``a`` into ``b``:
+    each takes the first unused value of ``b`` it matches, passing over
+    the smaller ones it does not (found in array passes, which is exact
+    for ``tol < 1`` and for spectra without negative values).  A union
+    claim compares against ``b.union(c)`` with ``equal``.  Failure is
+    reported (with the first unmatched value as witness), never raised.
     """
     if mode == "equal":
         return _equal(a, b, tol)
@@ -370,13 +373,23 @@ def _equal(a, b, tol) -> SpectrumComparison:
 
 
 def _subset(a, b, tol) -> SpectrumComparison:
-    worst = 0.0
-    j = 0
-    for x in a.values:
-        while j < len(b.values) and b.values[j] < x and not _close(b.values[j], x, tol):
-            j += 1
-        if j >= len(b.values) or not _close(b.values[j], x, tol):
-            return SpectrumComparison(False, float("inf"), x)
-        worst = max(worst, abs(b.values[j] - x))
-        j += 1
-    return SpectrumComparison(True, worst, None)
+    # The greedy pointer stops for x at the first value of b that is not
+    # both below x and apart from it.  Below x, the values close to x are
+    # the largest ones (when tol < 1 |x - y| falls faster than the bound
+    # as y rises, and for 0 <= y < x the bound is fixed), so with no
+    # pointer that stop is a bisection on the t values below x, and the
+    # pointer moves it to the place after the previous match if later.
+    # y has one pad value so that a stop or match past the end indexes it
+    x, y = np.array(a.values), np.array(b.values + (0.0,))
+    lo, hi = np.zeros(len(x), np.int64), np.searchsorted(y[: len(b)], x)
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        near, open_ = _close(y[mid], x, tol), lo < hi
+        hi = np.where(open_ & near, mid, hi)
+        lo = np.where(open_ & ~near, mid + 1, lo)
+    steps = np.arange(len(x))
+    match = np.maximum.accumulate(lo - steps) + steps
+    paired = (match < len(b)) & _close(y[np.minimum(match, len(b))], x, tol)
+    if not paired.all():
+        return SpectrumComparison(False, float("inf"), a.values[int(np.argmin(paired))])
+    return SpectrumComparison(True, float(np.max(abs(y[match] - x), initial=0.0)), None)

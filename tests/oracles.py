@@ -10,6 +10,7 @@ import liftlap.reference_fixture as rf
 from liftlap import (
     COMBINATORIAL,
     CoveringMap,
+    CoveringViolation,
     DimensionError,
     EdgeVoltages,
     IncidenceVoltages,
@@ -36,6 +37,8 @@ from liftlap import (
     voltage_group,
     weight_vector,
 )
+from liftlap.complexes import _index
+from liftlap.operators import SpectrumComparison, _close
 from liftlap.perms import Perm
 
 
@@ -484,6 +487,86 @@ def coboundary_factorization(cov: CoveringMap, i: int) -> CoboundaryFactorizatio
     product = (lam_hi.entries[:, None] * dpsi) * lam_lo.entries[None, :]
     residual = int(np.max(np.abs(dk - product))) if dk.size else 0
     return CoboundaryFactorization(lam_lo, lam_hi, dpsi, dk, residual)
+
+
+# -- the covering axioms, face by face ----------------------------------------
+
+
+def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_map) -> CoveringMap:
+    """The covering axioms checked one cover face at a time, with sets and
+    the cofacet table: ``verify_covering`` must raise the same kind with
+    an equal witness, or return an equal degree, vertex map and fibers."""
+    vertex_map = {_index(a, "vertex"): _index(b, "vertex image") for a, b in dict(vertex_map).items()}
+    missing = [v for v in cover.vertices if v not in vertex_map]
+    if missing:
+        raise CoveringViolation("unmapped-vertex", f"vertex {missing[0]} has no image", missing[0])
+    if not cover.connected:
+        raise CoveringViolation(
+            "not-connected",
+            "covering complex must be connected",
+            tuple(sorted(map(sorted, cover.components()))),
+        )
+
+    fibers: dict = {g: [] for g in base.all_faces()}
+    for d in range(0, cover.top_dim + 1):
+        for f in cover.faces(d):
+            img = tuple(sorted({vertex_map[v] for v in f}))
+            if len(img) != len(f):
+                raise CoveringViolation("degenerate-face", f"face {f!r} collapses under the vertex map", f)
+            if not base.has_face(img):
+                raise CoveringViolation("not-simplicial", f"image {img!r} of {f!r} is not a base face", f)
+            fibers[img].append(f)
+    if base.include_empty and cover.include_empty:
+        fibers[()] = [()]
+
+    for g, fs in fibers.items():
+        if len(g) == 0:
+            continue
+        used: set = set()
+        for f in fs:
+            if used.intersection(f):
+                raise CoveringViolation("fiber-overlap", f"fiber of {g!r} contains overlapping faces", (g, f))
+            used.update(f)
+
+    for d in range(0, base.top_dim):
+        for g in base.faces(d):
+            for gbar in base.cofacets(g):
+                for f in fibers[g]:
+                    if not any(tuple(sorted(vertex_map[v] for v in fbar)) == gbar for fbar in cover.cofacets(f)):
+                        raise CoveringViolation(
+                            "strong-violation", f"incidence ({g!r}, {gbar!r}) has no lift at {f!r}", (f, gbar)
+                        )
+
+    degree = None
+    for d in range(0, base.top_dim + 1):
+        for g in base.faces(d):
+            n = len(fibers[g])
+            if degree is None:
+                degree = n
+            if n != degree:
+                raise CoveringViolation("fiber-size", f"fiber of {g!r} has size {n}, expected {degree}", g)
+    if cover.top_dim != base.top_dim:
+        raise CoveringViolation("fiber-size", "cover and base have different top dimensions", cover.top_dim)
+    return CoveringMap(cover, base, vertex_map, degree, {g: tuple(fs) for g, fs in fibers.items()})
+
+
+# -- spectrum comparison --------------------------------------------------------
+
+
+def greedy_subset(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> SpectrumComparison:
+    """``compare_spectra(a, b, "subset", tol)`` one scalar step at a time:
+    each sorted value of ``a`` takes the first unused value of ``b`` it is
+    close to, skipping the smaller values of ``b`` that it is not."""
+    worst = 0.0
+    j = 0
+    for x in a.values:
+        while j < len(b.values) and b.values[j] < x and not _close(b.values[j], x, tol):
+            j += 1
+        if j >= len(b.values) or not _close(b.values[j], x, tol):
+            return SpectrumComparison(False, float("inf"), x)
+        worst = max(worst, abs(b.values[j] - x))
+        j += 1
+    return SpectrumComparison(True, worst, None)
 
 
 # -- the reference fixture search ---------------------------------------------

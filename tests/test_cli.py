@@ -170,6 +170,41 @@ class TestCover:
         assert "strong-violation" in report["verdicts"][0]["claim"]
 
 
+_C3 = [[0, 1], [1, 2], [0, 2]]
+_C6 = [[i, (i + 1) % 6] for i in range(6)]
+
+
+# one cover verify input per violation kind, with the report's witness
+_VIOLATIONS = [
+    (_C6, _C3, [[v, v % 3] for v in range(5)], "unmapped-vertex", "5"),
+    ([[0, 1, 2], [3, 4, 5]], [[0, 1, 2]], [[v, v % 3] for v in range(6)], "not-connected", "([0, 1, 2], [3, 4, 5])"),
+    (_C3, [[0, 1]], [[0, 0], [1, 1], [2, 0]], "degenerate-face", "(0, 2)"),
+    (_C6, _C3, [[v, v % 3] for v in range(5)] + [[5, 7]], "not-simplicial", "(5,)"),
+    ([[0, 1, 2], [0, 1, 3]], [[0, 1, 2]], [[0, 0], [1, 1], [2, 2], [3, 2]], "fiber-overlap", "((0, 2), (0, 3))"),
+    ([[0, 1], [1, 2]], _C3, [[0, 0], [1, 1], [2, 2]], "strong-violation", "((0,), (0, 2))"),
+    (_C6, _C3 + [[9]], [[v, v % 3] for v in range(6)], "fiber-size", "(9,)"),
+]
+
+
+class TestCoverViolations:
+    @pytest.mark.parametrize("cover, base, vertex_map, kind, witness", _VIOLATIONS, ids=[c[3] for c in _VIOLATIONS])
+    def test_report_names_the_kind_and_witness(self, capsys, tmp_path, cover, base, vertex_map, kind, witness):
+        argv = ["cover", "verify"]
+        for flag, doc in (("--cover", {"facets": cover}), ("--base", {"facets": base}), ("--map", {"vertex_map": vertex_map})):
+            argv += [flag, write(tmp_path, flag[2:] + ".json", doc)]
+        code, report, _ = run(capsys, argv)
+        assert code == 1
+        assert report["results"] == {"violation": kind, "witness": witness}
+        assert report["verdicts"][0]["claim"] == f"covering axioms hold ({kind})"
+
+    def test_an_id_past_int64_exits_2_naming_it(self, capsys, tmp_path, c3_file):
+        cover = write(tmp_path, "big.json", {"facets": _C6[:5] + [[5, 2**63]]})
+        phi = write(tmp_path, "phi.json", {"vertex_map": [[v, v % 3] for v in range(6)]})
+        code, report, err = run(capsys, ["cover", "verify", "--cover", cover, "--base", c3_file, "--map", phi])
+        assert code == 2 and report is None
+        assert f"vertex {2**63} does not fit in a 64-bit integer" in err
+
+
 class TestVerify:
     def test_union_on_hexagon(self, capsys, c3_file, c3_voltage_file):
         code, report, err = run(

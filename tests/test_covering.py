@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import REFERENCE_FACETS, cycle_complex, scrambled_covering
 from oracles import (
@@ -10,6 +12,7 @@ from oracles import (
     derived_graph,
     incidence_graph,
     orientation_sign_diagonal,
+    per_face_verify_covering,
     permutation_matrix,
 )
 from randgen import random_complex, random_connected_cover, random_edge_voltages
@@ -108,11 +111,27 @@ class TestVerifyCovering:
         assert err.value.witness == ((4,), (0, 1))
 
     def test_degenerate_face_detected(self):
+        # the 4-cycle folded onto an edge: no edge collapses, but the two
+        # edges at vertex 0 both lie over (0, 1)
         K = cycle_complex(4)
         M = build_complex([{0, 1}])
         with pytest.raises(CoveringViolation) as err:
             verify_covering(K, M, {0: 0, 1: 1, 2: 0, 3: 1})
-        assert err.value.kind in ("degenerate-face", "fiber-overlap", "strong-violation")
+        assert (err.value.kind, err.value.witness) == ("fiber-overlap", ((0, 1), (0, 3)))
+
+    def test_collapsed_edge_is_the_witness(self):
+        K = build_complex([(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(CoveringViolation) as err:
+            verify_covering(K, build_complex([(0, 1)]), {0: 0, 1: 1, 2: 0})
+        assert (err.value.kind, err.value.witness) == ("degenerate-face", (0, 2))
+
+    def test_first_overlapping_fiber_is_the_witness(self):
+        # (0, 2) and (0, 3) lie over (0, 2) and share vertex 0; the
+        # fiber of (1, 2) overlaps too, but comes later
+        K = build_complex([(0, 1, 2), (0, 1, 3)])
+        with pytest.raises(CoveringViolation) as err:
+            verify_covering(K, build_complex([(0, 1, 2)]), {0: 0, 1: 1, 2: 2, 3: 2})
+        assert (err.value.kind, err.value.witness) == ("fiber-overlap", ((0, 2), (0, 3)))
 
     def test_missing_vertex_rejected(self):
         K = cycle_complex(6)
@@ -145,6 +164,96 @@ class TestVerifyCovering:
                 assert len(cov.fibers[g]) == cov.degree
 
 
+MUTATIONS = ("none", "swap-images", "drop-facet", "add-face", "merge-vertices", "unmap-vertex")
+
+
+def _mutated(rng, K, vertex_map, mutation):
+    """Facets and vertex map of a cover after one mutation."""
+    facets, vmap = [set(f) for f in K.facets()], dict(vertex_map)
+    u, v, w = (int(x) for x in rng.choice(K.vertices, 3, replace=False))
+    if mutation == "swap-images":
+        vmap[u], vmap[v] = vmap[v], vmap[u]
+    elif mutation == "drop-facet":
+        del facets[int(rng.integers(len(facets)))]
+    elif mutation == "add-face":
+        facets.append({u, v, w} if rng.integers(2) else {u, v})
+    elif mutation == "merge-vertices":
+        facets = [{u if x == v else x for x in f} for f in facets]
+        del vmap[v]
+    elif mutation == "unmap-vertex":
+        del vmap[u]
+    return build_complex(facets, include_empty=K.include_empty), vmap
+
+
+def _outcome(check, K, M, vertex_map) -> str:
+    """The violation's kind and witness, or the verified covering's degree,
+    vertex map and fibers; as a repr, so a numpy scalar shows."""
+    try:
+        cov = check(K, M, vertex_map)
+    except CoveringViolation as exc:
+        return repr((exc.kind, exc.witness))
+    return repr((cov.degree, cov.vertex_map, cov.fibers))
+
+
+class TestVerifyCoveringOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(MUTATIONS))
+    def test_random_mutated_covers_agree_with_the_per_face_check(self, seed, mutation):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, min_beta1=1)
+        out = random_connected_cover(M, int(rng.integers(2, 4)), rng)
+        assume(out is not None)
+        _, result = out
+        K, vmap = _mutated(rng, result.complex, result.vertex_map, mutation)
+        expected = _outcome(per_face_verify_covering, K, M, vmap)
+        assert _outcome(verify_covering, K, M, vmap) == expected
+
+    MIXED = [(0, 1, 2), (2, 3), (7,)]
+
+    @pytest.mark.parametrize(
+        "cover, base, vertex_map, kind",
+        [
+            (MIXED, MIXED, {v: v for v in (0, 1, 2, 3, 7)}, "not-connected"),
+            (MIXED[:2], MIXED, {v: v for v in (0, 1, 2, 3)}, "fiber-size"),
+            (MIXED[:2], MIXED[:2], {v: v for v in (0, 1, 2, 3)}, None),
+            (MIXED[:2], [(0, 1, 2), (0, 3)], {v: v for v in (0, 1, 2, 3)}, "not-simplicial"),
+            (MIXED[:2], [(0, 1, 2), (2, 3), (3, 4)], {v: v for v in (0, 1, 2, 3)}, "strong-violation"),
+        ],
+        ids=["not-connected", "fiber-size", "degree-one", "not-simplicial", "strong-violation"],
+    )
+    def test_mixed_dimensions(self, cover, base, vertex_map, kind):
+        # a triangle, a dangling edge and an isolated vertex
+        K, M = build_complex(cover), build_complex(base)
+        got = _outcome(verify_covering, K, M, vertex_map)
+        assert got == _outcome(per_face_verify_covering, K, M, vertex_map)
+        assert got.startswith(f"('{kind}', " if kind else "(1, ")
+
+    @pytest.mark.parametrize("mutation", MUTATIONS)
+    def test_ids_near_two_to_the_forty(self, mutation):
+        shift = 2**40 - 3
+        M = build_complex([(shift + i, shift + (i + 1) % 3) for i in range(3)])
+        psi = edge_voltages(M, 2, {(shift, shift + 1): (1, 0)})
+        result = derived_complex(M, psi)
+        assert result.covering.degree == 2 and min(result.complex.vertices) == 2 * shift
+        K, vmap = _mutated(np.random.default_rng(5), result.complex, result.vertex_map, mutation)
+        assert _outcome(verify_covering, K, M, vmap) == _outcome(per_face_verify_covering, K, M, vmap)
+
+
+class TestIdRange:
+    def test_an_id_past_int64_is_refused_naming_it(self):
+        with pytest.raises(MalformedInputError, match=str(2**63)):
+            build_complex([(0, 2**63)])
+        with pytest.raises(MalformedInputError, match=f"vertex image {2**63} does not fit"):
+            verify_covering(cycle_complex(6), cycle_complex(3), {**{v: v % 3 for v in range(5)}, 5: 2**63})
+        K = build_complex([(0, 2**63 - 1)])
+        assert K.vertices == (0, 2**63 - 1) and K.facets() == ((0, 2**63 - 1),)
+
+    def test_a_cover_whose_ids_would_not_fit_is_refused(self):
+        M = build_complex([(2**62, 2**62 + 1), (2**62 + 1, 2**62 + 2), (2**62, 2**62 + 2)])
+        with pytest.raises(MalformedInputError, match="cover vertex .* does not fit"):
+            derived_complex(M, edge_voltages(M, 2, {(2**62, 2**62 + 1): (1, 0)}))
+
+
 class TestDerivedComplex:
     def test_simply_connected_base_disconnects(self, triangle):
         psi = edge_voltages(triangle, 2)
@@ -170,6 +279,13 @@ class TestDerivedComplex:
         with pytest.raises(CocycleError) as err:
             derived_complex(triangle, psi)
         assert err.value.witness == (0, 1, 2)
+
+    @pytest.mark.parametrize("edge, witness", [((1, 3), (1, 2, 3)), ((1, 2), (0, 1, 2))])
+    def test_first_inconsistent_triangle_is_the_witness(self, edge, witness):
+        M = build_complex([(0, 1, 2), (1, 2, 3)])
+        with pytest.raises(CocycleError) as err:
+            derived_complex(M, edge_voltages(M, 2, {edge: (1, 0)}))
+        assert err.value.witness == witness
 
     def test_roundtrip_random_covers(self):
         rng = np.random.default_rng(31)
