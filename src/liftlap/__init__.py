@@ -15,14 +15,10 @@ from .complexes import (
     SimplicialComplex,
     WeightScheme,
     as_face,
-    boundary_faces,
     build_complex,
     coboundary,
     compute_weights,
     connected_components,
-    face_coboundary,
-    relative_orientation_sign,
-    weight_vector,
 )
 from .covering import (
     CoveringMap,
@@ -48,8 +44,6 @@ from .errors import (
 )
 from .homology import (
     BettiInequalityReport,
-    BettiReport,
-    betti_numbers,
     exact_betti_numbers,
     integer_rank,
     lift_cochain,

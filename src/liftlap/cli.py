@@ -104,8 +104,9 @@ def cmd_spectrum(args, report):
         if path:
             decoration = load(path)
             report["inputs"][key] = _hash_file(path)
-            for (f, c), _ in decoration.items():
-                if not (K.has_face(c) and len(c) == len(f) + 1 and set(f) <= set(c)):
+            pairs = [pair for pair, _ in decoration.items()]
+            for (f, c), found in zip(pairs, K._indices([c for _, c in pairs]) >= 0):
+                if not (found and len(c) == len(f) + 1 and set(f) <= set(c)):
                     raise MalformedInputError(
                         f"{path}: ({list(f)}, {list(c)}) is not a (face, cofacet) incidence of the complex"
                     )

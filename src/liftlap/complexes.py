@@ -5,8 +5,17 @@ increasing order; the increasing order *is* the canonical orientation.
 The empty face ``()`` has dimension -1 and is included by default so
 that reduced cohomology and the degree-(-1) coboundary exist.
 
+Every face lookup goes through one structure: the sorted int64 array
+of the d-faces that a complex keeps per dimension, searched row by row
+with ``searchsorted`` (:meth:`SimplicialComplex._locate`).  The
+coboundary finds the boundary faces there as the face rows with one
+column deleted; ``index``, ``has_face``, ``cofacets`` and explicit
+weights read the same arrays, and weights are one float64 array per
+dimension.
+
 All structures here are immutable after construction and every
-operation is a pure function, so concurrent reads are safe.
+operation is a pure function, so concurrent reads are safe (a cache
+filled twice holds the same array).
 """
 
 from __future__ import annotations
@@ -14,8 +23,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, repeat
-from typing import Mapping
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -37,6 +45,13 @@ def _index(v, what: str = "vertex") -> int:
         if v >= 0:
             return int(v)
     raise MalformedInputError(f"{what} {v!r} is not a non-negative integer")
+
+
+def _id_or_minus_one(v) -> int:
+    """``v`` as a vertex id, or -1 (no vertex has it) when no id equals it."""
+    if type(v) is int or (isinstance(v, numbers.Real) and v % 1 == 0):
+        return int(v) if 0 <= v <= MAX_ID else -1
+    return -1
 
 
 def as_face(vertices) -> Face:
@@ -90,8 +105,6 @@ class SimplicialComplex:
         self._faces = {d: tuple(fs) for d, fs in faces.items()}
         self._include_empty = include_empty
         self._top_dim = max(self._faces)
-        self._index = {d: {f: i for i, f in enumerate(fs)} for d, fs in self._faces.items()}
-        self._cofacets: dict[Face, tuple[Face, ...]] | None = None
         self._arrays: dict[int, np.ndarray] = {}
         self._keys: dict[int, np.ndarray] = {}
         self._counts: dict[int, np.ndarray] = {}
@@ -121,15 +134,13 @@ class SimplicialComplex:
         return len(self.faces(dim))
 
     def index(self, face: Face) -> int:
-        d = len(face) - 1
-        try:
-            return self._index[d][tuple(face)]
-        except KeyError:
-            raise MalformedInputError(f"{face!r} is not a face of the complex") from None
+        r = int(self._indices([tuple(face)])[0])
+        if r < 0:
+            raise MalformedInputError(f"{face!r} is not a face of the complex")
+        return r
 
     def has_face(self, face) -> bool:
-        face = tuple(face)
-        return face in self._index.get(len(face) - 1, {})
+        return bool(self._indices([tuple(face)])[0] >= 0)
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -140,20 +151,14 @@ class SimplicialComplex:
             yield from self.faces(d)
 
     def cofacets(self, face: Face) -> tuple[Face, ...]:
-        """Faces of one dimension higher containing ``face``."""
-        if self._cofacets is None:
-            table: dict[Face, list[Face]] = {f: [] for f in self.all_faces()}
-            for d in range(0, self._top_dim + 1):
-                for f in self.faces(d):
-                    for j in range(len(f)):
-                        sub = f[:j] + f[j + 1 :]
-                        if sub in table:
-                            table[sub].append(f)
-            self._cofacets = {f: tuple(v) for f, v in table.items()}
-        face = tuple(face)
-        if face not in self._cofacets:
-            raise MalformedInputError(f"{face!r} is not a face of the complex")
-        return self._cofacets[face]
+        """Faces of one dimension higher containing ``face``, in canonical
+        order: the rows of the coboundary triplets at its column."""
+        c = self.index(tuple(face))
+        d = len(face) - 1
+        if d == self._top_dim:
+            return ()
+        rows, cols, _ = coboundary(self, d)
+        return tuple(map(self.faces(d + 1).__getitem__, rows[cols == c].tolist()))
 
     def facets(self) -> tuple[Face, ...]:
         """The faces without cofacets, by dimension, each in canonical order."""
@@ -184,21 +189,42 @@ class SimplicialComplex:
 
     def _locate(self, rows: np.ndarray) -> np.ndarray:
         """Index in ``faces(d)`` of each row of an ``(m, d+1)`` int64 array
-        of increasing vertex ids, -1 where the row is not a face: one
-        ``searchsorted`` per column, on the vertices and then on the keys."""
+        of vertex ids, -1 where the row is not a face (an unsorted row is
+        not): one ``searchsorted`` per column, on the vertices and then on
+        the keys."""
         width = rows.shape[1]
         if not 1 <= width <= self._top_dim + 1:
             return np.full(len(rows), -1, np.int64)
         verts = self._face_array(0)[:, 0]
-        pos = np.searchsorted(verts, rows).clip(max=len(verts) - 1)
-        found = (verts[pos] == rows).all(axis=1)
+        # a position past the end (an id above every vertex) clips to the last
+        pos = verts.searchsorted(rows)
+        found = (verts.take(pos, mode="clip") == rows).all(axis=1)
         idx = pos[:, 0]
         for c in range(1, width):
             keys = self._face_keys(c)
             key = idx * len(verts) + pos[:, c]
-            idx = np.searchsorted(keys, key).clip(max=len(keys) - 1)
-            found &= keys[idx] == key
+            idx = keys.searchsorted(key)
+            found &= keys.take(idx, mode="clip") == key
         return np.where(found, idx, -1)
+
+    def _indices(self, faces) -> np.ndarray:
+        """Index of each face of a list in ``faces(d)`` for its own d, -1
+        where it is not a face: faces of one length are located together
+        by one :meth:`_locate` call.  A vertex id matches when it equals a
+        face's id, as a dict key would (2.0 matches 2); an unsorted tuple
+        is not a face."""
+        out = np.full(len(faces), -1, np.int64)
+        by_width: dict[int, list[int]] = {}
+        for j, f in enumerate(faces):
+            by_width.setdefault(len(f), []).append(j)
+        for width, at in by_width.items():
+            if width == 0:
+                out[at] = 0 if self._include_empty else -1
+                continue
+            ids = chain.from_iterable(faces[j] for j in at)
+            rows = np.fromiter(map(_id_or_minus_one, ids), np.int64, len(at) * width)
+            out[at] = self._locate(rows.reshape(len(at), width))
+        return out
 
     def _cofacet_counts(self, d: int) -> np.ndarray:
         """Number of cofacets of each d-face, in canonical order."""
@@ -257,50 +283,31 @@ def build_complex(facets, include_empty: bool = True) -> SimplicialComplex:
     return SimplicialComplex(facets, include_empty)
 
 
-def boundary_faces(f) -> list[tuple[Face, int]]:
-    """Boundary of a face: pairs ``(face, sign)``.
-
-    The j-th boundary face omits the j-th vertex and carries sign
-    ``(-1)**j``.  The boundary of a vertex is the empty face with sign +1.
-    """
-    f = as_face(f)
-    if not f:
-        raise DimensionError("the empty face has no boundary")
-    return [(f[:j] + f[j + 1 :], (-1) ** j) for j in range(len(f))]
-
-
-def face_coboundary(rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzeros of the integer coboundary between two lists of faces.
-
-    ``rows`` holds (i+1)-faces and ``cols`` i-faces, each face an
-    increasing vertex tuple, and every boundary face of a row must be in
-    ``cols``.  Returns ``(row, col, sign)`` int64 arrays, i+2 entries per
-    row in row order, each row's boundary faces in lexicographic order:
-    the matrix entry (r, c) is ``(-1)**j`` when ``cols[c]`` is
-    ``rows[r]`` without its j-th vertex, and 0 where no triplet names it.
-    Every coboundary in the package, plain, decorated or lifted, takes
-    its signs from here.
-    """
-    col_index = dict(zip(cols, range(len(cols))))
-    width = len(rows[0]) if len(rows) else 0
-    # the k-th (i+1)-subset in lexicographic order omits vertex width-1-k
-    subs = chain.from_iterable(map(combinations, rows, repeat(width - 1)))
-    col = np.fromiter(map(col_index.__getitem__, subs), np.int64, len(rows) * width)
-    row = np.arange(len(rows), dtype=np.int64).repeat(width)
-    sign = np.array(([1, -1] * width)[width - 1 :: -1] * len(rows), dtype=np.int64)
-    return row, col, sign
-
-
 def coboundary(K: SimplicialComplex, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Nonzeros ``(row, col, sign)`` of the degree-i coboundary of ``K``.
 
     Rows are indexed by the (i+1)-faces, columns by the i-faces, both in
-    their canonical orders; see :func:`face_coboundary`.  Valid degrees
-    are ``min_dim <= i <= top_dim``; at ``top_dim`` there are no rows.
+    their canonical orders.  There are i+2 int64 triplets per row, in row
+    order, each row's boundary faces in lexicographic order: the entry
+    (r, c) is ``(-1)**j`` when the c-th i-face is the r-th (i+1)-face
+    without its j-th vertex.  Every coboundary in the package, plain,
+    decorated or lifted, takes its signs from here.  Valid degrees are
+    ``min_dim <= i <= top_dim``; at ``top_dim`` there are no rows.
     """
     if not K.min_dim <= i <= K.top_dim:
         raise DimensionError(f"coboundary dimension {i} outside [{K.min_dim}, {K.top_dim}]")
-    return face_coboundary(K.faces(i + 1), K.faces(i))
+    rows = K._face_array(i + 1)
+    n, width = rows.shape
+    if i == -1:
+        # the boundary of every vertex is the empty face
+        col = np.zeros(n, np.int64)
+    else:
+        # the k-th boundary face in lexicographic order omits vertex width-1-k
+        kept = [[c for c in range(width) if c != width - 1 - k] for k in range(width)]
+        col = K._locate(rows[:, kept].reshape(n * width, width - 1))
+    row = np.arange(n, dtype=np.int64).repeat(width)
+    sign = np.array(([1, -1] * width)[width - 1 :: -1] * n, dtype=np.int64)
+    return row, col, sign
 
 
 # -- weights --------------------------------------------------------------
@@ -337,58 +344,45 @@ COMBINATORIAL = WeightScheme(COMBINATORIAL_KIND)
 NORMALIZED = WeightScheme(NORMALIZED_KIND)
 
 
-def compute_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict[Face, float]:
-    """Weight of every face of ``K`` under ``scheme``.
+def compute_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict[int, np.ndarray]:
+    """Weight of every face of ``K`` under ``scheme``: for each dimension
+    ``d`` in ``K.dims()``, one float64 array in the canonical face order.
 
     The normalized recursion runs top-down by dimension: facets get 1,
-    every other face the sum of its cofacets' weights.  Explicit schemes
-    must weight every face of ``K``, and nothing else, with a finite
-    positive weight.
+    every other face the sum of its cofacets' weights, summed in their
+    canonical order by one ``bincount`` over the coboundary triplets.
+    Explicit schemes must weight every face of ``K``, and nothing else,
+    with a finite positive weight; the first weighted non-face in the
+    scheme's order, else the first face in canonical order left
+    unweighted or weighted wrongly, is the one named.
     """
     if scheme.kind == COMBINATORIAL_KIND:
-        return {f: 1.0 for f in K.all_faces()}
+        return {d: np.ones(K.face_count(d)) for d in K.dims()}
     if scheme.kind == NORMALIZED_KIND:
-        w: dict[Face, float] = {}
-        for d in range(K.top_dim, K.min_dim - 1, -1):
-            for f in K.faces(d):
-                cof = K.cofacets(f)
-                w[f] = 1.0 if not cof else sum(w[c] for c in cof)
-        return w
+        w = {K.top_dim: np.ones(K.face_count(K.top_dim))}
+        for d in range(K.top_dim - 1, K.min_dim - 1, -1):
+            rows, cols, _ = coboundary(K, d)
+            sums = np.bincount(cols, w[d + 1][rows], K.face_count(d))
+            # weights are positive, so only a face without cofacets sums to 0
+            w[d] = np.where(sums > 0, sums, 1.0)
+        return dict(sorted(w.items()))
     table = dict(scheme.values)
-    stray = [f for f in table if not K.has_face(f)]
-    if stray:
-        raise WeightError(f"explicit scheme weights {stray[0]!r}, which is not a face of the complex")
+    faces = list(table)
+    at = K._indices(faces)
+    if (at < 0).any():
+        raise WeightError(f"explicit scheme weights {faces[int(np.argmax(at < 0))]!r}, which is not a face of the complex")
+    dims = np.fromiter(map(len, faces), np.int64, len(faces)) - 1
+    values = np.fromiter(table.values(), float, len(faces))
     out = {}
-    for f in K.all_faces():
-        if f not in table:
-            raise WeightError(f"explicit scheme does not weight face {f!r}")
-        if not 0 < table[f] < math.inf:
+    for d in K.dims():
+        given, w = np.zeros(K.face_count(d), bool), np.zeros(K.face_count(d))
+        given[at[dims == d]] = True
+        w[at[dims == d]] = values[dims == d]
+        bad = ~(given & (0 < w) & (w < math.inf))
+        if bad.any():
+            f = K.faces(d)[int(np.argmax(bad))]
+            if f not in table:
+                raise WeightError(f"explicit scheme does not weight face {f!r}")
             raise WeightError(f"weight of {f!r} must be finite and positive, got {table[f]}")
-        out[f] = float(table[f])
+        out[d] = w
     return out
-
-
-def weight_vector(K: SimplicialComplex, i: int, weights: Mapping[Face, float]) -> np.ndarray:
-    """Diagonal of the weight matrix at dimension ``i``, in face order."""
-    return np.array([weights[f] for f in K.faces(i)], dtype=float)
-
-
-def relative_orientation_sign(f, image_vertex_order) -> int:
-    """Orientation sign of a face relative to its pointwise image.
-
-    ``image_vertex_order`` lists the images of the vertices of ``f`` in
-    the order ``f`` carries them.  Returns +1 when that sequence is an
-    even permutation of its sorted order, -1 otherwise.
-    """
-    f = as_face(f)
-    image = [v if type(v) is int else _index(v, "image vertex") for v in image_vertex_order]
-    if len(image) != len(f):
-        raise MalformedInputError("image sequence length does not match the face")
-    if len(set(image)) != len(image):
-        raise MalformedInputError(
-            f"image {image!r} repeats a vertex; the map is not a bijection on the face"
-        )
-    inversions = sum(
-        1 for a in range(len(image)) for b in range(a + 1, len(image)) if image[a] > image[b]
-    )
-    return -1 if inversions % 2 else 1

@@ -9,8 +9,9 @@ The pieces implemented here:
   2-face; consistency then propagates to all higher faces because each
   lifted simplex is pinned by the sheet of one of its vertices),
 * verification of the covering axioms for a user-supplied vertex map,
-  and
-* the voltages a covering induces on the base incidences.
+  which also tables each cover face's base face and sheet, and
+* the voltages a covering induces on the base incidences, read from
+  that table and the cover's coboundary.
 
 Array checks
 ------------
@@ -33,8 +34,8 @@ For an edge stored as ``(u, v)``, the voltage ``p`` maps sheets at ``v``
 to sheets at ``u``: the lift joins ``(u, p[j])`` to ``(v, j)``.  For an
 incidence ``(face, cofacet)`` the stored voltage maps face sheets to
 cofacet sheets: sheet ``j`` of the face is incident to sheet ``p[j]`` of
-the cofacet.  Fibers are always enumerated in lexicographic order of
-the covering face's vertex tuple.
+the cofacet.  The fiber of a base face lists its cover faces in
+canonical (lexicographic) order, and a face's place in it is its sheet.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from typing import Mapping
 import numpy as np
 
 from . import perms
-from .complexes import Face, SimplicialComplex, _index, boundary_faces, build_complex
+from .complexes import SimplicialComplex, _index, build_complex, coboundary
 from .errors import (
     CocycleError,
     CoveringViolation,
@@ -137,12 +138,14 @@ class IncidenceVoltages:
 class CoveringMap:
     """A verified covering of complexes.
 
-    ``fibers[g]`` lists the cover faces over the base face ``g`` in
-    lexicographic order, so a face's position in its fiber is its sheet;
-    :func:`verify_covering` fills it once and every reader of the
-    covering reads it.  Over a face of dimension 0 or more each fiber
-    has ``degree`` faces.  ``vertex_map`` is the projection on vertices,
-    which the orientation sign of a cover face needs.
+    ``fibers[d]`` is the ``(n_d, degree)`` int64 array of cover-face
+    indices whose row g lists the cover d-faces over the g-th base
+    d-face in canonical order, so column j is sheet j; it is given for
+    every dimension ``0 <= d <= top_dim``.  When the base keeps the empty
+    face, ``fibers[-1]`` is its one-point fiber ``[[0]]``, or ``[[]]``
+    when the cover has no empty face.  :func:`verify_covering` fills it
+    once and every reader of the covering reads it.  ``vertex_map`` is
+    the projection on vertices as a dict of ids.
     """
 
     cover: SimplicialComplex
@@ -217,24 +220,28 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     # strong condition: every base incidence lifts at every fiber point.
     # Images are base faces, no face collapses and fibers do not overlap,
     # so the cofacets of f over g lie over distinct cofacets of g: the
-    # condition holds at f exactly when the two counts agree.  Only a
-    # base face with a short count searches for the witness.
+    # condition holds at f exactly when the two counts agree.  The first
+    # base face with a short count names the witness: its first cofacet,
+    # then the first face of its fiber, with no lift of that incidence.
     images += [np.zeros(0, np.int64)] * (base.top_dim - cover.top_dim)
     for d in range(0, base.top_dim):
-        g = images[d]
-        short = cover._cofacet_counts(d) != base._cofacet_counts(d)[g]
-        for gi in sorted(set(g[short].tolist())):
-            fiber = [cover.faces(d)[r] for r in np.flatnonzero(g == gi).tolist()]
-            for gbar in base.cofacets(base.faces(d)[gi]):
-                for f in fiber:
-                    if not any(
-                        tuple(sorted(vertex_map[v] for v in fbar)) == gbar for fbar in cover.cofacets(f)
-                    ):
-                        raise CoveringViolation(
-                            "strong-violation",
-                            f"incidence ({base.faces(d)[gi]!r}, {gbar!r}) has no lift at {f!r}",
-                            (f, gbar),
-                        )
+        short = cover._cofacet_counts(d) != base._cofacet_counts(d)[images[d]]
+        if not short.any():
+            continue
+        gi = int(images[d][short].min())
+        fiber = np.flatnonzero(images[d] == gi).tolist()
+        rows, cols, _ = coboundary(cover, d)
+        at = np.isin(cols, fiber)
+        lifted = set(zip(cols[at].tolist(), images[d + 1][rows[at]].tolist()))
+        base_rows, base_cols, _ = coboundary(base, d)
+        g = base.faces(d)[gi]
+        for gbar in base_rows[base_cols == gi].tolist():
+            for f in fiber:
+                if (f, gbar) not in lifted:
+                    f, gbar = cover.faces(d)[f], base.faces(d + 1)[gbar]
+                    raise CoveringViolation(
+                        "strong-violation", f"incidence ({g!r}, {gbar!r}) has no lift at {f!r}", (f, gbar)
+                    )
 
     degree = None
     for d in range(0, base.top_dim + 1):
@@ -250,14 +257,11 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
             "fiber-size", "cover and base have different top dimensions", cover.top_dim
         )
 
-    # a stable sort by image keeps each fiber in the lexicographic order
-    # of cover.faces(d); every fiber now has ``degree`` faces
-    fibers: dict[Face, tuple[Face, ...]] = {}
-    if base.include_empty:
-        fibers[()] = ((),) if cover.include_empty else ()
+    # a stable sort by image keeps each fiber in the canonical order of
+    # cover.faces(d); every fiber now has ``degree`` faces
+    fibers = {-1: np.zeros((1, int(cover.include_empty)), np.int64)} if base.include_empty else {}
     for d in range(0, base.top_dim + 1):
-        members = map(cover.faces(d).__getitem__, np.argsort(images[d], kind="stable").tolist())
-        fibers.update(zip(base.faces(d), zip(*[members] * degree)))
+        fibers[d] = np.argsort(images[d], kind="stable").reshape(-1, degree)
     return CoveringMap(cover, base, vertex_map, degree, fibers)
 
 
@@ -349,20 +353,26 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     """Voltages on the base incidences induced by a verified covering.
 
     For an incidence ``(G, Gbar)`` the permutation sends sheet ``j`` to
-    the sheet of the cofacet of ``fibers[G][j]`` lying in the fiber of
-    ``Gbar``; the derived graph of the result is isomorphic to the
-    cover's incidence graph, each face read at its sheet.
+    the sheet of the cofacet of the sheet-j face over ``G`` lying in the
+    fiber of ``Gbar``; the derived graph of the result is isomorphic to
+    the cover's incidence graph, each face read at its sheet.
     :func:`verify_covering` established the strong condition, so that
-    cofacet exists and is unique.
+    cofacet exists and is unique: the cover's incidences at layer i,
+    sorted by base cofacet, base face and face sheet, are the base
+    incidences in coboundary order, each lifted once per sheet.
     """
     M, K = cov.base, cov.cover
     if not (0 <= i <= M.top_dim):
         raise DimensionError(f"induced voltages need 0 <= i <= {M.top_dim}, got {i}")
-    table = {}
-    for gbar in M.faces(i + 1):
-        sheet_of = {f: l for l, f in enumerate(cov.fibers[gbar])}
-        for g, _ in boundary_faces(gbar):
-            table[(g, gbar)] = tuple(
-                next(sheet_of[fbar] for fbar in K.cofacets(f) if fbar in sheet_of) for f in cov.fibers[g]
-            )
-    return IncidenceVoltages(cov.degree, i, table)
+    if i == M.top_dim:
+        return IncidenceVoltages(cov.degree, i, {})
+    # slot of a cover face in the fiber table: base face * degree + sheet
+    k = cov.degree
+    slot, slot_above = (np.argsort(cov.fibers[d].ravel()) for d in (i, i + 1))
+    rows, cols, _ = coboundary(K, i)
+    order = np.lexsort((slot[cols], slot_above[rows] // k))
+    volt = (slot_above[rows[order]] % k).reshape(-1, k).tolist()
+    base_rows, base_cols, _ = coboundary(M, i)
+    faces, cofacets = M.faces(i), M.faces(i + 1)
+    pairs = zip(map(faces.__getitem__, base_cols.tolist()), map(cofacets.__getitem__, base_rows.tolist()))
+    return IncidenceVoltages(k, i, dict(zip(pairs, map(tuple, volt))))

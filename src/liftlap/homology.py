@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import (
-    COMBINATORIAL,
-    EXPLICIT_KIND,
-    SimplicialComplex,
-    WeightScheme,
-    coboundary,
-    relative_orientation_sign,
-)
+from .complexes import COMBINATORIAL, EXPLICIT_KIND, SimplicialComplex, WeightScheme, coboundary
 from .covering import CoveringMap
 from .errors import LiftlapError, WeightError
 from .operators import FULL, UP, laplacian_matrix
@@ -92,21 +85,6 @@ def integer_rank(triplets) -> int:
     return len(pivots)
 
 
-@dataclass
-class BettiReport:
-    """Betti numbers per dimension with harmonic bases of the same size.
-
-    ``kernel_bases[i]`` has ``betti[i]`` columns spanning the kernel of
-    the full Laplacian.  ``reduced`` is False when the complex omits the
-    empty face, in which case the degree-0 number counts components
-    rather than components minus one.
-    """
-
-    betti: dict
-    kernel_bases: dict
-    reduced: bool
-
-
 def exact_betti_numbers(K: SimplicialComplex) -> dict:
     """Betti numbers ``dim C^i - rank d_i - rank d_(i-1)`` from exact ranks.
 
@@ -122,20 +100,11 @@ def _full_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme):
     return laplacian_matrix(K, i, FULL if i > K.min_dim else UP, scheme)
 
 
-def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) -> BettiReport:
-    """Reduced Betti numbers of ``K`` with a harmonic basis for each.
-
-    The numbers come from :func:`exact_betti_numbers` for every scheme.
-    Where b_i > 0 the basis is the b_i eigenvectors of least eigenvalue
-    of the full degree-i Laplacian under ``scheme``, mapped from the
-    Hermitian operator back to cochain values; where b_i = 0 it is empty
-    and no operator is built.
-    """
-    betti = exact_betti_numbers(K)
-    return BettiReport(betti, _harmonic_bases(K, betti, scheme), K.include_empty)
-
-
 def _harmonic_bases(K: SimplicialComplex, betti: dict, scheme: WeightScheme) -> dict:
+    """A basis of each kernel of ``K`` under ``scheme``: where b_i > 0 the
+    b_i eigenvectors of least eigenvalue of the full degree-i operator,
+    mapped back to cochain values; where b_i = 0 an empty basis, and no
+    operator is built."""
     bases = {}
     for i, b in betti.items():
         if b == 0:
@@ -153,22 +122,24 @@ def lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
     """Pull a base i-cochain, or a basis of them, back to the cover.
 
     The lifted value on a cover face is the base value on its image
-    times the orientation sign of the pointwise vertex map.  ``values``
-    is indexed by the base i-faces in canonical order: a vector, or a
-    matrix with one cochain per column; the face index and the signs are
-    built once and serve every column.  Kernels are preserved because
-    the combinatorial and normalized weight ratios across incidences
-    match between cover and base.
+    times the orientation sign of the pointwise vertex map: the parity of
+    the inversions among the images of the face's vertices, read in the
+    face's own (increasing) order.  ``values`` is indexed by the base
+    i-faces in canonical order: a vector, or a matrix with one cochain
+    per column; the fibers place every column at once.  Kernels are
+    preserved because the combinatorial and normalized weight ratios
+    across incidences match between cover and base.
     """
-    rows, cols, signs = [], [], []
-    for c, g in enumerate(cov.base.faces(i)):
-        for face in cov.fibers[g]:
-            rows.append(cov.cover.index(face))
-            cols.append(c)
-            signs.append(relative_orientation_sign(face, [cov.vertex_map[v] for v in face]))
+    K, fibers = cov.cover, cov.fibers[i]
+    # a cover vertex's image as its base vertex's index, which orders like its id
+    image = np.argsort(cov.fibers[0].ravel()) // cov.degree
+    lifted = image[np.searchsorted(K._face_array(0)[:, 0], K._face_array(i)[fibers.ravel()])]
+    inversions = np.triu(lifted[:, :, None] > lifted[:, None, :], 1).sum(axis=(1, 2))
+    signs = 1 - 2 * (inversions % 2)
     values = np.asarray(values)
-    out = np.zeros((cov.cover.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
-    out[rows] = np.reshape(signs, (-1,) + (1,) * (values.ndim - 1)) * values[cols]
+    out = np.zeros((K.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
+    cols = np.arange(len(fibers)).repeat(fibers.shape[1])
+    out[fibers.ravel()] = signs.reshape((-1,) + (1,) * (values.ndim - 1)) * values[cols]
     return out
 
 

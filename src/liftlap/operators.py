@@ -52,7 +52,6 @@ from .complexes import (
     WeightScheme,
     coboundary,
     compute_weights,
-    weight_vector,
 )
 from .errors import DimensionError, EigensolverError, WeightError
 
@@ -200,20 +199,21 @@ def laplacian_matrix(
         if not K.min_dim + 1 <= i <= K.top_dim:
             raise DimensionError(f"down operator needs {K.min_dim + 1} <= i <= {K.top_dim}, got {i}")
         mat = mat + _gram(_weighted_coboundary(K, i - 1, w, decoration), DOWN)
-    return OperatorMatrix(mat, _weights(K, i, w, decoration))
+    return OperatorMatrix(mat, _weights(w[i], decoration))
 
 
-def _weights(K: SimplicialComplex, j: int, w, decoration) -> np.ndarray:
-    """The dimension-j weight diagonal, each weight repeated once per row
-    of the decoration's d x d values."""
-    return np.repeat(weight_vector(K, j, w), getattr(decoration, "block_size", 1))
+def _weights(w: np.ndarray, decoration) -> np.ndarray:
+    """A weight diagonal, each weight repeated once per row of the
+    decoration's d x d values."""
+    return np.repeat(w, getattr(decoration, "block_size", 1))
 
 
 def _weighted_coboundary(K: SimplicialComplex, i: int, w, decoration):
     """Nonzeros ``(row, col, value)`` of ``A = W_{i+1}^{1/2} D_i W_i^{-1/2}``
     for the decorated degree-i coboundary ``D_i`` and the face weights
     ``w`` (all positive), followed by the shape of ``A``."""
-    hi, lo = _weights(K, i + 1, w, decoration), _weights(K, i, w, decoration)
+    # at the top dimension there are no (i+1)-faces to weight
+    hi, lo = _weights(w.get(i + 1, np.zeros(0)), decoration), _weights(w[i], decoration)
     rows, cols, values = decorated_coboundary(K, i, decoration)
     return rows, cols, values * np.sqrt(hi[rows] / lo[cols]), (len(hi), len(lo))
 

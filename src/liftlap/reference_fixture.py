@@ -39,7 +39,6 @@ from itertools import chain, combinations
 import numpy as np
 
 from .complexes import COMBINATORIAL, SimplicialComplex, build_complex, coboundary
-from .homology import integer_rank
 from .operators import (
     DOWN,
     IncidenceWeighting,
@@ -103,14 +102,11 @@ def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
         used = {e for t in tris for e in combinations(t, 2)}
         pool = [e for e in edges if e not in used]
         for free in combinations(pool, 12 - len(used)):
-            K = build_complex(tris + list(free))
-            # neither check can reject a match (module docstring): every
-            # 6-vertex graph with 12 edges is connected, and a match has
-            # rank D = 6; they keep the documented properties checked
-            if K.connected and 12 - 5 - integer_rank(coboundary(K, 1)) == 1:
-                found.append(K)
-    found.sort(key=lambda K: tuple(K.facets()))
-    return found
+            # connected, with b₁ = 1, by the module docstring; the free
+            # edges and then the triangles are the facets, both sorted
+            found.append((free + tuple(tris), build_complex(tris + list(free))))
+    found.sort(key=lambda pair: pair[0])
+    return [K for _, K in found]
 
 
 def locate_flip(M: SimplicialComplex, tol: float = 1e-8):

@@ -1,8 +1,9 @@
 """Independent reference implementations, and the permutations and exact
 factorization they are checked with, that only the tests call."""
 
+import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 
 import numpy as np
 
@@ -19,9 +20,10 @@ from liftlap import (
     MalformedInputError,
     SimplicialComplex,
     SpectrumMultiset,
+    WeightError,
     WeightScheme,
+    as_face,
     block_weightings,
-    boundary_faces,
     build_complex,
     coboundary,
     compare_spectra,
@@ -29,15 +31,14 @@ from liftlap import (
     connected_components,
     decompose_representation,
     decorated_coboundary,
-    face_coboundary,
+    exact_betti_numbers,
     induced_incidence_voltage,
     integer_rank,
     laplacian_matrix,
-    relative_orientation_sign,
     voltage_group,
-    weight_vector,
 )
-from liftlap.complexes import _index
+from liftlap.complexes import COMBINATORIAL_KIND, NORMALIZED_KIND, _index
+from liftlap.homology import _harmonic_bases
 from liftlap.operators import SpectrumComparison, _close
 from liftlap.perms import Perm
 
@@ -84,6 +85,112 @@ def dense_matrix(triplets, shape) -> np.ndarray:
     return out
 
 
+# -- faces one at a time ----------------------------------------------------------
+
+
+def face_positions(K: SimplicialComplex) -> dict:
+    """Each face of ``K`` with its index in the canonical order of its
+    dimension, in a dict: what ``K.index`` must return."""
+    return {f: r for d in K.dims() for r, f in enumerate(K.faces(d))}
+
+
+def cofacet_table(K: SimplicialComplex) -> dict:
+    """Each face of ``K`` with its cofacets in canonical order, found by
+    deleting each vertex of every face in turn: what ``K.cofacets`` must
+    return."""
+    table: dict = {f: [] for f in K.all_faces()}
+    for d in range(0, K.top_dim + 1):
+        for f in K.faces(d):
+            for j in range(len(f)):
+                if f[:j] + f[j + 1 :] in table:
+                    table[f[:j] + f[j + 1 :]].append(f)
+    return {f: tuple(v) for f, v in table.items()}
+
+
+def boundary_faces(f) -> list[tuple[tuple, int]]:
+    """Boundary of a face: pairs ``(face, sign)``.
+
+    The j-th boundary face omits the j-th vertex and carries sign
+    ``(-1)**j``.  The boundary of a vertex is the empty face with sign +1.
+    """
+    f = as_face(f)
+    if not f:
+        raise DimensionError("the empty face has no boundary")
+    return [(f[:j] + f[j + 1 :], (-1) ** j) for j in range(len(f))]
+
+
+def face_coboundary(rows, cols) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros of the integer coboundary between two lists of faces, with
+    a dict from face to column: ``coboundary`` must return the same int64
+    triplets.
+
+    ``rows`` holds (i+1)-faces and ``cols`` i-faces, and every boundary
+    face of a row must be in ``cols``.  There are i+2 entries per row in
+    row order, each row's boundary faces in lexicographic order: the
+    entry (r, c) is ``(-1)**j`` when ``cols[c]`` is ``rows[r]`` without
+    its j-th vertex.
+    """
+    col_index = dict(zip(cols, range(len(cols))))
+    width = len(rows[0]) if len(rows) else 0
+    # the k-th (i+1)-subset in lexicographic order omits vertex width-1-k
+    subs = chain.from_iterable(map(combinations, rows, repeat(width - 1)))
+    col = np.fromiter(map(col_index.__getitem__, subs), np.int64, len(rows) * width)
+    row = np.arange(len(rows), dtype=np.int64).repeat(width)
+    sign = np.array(([1, -1] * width)[width - 1 :: -1] * len(rows), dtype=np.int64)
+    return row, col, sign
+
+
+def relative_orientation_sign(f, image_vertex_order) -> int:
+    """Orientation sign of a face relative to its pointwise image.
+
+    ``image_vertex_order`` lists the images of the vertices of ``f`` in
+    the order ``f`` carries them.  Returns +1 when that sequence is an
+    even permutation of its sorted order, -1 otherwise.
+    """
+    f = as_face(f)
+    image = [v if type(v) is int else _index(v, "image vertex") for v in image_vertex_order]
+    if len(image) != len(f):
+        raise MalformedInputError("image sequence length does not match the face")
+    if len(set(image)) != len(image):
+        raise MalformedInputError(
+            f"image {image!r} repeats a vertex; the map is not a bijection on the face"
+        )
+    inversions = sum(
+        1 for a in range(len(image)) for b in range(a + 1, len(image)) if image[a] > image[b]
+    )
+    return -1 if inversions % 2 else 1
+
+
+def face_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict:
+    """Weight of every face of ``K``, face by face in a dict: normalized
+    weights by the top-down recursion over :func:`cofacet_table`, explicit ones
+    checked face by face.  ``compute_weights`` must give the same values,
+    bitwise, and raise the same errors."""
+    if scheme.kind == COMBINATORIAL_KIND:
+        return {f: 1.0 for f in K.all_faces()}
+    if scheme.kind == NORMALIZED_KIND:
+        w: dict = {}
+        cofacets = cofacet_table(K)
+        for d in range(K.top_dim, K.min_dim - 1, -1):
+            for f in K.faces(d):
+                cof = cofacets[f]
+                w[f] = 1.0 if not cof else sum(w[c] for c in cof)
+        return w
+    table = dict(scheme.values)
+    position = face_positions(K)
+    stray = [f for f in table if f not in position]
+    if stray:
+        raise WeightError(f"explicit scheme weights {stray[0]!r}, which is not a face of the complex")
+    out = {}
+    for f in K.all_faces():
+        if f not in table:
+            raise WeightError(f"explicit scheme does not weight face {f!r}")
+        if not 0 < table[f] < math.inf:
+            raise WeightError(f"weight of {f!r} must be finite and positive, got {table[f]}")
+        out[f] = float(table[f])
+    return out
+
+
 def coboundary_matrix(K: SimplicialComplex, i: int) -> np.ndarray:
     """The degree-i coboundary of ``K`` as a dense integer matrix, rows
     the (i+1)-faces and columns the i-faces in their canonical orders."""
@@ -127,13 +234,36 @@ def numeric_kernel_dimension(K: SimplicialComplex, i: int, scheme: WeightScheme 
     return int(np.sum(np.linalg.eigvalsh((sym + sym.conj().T) / 2) <= 1e-7))
 
 
+@dataclass
+class BettiReport:
+    """Betti numbers per dimension with harmonic bases of the same size.
+
+    ``kernel_bases[i]`` has ``betti[i]`` columns spanning the kernel of
+    the full Laplacian.  ``reduced`` is False when the complex omits the
+    empty face, in which case the degree-0 number counts components
+    rather than components minus one.
+    """
+
+    betti: dict
+    kernel_bases: dict
+    reduced: bool
+
+
+def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) -> BettiReport:
+    """Reduced Betti numbers of ``K`` from ``exact_betti_numbers``, with the
+    harmonic basis the library's Betti inequality lifts for each."""
+    betti = exact_betti_numbers(K)
+    return BettiReport(betti, _harmonic_bases(K, betti, scheme), K.include_empty)
+
+
 # -- the cochain form of the operators -----------------------------------------
 
 
 def cochain_weights(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL, decoration=None):
     """The dimension-i weight diagonal, each weight repeated once per row
     of the decoration's d x d values."""
-    return np.repeat(weight_vector(K, i, compute_weights(K, scheme)), getattr(decoration, "block_size", 1))
+    w = compute_weights(K, scheme).get(i, np.zeros(0))
+    return np.repeat(w, getattr(decoration, "block_size", 1))
 
 
 def dense_decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) -> np.ndarray:
@@ -259,7 +389,7 @@ def explicit_up_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme = C
     """
     if not (K.min_dim <= i <= K.top_dim):
         raise LiftlapError(f"dimension {i} out of range")
-    w = compute_weights(K, scheme)
+    w = face_weights(K, scheme)
     faces = K.faces(i)
     idx = {f: c for c, f in enumerate(faces)}
     L = np.zeros((len(faces), len(faces)))
@@ -277,7 +407,7 @@ def explicit_down_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme =
     """Down operator assembled face by face, mirroring the up formula."""
     if not (K.min_dim + 1 <= i <= K.top_dim):
         raise LiftlapError(f"dimension {i} out of range for the down operator")
-    w = compute_weights(K, scheme)
+    w = face_weights(K, scheme)
     faces = K.faces(i)
     idx = {f: c for c, f in enumerate(faces)}
     L = np.zeros((len(faces), len(faces)))
@@ -286,8 +416,9 @@ def explicit_down_laplacian(K: SimplicialComplex, i: int, scheme: WeightScheme =
         for h, s in boundary_faces(f):
             sign_in[(h, f)] = s
             L[idx[f], idx[f]] += w[f] / w[h]
+    cofacets = cofacet_table(K)
     for h in K.faces(i - 1):
-        cof = [f for f in K.cofacets(h)]
+        cof = cofacets[h]
         for f in cof:
             for f2 in cof:
                 if f2 != f and len(set(f) & set(f2)) == i:
@@ -435,9 +566,10 @@ def orientation_sign_diagonal(cov: CoveringMap, i: int) -> SignDiagonal:
     """Signs comparing each lifted face's orientation with its image's."""
     M = cov.base
     k = cov.degree
+    fibers = fiber_faces(cov)
     entries = np.zeros(M.face_count(i) * k, dtype=np.int64)
     for c, g in enumerate(M.faces(i)):
-        for j, f in enumerate(cov.fibers[g]):
+        for j, f in enumerate(fibers[g]):
             entries[c * k + j] = relative_orientation_sign(f, [cov.vertex_map[v] for v in f])
     return SignDiagonal(i, entries)
 
@@ -465,8 +597,10 @@ def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:
     """Cover coboundary with rows/columns in (base face, sheet) order."""
     K, M = cov.cover, cov.base
     D = coboundary_matrix(K, i)
-    col_order = [K.index(f) for g in M.faces(i) for f in cov.fibers[g]]
-    row_order = [K.index(f) for gbar in M.faces(i + 1) for f in cov.fibers[gbar]]
+    fibers = fiber_faces(cov)
+    position = face_positions(K)
+    col_order = [position[f] for g in M.faces(i) for f in fibers[g]]
+    row_order = [position[f] for gbar in M.faces(i + 1) for f in fibers[gbar]]
     return D[np.ix_(row_order, col_order)] if D.size else D.reshape(len(row_order), len(col_order))
 
 
@@ -507,13 +641,14 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
             tuple(sorted(map(sorted, cover.components()))),
         )
 
+    base_faces, base_cofacets, cover_cofacets = face_positions(base), cofacet_table(base), cofacet_table(cover)
     fibers: dict = {g: [] for g in base.all_faces()}
     for d in range(0, cover.top_dim + 1):
         for f in cover.faces(d):
             img = tuple(sorted({vertex_map[v] for v in f}))
             if len(img) != len(f):
                 raise CoveringViolation("degenerate-face", f"face {f!r} collapses under the vertex map", f)
-            if not base.has_face(img):
+            if img not in base_faces:
                 raise CoveringViolation("not-simplicial", f"image {img!r} of {f!r} is not a base face", f)
             fibers[img].append(f)
     if base.include_empty and cover.include_empty:
@@ -530,9 +665,9 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
 
     for d in range(0, base.top_dim):
         for g in base.faces(d):
-            for gbar in base.cofacets(g):
+            for gbar in base_cofacets[g]:
                 for f in fibers[g]:
-                    if not any(tuple(sorted(vertex_map[v] for v in fbar)) == gbar for fbar in cover.cofacets(f)):
+                    if not any(tuple(sorted(vertex_map[v] for v in fbar)) == gbar for fbar in cover_cofacets[f]):
                         raise CoveringViolation(
                             "strong-violation", f"incidence ({g!r}, {gbar!r}) has no lift at {f!r}", (f, gbar)
                         )
@@ -547,7 +682,55 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
                 raise CoveringViolation("fiber-size", f"fiber of {g!r} has size {n}, expected {degree}", g)
     if cover.top_dim != base.top_dim:
         raise CoveringViolation("fiber-size", "cover and base have different top dimensions", cover.top_dim)
-    return CoveringMap(cover, base, vertex_map, degree, {g: tuple(fs) for g, fs in fibers.items()})
+    position = face_positions(cover)
+    tables = {
+        d: np.array([[position[f] for f in fibers[g]] for g in base.faces(d)], np.int64).reshape(
+            base.face_count(d), -1
+        )
+        for d in base.dims()
+    }
+    return CoveringMap(cover, base, vertex_map, degree, tables)
+
+
+def fiber_faces(cov: CoveringMap) -> dict:
+    """The fibers as a dict from each base face to its cover faces, by sheet."""
+    return {
+        g: tuple(map(cov.cover.faces(d).__getitem__, row))
+        for d, table in cov.fibers.items()
+        for g, row in zip(cov.base.faces(d), table.tolist())
+    }
+
+
+def per_face_induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
+    """Induced voltages face by face: sheet j of G goes to the sheet of the
+    cofacet of G's sheet-j face that lies over Gbar, found among that
+    face's cofacets; ``induced_incidence_voltage`` must give an equal dict."""
+    M, fibers, cofacets = cov.base, fiber_faces(cov), cofacet_table(cov.cover)
+    table = {}
+    for gbar in M.faces(i + 1):
+        sheet_of = {f: l for l, f in enumerate(fibers[gbar])}
+        for g, _ in boundary_faces(gbar):
+            table[(g, gbar)] = tuple(
+                next(sheet_of[fbar] for fbar in cofacets[f] if fbar in sheet_of) for f in fibers[g]
+            )
+    return IncidenceVoltages(cov.degree, i, table)
+
+
+def per_face_lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
+    """A base i-cochain (or a matrix of them) lifted face by face: each
+    cover face takes its image's value times ``relative_orientation_sign``;
+    ``lift_cochain`` must match it bitwise."""
+    fibers, position = fiber_faces(cov), face_positions(cov.cover)
+    rows, cols, signs = [], [], []
+    for c, g in enumerate(cov.base.faces(i)):
+        for face in fibers[g]:
+            rows.append(position[face])
+            cols.append(c)
+            signs.append(relative_orientation_sign(face, [cov.vertex_map[v] for v in face]))
+    values = np.asarray(values)
+    out = np.zeros((cov.cover.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
+    out[rows] = np.reshape(signs, (-1,) + (1,) * (values.ndim - 1)) * values[cols]
+    return out
 
 
 # -- spectrum comparison --------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import REFERENCE_FACETS, REFERENCE_FLIP
 from oracles import (
+    betti_numbers,
     block_laplacians,
     coboundary_factorization,
     coboundary_matrix,
@@ -36,7 +37,6 @@ from liftlap import (
     IncidenceVoltages,
     OperatorMatrix,
     abelian_weightings,
-    betti_numbers,
     build_complex,
     compare_spectra,
     decompose_representation,

@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coboundary_matrix, dense_matrix
+from oracles import (
+    boundary_faces,
+    coboundary_matrix,
+    cofacet_table,
+    dense_matrix,
+    face_coboundary,
+    face_positions,
+    face_weights,
+    relative_orientation_sign,
+)
 from randgen import random_complex
 
 from liftlap import (
@@ -15,13 +24,10 @@ from liftlap import (
     MalformedInputError,
     WeightError,
     WeightScheme,
-    boundary_faces,
     as_face,
     build_complex,
     coboundary,
     compute_weights,
-    face_coboundary,
-    relative_orientation_sign,
 )
 
 
@@ -192,30 +198,34 @@ class TestCoboundaryMatrix:
 
 class TestWeights:
     def test_combinatorial_all_ones(self, triangle):
-        assert set(compute_weights(triangle, COMBINATORIAL).values()) == {1.0}
+        w = compute_weights(triangle, COMBINATORIAL)
+        assert list(w) == list(triangle.dims())
+        assert set(np.concatenate(list(w.values())).tolist()) == {1.0}
 
     def test_normalized_full_triangle(self, triangle):
         w = compute_weights(triangle, NORMALIZED)
-        assert w[(0, 1, 2)] == 1.0
-        assert all(w[e] == 1.0 for e in triangle.faces(1))
-        assert all(w[v] == 2.0 for v in triangle.faces(0))
-        assert w[()] == 6.0
+        assert w[2].tolist() == [1.0]
+        assert w[1].tolist() == [1.0] * 3
+        assert w[0].tolist() == [2.0] * 3
+        assert w[-1].tolist() == [6.0]
 
     def test_normalized_hollow_triangle(self, hollow_triangle):
         w = compute_weights(hollow_triangle, NORMALIZED)
-        assert all(w[e] == 1.0 for e in hollow_triangle.faces(1))
-        assert all(w[v] == 2.0 for v in hollow_triangle.faces(0))
-        assert w[()] == 6.0
+        assert w[1].tolist() == [1.0] * 3
+        assert w[0].tolist() == [2.0] * 3
+        assert w[-1].tolist() == [6.0]
 
     def test_normalized_recursion_exact(self):
         rng = np.random.default_rng(21)
         for _ in range(10):
             K = random_complex(rng)
             w = compute_weights(K, NORMALIZED)
-            for f in K.all_faces():
-                cof = K.cofacets(f)
-                if cof:
-                    assert w[f] - sum(w[c] for c in cof) == 0.0
+            for d in K.dims():
+                assert w[d].dtype == np.float64 and w[d].shape == (K.face_count(d),)
+                for r, f in enumerate(K.faces(d)):
+                    cof = K.cofacets(f)
+                    if cof:
+                        assert w[d][r] - sum(w[d + 1][K.index(c)] for c in cof) == 0.0
 
     def test_explicit_requires_coverage_and_positivity(self, hollow_triangle):
         partial = WeightScheme.explicit({(0, 1): 1.0})
@@ -260,3 +270,77 @@ class TestRelativeOrientationSign:
         with pytest.raises(MalformedInputError, match="not a non-negative integer"):
             relative_orientation_sign((0, 1), (image, 3))
         assert relative_orientation_sign((0, 1), np.array([9, 4])) == -1
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+_PROBES = st.lists(st.lists(st.integers(0, 9), max_size=5).map(tuple), max_size=30)
+_MUTATIONS = st.lists(st.sampled_from(["drop", "non-face", "nan", "negative", "zero", "inf"]), max_size=3)
+
+
+def _face_dict_outcome(K, weights):
+    """A weight function's result on ``K`` as a face-keyed dict, or its
+    WeightError message."""
+    try:
+        w = weights()
+    except WeightError as exc:
+        return str(exc)
+    if isinstance(next(iter(w.values())), np.ndarray):
+        assert all(w[d].dtype == np.float64 and w[d].shape == (K.face_count(d),) for d in K.dims())
+        return {f: w[d][r] for d in K.dims() for r, f in enumerate(K.faces(d))}
+    return w
+
+
+class TestFaceArraysAgainstPerFaceOracles:
+    @settings(max_examples=60, deadline=None)
+    @given(_SEEDS, st.booleans())
+    def test_coboundary_is_the_per_face_coboundary_byte_for_byte(self, seed, include_empty):
+        K = build_complex(random_complex(np.random.default_rng(seed)).facets(), include_empty=include_empty)
+        for i in K.dims():
+            got, want = coboundary(K, i), face_coboundary(K.faces(i + 1), K.faces(i))
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SEEDS, st.booleans(), _PROBES)
+    def test_index_has_face_and_cofacets_agree_with_the_face_lists(self, seed, include_empty, probes):
+        K = build_complex(random_complex(np.random.default_rng(seed)).facets(), include_empty=include_empty)
+        position, cofacets = face_positions(K), cofacet_table(K)
+        # the raw probes are often unsorted or repeat a vertex; sorted, often faces
+        for face in [()] + probes + [tuple(sorted(set(p))) for p in probes] + list(position):
+            assert K.has_face(face) is (face in position)
+            if face in position:
+                assert K.index(face) == K.index(list(face)) == position[face]
+                assert K.cofacets(face) == cofacets[face]
+            else:
+                for lookup in (K.index, K.cofacets):
+                    with pytest.raises(MalformedInputError, match="is not a face of the complex"):
+                        lookup(face)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SEEDS, st.booleans())
+    def test_normalized_weights_are_the_per_face_recursion_bitwise(self, seed, include_empty):
+        K = build_complex(random_complex(np.random.default_rng(seed)).facets(), include_empty=include_empty)
+        w, ref = compute_weights(K, NORMALIZED), face_weights(K, NORMALIZED)
+        for d in K.dims():
+            assert w[d].tobytes() == np.array([ref[f] for f in K.faces(d)]).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_SEEDS, st.booleans(), _MUTATIONS)
+    def test_explicit_weights_raise_what_the_per_face_check_raises(self, seed, include_empty, mutations):
+        rng = np.random.default_rng(seed)
+        K = build_complex(random_complex(rng).facets(), include_empty=include_empty)
+        faces = list(K.all_faces())
+        table = {f: float(rng.uniform(0.1, 10.0)) for f in faces}
+        for mutation in mutations:
+            f = faces[int(rng.integers(len(faces)))]
+            if mutation == "drop":
+                table.pop(f, None)
+            elif mutation == "non-face":
+                extra = tuple(sorted({int(v) for v in rng.integers(0, 12, int(rng.integers(0, 4)))}))
+                if not K.has_face(extra):
+                    table[extra] = 1.0
+            else:
+                table[f] = {"nan": float("nan"), "negative": -1.0, "zero": 0.0, "inf": float("inf")}[mutation]
+        scheme = WeightScheme.explicit(table)
+        got = _face_dict_outcome(K, lambda: compute_weights(K, scheme))
+        assert got == _face_dict_outcome(K, lambda: face_weights(K, scheme))

@@ -10,8 +10,10 @@ from oracles import (
     coboundary_matrix,
     coboundary_factorization,
     derived_graph,
+    fiber_faces,
     incidence_graph,
     orientation_sign_diagonal,
+    per_face_induced_incidence_voltage,
     per_face_verify_covering,
     permutation_matrix,
 )
@@ -83,7 +85,10 @@ class TestVerifyCovering:
         M = cycle_complex(3)
         cov = verify_covering(K, M, {v: v % 3 for v in range(6)})
         assert cov.degree == 2
-        assert cov.fibers[(0, 1)] == ((0, 1), (3, 4))
+        # the base edge (0, 1) is edge 0; (0, 1) and (3, 4) are cover edges 0 and 4
+        assert cov.fibers[1][M.index((0, 1))].tolist() == [K.index((0, 1)), K.index((3, 4))] == [0, 4]
+        assert fiber_faces(cov)[(0, 1)] == ((0, 1), (3, 4))
+        assert cov.fibers[-1].tolist() == [[0]]
 
     def test_disconnected_cover_rejected(self):
         K = build_complex([{0, 1, 2}, {3, 4, 5}])
@@ -160,8 +165,10 @@ class TestVerifyCovering:
     def test_fiber_sizes_constant_across_dimensions(self, c3_double_cover):
         cov = c3_double_cover.covering
         for d in range(0, cov.base.top_dim + 1):
-            for g in cov.base.faces(d):
-                assert len(cov.fibers[g]) == cov.degree
+            assert cov.fibers[d].dtype == np.int64
+            assert cov.fibers[d].shape == (cov.base.face_count(d), cov.degree)
+            # every cover face lies in exactly one fiber
+            assert sorted(cov.fibers[d].ravel().tolist()) == list(range(cov.cover.face_count(d)))
 
 
 MUTATIONS = ("none", "swap-images", "drop-facet", "add-face", "merge-vertices", "unmap-vertex")
@@ -187,12 +194,14 @@ def _mutated(rng, K, vertex_map, mutation):
 
 def _outcome(check, K, M, vertex_map) -> str:
     """The violation's kind and witness, or the verified covering's degree,
-    vertex map and fibers; as a repr, so a numpy scalar shows."""
+    vertex map and fibers (dtype, shape and entries of each array); as a
+    repr, so a numpy scalar shows."""
     try:
         cov = check(K, M, vertex_map)
     except CoveringViolation as exc:
         return repr((exc.kind, exc.witness))
-    return repr((cov.degree, cov.vertex_map, cov.fibers))
+    fibers = {d: (f.dtype.str, f.shape, f.tolist()) for d, f in cov.fibers.items()}
+    return repr((cov.degree, cov.vertex_map, fibers))
 
 
 class TestVerifyCoveringOracle:
@@ -350,17 +359,25 @@ class TestInducedVoltages:
                     frozenset((BK.left[a], BK.right[b])) for a, b in BK.edges
                 }
                 # map derived vertices ((side, face), sheet) through the fibers
-                mapped = {
-                    frozenset(
-                        (
-                            cov.fibers[u[0][1]][u[1]],
-                            cov.fibers[v[0][1]][v[1]],
-                        )
-                    )
-                    for u, v in D.edges
-                }
+                fibers = fiber_faces(cov)
+                mapped = {frozenset((fibers[u[0][1]][u[1]], fibers[v[0][1]][v[1]])) for u, v in D.edges}
                 assert mapped == expected
             done += 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_equal_to_the_per_face_loop_on_random_covers(self, seed, scramble):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, min_beta1=1)
+        out = random_connected_cover(M, int(rng.integers(2, 5)), rng)
+        assume(out is not None)
+        _, result = out
+        cov = result.covering
+        if scramble:
+            cov = scrambled_covering(rng, result.complex, result.vertex_map, M)
+        for i in range(0, M.top_dim + 1):
+            got, want = induced_incidence_voltage(cov, i), per_face_induced_incidence_voltage(cov, i)
+            assert (got.k, got.dim, got.perms) == (want.k, want.dim, want.perms)
 
 
 class TestCoboundaryFactorization:
@@ -421,7 +438,7 @@ class TestPermutationWeighting:
                 }
             )
             for i in range(0, M.top_dim + 1):
-                order = [K.index(f) for g in M.faces(i) for f in cov.fibers[g]]
+                order = cov.fibers[i].ravel()
                 signs = orientation_sign_diagonal(cov, i).entries
                 for kind in ("up", "down", "full") if i >= 1 else ("up",):
                     cover_op = laplacian_matrix(K, i, kind).matrix[np.ix_(order, order)]

@@ -2,19 +2,22 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from conftest import scrambled_covering
 from oracles import (
     bareiss_rank,
+    betti_numbers,
     coboundary_matrix,
     cochain_laplacian,
     cochain_weights,
     explicit_down_laplacian,
     explicit_up_laplacian,
+    face_coboundary,
     nonzeros,
     numeric_kernel_dimension,
+    per_face_lift_cochain,
     symmetrized_form,
 )
 from randgen import random_complex, random_connected_cover
@@ -26,12 +29,10 @@ from liftlap import (
     LiftlapError,
     WeightError,
     WeightScheme,
-    betti_numbers,
     build_complex,
     derived_complex,
     edge_voltages,
     exact_betti_numbers,
-    face_coboundary,
     integer_rank,
     laplacian_matrix,
     lift_cochain,
@@ -316,6 +317,23 @@ class TestLiftCochain:
         assert lifted.shape == (cov.cover.face_count(1), 4)
         for t in range(4):
             assert np.array_equal(lifted[:, t], lift_cochain(basis[:, t], 1, cov))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_equal_to_the_per_face_loop_bitwise(self, seed, scramble):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, min_beta1=1)
+        out = random_connected_cover(M, int(rng.integers(2, 5)), rng)
+        assume(out is not None)
+        _, result = out
+        cov = result.covering
+        if scramble:
+            cov = scrambled_covering(rng, result.complex, result.vertex_map, M)
+        for i in M.dims():
+            for values in (rng.standard_normal(M.face_count(i)), rng.standard_normal((M.face_count(i), 3))):
+                got, want = lift_cochain(values, i, cov), per_face_lift_cochain(values, i, cov)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
 
 
 class TestBettiInequality:

@@ -93,7 +93,7 @@ class TestLaplacianMatrix:
                 for i in range(0, K.top_dim + 1):
                     op = laplacian_matrix(K, i, "up", scheme)
                     expected = sum(
-                        w[c] / w[f] for f in K.faces(i) for c in K.cofacets(f)
+                        w[i + 1][K.index(c)] / w[i][r] for r, f in enumerate(K.faces(i)) for c in K.cofacets(f)
                     )
                     assert abs(np.trace(op.matrix) - expected) <= 1e-10
 
