@@ -5,17 +5,29 @@ increasing order; the increasing order *is* the canonical orientation.
 The empty face ``()`` has dimension -1 and is included by default so
 that reduced cohomology and the degree-(-1) coboundary exist.
 
-Every face lookup goes through one structure: the sorted int64 array
-of the d-faces that a complex keeps per dimension, searched row by row
-with ``searchsorted`` (:meth:`SimplicialComplex._locate`).  The
-coboundary finds the boundary faces there as the face rows with one
-column deleted; ``index``, ``has_face``, ``cofacets`` and explicit
-weights read the same arrays, and weights are one float64 array per
+A complex holds its facets as given, one int64 array per facet width
+with each row sorted, and checks them when it is built.  Everything
+else is computed from those arrays on first use and then kept:
+
+* the d-faces, one sorted, duplicate-free ``(n_d, d+1)`` int64 array
+  per dimension, from the (d+1)-column combinations of the facet
+  arrays by one ``lexsort`` and a comparison of neighbouring rows;
+* the face tuples of ``faces(d)`` and the vertex sets of
+  ``components()``, views of those arrays (components by label
+  propagation over the edge array);
+* the coboundary triplets of each degree, as read-only arrays.
+
+Every face lookup goes through one structure: the face array of a
+dimension, searched row by row with ``searchsorted``
+(:meth:`SimplicialComplex._locate`).  The coboundary finds the boundary
+faces there as the face rows with one column deleted; ``index``,
+``has_face``, ``cofacets``, ``facets`` and the weights read the
+coboundary or the same arrays, and weights are one float64 array per
 dimension.
 
-All structures here are immutable after construction and every
-operation is a pure function, so concurrent reads are safe (a cache
-filled twice holds the same array).
+A complex never changes after construction and every operation is a
+pure function, so concurrent reads are safe (a cache filled twice holds
+the same array).
 """
 
 from __future__ import annotations
@@ -23,7 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain, combinations, compress, cycle, repeat
 
 import numpy as np
 
@@ -47,6 +59,26 @@ def _index(v, what: str = "vertex") -> int:
     raise MalformedInputError(f"{what} {v!r} is not a non-negative integer")
 
 
+def _ids(values, what="vertex") -> np.ndarray:
+    """Non-negative integer ids as one int64 array, in order.
+
+    Plain ints that fit take one numpy conversion.  Otherwise every
+    entry goes through :func:`_index`, which accepts integral floats and
+    numpy integers and names the first bad entry; ``what`` labels the
+    entries, or cycles through a tuple of labels when pairs are
+    flattened into one list."""
+    values = list(values)
+    if set(map(type, values)) <= {int}:
+        try:
+            ids = np.array(values, np.int64)
+            if not (ids < 0).any():
+                return ids
+        except OverflowError:
+            pass
+    labels = repeat(what) if isinstance(what, str) else cycle(what)
+    return np.fromiter(map(_index, values, labels), np.int64, len(values))
+
+
 def _id_or_minus_one(v) -> int:
     """``v`` as a vertex id, or -1 (no vertex has it) when no id equals it."""
     if type(v) is int or (isinstance(v, numbers.Real) and v % 1 == 0):
@@ -61,8 +93,7 @@ def as_face(vertices) -> Face:
     except TypeError:
         raise MalformedInputError(f"face {vertices!r} is not a list of vertices") from None
     try:
-        # plain ints inline: this runs for every face of every complex built
-        out = [v if type(v) is int and 0 <= v <= MAX_ID else _index(v) for v in vs]
+        out = [_index(v) for v in vs]
     except MalformedInputError as exc:
         raise MalformedInputError(f"face {vs!r}: {exc}") from None
     if len(set(out)) != len(out):
@@ -70,45 +101,72 @@ def as_face(vertices) -> Face:
     return tuple(sorted(out))
 
 
+def _is_block(f) -> bool:
+    return isinstance(f, np.ndarray) and f.ndim == 2 and f.dtype.kind in "iu"
+
+
+def _facet_arrays(facets) -> list[np.ndarray]:
+    """The facets as int64 arrays, one per facet width, each row sorted
+    ascending; duplicate and non-maximal facets stay.
+
+    A 2-D integer array among the facets stands for its rows.  The ids
+    of the other facets are converted a width at a time by :func:`_ids`.
+    When a facet is bad, :func:`as_face` runs on the facets in order and
+    names the first bad one."""
+    facets = list(facets)
+    try:
+        kinds = set(map(type, facets))
+        arrays = [f for f in facets if _is_block(f)] if np.ndarray in kinds else []
+        rest = [f for f in facets if not _is_block(f)] if arrays else facets
+        if not all(hasattr(kind, "__len__") for kind in kinds):
+            rest = [f if hasattr(f, "__len__") else tuple(f) for f in rest]
+        widths = np.fromiter(map(len, rest), np.int64, len(rest))
+        for w in np.flatnonzero(np.bincount(widths)).tolist():
+            at = widths == w
+            arrays.append(_ids(chain.from_iterable(compress(rest, at))).reshape(np.count_nonzero(at), w))
+        # a uint64 id above MAX_ID fails here, not in the cast
+        good = all(a.size == 0 or (a.min() >= 0 and a.max() <= MAX_ID) for a in arrays)
+        arrays = [np.sort(a.astype(np.int64), axis=1) for a in arrays if len(a)]
+    except (TypeError, ValueError, MalformedInputError):
+        good = False
+    if good and arrays and all(a.shape[1] and not (a[:, 1:] == a[:, :-1]).any() for a in arrays):
+        return arrays
+    for f in facets:
+        for face in f.tolist() if _is_block(f) else (f,):
+            if not as_face(face):
+                raise MalformedInputError("facets must be non-empty vertex sets")
+    raise MalformedInputError("facet list is empty")
+
+
 class SimplicialComplex:
     """The downward closure of a list of facets, listed per dimension.
 
-    Every facet passes through :func:`as_face`, and every non-empty
-    subset of a facet is a face, so the family is downward closed and
-    each face is canonical by construction.  Within each dimension the
-    faces are sorted lexicographically, and that ordering defines the
-    row/column indices of every matrix derived from the complex.
+    Every facet is checked as :func:`as_face` checks a face, and every
+    non-empty subset of a facet is a face, so the family is downward
+    closed and each face is canonical by construction.  Within each
+    dimension the faces are sorted lexicographically, and that ordering
+    defines the row/column indices of every matrix derived from the
+    complex.
 
     Parameters
     ----------
     facets : iterable of vertex iterables
-        Non-empty collection of non-empty vertex sets.
+        Non-empty collection of non-empty vertex sets; a 2-D integer
+        array among them stands for its rows.
     include_empty : bool
         Include the empty face of dimension -1 (the reduced convention).
     """
 
     def __init__(self, facets, include_empty: bool = True):
-        facets = list(facets)
-        if not facets:
-            raise MalformedInputError("facet list is empty")
-        closure: set[Face] = set()
-        for raw in facets:
-            f = as_face(raw)
-            if not f:
-                raise MalformedInputError("facets must be non-empty vertex sets")
-            for r in range(1, len(f) + 1):
-                closure.update(combinations(f, r))
-        faces: dict[int, list[Face]] = {-1: [()]} if include_empty else {}
-        # lexicographic order of all faces is lexicographic within each dimension
-        for f in sorted(closure):
-            faces.setdefault(len(f) - 1, []).append(f)
-        self._faces = {d: tuple(fs) for d, fs in faces.items()}
+        self._given = _facet_arrays(facets)
         self._include_empty = include_empty
-        self._top_dim = max(self._faces)
+        self._top_dim = max(a.shape[1] for a in self._given) - 1
         self._arrays: dict[int, np.ndarray] = {}
+        self._tuples: dict[int, tuple] = {}
         self._keys: dict[int, np.ndarray] = {}
-        self._counts: dict[int, np.ndarray] = {}
-        self._components = connected_components(self.vertices, self.faces(1))
+        self._coboundaries: dict[int, tuple] = {}
+        self._roots: np.ndarray | None = None
+        self._components: tuple | None = None
 
     # -- basic queries ---------------------------------------------------
 
@@ -128,10 +186,12 @@ class SimplicialComplex:
         return range(self.min_dim, self._top_dim + 1)
 
     def faces(self, dim: int) -> tuple[Face, ...]:
-        return self._faces.get(dim, ())
+        if dim not in self._tuples:
+            self._tuples[dim] = tuple(map(tuple, self._face_array(dim).tolist()))
+        return self._tuples[dim]
 
     def face_count(self, dim: int) -> int:
-        return len(self.faces(dim))
+        return len(self._face_array(dim))
 
     def index(self, face: Face) -> int:
         r = int(self._indices([tuple(face)])[0])
@@ -144,7 +204,7 @@ class SimplicialComplex:
 
     @property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(f[0] for f in self.faces(0))
+        return tuple(self._face_array(0)[:, 0].tolist())
 
     def all_faces(self):
         for d in self.dims():
@@ -162,19 +222,32 @@ class SimplicialComplex:
 
     def facets(self) -> tuple[Face, ...]:
         """The faces without cofacets, by dimension, each in canonical order."""
-        out = []
-        for d in range(0, self._top_dim + 1):
-            out.extend(map(self._faces[d].__getitem__, np.flatnonzero(self._cofacet_counts(d) == 0).tolist()))
-        return tuple(out)
+        return tuple(chain.from_iterable(map(tuple, a.tolist()) for a in self._facet_rows()))
+
+    def _facet_rows(self) -> list[np.ndarray]:
+        """The rows of :meth:`facets`, one int64 array per dimension from 0."""
+        return [self._face_array(d)[self._cofacet_counts(d) == 0] for d in range(0, self._top_dim + 1)]
 
     # -- face arrays -------------------------------------------------------
 
     def _face_array(self, d: int) -> np.ndarray:
-        """The d-faces as one ``(n_d, d+1)`` int64 array, rows in canonical order."""
+        """The d-faces as one read-only ``(n_d, d+1)`` int64 array, rows in
+        canonical order: every (d+1)-column combination of every facet
+        array, sorted by ``lexsort``, each row kept when it differs from
+        the row before."""
         if d not in self._arrays:
-            n = self.face_count(d)
-            flat = np.fromiter(chain.from_iterable(self.faces(d)), np.int64, n * (d + 1))
-            self._arrays[d] = flat.reshape(n, d + 1)
+            if not 0 <= d <= self._top_dim:
+                faces = np.zeros((int(d == -1 and self._include_empty), max(d + 1, 0)), np.int64)
+            else:
+                faces = np.concatenate([
+                    a[:, list(combinations(range(a.shape[1]), d + 1))].reshape(-1, d + 1)
+                    for a in self._given
+                    if a.shape[1] > d
+                ])
+                faces = faces[np.lexsort(faces.T[::-1])]
+                faces = faces[np.r_[True, (faces[1:] != faces[:-1]).any(axis=1)]]
+            faces.flags.writeable = False
+            self._arrays[d] = faces
         return self._arrays[d]
 
     def _face_keys(self, d: int) -> np.ndarray:
@@ -228,20 +301,27 @@ class SimplicialComplex:
 
     def _cofacet_counts(self, d: int) -> np.ndarray:
         """Number of cofacets of each d-face, in canonical order."""
-        if d not in self._counts:
-            n = self.face_count(d)
-            counts = np.bincount(coboundary(self, d)[1], minlength=n) if d < self._top_dim else np.zeros(n, np.int64)
-            self._counts[d] = counts
-        return self._counts[d]
+        n = self.face_count(d)
+        return np.bincount(coboundary(self, d)[1], minlength=n) if d < self._top_dim else np.zeros(n, np.int64)
 
     # -- connectivity ----------------------------------------------------
 
+    def _component_roots(self) -> np.ndarray:
+        """Index of the least vertex of each vertex's component."""
+        if self._roots is None:
+            verts = self._face_array(0)[:, 0]
+            self._roots = _label_components(len(verts), verts.searchsorted(self._face_array(1)))
+        return self._roots
+
     @property
     def connected(self) -> bool:
-        return len(self._components) <= 1
+        return not self._component_roots().any()
 
     def components(self) -> tuple[frozenset, ...]:
-        """Vertex sets of the connected components of the 1-skeleton."""
+        """Vertex sets of the connected components of the 1-skeleton,
+        ordered by their sorted vertex lists."""
+        if self._components is None:
+            self._components = _grouped(self._face_array(0)[:, 0], self._component_roots())
         return self._components
 
     # -- dunder ----------------------------------------------------------
@@ -249,33 +329,56 @@ class SimplicialComplex:
     def __eq__(self, other):
         if not isinstance(other, SimplicialComplex):
             return NotImplemented
-        return self._faces == other._faces and self._include_empty == other._include_empty
+        return (
+            self._include_empty == other._include_empty
+            and self._top_dim == other._top_dim
+            and all(np.array_equal(self._face_array(d), other._face_array(d)) for d in self.dims())
+        )
 
     def __repr__(self):
         counts = ", ".join(f"S_{d}={self.face_count(d)}" for d in self.dims())
         return f"SimplicialComplex({counts})"
 
 
+def _label_components(n: int, ends: np.ndarray) -> np.ndarray:
+    """Index of the least node in the component of each of ``n`` nodes,
+    for the edges given as an ``(m, 2)`` array of node indices.
+
+    Label propagation over a forest in which every node points at
+    itself (a root) or at a lesser node: each round hooks the greater
+    root of every edge between two trees onto the least root it meets
+    that way, then points every node straight at its root, until no edge
+    joins two trees.  A root is therefore the least node of its tree."""
+    root = np.arange(n)
+    u, v = ends[:, 0], ends[:, 1]
+    while True:
+        ru, rv = root[u], root[v]
+        split = ru != rv
+        if not split.any():
+            return root
+        np.minimum.at(root, np.maximum(ru, rv)[split], np.minimum(ru, rv)[split])
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+
+
+def _grouped(ids: np.ndarray, roots: np.ndarray) -> tuple[frozenset, ...]:
+    """The sorted ``ids`` as one frozenset per component root, ordered by
+    their least ids, which are the roots."""
+    order = np.argsort(roots, kind="stable")
+    cuts = np.flatnonzero(np.diff(roots[order])) + 1
+    return tuple(frozenset(part.tolist()) for part in np.split(ids[order], cuts) if part.size)
+
+
 def connected_components(vertices, edges) -> tuple[frozenset, ...]:
-    """Vertex sets of the components of a graph, by union-find.
+    """Vertex sets of the components of a graph on integer vertex ids.
 
-    ``edges`` are vertex pairs; the components are ordered by their
-    sorted vertex lists.
+    ``edges`` are pairs of listed vertices; the components are ordered
+    by their sorted vertex lists.
     """
-    parent = {v: v for v in vertices}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    groups: dict[int, set] = {}
-    for v in parent:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
+    ids = np.array(sorted(set(_ids(vertices).tolist())), np.int64)
+    ends = ids.searchsorted(_ids(chain.from_iterable(edges)).reshape(-1, 2))
+    return _grouped(ids, _label_components(len(ids), ends))
 
 
 def build_complex(facets, include_empty: bool = True) -> SimplicialComplex:
@@ -291,23 +394,29 @@ def coboundary(K: SimplicialComplex, i: int) -> tuple[np.ndarray, np.ndarray, np
     order, each row's boundary faces in lexicographic order: the entry
     (r, c) is ``(-1)**j`` when the c-th i-face is the r-th (i+1)-face
     without its j-th vertex.  Every coboundary in the package, plain,
-    decorated or lifted, takes its signs from here.  Valid degrees are
-    ``min_dim <= i <= top_dim``; at ``top_dim`` there are no rows.
+    decorated or lifted, takes its signs from here.  The triplets are
+    computed once per degree and kept on ``K`` as read-only arrays.
+    Valid degrees are ``min_dim <= i <= top_dim``; at ``top_dim`` there
+    are no rows.
     """
     if not K.min_dim <= i <= K.top_dim:
         raise DimensionError(f"coboundary dimension {i} outside [{K.min_dim}, {K.top_dim}]")
-    rows = K._face_array(i + 1)
-    n, width = rows.shape
-    if i == -1:
-        # the boundary of every vertex is the empty face
-        col = np.zeros(n, np.int64)
-    else:
-        # the k-th boundary face in lexicographic order omits vertex width-1-k
-        kept = [[c for c in range(width) if c != width - 1 - k] for k in range(width)]
-        col = K._locate(rows[:, kept].reshape(n * width, width - 1))
-    row = np.arange(n, dtype=np.int64).repeat(width)
-    sign = np.array(([1, -1] * width)[width - 1 :: -1] * n, dtype=np.int64)
-    return row, col, sign
+    if i not in K._coboundaries:
+        rows = K._face_array(i + 1)
+        n, width = rows.shape
+        if i == -1:
+            # the boundary of every vertex is the empty face
+            col = np.zeros(n, np.int64)
+        else:
+            # the k-th boundary face in lexicographic order omits vertex width-1-k
+            kept = [[c for c in range(width) if c != width - 1 - k] for k in range(width)]
+            col = K._locate(rows[:, kept].reshape(n * width, width - 1))
+        row = np.arange(n, dtype=np.int64).repeat(width)
+        sign = np.array(([1, -1] * width)[width - 1 :: -1] * n, dtype=np.int64)
+        for a in (row, col, sign):
+            a.flags.writeable = False
+        K._coboundaries[i] = row, col, sign
+    return K._coboundaries[i]
 
 
 # -- weights --------------------------------------------------------------

@@ -41,13 +41,13 @@ canonical (lexicographic) order, and a face's place in it is its sheet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
 
 from . import perms
-from .complexes import SimplicialComplex, _index, build_complex, coboundary
+from .complexes import SimplicialComplex, _ids, _index, build_complex, coboundary
 from .errors import (
     CocycleError,
     CoveringViolation,
@@ -174,13 +174,15 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     (see the module notes); the witness is the first failing face in the
     canonical order.
     """
-    vertex_map = {_index(a, "vertex"): _index(b, "vertex image") for a, b in dict(vertex_map).items()}
+    pairs = _ids(chain.from_iterable(dict(vertex_map).items()), ("vertex", "vertex image")).reshape(-1, 2)
+    vertex_map = dict(pairs.tolist())
     verts = cover._face_array(0)[:, 0]
-    ids = verts.tolist()
-    vimg = np.fromiter(map(vertex_map.get, ids, repeat(-1)), np.int64, len(ids))
-    if (vimg < 0).any():
-        v = ids[int(np.argmax(vimg < 0))]
+    keys, targets = pairs[np.argsort(pairs[:, 0])].T
+    mapped = np.isin(verts, keys)
+    if not mapped.all():
+        v = int(verts[np.argmin(mapped)])
         raise CoveringViolation("unmapped-vertex", f"vertex {v} has no image", v)
+    vimg = targets[keys.searchsorted(verts)]
     if not cover.connected:
         raise CoveringViolation(
             "not-connected",
@@ -322,7 +324,7 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
     for e in M.faces(1):
         if not psi.has_edge(*e):
             raise VoltageError(f"no voltage on base edge {e!r}")
-    _index(M.faces(0)[-1][0] * k + k - 1, "cover vertex")  # the largest cover id must fit in int64
+    _index(int(M._face_array(0)[-1, 0]) * k + k - 1, "cover vertex")  # the largest cover id must fit in int64
     volt = np.array([psi.voltage(u, v) for u, v in M.faces(1)], np.int64).reshape(-1, k)
     check_cocycle(M, volt)
 
@@ -330,13 +332,13 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
     # when the facet's least vertex, its anchor, sits on sheet j
     inverse = np.argsort(volt, axis=1)
     lifted_facets = []
-    for d in range(0, M.top_dim + 1):
-        G = M._face_array(d)[M._cofacet_counts(d) == 0]
+    for d, G in enumerate(M._facet_rows()):
         anchor_edges = np.stack([np.repeat(G[:, :1], d, axis=1), G[:, 1:]], axis=2).reshape(-1, 2)
         sheets = np.empty((len(G), k, d + 1), np.int64)
         sheets[:, :, 0] = np.arange(k)
         sheets[:, :, 1:] = inverse[M._locate(anchor_edges)].reshape(len(G), d, k).transpose(0, 2, 1)
-        lifted_facets += (G[:, None, :] * k + sheets).reshape(-1, d + 1).tolist()
+        # v * k + j increases with v, so each lifted row stays sorted
+        lifted_facets.append((G[:, None, :] * k + sheets).reshape(-1, d + 1))
     K = build_complex(lifted_facets, include_empty=M.include_empty)
     verts = K._face_array(0)[:, 0]
     vmap = dict(zip(verts.tolist(), (verts // k).tolist()))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 
 from . import perms
@@ -24,6 +25,7 @@ from .complexes import (
     NORMALIZED,
     SimplicialComplex,
     WeightScheme,
+    _ids,
     _index,
     as_face,
     build_complex,
@@ -49,7 +51,10 @@ def _load(path) -> dict:
 
 def _save(path, doc) -> None:
     """Write ``doc`` as stable JSON; a path that cannot be written is bad input."""
-    text = json.dumps(doc, sort_keys=True, indent=1)
+    _write(path, json.dumps(doc, sort_keys=True, indent=1))
+
+
+def _write(path, text: str) -> None:
     try:
         Path(path).write_text(text)
     except OSError as exc:
@@ -118,13 +123,20 @@ def parse_weight_scheme(doc) -> WeightScheme:
 
 
 def save_complex(K: SimplicialComplex, path) -> None:
-    """Write ``K`` as a complex file under the combinatorial scheme."""
-    doc = {
-        "facets": [list(f) for f in K.facets()],
-        "include_empty": K.include_empty,
-        "weights": {"scheme": COMBINATORIAL.kind},
-    }
-    _save(path, doc)
+    """Write ``K`` as a complex file under the combinatorial scheme.
+
+    The text is what :func:`_save` writes for the document with a
+    ``facets`` list, byte for byte.  The facet rows are formatted by one
+    ``%`` per dimension, since ``json.dumps`` with an indent runs its
+    pure-Python encoder over every id; ``json.dumps`` writes the rest."""
+    rows = []
+    for a in K._facet_rows():
+        if len(a):
+            row = "  [\n   " + ",\n   ".join(["%d"] * a.shape[1]) + "\n  ]"
+            rows.append(",\n".join([row] * len(a)) % tuple(a.ravel().tolist()))
+    rest = json.dumps({"include_empty": K.include_empty, "weights": {"scheme": COMBINATORIAL.kind}}, indent=1)
+    # "facets" sorts before the other keys, so it opens the document
+    _write(path, '{\n "facets": [\n' + ",\n".join(rows) + "\n ],\n" + rest[2:])
 
 
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
@@ -168,12 +180,24 @@ def load_weighting(path) -> IncidenceWeighting:
 
 
 def load_vertex_map(path) -> dict:
+    """The ``[vertex, image]`` records as a dict of ids.  A list of pairs
+    is converted in one :func:`_ids` call; the records are read one at a
+    time only when that fails or a vertex repeats, to name the first bad
+    record."""
     data = _load(path)
     if "vertex_map" not in data:
         raise MalformedInputError(f"{path}: missing 'vertex_map'")
+    recs = data["vertex_map"]
+    if isinstance(recs, list) and all(type(rec) is list and len(rec) == 2 for rec in recs):
+        try:
+            table = dict(_ids(chain.from_iterable(recs)).reshape(-1, 2).tolist())
+            if len(table) == len(recs):  # else a vertex repeats
+                return table
+        except MalformedInputError:
+            pass
     table = {}
     with _reading(path, "vertex_map"):
-        for rec in data["vertex_map"]:
+        for rec in recs:
             try:
                 a, b = rec
                 _add(table, _index(a), _index(b))

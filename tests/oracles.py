@@ -28,7 +28,6 @@ from liftlap import (
     coboundary,
     compare_spectra,
     compute_weights,
-    connected_components,
     decompose_representation,
     decorated_coboundary,
     exact_betti_numbers,
@@ -86,6 +85,45 @@ def dense_matrix(triplets, shape) -> np.ndarray:
 
 
 # -- faces one at a time ----------------------------------------------------------
+
+
+def closure_faces(facets, include_empty: bool = True) -> dict:
+    """The downward closure of the facets as face tuples, per dimension
+    in canonical order, from a set of vertex combinations: what the face
+    arrays of a ``SimplicialComplex`` built from ``facets`` must hold."""
+    closure: set = set()
+    for raw in facets:
+        f = as_face(raw)
+        if not f:
+            raise MalformedInputError("facets must be non-empty vertex sets")
+        for r in range(1, len(f) + 1):
+            closure.update(combinations(f, r))
+    faces: dict = {-1: [()]} if include_empty else {}
+    # lexicographic order of all faces is lexicographic within each dimension
+    for f in sorted(closure):
+        faces.setdefault(len(f) - 1, []).append(f)
+    return {d: tuple(fs) for d, fs in faces.items()}
+
+
+def union_find_components(vertices, edges) -> tuple[frozenset, ...]:
+    """Vertex sets of the components of a graph, by union-find, ordered
+    by their sorted vertex lists: what ``connected_components`` and
+    ``SimplicialComplex.components`` must return."""
+    parent = {v: v for v in vertices}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        parent[find(u)] = find(v)
+    groups: dict = {}
+    for v in parent:
+        groups.setdefault(find(v), set()).add(v)
+    return tuple(sorted((frozenset(g) for g in groups.values()), key=sorted))
+
 
 
 def face_positions(K: SimplicialComplex) -> dict:
@@ -780,7 +818,7 @@ def brute_force_base_matches(tol: float) -> list[SimplicialComplex]:
         pool = [e for e in all_edges if e not in counts]
         for free in combinations(pool, 12 - len(used)):
             edges = sorted(used + list(free))
-            if len(connected_components(verts, edges)) != 1:
+            if len(union_find_components(verts, edges)) != 1:
                 continue
             triplets = face_coboundary(tris, edges)
             if 12 - 5 - integer_rank(triplets) != 1:

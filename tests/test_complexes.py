@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     boundary_faces,
+    closure_faces,
     coboundary_matrix,
     cofacet_table,
     dense_matrix,
@@ -14,6 +15,7 @@ from oracles import (
     face_positions,
     face_weights,
     relative_orientation_sign,
+    union_find_components,
 )
 from randgen import random_complex
 
@@ -28,7 +30,10 @@ from liftlap import (
     build_complex,
     coboundary,
     compute_weights,
+    connected_components,
+    decorated_coboundary,
 )
+from liftlap.complexes import MAX_ID, _ids
 
 
 class TestBuildComplex:
@@ -344,3 +349,144 @@ class TestFaceArraysAgainstPerFaceOracles:
         scheme = WeightScheme.explicit(table)
         got = _face_dict_outcome(K, lambda: compute_weights(K, scheme))
         assert got == _face_dict_outcome(K, lambda: face_weights(K, scheme))
+
+
+# ids near the int64 limit alongside small ones; a float form is exact below 2**53
+_ID = st.one_of(st.integers(0, 9), st.integers(MAX_ID - 3, MAX_ID))
+_FORMS = ("list", "tuple", "set", "numpy ints", "floats", "1-d array")
+
+
+@st.composite
+def _facet_inputs(draw):
+    """Facets of mixed dimensions with duplicates and sub-facets, in a
+    random order, each an unsorted row in one of the accepted forms."""
+    facets = draw(st.lists(st.lists(_ID, min_size=1, max_size=5, unique=True), min_size=1, max_size=6))
+    for f in list(facets):
+        if draw(st.booleans()):
+            facets.append(f)
+        if len(f) > 1 and draw(st.booleans()):
+            facets.append(draw(st.permutations(f))[: draw(st.integers(1, len(f) - 1))])
+    out = []
+    for f in draw(st.permutations(facets)):
+        f = draw(st.permutations(f))
+        form = draw(st.sampled_from(_FORMS if max(f) < 2**53 else _FORMS[:4] + _FORMS[5:]))
+        out.append(
+            {
+                "list": list,
+                "tuple": tuple,
+                "set": set,
+                "numpy ints": lambda f: [np.int64(v) for v in f],
+                "floats": lambda f: [float(v) for v in f],
+                "1-d array": lambda f: np.array(f, np.int64),
+            }[form](f)
+        )
+    return out
+
+
+def _maximal(ref: dict) -> list:
+    """The faces of a closure that lie in no face one dimension up."""
+    return [
+        f
+        for d in sorted(ref)
+        if d >= 0
+        for f in ref[d]
+        if not any(set(f) <= set(g) for g in ref.get(d + 1, ()))
+    ]
+
+
+class TestFaceArraysAgainstTheSetClosure:
+    @settings(max_examples=200, deadline=None)
+    @given(_facet_inputs(), st.booleans())
+    def test_every_view_matches_the_oracle(self, facets, include_empty):
+        K = build_complex(facets, include_empty=include_empty)
+        ref = closure_faces(facets, include_empty)
+        assert K.top_dim == max(ref) and list(K.dims()) == sorted(ref)
+        for d in range(-2, K.top_dim + 2):
+            assert K.faces(d) == ref.get(d, ()) and K.face_count(d) == len(ref.get(d, ()))
+            assert all(type(v) is int for f in K.faces(d) for v in f)
+            assert all(K.index(f) == r for r, f in enumerate(ref.get(d, ())))
+        maximal = _maximal(ref)
+        assert K.facets() == tuple(maximal)
+        assert K.vertices == tuple(v for (v,) in ref[0])
+        components = union_find_components(K.vertices, ref.get(1, ()))
+        assert K.components() == components and K.connected is (len(components) == 1)
+        assert K == build_complex(maximal[::-1], include_empty=include_empty)
+        assert K != build_complex(facets, include_empty=not include_empty)
+        if len(maximal) > 1:
+            assert K != build_complex(maximal[1:], include_empty=include_empty)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 20), min_size=1, max_size=4, unique=True), min_size=1, max_size=8))
+    def test_two_dimensional_integer_arrays_stand_for_their_rows(self, facets):
+        by_width: dict = {}
+        for f in facets:
+            by_width.setdefault(len(f), []).append(f)
+        blocks = [np.array(rows, np.int64) for rows in by_width.values()]
+        blocks.append(np.zeros((0, 2), np.int64))
+        assert build_complex(blocks) == build_complex(facets)
+        assert build_complex(blocks).faces(0) == closure_faces(facets)[0]
+
+    @pytest.mark.parametrize(
+        "facets, message",
+        [
+            ([[0, 1, 2], [3, 3]], "face [3, 3] repeats a vertex"),
+            ([[0, 1], []], "facets must be non-empty vertex sets"),
+            ([[0, 1], 7], "face 7 is not a list of vertices"),
+            ([[0, 1], [2, -1]], "face [2, -1]: vertex -1 is not a non-negative integer"),
+            ([[0, 1], [2, 1.5]], "face [2, 1.5]: vertex 1.5 is not a non-negative integer"),
+            ([[0, 1], [2, True]], "face [2, True]: vertex True is not a non-negative integer"),
+            ([[0, 1], [2, "3"]], "face [2, '3']: vertex '3' is not a non-negative integer"),
+            ([[0, 1], [2, 2**63]], f"face [2, {2**63}]: vertex {2**63} does not fit in a 64-bit integer"),
+            ([], "facet list is empty"),
+            ([np.zeros((0, 3), np.int64)], "facet list is empty"),
+            # the first bad facet in the given order is named, whatever its width
+            ([[0, 1, 2], [4, "x"], [3, 3]], "face [4, 'x']: vertex 'x' is not"),
+            ([[5, 5, 6], [0, 1], [4, "x"]], "face [5, 5, 6] repeats a vertex"),
+            ([np.array([[0, 1], [1, 1]])], "face [1, 1] repeats a vertex"),
+            ([np.array([[0, 2**63]], np.uint64)], f"vertex {2**63} does not fit"),
+        ],
+    )
+    def test_a_malformed_facet_raises_at_construction(self, facets, message):
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            build_complex(facets)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20))
+    def test_connected_components_is_the_union_find(self, n, pairs):
+        edges = [(u, v) for u, v in pairs if u < n and v < n]
+        vertices = [3 * v for v in range(n)]
+        edges = [(3 * u, 3 * v) for u, v in edges]
+        assert connected_components(vertices, edges) == union_find_components(vertices, edges)
+
+
+class TestIds:
+    def test_plain_numpy_and_integral_ids(self):
+        for values, want in (([0, 5, MAX_ID], [0, 5, MAX_ID]), ([np.int64(3), 2.0], [3, 2]), ([], [])):
+            ids = _ids(values)
+            assert ids.dtype == np.int64 and ids.tolist() == want
+
+    @pytest.mark.parametrize(
+        "values, what, message",
+        [
+            ([0, 1.5], "vertex", "vertex 1.5 is not a non-negative integer"),
+            ([0, -1], "vertex", "vertex -1 is not a non-negative integer"),
+            ([2**63, 0], "vertex", f"vertex {2**63} does not fit in a 64-bit integer"),
+            ([0, 1, 2, True, 3, -1], ("vertex", "vertex image"), "vertex image True is not"),
+            ([0, 1, "2", 3], ("vertex", "vertex image"), "vertex '2' is not"),
+        ],
+    )
+    def test_the_first_bad_entry_is_named(self, values, what, message):
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            _ids(values, what)
+
+
+class TestCoboundaryCache:
+    def test_triplets_are_computed_once_and_read_only(self):
+        K = build_complex([{0, 1, 2}, {1, 2, 3}, {3, 4}])
+        for i in K.dims():
+            triplets = coboundary(K, i)
+            assert coboundary(K, i) is triplets
+            assert all(not a.flags.writeable for a in triplets)
+            assert all(a is b for a, b in zip(decorated_coboundary(K, i), triplets))
+        with pytest.raises(ValueError):
+            coboundary(K, 0)[1][0] = 5

@@ -54,11 +54,19 @@ class TestComplexFiles:
         assert K2 == K
 
     def test_faces_serialized_increasing(self, tmp_path):
-        K = build_complex([{2, 0, 1}])
-        p = tmp_path / "k.json"
-        llio.save_complex(K, p)
-        doc = {"facets": [[0, 1, 2]], "include_empty": True, "weights": {"scheme": "combinatorial"}}
-        assert p.read_text() == json.dumps(doc, sort_keys=True, indent=1)
+        cases = [
+            ([{2, 0, 1}], True, [[0, 1, 2]]),
+            # facets by dimension, each dimension in canonical order
+            ([{4, 3, 2}, {7}, {5, 4}, {1, 0}, {0, 3}, {3, 4}], False, [[7], [0, 1], [0, 3], [4, 5], [2, 3, 4]]),
+            ([(2**63 - 1, 0), (2**63 - 2, 2**63 - 1, 5)], True, [[0, 2**63 - 1], [5, 2**63 - 2, 2**63 - 1]]),
+        ]
+        for facets, include_empty, written in cases:
+            K = build_complex(facets, include_empty=include_empty)
+            p = tmp_path / "k.json"
+            llio.save_complex(K, p)
+            doc = {"facets": written, "include_empty": include_empty, "weights": {"scheme": "combinatorial"}}
+            assert p.read_text() == json.dumps(doc, sort_keys=True, indent=1)
+            assert llio.load_complex(p)[0] == K
 
     def test_bad_json_is_malformed_input(self, tmp_path):
         p = tmp_path / "bad.json"
