@@ -59,6 +59,7 @@ from .operators import (
     SpectrumMultiset,
     compare_spectra,
     decorated_coboundary,
+    incidence_weighting,
     laplacian_matrix,
     layer_spectra,
     spectrum,

@@ -97,24 +97,19 @@ def cmd_spectrum(args, report):
     report["inputs"]["complex"] = _hash_file(args.complex)
     scheme = SCHEMES[args.scheme] if args.scheme else file_scheme
     decoration = None
-    # the cofacet dimensions of the incidence layers the operator reads
-    read = {"up": {args.dim + 1}, "down": {args.dim}, "full": {args.dim, args.dim + 1}}[args.kind]
+    # the incidence layers the operator reads
+    read = {"up": {args.dim}, "down": {args.dim - 1}, "full": {args.dim - 1, args.dim}}[args.kind]
     for key, load in (("signing", llio.load_signing), ("weighting", llio.load_weighting)):
         path = getattr(args, key)
         if path:
-            decoration = load(path)
+            decoration = load(path, K)
             report["inputs"][key] = _hash_file(path)
-            pairs = [pair for pair, _ in decoration.items()]
-            for (f, c), found in zip(pairs, K._indices([c for _, c in pairs]) >= 0):
-                if not (found and len(c) == len(f) + 1 and set(f) <= set(c)):
-                    raise MalformedInputError(
-                        f"{path}: ({list(f)}, {list(c)}) is not a (face, cofacet) incidence of the complex"
-                    )
-                if len(c) - 1 not in read:
-                    raise MalformedInputError(
-                        f"{path}: ({list(f)}, {list(c)}) is not an incidence the dim {args.dim} "
-                        f"{args.kind} operator reads"
-                    )
+            i = min(set(decoration.layers) - read, default=None)
+            if i is not None:
+                raise MalformedInputError(
+                    f"{path}: lists ({i}-face, {i + 1}-face) incidences, which the dim {args.dim} {args.kind} "
+                    "operator does not read"
+                )
     op = laplacian_matrix(K, args.dim, args.kind, scheme, decoration)
     s = spectrum(op)
     report["results"] = {
@@ -353,7 +348,7 @@ def cmd_fixture(args, report):
         return [_verdict("reference 2-complex recovered by spectrum search", False, args.tol, None)]
     doc = {
         "found": True,
-        "facets": [list(f) for f in fixture.facets],
+        "facets": [list(f) for f in fixture.complex.facets()],
         "flip": {"face": list(fixture.flip[0]), "cofacet": list(fixture.flip[1])},
         "labeled_matches": fixture.matches,
     }

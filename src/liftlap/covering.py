@@ -28,10 +28,12 @@ cofacets of ``g``, so every incidence at ``g`` lifts at that face exactly
 when the two cofacet counts agree.  Every witness is the first failing
 face in the canonical order, as a face-by-face check finds it.
 
-Orientation conventions
------------------------
-For an edge stored as ``(u, v)``, the voltage ``p`` maps sheets at ``v``
-to sheets at ``u``: the lift joins ``(u, p[j])`` to ``(v, j)``.  For an
+Voltages
+--------
+Voltages are int64 arrays of sheet images with a row per edge of
+``M.faces(1)`` or per nonzero of ``coboundary(M, i)``, read by position.
+For an edge ``(u, v)``, u < v, the voltage ``p`` maps sheets at ``v`` to
+sheets at ``u``: the lift joins ``(u, p[j])`` to ``(v, j)``.  For an
 incidence ``(face, cofacet)`` the stored voltage maps face sheets to
 cofacet sheets: sheet ``j`` of the face is incident to sheet ``p[j]`` of
 the cofacet.  The fiber of a base face lists its cover faces in
@@ -41,7 +43,7 @@ canonical (lexicographic) order, and a face's place in it is its sheet.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Mapping
 
 import numpy as np
@@ -55,7 +57,6 @@ from .errors import (
     MalformedInputError,
     VoltageError,
 )
-from .perms import Perm
 
 
 # -- voltage assignments -----------------------------------------------------
@@ -63,42 +64,40 @@ from .perms import Perm
 
 @dataclass(frozen=True)
 class EdgeVoltages:
-    """Permutation voltages on the edges of a graph or 1-skeleton.
+    """Permutation voltages on the edges of a 1-skeleton.
 
-    ``perms[(u, v)]`` maps sheets at ``v`` to sheets at ``u``; the
-    reverse orientation is the inverse permutation, so only one
-    orientation is stored.
+    ``perms`` is an ``(n_1, k)`` int64 array: row e is the voltage of the
+    edge ``(u, v) = M.faces(1)[e]``, u < v, mapping sheets at ``v`` to
+    sheets at ``u``.  :func:`edge_voltages` builds and checks it.
     """
 
     k: int
-    perms: Mapping
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "perms",
-            {tuple(e): perms.check_perm(p, self.k) for e, p in dict(self.perms).items()},
-        )
-
-    def voltage(self, a, b) -> Perm:
-        if (a, b) in self.perms:
-            return self.perms[(a, b)]
-        if (b, a) in self.perms:
-            return perms.inverse(self.perms[(b, a)])
-        raise VoltageError(f"no voltage on edge ({a!r}, {b!r})")
-
-    def has_edge(self, a, b) -> bool:
-        return (a, b) in self.perms or (b, a) in self.perms
+    perms: np.ndarray
 
 
 def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = None) -> EdgeVoltages:
-    """Voltages on the 1-skeleton of ``M``; unlisted edges get the identity."""
-    table = {}
-    given = {tuple(sorted(e)): perms.check_perm(p, k) for e, p in (assignments or {}).items()}
-    for e in M.faces(1):
-        table[e] = given.pop(e, perms.identity(k))
-    if given:
-        raise VoltageError(f"voltages given for non-edges: {sorted(given)}")
+    """Voltages on the 1-skeleton of ``M``; unlisted edges get the identity.
+
+    ``assignments[(u, v)]`` maps sheets at ``v`` to sheets at ``u``, so a
+    key with ``u > v`` puts its inverse on ``(v, u)``.  The permutations
+    are checked and the edges located in one pass; an edge listed twice
+    is refused."""
+    table = np.tile(np.arange(k, dtype=np.int64), (M.face_count(1), 1))
+    if not assignments:
+        return EdgeVoltages(k, table)
+    keys = list(map(tuple, assignments))
+    given = perms.check_perms(assignments.values(), k)
+    pair = np.fromiter(map(len, keys), np.int64, len(keys)) == 2
+    ends = _ids(chain.from_iterable(compress(keys, pair))).reshape(-1, 2)
+    at = np.full(len(keys), -1, np.int64)
+    at[pair] = M._locate(np.sort(ends, axis=1))
+    if (at < 0).any():
+        raise VoltageError(f"voltages given for non-edges: {[keys[j] for j in np.flatnonzero(at < 0)]}")
+    seen, counts = np.unique(at, return_counts=True)
+    if (counts > 1).any():
+        raise VoltageError(f"edge {M.faces(1)[seen[np.argmax(counts > 1)]]!r} is listed twice")
+    # the inverse of a permutation is its argsort
+    table[at] = np.where((ends[:, 0] > ends[:, 1])[:, None], np.argsort(given, axis=1), given)
     return EdgeVoltages(k, table)
 
 
@@ -106,29 +105,14 @@ def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = No
 class IncidenceVoltages:
     """Permutation voltages on the incidences of one dimension layer.
 
-    ``perms[(face, cofacet)]`` maps the sheet index at the face to the
-    sheet index at the cofacet.
+    ``perms`` is an ``(nnz, k)`` int64 array, a row per nonzero of
+    ``coboundary(M, dim)`` in its order; the row of an incidence ``(face,
+    cofacet)`` maps the sheet index at the face to that at the cofacet.
     """
 
     k: int
     dim: int
-    perms: Mapping
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "perms",
-            {
-                (tuple(f), tuple(c)): perms.check_perm(p, self.k)
-                for (f, c), p in dict(self.perms).items()
-            },
-        )
-
-    def voltage(self, face, cofacet) -> Perm:
-        try:
-            return self.perms[(tuple(face), tuple(cofacet))]
-        except KeyError:
-            raise VoltageError(f"no voltage on incidence ({face!r}, {cofacet!r})") from None
+    perms: np.ndarray
 
 
 # -- covering maps -----------------------------------------------------------
@@ -294,7 +278,7 @@ def check_cocycle(M: SimplicialComplex, volt: np.ndarray) -> None:
     """Voltages must compose around every 2-face: psi(u,v) o psi(v,w) == psi(u,w).
 
     ``volt[e]`` is the voltage of the edge ``M.faces(1)[e]`` read from
-    its lesser end, as :func:`derived_complex` builds it.
+    its lesser end, as :class:`EdgeVoltages` stores it.
     """
     tris = M._face_array(2)
     uv, vw, uw = (volt[M._locate(tris[:, cols])] for cols in ([0, 1], [1, 2], [0, 2]))
@@ -320,12 +304,10 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
     """
     if not M.connected:
         raise MalformedInputError("base complex must be connected")
-    k = psi.k
-    for e in M.faces(1):
-        if not psi.has_edge(*e):
-            raise VoltageError(f"no voltage on base edge {e!r}")
+    k, volt = psi.k, psi.perms
+    if volt.shape != (M.face_count(1), k):
+        raise VoltageError(f"voltages of shape {volt.shape} do not fit the {M.face_count(1)} base edges and k = {k}")
     _index(int(M._face_array(0)[-1, 0]) * k + k - 1, "cover vertex")  # the largest cover id must fit in int64
-    volt = np.array([psi.voltage(u, v) for u, v in M.faces(1)], np.int64).reshape(-1, k)
     check_cocycle(M, volt)
 
     # the vertex v of a facet sits on sheet inverse(psi(anchor, v))[j]
@@ -342,10 +324,8 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
     K = build_complex(lifted_facets, include_empty=M.include_empty)
     verts = K._face_array(0)[:, 0]
     vmap = dict(zip(verts.tolist(), (verts // k).tolist()))
-    if K.connected:
-        cov = verify_covering(K, M, vmap)
-        return DerivedComplexResult(K, cov, K.components(), vmap)
-    return DerivedComplexResult(K, None, K.components(), vmap)
+    cov = verify_covering(K, M, vmap) if K.connected else None
+    return DerivedComplexResult(K, cov, K.components(), vmap)
 
 
 # -- induced voltages ---------------------------------------------------------
@@ -366,15 +346,11 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     M, K = cov.base, cov.cover
     if not (0 <= i <= M.top_dim):
         raise DimensionError(f"induced voltages need 0 <= i <= {M.top_dim}, got {i}")
-    if i == M.top_dim:
-        return IncidenceVoltages(cov.degree, i, {})
-    # slot of a cover face in the fiber table: base face * degree + sheet
     k = cov.degree
+    if i == M.top_dim:
+        return IncidenceVoltages(k, i, np.zeros((0, k), np.int64))
+    # slot of a cover face in the fiber table: base face * degree + sheet
     slot, slot_above = (np.argsort(cov.fibers[d].ravel()) for d in (i, i + 1))
     rows, cols, _ = coboundary(K, i)
     order = np.lexsort((slot[cols], slot_above[rows] // k))
-    volt = (slot_above[rows[order]] % k).reshape(-1, k).tolist()
-    base_rows, base_cols, _ = coboundary(M, i)
-    faces, cofacets = M.faces(i), M.faces(i + 1)
-    pairs = zip(map(faces.__getitem__, base_cols.tolist()), map(cofacets.__getitem__, base_rows.tolist()))
-    return IncidenceVoltages(k, i, dict(zip(pairs, map(tuple, volt))))
+    return IncidenceVoltages(k, i, (slot_above[rows[order]] % k).reshape(-1, k))

@@ -6,8 +6,9 @@ Faces are serialized as increasing vertex lists.  Permutations are
 serialized as 1-based image lists of ``1..k``.  Voltage files may omit
 edges, which then carry the identity; signing files list only the
 flipped incidences, weighting files only the non-unit ones.  Both load
-as an :class:`~liftlap.operators.IncidenceWeighting`, a signing with
-values -1.  A record of the wrong shape raises
+through :func:`~liftlap.operators.incidence_weighting`, which refuses a
+pair that is not an incidence of the complex.  A record of the wrong
+shape raises
 :class:`~liftlap.errors.MalformedInputError` naming the file and record.
 """
 
@@ -33,7 +34,7 @@ from .complexes import (
 )
 from .covering import EdgeVoltages, edge_voltages
 from .errors import MalformedInputError, VoltageError, WeightError
-from .operators import IncidenceWeighting
+from .operators import IncidenceWeighting, incidence_weighting
 
 
 def _load(path) -> dict:
@@ -154,18 +155,19 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     return edge_voltages(M, k, table)
 
 
-def load_signing(path) -> IncidenceWeighting:
-    """Signing file: listed (face, cofacet) pairs are -1, all others +1."""
+def load_signing(path, K: SimplicialComplex) -> IncidenceWeighting:
+    """Signing file: listed (face, cofacet) incidences of ``K`` are -1, others +1."""
     data = _load(path)
     flips = {}
     for rec in _records(path, data, "flips"):
         with _reading(path, f"record {rec!r}"):
             _add(flips, _incidence(rec), -1.0)
-    return IncidenceWeighting(flips)
+    with _reading(path, "signing"):
+        return incidence_weighting(K, flips)
 
 
-def load_weighting(path) -> IncidenceWeighting:
-    """Weighting file: listed pairs carry the given complex value, others 1.
+def load_weighting(path, K: SimplicialComplex) -> IncidenceWeighting:
+    """Weighting file: listed incidences of ``K`` carry the given value, others 1.
 
     A value without a nonzero ``im`` part is real, so a file of real
     values loads as a float64 weighting."""
@@ -176,7 +178,7 @@ def load_weighting(path) -> IncidenceWeighting:
             val = rec["value"]
             _add(values, _incidence(rec), complex(float(val.get("re", 0.0)), float(val.get("im", 0.0))))
     with _reading(path, "weighting"):
-        return IncidenceWeighting(values)
+        return incidence_weighting(K, values)
 
 
 def load_vertex_map(path) -> dict:

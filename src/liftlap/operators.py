@@ -12,6 +12,8 @@ D_{i-1}^H W_i`` (down), so the spectrum is the same.
 An incidence weighting decorates the coboundary: each nonzero, the sign
 of an incidence, is multiplied by the incidence's value, a nonzero
 scalar or a d x d matrix (every value of one weighting has the same d).
+A layer's values are one array in the order of the coboundary's
+nonzeros, so decorating is one elementwise product.
 With matrix values each face becomes d rows and columns, each nonzero
 the d² entries of its block, and each face weight is repeated d times,
 so one assembly serves every case: the plain operator, a signing
@@ -47,7 +49,6 @@ import numpy as np
 
 from .complexes import (
     COMBINATORIAL,
-    Face,
     SimplicialComplex,
     WeightScheme,
     coboundary,
@@ -63,57 +64,75 @@ DEFAULT_TOL = 1e-8
 
 
 class IncidenceWeighting:
-    """A nonzero weight on every (face, cofacet) incidence.
+    """A nonzero weight on every incidence, one array per incidence layer.
 
-    A value is a scalar or a square d x d matrix; all values share one
-    size ``block_size`` (1 for scalars, and a 1 x 1 matrix is stored as
-    its scalar).  Pairs not listed carry the d x d identity, which is 1
-    for scalars.  A value whose imaginary part is exactly zero is stored
-    real (float64) and any other as complex128; ``dtype``, the dtype of
-    the decorated coboundary, is float64 when every value is real and
-    complex128 otherwise, so a weighting file with only real parts, or a
-    real block of a lifted operator, is solved in real arithmetic.  A
-    signing is the scalar real case with values -1.
-    """
+    ``layers[i]`` holds a value per nonzero of ``coboundary(K, i)``, in its
+    order: ``(nnz_i,)`` scalars or ``(nnz_i, d, d)`` matrices of one size
+    ``block_size`` (a 1 x 1 matrix is its scalar); a layer not listed
+    carries the identity.  ``dtype`` is float64 when every value's
+    imaginary part is exactly zero, so a real weighting file or a real
+    block of a lifted operator is solved in real arithmetic, and
+    complex128 otherwise.  A signing has values -1."""
 
-    def __init__(self, values: Mapping | None = None):
-        self._values = {}
-        sizes = set()
-        for (a, b), v in (values or {}).items():
+    def __init__(self, layers: Mapping | None = None):
+        self.layers = {}
+        for i, v in (layers or {}).items():
             v = np.asarray(v)
-            if v.shape == (1, 1):
-                v = v[0, 0]
-            # only a scalar (shape ()) or a square matrix (shape (d, d)) passes
-            if v.shape[:1] != v.shape[1:]:
-                raise WeightError(
-                    f"incidence weight for ({a!r}, {b!r}) is neither a scalar nor a square matrix"
-                )
-            if np.iscomplexobj(v) and not v.imag.any():
-                v = v.real
+            if v.shape[1:] == (1, 1):
+                v = v[:, 0, 0]
+            if v.ndim != 1 and not (v.ndim == 3 and v.shape[1] == v.shape[2]):
+                raise WeightError(f"layer {i} weights of shape {v.shape} are neither scalars nor square matrices")
+            axes = tuple(range(1, v.ndim))
+            if np.iscomplexobj(v):
+                # a real value loses the sign of its zeros, as it would if stored as floats
+                v = v.astype(np.complex128)
+                v.imag[(v.imag == 0).all(axis=axes)] = 0.0
+                v = v if v.imag.any() else v.real
             v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
-            if not v.any():
-                raise WeightError(f"incidence weight for ({a!r}, {b!r}) must be nonzero")
-            sizes.add(len(v) if v.ndim else 1)
-            self._values[(tuple(a), tuple(b))] = v if v.ndim else v.item()
+            zero = (v == 0).all(axis=axes)
+            if zero.any():
+                raise WeightError(f"incidence weight {int(np.argmax(zero))} of layer {i} must be nonzero")
+            self.layers[i] = v
+        sizes = {v.shape[-1] if v.ndim == 3 else 1 for v in self.layers.values()}
         if len(sizes) > 1:
             raise WeightError(f"incidence weights mix block sizes {sorted(sizes)}")
         self.block_size = sizes.pop() if sizes else 1
-        self._unit = 1.0 if self.block_size == 1 else np.eye(self.block_size)
-        real = not any(np.iscomplexobj(v) for v in self._values.values())
-        self.dtype = np.dtype(np.float64 if real else np.complex128)
+        self.dtype = np.dtype(np.complex128 if any(map(np.iscomplexobj, self.layers.values())) else np.float64)
 
-    def value(self, face: Face, cofacet: Face):
-        return self._values.get((tuple(face), tuple(cofacet)), self._unit)
 
-    def items(self):
-        return self._values.items()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, IncidenceWeighting)
-            and self._values.keys() == other._values.keys()
-            and all(np.array_equal(v, other._values[pair]) for pair, v in self._values.items())
-        )
+def incidence_weighting(K: SimplicialComplex, values: Mapping) -> IncidenceWeighting:
+    """The weighting of ``K`` with ``values[(face, cofacet)]`` at each
+    listed incidence and the identity at the other incidences of the
+    layers listed.  Each pair is looked up among the i+2 nonzeros of its
+    cofacet's coboundary row, one batch per layer; the first pair that is
+    not an incidence of ``K``, or whose value is zero, is named."""
+    pairs = [(tuple(f), tuple(c)) for f, c in values]
+    vals = [v[0, 0] if v.shape == (1, 1) else v for v in map(np.asarray, values.values())]
+    try:
+        vals = np.array(vals)
+    except ValueError:
+        raise WeightError(f"incidence weights mix shapes {sorted({v.shape for v in vals})}") from None
+    vals = vals.astype(np.result_type(vals, float))
+    face, cofacet = K._indices([f for f, _ in pairs]), K._indices([c for _, c in pairs])
+    layer, gap = np.array([(len(f) - 1, len(c) - len(f)) for f, c in pairs], np.int64).reshape(-1, 2).T
+    found = (face >= 0) & (cofacet >= 0) & (gap == 1)
+    at, layers = np.full(len(pairs), -1, np.int64), {}
+    unit = np.eye(*vals.shape[1:]) if vals.ndim == 3 else 1.0
+    for i in np.unique(layer[found]).tolist():
+        sel = np.flatnonzero(found & (layer == i))
+        table = coboundary(K, i)[1].reshape(-1, i + 2)
+        hit = table[cofacet[sel]] == face[sel, None]
+        at[sel] = np.where(hit.any(axis=1), cofacet[sel] * (i + 2) + hit.argmax(axis=1), -1)
+        layers[i] = np.broadcast_to(unit, (table.size,) + vals.shape[1:]).astype(vals.dtype)
+        layers[i][at[sel]] = vals[sel]
+    bad = (at < 0) | (vals == 0).all(axis=tuple(range(1, vals.ndim)))
+    if bad.any():
+        j = int(np.argmax(bad))
+        pair = f"({list(pairs[j][0])}, {list(pairs[j][1])})"
+        if at[j] < 0:
+            raise WeightError(f"{pair} is not a (face, cofacet) incidence of the complex")
+        raise WeightError(f"incidence weight for {pair} must be nonzero")
+    return IncidenceWeighting(layers)
 
 
 def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
@@ -122,22 +141,20 @@ def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
 
     Without a decoration these are the triplets of
     :func:`~liftlap.complexes.coboundary`.  With d x d weights the
-    nonzero at (r, c) of incidence (F, Fbar) becomes the d² entries of
-    the block ``sign * value(F, Fbar)``, zeros included, at rows
-    ``r*d .. r*d+d-1`` and columns ``c*d .. c*d+d-1``.
+    nonzero at (r, c) becomes the d² entries of the block ``sign *
+    value``, zeros included, at rows ``r*d .. r*d+d-1`` and columns
+    ``c*d .. c*d+d-1``.  A layer of another length is refused.
     """
     rows, cols, signs = coboundary(K, i)
     if decoration is None:
         return rows, cols, signs
     if not isinstance(decoration, IncidenceWeighting):
         raise TypeError(f"unsupported decoration {decoration!r}")
-    cofacets, faces = K.faces(i + 1), K.faces(i)
     d = decoration.block_size
-    values = np.array(
-        [decoration.value(faces[c], cofacets[r]) for r, c in zip(rows.tolist(), cols.tolist())],
-        dtype=decoration.dtype,
-    ).reshape(-1, d, d)
-    values = signs[:, None, None] * values
+    values = decoration.layers.get(i, np.broadcast_to(np.eye(d), (len(rows), d, d)))
+    if len(values) != len(rows):
+        raise WeightError(f"the weighting has {len(values)} values on layer {i}, which has {len(rows)} incidences here")
+    values = signs[:, None, None] * values.reshape(-1, d, d).astype(decoration.dtype)
     within = np.arange(d)
     rows = np.broadcast_to((rows * d)[:, None, None] + within[:, None], values.shape)
     cols = np.broadcast_to((cols * d)[:, None, None] + within, values.shape)

@@ -6,7 +6,11 @@ image lists; everything in memory is 0-based.
 
 from __future__ import annotations
 
-from .complexes import _index
+from itertools import chain
+
+import numpy as np
+
+from .complexes import _ids, _index
 from .errors import VoltageError
 
 Perm = tuple
@@ -23,14 +27,21 @@ def check_perm(p, k: int) -> Perm:
     return p
 
 
+def check_perms(ps, k: int) -> np.ndarray:
+    """The permutations ``ps`` as one ``(n, k)`` int64 array, checked in
+    one pass by the rules of :func:`check_perm`, naming the first bad one."""
+    ps = list(map(tuple, ps))
+    rows = _ids(chain.from_iterable(ps), "perm image")
+    bad = np.fromiter(map(len, ps), np.int64, len(ps)) != k
+    if not bad.any():
+        rows = rows.reshape(-1, k)
+        bad = (np.sort(rows, axis=1) != np.arange(k)).any(axis=1)
+    if bad.any():
+        raise VoltageError(f"{ps[np.argmax(bad)]!r} is not a permutation of 0..{k - 1}")
+    return rows
+
+
 def compose(p: Perm, q: Perm) -> Perm:
     """Function composition: ``compose(p, q)[j] == p[q[j]]`` (q applied first)."""
     return tuple(p[x] for x in q)
-
-
-def inverse(p: Perm) -> Perm:
-    inv = [0] * len(p)
-    for j, i in enumerate(p):
-        inv[i] = j
-    return tuple(inv)
 

@@ -27,7 +27,7 @@ batch per first triangle, keeps those using every edge at most twice
 and at most 12 edges in all, solves every kept 6 x 6 block in one
 batched eigensolve and matches it by the rule of every verdict.  Only
 the matching triangle sets are completed by free edges into labeled
-complexes.
+candidates, as facet lists; only the one whose flip is searched is built.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import numpy as np
 from .complexes import COMBINATORIAL, SimplicialComplex, build_complex, coboundary
 from .operators import (
     DOWN,
-    IncidenceWeighting,
     SpectrumMultiset,
     _close,
     compare_spectra,
+    incidence_weighting,
     laplacian_matrix,
     spectrum,
 )
@@ -66,13 +66,10 @@ class ReferenceFixture:
     flip: tuple
     matches: int
 
-    @property
-    def facets(self) -> tuple:
-        return self.complex.facets()
 
-
-def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
-    """All labeled candidates matching the target spectrum, sorted.
+def search_base_complexes(tol: float = 1e-8) -> list[tuple]:
+    """The facets of all labeled candidates matching the target spectrum,
+    sorted: the free edges, then the triangles, each in canonical order.
 
     A candidate matches under the rule of every verdict,
     :func:`~liftlap.operators.compare_spectra` at ``tol``.
@@ -104,9 +101,8 @@ def search_base_complexes(tol: float = 1e-8) -> list[SimplicialComplex]:
         for free in combinations(pool, 12 - len(used)):
             # connected, with b₁ = 1, by the module docstring; the free
             # edges and then the triangles are the facets, both sorted
-            found.append((free + tuple(tris), build_complex(tris + list(free))))
-    found.sort(key=lambda pair: pair[0])
-    return [K for _, K in found]
+            found.append(free + tuple(tris))
+    return sorted(found)
 
 
 def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
@@ -119,13 +115,13 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
     for tri in M.faces(2):
         for j in range(3):
             edge = tri[:j] + tri[j + 1 :]
-            signing = IncidenceWeighting({(edge, tri): -1.0})
+            signing = incidence_weighting(M, {(edge, tri): -1.0})
             signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing))
             if not compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=tol).holds:
                 continue
             # the lift's operator is the base operator decorated by the
             # voltages' permutation matrices (the identity where unlisted)
-            swap = IncidenceWeighting({(edge, tri): [[0, 1], [1, 0]]})
+            swap = incidence_weighting(M, {(edge, tri): [[0, 1], [1, 0]]})
             lifted = laplacian_matrix(M, 1, "up", COMBINATORIAL, swap)
             if compare_spectra(spectrum(lifted), COVER_SPECTRUM, "equal", tol=tol).holds:
                 return (edge, tri)
@@ -135,7 +131,8 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
 def search_reference_fixture(tol: float = 1e-8) -> ReferenceFixture | None:
     """Run the full search; None when no labeled candidate matches."""
     candidates = search_base_complexes(tol)
-    for M in candidates:
+    for facets in candidates:
+        M = build_complex(facets)
         flip = locate_flip(M, tol)
         if flip is not None:
             return ReferenceFixture(M, flip, len(candidates))

@@ -94,14 +94,12 @@ def voltage_group(psi, k: int | None = None) -> VoltageGroup:
     generated semigroup already contains identity and inverses.
     """
     if hasattr(psi, "perms"):
-        gens = sorted(set(psi.perms.values()))
-        k = psi.k
-    else:
-        gens = sorted(set(tuple(p) for p in psi))
-        if gens:
-            k = len(gens[0])
-        elif k is None:
-            raise VoltageError("cannot infer the fold count from an empty generator set")
+        psi, k = np.unique(psi.perms, axis=0).tolist(), psi.k
+    gens = sorted(set(map(tuple, psi)))
+    if gens:
+        k = len(gens[0])
+    elif k is None:
+        raise VoltageError("cannot infer the fold count from an empty generator set")
     ident = perms.identity(k)
     elements = {ident}
     frontier = [ident]
@@ -223,10 +221,10 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
     the incidence layer the blocks are taken on: ``(i, i+1)`` for the
     i-up operator, and the same layer serves the (i+1)-down operator.
     """
-    return [
-        IncidenceWeighting({pair: dec.blocks_of[p][j] for pair, p in psi.perms.items()})
-        for j in range(1, len(dec.block_sizes))
-    ]
+    voltages, at = np.unique(psi.perms, axis=0, return_inverse=True)
+    blocks = [dec.blocks_of[p] for p in map(tuple, voltages.tolist())]
+    at = at.ravel()  # the inverse's shape varies across numpy 2.0.x releases
+    return [IncidenceWeighting({psi.dim: np.array([b[j] for b in blocks])[at]}) for j in range(1, len(dec.block_sizes))]
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
@@ -237,7 +235,7 @@ def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
     """
     if psi.k != 2:
         raise VoltageError(f"two-fold signing needs k = 2, got k = {psi.k}")
-    return IncidenceWeighting({pair: -1.0 for pair, p in psi.perms.items() if p == (1, 0)})
+    return IncidenceWeighting({psi.dim: np.where(psi.perms[:, 0] == 1, -1.0, 1.0)})
 
 
 def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceWeighting]:

@@ -13,7 +13,6 @@ from liftlap import (
     CoveringMap,
     CoveringViolation,
     DimensionError,
-    EdgeVoltages,
     IncidenceVoltages,
     IncidenceWeighting,
     LiftlapError,
@@ -51,6 +50,13 @@ def transposition(k: int, a: int, b: int) -> Perm:
     im = list(range(k))
     im[a], im[b] = im[b], im[a]
     return tuple(im)
+
+
+def inverse(p: Perm) -> Perm:
+    inv = [0] * len(p)
+    for j, i in enumerate(p):
+        inv[i] = j
+    return tuple(inv)
 
 
 def permutation_matrix(p: Perm) -> np.ndarray:
@@ -315,10 +321,58 @@ def dense_decorated_coboundary(K: SimplicialComplex, i: int, decoration=None) ->
     d = decoration.block_size
     out = np.zeros((D.shape[0] * d, D.shape[1] * d), decoration.dtype)
     cofacets, faces = K.faces(i + 1), K.faces(i)
+    values = pair_table(K, i, decoration.layers[i]) if i in decoration.layers else {}
     for r, c in zip(*np.nonzero(D)):
-        block = np.reshape(decoration.value(faces[c], cofacets[r]), (d, d))
+        block = np.reshape(values.get((faces[c], cofacets[r]), np.eye(d)), (d, d))
         out[r * d : (r + 1) * d, c * d : (c + 1) * d] = D[r, c] * block
     return out
+
+
+def incidence_pairs(K: SimplicialComplex, i: int) -> list:
+    """The (face, cofacet) pair of each nonzero of ``coboundary(K, i)``, in
+    its order: the labels of the rows of an incidence layer."""
+    rows, cols, _ = coboundary(K, i)
+    return list(zip(map(K.faces(i).__getitem__, cols.tolist()), map(K.faces(i + 1).__getitem__, rows.tolist())))
+
+
+def pair_table(K: SimplicialComplex, i: int, values) -> dict:
+    """An incidence layer of values (voltages as tuples) keyed by its
+    (face, cofacet) pairs."""
+    values = [tuple(v) for v in values.tolist()] if np.ndim(values) == 2 else list(values)
+    return dict(zip(incidence_pairs(K, i), values))
+
+
+def incidence_voltages(M: SimplicialComplex, k: int, i: int, table) -> IncidenceVoltages:
+    """Layer-i voltages from a dict keyed by (face, cofacet) pairs; the
+    incidences not listed carry the identity."""
+    ident = tuple(range(k))
+    perms = [table.get(pair, ident) for pair in incidence_pairs(M, i)]
+    return IncidenceVoltages(k, i, np.array(perms, np.int64).reshape(-1, k))
+
+
+def per_pair_decorated_coboundary(K: SimplicialComplex, i: int, values) -> tuple:
+    """The decorated coboundary read pair by pair from ``values``, a dict
+    keyed by (face, cofacet) pairs whose unlisted incidences carry the
+    identity.  A 1 x 1 matrix is its scalar and a value whose imaginary
+    part is exactly zero is real; the triplets are complex exactly when
+    some value is.  ``decorated_coboundary`` must give the same triplets
+    bit for bit from the weighting built for the same values."""
+    table = {}
+    for pair, v in values.items():
+        v = np.asarray(v)
+        v = v[0, 0] if v.shape == (1, 1) else v
+        table[pair] = v.real if np.iscomplexobj(v) and not v.imag.any() else v
+    d = next((len(v) for v in table.values() if v.ndim), 1)
+    dtype = np.complex128 if any(np.iscomplexobj(v) for v in table.values()) else np.float64
+    rows, cols, signs = coboundary(K, i)
+    faces, cofacets = K.faces(i), K.faces(i + 1)
+    unit = np.eye(d) if d > 1 else 1.0
+    blocks = [table.get((faces[c], cofacets[r]), unit) for r, c in zip(rows.tolist(), cols.tolist())]
+    blocks = signs[:, None, None] * np.array(blocks, dtype).reshape(-1, d, d)
+    within = np.arange(d)
+    rows = np.broadcast_to((rows * d)[:, None, None] + within[:, None], blocks.shape)
+    cols = np.broadcast_to((cols * d)[:, None, None] + within, blocks.shape)
+    return rows.ravel(), cols.ravel(), blocks.ravel()
 
 
 def cochain_laplacian(
@@ -394,9 +448,12 @@ def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
 def conjugated_weighting(weighting: IncidenceWeighting, unitary: np.ndarray) -> IncidenceWeighting:
     """The weighting with every value v replaced by ``U^H v U``: the same
     representation written in another orthonormal basis.  Unlisted
-    incidences carry the identity, which conjugation keeps."""
+    layers carry the identity, which conjugation keeps."""
     u = np.asarray(unitary)
-    return IncidenceWeighting({pair: u.conj().T @ np.atleast_2d(v) @ u for pair, v in weighting.items()})
+    d = len(u)
+    return IncidenceWeighting(
+        {i: u.conj().T @ np.reshape(v, (-1, d, d)) @ u for i, v in weighting.layers.items()}
+    )
 
 
 def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:
@@ -405,9 +462,10 @@ def kronecker_coboundary(M: SimplicialComplex, psi, i: int) -> np.ndarray:
     ``voltage_coboundary_matrix`` must agree exactly."""
     D = coboundary_matrix(M, i)
     cofacets, faces = M.faces(i + 1), M.faces(i)
+    voltages = pair_table(M, i, psi.perms)
     pieces = {}
     for r, c in zip(*np.nonzero(D)):
-        p = psi.voltage(faces[c], cofacets[r])
+        p = voltages[(faces[c], cofacets[r])]
         pieces.setdefault(p, np.zeros_like(D))[r, c] = D[r, c]
     out = np.zeros((D.shape[0] * psi.k, D.shape[1] * psi.k), dtype=np.int64)
     for p, Dp in pieces.items():
@@ -534,35 +592,39 @@ def incidence_graph(K: SimplicialComplex, i: int) -> IncidenceGraph:
     return IncidenceGraph(left, right, tuple(edges), i)
 
 
-def as_graph_voltages(psi) -> tuple[Graph, EdgeVoltages]:
-    """The incidence graph (labelled) of incidence voltages and their
-    voltages, cofacet side first.
+def as_graph_voltages(M: SimplicialComplex, psi: IncidenceVoltages) -> tuple[Graph, dict]:
+    """The incidence graph (labelled) of the layer of ``M`` that incidence
+    voltages live on, and its edge voltages, cofacet side first.
 
     The stored face-to-cofacet permutation becomes the voltage of the
     edge ``(("r", cofacet), ("l", face))`` so the generic derived-graph
     rule reproduces the incidence adjacency of the covering complex.
     """
-    left = sorted({f for f, _ in psi.perms})
-    right = sorted({c for _, c in psi.perms})
+    table = pair_table(M, psi.dim, psi.perms)
+    left = sorted({f for f, _ in table})
+    right = sorted({c for _, c in table})
     verts = [("l", f) for f in left] + [("r", c) for c in right]
-    edges = {}
-    for (f, c), p in psi.perms.items():
-        edges[(("r", c), ("l", f))] = p
-    g = Graph(verts, list(edges))
-    return g, EdgeVoltages(psi.k, edges)
+    edges = {(("r", c), ("l", f)): p for (f, c), p in table.items()}
+    return Graph(verts, list(edges)), edges
 
 
-def derived_graph(B: Graph, psi: EdgeVoltages) -> Graph:
+def edge_table(M: SimplicialComplex, psi) -> dict:
+    """Edge voltages as a dict keyed by the edges of ``M``."""
+    return dict(zip(M.faces(1), map(tuple, psi.perms.tolist())))
+
+
+def derived_graph(B: Graph, k: int, voltages: dict) -> Graph:
     """The k-sheeted derived graph of a voltage assignment.
 
-    ``(u, i)`` and ``(v, j)`` are adjacent iff ``(u, v)`` is an edge of
-    ``B`` with voltage ``p`` and ``i == p[j]``.
+    ``voltages[(u, v)]`` is given in one orientation of each edge of
+    ``B``; the other is its inverse.  ``(u, i)`` and ``(v, j)`` are
+    adjacent iff ``(u, v)`` is an edge of ``B`` with voltage ``p`` and
+    ``i == p[j]``.
     """
-    k = psi.k
     verts = [(v, j) for v in B.vertices for j in range(k)]
     edges = []
     for u, v in B.edges:
-        p = psi.voltage(u, v)
+        p = voltages[(u, v)] if (u, v) in voltages else inverse(voltages[(v, u)])
         for j in range(k):
             edges.append(((u, p[j]), (v, j)))
     return Graph(verts, edges)
@@ -623,12 +685,12 @@ def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: i
     """
     if psi.dim != i:
         raise DimensionError(f"voltages are for layer {psi.dim}, not {i}")
-    if not psi.perms:
-        # a layer without incidences has no voltage to read k from
-        return np.zeros((M.face_count(i + 1) * psi.k, M.face_count(i) * psi.k), dtype=np.int64)
-    P = {pair: permutation_matrix(p) for pair, p in psi.perms.items()}
     shape = (M.face_count(i + 1) * psi.k, M.face_count(i) * psi.k)
-    return dense_matrix(decorated_coboundary(M, i, IncidenceWeighting(P)), shape).astype(np.int64)
+    if not len(psi.perms):
+        # a layer without incidences has no voltage to read k from
+        return np.zeros(shape, dtype=np.int64)
+    P = IncidenceWeighting({i: [permutation_matrix(p) for p in psi.perms.tolist()]})
+    return dense_matrix(decorated_coboundary(M, i, P), shape).astype(np.int64)
 
 
 def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:
@@ -739,10 +801,11 @@ def fiber_faces(cov: CoveringMap) -> dict:
     }
 
 
-def per_face_induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
-    """Induced voltages face by face: sheet j of G goes to the sheet of the
-    cofacet of G's sheet-j face that lies over Gbar, found among that
-    face's cofacets; ``induced_incidence_voltage`` must give an equal dict."""
+def per_face_induced_incidence_voltage(cov: CoveringMap, i: int) -> dict:
+    """Induced voltages face by face, keyed by (G, Gbar): sheet j of G goes
+    to the sheet of the cofacet of G's sheet-j face that lies over Gbar,
+    found among that face's cofacets; ``induced_incidence_voltage`` must
+    give the same voltages in coboundary order."""
     M, fibers, cofacets = cov.base, fiber_faces(cov), cofacet_table(cov.cover)
     table = {}
     for gbar in M.faces(i + 1):
@@ -751,7 +814,7 @@ def per_face_induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVol
             table[(g, gbar)] = tuple(
                 next(sheet_of[fbar] for fbar in cofacets[f] if fbar in sheet_of) for f in fibers[g]
             )
-    return IncidenceVoltages(cov.degree, i, table)
+    return table
 
 
 def per_face_lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
@@ -793,10 +856,11 @@ def greedy_subset(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Spect
 # -- the reference fixture search ---------------------------------------------
 
 
-def brute_force_base_matches(tol: float) -> list[SimplicialComplex]:
-    """Every labeled 6-vertex complex with 6 triangles and 12 edges, each
-    edge in at most two triangles, connected, with first Betti number 1
-    and edge up-spectrum ``rf.BASE_SPECTRUM`` at ``tol``, sorted by facets.
+def brute_force_base_matches(tol: float) -> list[tuple]:
+    """The facets of every labeled 6-vertex complex with 6 triangles and
+    12 edges, each edge in at most two triangles, connected, with first
+    Betti number 1 and edge up-spectrum ``rf.BASE_SPECTRUM`` at ``tol``,
+    sorted.
 
     Visits each labeled candidate apart: a union-find for connectivity,
     an exact rank for b₁, and the full 12 x 12 DᵀD eigensolve compared
@@ -826,6 +890,5 @@ def brute_force_base_matches(tol: float) -> list[SimplicialComplex]:
             D = dense_matrix(triplets, (6, 12))
             eigs = SpectrumMultiset(np.linalg.eigvalsh(D.T @ D))
             if compare_spectra(eigs, rf.BASE_SPECTRUM, tol=tol).holds:
-                found.append(build_complex(list(tris) + list(free)))
-    found.sort(key=lambda K: tuple(K.facets()))
-    return found
+                found.append(build_complex(list(tris) + list(free)).facets())
+    return sorted(found)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import cycle
+from oracles import cycle, inverse
 
 from liftlap import perms
 from liftlap.complexes import SimplicialComplex, build_complex
@@ -119,9 +119,9 @@ def random_edge_voltages(
                         return False
                 elif known == 2:
                     if uv not in assign:
-                        missing, val = uv, perms.compose(assign[uw], perms.inverse(assign[vw]))
+                        missing, val = uv, perms.compose(assign[uw], inverse(assign[vw]))
                     elif vw not in assign:
-                        missing, val = vw, perms.compose(perms.inverse(assign[uv]), assign[uw])
+                        missing, val = vw, perms.compose(inverse(assign[uv]), assign[uw])
                     else:
                         missing, val = uw, perms.compose(assign[uv], assign[vw])
                     assign[missing] = val

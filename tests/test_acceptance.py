@@ -22,6 +22,7 @@ from oracles import (
     cycle,
     explicit_down_laplacian,
     explicit_up_laplacian,
+    incidence_voltages,
     kronecker_coboundary,
     nonzeros,
     numeric_kernel_dimension,
@@ -34,7 +35,6 @@ from randgen import random_complex, random_connected_cover
 from liftlap import (
     COMBINATORIAL,
     NORMALIZED,
-    IncidenceVoltages,
     OperatorMatrix,
     abelian_weightings,
     build_complex,
@@ -63,7 +63,7 @@ def _swap_only_voltage(M, flip):
         for j in range(3):
             e = t[:j] + t[j + 1 :]
             table[(e, t)] = (1, 0) if (e, t) == flip else (0, 1)
-    return IncidenceVoltages(2, 1, table)
+    return incidence_voltages(M, 2, 1, table)
 
 
 def _assert_exact_identities(cov):

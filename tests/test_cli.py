@@ -576,7 +576,7 @@ class TestMalformedInput:
             capsys, ["spectrum", "--complex", triangle_file, "--dim", "0", "--kind", "up", "--signing", signing]
         )
         assert code == 2 and report is None
-        assert "s.json" in err and "[0, 1], [0, 1, 2]" in err
+        assert "s.json" in err and "(1-face, 2-face) incidences, which the dim 0 up operator does not read" in err
 
     # the same flip at dim 1 up is test_signed_spectrum
     @pytest.mark.parametrize("dim, kind", [("1", "full"), ("2", "down")])

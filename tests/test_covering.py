@@ -10,9 +10,12 @@ from oracles import (
     coboundary_matrix,
     coboundary_factorization,
     derived_graph,
+    edge_table,
     fiber_faces,
     incidence_graph,
+    inverse,
     orientation_sign_diagonal,
+    pair_table,
     per_face_induced_incidence_voltage,
     per_face_verify_covering,
     permutation_matrix,
@@ -28,12 +31,13 @@ from liftlap import (
     VoltageError,
     build_complex,
     derived_complex,
+    coboundary,
     edge_voltages,
     induced_incidence_voltage,
     laplacian_matrix,
     verify_covering,
 )
-from liftlap.perms import check_perm, identity
+from liftlap.perms import check_perm, check_perms
 
 
 class TestIncidenceGraph:
@@ -55,28 +59,26 @@ class TestDerivedGraph:
     def c3_graph(self):
         return Graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
 
+    def derived(self, k, assignments=None):
+        M = cycle_complex(3)
+        return derived_graph(self.c3_graph(), k, edge_table(M, edge_voltages(M, k, assignments)))
+
     def test_trivial_voltage_gives_disjoint_copies(self):
-        B = self.c3_graph()
-        psi = edge_voltages(cycle_complex(3), 2)
-        D = derived_graph(B, psi)
+        D = self.derived(2)
         assert len(D.vertices) == 6 and len(D.edges) == 6
         # two components: sheets never mix
         sheets = {v[1] for e in D.edges for v in e}
         assert all(a[1] == b[1] for a, b in D.edges)
 
     def test_one_swap_gives_six_cycle(self):
-        B = self.c3_graph()
-        psi = edge_voltages(cycle_complex(3), 2, {(0, 1): (1, 0)})
-        D = derived_graph(B, psi)
+        D = self.derived(2, {(0, 1): (1, 0)})
         assert len(D.vertices) == 6 and len(D.edges) == 6
         assert D.connected
         assert all(len(D.neighbors(v)) == 2 for v in D.vertices)
 
     def test_single_sheet_copies_the_base(self):
-        B = self.c3_graph()
-        psi = edge_voltages(cycle_complex(3), 1)
-        D = derived_graph(B, psi)
-        assert {(u[0], v[0]) for u, v in D.edges} == set(B.edges)
+        D = self.derived(1)
+        assert {(u[0], v[0]) for u, v in D.edges} == set(self.c3_graph().edges)
 
 
 class TestVerifyCovering:
@@ -160,7 +162,10 @@ class TestVerifyCovering:
     def test_perm_images_are_not_coerced(self, perm):
         with pytest.raises((MalformedInputError, VoltageError)):
             check_perm(perm, 2)
+        with pytest.raises((MalformedInputError, VoltageError)):
+            check_perms([(0, 1), perm], 2)
         assert check_perm(np.array([1, 0]), 2) == (1, 0)
+        assert check_perms([np.array([1, 0]), (0.0, 1)], 2).tolist() == [[1, 0], [0, 1]]
 
     def test_fiber_sizes_constant_across_dimensions(self, c3_double_cover):
         cov = c3_double_cover.covering
@@ -263,6 +268,48 @@ class TestIdRange:
             derived_complex(M, edge_voltages(M, 2, {(2**62, 2**62 + 1): (1, 0)}))
 
 
+class TestEdgeVoltages:
+    P = (1, 2, 0)
+
+    def test_unlisted_edges_carry_the_identity(self):
+        M = cycle_complex(3)
+        psi = edge_voltages(M, 3, {(0, 2): self.P})
+        assert psi.perms.dtype == np.int64
+        assert psi.perms.tolist() == [[0, 1, 2], list(self.P), [0, 1, 2]]
+
+    def test_a_reversed_key_stores_the_inverse(self):
+        M = cycle_complex(3)
+        reversed_key = edge_voltages(M, 3, {(2, 1): self.P})
+        inverted = edge_voltages(M, 3, {(1, 2): inverse(self.P)})
+        assert np.array_equal(reversed_key.perms, inverted.perms)
+        cover = derived_complex(M, reversed_key)
+        assert cover.connected and cover.complex == derived_complex(M, inverted).complex
+        assert cover.complex != derived_complex(M, edge_voltages(M, 3, {(1, 2): self.P})).complex
+
+    def test_an_edge_listed_in_both_orders_is_refused(self):
+        M = cycle_complex(3)
+        with pytest.raises(VoltageError, match=r"edge \(1, 2\) is listed twice"):
+            edge_voltages(M, 3, {(1, 2): inverse(self.P), (2, 1): self.P})
+
+    @pytest.mark.parametrize(
+        "assignments, message",
+        [
+            ({(0, 1): (0, 1, 2), (0, 3): (0, 1, 2)}, r"non-edges: \[\(0, 3\)\]"),
+            ({(0, 1, 2): (0, 1, 2)}, r"non-edges: \[\(0, 1, 2\)\]"),
+            ({(0, 1): (0, 1, 2), (1, 2): (0, 0, 1)}, r"\(0, 0, 1\) is not a permutation of 0..2"),
+            ({(0, 1): (0, 1)}, r"\(0, 1\) is not a permutation of 0..2"),
+        ],
+        ids=["non-edge", "triangle", "repeat", "short"],
+    )
+    def test_bad_assignments_are_named(self, triangle, assignments, message):
+        with pytest.raises(VoltageError, match=message):
+            edge_voltages(triangle, 3, assignments)
+
+    def test_voltages_of_another_base_are_refused(self, triangle):
+        with pytest.raises(VoltageError, match=r"shape \(3, 2\) do not fit the 4 base edges"):
+            derived_complex(cycle_complex(4), edge_voltages(triangle, 2))
+
+
 class TestDerivedComplex:
     def test_simply_connected_base_disconnects(self, triangle):
         psi = edge_voltages(triangle, 2)
@@ -333,11 +380,11 @@ class TestInducedVoltages:
         psi = edge_voltages(M, 1)
         cov = derived_complex(M, psi).covering
         iv = induced_incidence_voltage(cov, 0)
-        assert all(p == identity(1) for p in iv.perms.values())
+        assert iv.perms.shape == (6, 1) and not iv.perms.any()
 
     def test_hexagon_single_nontrivial_voltage(self, c3_double_cover):
         iv = induced_incidence_voltage(c3_double_cover.covering, 0)
-        nontrivial = [pair for pair, p in iv.perms.items() if p != (0, 1)]
+        nontrivial = [p for p in iv.perms.tolist() if p != [0, 1]]
         assert len(nontrivial) == 1
 
     def test_derived_graph_isomorphic_to_cover_incidence_graph(self):
@@ -352,8 +399,8 @@ class TestInducedVoltages:
             cov = result.covering
             for i in range(0, M.top_dim + 1):
                 iv = induced_incidence_voltage(cov, i)
-                B, gpsi = as_graph_voltages(iv)
-                D = derived_graph(B, gpsi)
+                B, gpsi = as_graph_voltages(M, iv)
+                D = derived_graph(B, iv.k, gpsi)
                 BK = incidence_graph(result.complex, i)
                 expected = {
                     frozenset((BK.left[a], BK.right[b])) for a, b in BK.edges
@@ -376,8 +423,10 @@ class TestInducedVoltages:
         if scramble:
             cov = scrambled_covering(rng, result.complex, result.vertex_map, M)
         for i in range(0, M.top_dim + 1):
-            got, want = induced_incidence_voltage(cov, i), per_face_induced_incidence_voltage(cov, i)
-            assert (got.k, got.dim, got.perms) == (want.k, want.dim, want.perms)
+            got = induced_incidence_voltage(cov, i)
+            assert (got.k, got.dim, got.perms.dtype) == (cov.degree, i, np.int64)
+            assert got.perms.shape == (len(coboundary(M, i)[0]), cov.degree)
+            assert pair_table(M, i, got.perms) == per_face_induced_incidence_voltage(cov, i)
 
 
 class TestCoboundaryFactorization:
@@ -430,11 +479,13 @@ class TestPermutationWeighting:
             _, result = out
             cov = scrambled_covering(rng, result.complex, result.vertex_map, M)
             K = cov.cover
+            k = cov.degree
             P = IncidenceWeighting(
                 {
-                    pair: permutation_matrix(p)
+                    layer: np.reshape(
+                        [permutation_matrix(p) for p in induced_incidence_voltage(cov, layer).perms.tolist()], (-1, k, k)
+                    )
                     for layer in range(0, M.top_dim + 1)
-                    for pair, p in induced_incidence_voltage(cov, layer).perms.items()
                 }
             )
             for i in range(0, M.top_dim + 1):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import to_one_based
+from oracles import edge_table, pair_table, to_one_based
 
 from liftlap import MalformedInputError, build_complex, perms
 from liftlap import io as llio
@@ -91,8 +91,9 @@ class TestVoltageFiles:
         M = build_complex([{1, 2}, {2, 3}, {1, 3}])
         p = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]})
         psi = llio.load_edge_voltages(p, M)
-        assert psi.voltage(1, 2) == (1, 0)
-        assert psi.voltage(2, 3) == (0, 1)  # absent edges default to identity
+        assert psi.perms.dtype == np.int64
+        # absent edges default to identity
+        assert edge_table(M, psi) == {(1, 2): (1, 0), (1, 3): (0, 1), (2, 3): (0, 1)}
 
     def test_voltage_on_non_edge_rejected(self, tmp_path):
         M = build_complex([{1, 2}])
@@ -119,22 +120,27 @@ class TestVoltageFiles:
         psi = llio.load_edge_voltages(p, M)
         records = [
             {"edge": list(e), "perm": to_one_based(q)}
-            for e, q in sorted(psi.perms.items())
+            for e, q in sorted(edge_table(M, psi).items())
             if q != perms.identity(psi.k)
         ]
         assert {"k": psi.k, "edges": records} == {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]}
 
 
 class TestSigningAndWeightingFiles:
+    K = build_complex([{1, 2, 6}, {6, 9}])
+
     def test_signing_example(self, tmp_path):
         p = write(
             tmp_path,
             "s.json",
             {"flips": [{"face": [1, 2], "cofacet": [1, 2, 6]}]},
         )
-        signing = llio.load_signing(p)
-        assert signing.value((1, 2), (1, 2, 6)) == -1
-        assert signing.value((1, 6), (1, 2, 6)) == 1
+        signing = llio.load_signing(p, self.K)
+        assert pair_table(self.K, 1, signing.layers[1]) == {
+            ((1, 2), (1, 2, 6)): -1,
+            ((1, 6), (1, 2, 6)): 1,
+            ((2, 6), (1, 2, 6)): 1,
+        }
 
     def test_weighting_example(self, tmp_path):
         p = write(
@@ -146,9 +152,9 @@ class TestSigningAndWeightingFiles:
                 ],
             },
         )
-        w = llio.load_weighting(p)
-        assert w.value((1, 2), (1, 2, 6)) == complex(-0.5, 0.8)
-        assert w.value((9,), (9, 10)) == 1.0
+        w = llio.load_weighting(p, self.K)
+        assert w.layers[1].tolist() == [complex(-0.5, 0.8), 1, 1]
+        assert list(w.layers) == [1]  # the other layers carry 1
         assert w.dtype == np.complex128
 
     def test_weighting_with_real_parts_only_is_real(self, tmp_path):
@@ -156,14 +162,22 @@ class TestSigningAndWeightingFiles:
             {"face": [1, 2], "cofacet": [1, 2, 6], "value": {"re": -0.5}},
             {"face": [1, 6], "cofacet": [1, 2, 6], "value": {"re": 2.0, "im": 0.0}},
         ]
-        w = llio.load_weighting(write(tmp_path, "w.json", {"entries": entries}))
-        assert w.dtype == np.float64
-        assert type(w.value((1, 2), (1, 2, 6))) is float and w.value((1, 6), (1, 2, 6)) == 2.0
+        w = llio.load_weighting(write(tmp_path, "w.json", {"entries": entries}), self.K)
+        assert w.dtype == np.float64 and w.layers[1].dtype == np.float64
+        assert w.layers[1].tolist() == [-0.5, 2.0, 1.0]
 
     def test_signing_roundtrip(self, tmp_path):
         flips = [{"face": [1, 2], "cofacet": [1, 2, 6]}]
-        signing = llio.load_signing(write(tmp_path, "s.json", {"flips": flips}))
-        assert [{"face": list(f), "cofacet": list(c)} for (f, c), v in signing.items() if v == -1] == flips
+        signing = llio.load_signing(write(tmp_path, "s.json", {"flips": flips}), self.K)
+        table = pair_table(self.K, 1, signing.layers[1])
+        assert [{"face": list(f), "cofacet": list(c)} for (f, c), v in table.items() if v == -1] == flips
+
+    @pytest.mark.parametrize("load", [llio.load_signing, llio.load_weighting])
+    def test_pair_off_the_complex_is_named(self, tmp_path, load):
+        recs = [{"face": [1, 2], "cofacet": [1, 2, 6]}, {"face": [6, 9], "cofacet": [6, 9, 10]}]
+        p = write(tmp_path, "in.json", {"flips": recs, "entries": [{**r, "value": {"re": 2.0}} for r in recs]})
+        with pytest.raises(MalformedInputError, match=r"in.json: .*\(\[6, 9\], \[6, 9, 10\]\) is not a"):
+            load(p, self.K)
 
 
 class TestVertexMapFiles:
@@ -194,10 +208,14 @@ class TestRepeatedRecords:
                 lambda p: llio.load_edge_voltages(p, TestRepeatedRecords.M),
                 "'edge': [2, 1]",
             ),
-            ({"flips": _twice([1, 2], [1, 2, 6])}, llio.load_signing, "'face': [2, 1]"),
+            (
+                {"flips": _twice([1, 2], [1, 2, 6])},
+                lambda p: llio.load_signing(p, TestRepeatedRecords.M),
+                "'face': [2, 1]",
+            ),
             (
                 {"entries": _twice([1, 2], [1, 2, 6], value={"re": 2.0})},
-                llio.load_weighting,
+                lambda p: llio.load_weighting(p, TestRepeatedRecords.M),
                 "'face': [2, 1]",
             ),
             ({"vertex_map": [[0, 0], [1, 1], [0, 2]]}, llio.load_vertex_map, "0 is listed twice, the second time as 2"),

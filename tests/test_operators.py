@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,6 +15,7 @@ from oracles import (
     dense_laplacian,
     dense_matrix,
     greedy_subset,
+    pair_table,
     permutation_matrix,
     symmetrized_form,
 )
@@ -29,9 +31,11 @@ from liftlap import (
     WeightError,
     WeightScheme,
     build_complex,
+    coboundary,
     compare_spectra,
     compute_weights,
     decorated_coboundary,
+    incidence_weighting,
     laplacian_matrix,
     layer_spectra,
     spectrum,
@@ -121,13 +125,13 @@ def _decoration(K, kind, rng):
     if kind == "none":
         return None
     if kind == "signing":
-        return IncidenceWeighting({p: -1.0 for p in picked})
+        return incidence_weighting(K, {p: -1.0 for p in picked})
     if kind == "character":
-        return IncidenceWeighting({p: np.exp(2j * np.pi * rng.integers(1, 5) / 5) for p in picked})
+        return incidence_weighting(K, {p: np.exp(2j * np.pi * rng.integers(1, 5) / 5) for p in picked})
     # every incidence carries a matrix, so d is the same on every layer, the top one included
     if kind == "lift":
-        return IncidenceWeighting({p: permutation_matrix(tuple(rng.permutation(3).tolist())) for p in pairs})
-    return IncidenceWeighting({p: rng.normal(size=(2, 2)) for p in pairs})
+        return incidence_weighting(K, {p: permutation_matrix(tuple(rng.permutation(3).tolist())) for p in pairs})
+    return incidence_weighting(K, {p: rng.normal(size=(2, 2)) for p in pairs})
 
 
 class TestLayerSpectra:
@@ -298,7 +302,7 @@ class TestSpectrum:
         assert all(v >= 0 for v in s.values)
 
     def test_kernel_noise_is_clamped_to_zero(self, triangle):
-        w = IncidenceWeighting({((0, 1), (0, 1, 2)): -0.5 + 0.8j, ((0,), (0, 2)): 1j})
+        w = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): -0.5 + 0.8j, ((0,), (0, 2)): 1j})
         s = spectrum(laplacian_matrix(triangle, 1, "up", decoration=w))
         assert s.values[:2] == (0.0, 0.0)
         assert s.values[2] == pytest.approx(2.89)
@@ -399,7 +403,7 @@ class TestCompareSpectra:
 
 class TestDecorations:
     def test_dtype_follows_the_values(self, triangle):
-        signing = IncidenceWeighting({((0, 1), (0, 1, 2)): -1})
+        signing = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): -1})
         D = decorated_coboundary(triangle, 1, signing)
         assert D[2].dtype == np.float64 and dense_matrix(D, (1, 3)).tolist() == [[-1.0, -1.0, 1.0]]
         # the float coboundary gives the Laplacian of the int one, bit for bit
@@ -407,26 +411,33 @@ class TestDecorations:
         op = laplacian_matrix(triangle, 1, "full", decoration=signing)
         down = laplacian_matrix(triangle, 1, "down").matrix
         assert np.array_equal(op.matrix, signed_int.T @ signed_int + down)
-        w = IncidenceWeighting({((0, 1), (0, 1, 2)): 1j})
+        w = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): 1j})
         D = decorated_coboundary(triangle, 1, w)
         assert D[2].dtype == np.complex128 and dense_matrix(D, (1, 3)).tolist() == [[1j, -1, 1]]
 
     def test_value_with_zero_imaginary_part_is_stored_real(self, triangle):
         a, b = ((0, 1), (0, 1, 2)), ((0, 2), (0, 1, 2))
-        w = IncidenceWeighting({a: -1 + 0j, b: np.array([[2 + 0j]])})
-        assert w.dtype == np.float64 and type(w.value(*a)) is float and w.value(*b) == 2.0
-        assert w == IncidenceWeighting({a: -1.0, b: 2.0})
+        w = incidence_weighting(triangle, {a: -1 + 0j, b: np.array([[2 + 0j]])})
+        assert w.dtype == np.float64 and w.layers[1].dtype == np.float64
+        assert w.layers[1].tolist() == [-1.0, 2.0, 1.0]
         assert decorated_coboundary(triangle, 1, w)[2].dtype == np.float64
-        block = IncidenceWeighting({a: np.array([[0, 1], [1, 0]], dtype=complex)})
-        assert block.dtype == np.float64 and block.value(*a).dtype == np.float64
-        # one nonzero imaginary part anywhere keeps the value complex
-        assert IncidenceWeighting({a: -1.0, b: np.array([[2 + 1e-300j]])}).dtype == np.complex128
+        block = incidence_weighting(triangle, {a: np.array([[0, 1], [1, 0]], dtype=complex)})
+        assert block.dtype == np.float64 and block.layers[1].dtype == np.float64
+        # one nonzero imaginary part anywhere keeps the weighting complex
+        assert incidence_weighting(triangle, {a: -1.0, b: np.array([[2 + 1e-300j]])}).dtype == np.complex128
+        mixed = incidence_weighting(triangle, {a: -1.0, ((0,), (0, 1)): 1j})
+        assert mixed.layers[1].dtype == np.float64 and mixed.dtype == np.complex128
+        assert decorated_coboundary(triangle, 1, mixed)[2].dtype == np.complex128
 
     def test_weighting_rejects_zero(self):
-        with pytest.raises(Exception):
-            IncidenceWeighting({((0,), (0, 1)): 0})
+        K = build_complex([(0, 1)])
+        with pytest.raises(WeightError, match=r"\(\[0\], \[0, 1\]\) must be nonzero"):
+            incidence_weighting(K, {((0,), (0, 1)): 0})
+        with pytest.raises(WeightError, match="incidence weight 1 of layer 0 must be nonzero"):
+            IncidenceWeighting({0: [2.0, 0.0]})
 
     def test_matrix_weighting_needs_square_values_of_one_size(self):
+        K = build_complex([(0, 1)])
         a, b = ((0,), (0, 1)), ((1,), (0, 1))
         for values in (
             {a: np.eye(2), b: np.eye(3)},
@@ -436,24 +447,53 @@ class TestDecorations:
             {a: np.zeros((2, 2))},
         ):
             with pytest.raises(WeightError):
-                IncidenceWeighting(values)
+                incidence_weighting(K, values)
+        for layers in ({0: np.ones((2, 2))}, {0: np.ones((2, 2, 3))}, {0: np.ones((2, 2, 2)), -1: np.ones(2)}):
+            with pytest.raises(WeightError):
+                IncidenceWeighting(layers)
 
-    def test_matrix_weighting_values_and_equality(self):
-        a, b = ((0,), (0, 1)), ((1,), (0, 1))
-        w = IncidenceWeighting({a: [[0, 1], [1, 0]]})
-        assert w.block_size == 2 and w.dtype == np.float64
-        assert np.array_equal(w.value(*b), np.eye(2))
-        assert w == IncidenceWeighting({a: np.array([[0.0, 1.0], [1.0, 0.0]])})
-        assert w != IncidenceWeighting({a: np.eye(2)})
-        assert w != IncidenceWeighting({a: -1.0})
+    def test_matrix_weighting_values(self):
+        K = build_complex([(0, 1)])
+        a = ((0,), (0, 1))
+        w = incidence_weighting(K, {a: [[0, 1], [1, 0]]})
+        assert w.block_size == 2 and w.dtype == np.float64 and list(w.layers) == [0]
+        # the unlisted incidence ((1,), (0, 1)) carries the identity
+        assert np.array_equal(w.layers[0], [[[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
         # a 1 x 1 matrix is its scalar
-        assert IncidenceWeighting({a: [[1j]]}) == IncidenceWeighting({a: 1j})
+        assert incidence_weighting(K, {a: [[1j]]}).layers[0].tolist() == [1j, 1]
+        assert IncidenceWeighting({0: np.full((2, 1, 1), 3.0)}).layers[0].tolist() == [3.0, 3.0]
+
+    def test_pairs_are_located_in_coboundary_order(self, triangle):
+        values = {((1, 2), (0, 1, 2)): 2.0, ((0,), (0, 2)): 3.0, ((), (1,)): 4.0, ((0, 2), (0, 1, 2)): 5.0}
+        w = incidence_weighting(triangle, values)
+        assert sorted(w.layers) == [-1, 0, 1]
+        for i, layer in w.layers.items():
+            table = pair_table(triangle, i, layer)
+            assert {pair: table[pair] for pair in values if pair in table} == {
+                pair: v for pair, v in values.items() if len(pair[0]) == i + 1
+            }
+            assert sum(v != 1 for v in table.values()) == sum(len(f) == i + 1 for f, _ in values)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((0, 1), (0, 1, 3)), ((0,), (0, 1, 2)), ((1, 0), (0, 1, 2)), ((2,), (0, 1)), ((), (7,)), (("a",), (0, 1))],
+    )
+    def test_a_pair_that_is_not_an_incidence_is_refused_by_name(self, triangle, pair):
+        values = {((0,), (0, 1)): -1.0, pair: -1.0}
+        f, c = pair
+        with pytest.raises(WeightError, match=re.escape(f"({list(f)}, {list(c)}) is not a (face, cofacet) incidence")):
+            incidence_weighting(triangle, values)
+
+    def test_a_weighting_of_another_complex_is_refused(self, triangle, hollow_triangle):
+        signing = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): -1.0})
+        with pytest.raises(WeightError, match="3 values on layer 1, which has 0 incidences"):
+            decorated_coboundary(hollow_triangle, 1, signing)
+        # a layer the weighting does not list carries the identity on any complex
+        assert np.array_equal(decorated_coboundary(hollow_triangle, 0, signing)[2], coboundary(hollow_triangle, 0)[2])
 
     def test_unit_modulus_weighting_keeps_trace(self):
         C3 = cycle_complex(3)
-        w = IncidenceWeighting(
-            {((0,), (0, 1)): np.exp(2j * np.pi / 3), ((1,), (1, 2)): -1.0}
-        )
+        w = incidence_weighting(C3, {((0,), (0, 1)): np.exp(2j * np.pi / 3), ((1,), (1, 2)): -1.0})
         plain = laplacian_matrix(C3, 0, "up")
         weighted = laplacian_matrix(C3, 0, "up", decoration=w)
         assert np.allclose(np.diag(weighted.matrix), np.diag(plain.matrix))

@@ -27,6 +27,15 @@ def test_search_equals_the_per_candidate_brute_force():
     assert found == brute_force_base_matches(1e-8)
 
 
+def test_only_the_searched_candidate_is_built(monkeypatch):
+    built = []
+    monkeypatch.setattr(rf, "build_complex", lambda facets: built.append(facets) or build_complex(facets))
+    fixture = rf.search_reference_fixture(1e-8)
+    assert fixture.matches == 420 and fixture.flip == ((0, 2), (0, 1, 2))
+    # the 5-simplex whose triangle Gram matrix the search reads, and the first match
+    assert len(built) == 2 and fixture.complex.facets() == built[1] == rf.search_base_complexes(1e-8)[0]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.sets(st.integers(0, len(TRIANGLES) - 1), min_size=6, max_size=6))
 def test_triangle_block_is_the_gram_matrix_of_any_triangle_set(chosen):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_complex
@@ -13,7 +13,11 @@ from oracles import (
     coboundary_matrix,
     conjugated_weighting,
     cycle,
+    incidence_voltages,
     kronecker_coboundary,
+    pair_table,
+    per_face_induced_incidence_voltage,
+    per_pair_decorated_coboundary,
     permutation_matrix,
     random_unitary,
     transposition,
@@ -25,14 +29,17 @@ from liftlap import (
     COMBINATORIAL,
     GroupStructureError,
     IncidenceVoltages,
-    IncidenceWeighting,
     VoltageError,
     abelian_weightings,
     block_weightings,
+    WeightError,
     build_complex,
+    coboundary,
     decompose_representation,
+    decorated_coboundary,
     derived_complex,
     edge_voltages,
+    incidence_weighting,
     induced_incidence_voltage,
     laplacian_matrix,
     layer_spectra,
@@ -41,7 +48,7 @@ from liftlap import (
 )
 from liftlap import io as llio
 from liftlap.cli import main
-from liftlap.perms import compose, identity
+from liftlap.perms import compose
 from liftlap.representation import RESIDUAL_TOL
 
 
@@ -259,7 +266,7 @@ class TestDecompositionProperties:
             for c in M.faces(i + 1)
             for j in range(len(c))
         }
-        psi = IncidenceVoltages(group.k, i, table)
+        psi = incidence_voltages(M, group.k, i, table)
         for j, w in enumerate(block_weightings(psi, dec), start=1):
             turned = conjugated_weighting(w, random_unitary(rng, dec.block_sizes[j]))
             for plain, other in zip(layer_spectra(M, i, decoration=w), layer_spectra(M, i, decoration=turned)):
@@ -275,30 +282,25 @@ class TestTwoFoldSigning:
             for j in range(3):
                 e = t[:j] + t[j + 1 :]
                 table[(e, t)] = (1, 0) if (e, t) == reference.flip else (0, 1)
-        signing = two_fold_signing(IncidenceVoltages(2, 1, table))
-        assert signing.value(*reference.flip) == -1
-        others = [
-            (e, t)
-            for t in M.faces(2)
-            for e, _ in [(t[:j] + t[j + 1 :], None) for j in range(3)]
-            if (e, t) != reference.flip
-        ]
-        assert all(signing.value(e, t) == 1 for e, t in others)
+        signing = pair_table(M, 1, two_fold_signing(incidence_voltages(M, 2, 1, table)).layers[1])
+        assert signing == {pair: -1.0 if pair == reference.flip else 1.0 for pair in table}
 
     def test_all_identity_does_not_warn(self):
         M = cycle_complex(3)
         table = {((v,), e): (0, 1) for e in M.faces(1) for v in [e[0], e[1]]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            signing = two_fold_signing(IncidenceVoltages(2, 0, table))
-            empty_top = two_fold_signing(IncidenceVoltages(2, 1, {}))
-        assert signing == IncidenceWeighting() == empty_top
+            signing = two_fold_signing(incidence_voltages(M, 2, 0, table))
+            empty_top = two_fold_signing(IncidenceVoltages(2, 1, np.zeros((0, 2), np.int64)))
+        assert signing.layers[0].tolist() == [1.0] * 6 and empty_top.layers[1].shape == (0,)
+        for i, w in ((0, signing), (1, empty_top)):
+            assert np.array_equal(decorated_coboundary(M, i, w)[2], coboundary(M, i)[2])
 
     def test_all_swapped(self):
         M = cycle_complex(3)
         table = {((v,), e): (1, 0) for e in M.faces(1) for v in [e[0], e[1]]}
-        signing = two_fold_signing(IncidenceVoltages(2, 0, table))
-        assert all(signing.value((v,), e) == -1 for (v,), e in table)
+        signing = two_fold_signing(incidence_voltages(M, 2, 0, table))
+        assert signing.layers[0].tolist() == [-1.0] * 6
 
     def test_wrong_fold_count(self):
         M = cycle_complex(3)
@@ -314,9 +316,8 @@ class TestAbelianWeightings:
         iv = induced_incidence_voltage(c3_double_cover.covering, 0)
         (weighting,) = abelian_weightings(iv)
         signing = two_fold_signing(iv)
-        for pair in iv.perms:
-            assert np.isclose(weighting.value(*pair).real, signing.value(*pair))
-            assert abs(weighting.value(*pair).imag) < 1e-12
+        assert np.allclose(weighting.layers[0].real, signing.layers[0])
+        assert np.abs(weighting.layers[0].imag).max(initial=0.0) < 1e-12
 
     def test_cyclic_three_values_are_roots_of_unity(self):
         M = cycle_complex(3)
@@ -327,8 +328,8 @@ class TestAbelianWeightings:
         assert len(ws) == 2
         roots = {np.round(np.exp(2j * np.pi * j / 3), 9) for j in range(3)}
         for w in ws:
-            for pair in iv.perms:
-                assert np.round(w.value(*pair), 9) in roots
+            assert len(w.layers[0]) == len(iv.perms)
+            assert set(np.round(w.layers[0], 9).tolist()) <= roots
 
     def test_klein_four_group(self):
         # regular action of Z2 x Z2 on four sheets
@@ -343,8 +344,7 @@ class TestAbelianWeightings:
         ws = abelian_weightings(iv)
         assert len(ws) == 3
         for w in ws:
-            vals = {np.round(w.value(*pair).real, 9) for pair in iv.perms}
-            assert vals <= {1.0, -1.0}
+            assert set(np.round(w.layers[0].real, 9).tolist()) <= {1.0, -1.0}
 
     def test_non_abelian_rejected(self):
         # a transposition and a 3-cycle on the two loops of a theta graph
@@ -361,11 +361,7 @@ class TestAbelianWeightings:
         psi = edge_voltages(M, 3)
         result = derived_complex(M, psi)
         assert not result.connected
-        table = {}
-        for e in M.faces(1):
-            for v in e:
-                table[((v,), e)] = identity(3)
-        iv = IncidenceVoltages(3, 0, table)
+        iv = incidence_voltages(M, 3, 0, {})
         with pytest.raises(GroupStructureError):
             abelian_weightings(iv)
 
@@ -417,3 +413,60 @@ class TestBlockLaplacians:
                 assert np.max(np.abs(blocks[0].matrix - plain.matrix)) <= 1e-12
                 assert np.max(np.abs(blocks[1].matrix - signed.matrix)) <= 1e-12
             done += 1
+
+
+def _same_triplets(got, want):
+    """Triplets equal bit for bit: the same dtypes and the same bytes."""
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+class TestArrayRoute:
+    """Each decoration the library builds as arrays in coboundary order
+    gives, bit for bit, the triplets of the per-pair assembly fed by the
+    face-by-face induced voltages."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 4), st.sampled_from(["real", "complex", "matrix", "1x1"]))
+    def test_decorations_equal_the_per_pair_oracle(self, seed, k, kind):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, min_beta1=1)
+        out = random_connected_cover(M, k, rng)
+        assume(out is not None)
+        cov = out[1].covering
+        for i in range(0, M.top_dim + 1):
+            psi = induced_incidence_voltage(cov, i)
+            voltages = per_face_induced_incidence_voltage(cov, i)
+            dec = decompose_representation(voltage_group(psi))
+            cases = [
+                (w, {pair: dec.blocks_of[p][j] for pair, p in voltages.items()})
+                for j, w in enumerate(block_weightings(psi, dec), start=1)
+            ]
+            if k == 2:
+                cases.append((two_fold_signing(psi), {pair: -1.0 for pair, p in voltages.items() if p == (1, 0)}))
+            for w, values in cases:
+                assert _same_triplets(decorated_coboundary(M, i, w), per_pair_decorated_coboundary(M, i, values))
+            if i == 0:
+                first = cases[0][0]
+
+        # a weighting keyed by pairs, listed in random order across every layer
+        pairs = [(f, c) for d in M.dims() for f in M.faces(d) for c in M.cofacets(f)]
+        picked = [pairs[j] for j in rng.permutation(len(pairs)) if rng.random() < 0.5]
+        draw = {
+            "real": lambda: float(rng.choice([-2.0, -1.0, 0.5, 3.0])),
+            "complex": lambda: np.exp(2j * np.pi * rng.integers(1, 5) / 5),
+            "matrix": lambda: rng.normal(size=(2, 2)) + 1j * rng.integers(0, 2) * rng.normal(size=(2, 2)),
+            # signed zero imaginary parts, a value with one is real
+            "1x1": lambda: np.array([[complex(rng.choice([-1.0, 2.0]), rng.choice([-0.0, 0.0, 0.5]))]]),
+        }[kind]
+        values = {pair: draw() for pair in picked}
+        w = incidence_weighting(M, values)
+        for i in M.dims():
+            assert _same_triplets(decorated_coboundary(M, i, w), per_pair_decorated_coboundary(M, i, values))
+
+        # a pair off the complex is named, and a weighting fits only its own complex
+        with pytest.raises(WeightError, match=r"\(\[0, 1\], \[0, 1, 99\]\) is not a \(face, cofacet\) incidence"):
+            incidence_weighting(M, {**values, ((0, 1), (0, 1, 99)): draw()})
+        # the lifted layer 0 has k times the base layer's incidences
+        nnz = len(coboundary(M, 0)[0])
+        with pytest.raises(WeightError, match=f"has {nnz} values on layer 0, which has {k * nnz} incidences"):
+            decorated_coboundary(cov.cover, 0, first)
