@@ -16,8 +16,10 @@ import sys
 from functools import reduce
 from pathlib import Path
 
+import numpy as np
+
 from . import io as llio
-from .complexes import COMBINATORIAL, NORMALIZED
+from .complexes import COMBINATORIAL, NORMALIZED, coboundary
 from .covering import derived_complex, induced_incidence_voltage, verify_covering
 from .errors import (
     CoveringViolation,
@@ -89,6 +91,15 @@ def _spec_values(s):
     return [float(v) for v in s.values]
 
 
+def _listed_incidence(K, i, values) -> str:
+    """The first incidence of layer i whose value is not the identity, one the file lists."""
+    off = (values.reshape(len(values), -1) != np.eye(math.isqrt(values[0].size)).ravel()).any(axis=1)
+    if not off.any():
+        return f"a ({i}-face, {i + 1}-face) pair"
+    rows, cols, _ = coboundary(K, i)
+    return f"({list(K.faces(i)[cols[off.argmax()]])}, {list(K.faces(i + 1)[rows[off.argmax()]])})"
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -107,8 +118,8 @@ def cmd_spectrum(args, report):
             i = min(set(decoration.layers) - read, default=None)
             if i is not None:
                 raise MalformedInputError(
-                    f"{path}: lists ({i}-face, {i + 1}-face) incidences, which the dim {args.dim} {args.kind} "
-                    "operator does not read"
+                    f"{path}: {_listed_incidence(K, i, decoration.layers[i])} is not an incidence the dim "
+                    f"{args.dim} {args.kind} operator reads"
                 )
     op = laplacian_matrix(K, args.dim, args.kind, scheme, decoration)
     s = spectrum(op)

@@ -79,6 +79,17 @@ def _ids(values, what="vertex") -> np.ndarray:
     return np.fromiter(map(_index, values, labels), np.int64, len(values))
 
 
+def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array, sorted, and the position of each
+    row of ``a`` among them: one ``lexsort``, keeping rows unlike the one before."""
+    order = np.lexsort(a.T[::-1])
+    a = a[order]
+    new = np.r_[True, (a[1:] != a[:-1]).any(axis=1)][: len(a)]
+    inverse = np.empty(len(a), np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return a[new], inverse
+
+
 def _id_or_minus_one(v) -> int:
     """``v`` as a vertex id, or -1 (no vertex has it) when no id equals it."""
     if type(v) is int or (isinstance(v, numbers.Real) and v % 1 == 0):
@@ -232,9 +243,8 @@ class SimplicialComplex:
 
     def _face_array(self, d: int) -> np.ndarray:
         """The d-faces as one read-only ``(n_d, d+1)`` int64 array, rows in
-        canonical order: every (d+1)-column combination of every facet
-        array, sorted by ``lexsort``, each row kept when it differs from
-        the row before."""
+        canonical order: the distinct rows among every (d+1)-column
+        combination of every facet array, by :func:`_unique_rows`."""
         if d not in self._arrays:
             if not 0 <= d <= self._top_dim:
                 faces = np.zeros((int(d == -1 and self._include_empty), max(d + 1, 0)), np.int64)
@@ -244,8 +254,7 @@ class SimplicialComplex:
                     for a in self._given
                     if a.shape[1] > d
                 ])
-                faces = faces[np.lexsort(faces.T[::-1])]
-                faces = faces[np.r_[True, (faces[1:] != faces[:-1]).any(axis=1)]]
+                faces = _unique_rows(faces)[0]
             faces.flags.writeable = False
             self._arrays[d] = faces
         return self._arrays[d]

@@ -93,9 +93,9 @@ def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = No
     at[pair] = M._locate(np.sort(ends, axis=1))
     if (at < 0).any():
         raise VoltageError(f"voltages given for non-edges: {[keys[j] for j in np.flatnonzero(at < 0)]}")
-    seen, counts = np.unique(at, return_counts=True)
-    if (counts > 1).any():
-        raise VoltageError(f"edge {M.faces(1)[seen[np.argmax(counts > 1)]]!r} is listed twice")
+    twice = np.bincount(at, minlength=M.face_count(1)) > 1
+    if twice.any():
+        raise VoltageError(f"edge {M.faces(1)[np.argmax(twice)]!r} is listed twice")
     # the inverse of a permutation is its argsort
     table[at] = np.where((ends[:, 0] > ends[:, 1])[:, None], np.argsort(given, axis=1), given)
     return EdgeVoltages(k, table)
@@ -106,10 +106,11 @@ class IncidenceVoltages:
     """Permutation voltages on the incidences of one dimension layer.
 
     ``perms`` is an ``(nnz, k)`` int64 array, a row per nonzero of
-    ``coboundary(M, dim)`` in its order; the row of an incidence ``(face,
+    ``coboundary(base, dim)`` in its order; the row of an incidence ``(face,
     cofacet)`` maps the sheet index at the face to that at the cofacet.
     """
 
+    base: SimplicialComplex
     k: int
     dim: int
     perms: np.ndarray
@@ -348,9 +349,9 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
         raise DimensionError(f"induced voltages need 0 <= i <= {M.top_dim}, got {i}")
     k = cov.degree
     if i == M.top_dim:
-        return IncidenceVoltages(k, i, np.zeros((0, k), np.int64))
+        return IncidenceVoltages(M, k, i, np.zeros((0, k), np.int64))
     # slot of a cover face in the fiber table: base face * degree + sheet
     slot, slot_above = (np.argsort(cov.fibers[d].ravel()) for d in (i, i + 1))
     rows, cols, _ = coboundary(K, i)
     order = np.lexsort((slot[cols], slot_above[rows] // k))
-    return IncidenceVoltages(k, i, (slot_above[rows[order]] % k).reshape(-1, k))
+    return IncidenceVoltages(M, k, i, (slot_above[rows[order]] % k).reshape(-1, k))

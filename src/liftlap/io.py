@@ -141,18 +141,26 @@ def save_complex(K: SimplicialComplex, path) -> None:
 
 
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
-    """Voltages on the 1-skeleton of ``M``; absent edges get the identity."""
+    """Voltages on the 1-skeleton of ``M``; absent edges get the identity.
+    The permutations are checked together, and one at a time only to
+    name the record of a bad one."""
     data = _load(path)
     with _reading(path, "fold count"):
         k = _index(data.get("k", 1), "fold count")
         if k < 1:
             raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    table = {}
-    for rec in _records(path, data, "edges"):
+    recs, table = _records(path, data, "edges"), {}
+    for rec in recs:
         with _reading(path, f"record {rec!r}"):
-            perm = perms.check_perm([_index(x, "perm image") - 1 for x in rec["perm"]], k)
+            perm = tuple(_index(x, "perm image") - 1 for x in rec["perm"])
             _add(table, as_face(rec["edge"]), perm)
-    return edge_voltages(M, k, table)
+    try:
+        return edge_voltages(M, k, table)
+    except (MalformedInputError, VoltageError):
+        for rec, perm in zip(recs, table.values()):
+            with _reading(path, f"record {rec!r}"):
+                perms.check_perms([perm], k)
+        raise
 
 
 def load_signing(path, K: SimplicialComplex) -> IncidenceWeighting:

@@ -64,17 +64,19 @@ DEFAULT_TOL = 1e-8
 
 
 class IncidenceWeighting:
-    """A nonzero weight on every incidence, one array per incidence layer.
+    """A nonzero weight on every incidence of ``complex``, one array per
+    incidence layer.
 
-    ``layers[i]`` holds a value per nonzero of ``coboundary(K, i)``, in its
-    order: ``(nnz_i,)`` scalars or ``(nnz_i, d, d)`` matrices of one size
-    ``block_size`` (a 1 x 1 matrix is its scalar); a layer not listed
-    carries the identity.  ``dtype`` is float64 when every value's
+    ``layers[i]`` holds a value per nonzero of ``coboundary(complex, i)``,
+    in its order: ``(nnz_i,)`` scalars or ``(nnz_i, d, d)`` matrices of
+    one size ``block_size`` (a 1 x 1 matrix is its scalar); a layer not
+    listed carries the identity.  ``dtype`` is float64 when every value's
     imaginary part is exactly zero, so a real weighting file or a real
     block of a lifted operator is solved in real arithmetic, and
     complex128 otherwise.  A signing has values -1."""
 
-    def __init__(self, layers: Mapping | None = None):
+    def __init__(self, K: SimplicialComplex, layers: Mapping | None = None):
+        self.complex = K
         self.layers = {}
         for i, v in (layers or {}).items():
             v = np.asarray(v)
@@ -82,6 +84,8 @@ class IncidenceWeighting:
                 v = v[:, 0, 0]
             if v.ndim != 1 and not (v.ndim == 3 and v.shape[1] == v.shape[2]):
                 raise WeightError(f"layer {i} weights of shape {v.shape} are neither scalars nor square matrices")
+            if len(v) != len(coboundary(K, i)[0]):
+                raise WeightError(f"layer {i} has {len(v)} weights for its {len(coboundary(K, i)[0])} incidences")
             axes = tuple(range(1, v.ndim))
             if np.iscomplexobj(v):
                 # a real value loses the sign of its zeros, as it would if stored as floats
@@ -118,7 +122,7 @@ def incidence_weighting(K: SimplicialComplex, values: Mapping) -> IncidenceWeigh
     found = (face >= 0) & (cofacet >= 0) & (gap == 1)
     at, layers = np.full(len(pairs), -1, np.int64), {}
     unit = np.eye(*vals.shape[1:]) if vals.ndim == 3 else 1.0
-    for i in np.unique(layer[found]).tolist():
+    for i in sorted(set(layer[found].tolist())):
         sel = np.flatnonzero(found & (layer == i))
         table = coboundary(K, i)[1].reshape(-1, i + 2)
         hit = table[cofacet[sel]] == face[sel, None]
@@ -132,7 +136,7 @@ def incidence_weighting(K: SimplicialComplex, values: Mapping) -> IncidenceWeigh
         if at[j] < 0:
             raise WeightError(f"{pair} is not a (face, cofacet) incidence of the complex")
         raise WeightError(f"incidence weight for {pair} must be nonzero")
-    return IncidenceWeighting(layers)
+    return IncidenceWeighting(K, layers)
 
 
 def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
@@ -143,17 +147,17 @@ def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
     :func:`~liftlap.complexes.coboundary`.  With d x d weights the
     nonzero at (r, c) becomes the d² entries of the block ``sign *
     value``, zeros included, at rows ``r*d .. r*d+d-1`` and columns
-    ``c*d .. c*d+d-1``.  A layer of another length is refused.
+    ``c*d .. c*d+d-1``.  A weighting of another complex is refused.
     """
     rows, cols, signs = coboundary(K, i)
     if decoration is None:
         return rows, cols, signs
     if not isinstance(decoration, IncidenceWeighting):
         raise TypeError(f"unsupported decoration {decoration!r}")
+    if decoration.complex is not K and decoration.complex != K:
+        raise WeightError("the weighting was built for another complex")
     d = decoration.block_size
     values = decoration.layers.get(i, np.broadcast_to(np.eye(d), (len(rows), d, d)))
-    if len(values) != len(rows):
-        raise WeightError(f"the weighting has {len(values)} values on layer {i}, which has {len(rows)} incidences here")
     values = signs[:, None, None] * values.reshape(-1, d, d).astype(decoration.dtype)
     within = np.arange(d)
     rows = np.broadcast_to((rows * d)[:, None, None] + within[:, None], values.shape)

@@ -10,8 +10,8 @@ from itertools import chain
 
 import numpy as np
 
-from .complexes import _ids, _index
-from .errors import VoltageError
+from .complexes import _ids
+from .errors import MalformedInputError, VoltageError
 
 Perm = tuple
 
@@ -20,24 +20,24 @@ def identity(k: int) -> Perm:
     return tuple(range(k))
 
 
-def check_perm(p, k: int) -> Perm:
-    p = tuple(x if type(x) is int else _index(x, "perm image") for x in p)
-    if len(p) != k or sorted(p) != list(range(k)):
-        raise VoltageError(f"{p!r} is not a permutation of 0..{k - 1}")
-    return p
-
-
 def check_perms(ps, k: int) -> np.ndarray:
-    """The permutations ``ps`` as one ``(n, k)`` int64 array, checked in
-    one pass by the rules of :func:`check_perm`, naming the first bad one."""
+    """The permutations ``ps`` of 0..k-1 as one ``(n, k)`` int64 array,
+    checked in one pass; the first bad one is named."""
     ps = list(map(tuple, ps))
-    rows = _ids(chain.from_iterable(ps), "perm image")
-    bad = np.fromiter(map(len, ps), np.int64, len(ps)) != k
-    if not bad.any():
-        rows = rows.reshape(-1, k)
-        bad = (np.sort(rows, axis=1) != np.arange(k)).any(axis=1)
+    try:
+        ids = _ids(chain.from_iterable(ps), "perm image")
+    except MalformedInputError:
+        for p in ps if len(ps) > 1 else ():  # one at a time, to name the first bad one
+            check_perms([p], k)
+        raise
+    lens = np.fromiter(map(len, ps), np.int64, len(ps))
+    starts, bad = np.cumsum(lens) - lens, lens != k
+    rows = ids[starts[~bad, None] + np.arange(k)]
+    bad[~bad] = (np.sort(rows, axis=1) != np.arange(k)).any(axis=1)
     if bad.any():
-        raise VoltageError(f"{ps[np.argmax(bad)]!r} is not a permutation of 0..{k - 1}")
+        j = int(np.argmax(bad))
+        p = tuple(ids[starts[j] : starts[j] + lens[j]].tolist())
+        raise VoltageError(f"{p!r} is not a permutation of 0..{k - 1}")
     return rows
 
 

@@ -45,7 +45,7 @@ from typing import Mapping
 import numpy as np
 
 from . import perms
-from .complexes import connected_components
+from .complexes import _unique_rows, connected_components
 from .covering import IncidenceVoltages
 from .errors import DecompositionError, GroupStructureError, VoltageError
 from .operators import IncidenceWeighting
@@ -94,7 +94,7 @@ def voltage_group(psi, k: int | None = None) -> VoltageGroup:
     generated semigroup already contains identity and inverses.
     """
     if hasattr(psi, "perms"):
-        psi, k = np.unique(psi.perms, axis=0).tolist(), psi.k
+        psi, k = _unique_rows(psi.perms)[0].tolist(), psi.k
     gens = sorted(set(map(tuple, psi)))
     if gens:
         k = len(gens[0])
@@ -103,7 +103,7 @@ def voltage_group(psi, k: int | None = None) -> VoltageGroup:
     ident = perms.identity(k)
     elements = {ident}
     frontier = [ident]
-    gens = [perms.check_perm(g, k) for g in gens]
+    gens = list(map(tuple, perms.check_perms(gens, k).tolist()))
     while frontier:
         cur = frontier.pop()
         for g in gens:
@@ -221,10 +221,10 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
     the incidence layer the blocks are taken on: ``(i, i+1)`` for the
     i-up operator, and the same layer serves the (i+1)-down operator.
     """
-    voltages, at = np.unique(psi.perms, axis=0, return_inverse=True)
+    voltages, at = _unique_rows(psi.perms)
     blocks = [dec.blocks_of[p] for p in map(tuple, voltages.tolist())]
-    at = at.ravel()  # the inverse's shape varies across numpy 2.0.x releases
-    return [IncidenceWeighting({psi.dim: np.array([b[j] for b in blocks])[at]}) for j in range(1, len(dec.block_sizes))]
+    layers = ({psi.dim: np.array([b[j] for b in blocks])[at]} for j in range(1, len(dec.block_sizes)))
+    return [IncidenceWeighting(psi.base, layer) for layer in layers]
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
@@ -235,7 +235,7 @@ def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
     """
     if psi.k != 2:
         raise VoltageError(f"two-fold signing needs k = 2, got k = {psi.k}")
-    return IncidenceWeighting({psi.dim: np.where(psi.perms[:, 0] == 1, -1.0, 1.0)})
+    return IncidenceWeighting(psi.base, {psi.dim: np.where(psi.perms[:, 0] == 1, -1.0, 1.0)})
 
 
 def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceWeighting]:

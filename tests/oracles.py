@@ -347,7 +347,7 @@ def incidence_voltages(M: SimplicialComplex, k: int, i: int, table) -> Incidence
     incidences not listed carry the identity."""
     ident = tuple(range(k))
     perms = [table.get(pair, ident) for pair in incidence_pairs(M, i)]
-    return IncidenceVoltages(k, i, np.array(perms, np.int64).reshape(-1, k))
+    return IncidenceVoltages(M, k, i, np.array(perms, np.int64).reshape(-1, k))
 
 
 def per_pair_decorated_coboundary(K: SimplicialComplex, i: int, values) -> tuple:
@@ -452,7 +452,7 @@ def conjugated_weighting(weighting: IncidenceWeighting, unitary: np.ndarray) -> 
     u = np.asarray(unitary)
     d = len(u)
     return IncidenceWeighting(
-        {i: u.conj().T @ np.reshape(v, (-1, d, d)) @ u for i, v in weighting.layers.items()}
+        weighting.complex, {i: u.conj().T @ np.reshape(v, (-1, d, d)) @ u for i, v in weighting.layers.items()}
     )
 
 
@@ -689,7 +689,7 @@ def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: i
     if not len(psi.perms):
         # a layer without incidences has no voltage to read k from
         return np.zeros(shape, dtype=np.int64)
-    P = IncidenceWeighting({i: [permutation_matrix(p) for p in psi.perms.tolist()]})
+    P = IncidenceWeighting(M, {i: [permutation_matrix(p) for p in psi.perms.tolist()]})
     return dense_matrix(decorated_coboundary(M, i, P), shape).astype(np.int64)
 
 

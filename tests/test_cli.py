@@ -576,7 +576,32 @@ class TestMalformedInput:
             capsys, ["spectrum", "--complex", triangle_file, "--dim", "0", "--kind", "up", "--signing", signing]
         )
         assert code == 2 and report is None
-        assert "s.json" in err and "(1-face, 2-face) incidences, which the dim 0 up operator does not read" in err
+        assert "s.json" in err and "([0, 1], [0, 1, 2]) is not an incidence the dim 0 up operator reads" in err
+
+    @pytest.mark.parametrize(
+        "key, records, named",
+        [
+            ("signing", [{"face": [1, 2], "cofacet": [0, 1, 2]}], "([1, 2], [0, 1, 2]) is"),
+            (
+                "weighting",
+                [
+                    {"face": [0, 1], "cofacet": [0, 1, 2], "value": {"re": 1.0}},
+                    {"face": [0, 2], "cofacet": [0, 1, 2], "value": {"re": 2.0}},
+                ],
+                "([0, 2], [0, 1, 2]) is",
+            ),
+            # a unit value is the identity everywhere, so only the layer is known
+            ("weighting", [{"face": [1, 2], "cofacet": [0, 1, 2], "value": {"re": 1.0}}], "a (1-face, 2-face) pair is"),
+        ],
+        ids=["signing", "weighting", "unit-weighting"],
+    )
+    def test_an_unread_incidence_the_file_lists_is_named(self, capsys, tmp_path, triangle_file, key, records, named):
+        path = write(tmp_path, "d.json", {"flips" if key == "signing" else "entries": records})
+        code, report, err = run(
+            capsys, ["spectrum", "--complex", triangle_file, "--dim", "0", "--kind", "up", f"--{key}", path]
+        )
+        assert code == 2 and report is None
+        assert f"d.json: {named} not an incidence the dim 0 up operator reads" in err
 
     # the same flip at dim 1 up is test_signed_spectrum
     @pytest.mark.parametrize("dim, kind", [("1", "full"), ("2", "down")])

@@ -37,7 +37,7 @@ from liftlap import (
     laplacian_matrix,
     verify_covering,
 )
-from liftlap.perms import check_perm, check_perms
+from liftlap.perms import check_perms
 
 
 class TestIncidenceGraph:
@@ -161,10 +161,7 @@ class TestVerifyCovering:
     @pytest.mark.parametrize("perm", [(1, 0.9), (True, 0)])
     def test_perm_images_are_not_coerced(self, perm):
         with pytest.raises((MalformedInputError, VoltageError)):
-            check_perm(perm, 2)
-        with pytest.raises((MalformedInputError, VoltageError)):
             check_perms([(0, 1), perm], 2)
-        assert check_perm(np.array([1, 0]), 2) == (1, 0)
         assert check_perms([np.array([1, 0]), (0.0, 1)], 2).tolist() == [[1, 0], [0, 1]]
 
     def test_fiber_sizes_constant_across_dimensions(self, c3_double_cover):
@@ -298,11 +295,15 @@ class TestEdgeVoltages:
             ({(0, 1, 2): (0, 1, 2)}, r"non-edges: \[\(0, 1, 2\)\]"),
             ({(0, 1): (0, 1, 2), (1, 2): (0, 0, 1)}, r"\(0, 0, 1\) is not a permutation of 0..2"),
             ({(0, 1): (0, 1)}, r"\(0, 1\) is not a permutation of 0..2"),
+            # the first bad permutation is named, whatever fails in a later one
+            ({(0, 1): (0, 0, 1), (1, 2): (0, 1)}, r"\(0, 0, 1\) is not a permutation of 0..2"),
+            ({(0, 1): (0, 0, 1), (1, 2): (0, 1.5, 2)}, r"\(0, 0, 1\) is not a permutation of 0..2"),
+            ({(0, 1): (0, 1.5, 2), (1, 2): (0, 0, 1)}, r"perm image 1.5 is not a non-negative integer"),
         ],
-        ids=["non-edge", "triangle", "repeat", "short"],
+        ids=["non-edge", "triangle", "repeat", "short", "repeat-then-short", "repeat-then-float", "float-then-repeat"],
     )
     def test_bad_assignments_are_named(self, triangle, assignments, message):
-        with pytest.raises(VoltageError, match=message):
+        with pytest.raises((VoltageError, MalformedInputError), match=message):
             edge_voltages(triangle, 3, assignments)
 
     def test_voltages_of_another_base_are_refused(self, triangle):
@@ -481,6 +482,7 @@ class TestPermutationWeighting:
             K = cov.cover
             k = cov.degree
             P = IncidenceWeighting(
+                M,
                 {
                     layer: np.reshape(
                         [permutation_matrix(p) for p in induced_incidence_voltage(cov, layer).perms.tolist()], (-1, k, k)

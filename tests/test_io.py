@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,14 @@ class TestVoltageFiles:
         assert psi.perms.dtype == np.int64
         # absent edges default to identity
         assert edge_table(M, psi) == {(1, 2): (1, 0), (1, 3): (0, 1), (2, 3): (0, 1)}
+
+    def test_the_first_bad_permutation_is_named_by_its_record(self, tmp_path):
+        M = build_complex([{1, 2}, {2, 3}, {1, 3}])
+        edges = [{"edge": [1, 2], "perm": [2, 1]}, {"edge": [1, 3], "perm": [1, 1]}, {"edge": [2, 3], "perm": [2]}]
+        p = write(tmp_path, "psi.json", {"k": 2, "edges": edges})
+        message = f"malformed record {edges[1]!r} (VoltageError: (0, 0) is not"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            llio.load_edge_voltages(p, M)
 
     def test_voltage_on_non_edge_rejected(self, tmp_path):
         M = build_complex([{1, 2}])

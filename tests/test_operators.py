@@ -58,7 +58,7 @@ class TestLaplacianMatrix:
         rng = np.random.default_rng(5)
         K = random_complex(rng)
         plain = laplacian_matrix(K, 0, "up")
-        signed = laplacian_matrix(K, 0, "up", decoration=IncidenceWeighting())
+        signed = laplacian_matrix(K, 0, "up", decoration=IncidenceWeighting(K))
         assert np.array_equal(plain.matrix, signed.matrix)
 
     def test_full_is_up_plus_down(self):
@@ -434,7 +434,7 @@ class TestDecorations:
         with pytest.raises(WeightError, match=r"\(\[0\], \[0, 1\]\) must be nonzero"):
             incidence_weighting(K, {((0,), (0, 1)): 0})
         with pytest.raises(WeightError, match="incidence weight 1 of layer 0 must be nonzero"):
-            IncidenceWeighting({0: [2.0, 0.0]})
+            IncidenceWeighting(K, {0: [2.0, 0.0]})
 
     def test_matrix_weighting_needs_square_values_of_one_size(self):
         K = build_complex([(0, 1)])
@@ -450,7 +450,7 @@ class TestDecorations:
                 incidence_weighting(K, values)
         for layers in ({0: np.ones((2, 2))}, {0: np.ones((2, 2, 3))}, {0: np.ones((2, 2, 2)), -1: np.ones(2)}):
             with pytest.raises(WeightError):
-                IncidenceWeighting(layers)
+                IncidenceWeighting(K, layers)
 
     def test_matrix_weighting_values(self):
         K = build_complex([(0, 1)])
@@ -461,7 +461,7 @@ class TestDecorations:
         assert np.array_equal(w.layers[0], [[[0.0, 1.0], [1.0, 0.0]], np.eye(2)])
         # a 1 x 1 matrix is its scalar
         assert incidence_weighting(K, {a: [[1j]]}).layers[0].tolist() == [1j, 1]
-        assert IncidenceWeighting({0: np.full((2, 1, 1), 3.0)}).layers[0].tolist() == [3.0, 3.0]
+        assert IncidenceWeighting(K, {0: np.full((2, 1, 1), 3.0)}).layers[0].tolist() == [3.0, 3.0]
 
     def test_pairs_are_located_in_coboundary_order(self, triangle):
         values = {((1, 2), (0, 1, 2)): 2.0, ((0,), (0, 2)): 3.0, ((), (1,)): 4.0, ((0, 2), (0, 1, 2)): 5.0}
@@ -486,10 +486,18 @@ class TestDecorations:
 
     def test_a_weighting_of_another_complex_is_refused(self, triangle, hollow_triangle):
         signing = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): -1.0})
-        with pytest.raises(WeightError, match="3 values on layer 1, which has 0 incidences"):
-            decorated_coboundary(hollow_triangle, 1, signing)
-        # a layer the weighting does not list carries the identity on any complex
-        assert np.array_equal(decorated_coboundary(hollow_triangle, 0, signing)[2], coboundary(hollow_triangle, 0)[2])
+        # the same counts: the flip would land on ((3, 4), (3, 4, 5))
+        for K in (hollow_triangle, build_complex([(3, 4, 5)])):
+            for i in (0, 1):
+                with pytest.raises(WeightError, match="built for another complex"):
+                    decorated_coboundary(K, i, signing)
+        # an equal complex built again has the same incidences
+        again = build_complex([(0, 1, 2)])
+        assert np.array_equal(decorated_coboundary(again, 1, signing)[2], decorated_coboundary(triangle, 1, signing)[2])
+
+    def test_a_layer_of_the_wrong_length_is_refused(self, triangle):
+        with pytest.raises(WeightError, match="layer 1 has 2 weights for its 3 incidences"):
+            IncidenceWeighting(triangle, {1: [-1.0, 1.0]})
 
     def test_unit_modulus_weighting_keeps_trace(self):
         C3 = cycle_complex(3)

@@ -291,7 +291,7 @@ class TestTwoFoldSigning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             signing = two_fold_signing(incidence_voltages(M, 2, 0, table))
-            empty_top = two_fold_signing(IncidenceVoltages(2, 1, np.zeros((0, 2), np.int64)))
+            empty_top = two_fold_signing(IncidenceVoltages(M, 2, 1, np.zeros((0, 2), np.int64)))
         assert signing.layers[0].tolist() == [1.0] * 6 and empty_top.layers[1].shape == (0,)
         for i, w in ((0, signing), (1, empty_top)):
             assert np.array_equal(decorated_coboundary(M, i, w)[2], coboundary(M, i)[2])
@@ -466,7 +466,9 @@ class TestArrayRoute:
         # a pair off the complex is named, and a weighting fits only its own complex
         with pytest.raises(WeightError, match=r"\(\[0, 1\], \[0, 1, 99\]\) is not a \(face, cofacet\) incidence"):
             incidence_weighting(M, {**values, ((0, 1), (0, 1, 99)): draw()})
-        # the lifted layer 0 has k times the base layer's incidences
-        nnz = len(coboundary(M, 0)[0])
-        with pytest.raises(WeightError, match=f"has {nnz} values on layer 0, which has {k * nnz} incidences"):
-            decorated_coboundary(cov.cover, 0, first)
+        # the cover, and a relabelled base with the same incidence counts
+        relabelled = build_complex([[v + 1 for v in f] for f in M.facets()], include_empty=M.include_empty)
+        for K in (cov.cover, relabelled):
+            for weighting in (first, w):
+                with pytest.raises(WeightError, match="built for another complex"):
+                    decorated_coboundary(K, 0, weighting)
