@@ -64,13 +64,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class EdgeVoltages:
-    """Permutation voltages on the edges of a 1-skeleton.
+    """Permutation voltages on the edges of the 1-skeleton of ``base``.
 
     ``perms`` is an ``(n_1, k)`` int64 array: row e is the voltage of the
-    edge ``(u, v) = M.faces(1)[e]``, u < v, mapping sheets at ``v`` to
+    edge ``(u, v) = base.faces(1)[e]``, u < v, mapping sheets at ``v`` to
     sheets at ``u``.  :func:`edge_voltages` builds and checks it.
     """
 
+    base: SimplicialComplex
     k: int
     perms: np.ndarray
 
@@ -84,7 +85,7 @@ def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = No
     is refused."""
     table = np.tile(np.arange(k, dtype=np.int64), (M.face_count(1), 1))
     if not assignments:
-        return EdgeVoltages(k, table)
+        return EdgeVoltages(M, k, table)
     keys = list(map(tuple, assignments))
     given = perms.check_perms(assignments.values(), k)
     pair = np.fromiter(map(len, keys), np.int64, len(keys)) == 2
@@ -98,7 +99,7 @@ def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = No
         raise VoltageError(f"edge {M.faces(1)[np.argmax(twice)]!r} is listed twice")
     # the inverse of a permutation is its argsort
     table[at] = np.where((ends[:, 0] > ends[:, 1])[:, None], np.argsort(given, axis=1), given)
-    return EdgeVoltages(k, table)
+    return EdgeVoltages(M, k, table)
 
 
 @dataclass(frozen=True)
@@ -301,8 +302,10 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
 
     A disconnected result is reported, not rejected: downstream theorem
     checks require a connected cover, but the pieces are still useful
-    for study.
+    for study.  Voltages built for another complex are refused.
     """
+    if psi.base is not M and psi.base != M:
+        raise VoltageError("the voltages were built for another complex")
     if not M.connected:
         raise MalformedInputError("base complex must be connected")
     k, volt = psi.k, psi.perms

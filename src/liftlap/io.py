@@ -19,7 +19,6 @@ from contextlib import contextmanager
 from itertools import chain
 from pathlib import Path
 
-from . import perms
 from .complexes import (
     COMBINATORIAL,
     EXPLICIT_KIND,
@@ -143,7 +142,7 @@ def save_complex(K: SimplicialComplex, path) -> None:
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; absent edges get the identity.
     The permutations are checked together, and one at a time only to
-    name the record of a bad one."""
+    name the record of a bad one, in the file's 1-based terms."""
     data = _load(path)
     with _reading(path, "fold count"):
         k = _index(data.get("k", 1), "fold count")
@@ -159,7 +158,12 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     except (MalformedInputError, VoltageError):
         for rec, perm in zip(recs, table.values()):
             with _reading(path, f"record {rec!r}"):
-                perms.check_perms([perm], k)
+                images = [x + 1 for x in perm]
+                outside = [x for x in images if not 1 <= x <= k]
+                if outside:
+                    raise VoltageError(f"perm image {outside[0]} is outside 1..{k}")
+                if sorted(images) != list(range(1, k + 1)):
+                    raise VoltageError(f"{images} is not a permutation of 1..{k}")
         raise
 
 

@@ -36,7 +36,6 @@ from liftlap import (
     voltage_group,
 )
 from liftlap.complexes import COMBINATORIAL_KIND, NORMALIZED_KIND, _index
-from liftlap.homology import _harmonic_bases
 from liftlap.operators import SpectrumComparison, _close
 from liftlap.perms import Perm
 
@@ -293,11 +292,28 @@ class BettiReport:
     reduced: bool
 
 
+def harmonic_bases(K: SimplicialComplex, betti: dict, scheme: WeightScheme) -> dict:
+    """A basis of each kernel of ``K`` under ``scheme``: where b_i > 0 the
+    b_i eigenvectors of least eigenvalue of the full degree-i operator
+    (the up part alone at the lowest dimension), mapped back to cochain
+    values; where b_i = 0 an empty basis, and no operator is built.  The
+    Gram solves of the library's Betti inequality must span the same
+    kernels."""
+    bases = {}
+    for i, b in betti.items():
+        if b == 0:
+            bases[i] = np.zeros((K.face_count(i), 0))
+            continue
+        op = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme)
+        bases[i] = np.linalg.eigh(op.matrix)[1][:, :b] / np.sqrt(op.weights)[:, None]
+    return bases
+
+
 def betti_numbers(K: SimplicialComplex, scheme: WeightScheme = COMBINATORIAL) -> BettiReport:
-    """Reduced Betti numbers of ``K`` from ``exact_betti_numbers``, with the
-    harmonic basis the library's Betti inequality lifts for each."""
+    """Reduced Betti numbers of ``K`` from ``exact_betti_numbers``, with an
+    eigensolved harmonic basis for each."""
     betti = exact_betti_numbers(K)
-    return BettiReport(betti, _harmonic_bases(K, betti, scheme), K.include_empty)
+    return BettiReport(betti, harmonic_bases(K, betti, scheme), K.include_empty)
 
 
 # -- the cochain form of the operators -----------------------------------------

@@ -119,6 +119,23 @@ class TestSpectrum:
         assert code == 3
 
 
+    def test_an_operator_too_large_to_allocate_exits_3(self, capsys, monkeypatch, triangle_file):
+        import numpy as np
+
+        bincount = np.bincount
+
+        def no_room(x, weights=None, minlength=0):
+            # a count into a fixed length is the dense n x n array of a Gram product
+            if minlength:
+                raise MemoryError
+            return bincount(x, weights)
+
+        monkeypatch.setattr(np, "bincount", no_room)
+        code, report, err = run(capsys, ["spectrum", "--complex", triangle_file, "--dim", "1", "--kind", "down"])
+        assert code == 3 and report is None
+        assert "error: the dense down operator of 3 x 3 entries does not fit in memory" in err
+
+
 class TestCover:
     def test_build_and_verify(self, capsys, tmp_path, c3_file, c3_voltage_file):
         out = str(tmp_path / "k.json")
@@ -286,23 +303,24 @@ class TestVerify:
     def test_betti_ranks_each_complex_once_for_both_schemes(
         self, capsys, monkeypatch, c3_file, c3_voltage_file
     ):
-        from liftlap.homology import integer_rank
+        from liftlap.homology import _pivots
 
         ranked = []
 
-        def counting_rank(triplets):
-            rows, cols, _ = triplets
+        def counting_pivots(rows, cols, values):
             ranked.append((len(set(rows.tolist())), len(set(cols.tolist())), len(rows)))
-            return integer_rank(triplets)
+            return _pivots(rows, cols, values)
 
-        monkeypatch.setattr("liftlap.homology.integer_rank", counting_rank)
+        monkeypatch.setattr("liftlap.homology._pivots", counting_pivots)
         code, report, _ = run(
             capsys, ["verify", "betti", "--base", c3_file, "--voltage", c3_voltage_file]
         )
         assert code == 0 and sorted(report["results"]) == ["combinatorial", "normalized"]
-        # d_-1 (3 x 1) and d_0 (3 x 3) of the triangle, then of the
-        # hexagon (6 x 1 and 6 x 6): rows, columns and nonzeros
-        assert ranked == [(3, 1, 3), (3, 3, 6), (6, 1, 6), (6, 6, 12)]
+        # top degree down, the triangle then the hexagon: d_0 (3 x 3, then
+        # 6 x 6) in full, then the one row of d_-1 left once the rows at
+        # d_0's 2 (then 5) pivot columns are skipped: rows, columns and
+        # nonzeros
+        assert ranked == [(3, 3, 6), (1, 1, 1), (6, 6, 12), (1, 1, 1)]
 
     @pytest.mark.parametrize("claim, lowest", [("union", 0), ("inclusion", 0), ("abelian", 0), ("betti", -1)])
     def test_dim_outside_the_base_exits_3(self, capsys, c3_file, c3_voltage_file, claim, lowest):

@@ -26,6 +26,7 @@ from liftlap import (
     COMBINATORIAL,
     CocycleError,
     CoveringViolation,
+    EdgeVoltages,
     IncidenceWeighting,
     MalformedInputError,
     VoltageError,
@@ -307,8 +308,20 @@ class TestEdgeVoltages:
             edge_voltages(triangle, 3, assignments)
 
     def test_voltages_of_another_base_are_refused(self, triangle):
-        with pytest.raises(VoltageError, match=r"shape \(3, 2\) do not fit the 4 base edges"):
+        with pytest.raises(VoltageError, match="built for another complex"):
             derived_complex(cycle_complex(4), edge_voltages(triangle, 2))
+        # the same edge count, other vertex ids: read by position, these
+        # voltages would lift to a connected 6-vertex cover
+        psi = edge_voltages(build_complex([(0, 1), (1, 2), (0, 2)]), 2, {(0, 1): (1, 0)})
+        with pytest.raises(VoltageError, match="built for another complex"):
+            derived_complex(build_complex([(3, 4), (4, 5), (3, 5)]), psi)
+        # an equal complex built again is the same base
+        assert derived_complex(build_complex([(0, 1), (1, 2), (0, 2)]), psi).connected
+
+    def test_voltages_of_the_wrong_shape_are_refused(self, triangle):
+        psi = EdgeVoltages(triangle, 2, np.zeros((2, 2), np.int64))
+        with pytest.raises(VoltageError, match=r"shape \(2, 2\) do not fit the 3 base edges"):
+            derived_complex(triangle, psi)
 
 
 class TestDerivedComplex:

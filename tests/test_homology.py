@@ -15,6 +15,7 @@ from oracles import (
     explicit_down_laplacian,
     explicit_up_laplacian,
     face_coboundary,
+    harmonic_bases,
     nonzeros,
     numeric_kernel_dimension,
     per_face_lift_cochain,
@@ -23,6 +24,7 @@ from oracles import (
 from randgen import random_complex, random_connected_cover
 
 import liftlap.homology
+import liftlap.operators
 from liftlap import (
     COMBINATORIAL,
     NORMALIZED,
@@ -30,6 +32,8 @@ from liftlap import (
     WeightError,
     WeightScheme,
     build_complex,
+    coboundary,
+    compute_weights,
     derived_complex,
     edge_voltages,
     exact_betti_numbers,
@@ -138,17 +142,19 @@ class TestIntegerRankProperties:
 class TestBettiNumbers:
     def test_each_coboundary_is_ranked_once(self, triangle, monkeypatch):
         ranked = []
+        pivots = liftlap.homology._pivots
 
-        def counting_rank(triplets):
-            rows, cols, _ = triplets
+        def counting_pivots(rows, cols, values):
             ranked.append((len(set(rows.tolist())), len(set(cols.tolist())), len(rows)))
-            return integer_rank(triplets)
+            return pivots(rows, cols, values)
 
-        monkeypatch.setattr(liftlap.homology, "integer_rank", counting_rank)
-        betti_numbers(triangle)
-        # d_-1, d_0 and d_1 of the full triangle, once each: 3 x 1, 3 x 3
-        # and 1 x 3 with 1, 2 and 3 nonzeros per row
-        assert ranked == [(3, 1, 3), (3, 3, 6), (1, 3, 3)]
+        monkeypatch.setattr(liftlap.homology, "_pivots", counting_pivots)
+        assert exact_betti_numbers(triangle) == {-1: 0, 0: 0, 1: 0, 2: 0}
+        # d_1, d_0 and d_-1 of the full triangle, top degree down, once
+        # each: the 1 x 3 d_1 in full; d_0 without the row of the edge
+        # that is d_1's pivot column (2 of 3 rows left); d_-1 without the
+        # rows of d_0's 2 pivot columns (1 of 3 rows left)
+        assert ranked == [(1, 3, 3), (2, 3, 4), (1, 1, 1)]
 
     def test_contractible_triangle(self, triangle):
         rep = betti_numbers(triangle)
@@ -192,19 +198,17 @@ class TestBettiNumbers:
         assert rep.betti == {-1: 0, 0: 0, 1: 1}
         assert rep.kernel_bases[1].shape == (3, 1)
 
-    def test_builds_operators_only_for_nonzero_betti_numbers(self, triangle, hollow_triangle, monkeypatch):
-        built = []
-
-        def counting_laplacian(K, i, *args):
-            built.append(i)
-            return laplacian_matrix(K, i, *args)
-
-        monkeypatch.setattr(liftlap.homology, "laplacian_matrix", counting_laplacian)
-        rep = betti_numbers(triangle)
-        assert built == []
-        assert all(rep.kernel_bases[i].shape == (triangle.face_count(i), 0) for i in triangle.dims())
-        betti_numbers(hollow_triangle, NORMALIZED)
-        assert built == [1]
+    def test_solves_only_for_nonzero_betti_numbers(self, monkeypatch):
+        # a loop with a filled triangle hanging off it: b_1 = 1 at a middle
+        # dimension, so both projections run there and nowhere else
+        M = build_complex([{0, 1}, {1, 2}, {0, 2}, {2, 3, 4}])
+        assert exact_betti_numbers(M) == {-1: 0, 0: 0, 1: 1, 2: 0}
+        cov = derived_complex(M, edge_voltages(M, 2, {(0, 1): (1, 0)})).covering
+        calls, solved = _count_operator_calls(monkeypatch)
+        assert all(rep.holds for rep in verify_betti_inequality(cov, (COMBINATORIAL, NORMALIZED)))
+        # per scheme, the Gram matrices of A_0[:, T] (rank d_0 = 4) and A_1[R, :] (rank d_1 = 1)
+        assert solved == [4, 1, 4, 1]
+        assert calls == []
 
     def test_full_kernel_is_up_down_intersection(self):
         rng = np.random.default_rng(53)
@@ -261,29 +265,103 @@ class TestExplicitFormulas:
                     assert np.max(np.abs(symmetrized_form(direct, cochain_weights(K, i, scheme)) - ours)) <= 1e-10
 
 
+def _count_operator_calls(monkeypatch):
+    """Record every call of ``laplacian_matrix`` or a numpy eigensolver in
+    ``calls``, and the size of every Gram matrix the Betti route solves
+    with in ``solved``."""
+    calls, solved = [], []
+
+    def counting(name, function):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return function(*args, **kwargs)
+
+        return call
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(liftlap.operators, "laplacian_matrix", counting("laplacian_matrix", laplacian_matrix))
+    gram = liftlap.homology._gram
+
+    def counting_gram(layer, kind):
+        out = gram(layer, kind)
+        solved.append(len(out))
+        return out
+
+    monkeypatch.setattr(liftlap.homology, "_gram", counting_gram)
+    return calls, solved
+
+
 class TestBettiReport:
-    def test_inequality_builds_each_cover_operator_once(self, c3_double_cover, monkeypatch):
+    def test_inequality_assembles_no_operator_and_runs_no_eigensolver(self, c3_double_cover, monkeypatch):
         cov = c3_double_cover.covering
-        built = []
-        solved = []
-        eigh = np.linalg.eigh
+        assert not hasattr(liftlap.homology, "laplacian_matrix")
+        calls, solved = _count_operator_calls(monkeypatch)
+        assert all(rep.holds for rep in verify_betti_inequality(cov, (COMBINATORIAL, NORMALIZED)))
+        # only the base kernel at dim 1, the top, is nonzero: one Gram
+        # matrix per scheme, of A_0[:, T] with rank d_0 = 2 columns; the
+        # hexagon's residual is taken from its coboundary's nonzeros
+        assert solved == [2, 2]
+        assert calls == []
 
-        def counting_laplacian(K, i, *args):
-            if K is cov.cover:
-                built.append(i)
-            return laplacian_matrix(K, i, *args)
 
-        def counting_eigh(a, *args, **kwargs):
-            solved.append(len(a))
-            return eigh(a, *args, **kwargs)
+def _complexes(seed):
+    """A random complex with a loop, the same without its empty face and,
+    when one is found, a connected cover of it."""
+    rng = np.random.default_rng(seed)
+    M = random_complex(rng, max_vertices=7, min_beta1=1)
+    out = random_connected_cover(M, int(rng.integers(2, 4)), rng)
+    unreduced = build_complex(M.facets(), include_empty=False)
+    return [M, unreduced] if out is None else [M, unreduced, out[1].complex]
 
-        monkeypatch.setattr(liftlap.homology, "laplacian_matrix", counting_laplacian)
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        assert verify_betti_inequality(cov)[0].holds
-        # only the base kernel at dim 1 is nonzero; the cover is never eigensolved
-        assert built == [1]
-        assert solved == [3]
 
+class TestBettiRoute:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_cleared_ranks_are_exact_ranks(self, seed):
+        for K in _complexes(seed):
+            pivots = liftlap.homology._cleared_pivots(K)
+            assert sorted(pivots) == list(range(K.min_dim, K.top_dim))
+            for j in range(K.min_dim, K.top_dim):
+                d = coboundary_matrix(K, j)
+                assert len(pivots[j]) == integer_rank(coboundary(K, j)) == bareiss_rank(d)
+                # the pivot rows and pivot columns meet in a nonsingular block
+                cols, rows = list(pivots[j]), list(pivots[j].values())
+                assert np.linalg.matrix_rank(d[np.ix_(rows, cols)]) == len(rows)
+                if j > K.min_dim:
+                    # no pivot of d_(j-1) sits on a row cleared by d_j
+                    assert not set(pivots[j - 1].values()) & set(pivots[j])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_bases_span_the_eigensolved_kernels(self, seed):
+        for K in _complexes(seed):
+            betti = exact_betti_numbers(K)
+            pivots = liftlap.homology._cleared_pivots(K)
+            for scheme in (COMBINATORIAL, NORMALIZED):
+                ours = liftlap.homology._harmonic_bases(K, scheme, betti, pivots)
+                oracle = harmonic_bases(K, betti, scheme)
+                assert sorted(ours) == [i for i in K.dims() if betti[i]]
+                for i, basis in ours.items():
+                    # orthonormal in the Hermitian form, projecting as the eigenvectors do
+                    root = np.sqrt(cochain_weights(K, i, scheme))[:, None]
+                    u, v = root * basis, root * oracle[i]
+                    assert u.shape == v.shape == (K.face_count(i), betti[i])
+                    assert np.max(np.abs(u.T @ u - np.eye(betti[i]))) <= 1e-9
+                    assert np.max(np.abs(u @ u.T - v @ v.T)) <= 1e-9
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_triplet_residual_is_the_dense_product(self, seed):
+        rng = np.random.default_rng(seed)
+        for K in _complexes(seed):
+            for scheme in (COMBINATORIAL, NORMALIZED):
+                w = compute_weights(K, scheme)
+                for i in K.dims():
+                    X = rng.standard_normal((K.face_count(i), 3))
+                    dense = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme).matrix @ X
+                    ours = liftlap.homology._full_laplacian_product(K, i, w, X)
+                    assert np.max(np.abs(ours - dense), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(dense), initial=0.0))
 
 
 class TestLiftCochain:

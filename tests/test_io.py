@@ -100,7 +100,17 @@ class TestVoltageFiles:
         M = build_complex([{1, 2}, {2, 3}, {1, 3}])
         edges = [{"edge": [1, 2], "perm": [2, 1]}, {"edge": [1, 3], "perm": [1, 1]}, {"edge": [2, 3], "perm": [2]}]
         p = write(tmp_path, "psi.json", {"k": 2, "edges": edges})
-        message = f"malformed record {edges[1]!r} (VoltageError: (0, 0) is not"
+        message = f"malformed record {edges[1]!r} (VoltageError: [1, 1] is not a permutation of 1..2)"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
+            llio.load_edge_voltages(p, M)
+
+    @pytest.mark.parametrize("perm, image", [([0, 1], 0), ([1, 3], 3)])
+    def test_an_image_outside_the_sheets_is_named_in_file_terms(self, tmp_path, perm, image):
+        # sheets are 1..k in the file, 0..k-1 in memory
+        M = build_complex([{1, 2}, {2, 3}, {1, 3}])
+        record = {"edge": [1, 2], "perm": perm}
+        p = write(tmp_path, "psi.json", {"k": 2, "edges": [record]})
+        message = f"malformed record {record!r} (VoltageError: perm image {image} is outside 1..2)"
         with pytest.raises(MalformedInputError, match=re.escape(message)):
             llio.load_edge_voltages(p, M)
 

@@ -26,6 +26,7 @@ from liftlap import (
     NORMALIZED,
     DimensionError,
     IncidenceWeighting,
+    LiftlapError,
     OperatorMatrix,
     SpectrumMultiset,
     WeightError,
@@ -289,6 +290,22 @@ class TestGram:
             tracemalloc.stop()
         assert peak < 20 * M.nbytes
         assert np.array_equal(M, dense_laplacian(K, i, kind))
+
+    @pytest.mark.parametrize("i, kind, complex_values, n", [(1, "up", False, 3), (2, "down", False, 1), (1, "up", True, 3)])
+    def test_an_operator_too_large_to_allocate_is_refused(self, monkeypatch, i, kind, complex_values, n):
+        K = build_complex([[0, 1, 2]])
+        w = IncidenceWeighting(K, {1: np.full(3, 1j)}) if complex_values else None
+        bincount = np.bincount
+
+        def no_room(x, weights=None, minlength=0):
+            # a count into a fixed length is the dense n x n array
+            if minlength:
+                raise MemoryError
+            return bincount(x, weights)
+
+        monkeypatch.setattr(np, "bincount", no_room)
+        with pytest.raises(LiftlapError, match=f"the dense {kind} operator of {n} x {n} entries does not fit in memory"):
+            laplacian_matrix(K, i, kind, decoration=w)
 
 
 class TestSpectrum:
