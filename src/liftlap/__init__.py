@@ -18,7 +18,6 @@ from .complexes import (
     build_complex,
     coboundary,
     compute_weights,
-    connected_components,
 )
 from .covering import (
     CoveringMap,

@@ -188,7 +188,7 @@ def cmd_decompose(args, report):
     _check_dim(cov, args.dim, 0 if args.direction == "up" else 1)
     layer, side = _layer_side(args.direction, args.dim)
     psi = induced_incidence_voltage(cov, layer)
-    group = voltage_group(psi)
+    group = voltage_group(psi.perms)
     dec = decompose_representation(group, seed=args.seed)
     lifted = layer_spectra(cov.cover, layer, scheme)[side]
     spectra = [
@@ -196,7 +196,7 @@ def cmd_decompose(args, report):
     ]
     cmp_union = compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
     # block 0 is the base operator exactly when rho_0 is the trivial representation
-    first_err = max(abs(complex(dec.blocks_of[g][0][0, 0]) - 1) for g in group.elements)
+    first_err = float(np.max(np.abs(dec.blocks[0][:, 0, 0] - 1)))
     report["results"] = {
         "group_order": group.order,
         "block_sizes": list(dec.block_sizes),

@@ -379,17 +379,6 @@ def _grouped(ids: np.ndarray, roots: np.ndarray) -> tuple[frozenset, ...]:
     return tuple(frozenset(part.tolist()) for part in np.split(ids[order], cuts) if part.size)
 
 
-def connected_components(vertices, edges) -> tuple[frozenset, ...]:
-    """Vertex sets of the components of a graph on integer vertex ids.
-
-    ``edges`` are pairs of listed vertices; the components are ordered
-    by their sorted vertex lists.
-    """
-    ids = np.array(sorted(set(_ids(vertices).tolist())), np.int64)
-    ends = ids.searchsorted(_ids(chain.from_iterable(edges)).reshape(-1, 2))
-    return _grouped(ids, _label_components(len(ids), ends))
-
-
 def build_complex(facets, include_empty: bool = True) -> SimplicialComplex:
     """Downward closure of a list of facets; see :class:`SimplicialComplex`."""
     return SimplicialComplex(facets, include_empty)

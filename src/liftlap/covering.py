@@ -48,7 +48,6 @@ from typing import Mapping
 
 import numpy as np
 
-from . import perms
 from .complexes import SimplicialComplex, _ids, _index, build_complex, coboundary
 from .errors import (
     CocycleError,
@@ -62,7 +61,7 @@ from .errors import (
 # -- voltage assignments -----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeVoltages:
     """Permutation voltages on the edges of the 1-skeleton of ``base``.
 
@@ -76,6 +75,27 @@ class EdgeVoltages:
     perms: np.ndarray
 
 
+def check_perms(ps, k: int) -> np.ndarray:
+    """The permutations ``ps`` of 0..k-1 as one ``(n, k)`` int64 array,
+    checked in one pass; the first bad one is named."""
+    ps = list(map(tuple, ps))
+    try:
+        ids = _ids(chain.from_iterable(ps), "perm image")
+    except MalformedInputError:
+        for p in ps if len(ps) > 1 else ():  # one at a time, to name the first bad one
+            check_perms([p], k)
+        raise
+    lens = np.fromiter(map(len, ps), np.int64, len(ps))
+    starts, bad = np.cumsum(lens) - lens, lens != k
+    rows = ids[starts[~bad, None] + np.arange(k)]
+    bad[~bad] = (np.sort(rows, axis=1) != np.arange(k)).any(axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        p = tuple(ids[starts[j] : starts[j] + lens[j]].tolist())
+        raise VoltageError(f"{p!r} is not a permutation of 0..{k - 1}")
+    return rows
+
+
 def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = None) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; unlisted edges get the identity.
 
@@ -87,7 +107,7 @@ def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = No
     if not assignments:
         return EdgeVoltages(M, k, table)
     keys = list(map(tuple, assignments))
-    given = perms.check_perms(assignments.values(), k)
+    given = check_perms(assignments.values(), k)
     pair = np.fromiter(map(len, keys), np.int64, len(keys)) == 2
     ends = _ids(chain.from_iterable(compress(keys, pair))).reshape(-1, 2)
     at = np.full(len(keys), -1, np.int64)
@@ -102,7 +122,7 @@ def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = No
     return EdgeVoltages(M, k, table)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IncidenceVoltages:
     """Permutation voltages on the incidences of one dimension layer.
 
@@ -120,7 +140,7 @@ class IncidenceVoltages:
 # -- covering maps -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoveringMap:
     """A verified covering of complexes.
 
@@ -256,7 +276,7 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
 # -- derived complexes --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DerivedComplexResult:
     """Outcome of building a covering complex from 1-skeleton voltages.
 

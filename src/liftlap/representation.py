@@ -10,6 +10,13 @@ first block is the base Laplacian itself; a two-fold cover's second
 block is the signed Laplacian, and the blocks of an abelian group are
 its character-weighted Laplacians.
 
+Layout.  A group is the sorted int64 array of its permutations, one row
+per element, and block j of a decomposition is one ``(|G|, d_j, d_j)``
+stack in that row order.  :func:`block_weightings` locates every voltage
+among the elements with one row sort and gathers each block's values
+from its stack, so the values of an incidence layer come out as arrays
+in coboundary order, as every decoration is stored.
+
 The block-diagonalizing transform is found numerically: a random
 Hermitian element of the commutant algebra is eigendecomposed, its
 eigenspaces (which are invariant subspaces) become the blocks, and the
@@ -28,7 +35,7 @@ are solved in real arithmetic.  Every irreducible of S_k is real
 (Serre, *Linear Representations of Finite Groups*, 13.2), so every
 block of the natural action of S_k is.  The replacement moves the span
 by about k * ``REAL_TOL``, far below ``RESIDUAL_TOL``, and cannot hide
-an error: the residual, the block order and ``blocks_of`` are read from
+an error: the residual, the block order and ``blocks`` are read from
 the final transform, so the certificate covers every block.  A real
 irreducible of multiplicity m > 1 keeps a complex block: each block is
 one copy ``v (x) rho`` for an eigenvector v in C^m of a random complex
@@ -40,13 +47,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import chain
 
 import numpy as np
 
-from . import perms
-from .complexes import _unique_rows, connected_components
-from .covering import IncidenceVoltages
+from .complexes import _label_components, _unique_rows
+from .covering import IncidenceVoltages, check_perms
 from .errors import DecompositionError, GroupStructureError, VoltageError
 from .operators import IncidenceWeighting
 
@@ -59,62 +65,74 @@ MAX_RETRIES = 8
 REAL_TOL = 1e-11
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VoltageGroup:
-    """The subgroup of S_k generated by the voltages of an assignment."""
+    """The subgroup of S_k generated by the voltages of an assignment.
 
-    k: int
-    elements: tuple
-    generators: tuple
+    ``elements`` is the read-only ``(|G|, k)`` int64 array of the group's
+    permutations in sorted row order, and ``generators`` the ``(m, k)``
+    array of the distinct generating rows, sorted."""
+
+    elements: np.ndarray
+    generators: np.ndarray
+
+    @property
+    def k(self) -> int:
+        return self.elements.shape[1]
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return self.elements.shape[0]
 
     @property
     def abelian(self) -> bool:
-        # a group is abelian exactly when its generators commute
-        gens = self.generators
-        return all(perms.compose(g, h) == perms.compose(h, g) for g in gens for h in gens)
+        # a group is abelian exactly when its generators commute:
+        # g[:, g][a, b] is generator a composed after generator b
+        g = self.generators
+        products = g[:, g]
+        return bool((products == products.transpose(1, 0, 2)).all())
 
     @property
     def transitive(self) -> bool:
         # an orbit is a component of the graph with edges x - g[x]
-        moves = [(x, g[x]) for g in self.generators for x in range(self.k)]
-        return len(connected_components(range(self.k), moves)) <= 1
+        g = self.generators
+        edges = np.stack([np.broadcast_to(np.arange(self.k), g.shape), g], axis=2).reshape(-1, 2)
+        return not _label_components(self.k, edges).any()
 
 
-def voltage_group(psi, k: int | None = None) -> VoltageGroup:
+def voltage_group(generators) -> VoltageGroup:
     """Closure of the voltage values under composition.
 
-    ``psi`` may be an :class:`~liftlap.covering.IncidenceVoltages`, an
-    :class:`~liftlap.covering.EdgeVoltages`, or a bare iterable of
-    permutations (then ``k`` is required if the iterable is empty).
-    Closure under composition suffices: in a finite symmetric group the
-    generated semigroup already contains identity and inverses.
+    ``generators`` is an ``(m, k)`` array of permutations of 0..k-1, such
+    as the ``perms`` of an :class:`~liftlap.covering.IncidenceVoltages`;
+    with no rows it generates the trivial group on k points.  Closure
+    under composition suffices: in a finite symmetric group the generated
+    semigroup already contains identity and inverses.
     """
-    if hasattr(psi, "perms"):
-        psi, k = _unique_rows(psi.perms)[0].tolist(), psi.k
-    gens = sorted(set(map(tuple, psi)))
-    if gens:
-        k = len(gens[0])
-    elif k is None:
-        raise VoltageError("cannot infer the fold count from an empty generator set")
-    ident = perms.identity(k)
+    rows = np.asarray(generators)
+    if rows.ndim != 2:
+        raise VoltageError(f"generators must be an (m, k) array of permutations, not shape {rows.shape}")
+    k = rows.shape[1]
+    gens = check_perms(_unique_rows(rows)[0].tolist(), k)
+    ident = tuple(range(k))
     elements = {ident}
     frontier = [ident]
-    gens = list(map(tuple, perms.check_perms(gens, k).tolist()))
+    steps = gens.tolist()
     while frontier:
         cur = frontier.pop()
-        for g in gens:
-            nxt = perms.compose(g, cur)
+        for g in steps:
+            # g composed after cur: g[cur[j]]
+            nxt = tuple(g[x] for x in cur)
             if nxt not in elements:
                 elements.add(nxt)
                 frontier.append(nxt)
-    return VoltageGroup(k, tuple(sorted(elements)), tuple(gens))
+    flat = np.fromiter(chain.from_iterable(elements), np.int64, len(elements) * k)
+    table = _unique_rows(flat.reshape(-1, k))[0]
+    table.flags.writeable = gens.flags.writeable = False
+    return VoltageGroup(table, gens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockDecomposition:
     """A certified block-diagonalization of a permutation representation.
 
@@ -122,15 +140,17 @@ class BlockDecomposition:
     ``transform^H P^g transform`` is block diagonal with ``block_sizes``
     on the diagonal, the first block is the 1x1 identity on the span of
     the all-ones vector, and ``residual`` bounds the largest off-block
-    magnitude over the whole group.  ``blocks_of[g][j]`` is block j of
-    that matrix: float64 when the block's columns of ``transform`` are
-    real (its span is closed under conjugation), complex128 otherwise.
+    magnitude over the whole group.  ``blocks[j]`` is the ``(|G|, d_j,
+    d_j)`` stack of block j of that matrix, row g for the element
+    ``group.elements[g]``: float64 when the block's columns of
+    ``transform`` are real (its span is closed under conjugation),
+    complex128 otherwise.
     """
 
     group: VoltageGroup
     transform: np.ndarray
     block_sizes: tuple
-    blocks_of: Mapping
+    blocks: list
     residual: float
 
 
@@ -156,7 +176,7 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
     k = group.k
     # the permutation matrices P^g, P^g[g[j], j] = 1, stacked in element order
     stack = np.zeros((group.order, k, k))
-    stack[np.arange(group.order)[:, None], np.array(group.elements), np.arange(k)] = 1.0
+    stack[np.arange(group.order)[:, None], group.elements, np.arange(k)] = 1.0
     ones = np.ones((k, 1)) / math.sqrt(k)
     # orthonormal basis of the complement of the all-ones vector
     basis = np.linalg.qr(np.hstack([ones, np.eye(k)[:, : k - 1]]))[0]
@@ -192,24 +212,22 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
     else:
         raise DecompositionError(f"block decomposition residual {residual:g} above {RESIDUAL_TOL:g}")
 
-    keys = []
-    for j in range(1, len(sizes)):
-        a, b = offsets[j], offsets[j + 1]
-        character = np.trace(conj[:, a:b, a:b], axis1=1, axis2=2).tolist()
-        keys.append((sizes[j], tuple((round(c.real, 8), round(c.imag, 8)) for c in character), j))
-    order = [0] + [j for _, _, j in sorted(keys)]
-    cols = np.concatenate([np.arange(offsets[j], offsets[j + 1]) for j in order])
-    conj = conj[:, cols[:, None], cols]
-    sizes = tuple(sizes[j] for j in order)
-    offsets = np.cumsum((0,) + sizes)
-    transform = transform[:, cols]
     spans = list(zip(offsets, offsets[1:]))
-    real = [not transform[:, a:b].imag.any() for a, b in spans]
-    blocks_of = {
-        g: [mat[a:b, a:b].real if r else mat[a:b, a:b] for (a, b), r in zip(spans, real)]
-        for g, mat in zip(group.elements, conj)
-    }
-    return BlockDecomposition(group, transform, sizes, blocks_of, residual)
+    keys = []
+    for j, (a, b) in enumerate(spans[1:], start=1):
+        character = np.trace(conj[:, a:b, a:b], axis1=1, axis2=2)
+        # the character rounded to 8 places, real and imaginary part of each element in turn
+        rounded = np.round(np.stack([character.real, character.imag], axis=1), 8).ravel().tolist()
+        keys.append((sizes[j], rounded, j))
+    order = [0] + [j for _, _, j in sorted(keys)]
+    # copies, so that the whole conjugated stack is not kept alive
+    blocks = []
+    for j in order:
+        a, b = spans[j]
+        block = conj[:, a:b, a:b]
+        blocks.append(block.copy() if transform[:, a:b].imag.any() else block.real.copy())
+    transform = transform[:, np.concatenate([np.arange(*spans[j]) for j in order])]
+    return BlockDecomposition(group, transform, tuple(sizes[j] for j in order), blocks, residual)
 
 
 def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[IncidenceWeighting]:
@@ -220,11 +238,19 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
     block j of its voltage, ``rho_j(psi(F, Fbar))``.  ``psi`` lives on
     the incidence layer the blocks are taken on: ``(i, i+1)`` for the
     i-up operator, and the same layer serves the (i+1)-down operator.
+    The first voltage outside the decomposed group, one on another
+    number of sheets included, is named in a :class:`VoltageError`.
     """
-    voltages, at = _unique_rows(psi.perms)
-    blocks = [dec.blocks_of[p] for p in map(tuple, voltages.tolist())]
-    layers = ({psi.dim: np.array([b[j] for b in blocks])[at]} for j in range(1, len(dec.block_sizes)))
-    return [IncidenceWeighting(psi.base, layer) for layer in layers]
+    elements, n = dec.group.elements, dec.group.order
+    # a voltage on another number of sheets equals no element: compare a row of -1 in its place
+    perms = psi.perms if psi.k == dec.group.k else np.full((len(psi.perms), dec.group.k), -1)
+    rows, at = _unique_rows(np.vstack([elements, perms]))
+    if len(rows) > n:
+        known = np.zeros(len(rows), dtype=bool)
+        known[at[:n]] = True
+        p = tuple(psi.perms[np.argmax(~known[at[n:]])].tolist())
+        raise VoltageError(f"voltage {p!r} is not an element of the decomposed group")
+    return [IncidenceWeighting(psi.base, {psi.dim: block[at[n:]]}) for block in dec.blocks[1:]]
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
@@ -247,7 +273,7 @@ def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceW
     Each weighting sends an incidence to the character value of its
     voltage; all values lie on the unit circle.
     """
-    group = voltage_group(psi)
+    group = voltage_group(psi.perms)
     if not group.abelian:
         raise GroupStructureError("character weightings require an abelian voltage group")
     if not group.transitive:

@@ -37,7 +37,31 @@ from liftlap import (
 )
 from liftlap.complexes import COMBINATORIAL_KIND, NORMALIZED_KIND, _index
 from liftlap.operators import SpectrumComparison, _close
-from liftlap.perms import Perm
+
+
+# a permutation p of 0..k-1 as its image tuple: p maps j to p[j]
+Perm = tuple
+
+
+def identity(k: int) -> Perm:
+    return tuple(range(k))
+
+
+def compose(p: Perm, q: Perm) -> Perm:
+    """Function composition: ``compose(p, q)[j] == p[q[j]]`` (q applied first)."""
+    return tuple(p[x] for x in q)
+
+
+def closure(gens, k: int) -> list:
+    """The sorted permutation tuples of the group ``gens`` generate in
+    S_k, composing from the identity until nothing new appears: what the
+    rows of ``voltage_group(gens).elements`` must be."""
+    elements = {identity(k)}
+    while True:
+        more = {compose(g, h) for g in map(tuple, gens) for h in elements} - elements
+        if not more:
+            return sorted(elements)
+        elements |= more
 
 
 def cycle(k: int) -> Perm:
@@ -112,8 +136,8 @@ def closure_faces(facets, include_empty: bool = True) -> dict:
 
 def union_find_components(vertices, edges) -> tuple[frozenset, ...]:
     """Vertex sets of the components of a graph, by union-find, ordered
-    by their sorted vertex lists: what ``connected_components`` and
-    ``SimplicialComplex.components`` must return."""
+    by their sorted vertex lists: what ``SimplicialComplex.components``
+    must return."""
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -450,8 +474,28 @@ def block_laplacians(
     layer = i if direction == "up" else i - 1
     if psi.dim != layer:
         raise DimensionError(f"{direction} blocks at dim {i} need voltages on layer {layer}")
-    dec = decomposition or decompose_representation(voltage_group(psi))
+    dec = decomposition or decompose_representation(voltage_group(psi.perms))
     return [laplacian_matrix(M, i, direction, scheme, w) for w in [None] + block_weightings(psi, dec)]
+
+
+def blocks_of(dec) -> dict:
+    """The blocks of every group element keyed by its permutation tuple:
+    ``blocks_of(dec)[g][j]`` is block j of ``transform^H P^g transform``,
+    read from the row of ``g`` in ``dec.blocks[j]``."""
+    rows = map(tuple, dec.group.elements.tolist())
+    return {g: [block[n] for block in dec.blocks] for n, g in enumerate(rows)}
+
+
+def per_incidence_block_weightings(psi: IncidenceVoltages, dec) -> list:
+    """What ``block_weightings(psi, dec)`` must return: block j >= 1 of
+    each incidence's voltage, looked up in :func:`blocks_of` one incidence
+    at a time; a voltage outside the group raises ``KeyError``."""
+    table = blocks_of(dec)
+    values = [table[p] for p in map(tuple, psi.perms.tolist())]
+    return [
+        IncidenceWeighting(psi.base, {psi.dim: np.array([v[j] for v in values])})
+        for j in range(1, len(dec.block_sizes))
+    ]
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:

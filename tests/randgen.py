@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import cycle, inverse
+from oracles import compose, cycle, identity, inverse
 
-from liftlap import perms
 from liftlap.complexes import SimplicialComplex, build_complex
 from liftlap.covering import DerivedComplexResult, EdgeVoltages, derived_complex, edge_voltages
 from liftlap.homology import exact_betti_numbers
@@ -79,9 +78,9 @@ def _spanning_tree(M: SimplicialComplex) -> set:
 def _random_perm(rng, k: int, flavor: str):
     if flavor == "cyclic":
         power = int(rng.integers(0, k))
-        p = perms.identity(k)
+        p = identity(k)
         for _ in range(power):
-            p = perms.compose(cycle(k), p)
+            p = compose(cycle(k), p)
         return p
     return tuple(int(x) for x in rng.permutation(k))
 
@@ -115,22 +114,22 @@ def random_edge_voltages(
                 uv, vw, uw = tri_edges[t]
                 known = sum(e in assign for e in (uv, vw, uw))
                 if known == 3:
-                    if perms.compose(assign[uv], assign[vw]) != assign[uw]:
+                    if compose(assign[uv], assign[vw]) != assign[uw]:
                         return False
                 elif known == 2:
                     if uv not in assign:
-                        missing, val = uv, perms.compose(assign[uw], inverse(assign[vw]))
+                        missing, val = uv, compose(assign[uw], inverse(assign[vw]))
                     elif vw not in assign:
-                        missing, val = vw, perms.compose(inverse(assign[uv]), assign[uw])
+                        missing, val = vw, compose(inverse(assign[uv]), assign[uw])
                     else:
-                        missing, val = uw, perms.compose(assign[uv], assign[vw])
+                        missing, val = uw, compose(assign[uv], assign[vw])
                     assign[missing] = val
                     todo.remove(missing)
                     changed = True
         return True
 
     for _ in range(attempts):
-        assign: dict[tuple, tuple] = {e: perms.identity(k) for e in tree}
+        assign: dict[tuple, tuple] = {e: identity(k) for e in tree}
         todo = [e for e in edges if e not in tree]
         rng.shuffle(todo)
         ok = propagate(assign, todo)

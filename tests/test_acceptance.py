@@ -19,9 +19,11 @@ from oracles import (
     coboundary_matrix,
     cochain_laplacian,
     cochain_weights,
+    compose,
     cycle,
     explicit_down_laplacian,
     explicit_up_laplacian,
+    identity,
     incidence_voltages,
     kronecker_coboundary,
     nonzeros,
@@ -50,7 +52,6 @@ from liftlap import (
     verify_betti_inequality,
     voltage_group,
 )
-from liftlap import perms
 from liftlap.reference_fixture import BASE_SPECTRUM, COVER_SPECTRUM, SIGNED_SPECTRUM
 
 TOL = 1e-8
@@ -176,7 +177,7 @@ def test_criterion_4_abelian_cyclic_decomposition():
         checked_here = 0
         for i in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, i)
-            group = voltage_group(psi)
+            group = voltage_group(psi.perms)
             assert group.abelian
             if not group.transitive:
                 # the regular-action hypothesis fails on this layer
@@ -208,14 +209,14 @@ def _nonabelian_base():
 
 def _nonabelian_cover(k, gen_a, gen_b):
     M = _nonabelian_base()
-    h = perms.identity(k)
+    h = identity(k)
     table = {
         (0, 1): gen_a,
         (1, 2): h,
-        (0, 2): perms.compose(gen_a, h),
+        (0, 2): compose(gen_a, h),
         (3, 4): gen_b,
         (4, 5): h,
-        (3, 5): perms.compose(gen_b, h),
+        (3, 5): compose(gen_b, h),
     }
     psi = edge_voltages(M, k, table)
     result = derived_complex(M, psi)
@@ -238,7 +239,7 @@ def test_criterion_5_general_block_decomposition():
             for i in dims:
                 layer = i if direction == "up" else i - 1
                 psi = induced_incidence_voltage(cov, layer)
-                group = voltage_group(psi)
+                group = voltage_group(psi.perms)
                 if not group.abelian:
                     nonabelian_seen += 1
                 dec = decompose_representation(group, seed=0)

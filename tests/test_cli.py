@@ -399,9 +399,8 @@ class TestVerify:
 
         def sign_block_first(group, seed=0):
             dec = decompose_representation(group, seed=seed)
-            blocks = {g: bs[::-1] for g, bs in dec.blocks_of.items()}
             return BlockDecomposition(
-                dec.group, dec.transform[:, ::-1], dec.block_sizes[::-1], blocks, dec.residual
+                dec.group, dec.transform[:, ::-1], dec.block_sizes[::-1], dec.blocks[::-1], dec.residual
             )
 
         monkeypatch.setattr("liftlap.cli.decompose_representation", sign_block_first)

@@ -38,7 +38,7 @@ from liftlap import (
     laplacian_matrix,
     verify_covering,
 )
-from liftlap.perms import check_perms
+from liftlap.covering import check_perms
 
 
 class TestIncidenceGraph:

@@ -4,9 +4,9 @@ import re
 import numpy as np
 import pytest
 
-from oracles import edge_table, pair_table, to_one_based
+from oracles import edge_table, identity, pair_table, to_one_based
 
-from liftlap import MalformedInputError, build_complex, perms
+from liftlap import MalformedInputError, build_complex
 from liftlap import io as llio
 
 
@@ -140,7 +140,7 @@ class TestVoltageFiles:
         records = [
             {"edge": list(e), "perm": to_one_based(q)}
             for e, q in sorted(edge_table(M, psi).items())
-            if q != perms.identity(psi.k)
+            if q != identity(psi.k)
         ]
         assert {"k": psi.k, "edges": records} == {"k": 2, "edges": [{"edge": [1, 2], "perm": [2, 1]}]}
 

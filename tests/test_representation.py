@@ -1,4 +1,5 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -10,13 +11,17 @@ from hypothesis import strategies as st
 from conftest import cycle_complex
 from oracles import (
     block_laplacians,
+    blocks_of,
+    closure,
     coboundary_matrix,
+    compose,
     conjugated_weighting,
     cycle,
     incidence_voltages,
     kronecker_coboundary,
     pair_table,
     per_face_induced_incidence_voltage,
+    per_incidence_block_weightings,
     per_pair_decorated_coboundary,
     permutation_matrix,
     random_unitary,
@@ -48,16 +53,20 @@ from liftlap import (
 )
 from liftlap import io as llio
 from liftlap.cli import main
-from liftlap.perms import compose
 from liftlap.representation import RESIDUAL_TOL
 
 
 def _regular_s3():
     """Generators of S_3 acting on its own six elements by left
     multiplication, as permutations of the sorted element list."""
-    els = voltage_group([transposition(3, 0, 1), cycle(3)]).elements
+    els = list(map(tuple, voltage_group([transposition(3, 0, 1), cycle(3)]).elements.tolist()))
     index = {g: j for j, g in enumerate(els)}
     return [tuple(index[compose(g, h)] for h in els) for g in (transposition(3, 0, 1), cycle(3))]
+
+
+def _position(group, g) -> int:
+    """The row of the permutation ``g`` in ``group.elements``."""
+    return group.elements.tolist().index(list(g))
 
 
 # 1-3 random permutations of range(k), k <= 6
@@ -69,7 +78,7 @@ _GENERATORS = st.integers(1, 6).flatmap(
 class TestVoltageGroup:
     def test_two_element_group(self):
         g = voltage_group([(1, 0)])
-        assert g.elements == ((0, 1), (1, 0))
+        assert g.elements.tolist() == [[0, 1], [1, 0]]
         assert g.transitive and g.abelian
 
     def test_cyclic_three(self):
@@ -87,7 +96,7 @@ class TestVoltageGroup:
         assert voltage_group([(1, 0, 2, 3), (0, 2, 1, 3), (0, 1, 3, 2)]).transitive
 
     def test_empty_generators_need_fold_count(self):
-        assert voltage_group([], k=3).order == 1
+        assert voltage_group(np.zeros((0, 3), np.int64)).order == 1
         with pytest.raises(VoltageError):
             voltage_group([])
 
@@ -123,7 +132,7 @@ class TestDecomposeRepresentation:
         T = dec.transform
         ones = np.ones(2) / np.sqrt(2)
         assert np.allclose(np.abs(T[:, 0]), ones)
-        swap = dec.blocks_of[(1, 0)]
+        swap = [block[1] for block in dec.blocks]  # (1, 0) is the second element
         assert np.allclose(swap[0], [[1.0]])
         assert np.allclose(swap[1], [[-1.0]])
         # the sign character is real, so its block is too
@@ -132,17 +141,17 @@ class TestDecomposeRepresentation:
     def test_cyclic_three_characters(self):
         dec = decompose_representation(voltage_group([cycle(3)]))
         assert dec.block_sizes == (1, 1, 1)
-        gen = cycle(3)
+        gen = _position(dec.group, cycle(3))
         vals = sorted(
-            np.angle(complex(dec.blocks_of[gen][j][0, 0])) for j in (1, 2)
+            np.angle(complex(dec.blocks[j][gen][0, 0])) for j in (1, 2)
         )
         expected = sorted([-2 * np.pi / 3, 2 * np.pi / 3])
         assert np.allclose(vals, expected)
         for j in (1, 2):
-            assert abs(abs(complex(dec.blocks_of[gen][j][0, 0])) - 1) < 1e-12
+            assert abs(abs(complex(dec.blocks[j][gen][0, 0])) - 1) < 1e-12
             # a real basis would need a real commutant element, which
             # cannot separate the two conjugate characters
-            assert dec.blocks_of[gen][j].dtype == np.complex128
+            assert dec.blocks[j].dtype == np.complex128
 
     def test_natural_symmetric_action(self):
         group = voltage_group([transposition(3, 0, 1), cycle(3)])
@@ -151,7 +160,7 @@ class TestDecomposeRepresentation:
         assert dec.residual <= 1e-10
         # certify block-diagonality for every element explicitly
         T = dec.transform
-        for g in group.elements:
+        for g in group.elements.tolist():
             conj = T.conj().T @ permutation_matrix(g) @ T
             assert abs(conj[0, 0] - 1) < 1e-12
             assert np.max(np.abs(conj[1:, 0])) < 1e-10
@@ -165,7 +174,7 @@ class TestDecomposeRepresentation:
             # a block with real values is read from real columns of the transform
             offsets = np.cumsum((0,) + dec.block_sizes)
             for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
-                if dec.blocks_of[gens[0]][j].dtype == np.float64:
+                if dec.blocks[j].dtype == np.float64:
                     assert not T[:, a:b].imag.any()
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -174,13 +183,13 @@ class TestDecomposeRepresentation:
         dec = decompose_representation(voltage_group([transposition(k, 0, 1), cycle(k)]))
         assert dec.block_sizes == (1, k - 1)
         assert dec.residual <= RESIDUAL_TOL
-        assert all(block.dtype == np.float64 for blocks in dec.blocks_of.values() for block in blocks)
+        assert all(block.dtype == np.float64 for block in dec.blocks)
 
     def test_cyclic_four_real_and_complex_characters(self):
-        gen = cycle(4)
-        dec = decompose_representation(voltage_group([gen]))
+        dec = decompose_representation(voltage_group([cycle(4)]))
         assert dec.block_sizes == (1, 1, 1, 1)
-        by_value = {np.round(complex(b[0, 0]), 9): b.dtype for b in dec.blocks_of[gen][1:]}
+        gen = _position(dec.group, cycle(4))
+        by_value = {np.round(complex(b[gen][0, 0]), 9): b.dtype for b in dec.blocks[1:]}
         assert by_value == {-1: np.float64, 1j: np.complex128, -1j: np.complex128}
 
     def test_regular_symmetric_three_keeps_repeated_irreducible_complex(self):
@@ -190,7 +199,7 @@ class TestDecomposeRepresentation:
         dec = decompose_representation(voltage_group(gens))
         assert dec.block_sizes == (1, 1, 2, 2)
         assert dec.residual <= RESIDUAL_TOL
-        assert [b.dtype for b in dec.blocks_of[gens[0]]] == [np.float64, np.float64, np.complex128, np.complex128]
+        assert [b.dtype for b in dec.blocks] == [np.float64, np.float64, np.complex128, np.complex128]
 
     def test_bench_decompose_input_has_real_blocks(self, capsys, monkeypatch, tmp_path):
         # the benchmark's `decompose S4 punctured` case: an S_4 cover of the
@@ -203,7 +212,7 @@ class TestDecomposeRepresentation:
         base, _ = llio.load_complex(argv[argv.index("--base") + 1])
         psi = llio.load_edge_voltages(argv[argv.index("--voltage") + 1], base)
         iv = induced_incidence_voltage(derived_complex(base, psi).covering, 1)
-        dec = decompose_representation(voltage_group(iv), seed=int(argv[argv.index("--seed") + 1]))
+        dec = decompose_representation(voltage_group(iv.perms), seed=int(argv[argv.index("--seed") + 1]))
         assert dec.block_sizes == (1, 3)
         assert dec.residual <= RESIDUAL_TOL
         assert [w.dtype for w in block_weightings(iv, dec)] == [np.float64]
@@ -224,32 +233,50 @@ class TestDecompositionProperties:
     def characters(dec):
         """Per block, its character over the sorted group elements."""
         return [
-            [np.trace(blocks[j]) for blocks in (dec.blocks_of[g] for g in dec.group.elements)]
+            [np.trace(block) for block in dec.blocks[j]]
             for j in range(len(dec.block_sizes))
         ]
 
     @settings(max_examples=150, deadline=None)
-    @given(_GENERATORS)
-    def test_blocks_are_the_diagonal_of_every_conjugated_element(self, gens):
+    @given(_GENERATORS, st.integers(0, 2**32 - 1))
+    def test_blocks_are_the_diagonal_of_every_conjugated_element(self, gens, seed):
+        # the array route against the tuple route: the group is the closure
+        # of the generator tuples, block j of element g is row g of
+        # blocks[j], and the weightings are one per-incidence lookup each
+        k = len(gens[0])
         group = voltage_group(gens)
+        assert group.elements.dtype == np.int64 and not group.elements.flags.writeable
+        assert group.elements.tolist() == [list(g) for g in closure(gens, k)]
+        assert group.generators.tolist() == [list(g) for g in sorted(set(gens))]
         dec = decompose_representation(group, seed=0)
         T = dec.transform
         offsets = np.cumsum((0,) + dec.block_sizes)
         off_block = np.ones(T.shape, dtype=bool)
         for a, b in zip(offsets, offsets[1:]):
             off_block[a:b, a:b] = False
-        for g in group.elements:
+        assert len(dec.blocks) == len(dec.block_sizes)
+        for n, g in enumerate(group.elements.tolist()):
             conj = T.conj().T @ permutation_matrix(g) @ T
-            assert len(dec.blocks_of[g]) == len(dec.block_sizes)
-            for a, b, block in zip(offsets, offsets[1:], dec.blocks_of[g]):
+            for a, b, block in zip(offsets, offsets[1:], (stack[n] for stack in dec.blocks)):
                 assert np.max(np.abs(conj[a:b, a:b] - block)) <= 1e-12
             if off_block.any():
                 assert np.max(np.abs(conj[off_block])) <= RESIDUAL_TOL
         other = decompose_representation(group, seed=1)
         assert other.block_sizes == dec.block_sizes
         assert np.allclose(self.characters(other), self.characters(dec), rtol=0, atol=1e-9)
-        els = group.elements
+        els = list(map(tuple, group.elements.tolist()))
         assert group.abelian == all(compose(g, h) == compose(h, g) for g in els for h in els)
+
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, max_faces=16)
+        i = int(rng.integers(0, M.top_dim))
+        picks = rng.integers(group.order, size=len(coboundary(M, i)[0]))
+        psi = IncidenceVoltages(M, k, i, group.elements[picks])
+
+        def layers(weightings):
+            return [(w.layers[i].dtype, w.layers[i].shape, w.layers[i].tobytes()) for w in weightings]
+
+        assert layers(block_weightings(psi, dec)) == layers(per_incidence_block_weightings(psi, dec))
 
     @settings(max_examples=60, deadline=None)
     @given(_GENERATORS, st.integers(0, 2**32 - 1))
@@ -272,6 +299,50 @@ class TestDecompositionProperties:
             for plain, other in zip(layer_spectra(M, i, decoration=w), layer_spectra(M, i, decoration=turned)):
                 assert len(plain) == len(other)
                 assert np.max(np.abs(np.subtract(plain.values, other.values)), initial=0.0) <= 1e-12
+
+
+def _c3_double_cover_records():
+    """Each record of the 2-fold cover of the 3-cycle, built afresh."""
+    M = cycle_complex(3)
+    psi = edge_voltages(M, 2, {(0, 1): (1, 0)})
+    result = derived_complex(M, psi)
+    iv = induced_incidence_voltage(result.covering, 0)
+    group = voltage_group(iv.perms)
+    return {
+        "EdgeVoltages": psi,
+        "DerivedComplexResult": result,
+        "CoveringMap": result.covering,
+        "IncidenceVoltages": iv,
+        "VoltageGroup": group,
+        "BlockDecomposition": decompose_representation(group),
+    }
+
+
+@pytest.mark.parametrize("name", list(_c3_double_cover_records()))
+def test_records_holding_arrays_compare_by_identity(name):
+    x, y = (_c3_double_cover_records()[name] for _ in range(2))
+    assert type(x).__name__ == name
+    assert x == x and not (x != x)
+    assert not (x == y) and x != y
+    assert hash(x) == hash(x) and len({x, y}) == 2
+
+
+class TestBlockWeightingsRefusal:
+    @pytest.mark.parametrize(
+        "k, voltage, gens, named",
+        [
+            # the hexagon over the 3-cycle against S_3: the fold count differs
+            (2, {(0, 1): (1, 0)}, [(1, 0, 2), (1, 2, 0)], "(0, 1)"),
+            # a 3-cycle's voltages against the group of one transposition
+            (3, {(0, 1): (1, 2, 0)}, [(1, 0, 2)], "(1, 2, 0)"),
+        ],
+    )
+    def test_a_voltage_outside_the_group_is_named(self, k, voltage, gens, named):
+        M = cycle_complex(3)
+        iv = induced_incidence_voltage(derived_complex(M, edge_voltages(M, k, voltage)).covering, 0)
+        dec = decompose_representation(voltage_group(gens))
+        with pytest.raises(VoltageError, match=re.escape(f"voltage {named} is not an element of the decomposed group")):
+            block_weightings(iv, dec)
 
 
 class TestTwoFoldSigning:
@@ -339,7 +410,7 @@ class TestAbelianWeightings:
         psi = edge_voltages(M, 4, {(0, 1): a, (0, 2): b})
         cov = derived_complex(M, psi).covering
         iv = induced_incidence_voltage(cov, 0)
-        group = voltage_group(iv)
+        group = voltage_group(iv.perms)
         assert group.order == 4 and group.abelian
         ws = abelian_weightings(iv)
         assert len(ws) == 3
@@ -351,7 +422,7 @@ class TestAbelianWeightings:
         M = build_complex([{0, 1}, {1, 2}, {0, 2}, {0, 3}, {1, 3}])
         psi = edge_voltages(M, 3, {(0, 1): transposition(3, 0, 1), (0, 3): cycle(3)})
         iv = induced_incidence_voltage(derived_complex(M, psi).covering, 0)
-        assert not voltage_group(iv).abelian
+        assert not voltage_group(iv.perms).abelian
         with pytest.raises(GroupStructureError):
             abelian_weightings(iv)
 
@@ -376,7 +447,7 @@ class TestBlockLaplacians:
         assert result.connected
         cov = result.covering
         iv = induced_incidence_voltage(cov, 0)
-        group = voltage_group(iv)
+        group = voltage_group(iv.perms)
         assert group.abelian and group.transitive
         dec = decompose_representation(group)
         weightings = abelian_weightings(iv)
@@ -436,9 +507,10 @@ class TestArrayRoute:
         for i in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, i)
             voltages = per_face_induced_incidence_voltage(cov, i)
-            dec = decompose_representation(voltage_group(psi))
+            dec = decompose_representation(voltage_group(psi.perms))
+            table = blocks_of(dec)
             cases = [
-                (w, {pair: dec.blocks_of[p][j] for pair, p in voltages.items()})
+                (w, {pair: table[p][j] for pair, p in voltages.items()})
                 for j, w in enumerate(block_weightings(psi, dec), start=1)
             ]
             if k == 2:
