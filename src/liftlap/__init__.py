@@ -23,9 +23,11 @@ from .covering import (
     CoveringMap,
     DerivedComplexResult,
     EdgeVoltages,
+    Factorization,
     IncidenceVoltages,
     derived_complex,
     edge_voltages,
+    factor_lifted_coboundary,
     induced_incidence_voltage,
     verify_covering,
 )
@@ -65,8 +67,11 @@ from .operators import (
 )
 from .representation import (
     BlockDecomposition,
+    BlockIdentity,
     VoltageGroup,
+    abelian_decomposition,
     abelian_weightings,
+    block_identity,
     block_weightings,
     decompose_representation,
     two_fold_signing,

@@ -4,6 +4,17 @@ Reports are JSON on stdout (stable key order, deterministic for fixed
 inputs and seed); a human summary goes to stderr.  Exit codes: 0 when
 every verdict holds, 1 when a verified claim fails, 2 for parse errors,
 3 for precondition errors.
+
+The spectral claims (``verify union|abelian|inclusion`` and
+``decompose``) solve no operator of the cover.  Each verdict is the
+certificate of its incidence layer: the cover's coboundary factors
+exactly through the base coboundary lifted by the induced voltages
+(:func:`~liftlap.covering.factor_lifted_coboundary`), and a transform T
+carries the lift into the direct sum of the blocks
+(:func:`~liftlap.representation.block_identity`), so the lifted spectrum
+is the union of the block spectra, which ``layer_spectra`` solves at
+base size.  ``--tol`` is the tolerance of ``verify betti`` and the
+fixture search.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ import numpy as np
 
 from . import io as llio
 from .complexes import COMBINATORIAL, NORMALIZED, coboundary
-from .covering import derived_complex, induced_incidence_voltage, verify_covering
+from .covering import derived_complex, factor_lifted_coboundary, induced_incidence_voltage, verify_covering
 from .errors import (
     CoveringViolation,
     DimensionError,
@@ -30,14 +41,15 @@ from .errors import (
 )
 from .reference_fixture import search_reference_fixture
 from .homology import verify_betti_inequality
-from .operators import SpectrumMultiset, compare_spectra, laplacian_matrix, layer_spectra, spectrum
+from .operators import SpectrumMultiset, laplacian_matrix, layer_spectra, spectrum
 from .representation import (
     RESIDUAL_TOL,
-    abelian_weightings,
+    abelian_decomposition,
+    block_identity,
     block_weightings,
     decompose_representation,
-    voltage_group,
     two_fold_signing,
+    voltage_group,
 )
 
 SCHEMES = {"combinatorial": COMBINATORIAL, "normalized": NORMALIZED}
@@ -190,30 +202,78 @@ def cmd_decompose(args, report):
     psi = induced_incidence_voltage(cov, layer)
     group = voltage_group(psi.perms)
     dec = decompose_representation(group, seed=args.seed)
-    lifted = layer_spectra(cov.cover, layer, scheme)[side]
-    spectra = [
-        layer_spectra(cov.base, layer, scheme, w)[side] for w in [None] + block_weightings(psi, dec)
-    ]
-    cmp_union = compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
+    weightings = block_weightings(psi, dec)
+    spectra = [layer_spectra(cov.base, layer, scheme, w)[side] for w in [None] + weightings]
     # block 0 is the base operator exactly when rho_0 is the trivial representation
     first_err = float(np.max(np.abs(dec.blocks[0][:, 0, 0] - 1)))
     report["results"] = {
         "group_order": group.order,
         "block_sizes": list(dec.block_sizes),
         "block_spectra": [_spec_values(s) for s in spectra],
-        "lifted_spectrum": _spec_values(lifted),
+        "lifted_spectrum": _spec_values(reduce(SpectrumMultiset.union, spectra)),
         "residual": dec.residual,
     }
     return [
         _verdict("block decomposition: off-block residual", dec.residual <= RESIDUAL_TOL, RESIDUAL_TOL, dec.residual),
         _verdict("block decomposition: first block is the base operator", first_err <= 1e-12, 1e-12, first_err),
-        _verdict(
+        _certificate_verdict(
             "block decomposition: block spectra union to the lifted spectrum",
-            cmp_union.holds,
-            args.tol,
-            cmp_union.max_pairing_error,
+            cov,
+            psi,
+            factor_lifted_coboundary(cov, layer, psi, scheme),
+            block_identity(psi, dec.transform, weightings),
+            RESIDUAL_TOL,
+            _solved_sizes(cov.base, layer, weightings),
         ),
     ]
+
+
+def _certificate_verdict(claim, cov, psi, factorization, identity, tolerance, solved):
+    """The verdict that the cover's operators on ``psi``'s layer are
+    similar to the direct sum of the blocks: the factorization of the
+    cover's coboundary holds exactly, with the cover's face weights the
+    base's, and the block identity within ``tolerance``.  Then the lifted
+    spectrum is the union of the block spectra (for a one-column
+    transform, it contains block 0's).  The witness names the first
+    failing part: a cover (face, cofacet) pair, a cover face, a base
+    incidence, or the transform."""
+    M, i = cov.base, psi.dim
+    if factorization.witness is not None:
+        face, cofacet = factorization.witness
+        witness = {"kind": "cover coboundary", "face": list(face), "cofacet": list(cofacet)}
+    elif factorization.weight_witness is not None:
+        witness = {"kind": "cover face weight", "face": list(factorization.weight_witness)}
+    elif not identity.residual <= tolerance:
+        rows, cols, _ = coboundary(M, i)
+        e = identity.witness
+        witness = {
+            "kind": "block identity",
+            "face": list(M.faces(i)[cols[e]]),
+            "cofacet": list(M.faces(i + 1)[rows[e]]),
+        }
+    elif not identity.defect <= tolerance:
+        witness = {"kind": "transform"}
+    else:
+        witness = None
+    return _verdict(
+        claim,
+        witness is None,
+        tolerance,
+        max(float(factorization.residual), identity.residual, identity.defect),
+        factorization_residual=factorization.residual,
+        block_identity_residual=identity.residual,
+        transform_defect=identity.defect,
+        solved_sizes=solved,
+        witness=witness,
+    )
+
+
+def _solved_sizes(M, layer, weightings):
+    """The sizes of the Gram matrices :func:`layer_spectra` eigensolves for
+    the base blocks of a layer: the smaller side, once per block row of
+    each decoration; none at the top layer."""
+    n = min(M.face_count(layer + 1), M.face_count(layer)) if layer < M.top_dim else 0
+    return [n * d for d in [1] + [w.block_size for w in weightings]] if n else []
 
 
 def _check_dim(cov, requested, lowest):
@@ -240,12 +300,20 @@ def _dims(cov, direction, requested):
     return [requested] if requested in valid else []
 
 
-def _two_fold_signing(cov, layer, args):
-    return [two_fold_signing(induced_incidence_voltage(cov, layer))]
+def _two_fold(psi, args):
+    # T = [[1, 1], [1, -1]] spans the constant and the alternating sheet
+    # vectors; it is integral and T^T T = 2I, so the identity is exact
+    return np.array([[1.0, 1.0], [1.0, -1.0]]), [two_fold_signing(psi)]
 
 
-def _characters(cov, layer, args):
-    return abelian_weightings(induced_incidence_voltage(cov, layer), seed=args.seed)
+def _characters(psi, args):
+    dec = abelian_decomposition(psi, seed=args.seed)
+    return dec.transform, block_weightings(psi, dec)
+
+
+def _constant(psi, args):
+    # T_0 = 1_k: every permutation fixes the constant sheet vector
+    return np.ones((psi.k, 1)), []
 
 
 def _union_results(cov, spectra, skipped):
@@ -253,42 +321,59 @@ def _union_results(cov, spectra, skipped):
     return {label: {key: _spec_values(s) for key, s in zip(keys, parts)} for label, parts in spectra.items()}
 
 
-# subcommand -> (claim, required cover degree, the base decorations of an
-# incidence layer whose spectra and the plain base spectrum must union to
-# the cover's (None: the base spectrum must lie inside the cover's), the
-# results payload)
+# subcommand -> (claim, required cover degree, the transform T and the base
+# decorations of an incidence layer, the tolerance of their block identity,
+# whether the results report the layer's spectra, the results payload)
 SPECTRAL_CLAIMS = {
-    "union": ("two-fold spectral union", 2, _two_fold_signing, _union_results),
-    "inclusion": ("spectral inclusion", None, None, lambda cov, spectra, skipped: {"degree": cov.degree}),
+    "union": ("two-fold spectral union", 2, _two_fold, 0.0, True, _union_results),
+    "inclusion": (
+        "spectral inclusion",
+        None,
+        _constant,
+        0.0,
+        False,
+        lambda cov, spectra, skipped: {"degree": cov.degree},
+    ),
     "abelian": (
         "abelian character decomposition",
         None,
         _characters,
+        RESIDUAL_TOL,
+        False,
         lambda cov, spectra, skipped: {"degree": cov.degree, "skipped_layers": skipped},
     ),
 }
 
 
-def _solve_layer(cov, layer, decorate, args):
-    """Per scheme, the layer spectra of the cover and of the base under
-    each of the layer's decorations; the error where the claim's
-    hypothesis is not met (trivial or intransitive voltage group), so
-    the claim does not apply on this layer."""
+def _certify_layer(cov, layer, decorate, reported, args):
+    """The layer's voltages, transform and decorations, and per scheme the
+    factorization of the cover's coboundary with the base spectra under
+    each decoration (when ``reported``); the error where the claim's
+    hypothesis is not met (trivial or intransitive voltage group), so the
+    claim does not apply on this layer."""
+    psi = induced_incidence_voltage(cov, layer)
     try:
-        decorations = decorate(cov, layer, args) if decorate else []
+        transform, weightings = decorate(psi, args)
     except GroupStructureError as exc:
         if args.dim is not None:
             raise
         return exc
-    return {
-        name: [layer_spectra(cov.cover, layer, scheme)]
-        + [layer_spectra(cov.base, layer, scheme, d) for d in [None] + decorations]
+    schemes = {
+        name: (
+            factor_lifted_coboundary(cov, layer, psi, scheme),
+            [layer_spectra(cov.base, layer, scheme, w) for w in [None] + weightings] if reported else [],
+        )
         for name, scheme in _schemes(args.scheme)
     }
+    solved = _solved_sizes(cov.base, layer, weightings) if reported else []
+    return psi, block_identity(psi, transform, weightings), solved, schemes
 
 
 def cmd_verify_spectral(args, report):
-    claim, degree, decorate, results = SPECTRAL_CLAIMS[args.subcommand]
+    """Each verdict is the certificate of its layer: the cover's operators
+    are similar to the direct sum of the base blocks, so the cover is
+    never solved; the union's spectra, reported, are the blocks'."""
+    claim, degree, decorate, tolerance, reported, results = SPECTRAL_CLAIMS[args.subcommand]
     cov = _resolve_covering(args, report["inputs"])
     if degree is not None and cov.degree != degree:
         raise LiftlapError(f"the {claim} property needs a {degree}-fold cover, got degree {cov.degree}")
@@ -296,33 +381,28 @@ def cmd_verify_spectral(args, report):
     verdicts = []
     spectra = {}
     skipped = []
-    solved = {}
+    certified = {}
     for direction in ("up", "down"):
         for i in _dims(cov, direction, args.dim):
             layer, side = _layer_side(direction, i)
-            if layer not in solved:
-                solved[layer] = _solve_layer(cov, layer, decorate, args)
-            if isinstance(solved[layer], GroupStructureError):
+            if layer not in certified:
+                certified[layer] = _certify_layer(cov, layer, decorate, reported, args)
+            if isinstance(certified[layer], GroupStructureError):
                 skipped.append(f"{direction}/{i}")
                 continue
-            for name, layers in solved[layer].items():
-                lifted, *parts = [pair[side] for pair in layers]
-                if decorate is None:
-                    cmp = compare_spectra(parts[0], lifted, "subset", tol=args.tol)
-                else:
-                    cmp = compare_spectra(lifted, reduce(SpectrumMultiset.union, parts), "equal", tol=args.tol)
+            psi, identity, solved, schemes = certified[layer]
+            for name, (factorization, layers) in schemes.items():
                 verdicts.append(
-                    _verdict(
-                        f"{claim} ({direction}, dim {i}, {name})",
-                        cmp.holds,
-                        args.tol,
-                        cmp.max_pairing_error,
+                    _certificate_verdict(
+                        f"{claim} ({direction}, dim {i}, {name})", cov, psi, factorization, identity, tolerance, solved
                     )
                 )
-                spectra[f"{direction}/{i}/{name}"] = [lifted] + parts
+                if layers:
+                    parts = [pair[side] for pair in layers]
+                    spectra[f"{direction}/{i}/{name}"] = [reduce(SpectrumMultiset.union, parts)] + parts
     if not verdicts:
         # every layer was skipped, so nothing was verified: the first skip's reason
-        raise next(iter(solved.values()))
+        raise next(iter(certified.values()))
     report["results"] = results(cov, spectra, skipped)
     return verdicts
 

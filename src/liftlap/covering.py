@@ -11,7 +11,10 @@ The pieces implemented here:
 * verification of the covering axioms for a user-supplied vertex map,
   which also tables each cover face's base face and sheet, and
 * the voltages a covering induces on the base incidences, read from
-  that table and the cover's coboundary.
+  that table and the cover's coboundary, and
+* the exact check that the cover's coboundary is the base coboundary
+  lifted by given voltages, with the cover's face weights those of the
+  base (:func:`factor_lifted_coboundary`).
 
 Array checks
 ------------
@@ -48,7 +51,16 @@ from typing import Mapping
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _ids, _index, build_complex, coboundary
+from .complexes import (
+    SimplicialComplex,
+    WeightScheme,
+    _ids,
+    _index,
+    _unique_rows,
+    build_complex,
+    coboundary,
+    compute_weights,
+)
 from .errors import (
     CocycleError,
     CoveringViolation,
@@ -378,3 +390,86 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     rows, cols, _ = coboundary(K, i)
     order = np.lexsort((slot[cols], slot_above[rows] // k))
     return IncidenceVoltages(M, k, i, (slot_above[rows[order]] % k).reshape(-1, k))
+
+
+# -- the lifted coboundary, factored -------------------------------------------
+
+
+def _orientation_signs(cov: CoveringMap, d: int) -> np.ndarray:
+    """The ``(n_d, degree)`` int64 signs, +1 or -1, of the cover d-faces in
+    the fiber table: the parity of the inversions among the images of a
+    face's vertices, read in the face's own (increasing) order."""
+    K, fibers = cov.cover, cov.fibers[d]
+    # a cover vertex's image as its base vertex's index, which orders like its id
+    image = np.argsort(cov.fibers[0].ravel()) // cov.degree
+    lifted = image[np.searchsorted(K._face_array(0)[:, 0], K._face_array(d)[fibers.ravel()])]
+    inversions = np.triu(lifted[:, :, None] > lifted[:, None, :], 1).sum(axis=(1, 2))
+    return (1 - 2 * (inversions % 2)).reshape(fibers.shape)
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """Whether a cover's degree-i coboundary is the base's lifted by voltages.
+
+    ``residual`` is the largest entry of ``|D_K - S_{i+1} D_psi S_i|``,
+    an exact integer, and ``witness`` the first (face, cofacet) pair of
+    cover faces, in the cover's canonical order, at which the two differ
+    (``None`` when they agree).  ``weight_witness`` is the first cover
+    face whose weight is not its base face's, or ``None``."""
+
+    residual: int
+    witness: tuple | None
+    weight_witness: tuple | None
+
+    @property
+    def holds(self) -> bool:
+        return self.residual == 0 and self.weight_witness is None
+
+
+def factor_lifted_coboundary(cov: CoveringMap, i: int, psi: IncidenceVoltages, scheme: WeightScheme) -> Factorization:
+    """Check, in integers, that the cover's degree-i coboundary is
+    ``S_{i+1} D_psi S_i``, and that under ``scheme`` every cover i- and
+    (i+1)-face weighs exactly what its base face weighs.
+
+    ``D_psi`` is the base coboundary with the nonzero of each incidence
+    ``(G, Gbar)`` replaced by the block ``sign * P(psi)``: sheet j of
+    ``G`` meets sheet ``psi[j]`` of ``Gbar``.  Rows and columns are read
+    through the fiber table, and ``S_d`` is the diagonal of the
+    orientation signs that :func:`~liftlap.homology.lift_cochain` uses.
+    Both matrices have k nonzeros per base incidence; they are compared
+    as one sorted list of (cover row, cover column) keys, the cover's
+    signs against the negated lifted ones, so the cost is that of a sort
+    of the nonzeros.  With the weights equal, the weighted coboundaries
+    factor the same way.  ``psi`` must be voltages on ``cov.base`` at
+    layer ``i`` with ``cov.degree`` sheets, and ``scheme`` must weigh
+    both complexes.
+    """
+    M, K, k = cov.base, cov.cover, cov.degree
+    if not (0 <= i <= M.top_dim):
+        raise DimensionError(f"the lifted coboundary needs 0 <= i <= {M.top_dim}, got {i}")
+    base_rows, base_cols, base_signs = coboundary(M, i)
+    if (psi.base is not M and psi.base != M) or psi.dim != i or psi.perms.shape != (len(base_rows), k):
+        raise VoltageError(f"the voltages are not layer {i} voltages of the base on {k} sheets")
+    w_cover, w_base = compute_weights(K, scheme), compute_weights(M, scheme)
+    weight_witness = None
+    for d in (i, i + 1) if i < M.top_dim else (i,):
+        off = (w_cover[d][cov.fibers[d]] != w_base[d][:, None]).ravel()
+        if off.any():
+            weight_witness = K.faces(d)[cov.fibers[d].ravel()[np.argmax(off)]]
+            break
+    rows, cols, signs = coboundary(K, i)
+    if not len(rows):
+        return Factorization(0, None, weight_witness)
+    # the lifted nonzeros, k per base incidence, as fiber slots (base face * k + sheet)
+    below = base_cols.repeat(k) * k + np.tile(np.arange(k), len(base_cols))
+    above = base_rows.repeat(k) * k + psi.perms.ravel()
+    s_above, s_below = _orientation_signs(cov, i + 1).ravel(), _orientation_signs(cov, i).ravel()
+    lifted = s_above[above] * base_signs.repeat(k) * s_below[below]
+    n = K.face_count(i)
+    keys = np.concatenate([rows * n + cols, cov.fibers[i + 1].ravel()[above] * n + cov.fibers[i].ravel()[below]])
+    distinct, at = _unique_rows(keys[:, None])
+    difference = np.bincount(at, np.concatenate([signs, -lifted]), len(distinct))
+    if not difference.any():
+        return Factorization(0, None, weight_witness)
+    row, col = divmod(int(distinct[np.argmax(difference != 0), 0]), n)
+    return Factorization(int(np.abs(difference).max()), (K.faces(i)[col], K.faces(i + 1)[row]), weight_witness)

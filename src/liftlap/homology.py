@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import COMBINATORIAL, EXPLICIT_KIND, SimplicialComplex, WeightScheme, coboundary, compute_weights
-from .covering import CoveringMap
+from .covering import CoveringMap, _orientation_signs
 from .errors import LiftlapError, WeightError
 from .operators import DOWN, UP, _gram, _product, _weighted_coboundary
 
@@ -216,11 +216,7 @@ def lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
     across incidences match between cover and base.
     """
     K, fibers = cov.cover, cov.fibers[i]
-    # a cover vertex's image as its base vertex's index, which orders like its id
-    image = np.argsort(cov.fibers[0].ravel()) // cov.degree
-    lifted = image[np.searchsorted(K._face_array(0)[:, 0], K._face_array(i)[fibers.ravel()])]
-    inversions = np.triu(lifted[:, :, None] > lifted[:, None, :], 1).sum(axis=(1, 2))
-    signs = 1 - 2 * (inversions % 2)
+    signs = _orientation_signs(cov, i).ravel()
     values = np.asarray(values)
     out = np.zeros((K.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
     cols = np.arange(len(fibers)).repeat(fibers.shape[1])

@@ -27,10 +27,14 @@ and ``A_i A_i^H``, the i-up and (i+1)-down operators, agree except for
 ``|n_{i+1} - n_i|`` extra zeros.  :func:`layer_spectra` therefore
 eigensolves only the smaller Gram matrix and pads the other side with
 exact zeros, and at the top dimension (no (i+1)-faces) it solves
-nothing.  The ``verify`` and ``decompose`` commands take every spectrum
-they compare from it; ``liftlap spectrum`` eigensolves the assembled
-operator, so its ``clamped`` count reports the operator's own kernel
-noise.
+nothing.  The ``verify`` and ``decompose`` commands take every block
+spectrum they report from it, for base operators only: a cover's
+spectrum is the union of its blocks' once the factorization of
+:func:`~liftlap.covering.factor_lifted_coboundary` and the block
+identity of :func:`~liftlap.representation.block_identity` hold, so no
+operator of the cover is assembled.  ``liftlap spectrum`` eigensolves
+the assembled operator, so its ``clamped`` count reports the operator's
+own kernel noise.
 
 Incidence layers are stored as their nonzeros, (row, col, value)
 triplets: a plain coboundary row has i+2 of them, a decorated one
@@ -39,7 +43,8 @@ summed over the cofacets (up) or faces (down) its two faces share,
 straight into a dense array.  The package targets desk-scale complexes,
 where dense eigensolves are simpler and exactly testable.  A product of
 ``A`` or ``A^H`` with a few columns stays in nonzeros: the Betti
-verdict of :mod:`liftlap.homology` assembles no operator of the cover.
+verdict of :mod:`liftlap.homology` assembles no operator of the cover,
+and neither does any spectral verdict.
 """
 
 from __future__ import annotations

@@ -10,6 +10,17 @@ first block is the base Laplacian itself; a two-fold cover's second
 block is the signed Laplacian, and the blocks of an abelian group are
 its character-weighted Laplacians.
 
+The split is certified on the values the blocks are solved with:
+:func:`block_identity` checks ``P(psi_e) T = T (+)_j rho_j(psi_e)`` at
+every incidence, together with the orthogonality of T's columns.  With
+the factorization of the lifted coboundary
+(:func:`~liftlap.covering.factor_lifted_coboundary`) this makes the
+lifted operator similar to the direct sum of the blocks, so the lifted
+spectrum is read off the blocks and the cover is never solved.  T is
+exact for the two-fold union (``[[1, 1], [1, -1]]``) and for spectral
+inclusion (the constant column ``1_k``); otherwise it is the transform
+found below.
+
 Layout.  A group is the sorted int64 array of its permutations, one row
 per element, and block j of a decomposition is one ``(|G|, d_j, d_j)``
 stack in that row order.  :func:`block_weightings` locates every voltage
@@ -273,6 +284,13 @@ def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceW
     Each weighting sends an incidence to the character value of its
     voltage; all values lie on the unit circle.
     """
+    return block_weightings(psi, abelian_decomposition(psi, seed))
+
+
+def abelian_decomposition(psi: IncidenceVoltages, seed: int = 0) -> BlockDecomposition:
+    """The decomposition of ``psi``'s voltage group into its k characters,
+    refused with the reason when the group is not abelian or not
+    transitive (see :func:`abelian_weightings`)."""
     group = voltage_group(psi.perms)
     if not group.abelian:
         raise GroupStructureError("character weightings require an abelian voltage group")
@@ -283,4 +301,59 @@ def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceW
     dec = decompose_representation(group, seed=seed)
     if any(s != 1 for s in dec.block_sizes):
         raise DecompositionError("abelian decomposition produced a block of size > 1")
-    return block_weightings(psi, dec)
+    return dec
+
+
+@dataclass(frozen=True)
+class BlockIdentity:
+    """How far ``P(psi_e) T = T (+)_j value_j[e]`` is from holding.
+
+    ``residual`` is the largest entry of the difference over every
+    incidence e of the layer, and ``witness`` the position of the
+    incidence where it is largest (``None`` without incidences).
+    ``defect`` is the largest entry of ``T^H T - c I`` with ``c`` the
+    squared norm of T's first column: 0 when T's columns are orthogonal
+    and of one length."""
+
+    residual: float
+    defect: float
+    witness: int | None
+
+
+def block_identity(psi: IncidenceVoltages, transform, weightings: list[IncidenceWeighting]) -> BlockIdentity:
+    """Check ``P(psi_e) T = T (+)_j value_j[e]`` at every incidence e of
+    ``psi``'s layer, on the decoration values the blocks are solved with.
+
+    Block 0 is the base operator (value 1) and block ``j >= 1`` carries
+    ``weightings[j - 1]``'s values on the layer, the identity where the
+    layer is not listed; the columns of the ``(k, m)`` matrix ``transform``
+    are taken block by block, so m is the sum of the block sizes.  With
+    the identity and T's columns orthogonal of one length, the lifted
+    coboundary that :func:`~liftlap.covering.factor_lifted_coboundary`
+    certifies is carried by ``1 (x) T`` into the direct sum of the
+    decorated base coboundaries, and with them every Laplacian: when T is
+    square the lifted spectrum is the union of the block spectra, and a
+    single column spans an invariant subspace whose spectrum is block 0's.
+    ``P(p) T`` is the rows of T gathered by the inverse of p.
+    """
+    T = np.asarray(transform)
+    i, n, k = psi.dim, len(psi.perms), psi.k
+    values = [np.ones(n)]
+    for w in weightings:
+        d = w.block_size
+        values.append(w.layers.get(i, np.ones(n) if d == 1 else np.broadcast_to(np.eye(d), (n, d, d))))
+    offsets = np.cumsum([0] + [1 if v.ndim == 1 else v.shape[-1] for v in values])
+    if T.ndim != 2 or T.shape != (k, offsets[-1]):
+        raise DecompositionError(
+            f"a transform of shape {T.shape} does not fit {k} sheets and blocks of size {offsets[-1]}"
+        )
+    gram = T.conj().T @ T
+    defect = float(np.max(np.abs(gram - gram[0, 0].real * np.eye(len(gram)))))
+    if not n:
+        return BlockIdentity(0.0, defect, None)
+    moved = T[np.argsort(psi.perms, axis=1)]
+    blocked = np.empty(moved.shape, np.result_type(T, *values))
+    for a, b, v in zip(offsets, offsets[1:], values):
+        blocked[:, :, a:b] = T[:, a:b] @ v.reshape(n, b - a, b - a)
+    worst = np.abs(moved - blocked).max(axis=(1, 2))
+    return BlockIdentity(float(worst.max()), defect, int(np.argmax(worst)))

@@ -3,6 +3,7 @@ factorization they are checked with, that only the tests call."""
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import chain, combinations, repeat
 
 import numpy as np
@@ -13,6 +14,7 @@ from liftlap import (
     CoveringMap,
     CoveringViolation,
     DimensionError,
+    GroupStructureError,
     IncidenceVoltages,
     IncidenceWeighting,
     LiftlapError,
@@ -764,16 +766,19 @@ def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:
     return D[np.ix_(row_order, col_order)] if D.size else D.reshape(len(row_order), len(col_order))
 
 
-def coboundary_factorization(cov: CoveringMap, i: int) -> CoboundaryFactorization:
-    """Factor the cover coboundary through sign diagonals, exactly.
+def coboundary_factorization(cov: CoveringMap, i: int, psi: IncidenceVoltages | None = None):
+    """Factor the cover coboundary through sign diagonals, exactly, as a
+    :class:`CoboundaryFactorization`.
 
     All arithmetic is integer; the residual must be 0 for every verified
-    covering and dimension.
+    covering and dimension with the voltages the covering induces, the
+    default ``psi``.
     """
     M = cov.base
     if not (0 <= i <= M.top_dim):
         raise DimensionError(f"factorization needs 0 <= i <= {M.top_dim}, got {i}")
-    psi = induced_incidence_voltage(cov, i)
+    if psi is None:
+        psi = induced_incidence_voltage(cov, i)
     lam_lo = orientation_sign_diagonal(cov, i)
     lam_hi = orientation_sign_diagonal(cov, i + 1)
     dpsi = voltage_coboundary_matrix(M, psi, i)
@@ -952,3 +957,105 @@ def brute_force_base_matches(tol: float) -> list[tuple]:
             if compare_spectra(eigs, rf.BASE_SPECTRUM, tol=tol).holds:
                 found.append(build_complex(list(tris) + list(free)).facets())
     return sorted(found)
+
+
+# -- the direct-solve route of the spectral commands ---------------------------
+#
+# The spectral commands by the direct route: eigensolve the cover on every
+# layer and compare its spectrum with the base spectra at ``--tol``.  They
+# are the oracle the certified route of the CLI is checked against, and
+# read every library function from its module at call time, so a fault
+# patched into the library (tests/mutants.py) reaches both routes alike.
+
+DIRECT_CLAIMS = {
+    "union": ("two-fold spectral union", 2),
+    "inclusion": ("spectral inclusion", None),
+    "abelian": ("abelian character decomposition", None),
+}
+
+
+def _direct_layer(cov, layer, args):
+    """Per scheme, the layer spectra of the cover and of the base under
+    each of the claim's decorations; the error where the claim does not
+    apply on this layer."""
+    from liftlap import cli, covering, operators, representation
+
+    psi = covering.induced_incidence_voltage(cov, layer)
+    try:
+        if args.subcommand == "union":
+            decorations = [representation.two_fold_signing(psi)]
+        elif args.subcommand == "abelian":
+            decorations = representation.abelian_weightings(psi, seed=args.seed)
+        else:
+            decorations = []
+    except GroupStructureError as exc:
+        if args.dim is not None:
+            raise
+        return exc
+    return {
+        name: [operators.layer_spectra(cov.cover, layer, scheme)]
+        + [operators.layer_spectra(cov.base, layer, scheme, d) for d in [None] + decorations]
+        for name, scheme in cli._schemes(args.scheme)
+    }
+
+
+def direct_verify_spectral(args, report):
+    """``verify union|inclusion|abelian`` by solving the cover: per layer,
+    the cover spectrum equals the union of the base spectra (inclusion:
+    contains the base spectrum) within ``args.tol``."""
+    from liftlap import cli, operators
+
+    claim, degree = DIRECT_CLAIMS[args.subcommand]
+    cov = cli._resolve_covering(args, report["inputs"])
+    if degree is not None and cov.degree != degree:
+        raise LiftlapError(f"the {claim} property needs a {degree}-fold cover, got degree {cov.degree}")
+    cli._check_dim(cov, args.dim, 0)
+    verdicts, solved = [], {}
+    for direction in ("up", "down"):
+        for i in cli._dims(cov, direction, args.dim):
+            layer, side = cli._layer_side(direction, i)
+            if layer not in solved:
+                solved[layer] = _direct_layer(cov, layer, args)
+            if isinstance(solved[layer], GroupStructureError):
+                continue
+            for name, layers in solved[layer].items():
+                lifted, *parts = [pair[side] for pair in layers]
+                if args.subcommand == "inclusion":
+                    cmp = operators.compare_spectra(parts[0], lifted, "subset", tol=args.tol)
+                else:
+                    union = reduce(SpectrumMultiset.union, parts)
+                    cmp = operators.compare_spectra(lifted, union, "equal", tol=args.tol)
+                claimed = f"{claim} ({direction}, dim {i}, {name})"
+                verdicts.append(cli._verdict(claimed, cmp.holds, args.tol, cmp.max_pairing_error))
+    if not verdicts:
+        raise next(iter(solved.values()))
+    return verdicts
+
+
+def direct_decompose(args, report):
+    """``decompose`` by solving the cover: the block spectra must union to
+    the cover's spectrum within ``args.tol``."""
+    from liftlap import cli, covering, operators, representation
+
+    cov = cli._resolve_covering(args, report["inputs"])
+    scheme = cli.SCHEMES[args.scheme]
+    cli._check_dim(cov, args.dim, 0 if args.direction == "up" else 1)
+    layer, side = cli._layer_side(args.direction, args.dim)
+    psi = covering.induced_incidence_voltage(cov, layer)
+    dec = representation.decompose_representation(representation.voltage_group(psi.perms), seed=args.seed)
+    lifted = operators.layer_spectra(cov.cover, layer, scheme)[side]
+    weightings = [None] + representation.block_weightings(psi, dec)
+    spectra = [operators.layer_spectra(cov.base, layer, scheme, w)[side] for w in weightings]
+    cmp = operators.compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
+    first_err = float(np.max(np.abs(dec.blocks[0][:, 0, 0] - 1)))
+    tol = representation.RESIDUAL_TOL
+    return [
+        cli._verdict("block decomposition: off-block residual", dec.residual <= tol, tol, dec.residual),
+        cli._verdict("block decomposition: first block is the base operator", first_err <= 1e-12, 1e-12, first_err),
+        cli._verdict(
+            "block decomposition: block spectra union to the lifted spectrum",
+            cmp.holds,
+            args.tol,
+            cmp.max_pairing_error,
+        ),
+    ]

@@ -1,0 +1,263 @@
+"""The certified block route: the factorization of the lifted coboundary,
+the block identity, and the spectra the spectral commands read off the
+blocks instead of solving the cover."""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+from functools import reduce
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import scrambled_covering
+from mutants import COMMANDS, patch_everywhere, write_cover
+from oracles import coboundary_factorization
+from randgen import random_complex, random_connected_cover
+
+from liftlap import (
+    COMBINATORIAL,
+    NORMALIZED,
+    DecompositionError,
+    GroupStructureError,
+    IncidenceVoltages,
+    IncidenceWeighting,
+    SpectrumMultiset,
+    VoltageError,
+    abelian_decomposition,
+    block_identity,
+    block_weightings,
+    build_complex,
+    cli,
+    compare_spectra,
+    covering,
+    decompose_representation,
+    derived_complex,
+    factor_lifted_coboundary,
+    induced_incidence_voltage,
+    layer_spectra,
+    operators,
+    two_fold_signing,
+    voltage_group,
+)
+from liftlap.io import load_complex, load_edge_voltages
+from liftlap.representation import RESIDUAL_TOL
+
+TOL = 1e-8
+SEEDS = st.integers(0, 2**32 - 1)
+TWO_FOLD = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
+def _random_cover(seed, k, flavor):
+    """A connected k-fold cover of a random complex, its cover vertices
+    relabelled so that the orientation signs are not all +1."""
+    rng = np.random.default_rng(seed)
+    M = random_complex(rng, min_beta1=1)
+    out = random_connected_cover(M, k, rng, flavor)
+    assume(out is not None)
+    result = out[1]
+    return scrambled_covering(rng, result.complex, result.vertex_map, M), rng
+
+
+class TestFactorization:
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS, st.sampled_from([2, 3, 4]), st.sampled_from(["cyclic", "symmetric"]))
+    def test_is_the_dense_oracle_with_the_induced_and_with_faulty_voltages(self, seed, k, flavor):
+        cov, rng = _random_cover(seed, k, flavor)
+        M = cov.base
+        for i in range(0, M.top_dim + 1):
+            psi = induced_incidence_voltage(cov, i)
+            for scheme in (COMBINATORIAL, NORMALIZED):
+                assert factor_lifted_coboundary(cov, i, psi, scheme).holds
+            assert coboundary_factorization(cov, i).residual == 0
+            if not len(psi.perms):
+                continue
+            # one incidence gets another permutation
+            perms = psi.perms.copy()
+            e = int(rng.integers(len(perms)))
+            perms[e] = np.roll(perms[e], 1)
+            bad = IncidenceVoltages(M, k, i, perms)
+            got, want = factor_lifted_coboundary(cov, i, bad, COMBINATORIAL), coboundary_factorization(cov, i, bad)
+            assert got.residual == want.residual > 0
+            # the witness is a pair of cover faces at which the two matrices differ
+            face, cofacet = got.witness
+            row, col = (int(np.argmax(cov.fibers[d].ravel() == cov.cover.index(f))) for d, f in ((i + 1, cofacet), (i, face)))
+            product = want.cofacet_signs.entries[:, None] * want.voltage_coboundary * want.face_signs.entries
+            assert want.cover_coboundary[row, col] != product[row, col]
+
+    def test_names_the_first_differing_pair_in_the_covers_order(self, c3_double_cover):
+        cov = c3_double_cover.covering
+        psi = induced_incidence_voltage(cov, 0)
+        perms = psi.perms.copy()
+        perms[[0, 1]] = perms[[0, 1], ::-1]
+        fac = factor_lifted_coboundary(cov, 0, IncidenceVoltages(cov.base, 2, 0, perms), COMBINATORIAL)
+        # sheet 0 of vertex 0 meets sheet 1 of vertex 1 across the swapped edge
+        assert (fac.residual, fac.witness, fac.weight_witness) == (1, ((0,), (0, 3)), None)
+        assert not fac.holds
+
+    def test_refuses_voltages_of_another_layer(self, c3_double_cover):
+        cov = c3_double_cover.covering
+        with pytest.raises(VoltageError, match="not layer 1 voltages"):
+            factor_lifted_coboundary(cov, 1, induced_incidence_voltage(cov, 0), COMBINATORIAL)
+
+
+class TestBlockIdentity:
+    def test_two_fold_transform_is_exact(self, c3_double_cover):
+        psi = induced_incidence_voltage(c3_double_cover.covering, 0)
+        ident = block_identity(psi, TWO_FOLD, [two_fold_signing(psi)])
+        assert (ident.residual, ident.defect) == (0.0, 0.0)
+
+    def test_the_constant_column_is_exact_for_any_voltages(self):
+        rng = np.random.default_rng(5)
+        M = random_complex(rng, min_beta1=1)
+        perms = np.array([rng.permutation(5) for _ in range(len(M.faces(1)) * 2)])
+        psi = IncidenceVoltages(M, 5, 0, perms)
+        ident = block_identity(psi, np.ones((5, 1)), [])
+        assert (ident.residual, ident.defect) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("cover", ["Z3-triangle", "S3-punctured-torus"])
+    @pytest.mark.parametrize("layer", [0, 1])
+    def test_decomposition_transform_holds_within_the_residual_bound(self, tmp_path, cover, layer):
+        _, base, _, voltage = write_cover(tmp_path, cover)
+        M = load_complex(base)[0]
+        psi = induced_incidence_voltage(derived_complex(M, load_edge_voltages(voltage, M)).covering, layer)
+        dec = decompose_representation(voltage_group(psi.perms))
+        ident = block_identity(psi, dec.transform, block_weightings(psi, dec))
+        assert ident.residual <= RESIDUAL_TOL and ident.defect <= RESIDUAL_TOL
+
+    def test_a_faulty_value_is_found_at_its_incidence(self, c3_double_cover):
+        psi = induced_incidence_voltage(c3_double_cover.covering, 0)
+        signing = two_fold_signing(psi)
+        values = signing.layers[0].copy()
+        values[3] *= 1 + 1e-6
+        ident = block_identity(psi, TWO_FOLD, [IncidenceWeighting(psi.base, {0: values})])
+        assert ident.witness == 3 and ident.residual == pytest.approx(1e-6)
+
+    def test_a_transform_that_does_not_fit_is_refused(self, c3_double_cover):
+        psi = induced_incidence_voltage(c3_double_cover.covering, 0)
+        with pytest.raises(DecompositionError, match="does not fit 2 sheets"):
+            block_identity(psi, np.ones((2, 1)), [two_fold_signing(psi)])
+
+    def test_abelian_decomposition_refuses_a_non_abelian_group(self):
+        M = build_complex([[0, 1], [1, 2], [0, 2]])
+        psi = IncidenceVoltages(M, 3, 0, np.array([[1, 0, 2], [1, 2, 0]] * 3))
+        with pytest.raises(GroupStructureError, match="abelian"):
+            abelian_decomposition(psi)
+
+
+class TestCertifiedSpectra:
+    @settings(max_examples=30, deadline=None)
+    @given(SEEDS, st.sampled_from([2, 3]), st.sampled_from(["cyclic", "symmetric"]))
+    def test_block_spectra_union_to_the_direct_solve_of_the_cover(self, seed, k, flavor):
+        # the independent end-to-end check: the spectra the commands read off
+        # the blocks are those of the cover, solved densely, up and down
+        cov, _ = _random_cover(seed, k, flavor)
+        M = cov.base
+        for layer in range(0, M.top_dim + 1):
+            psi = induced_incidence_voltage(cov, layer)
+            dec = decompose_representation(voltage_group(psi.perms), seed=seed % 1000)
+            routes = [(dec.transform, block_weightings(psi, dec))]
+            if k == 2:
+                routes.append((TWO_FOLD, [two_fold_signing(psi)]))
+            for transform, weightings in routes:
+                ident = block_identity(psi, transform, weightings)
+                assert max(ident.residual, ident.defect) <= RESIDUAL_TOL
+                for scheme in (COMBINATORIAL, NORMALIZED):
+                    assert factor_lifted_coboundary(cov, layer, psi, scheme).holds
+                    parts = [layer_spectra(M, layer, scheme, w) for w in [None] + weightings]
+                    direct = layer_spectra(cov.cover, layer, scheme)
+                    for side in (0, 1):
+                        certified = reduce(SpectrumMultiset.union, [p[side] for p in parts])
+                        assert compare_spectra(direct[side], certified, "equal", tol=TOL).holds
+
+
+def _main(argv):
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize(
+    "cover, command",
+    [
+        ("C3-double", "union"),
+        ("C3-double", "abelian"),
+        ("Z3-triangle", "abelian"),
+        ("S3-punctured-torus", "inclusion"),
+        ("S3-punctured-torus", "decompose"),
+        ("Z3-triangle", "decompose"),
+    ],
+)
+def test_no_spectral_command_assembles_or_solves_an_operator_of_the_cover(monkeypatch, tmp_path, cover, command):
+    covers, complexes, sizes = [], [], []
+
+    def recording(name, log):
+        def make(real):
+            def wrapper(K, *args, **kwargs):
+                log.append(K)
+                return real(K, *args, **kwargs)
+
+            return wrapper
+
+        patch_everywhere(monkeypatch, operators, name, make)
+
+    recording("layer_spectra", complexes)
+    recording("laplacian_matrix", complexes)
+    recording("_weighted_coboundary", complexes)
+
+    def spectrum_make(real):
+        def spectrum(op):
+            sizes.extend([op.size] if op.size else [])
+            return real(op)
+
+        return spectrum
+
+    patch_everywhere(monkeypatch, operators, "spectrum", spectrum_make)
+
+    def derived_make(real):
+        def derived(M, psi):
+            result = real(M, psi)
+            covers.append(result.complex)
+            return result
+
+        return derived
+
+    patch_everywhere(monkeypatch, covering, "derived_complex", derived_make)
+    code, report = _main(COMMANDS[command] + write_cover(tmp_path, cover))
+    assert code == 0 and covers
+    assert not any(K is c for K in complexes for c in covers)
+    # what was solved is what the verdicts report (a union layer's solves
+    # serve its up and its down verdicts)
+    reported = [n for v in report["verdicts"] for n in v.get("solved_sizes", [])]
+    assert set(sizes) == set(reported)
+    if command == "decompose":
+        assert sorted(sizes) == sorted(reported)
+
+
+class TestVerdictReports:
+    def test_union_reports_the_certificate_and_what_it_solved(self, tmp_path):
+        code, report = _main(COMMANDS["union"] + write_cover(tmp_path, "C3-double"))
+        assert code == 0
+        for v in report["verdicts"]:
+            assert (v["tolerance"], v["max_error"], v["factorization_residual"], v["witness"]) == (0.0, 0.0, 0, None)
+            assert (v["block_identity_residual"], v["transform_defect"]) == (0.0, 0.0)
+        # the vertex/edge layer solves the 3 x 3 base and signed Gram matrices; the top layer nothing
+        assert [v["solved_sizes"] for v in report["verdicts"]] == [[3, 3], [3, 3], [], [], [3, 3], [3, 3]]
+        lifted = report["results"]["up/0/combinatorial"]
+        assert lifted["lifted"] == sorted(lifted["base"] + lifted["signed"])
+
+    def test_inclusion_solves_nothing(self, tmp_path):
+        code, report = _main(COMMANDS["inclusion"] + write_cover(tmp_path, "S3-punctured-torus"))
+        assert code == 0 and all(v["solved_sizes"] == [] and v["tolerance"] == 0.0 for v in report["verdicts"])
+
+    def test_decompose_reads_the_lifted_spectrum_off_the_blocks(self, tmp_path):
+        code, report = _main(COMMANDS["decompose"] + write_cover(tmp_path, "S3-punctured-torus"))
+        assert code == 0
+        results, certificate = report["results"], report["verdicts"][2]
+        assert results["lifted_spectrum"] == sorted(sum(results["block_spectra"], []))
+        assert certificate["tolerance"] == RESIDUAL_TOL and certificate["max_error"] <= RESIDUAL_TOL
+        # the punctured 3 x 3 torus has 9 vertices; blocks of sizes 1 and 2
+        assert certificate["solved_sizes"] == [9, 18]

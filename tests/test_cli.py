@@ -363,9 +363,10 @@ class TestVerify:
         monkeypatch.setattr("liftlap.cli.induced_incidence_voltage", counting_voltage)
         code, report, _ = run(capsys, ["verify", "union", "--base", torus, "--voltage", psi])
         assert code == 0 and len(report["verdicts"]) == 10
-        # layers 0 and 1 are each solved once per scheme for the cover, the
-        # base and the signed base; the top layer needs no eigensolve
-        assert calls == {"eigvalsh": 12, "induced_incidence_voltage": 3}
+        # layers 0 and 1 are each solved once per scheme for the base and
+        # the signed base, and never for the cover; the top layer needs no
+        # eigensolve
+        assert calls == {"eigvalsh": 8, "induced_incidence_voltage": 3}
 
     def test_decompose(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(

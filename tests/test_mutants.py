@@ -1,0 +1,144 @@
+"""The kill matrix: every named fault of :mod:`mutants` run through the
+spectral commands on three small covers, on the certified route (the CLI)
+and on the direct-solve oracle.
+
+A cell is ``x`` when the command exits 1 (a verdict fails) and ``.`` when
+every verdict holds; a command whose claim does not apply to a cover
+(exit 3 without a fault) has no cell.  Each entry is the direct route's
+outcome, then the certified route's.
+"""
+
+import io
+import json
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+
+from mutants import COMMANDS, COVERS, MUTANTS, write_cover
+from oracles import direct_decompose, direct_verify_spectral
+
+from liftlap import cli
+
+# the claims that apply: union needs two sheets, abelian an abelian voltage group
+APPLIES = {
+    "C3-double": ("union", "abelian", "inclusion", "decompose"),
+    "Z3-triangle": ("abelian", "inclusion", "decompose"),
+    "S3-punctured-torus": ("inclusion", "decompose"),
+}
+
+# mutant -> cover -> command -> direct outcome, certified outcome
+ALL_CAUGHT = {
+    "C3-double": {"union": "xx", "abelian": "xx", "inclusion": "xx", "decompose": "xx"},
+    "Z3-triangle": {"abelian": "xx", "inclusion": "xx", "decompose": "xx"},
+    "S3-punctured-torus": {"inclusion": "xx", "decompose": "xx"},
+}
+NONE_CAUGHT = {cover: {command: ".." for command in row} for cover, row in ALL_CAUGHT.items()}
+
+
+def _with(table, **cells):
+    """``table`` with the cells named ``cover__command`` (dashes as underscores) replaced."""
+    out = {cover: dict(row) for cover, row in table.items()}
+    for key, cell in cells.items():
+        cover, command = key.split("__")
+        out[cover.replace("_", "-")][command] = cell
+    return out
+
+
+KILL_MATRIX = {
+    "cover-sign-flip": ALL_CAUGHT,
+    # the swapped hexagon and the swapped 9-cycle still hold the base spectrum
+    "cover-sheet-swap": _with(ALL_CAUGHT, C3_double__inclusion=".x", Z3_triangle__inclusion=".x"),
+    # the direct route compares no voltage with the cover, and on the Z_3
+    # cover the faulty character blocks keep the union of their spectra
+    "voltage-inverted": _with(
+        NONE_CAUGHT,
+        Z3_triangle__abelian=".x",
+        Z3_triangle__inclusion=".x",
+        Z3_triangle__decompose=".x",
+        S3_punctured_torus__inclusion=".x",
+        S3_punctured_torus__decompose="xx",
+    ),
+    "signing-misses-swap": _with(NONE_CAUGHT, C3_double__union="xx"),
+    "block-transposed": _with(NONE_CAUGHT, S3_punctured_torus__decompose="xx"),
+    "weight-scaled": _with(
+        ALL_CAUGHT, C3_double__inclusion="..", Z3_triangle__inclusion="..", S3_punctured_torus__inclusion=".."
+    ),
+    "cover-weight-off-by-one": ALL_CAUGHT,
+    "padding-short": _with(NONE_CAUGHT, C3_double__union="x.", S3_punctured_torus__decompose="x."),
+}
+
+# why a fault survives a cell on both routes: it makes no fault there
+SURVIVORS = {
+    "voltage-inverted": "every voltage of a 2-fold cover is its own inverse",
+    "signing-misses-swap": "only the union reads the two-fold signing",
+    "block-transposed": "a 1 x 1 block is its own transpose, and inclusion reads no block",
+    "weight-scaled": "inclusion reads no decoration",
+    "padding-short": (
+        "a graph cover has as many edges as vertices, so nothing is padded, and inclusion compares "
+        "the base inside the cover, both short by one zero"
+    ),
+}
+
+# faults that only the direct oracle can catch, with the reason
+ORACLE_ONLY = {
+    "padding-short": (
+        "the fault is inside layer_spectra, which both routes share: the certified verdicts rest on the "
+        "factorization and the block identity, not on the spectra they report, so a wrong padding changes "
+        "the reported spectra but no verdict; layer_spectra is checked against the assembled operator in "
+        "tests/test_operators.py, and the certified spectra against the direct solve in "
+        "tests/test_certificate.py"
+    ),
+}
+
+
+def run(argv, monkeypatch, mutant=None, direct=False):
+    """Exit code and report of ``liftlap argv`` under ``mutant``, on the
+    direct-solve oracle when ``direct``."""
+    with monkeypatch.context() as m:
+        if mutant is not None:
+            mutant.apply(m)
+        if direct:
+            m.setattr(cli, "cmd_verify_spectral", direct_verify_spectral)
+            m.setattr(cli, "cmd_decompose", direct_decompose)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli.main(argv)
+    return code, json.loads(out.getvalue()) if out.getvalue().strip() else None
+
+
+@pytest.fixture(scope="module")
+def cover_args(tmp_path_factory):
+    folder = tmp_path_factory.mktemp("covers")
+    return {name: write_cover(folder, name) for name in COVERS}
+
+
+@pytest.mark.parametrize("cover", list(COVERS))
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_claims_apply_where_listed_and_hold_without_a_fault(monkeypatch, cover_args, cover, command):
+    argv = COMMANDS[command] + cover_args[cover]
+    codes = [run(argv, monkeypatch, direct=direct)[0] for direct in (True, False)]
+    assert codes == ([0, 0] if command in APPLIES[cover] else [3, 3])
+
+
+def _outcome(code):
+    assert code in (0, 1), f"exit {code}"
+    return "x" if code == 1 else "."
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=[m.name for m in MUTANTS])
+def test_kill_matrix(monkeypatch, cover_args, mutant):
+    matrix = {}
+    for cover, commands in APPLIES.items():
+        for command in commands:
+            argv = COMMANDS[command] + cover_args[cover]
+            (direct, _), (certified, report) = (run(argv, monkeypatch, mutant, d) for d in (True, False))
+            matrix.setdefault(cover, {})[command] = _outcome(direct) + _outcome(certified)
+            if certified == 1:
+                # every failing certificate names where it fails
+                for v in report["verdicts"]:
+                    if not v["holds"] and "witness" in v:
+                        assert v["witness"]["kind"] and v["witness"].get("face"), v
+    assert matrix == KILL_MATRIX[mutant.name]
+    cells = [cell for row in matrix.values() for cell in row.values()]
+    assert "x." not in cells or mutant.name in ORACLE_ONLY, "the certified route misses a fault the oracle catches"
+    assert ".." not in cells or mutant.name in SURVIVORS
