@@ -5,7 +5,8 @@ incidence-weighted Laplace operators; build k-fold covering complexes
 from permutation voltages; and verify the spectral decompositions that
 relate a cover's spectrum to its base (block decomposition, two-fold
 union, abelian character decomposition, spectral inclusion) together
-with the Betti inequality via harmonic cochain lifting.
+with the Betti inequality, certified from exact ranks of the base and of
+the base twisted by the voltages.
 """
 
 from .complexes import (
@@ -47,7 +48,6 @@ from .homology import (
     BettiInequalityReport,
     exact_betti_numbers,
     integer_rank,
-    lift_cochain,
     verify_betti_inequality,
 )
 from .operators import (

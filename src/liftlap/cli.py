@@ -13,8 +13,9 @@ exactly through the base coboundary lifted by the induced voltages
 carries the lift into the direct sum of the blocks
 (:func:`~liftlap.representation.block_identity`), so the lifted spectrum
 is the union of the block spectra, which ``layer_spectra`` solves at
-base size.  ``--tol`` is the tolerance of ``verify betti`` and the
-fixture search.
+base size.  ``verify betti`` ranks only base-size matrices, and its
+verdicts are exact (:func:`~liftlap.homology.verify_betti_inequality`).
+``--tol`` is the tolerance of the fixture search.
 """
 
 from __future__ import annotations
@@ -235,26 +236,10 @@ def _certificate_verdict(claim, cov, psi, factorization, identity, tolerance, so
     base's, and the block identity within ``tolerance``.  Then the lifted
     spectrum is the union of the block spectra (for a one-column
     transform, it contains block 0's).  The witness names the first
-    failing part: a cover (face, cofacet) pair, a cover face, a base
-    incidence, or the transform."""
-    M, i = cov.base, psi.dim
-    if factorization.witness is not None:
-        face, cofacet = factorization.witness
-        witness = {"kind": "cover coboundary", "face": list(face), "cofacet": list(cofacet)}
-    elif factorization.weight_witness is not None:
-        witness = {"kind": "cover face weight", "face": list(factorization.weight_witness)}
-    elif not identity.residual <= tolerance:
-        rows, cols, _ = coboundary(M, i)
-        e = identity.witness
-        witness = {
-            "kind": "block identity",
-            "face": list(M.faces(i)[cols[e]]),
-            "cofacet": list(M.faces(i + 1)[rows[e]]),
-        }
-    elif not identity.defect <= tolerance:
+    failing part (:func:`_witness`), or the transform."""
+    witness = _witness(cov, psi.dim, factorization, identity, tolerance)
+    if witness is None and not identity.defect <= tolerance:
         witness = {"kind": "transform"}
-    else:
-        witness = None
     return _verdict(
         claim,
         witness is None,
@@ -266,6 +251,23 @@ def _certificate_verdict(claim, cov, psi, factorization, identity, tolerance, so
         solved_sizes=solved,
         witness=witness,
     )
+
+
+def _witness(cov, i, factorization, identity, tolerance):
+    """Where the certificate of layer i first fails: a cover (face,
+    cofacet) pair, a cover face whose weight is off, or the base
+    incidence of the block identity; ``None`` when none of them does."""
+    M = cov.base
+    if factorization.witness is not None:
+        face, cofacet = factorization.witness
+        return {"kind": "cover coboundary", "face": list(face), "cofacet": list(cofacet)}
+    if factorization.weight_witness is not None:
+        return {"kind": "cover face weight", "face": list(factorization.weight_witness)}
+    if not identity.residual <= tolerance:
+        rows, cols, _ = coboundary(M, i)
+        e = identity.witness
+        return {"kind": "block identity", "face": list(M.faces(i)[cols[e]]), "cofacet": list(M.faces(i + 1)[rows[e]])}
+    return None
 
 
 def _solved_sizes(M, layer, weightings):
@@ -408,28 +410,51 @@ def cmd_verify_spectral(args, report):
 
 
 def cmd_verify_betti(args, report):
+    """One verdict per dimension, and one results table per scheme asked for."""
     cov = _resolve_covering(args, report["inputs"])
     _check_dim(cov, args.dim, cov.base.min_dim)
-    verdicts = []
-    payload = {}
-    reports = verify_betti_inequality(cov, [scheme for _, scheme in _schemes(args.scheme)], args.tol)
-    for rep in reports:
-        for v in rep.per_dim:
-            if args.dim is not None and v.dim != args.dim:
-                continue
-            verdicts.append(
-                _verdict(
-                    f"betti inequality via harmonic lifting (dim {v.dim}, {rep.scheme})",
-                    v.holds,
-                    args.tol,
-                    v.lift_residual,
-                    betti_base=v.betti_base,
-                    betti_cover=v.betti_cover,
-                )
-            )
-        payload[rep.scheme] = {str(v.dim): [v.betti_base, v.betti_cover] for v in rep.per_dim}
-    report["results"] = payload
-    return verdicts
+    rep = verify_betti_inequality(cov)
+    table = {str(v.dim): [v.betti_base, v.betti_cover] for v in rep.per_dim}
+    report["results"] = {name: table for name, _ in _schemes(args.scheme)}
+    return [_betti_verdict(cov, v) for v in rep.per_dim if args.dim in (None, v.dim)]
+
+
+def _betti_verdict(cov, v):
+    """The exact verdict of one dimension, with the largest residual of
+    each part of its layers' certificates and the first witness: that of
+    :func:`_witness`, or an entry of a twisted coboundary squared at a
+    base face and (i+2)-face, with the coordinates of V at each."""
+    M, m = cov.base, cov.degree - 1
+    witness = None
+    for x in v.layers:
+        witness = _witness(cov, x.dim, x.factorization, x.identity, 0)
+        if witness is None and x.square_witness is not None:
+            (row, a), (col, j) = (divmod(n, m) for n in x.square_witness)
+            witness = {
+                "kind": "twisted coboundary squared",
+                "face": list(M.faces(x.dim)[col]),
+                "cofacet": list(M.faces(x.dim + 2)[row]),
+                "coordinates": [j, a],
+            }
+        if witness is not None:
+            break
+    residuals = {
+        "factorization_residual": max((x.factorization.residual for x in v.layers), default=0),
+        "block_identity_residual": max((int(x.identity.residual) for x in v.layers), default=0),
+        "square_residual": max((x.square for x in v.layers), default=0),
+    }
+    return _verdict(
+        f"betti inequality via b_i(cover) = b_i(base) + b_i(base; V_psi) (dim {v.dim})",
+        v.holds,
+        0,
+        max(residuals.values()),
+        betti_base=v.betti_base,
+        betti_cover=v.betti_cover,
+        betti_twisted=v.betti_twisted,
+        twisted_coboundaries=[{"layer": x.dim, "shape": list(x.shape), "rank": x.rank} for x in v.layers],
+        witness=witness,
+        **residuals,
+    )
 
 
 def cmd_fixture(args, report):
@@ -479,7 +504,7 @@ def _add_cover_inputs(p):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="liftlap", description=__doc__)
     ap.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
-    ap.add_argument("--tol", type=_tolerance, default=1e-8, help="spectrum comparison tolerance")
+    ap.add_argument("--tol", type=_tolerance, default=1e-8, help="spectrum comparison tolerance of the fixture search")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a Laplace operator")

@@ -435,7 +435,7 @@ def factor_lifted_coboundary(cov: CoveringMap, i: int, psi: IncidenceVoltages, s
     ``(G, Gbar)`` replaced by the block ``sign * P(psi)``: sheet j of
     ``G`` meets sheet ``psi[j]`` of ``Gbar``.  Rows and columns are read
     through the fiber table, and ``S_d`` is the diagonal of the
-    orientation signs that :func:`~liftlap.homology.lift_cochain` uses.
+    orientation signs of the cover d-faces (:func:`_orientation_signs`).
     Both matrices have k nonzeros per base incidence; they are compared
     as one sorted list of (cover row, cover column) keys, the cover's
     signs against the negated lifted ones, so the cost is that of a sort

@@ -1,9 +1,9 @@
-"""Reduced Betti numbers, harmonic cochain lifting, and the Betti inequality.
+"""Reduced Betti numbers, and the Betti identity of a covering, exactly.
 
 The kernel of the full degree-i Laplace operator realizes the i-th
 reduced cohomology, so its dimension is topological: no face weight
 changes it.  Betti numbers therefore have one route, exact ranks over the
-rationals of the integer coboundaries, whatever the weight scheme.  The
+rationals of integer coboundaries, whatever the weight scheme.  The
 exact rank is sparse row elimination over the integers with gcd
 normalisation, pivoting on each row's lowest column as in the column
 reduction of persistent homology; it reads the nonzeros of each
@@ -22,23 +22,23 @@ rows after it.  Taken from the last, each of the rank(d_j) rows of
 d_(j-1) at pivot columns of d_j is thus a combination of rows at no
 pivot column, and the reduction of d_(j-1) skips them.
 
-Harmonic bases come from two positive definite solves, not from an
-eigensolve.  With ``A_j`` the weighted coboundary of
-:mod:`liftlap.operators`, ``A_i A_(i-1) = 0`` makes the degree-i
-cochains the orthogonal sum of the image of ``A_(i-1)``, the image of
-``A_i^H`` and the kernel of the full operator.  The pivot columns of
-d_(i-1) pick a basis ``A_(i-1)[:, T]`` of the first image, the pivot rows
-of d_i a basis ``A_i[R, :]^H`` of the second, so removing the projections
-of a fixed-seed Gaussian block onto both leaves harmonic cochains; each
-projection is one solve with a Gram matrix of size rank d_(i-1) or rank
-d_i, and the lowest and top dimensions need only one of them.
-
-Harmonic cochains of the base lift to harmonic cochains of a covering
-complex by composing with the projection and correcting each value by
-the orientation sign of the lifted face; the lifts of a kernel basis
-stay independent, which is what forces the Betti inequality.  The lifts
-are tested against the cover's full operator through products with its
-weighted coboundaries, so no operator of the cover is assembled.
+The Betti numbers of a cover are read off its base.  The cover's
+coboundary is the base's with each incidence carrying the permutation
+matrix P(psi_e) of its voltage, between orientation signs
+(:func:`~liftlap.covering.factor_lifted_coboundary`), so its cochain
+complex is the base's with coefficients in the permutation module Q^k =
+Q.1 (+) V, V the vectors summing to zero.  The integer matrix ``T = [1 |
+e_j - e_(k-1)]`` has determinant +-k and ``P(p) T = T (1 (+) R(p))``,
+``R(p)[a, j] = [p_j = a] - [p_(k-1) = a]`` with entries in {-1, 0, 1}.
+So the cover's rank is rank d_i + rank d^V_i, where the twisted
+coboundary d^V_i carries ``sign * R(psi_e)`` at each incidence, and
+b_i(cover) = b_i(base) + b_i(base; V_psi) >= b_i(base): Shapiro's lemma
+(Brown, *Cohomology of Groups*, III.6; Hatcher, *Algebraic Topology*,
+3.H), the paper's Betti inequality.  Each layer is certified in
+integers: the factorization, the identity of T
+(:func:`~liftlap.representation.block_identity`) and ``d^V_(i+1) d^V_i
+= 0``, which clearing needs, as a product of nonzeros.  Only base-size
+matrices are ranked; no operator of the cover is ranked or solved.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import COMBINATORIAL, EXPLICIT_KIND, SimplicialComplex, WeightScheme, coboundary, compute_weights
-from .covering import CoveringMap, _orientation_signs
-from .errors import LiftlapError, WeightError
-from .operators import DOWN, UP, _gram, _product, _weighted_coboundary
+from .complexes import COMBINATORIAL, SimplicialComplex, _unique_rows, coboundary
+from .covering import CoveringMap, Factorization, factor_lifted_coboundary, induced_incidence_voltage
+from .errors import LiftlapError
+from .operators import IncidenceWeighting
+from .representation import BlockIdentity, block_identity
 
 
 def integer_rank(triplets) -> int:
@@ -119,17 +120,16 @@ def _pivots(at_row, at_col, values) -> dict[int, int]:
     return owners
 
 
-def _cleared_pivots(K: SimplicialComplex) -> dict[int, dict[int, int]]:
-    """``{j: pivots of d_j}`` for every coboundary of ``K``, ranked from the
-    top degree down; the rows of d_(j-1) at pivot columns of d_j are
-    skipped (clearing, see the module docstring)."""
+def _cleared_pivots(layers: dict) -> dict[int, dict[int, int]]:
+    """``{j: pivots of layers[j]}`` for the nonzeros ``layers[j] = (rows,
+    cols, values)`` of the consecutive coboundaries of a cochain complex,
+    ranked from the top degree down; the rows of layer j-1 at pivot
+    columns of layer j are skipped (clearing, see the module docstring)."""
     pivots: dict[int, dict[int, int]] = {}
     cleared: dict[int, int] = {}
-    for j in range(K.top_dim - 1, K.min_dim - 1, -1):
-        rows, cols, values = coboundary(K, j)
-        skip = np.zeros(K.face_count(j + 1), bool)
-        skip[np.fromiter(cleared, np.int64, len(cleared))] = True
-        keep = ~skip[rows]
+    for j in sorted(layers, reverse=True):
+        rows, cols, values = layers[j]
+        keep = ~np.isin(rows, np.fromiter(cleared, np.int64, len(cleared)))
         pivots[j] = cleared = _pivots(rows[keep], cols[keep], values[keep])
     return pivots
 
@@ -141,156 +141,131 @@ def _betti(K: SimplicialComplex, pivots: dict) -> dict:
 def exact_betti_numbers(K: SimplicialComplex) -> dict:
     """Betti numbers ``dim C^i - rank d_i - rank d_(i-1)`` from exact ranks,
     each coboundary ranked once, from the top degree down with clearing."""
-    return _betti(K, _cleared_pivots(K))
+    return _betti(K, _cleared_pivots({j: coboundary(K, j) for j in range(K.min_dim, K.top_dim)}))
 
 
-def _restrict(layer, axis: int, keep) -> tuple:
-    """The nonzeros of ``layer`` in the rows (``axis`` 0) or columns (1)
-    listed in ``keep``, renumbered in the order of ``keep``."""
-    *index, values, shape = layer
-    position = np.full(shape[axis], -1)
-    position[keep] = np.arange(len(keep))
-    at = position[index[axis]]
-    kept = at >= 0
-    index = [a[kept] for a in index]
-    index[axis] = at[kept]
-    shape = list(shape)
-    shape[axis] = len(keep)
-    return index[0], index[1], values[kept], tuple(shape)
+# -- the twisted coboundary ----------------------------------------------------
 
 
-def _harmonic_bases(K: SimplicialComplex, scheme: WeightScheme, betti: dict, pivots: dict) -> dict:
-    """An orthonormal basis of each nonzero kernel of the full operators of
-    ``K`` under ``scheme``, mapped back to cochain values (divided by the
-    square roots of the face weights); ``pivots`` is
-    :func:`_cleared_pivots` of ``K``.  A Gaussian block of b_i + 4
-    columns, drawn with a fixed seed, loses its projection onto the
-    image of ``A_(i-1)`` and then onto the image of ``A_i^H``; its b_i
-    leading left singular vectors are the basis.  The 4 columns beyond
-    b_i keep the b_i-th singular value of the harmonic block away from
-    zero, which b_i columns alone would not."""
-    w = compute_weights(K, scheme)
-    bases = {}
-    for i, b in betti.items():
-        if not b:
-            continue
-        H = np.random.default_rng(0).standard_normal((K.face_count(i), b + 4))
-        if pivots.get(i - 1):
-            A = _restrict(_weighted_coboundary(K, i - 1, w, None), 1, list(pivots[i - 1]))
-            H -= _product(A, np.linalg.solve(_gram(A, UP), _product(A, H, adjoint=True)))
-        if pivots.get(i):
-            A = _restrict(_weighted_coboundary(K, i, w, None), 0, list(pivots[i].values()))
-            H -= _product(A, np.linalg.solve(_gram(A, DOWN), _product(A, H)), adjoint=True)
-        bases[i] = np.linalg.svd(H, full_matrices=False)[0][:, :b] / np.sqrt(w[i])[:, None]
-    return bases
+def _reduced_blocks(perms: np.ndarray) -> np.ndarray:
+    """The ``(n, k-1, k-1)`` int64 stack of R(p) for the rows p of
+    ``perms``: the action of p on V in the basis e_j - e_(k-1),
+    ``R[a, j] = [p_j = a] - [p_(k-1) = a]``."""
+    m = perms.shape[1] - 1
+    a = np.arange(m)[:, None]
+    return (perms[:, None, :m] == a).astype(np.int64) - (perms[:, None, m:] == a)
 
 
-def _full_laplacian_product(K: SimplicialComplex, i: int, w: dict, X: np.ndarray) -> np.ndarray:
-    """``L X`` for the Hermitian form ``L = A_i^H A_i + A_(i-1) A_(i-1)^H``
-    of the full degree-i operator of ``K`` under the face weights ``w``
-    (the up part alone at the lowest dimension), from the nonzeros of the
-    weighted coboundaries."""
-    out = np.zeros(X.shape)
-    if i < K.top_dim:
-        A = _weighted_coboundary(K, i, w, None)
-        out += _product(A, _product(A, X), adjoint=True)
-    if i > K.min_dim:
-        A = _weighted_coboundary(K, i - 1, w, None)
-        out += _product(A, _product(A, X, adjoint=True))
-    return out
+def _twisted_coboundary(M: SimplicialComplex, i: int, blocks: np.ndarray) -> tuple:
+    """The nonzeros of d^V_i: base incidence e, sign s, at row ``cofacet *
+    (k-1) + a`` and column ``face * (k-1) + j`` holds ``s * blocks[e, a, j]``."""
+    rows, cols, signs = coboundary(M, i)
+    m = blocks.shape[-1]
+    e, a, j = np.nonzero(blocks)
+    return rows[e] * m + a, cols[e] * m + j, signs[e] * blocks[e, a, j]
 
 
-# -- harmonic lifting ----------------------------------------------------------
+def _square(upper: tuple, lower: tuple, width: int) -> tuple[int, tuple | None]:
+    """The largest entry of ``|upper @ lower|`` from the nonzeros of both,
+    ``lower`` of ``width`` columns, and the (row, column) of its first
+    nonzero entry, or ``None``: each nonzero (r, c) of ``upper`` meets
+    the nonzeros in row c of ``lower``."""
+    r1, c1, v1 = upper
+    order = np.argsort(lower[0], kind="stable")
+    r2, c2, v2 = (a[order] for a in lower)
+    start = np.searchsorted(r2, c1)
+    count = np.searchsorted(r2, c1, "right") - start
+    at = np.arange(count.sum()) + np.repeat(start - (np.cumsum(count) - count), count)
+    keys = np.repeat(r1, count) * width + c2[at]
+    distinct, where = _unique_rows(keys[:, None])
+    total = np.bincount(where, np.repeat(v1, count) * v2[at], len(distinct))
+    if not total.any():
+        return 0, None
+    return int(np.abs(total).max()), divmod(int(distinct[np.argmax(total != 0), 0]), width)
 
 
-def lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
-    """Pull a base i-cochain, or a basis of them, back to the cover.
-
-    The lifted value on a cover face is the base value on its image
-    times the orientation sign of the pointwise vertex map: the parity of
-    the inversions among the images of the face's vertices, read in the
-    face's own (increasing) order.  ``values`` is indexed by the base
-    i-faces in canonical order: a vector, or a matrix with one cochain
-    per column; the fibers place every column at once.  Kernels are
-    preserved because the combinatorial and normalized weight ratios
-    across incidences match between cover and base.
-    """
-    K, fibers = cov.cover, cov.fibers[i]
-    signs = _orientation_signs(cov, i).ravel()
-    values = np.asarray(values)
-    out = np.zeros((K.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
-    cols = np.arange(len(fibers)).repeat(fibers.shape[1])
-    out[fibers.ravel()] = signs.reshape((-1,) + (1,) * (values.ndim - 1)) * values[cols]
-    return out
+# -- the Betti inequality -------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class TwistedLayer:
+    """The certificate of incidence layer ``dim``, with the ``shape`` and
+    ``rank`` of d^V_dim: the factorization of the cover's coboundary, the
+    identity ``P(psi_e) T = T (1 (+) R(psi_e))`` (its orthogonality
+    defect does not apply: ranks only need T invertible), and ``square``,
+    the largest entry of ``|d^V_(dim+1) d^V_dim|``, whose first nonzero
+    entry is at ``square_witness`` (row, column).  All must be 0."""
+
+    dim: int
+    shape: tuple
+    rank: int
+    factorization: Factorization
+    identity: BlockIdentity
+    square: int
+    square_witness: tuple | None
+
+    @property
+    def holds(self) -> bool:
+        return self.factorization.holds and self.identity.residual == 0 and self.square == 0
+
+
+@dataclass(frozen=True, eq=False)
 class DimensionVerdict:
+    """b_i of the base, of the cover and of the base with coefficients in
+    V_psi at ``dim``, and the certificates of the layers dim-1 and dim."""
+
     dim: int
     betti_base: int
     betti_cover: int
-    lift_residual: float
-    lift_sigma_min: float | None
-    holds: bool
+    betti_twisted: int
+    layers: tuple
+
+    @property
+    def holds(self) -> bool:
+        return all(layer.holds for layer in self.layers)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class BettiInequalityReport:
     per_dim: tuple
-    holds: bool
-    scheme: str
+
+    @property
+    def holds(self) -> bool:
+        return all(v.holds for v in self.per_dim)
 
 
-def verify_betti_inequality(
-    cov: CoveringMap,
-    schemes=(COMBINATORIAL,),
-    tol: float = 1e-8,
-) -> tuple:
-    """Check the covering Betti inequality dimension by dimension, per scheme.
-
-    Returns one :class:`BettiInequalityReport` per scheme in ``schemes``,
-    in that order.  For each dimension: the cover's Betti number must be
-    at least the base's, a kernel basis of the base operator must lift
-    into the cover's kernel (residual at most ``tol``), and the lifted
-    set must stay independent (smallest singular value at least
-    ``tol``).  Any failed sub-check marks the report as not holding; it
-    never raises.  Both Betti numbers are exact and do not depend on the
-    scheme, so each complex is ranked once for all schemes; the residual
-    and the singular value are the numeric side of the verdict.  The base
-    bases come from the Gram solves of :func:`_harmonic_bases`, only
-    where the base kernel is nonzero, and the residual from products
-    with the cover's weighted coboundaries: no Laplacian is assembled
-    and nothing is eigensolved.
-    """
-    if any(scheme.kind == EXPLICIT_KIND for scheme in schemes):
-        raise WeightError(
-            "the Betti inequality is only claimed for the combinatorial and "
-            "normalized schemes"
+def verify_betti_inequality(cov: CoveringMap) -> BettiInequalityReport:
+    """One verdict per dimension of the base, for every weight scheme, that
+    ``b_i(cover) = b_i(base) + b_i(base; V_psi)`` (module docstring), each
+    reading the :class:`TwistedLayer` certificates of layers i-1 and i.
+    The twisted coboundaries are ranked with clearing only when every
+    square is zero.  A failed certificate never raises."""
+    M, K, k = cov.base, cov.cover, cov.degree
+    transform = np.hstack([np.ones((k, 1), np.int64), np.eye(k, k - 1, dtype=np.int64)])
+    transform[k - 1, 1:] = -1
+    twisted, parts = {}, {}
+    for i in range(0, M.top_dim):
+        psi = induced_incidence_voltage(cov, i)
+        blocks = _reduced_blocks(psi.perms)
+        twisted[i] = _twisted_coboundary(M, i, blocks)
+        weightings = [IncidenceWeighting(M, {i: blocks})] if k > 1 else []
+        parts[i] = factor_lifted_coboundary(cov, i, psi, COMBINATORIAL), block_identity(psi, transform, weightings)
+    squares = {i: _square(twisted[i + 1], twisted[i], (k - 1) * M.face_count(i)) for i in twisted if i + 1 in twisted}
+    base = _betti(M, _cleared_pivots({j: coboundary(M, j) for j in range(M.min_dim, M.top_dim)}))
+    if any(residual for residual, _ in squares.values()):
+        ranks = {i: len(_pivots(*layer)) for i, layer in twisted.items()}
+    else:
+        ranks = {i: len(pivots) for i, pivots in _cleared_pivots(twisted).items()}
+    layers = {
+        i: TwistedLayer(
+            i, ((k - 1) * M.face_count(i + 1), (k - 1) * M.face_count(i)), ranks[i], *parts[i], *squares.get(i, (0, None))
         )
-    base_pivots = _cleared_pivots(cov.base)
-    base_betti = _betti(cov.base, base_pivots)
-    cover_betti = exact_betti_numbers(cov.cover)
-    return tuple(
-        _inequality_report(cov, scheme, base_betti, base_pivots, cover_betti, tol) for scheme in schemes
-    )
-
-
-def _inequality_report(cov, scheme, base_betti, base_pivots, cover_betti, tol) -> BettiInequalityReport:
-    bases = _harmonic_bases(cov.base, scheme, base_betti, base_pivots)
-    w = compute_weights(cov.cover, scheme)
+        for i in twisted
+    }
     verdicts = []
-    for i in sorted(base_betti):
-        b_base = base_betti[i]
-        b_cover = cover_betti.get(i, 0)
-        residual = 0.0
-        sigma_min = None
-        if b_base:
-            lifted = lift_cochain(bases[i], i, cov)
-            lifted = lifted / np.linalg.norm(lifted, axis=0)
-            # L x in cochain units, L = W^{-1/2} (Hermitian form) W^{1/2}
-            root = np.sqrt(w[i])[:, None]
-            residual = float(np.max(np.abs(_full_laplacian_product(cov.cover, i, w, root * lifted) / root)))
-            sigma_min = float(np.linalg.svd(lifted, compute_uv=False)[-1])
-        ok = b_cover >= b_base and residual <= tol and (sigma_min is None or sigma_min >= tol)
-        verdicts.append(DimensionVerdict(i, b_base, b_cover, residual, sigma_min, ok))
-    return BettiInequalityReport(tuple(verdicts), all(v.holds for v in verdicts), scheme.kind)
+    for i, b in base.items():
+        b_twisted = (k - 1) * M.face_count(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) if i >= 0 else 0
+        # a cover read from a file may drop the empty face the base keeps, or keep one it drops
+        b_cover = b + b_twisted + (i == 0) * (M.include_empty - K.include_empty)
+        verdicts.append(DimensionVerdict(i, b, b_cover, b_twisted, tuple(layers[j] for j in (i - 1, i) if j in layers)))
+    return BettiInequalityReport(tuple(verdicts))

@@ -286,19 +286,6 @@ def _gram(layer, kind: str) -> np.ndarray:
     return gram.reshape(n, n)
 
 
-def _product(layer, X: np.ndarray, adjoint: bool = False) -> np.ndarray:
-    """``A X``, or ``A^H X`` when ``adjoint``, for a real ``A`` given by the
-    nonzeros that :func:`_weighted_coboundary` returns: one ``np.bincount``
-    per column of ``X``, so memory grows with the nonzeros, not with the
-    dense ``A``."""
-    rows, cols, values, (n_hi, n_lo) = layer
-    into, out_of, n = (cols, rows, n_lo) if adjoint else (rows, cols, n_hi)
-    out = np.zeros((n, X.shape[1]))
-    for j, x in enumerate(X.T):
-        out[:, j] = np.bincount(into, values * x[out_of], n)
-    return out
-
-
 def layer_spectra(
     K: SimplicialComplex,
     i: int,

@@ -73,3 +73,22 @@ def c3_double_cover():
     result = derived_complex(base, psi)
     assert result.connected
     return result
+
+
+# RP^2 with 6 vertices (the hemi-icosahedron), and the edges whose swap
+# lifts it to its orientation double cover, the icosahedron
+RP2_FACETS = ((0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 5, 1), (1, 2, 4), (2, 3, 5), (3, 4, 1), (4, 5, 2), (5, 1, 3))
+RP2_SWAPPED_EDGES = ((1, 3), (1, 4), (2, 4), (2, 5), (3, 5))
+
+
+@pytest.fixture()
+def rp2_double_cover():
+    """The icosahedron as the 2-fold cover of RP^2: the first
+    non-orientable base, where b_2 rises from 0 to 1."""
+    from liftlap import derived_complex
+
+    base = build_complex([set(f) for f in RP2_FACETS])
+    psi = edge_voltages(base, 2, {e: (1, 0) for e in RP2_SWAPPED_EDGES})
+    result = derived_complex(base, psi)
+    assert result.connected
+    return result

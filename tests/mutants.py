@@ -1,5 +1,6 @@
-"""Named faults for the spectral commands, each a ``monkeypatch`` of one
-library function, and the small covers they are run on.
+"""Named faults for the verify and decompose commands, each a
+``monkeypatch`` of one library function, and the small covers they are
+run on.
 
 A fault replaces its function in every ``liftlap`` module that binds it,
 so the CLI's certified route and the direct-solve oracle of
@@ -229,6 +230,7 @@ COMMANDS = {
     "abelian": ["verify", "abelian"],
     "inclusion": ["verify", "inclusion"],
     "decompose": ["decompose", "--dim", "1", "--direction", "down", "--scheme", "normalized"],
+    "betti": ["verify", "betti"],
 }
 
 

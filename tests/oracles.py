@@ -38,6 +38,7 @@ from liftlap import (
     voltage_group,
 )
 from liftlap.complexes import COMBINATORIAL_KIND, NORMALIZED_KIND, _index
+from liftlap.covering import _orientation_signs
 from liftlap.operators import SpectrumComparison, _close
 
 
@@ -322,9 +323,8 @@ def harmonic_bases(K: SimplicialComplex, betti: dict, scheme: WeightScheme) -> d
     """A basis of each kernel of ``K`` under ``scheme``: where b_i > 0 the
     b_i eigenvectors of least eigenvalue of the full degree-i operator
     (the up part alone at the lowest dimension), mapped back to cochain
-    values; where b_i = 0 an empty basis, and no operator is built.  The
-    Gram solves of the library's Betti inequality must span the same
-    kernels."""
+    values; where b_i = 0 an empty basis, and no operator is built.  Their
+    lifts must be harmonic cochains of a cover (:func:`lifted_harmonics`)."""
     bases = {}
     for i, b in betti.items():
         if b == 0:
@@ -882,6 +882,46 @@ def per_face_induced_incidence_voltage(cov: CoveringMap, i: int) -> dict:
     return table
 
 
+def lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
+    """Pull a base i-cochain, or a basis of them, back to the cover.
+
+    The lifted value on a cover face is the base value on its image
+    times the orientation sign of the pointwise vertex map: the parity of
+    the inversions among the images of the face's vertices, read in the
+    face's own (increasing) order.  ``values`` is indexed by the base
+    i-faces in canonical order: a vector, or a matrix with one cochain
+    per column; the fibers place every column at once.  Kernels are
+    preserved because the combinatorial and normalized weight ratios
+    across incidences match between cover and base.
+    """
+    K, fibers = cov.cover, cov.fibers[i]
+    signs = _orientation_signs(cov, i).ravel()
+    values = np.asarray(values)
+    out = np.zeros((K.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
+    cols = np.arange(len(fibers)).repeat(fibers.shape[1])
+    out[fibers.ravel()] = signs.reshape((-1,) + (1,) * (values.ndim - 1)) * values[cols]
+    return out
+
+
+def lifted_harmonics(cov: CoveringMap, i: int, basis: np.ndarray, scheme: WeightScheme) -> tuple[float, float]:
+    """How far the lifts of the base harmonic i-cochains ``basis`` (one per
+    column) are from independent harmonic cochains of the cover: the
+    largest entry of ``L x`` over the lifts x, each of norm 1, with L the
+    cover's full degree-i cochain operator under ``scheme`` (the up part
+    alone at the lowest dimension), and the smallest singular value of
+    the lifts.  The operator comes from ``laplacian_matrix`` at call
+    time, so a fault patched into the library reaches it."""
+    from liftlap import operators
+
+    lifted = lift_cochain(basis, i, cov)
+    lifted = lifted / np.linalg.norm(lifted, axis=0)
+    op = operators.laplacian_matrix(cov.cover, i, "full" if i > cov.cover.min_dim else "up", scheme)
+    root = np.sqrt(op.weights)[:, None]
+    # L x in cochain units, L = W^{-1/2} (Hermitian form) W^{1/2}
+    residual = float(np.max(np.abs(op.matrix @ (root * lifted) / root)))
+    return residual, float(np.linalg.svd(lifted, compute_uv=False)[-1])
+
+
 def per_face_lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
     """A base i-cochain (or a matrix of them) lifted face by face: each
     cover face takes its image's value times ``relative_orientation_sign``;
@@ -959,10 +999,11 @@ def brute_force_base_matches(tol: float) -> list[tuple]:
     return sorted(found)
 
 
-# -- the direct-solve route of the spectral commands ---------------------------
+# -- the direct-solve route of the verify commands -----------------------------
 #
 # The spectral commands by the direct route: eigensolve the cover on every
-# layer and compare its spectrum with the base spectra at ``--tol``.  They
+# layer and compare its spectrum with the base spectra at ``--tol``; the
+# Betti command by ranking the cover and lifting eigensolved harmonics.  They
 # are the oracle the certified route of the CLI is checked against, and
 # read every library function from its module at call time, so a fault
 # patched into the library (tests/mutants.py) reaches both routes alike.
@@ -1059,3 +1100,29 @@ def direct_decompose(args, report):
             cmp.max_pairing_error,
         ),
     ]
+
+
+def direct_verify_betti(args, report):
+    """``verify betti`` by ranking the cover: per scheme and dimension, the
+    cover's exact Betti number is at least the base's, and an eigensolved
+    harmonic basis of the base lifts to harmonic cochains of the cover,
+    independent, both within ``args.tol``.  Reads the library at call
+    time, as the spectral oracles do."""
+    from liftlap import cli, homology
+
+    cov = cli._resolve_covering(args, report["inputs"])
+    cli._check_dim(cov, args.dim, cov.base.min_dim)
+    base, cover = homology.exact_betti_numbers(cov.base), homology.exact_betti_numbers(cov.cover)
+    verdicts = []
+    for name, scheme in cli._schemes(args.scheme):
+        bases = harmonic_bases(cov.base, base, scheme)
+        for i, b in base.items():
+            if args.dim not in (None, i):
+                continue
+            residual, sigma = lifted_harmonics(cov, i, bases[i], scheme) if b else (0.0, math.inf)
+            holds = cover.get(i, 0) >= b and residual <= args.tol and sigma >= args.tol
+            claim = f"betti inequality via harmonic lifting (dim {i}, {name})"
+            verdicts.append(cli._verdict(claim, holds, args.tol, residual, betti_base=b, betti_cover=cover.get(i, 0)))
+    table = {str(i): [b, cover.get(i, 0)] for i, b in base.items()}
+    report["results"] = {name: table for name, _ in cli._schemes(args.scheme)}
+    return verdicts

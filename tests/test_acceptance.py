@@ -23,9 +23,11 @@ from oracles import (
     cycle,
     explicit_down_laplacian,
     explicit_up_laplacian,
+    harmonic_bases,
     identity,
     incidence_voltages,
     kronecker_coboundary,
+    lifted_harmonics,
     nonzeros,
     numeric_kernel_dimension,
     symmetrized_form,
@@ -284,13 +286,17 @@ def test_criterion_7_betti_inequality():
         if out is None:
             continue
         _, result = out
-        for rep in verify_betti_inequality(result.covering, SCHEMES, tol=1e-8):
-            assert rep.holds
-            for v in rep.per_dim:
-                assert v.betti_cover >= v.betti_base
-                assert v.lift_residual <= 1e-8
-                if v.lift_sigma_min is not None:
-                    assert v.lift_sigma_min >= 1e-8
+        rep = verify_betti_inequality(result.covering)
+        assert rep.holds
+        cover = betti_numbers(result.complex).betti
+        for v in rep.per_dim:
+            assert v.betti_cover == cover[v.dim] >= v.betti_base
+            # the base harmonics lift to independent harmonic cochains
+            for scheme in SCHEMES:
+                basis = harmonic_bases(result.covering.base, {v.dim: v.betti_base}, scheme)[v.dim]
+                if v.betti_base:
+                    residual, sigma = lifted_harmonics(result.covering, v.dim, basis, scheme)
+                    assert residual <= TOL and sigma >= TOL
         done += 1
 
     # strict witness: every connected 2-lift of the 5-edge near-complete
@@ -319,9 +325,9 @@ def test_criterion_7b_reference_pair_equality(reference):
     assert out is not None
     _, result = out
     assert betti_numbers(result.complex).betti == base_betti
-    (rep,) = verify_betti_inequality(result.covering)
+    rep = verify_betti_inequality(result.covering)
     assert rep.holds
-    assert all(v.betti_base == v.betti_cover for v in rep.per_dim)
+    assert all(v.betti_base == v.betti_cover and v.betti_twisted == 0 for v in rep.per_dim)
     # the lifted coboundary of the reference pair factors exactly too
     for i in range(0, M.top_dim + 1):
         assert coboundary_factorization(result.covering, i).residual == 0

@@ -300,7 +300,7 @@ class TestVerify:
         assert code == 0
         assert report["results"]["combinatorial"]["1"] == [1, 1]
 
-    def test_betti_ranks_each_complex_once_for_both_schemes(
+    def test_betti_ranks_the_base_then_the_twisted_base_never_the_cover(
         self, capsys, monkeypatch, c3_file, c3_voltage_file
     ):
         from liftlap.homology import _pivots
@@ -316,11 +316,30 @@ class TestVerify:
             capsys, ["verify", "betti", "--base", c3_file, "--voltage", c3_voltage_file]
         )
         assert code == 0 and sorted(report["results"]) == ["combinatorial", "normalized"]
-        # top degree down, the triangle then the hexagon: d_0 (3 x 3, then
-        # 6 x 6) in full, then the one row of d_-1 left once the rows at
-        # d_0's 2 (then 5) pivot columns are skipped: rows, columns and
-        # nonzeros
-        assert ranked == [(3, 3, 6), (1, 1, 1), (6, 6, 12), (1, 1, 1)]
+        # once for both schemes, top degree down: the triangle's d_0 (3 x 3)
+        # in full and the one row of d_-1 left once the rows at d_0's 2
+        # pivot columns are skipped, then the twisted d^V_0 (3 x 3, V of
+        # dimension 1): rows, columns and nonzeros.  The hexagon's 6 x 6
+        # coboundary is never ranked
+        assert ranked == [(3, 3, 6), (1, 1, 1), (3, 3, 6)]
+        assert [v["claim"] for v in report["verdicts"]] == [
+            f"betti inequality via b_i(cover) = b_i(base) + b_i(base; V_psi) (dim {i})" for i in (-1, 0, 1)
+        ]
+        top = report["verdicts"][-1]
+        assert (top["betti_base"], top["betti_twisted"], top["betti_cover"], top["tolerance"]) == (1, 0, 1, 0)
+        assert top["twisted_coboundaries"] == [{"layer": 0, "shape": [3, 3], "rank": 3}]
+        assert top["factorization_residual"] == top["block_identity_residual"] == top["square_residual"] == 0
+        assert top["witness"] is None
+
+    def test_betti_on_the_icosahedron_over_rp2(self, capsys, tmp_path):
+        from conftest import RP2_FACETS, RP2_SWAPPED_EDGES
+
+        base = write(tmp_path, "rp2.json", {"facets": [list(f) for f in RP2_FACETS]})
+        psi = write(tmp_path, "rp2_psi.json", {"k": 2, "edges": [{"edge": list(e), "perm": [2, 1]} for e in RP2_SWAPPED_EDGES]})
+        code, report, _ = run(capsys, ["verify", "betti", "--base", base, "--voltage", psi, "--scheme", "combinatorial"])
+        assert code == 0
+        assert report["results"] == {"combinatorial": {"-1": [0, 0], "0": [0, 0], "1": [0, 0], "2": [0, 1]}}
+        assert report["verdicts"][-1]["betti_twisted"] == 1
 
     @pytest.mark.parametrize("claim, lowest", [("union", 0), ("inclusion", 0), ("abelian", 0), ("betti", -1)])
     def test_dim_outside_the_base_exits_3(self, capsys, c3_file, c3_voltage_file, claim, lowest):

@@ -15,7 +15,11 @@ from oracles import (
     explicit_down_laplacian,
     explicit_up_laplacian,
     face_coboundary,
+    dense_matrix,
     harmonic_bases,
+    kronecker_coboundary,
+    lift_cochain,
+    lifted_harmonics,
     nonzeros,
     numeric_kernel_dimension,
     per_face_lift_cochain,
@@ -29,7 +33,6 @@ from liftlap import (
     COMBINATORIAL,
     NORMALIZED,
     LiftlapError,
-    WeightError,
     WeightScheme,
     build_complex,
     coboundary,
@@ -37,10 +40,11 @@ from liftlap import (
     derived_complex,
     edge_voltages,
     exact_betti_numbers,
+    induced_incidence_voltage,
     integer_rank,
     laplacian_matrix,
-    lift_cochain,
     verify_betti_inequality,
+    verify_covering,
 )
 
 
@@ -198,17 +202,28 @@ class TestBettiNumbers:
         assert rep.betti == {-1: 0, 0: 0, 1: 1}
         assert rep.kernel_bases[1].shape == (3, 1)
 
-    def test_solves_only_for_nonzero_betti_numbers(self, monkeypatch):
-        # a loop with a filled triangle hanging off it: b_1 = 1 at a middle
-        # dimension, so both projections run there and nowhere else
+    def test_ranks_base_and_twisted_matrices_only(self, monkeypatch):
+        # a loop with a filled triangle hanging off it, under a 2-fold cover
+        # that swaps the sheets across one edge of the loop
         M = build_complex([{0, 1}, {1, 2}, {0, 2}, {2, 3, 4}])
         assert exact_betti_numbers(M) == {-1: 0, 0: 0, 1: 1, 2: 0}
         cov = derived_complex(M, edge_voltages(M, 2, {(0, 1): (1, 0)})).covering
-        calls, solved = _count_operator_calls(monkeypatch)
-        assert all(rep.holds for rep in verify_betti_inequality(cov, (COMBINATORIAL, NORMALIZED)))
-        # per scheme, the Gram matrices of A_0[:, T] (rank d_0 = 4) and A_1[R, :] (rank d_1 = 1)
-        assert solved == [4, 1, 4, 1]
-        assert calls == []
+        ranked = _count_ranked(monkeypatch)
+        calls = _count_linalg_calls(monkeypatch)
+        rep = verify_betti_inequality(cov)
+        assert rep.holds and calls == []
+        # top degree down, the base (d_1, then d_0 less the row of d_1's
+        # pivot column, then the row of d_-1 left) and then the twisted
+        # complex with V of dimension 1 (d^V_1, then d^V_0 less one row):
+        # rows, columns and nonzeros; the 2 x 12 and 12 x 10 coboundaries
+        # of the cover are never ranked
+        assert ranked == [(1, 3, 3), (5, 5, 10), (1, 1, 1), (1, 3, 3), (5, 5, 10)]
+        assert {v.dim: (v.betti_base, v.betti_twisted, v.betti_cover) for v in rep.per_dim} == {
+            -1: (0, 0, 0),
+            0: (0, 0, 0),
+            1: (1, 0, 1),
+            2: (0, 0, 0),
+        }
 
     def test_full_kernel_is_up_down_intersection(self):
         rng = np.random.default_rng(53)
@@ -265,11 +280,9 @@ class TestExplicitFormulas:
                     assert np.max(np.abs(symmetrized_form(direct, cochain_weights(K, i, scheme)) - ours)) <= 1e-10
 
 
-def _count_operator_calls(monkeypatch):
-    """Record every call of ``laplacian_matrix`` or a numpy eigensolver in
-    ``calls``, and the size of every Gram matrix the Betti route solves
-    with in ``solved``."""
-    calls, solved = [], []
+def _count_linalg_calls(monkeypatch):
+    """Record the name of every ``np.linalg`` function called, in ``calls``."""
+    calls = []
 
     def counting(name, function):
         def call(*args, **kwargs):
@@ -278,31 +291,39 @@ def _count_operator_calls(monkeypatch):
 
         return call
 
-    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(liftlap.operators, "laplacian_matrix", counting("laplacian_matrix", laplacian_matrix))
-    gram = liftlap.homology._gram
+    for name in np.linalg.__all__:
+        function = getattr(np.linalg, name)
+        if callable(function) and not isinstance(function, type):
+            monkeypatch.setattr(np.linalg, name, counting(name, function))
+    return calls
 
-    def counting_gram(layer, kind):
-        out = gram(layer, kind)
-        solved.append(len(out))
-        return out
 
-    monkeypatch.setattr(liftlap.homology, "_gram", counting_gram)
-    return calls, solved
+def _count_ranked(monkeypatch):
+    """Record the (rows, columns, nonzeros) of every matrix the exact rank
+    eliminates, in ``ranked``."""
+    ranked = []
+    pivots = liftlap.homology._pivots
+
+    def counting_pivots(rows, cols, values):
+        ranked.append((len(set(rows.tolist())), len(set(cols.tolist())), len(rows)))
+        return pivots(rows, cols, values)
+
+    monkeypatch.setattr(liftlap.homology, "_pivots", counting_pivots)
+    return ranked
 
 
 class TestBettiReport:
-    def test_inequality_assembles_no_operator_and_runs_no_eigensolver(self, c3_double_cover, monkeypatch):
+    def test_inequality_assembles_no_operator_and_runs_no_linalg(self, c3_double_cover, monkeypatch):
         cov = c3_double_cover.covering
         assert not hasattr(liftlap.homology, "laplacian_matrix")
-        calls, solved = _count_operator_calls(monkeypatch)
-        assert all(rep.holds for rep in verify_betti_inequality(cov, (COMBINATORIAL, NORMALIZED)))
-        # only the base kernel at dim 1, the top, is nonzero: one Gram
-        # matrix per scheme, of A_0[:, T] with rank d_0 = 2 columns; the
-        # hexagon's residual is taken from its coboundary's nonzeros
-        assert solved == [2, 2]
-        assert calls == []
+        calls = _count_linalg_calls(monkeypatch)
+        rep = verify_betti_inequality(cov)
+        assert rep.holds and calls == []
+        (layer,) = rep.per_dim[-1].layers
+        # the hexagon's 6 x 6 coboundary factors through the triangle's
+        # 3 x 3 twisted coboundary of rank 3, so the loop does not double
+        assert (layer.dim, layer.shape, layer.rank, layer.square) == (0, (3, 3), 3, 0)
+        assert layer.factorization.holds and layer.identity.residual == 0
 
 
 def _complexes(seed):
@@ -315,12 +336,24 @@ def _complexes(seed):
     return [M, unreduced] if out is None else [M, unreduced, out[1].complex]
 
 
+def _covers(seed):
+    """A random complex and, when one is found, a connected cover of it,
+    and the same with the vertices of the cover relabelled."""
+    rng = np.random.default_rng(seed)
+    M = random_complex(rng, max_vertices=7)
+    out = random_connected_cover(M, int(rng.integers(2, 5)), rng)
+    if out is None:
+        return []
+    result = out[1]
+    return [result.covering, scrambled_covering(rng, result.complex, result.vertex_map, M)]
+
+
 class TestBettiRoute:
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     def test_cleared_ranks_are_exact_ranks(self, seed):
         for K in _complexes(seed):
-            pivots = liftlap.homology._cleared_pivots(K)
+            pivots = liftlap.homology._cleared_pivots({j: coboundary(K, j) for j in range(K.min_dim, K.top_dim)})
             assert sorted(pivots) == list(range(K.min_dim, K.top_dim))
             for j in range(K.min_dim, K.top_dim):
                 d = coboundary_matrix(K, j)
@@ -334,34 +367,63 @@ class TestBettiRoute:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_bases_span_the_eigensolved_kernels(self, seed):
-        for K in _complexes(seed):
-            betti = exact_betti_numbers(K)
-            pivots = liftlap.homology._cleared_pivots(K)
-            for scheme in (COMBINATORIAL, NORMALIZED):
-                ours = liftlap.homology._harmonic_bases(K, scheme, betti, pivots)
-                oracle = harmonic_bases(K, betti, scheme)
-                assert sorted(ours) == [i for i in K.dims() if betti[i]]
-                for i, basis in ours.items():
-                    # orthonormal in the Hermitian form, projecting as the eigenvectors do
-                    root = np.sqrt(cochain_weights(K, i, scheme))[:, None]
-                    u, v = root * basis, root * oracle[i]
-                    assert u.shape == v.shape == (K.face_count(i), betti[i])
-                    assert np.max(np.abs(u.T @ u - np.eye(betti[i]))) <= 1e-9
-                    assert np.max(np.abs(u @ u.T - v @ v.T)) <= 1e-9
+    def test_certified_cover_betti_numbers_are_the_cover_ranks(self, seed):
+        for cov in _covers(seed):
+            rep = verify_betti_inequality(cov)
+            assert rep.holds
+            cover, base = exact_betti_numbers(cov.cover), exact_betti_numbers(cov.base)
+            for v in rep.per_dim:
+                assert (v.betti_base, v.betti_cover) == (base[v.dim], cover[v.dim])
+                assert v.betti_cover == v.betti_base + v.betti_twisted
+                for layer in v.layers:
+                    assert layer.factorization.residual == layer.identity.residual == layer.square == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1))
-    def test_triplet_residual_is_the_dense_product(self, seed):
+    def test_twisted_coboundary_splits_the_lifted_coboundary(self, seed):
+        # with T = [1 | e_j - e_(k-1)] on every face, the lifted coboundary
+        # D_psi (1 (x) T) is (1 (x) T) (d (+) d^V), the trivial coordinate of
+        # each face first: exactly, in integers, and of rank d + rank d^V
+        for cov in _covers(seed)[:1]:
+            M, k = cov.base, cov.degree
+            T = np.hstack([np.ones((k, 1), np.int64), np.eye(k, k - 1, dtype=np.int64)])
+            T[k - 1, 1:] = -1
+            for i in range(0, M.top_dim):
+                psi = induced_incidence_voltage(cov, i)
+                n_hi, n_lo = M.face_count(i + 1), M.face_count(i)
+                blocks = liftlap.homology._reduced_blocks(psi.perms)
+                twisted = dense_matrix(liftlap.homology._twisted_coboundary(M, i, blocks), (n_hi * (k - 1), n_lo * (k - 1)))
+                split = np.zeros((n_hi, k, n_lo, k), np.int64)
+                split[:, 0, :, 0] = coboundary_matrix(M, i)
+                split[:, 1:, :, 1:] = twisted.reshape(n_hi, k - 1, n_lo, k - 1)
+                split = split.reshape(n_hi * k, n_lo * k)
+                lifted = kronecker_coboundary(M, psi, i)
+                assert np.array_equal(lifted @ np.kron(np.eye(n_lo, dtype=np.int64), T), np.kron(np.eye(n_hi, dtype=np.int64), T) @ split)
+                assert bareiss_rank(lifted) == bareiss_rank(coboundary_matrix(M, i)) + bareiss_rank(twisted)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_square_is_the_dense_product(self, seed):
         rng = np.random.default_rng(seed)
-        for K in _complexes(seed):
+        shapes = rng.integers(0, 6, size=3)
+        upper, lower = (rng.integers(-2, 3, size=(a, b)) * (rng.random((a, b)) < 0.5) for a, b in zip(shapes, shapes[1:]))
+        product = upper @ lower
+        residual, witness = liftlap.homology._square(nonzeros(upper), nonzeros(lower), lower.shape[1])
+        assert residual == np.abs(product).max(initial=0)
+        assert witness == (None if not product.any() else tuple(np.argwhere(product)[0].tolist()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_lifted_base_harmonics_lie_in_the_cover_kernel(self, seed):
+        # the eigh harmonic bases of the base lift to independent harmonic
+        # cochains of the cover, under both schemes
+        for cov in _covers(seed):
+            betti = exact_betti_numbers(cov.base)
             for scheme in (COMBINATORIAL, NORMALIZED):
-                w = compute_weights(K, scheme)
-                for i in K.dims():
-                    X = rng.standard_normal((K.face_count(i), 3))
-                    dense = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme).matrix @ X
-                    ours = liftlap.homology._full_laplacian_product(K, i, w, X)
-                    assert np.max(np.abs(ours - dense), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(dense), initial=0.0))
+                for i, basis in harmonic_bases(cov.base, betti, scheme).items():
+                    if betti[i]:
+                        residual, sigma = lifted_harmonics(cov, i, basis, scheme)
+                        assert residual <= 1e-9 and sigma >= 1e-6
 
 
 class TestLiftCochain:
@@ -416,10 +478,37 @@ class TestLiftCochain:
 
 class TestBettiInequality:
     def test_hexagon_over_triangle(self, c3_double_cover):
-        for rep in verify_betti_inequality(c3_double_cover.covering, (COMBINATORIAL, NORMALIZED)):
-            assert rep.holds
-            by_dim = {v.dim: v for v in rep.per_dim}
-            assert by_dim[1].betti_base == 1 and by_dim[1].betti_cover == 1
+        rep = verify_betti_inequality(c3_double_cover.covering)
+        assert rep.holds
+        by_dim = {v.dim: v for v in rep.per_dim}
+        assert by_dim[1].betti_base == 1 and by_dim[1].betti_cover == 1
+
+    @pytest.mark.parametrize("cover_empty, base_empty", [(False, True), (True, False)])
+    def test_cover_and_base_disagreeing_on_the_empty_face(self, c3_double_cover, cover_empty, base_empty):
+        # a covering map read from files may pair a reduced base with an
+        # unreduced cover, or the other way round: b_0 counts accordingly
+        K = build_complex(c3_double_cover.complex.facets(), include_empty=cover_empty)
+        M = build_complex(c3_double_cover.covering.base.facets(), include_empty=base_empty)
+        rep = verify_betti_inequality(verify_covering(K, M, c3_double_cover.vertex_map))
+        assert rep.holds
+        cover = exact_betti_numbers(K)
+        assert {v.dim: v.betti_cover for v in rep.per_dim} == {i: cover.get(i, 0) for i in M.dims()}
+
+    def test_icosahedron_over_the_projective_plane(self, rp2_double_cover):
+        cov = rp2_double_cover.covering
+        assert [cov.cover.face_count(d) for d in range(3)] == [12, 30, 20]
+        assert (np.bincount(coboundary(cov.cover, 0)[1]) == 5).all()
+        rep = verify_betti_inequality(cov)
+        assert rep.holds
+        # RP^2 has no rational homology; twisted by its orientation
+        # character it has b_2 = 1, and so has the sphere above it
+        assert {v.dim: (v.betti_base, v.betti_twisted, v.betti_cover) for v in rep.per_dim} == {
+            -1: (0, 0, 0),
+            0: (0, 0, 0),
+            1: (0, 0, 0),
+            2: (0, 1, 1),
+        }
+        assert exact_betti_numbers(cov.cover) == {-1: 0, 0: 0, 1: 0, 2: 1}
 
     def test_every_connected_two_lift_of_near_complete_graph_is_strict(self):
         from itertools import product
@@ -436,31 +525,37 @@ class TestBettiInequality:
             connected_lifts += 1
             rep = betti_numbers(result.complex)
             assert rep.betti[1] == 3
-            (check,) = verify_betti_inequality(result.covering)
+            check = verify_betti_inequality(result.covering)
             assert check.holds
             by_dim = {v.dim: v for v in check.per_dim}
             assert by_dim[1].betti_cover > by_dim[1].betti_base
+            assert by_dim[1].betti_twisted == 1
         assert connected_lifts > 0
 
-    def test_lifted_bases_independent_on_random_covers(self):
-        rng = np.random.default_rng(56)
-        done = 0
-        while done < 6:
-            M = random_complex(rng, min_beta1=1)
-            out = random_connected_cover(M, int(rng.integers(2, 4)), rng)
-            if out is None:
-                continue
-            _, result = out
-            for rep in verify_betti_inequality(result.covering, (COMBINATORIAL, NORMALIZED)):
-                assert rep.holds
-                for v in rep.per_dim:
-                    if v.lift_sigma_min is not None:
-                        assert v.lift_sigma_min >= 1e-8
-            done += 1
+    def test_an_inverted_voltage_fails_with_full_ranks(self, monkeypatch):
+        # a Z_3 cover of an annulus (inner 0 1 2, outer 3 4 5, the edges
+        # from 0 and 3 to 2 and 5 crossing a cut), with the first voltage
+        # that is not its own inverse inverted: the factorization and the
+        # square of the twisted coboundary fail, so nothing is cleared
+        # and each twisted matrix is ranked in full
+        M = build_complex([{0, 1, 3}, {1, 3, 4}, {1, 2, 4}, {2, 4, 5}, {0, 2, 5}, {0, 3, 5}])
+        cut = {(0, 2): (1, 2, 0), (0, 5): (1, 2, 0), (3, 5): (1, 2, 0)}
+        cov = derived_complex(M, edge_voltages(M, 3, cut)).covering
+        real = liftlap.homology.induced_incidence_voltage
 
-    def test_explicit_scheme_rejected(self, c3_double_cover):
-        faces = list(c3_double_cover.covering.base.all_faces())
-        with pytest.raises(WeightError):
-            verify_betti_inequality(
-                c3_double_cover.covering, [WeightScheme.explicit({f: 1.0 for f in faces})]
-            )
+        def inverted(cov, i):
+            psi = real(cov, i)
+            perms = psi.perms.copy()
+            e = int(np.argmax((perms[np.arange(len(perms))[:, None], perms] != np.arange(3)).any(axis=1)))
+            perms[e] = np.argsort(perms[e])
+            return type(psi)(psi.base, psi.k, psi.dim, perms)
+
+        monkeypatch.setattr(liftlap.homology, "induced_incidence_voltage", inverted)
+        rep = verify_betti_inequality(cov)
+        assert not rep.holds
+        layers = {layer.dim: layer for v in rep.per_dim for layer in v.layers}
+        assert layers[0].factorization.witness is not None and layers[0].square > 0
+        for i, layer in layers.items():
+            blocks = liftlap.homology._reduced_blocks(inverted(cov, i).perms)
+            twisted = liftlap.homology._twisted_coboundary(M, i, blocks)
+            assert layer.rank == bareiss_rank(dense_matrix(twisted, layer.shape))

@@ -1,6 +1,8 @@
 """The kill matrix: every named fault of :mod:`mutants` run through the
-spectral commands on three small covers, on the certified route (the CLI)
-and on the direct-solve oracle.
+verify and decompose commands on three small covers, on the certified
+route (the CLI) and on the direct oracle: the spectral commands solve the
+cover, and ``verify betti`` ranks the cover and lifts eigensolved base
+harmonics.
 
 A cell is ``x`` when the command exits 1 (a verdict fails) and ``.`` when
 every verdict holds; a command whose claim does not apply to a cover
@@ -15,22 +17,22 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 
 from mutants import COMMANDS, COVERS, MUTANTS, write_cover
-from oracles import direct_decompose, direct_verify_spectral
+from oracles import direct_decompose, direct_verify_betti, direct_verify_spectral
 
 from liftlap import cli
 
 # the claims that apply: union needs two sheets, abelian an abelian voltage group
 APPLIES = {
-    "C3-double": ("union", "abelian", "inclusion", "decompose"),
-    "Z3-triangle": ("abelian", "inclusion", "decompose"),
-    "S3-punctured-torus": ("inclusion", "decompose"),
+    "C3-double": ("union", "abelian", "inclusion", "decompose", "betti"),
+    "Z3-triangle": ("abelian", "inclusion", "decompose", "betti"),
+    "S3-punctured-torus": ("inclusion", "decompose", "betti"),
 }
 
 # mutant -> cover -> command -> direct outcome, certified outcome
 ALL_CAUGHT = {
-    "C3-double": {"union": "xx", "abelian": "xx", "inclusion": "xx", "decompose": "xx"},
-    "Z3-triangle": {"abelian": "xx", "inclusion": "xx", "decompose": "xx"},
-    "S3-punctured-torus": {"inclusion": "xx", "decompose": "xx"},
+    "C3-double": {"union": "xx", "abelian": "xx", "inclusion": "xx", "decompose": "xx", "betti": "xx"},
+    "Z3-triangle": {"abelian": "xx", "inclusion": "xx", "decompose": "xx", "betti": "xx"},
+    "S3-punctured-torus": {"inclusion": "xx", "decompose": "xx", "betti": "xx"},
 }
 NONE_CAUGHT = {cover: {command: ".." for command in row} for cover, row in ALL_CAUGHT.items()}
 
@@ -44,38 +46,54 @@ def _with(table, **cells):
     return out
 
 
+# Betti numbers read no weight, signing, block or padding
+BETTI_SURVIVES = {"C3_double__betti": "..", "Z3_triangle__betti": "..", "S3_punctured_torus__betti": ".."}
+
 KILL_MATRIX = {
     "cover-sign-flip": ALL_CAUGHT,
     # the swapped hexagon and the swapped 9-cycle still hold the base spectrum
     "cover-sheet-swap": _with(ALL_CAUGHT, C3_double__inclusion=".x", Z3_triangle__inclusion=".x"),
-    # the direct route compares no voltage with the cover, and on the Z_3
+    # the direct routes compare no voltage with the cover, and on the Z_3
     # cover the faulty character blocks keep the union of their spectra
     "voltage-inverted": _with(
         NONE_CAUGHT,
         Z3_triangle__abelian=".x",
         Z3_triangle__inclusion=".x",
         Z3_triangle__decompose=".x",
+        Z3_triangle__betti=".x",
         S3_punctured_torus__inclusion=".x",
         S3_punctured_torus__decompose="xx",
+        S3_punctured_torus__betti=".x",
     ),
     "signing-misses-swap": _with(NONE_CAUGHT, C3_double__union="xx"),
     "block-transposed": _with(NONE_CAUGHT, S3_punctured_torus__decompose="xx"),
     "weight-scaled": _with(
-        ALL_CAUGHT, C3_double__inclusion="..", Z3_triangle__inclusion="..", S3_punctured_torus__inclusion=".."
+        ALL_CAUGHT,
+        C3_double__inclusion="..",
+        Z3_triangle__inclusion="..",
+        S3_punctured_torus__inclusion="..",
+        **BETTI_SURVIVES,
     ),
-    "cover-weight-off-by-one": ALL_CAUGHT,
+    "cover-weight-off-by-one": _with(ALL_CAUGHT, **BETTI_SURVIVES),
     "padding-short": _with(NONE_CAUGHT, C3_double__union="x.", S3_punctured_torus__decompose="x."),
 }
 
 # why a fault survives a cell on both routes: it makes no fault there
 SURVIVORS = {
     "voltage-inverted": "every voltage of a 2-fold cover is its own inverse",
-    "signing-misses-swap": "only the union reads the two-fold signing",
-    "block-transposed": "a 1 x 1 block is its own transpose, and inclusion reads no block",
-    "weight-scaled": "inclusion reads no decoration",
+    "signing-misses-swap": "only the union reads the two-fold signing, and Betti numbers read no signing",
+    "block-transposed": (
+        "a 1 x 1 block is its own transpose, inclusion reads no block, and the Betti certificate reads "
+        "its own integer blocks R(psi_e), not the decomposition's"
+    ),
+    "weight-scaled": "inclusion and betti read no decoration",
+    "cover-weight-off-by-one": (
+        "Betti numbers read no weight: the certificate factors the cover under the combinatorial scheme, "
+        "and a vertex weight leaves the harmonic cochains of dimension 1 and up where they were"
+    ),
     "padding-short": (
-        "a graph cover has as many edges as vertices, so nothing is padded, and inclusion compares "
-        "the base inside the cover, both short by one zero"
+        "a graph cover has as many edges as vertices, so nothing is padded, inclusion compares "
+        "the base inside the cover, both short by one zero, and betti reads no spectrum"
     ),
 }
 
@@ -100,6 +118,7 @@ def run(argv, monkeypatch, mutant=None, direct=False):
         if direct:
             m.setattr(cli, "cmd_verify_spectral", direct_verify_spectral)
             m.setattr(cli, "cmd_decompose", direct_decompose)
+            m.setattr(cli, "cmd_verify_betti", direct_verify_betti)
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli.main(argv)
