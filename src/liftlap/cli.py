@@ -25,7 +25,7 @@ import hashlib
 import json
 import math
 import sys
-from functools import reduce
+from functools import cache, reduce
 from pathlib import Path
 
 import numpy as np
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     decorations = p.add_mutually_exclusive_group()
     decorations.add_argument("--signing")
     decorations.add_argument("--weighting")
-    p.set_defaults(func=cmd_spectrum)
+    p.set_defaults(handler="cmd_spectrum")
 
     pc = sub.add_parser("cover", help="build or verify coverings")
     csub = pc.add_subparsers(dest="subcommand", required=True)
@@ -523,19 +523,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base", required=True)
     p.add_argument("--voltage", required=True)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_cover_build)
+    p.set_defaults(handler="cmd_cover_build")
     p = csub.add_parser("verify", help="check the covering axioms of a vertex map")
     p.add_argument("--cover", required=True)
     p.add_argument("--base", required=True)
     p.add_argument("--map", required=True)
-    p.set_defaults(func=cmd_cover_verify)
+    p.set_defaults(handler="cmd_cover_verify")
 
     p = sub.add_parser("decompose", help="block decomposition of a lifted operator")
     _add_cover_inputs(p)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--direction", choices=["up", "down"], default="up")
     p.add_argument("--scheme", choices=sorted(SCHEMES), default="combinatorial")
-    p.set_defaults(func=cmd_decompose)
+    p.set_defaults(handler="cmd_decompose")
 
     pv = sub.add_parser("verify", help="verify a spectral or homological claim")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
@@ -544,20 +544,27 @@ def build_parser() -> argparse.ArgumentParser:
         _add_cover_inputs(p)
         p.add_argument("--dim", type=int)
         p.add_argument("--scheme", choices=sorted(SCHEMES) + ["both"], default="both")
-        p.set_defaults(func=cmd_verify_betti if name == "betti" else cmd_verify_spectral)
+        p.set_defaults(handler="cmd_verify_betti" if name == "betti" else "cmd_verify_spectral")
 
     pf = sub.add_parser("fixture", help="fixture recovery oracles")
     fsub = pf.add_subparsers(dest="subcommand", required=True)
     p = fsub.add_parser("search-fig1", help="brute-force search for the reference 2-complex")
     p.add_argument("--out", default="fig1_fixture.json")
-    p.set_defaults(func=cmd_fixture)
+    p.set_defaults(handler="cmd_fixture")
 
     return ap
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process.  Each command
+    names its handler, which :func:`main` looks up in this module when it
+    runs, so a handler replaced after the build is the one called."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = _parser().parse_args(argv)
     report = {
         "command": args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),
         "inputs": {},
@@ -566,7 +573,7 @@ def main(argv=None) -> int:
         "verdicts": [],
     }
     try:
-        verdicts = args.func(args, report)
+        verdicts = globals()[args.handler](args, report)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -10,20 +10,21 @@ with each row sorted, and checks them when it is built.  Everything
 else is computed from those arrays on first use and then kept:
 
 * the d-faces, one sorted, duplicate-free ``(n_d, d+1)`` int64 array
-  per dimension, from the (d+1)-column combinations of the facet
-  arrays by one ``lexsort`` and a comparison of neighbouring rows;
+  per dimension, built from the top dimension down: the distinct rows,
+  by one ``lexsort`` and a comparison of neighbouring rows, among the
+  boundary rows of the (d+1)-faces and the given facets of width d+1;
+* the coboundary triplets of each degree, as read-only arrays, whose
+  columns are the inverse of that sort: the position of each boundary
+  row of a (d+1)-face among the d-faces;
 * the face tuples of ``faces(d)`` and the vertex sets of
   ``components()``, views of those arrays (components by label
-  propagation over the edge array);
-* the coboundary triplets of each degree, as read-only arrays.
+  propagation over the edge array).
 
-Every face lookup goes through one structure: the face array of a
+A face given by its vertices is looked up in the face array of its
 dimension, searched row by row with ``searchsorted``
-(:meth:`SimplicialComplex._locate`).  The coboundary finds the boundary
-faces there as the face rows with one column deleted; ``index``,
-``has_face``, ``cofacets``, ``facets`` and the weights read the
-coboundary or the same arrays, and weights are one float64 array per
-dimension.
+(:meth:`SimplicialComplex._locate`).  ``index``, ``has_face``,
+``cofacets``, ``facets`` and the weights read the coboundary or the
+same arrays, and weights are one float64 array per dimension.
 
 A complex never changes after construction and every operation is a
 pure function, so concurrent reads are safe (a cache filled twice holds
@@ -35,7 +36,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, cycle, repeat
+from itertools import chain, compress, cycle, repeat
 
 import numpy as np
 
@@ -243,18 +244,25 @@ class SimplicialComplex:
 
     def _face_array(self, d: int) -> np.ndarray:
         """The d-faces as one read-only ``(n_d, d+1)`` int64 array, rows in
-        canonical order: the distinct rows among every (d+1)-column
-        combination of every facet array, by :func:`_unique_rows`."""
+        canonical order.
+
+        The faces are built from the top dimension down: the d-faces are
+        the distinct rows, by :func:`_unique_rows`, among the boundary
+        rows of every (d+1)-face, in coboundary order, and the given
+        facets of width d+1.  The position of each boundary row among
+        the d-faces is the column array of the degree-d coboundary,
+        which is kept with the faces unless that degree is already set."""
         if d not in self._arrays:
             if not 0 <= d <= self._top_dim:
                 faces = np.zeros((int(d == -1 and self._include_empty), max(d + 1, 0)), np.int64)
             else:
-                faces = np.concatenate([
-                    a[:, list(combinations(range(a.shape[1]), d + 1))].reshape(-1, d + 1)
-                    for a in self._given
-                    if a.shape[1] > d
-                ])
-                faces = _unique_rows(faces)[0]
+                above = self._face_array(d + 1)
+                n, width = above.shape
+                # the k-th boundary face in lexicographic order omits column width-1-k
+                kept = [[c for c in range(width) if c != width - 1 - k] for k in range(width)]
+                parts = [above[:, kept].reshape(n * width, d + 1)] + [a for a in self._given if a.shape[1] == d + 1]
+                faces, inverse = _unique_rows(np.concatenate(parts))
+                self._coboundaries.setdefault(d, _triplets(n, width, inverse[: n * width]))
             faces.flags.writeable = False
             self._arrays[d] = faces
         return self._arrays[d]
@@ -393,28 +401,31 @@ def coboundary(K: SimplicialComplex, i: int) -> tuple[np.ndarray, np.ndarray, np
     (r, c) is ``(-1)**j`` when the c-th i-face is the r-th (i+1)-face
     without its j-th vertex.  Every coboundary in the package, plain,
     decorated or lifted, takes its signs from here.  The triplets are
-    computed once per degree and kept on ``K`` as read-only arrays.
-    Valid degrees are ``min_dim <= i <= top_dim``; at ``top_dim`` there
-    are no rows.
+    kept on ``K`` as read-only arrays.  Degree -1 has every column 0;
+    for i >= 0 the columns come from the sort that builds the i-faces
+    (:meth:`SimplicialComplex._face_array`), as the position of each
+    boundary row among them, so no face is searched for.  Valid degrees
+    are ``min_dim <= i <= top_dim``; at ``top_dim`` there are no rows.
     """
     if not K.min_dim <= i <= K.top_dim:
         raise DimensionError(f"coboundary dimension {i} outside [{K.min_dim}, {K.top_dim}]")
-    if i not in K._coboundaries:
-        rows = K._face_array(i + 1)
-        n, width = rows.shape
-        if i == -1:
-            # the boundary of every vertex is the empty face
-            col = np.zeros(n, np.int64)
-        else:
-            # the k-th boundary face in lexicographic order omits vertex width-1-k
-            kept = [[c for c in range(width) if c != width - 1 - k] for k in range(width)]
-            col = K._locate(rows[:, kept].reshape(n * width, width - 1))
-        row = np.arange(n, dtype=np.int64).repeat(width)
-        sign = np.array(([1, -1] * width)[width - 1 :: -1] * n, dtype=np.int64)
-        for a in (row, col, sign):
-            a.flags.writeable = False
-        K._coboundaries[i] = row, col, sign
+    if i == -1 and i not in K._coboundaries:
+        # the boundary of every vertex is the empty face
+        n = K.face_count(0)
+        K._coboundaries[i] = _triplets(n, 1, np.zeros(n, np.int64))
+    K._face_array(i)
     return K._coboundaries[i]
+
+
+def _triplets(n: int, width: int, col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only coboundary triplets of ``n`` rows with ``width`` nonzeros
+    each, at the columns ``col``: the k-th nonzero of a row omits vertex
+    j = width-1-k and has sign (-1)**j."""
+    row = np.arange(n, dtype=np.int64).repeat(width)
+    sign = np.tile((-1) ** np.arange(width - 1, -1, -1, dtype=np.int64), n)
+    for a in (row, col, sign):
+        a.flags.writeable = False
+    return row, col, sign
 
 
 # -- weights --------------------------------------------------------------

@@ -312,10 +312,13 @@ def check_cocycle(M: SimplicialComplex, volt: np.ndarray) -> None:
     """Voltages must compose around every 2-face: psi(u,v) o psi(v,w) == psi(u,w).
 
     ``volt[e]`` is the voltage of the edge ``M.faces(1)[e]`` read from
-    its lesser end, as :class:`EdgeVoltages` stores it.
+    its lesser end, as :class:`EdgeVoltages` stores it.  The edges of
+    a 2-face (u, v, w) are its three degree-1 coboundary columns, in the
+    order (u, v), (u, w), (v, w).
     """
-    tris = M._face_array(2)
-    uv, vw, uw = (volt[M._locate(tris[:, cols])] for cols in ([0, 1], [1, 2], [0, 2]))
+    if M.top_dim < 2:
+        return
+    uv, uw, vw = (volt[c] for c in coboundary(M, 1)[1].reshape(-1, 3).T)
     bad = (np.take_along_axis(uv, vw, axis=1) != uw).any(axis=1)
     if bad.any():
         tri = M.faces(2)[int(np.argmax(bad))]

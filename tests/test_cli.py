@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import liftlap
+from liftlap import cli
 from liftlap.cli import main
 
 from conftest import REFERENCE_FACETS
@@ -59,6 +60,41 @@ def test_verdicts_import_numpy_only(c3_file, c3_voltage_file):
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert all(v["holds"] for v in json.loads(done.stdout)["verdicts"])
+
+
+class TestParser:
+    def test_the_parser_built_once_reports_what_a_fresh_one_does(
+        self, capsys, monkeypatch, triangle_file, c3_file, c3_voltage_file
+    ):
+        calls = [
+            ["spectrum", "--complex", triangle_file, "--dim", "1", "--kind", "sideways"],
+            ["--seed", "5", "spectrum", "--complex", triangle_file, "--dim", "1", "--kind", "down"],
+            ["verify", "betti", "--base", c3_file, "--voltage", c3_voltage_file],
+        ]
+
+        def outcomes():
+            out = []
+            for argv in calls:
+                try:
+                    out.append(run(capsys, argv))
+                except SystemExit as exc:
+                    out.append((exc.code, None, capsys.readouterr().err))
+            return out
+
+        once = outcomes()
+        assert cli._parser() is cli._parser()
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        assert once == outcomes()
+        assert [code for code, _, _ in once] == [2, 0, 0]
+        assert "invalid choice: 'sideways'" in once[0][2]
+        assert [report["seed"] for _, report, _ in once[1:]] == [5, 0]
+
+    def test_a_handler_replaced_after_the_build_is_called(self, capsys, monkeypatch, triangle_file):
+        argv = ["spectrum", "--complex", triangle_file, "--dim", "1"]
+        assert run(capsys, argv)[0] == 0
+        monkeypatch.setattr(cli, "cmd_spectrum", lambda args, report: [])
+        code, report, err = run(capsys, argv)
+        assert code == 0 and report["results"] == {} and "no verdicts" in err
 
 
 class TestSpectrum:

@@ -491,3 +491,51 @@ class TestCoboundaryCache:
             assert all(a is b for a, b in zip(decorated_coboundary(K, i), triplets))
         with pytest.raises(ValueError):
             coboundary(K, 0)[1][0] = 5
+
+
+@st.composite
+def _randgen_inputs(draw):
+    """The facets of a ``randgen`` complex, with repeated and non-maximal
+    facets added, at times a lone vertex, and the facets of one width
+    given as a 2-D array, in a random order."""
+    K = random_complex(np.random.default_rng(draw(_SEEDS)))
+    facets = [list(f) for f in K.facets()]
+    for f in list(facets):
+        if draw(st.booleans()):
+            facets.append(f)
+        if len(f) > 1 and draw(st.booleans()):
+            facets.append(sorted(draw(st.permutations(f))[: draw(st.integers(1, len(f) - 1))]))
+    if draw(st.booleans()):
+        facets.append([max(K.vertices) + 1])
+    width = draw(st.sampled_from(sorted({len(f) for f in facets})))
+    block = np.array([f for f in facets if len(f) == width], np.int64)
+    return draw(st.permutations([f for f in facets if len(f) != width] + [block]))
+
+
+class TestOrderOfFirstUse:
+    @settings(max_examples=100, deadline=None)
+    @given(_randgen_inputs(), st.booleans(), st.data())
+    def test_faces_and_coboundaries_do_not_depend_on_what_is_asked_first(self, facets, include_empty, data):
+        rows = [f for a in facets for f in (a.tolist() if isinstance(a, np.ndarray) else [a])]
+        ref = closure_faces(rows, include_empty)
+        seen = []
+        for first in ("coboundary", "faces(0)", "_indices", "components"):
+            K = build_complex(facets, include_empty=include_empty)
+            if first == "coboundary":
+                coboundary(K, data.draw(st.sampled_from(list(K.dims()))))
+            elif first == "faces(0)":
+                K.faces(0)
+            elif first == "_indices":
+                K._indices([data.draw(st.sampled_from(ref[data.draw(st.sampled_from(sorted(ref)))]))])
+            else:
+                K.components()
+            triplets = {i: coboundary(K, i) for i in data.draw(st.permutations(list(K.dims())))}
+            seen.append(
+                [(a.shape, a.dtype.str, a.tobytes()) for d in K.dims() for a in [K._face_array(d)]]
+                + [(a.dtype.str, a.tobytes()) for i in K.dims() for a in triplets[i]]
+            )
+        assert all(s == seen[0] for s in seen)
+        for d in K.dims():
+            assert K.faces(d) == ref[d]
+            for a, b in zip(coboundary(K, d), face_coboundary(ref.get(d + 1, ()), ref[d])):
+                assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()

@@ -350,6 +350,24 @@ class TestDerivedComplex:
             derived_complex(triangle, psi)
         assert err.value.witness == (0, 1, 2)
 
+    @pytest.mark.parametrize(
+        "uv, vw, uw, consistent",
+        [
+            # c o c == c^2, while c o c^2 is the identity, not c
+            ((1, 2, 0), (1, 2, 0), (2, 0, 1), True),
+            ((1, 2, 0), (2, 0, 1), (1, 2, 0), False),
+        ],
+    )
+    def test_cocycle_reads_each_edge_of_the_triangle(self, triangle, uv, vw, uw, consistent):
+        # over Z_3 the check tells (v, w) from (u, w); over Z_2 it cannot
+        psi = edge_voltages(triangle, 3, {(0, 1): uv, (1, 2): vw, (0, 2): uw})
+        if consistent:
+            assert len(derived_complex(triangle, psi).components) == 3
+        else:
+            with pytest.raises(CocycleError) as err:
+                derived_complex(triangle, psi)
+            assert err.value.witness == (0, 1, 2)
+
     @pytest.mark.parametrize("edge, witness", [((1, 3), (1, 2, 3)), ((1, 2), (0, 1, 2))])
     def test_first_inconsistent_triangle_is_the_witness(self, edge, witness):
         M = build_complex([(0, 1, 2), (1, 2, 3)])
