@@ -72,6 +72,7 @@ from .representation import (
     abelian_decomposition,
     abelian_weightings,
     block_identity,
+    block_values,
     block_weightings,
     decompose_representation,
     two_fold_signing,

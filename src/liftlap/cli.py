@@ -3,7 +3,7 @@
 Reports are JSON on stdout (stable key order, deterministic for fixed
 inputs and seed); a human summary goes to stderr.  Exit codes: 0 when
 every verdict holds, 1 when a verified claim fails, 2 for parse errors,
-3 for precondition errors.
+3 for precondition errors and when a command runs out of memory.
 
 The spectral claims (``verify union|abelian|inclusion`` and
 ``decompose``) solve no operator of the cover.  Each verdict is the
@@ -47,6 +47,7 @@ from .representation import (
     RESIDUAL_TOL,
     abelian_decomposition,
     block_identity,
+    block_values,
     block_weightings,
     decompose_representation,
     two_fold_signing,
@@ -205,8 +206,9 @@ def cmd_decompose(args, report):
     dec = decompose_representation(group, seed=args.seed)
     weightings = block_weightings(psi, dec)
     spectra = [layer_spectra(cov.base, layer, scheme, w)[side] for w in [None] + weightings]
-    # block 0 is the base operator exactly when rho_0 is the trivial representation
-    first_err = float(np.max(np.abs(dec.blocks[0][:, 0, 0] - 1)))
+    # block 0 is the base operator exactly when rho_0 is the trivial representation,
+    # which holds on G when it holds at the generators
+    first_err = float(np.abs(block_values(dec, group.generators)[0] - 1).max(initial=0.0))
     report["results"] = {
         "group_order": group.order,
         "block_sizes": list(dec.block_sizes),
@@ -579,6 +581,9 @@ def main(argv=None) -> int:
         return 2
     except LiftlapError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:
+        print(f"error: '{report['command']}' ran out of memory", file=sys.stderr)
         return 3
     report["verdicts"] = verdicts
     print(json.dumps(report, sort_keys=True))

@@ -326,8 +326,8 @@ class SimplicialComplex:
     def _component_roots(self) -> np.ndarray:
         """Index of the least vertex of each vertex's component."""
         if self._roots is None:
-            verts = self._face_array(0)[:, 0]
-            self._roots = _label_components(len(verts), verts.searchsorted(self._face_array(1)))
+            # an edge's two vertex indices are its columns of the degree-0 coboundary
+            self._roots = _label_components(self.face_count(0), coboundary(self, 0)[1].reshape(-1, 2))
         return self._roots
 
     @property

@@ -251,7 +251,7 @@ def verify_betti_inequality(cov: CoveringMap) -> BettiInequalityReport:
         weightings = [IncidenceWeighting(M, {i: blocks})] if k > 1 else []
         parts[i] = factor_lifted_coboundary(cov, i, psi, COMBINATORIAL), block_identity(psi, transform, weightings)
     squares = {i: _square(twisted[i + 1], twisted[i], (k - 1) * M.face_count(i)) for i in twisted if i + 1 in twisted}
-    base = _betti(M, _cleared_pivots({j: coboundary(M, j) for j in range(M.min_dim, M.top_dim)}))
+    base = exact_betti_numbers(M)
     if any(residual for residual, _ in squares.values()):
         ranks = {i: len(_pivots(*layer)) for i, layer in twisted.items()}
     else:

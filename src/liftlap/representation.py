@@ -22,36 +22,29 @@ inclusion (the constant column ``1_k``); otherwise it is the transform
 found below.
 
 Layout.  A group is the sorted int64 array of its permutations, one row
-per element, and block j of a decomposition is one ``(|G|, d_j, d_j)``
-stack in that row order.  :func:`block_weightings` locates every voltage
-among the elements with one row sort and gathers each block's values
-from its stack, so the values of an incidence layer come out as arrays
-in coboundary order, as every decoration is stored.
+per element, with its generators; no array holds a matrix per element.
+:func:`block_values` computes rho_j(p) = T_j^H P(p) T_j where it is read,
+and :func:`block_weightings` once per distinct voltage of a layer.
 
-The block-diagonalizing transform is found numerically: a random
-Hermitian element of the commutant algebra is eigendecomposed, its
-eigenspaces (which are invariant subspaces) become the blocks, and the
-result is certified a posteriori by an off-block residual bound.  Full
-irreducibility of the blocks is not certified - only invariance and the
-trivial first block - which is all the spectral statements need.
+The transform is found numerically from the generators: the mean of a
+random Hermitian matrix over each orbital (an orbit of G on ordered pairs
+of points; Serre, *Linear Representations of Finite Groups*, 1.2 and 2.3)
+lies in the commutant algebra, and its eigenspaces are invariant
+subspaces, the blocks.  They are certified by the off-block residual at
+the generators, since a subspace invariant under every generator is
+invariant under G.  Irreducibility is not certified, only invariance and
+the trivial first block, which is all the spectral statements need.
 
 Real blocks.  The commutant element stays complex Hermitian: a real one
-cannot separate complex-conjugate characters (on Z_3 it leaves one
-block of size 2).  But an eigenspace whose projector ``Q Q^H`` has
-imaginary parts at most ``REAL_TOL`` is closed under conjugation, and
-its columns are replaced by a real orthonormal basis of the same span,
-the top eigenvectors of the real projector.  Its values rho_j(g) are
-then real, and :func:`block_weightings` gives float64 decorations that
-are solved in real arithmetic.  Every irreducible of S_k is real
-(Serre, *Linear Representations of Finite Groups*, 13.2), so every
-block of the natural action of S_k is.  The replacement moves the span
-by about k * ``REAL_TOL``, far below ``RESIDUAL_TOL``, and cannot hide
-an error: the residual, the block order and ``blocks`` are read from
-the final transform, so the certificate covers every block.  A real
-irreducible of multiplicity m > 1 keeps a complex block: each block is
-one copy ``v (x) rho`` for an eigenvector v in C^m of a random complex
-Hermitian m x m matrix, real up to a phase almost never (the regular
-action of S_3 holds its 2-dimensional irreducible twice).
+cannot separate complex-conjugate characters (on Z_3 it leaves one block
+of size 2).  But an eigenspace whose projector ``Q Q^H`` has imaginary
+parts at most ``REAL_TOL`` is closed under conjugation and gets the top
+eigenvectors of the real projector as its basis, so its values are
+float64; every block of the natural action of S_k is real (Serre, 13.2).
+This moves the span by about k * ``REAL_TOL``, far below
+``RESIDUAL_TOL``, and the residual is read from the final transform.  A
+real irreducible of multiplicity m > 1 keeps a complex block, one copy
+``v (x) rho`` for a random v in C^m (the regular action of S_3).
 """
 
 from __future__ import annotations
@@ -149,19 +142,13 @@ class BlockDecomposition:
 
     ``transform`` is unitary; for every group element ``g`` the matrix
     ``transform^H P^g transform`` is block diagonal with ``block_sizes``
-    on the diagonal, the first block is the 1x1 identity on the span of
-    the all-ones vector, and ``residual`` bounds the largest off-block
-    magnitude over the whole group.  ``blocks[j]`` is the ``(|G|, d_j,
-    d_j)`` stack of block j of that matrix, row g for the element
-    ``group.elements[g]``: float64 when the block's columns of
-    ``transform`` are real (its span is closed under conjugation),
-    complex128 otherwise.
-    """
+    on the diagonal (its blocks are :func:`block_values`), and the first
+    block is the 1x1 identity on the span of the all-ones vector.
+    ``residual`` is the largest off-block magnitude at the generators."""
 
     group: VoltageGroup
     transform: np.ndarray
     block_sizes: tuple
-    blocks: list
     residual: float
 
 
@@ -170,36 +157,47 @@ def _cluster(sorted_vals: np.ndarray, gap: float) -> list[slice]:
     return [slice(a, b) for a, b in zip(cuts, cuts[1:]) if b > a]
 
 
+def _orbitals(group: VoltageGroup) -> np.ndarray:
+    """The ``(k, k)`` array labelling each ordered pair of points (a, b) by
+    the least ``a * k + b`` in its orbit under G; each generator g joins
+    (a, b) to (g[a], g[b])."""
+    k, g = group.k, group.generators
+    moved = (g[:, :, None] * k + g[:, None, :]).reshape(len(g), k * k)
+    ends = np.stack([np.broadcast_to(np.arange(k * k), moved.shape), moved], axis=2).reshape(-1, 2)
+    return _label_components(k * k, ends).reshape(k, k)
+
+
+def _orbital_mean(orbital: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The group average ``(1/|G|) sum_g P^g h P^{g^-1}``: the mean of h
+    over each orbital, which every element maps onto itself."""
+    labels = orbital.ravel()
+    count = np.bincount(labels)[labels]
+    real, imag = (np.bincount(labels, part.ravel())[labels] / count for part in (h.real, h.imag))
+    return (real + 1j * imag).reshape(h.shape)
+
+
 def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecomposition:
     """Numerically split the permutation representation into blocks.
 
     The first column of the transform is the normalized all-ones vector
     (the trivial sub-representation).  The orthogonal complement is
-    split along the eigenspaces of a random Hermitian commutant element
-    ``sum_g P^g H P^{g^-1}``; those eigenspaces are invariant under the
-    whole group.  An eigenspace closed under conjugation gets a real
-    basis (module docstring).  Fresh randomness is drawn until the
-    off-block residual of the final transform certifies the result, and
-    a failure to certify raises rather than returning an unverified
-    transform.  The blocks follow the trivial one by size, then by
-    character over the sorted group elements.
+    split along the eigenspaces of a random Hermitian commutant element,
+    the mean of H over each orbital; an eigenspace closed under
+    conjugation gets a real basis (module docstring).  Fresh randomness
+    is drawn until the off-block residual of the final transform at the
+    generators certifies the result, and a failure to certify raises.
+    The blocks follow the trivial one by size, then by character over
+    the sorted group elements.
     """
-    k = group.k
-    # the permutation matrices P^g, P^g[g[j], j] = 1, stacked in element order
-    stack = np.zeros((group.order, k, k))
-    stack[np.arange(group.order)[:, None], group.elements, np.arange(k)] = 1.0
+    k, gens = group.k, group.generators
     ones = np.ones((k, 1)) / math.sqrt(k)
     # orthonormal basis of the complement of the all-ones vector
-    basis = np.linalg.qr(np.hstack([ones, np.eye(k)[:, : k - 1]]))[0]
-    comp = basis[:, 1:]
-
+    comp = np.linalg.qr(np.hstack([ones, np.eye(k)[:, : k - 1]]))[0][:, 1:]
+    orbital = _orbitals(group)
     rng = np.random.default_rng(seed)
-    residual = float("inf")
     for _ in range(MAX_RETRIES):
         raw = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
-        herm = (raw + raw.conj().T) / 2
-        commutant = (stack @ herm @ stack.transpose(0, 2, 1)).sum(axis=0) / group.order
-        reduced = comp.conj().T @ commutant @ comp
+        reduced = comp.conj().T @ _orbital_mean(orbital, (raw + raw.conj().T) / 2) @ comp
         vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2)
         spread = max(1.0, float(vals[-1] - vals[0])) if len(vals) else 1.0
         clusters = _cluster(vals, 1e-6 * spread)
@@ -212,33 +210,37 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
             columns.append(span)
         transform = np.hstack(columns).astype(complex)
         sizes = [1] + [sl.stop - sl.start for sl in clusters]
-        offsets = np.cumsum([0] + sizes)
-        conj = transform.conj().T @ stack @ transform
-        mask = np.ones((k, k), dtype=bool)
-        for a, b in zip(offsets, offsets[1:]):
-            mask[a:b, a:b] = False
-        residual = float(np.max(np.abs(conj[:, mask]))) if mask.any() else 0.0
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        # a subspace invariant under every generator is invariant under G
+        conj = transform.conj().T @ transform[np.argsort(gens, axis=1)]
+        residual = float(np.abs(conj[:, block[:, None] != block]).max(initial=0.0))
         if residual <= RESIDUAL_TOL:
             break
     else:
         raise DecompositionError(f"block decomposition residual {residual:g} above {RESIDUAL_TOL:g}")
 
-    spans = list(zip(offsets, offsets[1:]))
     keys = []
-    for j, (a, b) in enumerate(spans[1:], start=1):
-        character = np.trace(conj[:, a:b, a:b], axis1=1, axis2=2)
+    for j in range(1, len(sizes)):
+        # trace(T_j^H P^g T_j) is sum_x Q[x, g[x]] for the projector Q = T_j T_j^H
+        proj = transform[:, block == j] @ transform[:, block == j].conj().T
+        character = sum(proj[x, group.elements[:, x]] for x in range(k))
         # the character rounded to 8 places, real and imaginary part of each element in turn
         rounded = np.round(np.stack([character.real, character.imag], axis=1), 8).ravel().tolist()
         keys.append((sizes[j], rounded, j))
     order = [0] + [j for _, _, j in sorted(keys)]
-    # copies, so that the whole conjugated stack is not kept alive
-    blocks = []
-    for j in order:
-        a, b = spans[j]
-        block = conj[:, a:b, a:b]
-        blocks.append(block.copy() if transform[:, a:b].imag.any() else block.real.copy())
-    transform = transform[:, np.concatenate([np.arange(*spans[j]) for j in order])]
-    return BlockDecomposition(group, transform, tuple(sizes[j] for j in order), blocks, residual)
+    transform = transform[:, np.concatenate([np.flatnonzero(block == j) for j in order])]
+    return BlockDecomposition(group, transform, tuple(sizes[j] for j in order), residual)
+
+
+def block_values(dec: BlockDecomposition, perms) -> list[np.ndarray]:
+    """``rho_j(p) = T_j^H P(p) T_j`` for every block j at each row p of the
+    ``(m, k)`` array ``perms``, an ``(m, d_j, d_j)`` array per block,
+    float64 where block j's columns of T are real.  ``P(p) T`` is the
+    rows of T gathered by the inverse of p."""
+    T = dec.transform
+    conj = T.conj().T @ T[np.argsort(perms, axis=1)]
+    offsets = np.cumsum((0,) + dec.block_sizes)
+    return [conj[:, a:b, a:b] if T[:, a:b].imag.any() else conj[:, a:b, a:b].real for a, b in zip(offsets, offsets[1:])]
 
 
 def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[IncidenceWeighting]:
@@ -246,11 +248,11 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
 
     Block 0 of the lifted operator is the base operator itself; block
     ``j >= 1`` is the base operator with each incidence weighted by
-    block j of its voltage, ``rho_j(psi(F, Fbar))``.  ``psi`` lives on
-    the incidence layer the blocks are taken on: ``(i, i+1)`` for the
-    i-up operator, and the same layer serves the (i+1)-down operator.
-    The first voltage outside the decomposed group, one on another
-    number of sheets included, is named in a :class:`VoltageError`.
+    ``rho_j(psi(F, Fbar))``.  ``psi`` lives on the incidence layer the
+    blocks are taken on: ``(i, i+1)`` for the i-up operator, and the same
+    layer serves the (i+1)-down operator.  The first voltage outside the
+    decomposed group, one on another number of sheets included, is named
+    in a :class:`VoltageError`.
     """
     elements, n = dec.group.elements, dec.group.order
     # a voltage on another number of sheets equals no element: compare a row of -1 in its place
@@ -261,7 +263,10 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
         known[at[:n]] = True
         p = tuple(psi.perms[np.argmax(~known[at[n:]])].tolist())
         raise VoltageError(f"voltage {p!r} is not an element of the decomposed group")
-    return [IncidenceWeighting(psi.base, {psi.dim: block[at[n:]]}) for block in dec.blocks[1:]]
+    # the elements that occur as voltages, and the position of each incidence's among them
+    used, where = _unique_rows(at[n:, None])
+    values = block_values(dec, elements[used[:, 0]])
+    return [IncidenceWeighting(psi.base, {psi.dim: v[where]}) for v in values[1:]]
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
@@ -276,14 +281,10 @@ def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
 
 
 def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceWeighting]:
-    """The k-1 nontrivial character weightings of ``psi``'s voltage group.
-
-    The group must be abelian and act transitively (it is then regular
-    of order k, and simultaneous diagonalization of the commuting
-    permutation matrices produces exactly k degree-one characters).
-    Each weighting sends an incidence to the character value of its
-    voltage; all values lie on the unit circle.
-    """
+    """The k-1 nontrivial character weightings of ``psi``'s voltage group,
+    which must be abelian and transitive (then regular of order k, with k
+    degree-one characters): each sends an incidence to the character
+    value of its voltage, on the unit circle."""
     return block_weightings(psi, abelian_decomposition(psi, seed))
 
 
@@ -295,9 +296,7 @@ def abelian_decomposition(psi: IncidenceVoltages, seed: int = 0) -> BlockDecompo
     if not group.abelian:
         raise GroupStructureError("character weightings require an abelian voltage group")
     if not group.transitive:
-        raise GroupStructureError(
-            "character weightings require a transitive action (a connected lift)"
-        )
+        raise GroupStructureError("character weightings require a transitive action (a connected lift)")
     dec = decompose_representation(group, seed=seed)
     if any(s != 1 for s in dec.block_sizes):
         raise DecompositionError("abelian decomposition produced a block of size > 1")

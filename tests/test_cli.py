@@ -171,6 +171,15 @@ class TestSpectrum:
         assert code == 3 and report is None
         assert "error: the dense down operator of 3 x 3 entries does not fit in memory" in err
 
+    def test_running_out_of_memory_names_the_command(self, capsys, monkeypatch, c3_file, c3_voltage_file):
+        def no_room(generators):
+            raise MemoryError
+
+        monkeypatch.setattr("liftlap.cli.voltage_group", no_room)
+        code, report, err = run(capsys, ["decompose", "--base", c3_file, "--voltage", c3_voltage_file, "--dim", "0"])
+        assert code == 3 and report is None
+        assert "error: 'decompose' ran out of memory" in err and "Traceback" not in err
+
 
 class TestCover:
     def test_build_and_verify(self, capsys, tmp_path, c3_file, c3_voltage_file):
@@ -455,9 +464,7 @@ class TestVerify:
 
         def sign_block_first(group, seed=0):
             dec = decompose_representation(group, seed=seed)
-            return BlockDecomposition(
-                dec.group, dec.transform[:, ::-1], dec.block_sizes[::-1], dec.blocks[::-1], dec.residual
-            )
+            return BlockDecomposition(dec.group, dec.transform[:, ::-1], dec.block_sizes[::-1], dec.residual)
 
         monkeypatch.setattr("liftlap.cli.decompose_representation", sign_block_first)
         code, report, _ = run(

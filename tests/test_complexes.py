@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -450,14 +450,22 @@ class TestFaceArraysAgainstTheSetClosure:
             build_complex(facets)
 
     @settings(max_examples=100, deadline=None)
-    @given(st.integers(1, 12), st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20))
-    def test_connected_components_is_the_union_find(self, n, pairs):
+    @given(
+        st.integers(1, 12),
+        st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=20),
+        st.booleans(),
+    )
+    # vertices only: a 0-dimensional complex has no edges to join
+    @example(3, [], True)
+    @example(3, [(0, 0)], False)
+    def test_connected_components_is_the_union_find(self, n, pairs, include_empty):
         edges = [(u, v) for u, v in pairs if u < n and v < n]
         vertices = [3 * v for v in range(n)]
         edges = [(3 * u, 3 * v) for u, v in edges]
         # a loop joins nothing, and no complex holds one
-        K = build_complex([e for e in edges if e[0] != e[1]] + [[v] for v in vertices])
+        K = build_complex([e for e in edges if e[0] != e[1]] + [[v] for v in vertices], include_empty=include_empty)
         assert K.components() == union_find_components(vertices, edges)
+        assert K.connected is (len(K.components()) == 1)
 
 
 class TestIds:

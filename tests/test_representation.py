@@ -36,6 +36,7 @@ from liftlap import (
     IncidenceVoltages,
     VoltageError,
     abelian_weightings,
+    block_values,
     block_weightings,
     WeightError,
     build_complex,
@@ -53,7 +54,7 @@ from liftlap import (
 )
 from liftlap import io as llio
 from liftlap.cli import main
-from liftlap.representation import RESIDUAL_TOL
+from liftlap.representation import RESIDUAL_TOL, _orbital_mean, _orbitals
 
 
 def _regular_s3():
@@ -62,11 +63,6 @@ def _regular_s3():
     els = list(map(tuple, voltage_group([transposition(3, 0, 1), cycle(3)]).elements.tolist()))
     index = {g: j for j, g in enumerate(els)}
     return [tuple(index[compose(g, h)] for h in els) for g in (transposition(3, 0, 1), cycle(3))]
-
-
-def _position(group, g) -> int:
-    """The row of the permutation ``g`` in ``group.elements``."""
-    return group.elements.tolist().index(list(g))
 
 
 # 1-3 random permutations of range(k), k <= 6
@@ -132,26 +128,24 @@ class TestDecomposeRepresentation:
         T = dec.transform
         ones = np.ones(2) / np.sqrt(2)
         assert np.allclose(np.abs(T[:, 0]), ones)
-        swap = [block[1] for block in dec.blocks]  # (1, 0) is the second element
+        swap = blocks_of(dec)[(1, 0)]
         assert np.allclose(swap[0], [[1.0]])
         assert np.allclose(swap[1], [[-1.0]])
         # the sign character is real, so its block is too
-        assert swap[1].dtype == np.float64
+        assert block_values(dec, [(1, 0)])[1].dtype == np.float64
 
     def test_cyclic_three_characters(self):
         dec = decompose_representation(voltage_group([cycle(3)]))
         assert dec.block_sizes == (1, 1, 1)
-        gen = _position(dec.group, cycle(3))
-        vals = sorted(
-            np.angle(complex(dec.blocks[j][gen][0, 0])) for j in (1, 2)
-        )
+        at_gen = blocks_of(dec)[cycle(3)]
+        vals = sorted(np.angle(complex(at_gen[j][0, 0])) for j in (1, 2))
         expected = sorted([-2 * np.pi / 3, 2 * np.pi / 3])
         assert np.allclose(vals, expected)
         for j in (1, 2):
-            assert abs(abs(complex(dec.blocks[j][gen][0, 0])) - 1) < 1e-12
+            assert abs(abs(complex(at_gen[j][0, 0])) - 1) < 1e-12
             # a real basis would need a real commutant element, which
             # cannot separate the two conjugate characters
-            assert dec.blocks[j].dtype == np.complex128
+            assert block_values(dec, [cycle(3)])[j].dtype == np.complex128
 
     def test_natural_symmetric_action(self):
         group = voltage_group([transposition(3, 0, 1), cycle(3)])
@@ -171,11 +165,12 @@ class TestDecomposeRepresentation:
             dec = decompose_representation(voltage_group(gens))
             T = dec.transform
             assert np.allclose(T.conj().T @ T, np.eye(T.shape[0]), atol=1e-12)
-            # a block with real values is read from real columns of the transform
+            # a block is given real values exactly where its columns of the transform are real
             offsets = np.cumsum((0,) + dec.block_sizes)
-            for j, (a, b) in enumerate(zip(offsets, offsets[1:])):
-                if dec.blocks[j].dtype == np.float64:
-                    assert not T[:, a:b].imag.any()
+            table = blocks_of(dec)
+            for j, (a, b, values) in enumerate(zip(offsets, offsets[1:], block_values(dec, dec.group.elements))):
+                assert (values.dtype == np.float64) is (not T[:, a:b].imag.any())
+                assert np.max(np.abs(values - [blocks[j] for blocks in table.values()])) <= 1e-12
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6])
     def test_natural_symmetric_action_has_real_blocks(self, k):
@@ -183,13 +178,12 @@ class TestDecomposeRepresentation:
         dec = decompose_representation(voltage_group([transposition(k, 0, 1), cycle(k)]))
         assert dec.block_sizes == (1, k - 1)
         assert dec.residual <= RESIDUAL_TOL
-        assert all(block.dtype == np.float64 for block in dec.blocks)
+        assert all(values.dtype == np.float64 for values in block_values(dec, dec.group.generators))
 
     def test_cyclic_four_real_and_complex_characters(self):
         dec = decompose_representation(voltage_group([cycle(4)]))
         assert dec.block_sizes == (1, 1, 1, 1)
-        gen = _position(dec.group, cycle(4))
-        by_value = {np.round(complex(b[gen][0, 0]), 9): b.dtype for b in dec.blocks[1:]}
+        by_value = {np.round(complex(v[0, 0, 0]), 9): v.dtype for v in block_values(dec, [cycle(4)])[1:]}
         assert by_value == {-1: np.float64, 1j: np.complex128, -1j: np.complex128}
 
     def test_regular_symmetric_three_keeps_repeated_irreducible_complex(self):
@@ -199,7 +193,8 @@ class TestDecomposeRepresentation:
         dec = decompose_representation(voltage_group(gens))
         assert dec.block_sizes == (1, 1, 2, 2)
         assert dec.residual <= RESIDUAL_TOL
-        assert [b.dtype for b in dec.blocks] == [np.float64, np.float64, np.complex128, np.complex128]
+        values = block_values(dec, dec.group.generators)
+        assert [v.dtype for v in values] == [np.float64, np.float64, np.complex128, np.complex128]
 
     def test_bench_decompose_input_has_real_blocks(self, capsys, monkeypatch, tmp_path):
         # the benchmark's `decompose S4 punctured` case: an S_4 cover of the
@@ -232,17 +227,16 @@ class TestDecompositionProperties:
     @staticmethod
     def characters(dec):
         """Per block, its character over the sorted group elements."""
-        return [
-            [np.trace(block) for block in dec.blocks[j]]
-            for j in range(len(dec.block_sizes))
-        ]
+        return [[np.trace(blocks[j]) for blocks in blocks_of(dec).values()] for j in range(len(dec.block_sizes))]
 
     @settings(max_examples=150, deadline=None)
     @given(_GENERATORS, st.integers(0, 2**32 - 1))
     def test_blocks_are_the_diagonal_of_every_conjugated_element(self, gens, seed):
         # the array route against the tuple route: the group is the closure
-        # of the generator tuples, block j of element g is row g of
-        # blocks[j], and the weightings are one per-incidence lookup each
+        # of the generator tuples, the residual taken at the generators
+        # bounds the off-block entries at every element, block j of element
+        # g is row g of block_values, and the weightings equal one
+        # per-incidence lookup each
         k = len(gens[0])
         group = voltage_group(gens)
         assert group.elements.dtype == np.int64 and not group.elements.flags.writeable
@@ -254,10 +248,10 @@ class TestDecompositionProperties:
         off_block = np.ones(T.shape, dtype=bool)
         for a, b in zip(offsets, offsets[1:]):
             off_block[a:b, a:b] = False
-        assert len(dec.blocks) == len(dec.block_sizes)
+        values = block_values(dec, group.elements)
         for n, g in enumerate(group.elements.tolist()):
             conj = T.conj().T @ permutation_matrix(g) @ T
-            for a, b, block in zip(offsets, offsets[1:], (stack[n] for stack in dec.blocks)):
+            for a, b, block in zip(offsets, offsets[1:], (v[n] for v in values)):
                 assert np.max(np.abs(conj[a:b, a:b] - block)) <= 1e-12
             if off_block.any():
                 assert np.max(np.abs(conj[off_block])) <= RESIDUAL_TOL
@@ -273,10 +267,51 @@ class TestDecompositionProperties:
         picks = rng.integers(group.order, size=len(coboundary(M, i)[0]))
         psi = IncidenceVoltages(M, k, i, group.elements[picks])
 
-        def layers(weightings):
-            return [(w.layers[i].dtype, w.layers[i].shape, w.layers[i].tobytes()) for w in weightings]
+        # a complex block whose values at these voltages are real may or may
+        # not round to exactly zero imaginary parts; a real block is real
+        got, want = block_weightings(psi, dec), per_incidence_block_weightings(psi, dec)
+        assert [w.layers[i].shape for w in got] == [w.layers[i].shape for w in want]
+        for a, b, w, v in zip(offsets[1:], offsets[2:], got, want):
+            assert T[:, a:b].imag.any() or w.dtype == v.dtype == np.float64
+            assert np.max(np.abs(w.layers[i] - v.layers[i]), initial=0.0) <= 1e-12
 
-        assert layers(block_weightings(psi, dec)) == layers(per_incidence_block_weightings(psi, dec))
+    @settings(max_examples=150, deadline=None)
+    @given(_GENERATORS, st.integers(0, 2**32 - 1))
+    def test_orbitals_from_the_generators_against_the_enumerated_group(self, gens, seed):
+        # Burnside on pairs: the orbit count of G on ordered pairs is the
+        # mean over the elements of fix(g)^2; and the mean over each
+        # orbital is the group average of P^g H P^{g^-1}
+        k = len(gens[0])
+        group = voltage_group(gens)
+        elements = closure(gens, k)
+        orbital = _orbitals(group)
+        fixed = sum(sum(g[x] == x for x in range(k)) ** 2 for g in elements)
+        assert len(set(orbital.ravel().tolist())) * len(elements) == fixed
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+        herm = (raw + raw.conj().T) / 2
+        average = sum(permutation_matrix(g) @ herm @ permutation_matrix(g).T for g in elements) / len(elements)
+        assert np.max(np.abs(_orbital_mean(orbital, herm) - average)) <= 1e-12
+
+    def test_no_array_grows_with_the_order_times_k_squared(self):
+        # S_8 on 8 points: one real (|G|, k, k) stack would be 20.6 MB; the
+        # decomposition reads the group through its generators and its
+        # (|G|, k) element array only, so no peak reaches half a stack
+        import tracemalloc
+
+        k = 8
+        group = voltage_group([transposition(k, 0, 1), cycle(k)])
+        stack_bytes = group.order * k * k * 8
+        tracemalloc.start()
+        try:
+            dec = decompose_representation(group)
+            psi = IncidenceVoltages(cycle_complex(3), k, 0, group.elements[:6])
+            block_weightings(psi, dec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.block_sizes == (1, k - 1)
+        assert peak < stack_bytes / 2
 
     @settings(max_examples=60, deadline=None)
     @given(_GENERATORS, st.integers(0, 2**32 - 1))
@@ -507,8 +542,10 @@ class TestArrayRoute:
         for i in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, i)
             voltages = per_face_induced_incidence_voltage(cov, i)
-            dec = decompose_representation(voltage_group(psi.perms))
-            table = blocks_of(dec)
+            group = voltage_group(psi.perms)
+            dec = decompose_representation(group)
+            # the library's values at every element, keyed by the element
+            table = dict(zip(map(tuple, group.elements.tolist()), zip(*block_values(dec, group.elements))))
             cases = [
                 (w, {pair: table[p][j] for pair, p in voltages.items()})
                 for j, w in enumerate(block_weightings(psi, dec), start=1)
