@@ -15,7 +15,8 @@ carries the lift into the direct sum of the blocks
 is the union of the block spectra, which ``layer_spectra`` solves at
 base size.  ``verify betti`` ranks only base-size matrices, and its
 verdicts are exact (:func:`~liftlap.homology.verify_betti_inequality`).
-``--tol`` is the tolerance of the fixture search.
+The fixture search matches the base spectrum exactly; ``--tol`` is the
+tolerance of its float comparisons of the flip's signed and cover spectra.
 """
 
 from __future__ import annotations
@@ -506,7 +507,7 @@ def _add_cover_inputs(p):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="liftlap", description=__doc__)
     ap.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
-    ap.add_argument("--tol", type=_tolerance, default=1e-8, help="spectrum comparison tolerance of the fixture search")
+    ap.add_argument("--tol", type=_tolerance, default=1e-8, help="tolerance of the fixture flip's spectrum comparisons")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a Laplace operator")

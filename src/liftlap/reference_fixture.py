@@ -22,19 +22,21 @@ complexes:
 * A match has Betti number 1: the target has six nonzero eigenvalues,
   all at least 1, so rank D = 6 and b₁ = 12 - 5 - 6 = 1.
 
-The search therefore enumerates the 6-subsets of the 20 triangles, one
-batch per first triangle, keeps those using every edge at most twice
-and at most 12 edges in all, solves every kept 6 x 6 block in one
-batched eigensolve and matches it by the rule of every verdict.  Only
+The search therefore grows triangle sets in increasing index order,
+keeping at every level those that use every edge at most twice and at
+most 12 edges in all, and matches each kept 6 x 6 block exactly by its
+integer power sums (:func:`search_base_complexes`), solving none.  Only
 the matching triangle sets are completed by free edges into labeled
-candidates, as facet lists; only the one whose flip is searched is built.
+candidates, as facet lists; only the one whose flip is searched is
+built.  The flip's spectra contain 3 ± √3, so :func:`locate_flip`
+compares floats at ``tol``, the search's only tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 
@@ -42,7 +44,6 @@ from .complexes import COMBINATORIAL, SimplicialComplex, build_complex, cobounda
 from .operators import (
     DOWN,
     SpectrumMultiset,
-    _close,
     compare_spectra,
     incidence_weighting,
     laplacian_matrix,
@@ -67,32 +68,68 @@ class ReferenceFixture:
     matches: int
 
 
-def search_base_complexes(tol: float = 1e-8) -> list[tuple]:
-    """The facets of all labeled candidates matching the target spectrum,
-    sorted: the free edges, then the triangles, each in canonical order.
+def _power_sums(blocks: np.ndarray) -> np.ndarray:
+    """The power sums tr Bᵃ, a = 1..6, of each symmetric B in an (n, m, m)
+    stack, as an (n, 6) array: tr B, then tr XY = Σ X∘Y for the pairs of
+    B, B² and B³ whose powers add to 2..6, so two batched matmuls."""
+    b2 = blocks @ blocks
+    b3 = b2 @ blocks
+    pairs = ((blocks, blocks), (blocks, b2), (b2, b2), (b2, b3), (b3, b3))
+    return np.stack([np.einsum("nii->n", blocks)] + [np.einsum("nij,nij->n", x, y) for x, y in pairs], axis=1)
 
-    A candidate matches under the rule of every verdict,
-    :func:`~liftlap.operators.compare_spectra` at ``tol``.
+
+def _triangle_sets(edges_of: np.ndarray, n_edges: int) -> np.ndarray:
+    """The 6-sets of triangles that use every edge at most twice and at
+    most 12 edges, as rows of increasing indices in lexicographic order,
+    given each triangle's three edge indices.  A set grows one triangle
+    at a time, each above its last, and is kept at every level where it
+    qualifies; only the new triangle's edges are read."""
+    n = len(edges_of)
+    sets = np.arange(n, dtype=np.int8)[:, None]
+    uses = np.zeros((n, n_edges), np.int8)  # each set's uses of each edge
+    uses[sets, edges_of] = 1
+    used = np.full(n, 3)  # each set's count of edges used
+    for _ in range(5):
+        prefix, t = np.nonzero(np.arange(n) > sets[:, -1:])
+        before = uses[prefix[:, None], edges_of[t]]
+        count = used[prefix] + (before == 0).sum(axis=1)
+        kept = (before.max(axis=1) < 2) & (count <= 12)
+        prefix, t, used = prefix[kept], t[kept], count[kept]
+        sets = np.hstack([sets[prefix], t[:, None].astype(np.int8)])
+        uses = uses[prefix]
+        uses[np.arange(len(t))[:, None], edges_of[t]] += 1
+    return sets
+
+
+def search_base_complexes() -> list[tuple]:
+    """The facets of all labeled candidates whose edge up spectrum is
+    exactly ``BASE_SPECTRUM``, sorted: the free edges, then the
+    triangles, each in canonical order.
+
+    A block B = P[T, T] matches when its power sums tr Bᵃ, a = 1..6,
+    equal those of ``BASE_SPECTRUM`` less six zeros: by Newton's
+    identities they fix the characteristic polynomial.  They are exact in
+    float64, every value being an integer below 2^53: B has diagonal 3
+    and at most five entries ±1 off it in a row, so ‖B‖∞ ≤ 8, each entry
+    of Bᵃ is at most 8ᵃ in size and each partial sum at most 6·8⁶.  The
+    eigenvalues are algebraic integers, so a nonzero target value that is
+    not an integer matches nothing.
     """
     simplex = build_complex(combinations(range(6), 3))
     triangles, edges = simplex.faces(2), simplex.faces(1)
     gram = laplacian_matrix(simplex, 2, DOWN).matrix
-    rows, cols, _ = coboundary(simplex, 1)
-    incidence = np.zeros((len(triangles), len(edges)), np.int8)
-    incidence[rows, cols] = 1
-    target = np.array(BASE_SPECTRUM.values)
-    subsets = np.fromiter(chain.from_iterable(combinations(range(len(triangles)), 6)), np.int8)
-    subsets = subsets.reshape(-1, 6)
+    # three triplets per triangle, in triangle order
+    edges_of = coboundary(simplex, 1)[1].reshape(-1, 3)
+    values = sorted(BASE_SPECTRUM.values)
+    if len(values) != 12 or values[:6] != [0.0] * 6 or not all(v.is_integer() for v in values[6:]):
+        return []
+    target = [sum(int(v) ** a for v in values[6:]) for a in range(1, 7)]
+    sets = _triangle_sets(edges_of, len(edges))
     matched = []
-    for batch in np.split(subsets, np.flatnonzero(np.diff(subsets[:, 0])) + 1):
-        uses = np.zeros((len(batch), len(edges)), np.int8)
-        for column in batch.T:
-            uses += incidence[column]
-        kept = batch[(uses.max(axis=1) <= 2) & (np.count_nonzero(uses, axis=1) <= 12)]
-        eigs = np.linalg.eigvalsh(gram[kept[:, :, None], kept[:, None, :]])
-        padded = np.sort(np.hstack([np.zeros((len(kept), 6)), eigs]), axis=1)
-        if padded.shape[1] == len(target):
-            matched.extend(kept[_close(padded, target, tol).all(axis=1)])
+    for start in range(0, len(sets), 500):
+        chunk = sets[start : start + 500]
+        sums = _power_sums(gram[chunk[:, :, None], chunk[:, None, :]])
+        matched.extend(chunk[(sums == target).all(axis=1)])
     found = []
     for tri_set in matched:
         tris = [triangles[t] for t in tri_set]
@@ -129,8 +166,9 @@ def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
 
 
 def search_reference_fixture(tol: float = 1e-8) -> ReferenceFixture | None:
-    """Run the full search; None when no labeled candidate matches."""
-    candidates = search_base_complexes(tol)
+    """Run the full search; None when no labeled candidate matches.  The
+    base match is exact; ``tol`` is the tolerance of :func:`locate_flip`."""
+    candidates = search_base_complexes()
     for facets in candidates:
         M = build_complex(facets)
         flip = locate_flip(M, tol)

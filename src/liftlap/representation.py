@@ -254,19 +254,33 @@ def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[In
     decomposed group, one on another number of sheets included, is named
     in a :class:`VoltageError`.
     """
-    elements, n = dec.group.elements, dec.group.order
-    # a voltage on another number of sheets equals no element: compare a row of -1 in its place
-    perms = psi.perms if psi.k == dec.group.k else np.full((len(psi.perms), dec.group.k), -1)
-    rows, at = _unique_rows(np.vstack([elements, perms]))
-    if len(rows) > n:
-        known = np.zeros(len(rows), dtype=bool)
-        known[at[:n]] = True
-        p = tuple(psi.perms[np.argmax(~known[at[n:]])].tolist())
+    elements = dec.group.elements
+    # the distinct voltages, sorted, and the position of each incidence's among them
+    used, where = _unique_rows(psi.perms)
+    # a voltage on another number of sheets equals no element
+    at = _locate_rows(elements, used) if psi.k == dec.group.k else np.full(len(used), -1)
+    if (at < 0).any():
+        p = tuple(psi.perms[np.argmax(at[where] < 0)].tolist())
         raise VoltageError(f"voltage {p!r} is not an element of the decomposed group")
-    # the elements that occur as voltages, and the position of each incidence's among them
-    used, where = _unique_rows(at[n:, None])
-    values = block_values(dec, elements[used[:, 0]])
+    values = block_values(dec, elements[at])
     return [IncidenceWeighting(psi.base, {psi.dim: v[where]}) for v in values[1:]]
+
+
+def _locate_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The index of each row of ``rows`` in ``table``, whose rows are
+    distinct and sorted as :func:`_unique_rows` returns them, or -1 where
+    no row equals it: one binary search for all rows at once, at
+    O(m·k·log n) for m rows of length k in a table of n."""
+    n, pick = len(table), np.arange(len(rows))
+    below = np.zeros(len(rows), np.int64)  # table rows found less than each row
+    for bit in reversed(range(n.bit_length())):
+        probe = below + (1 << bit)
+        at = table[np.minimum(probe, n) - 1]
+        first = (at != rows).argmax(axis=1)  # the first column where they differ
+        less = (probe <= n) & (at[pick, first] < rows[pick, first])
+        below[less] = probe[less]
+    hit = (below < n) & (table[np.minimum(below, n - 1)] == rows).all(axis=1)
+    return np.where(hit, below, -1)
 
 
 def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:

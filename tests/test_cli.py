@@ -586,10 +586,12 @@ class TestTolerance:
         assert exc.value.code == 2
         assert "argument --tol: expected a finite number of at least 0" in capsys.readouterr().err
 
-    def test_zero_tol_is_exact_comparison(self, capsys, c3_file, c3_voltage_file):
-        code, report, _ = run(capsys, ["--tol", "0", "verify", "union", "--base", c3_file, "--voltage", c3_voltage_file])
-        assert code in (0, 1)
-        assert {v["tolerance"] for v in report["verdicts"]} == {0.0}
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-10"])
+    def test_tol_is_the_fixture_verdicts_tolerance(self, capsys, tmp_path, tol):
+        # the base search is exact; --tol reaches the flip's comparisons alone
+        code, report, _ = run(capsys, ["--tol", tol, "fixture", "search-fig1", "--out", str(tmp_path / "f.json")])
+        assert code == 0 and report["results"]["labeled_matches"] == 420
+        assert [v["tolerance"] for v in report["verdicts"]] == [float(tol)]
 
 
 class TestMalformedInput:

@@ -54,7 +54,8 @@ from liftlap import (
 )
 from liftlap import io as llio
 from liftlap.cli import main
-from liftlap.representation import RESIDUAL_TOL, _orbital_mean, _orbitals
+from liftlap.complexes import _unique_rows
+from liftlap.representation import RESIDUAL_TOL, _locate_rows, _orbital_mean, _orbitals
 
 
 def _regular_s3():
@@ -378,6 +379,29 @@ class TestBlockWeightingsRefusal:
         dec = decompose_representation(voltage_group(gens))
         with pytest.raises(VoltageError, match=re.escape(f"voltage {named} is not an element of the decomposed group")):
             block_weightings(iv, dec)
+
+    def test_the_first_incidence_outside_the_group_is_named(self):
+        # (1, 0, 2) is in the group and sorts before both voltages outside
+        # it, of which (2, 0, 1) is on the earlier incidence
+        M = cycle_complex(3)
+        perms = [(0, 1, 2), (0, 1, 2), (1, 0, 2), (2, 0, 1), (1, 2, 0), (0, 1, 2)]
+        psi = IncidenceVoltages(M, 3, 0, np.array(perms))
+        dec = decompose_representation(voltage_group([(1, 0, 2)]))
+        with pytest.raises(VoltageError, match=re.escape("voltage (2, 0, 1) is not an element")):
+            block_weightings(psi, dec)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 3), min_size=3, max_size=3), min_size=1, max_size=40),
+    st.lists(st.lists(st.integers(-1, 4), min_size=3, max_size=3), max_size=20),
+)
+def test_locate_rows_is_a_lookup_among_the_sorted_rows(table, queries):
+    rows = _unique_rows(np.array(table, np.int64))[0]
+    position = {tuple(r): j for j, r in enumerate(rows.tolist())}
+    queries = table[: len(queries)] + queries
+    got = _locate_rows(rows, np.array(queries, np.int64).reshape(-1, 3))
+    assert got.tolist() == [position.get(tuple(q), -1) for q in queries]
 
 
 class TestTwoFoldSigning:
