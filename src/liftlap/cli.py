@@ -6,15 +6,17 @@ every verdict holds, 1 when a verified claim fails, 2 for parse errors,
 3 for precondition errors and when a command runs out of memory.
 
 The spectral claims (``verify union|abelian|inclusion`` and
-``decompose``) solve no operator of the cover.  Each verdict is the
-certificate of its incidence layer: the cover's coboundary factors
-exactly through the base coboundary lifted by the induced voltages
+``decompose``) solve no operator.  Each verdict is the certificate of
+its incidence layer: the cover's coboundary factors exactly through the
+base coboundary lifted by the induced voltages
 (:func:`~liftlap.covering.factor_lifted_coboundary`), and a transform T
 carries the lift into the direct sum of the blocks
 (:func:`~liftlap.representation.block_identity`), so the lifted spectrum
-is the union of the block spectra, which ``layer_spectra`` solves at
-base size.  ``verify betti`` ranks only base-size matrices, and its
-verdicts are exact (:func:`~liftlap.homology.verify_betti_inequality`).
+is the union of the block spectra, and no eigenvalue is read.  The
+block spectra themselves are ``spectrum`` of the base, with
+``--signing`` for the union's signed block.  ``verify betti`` ranks
+only base-size matrices, and its verdicts are exact
+(:func:`~liftlap.homology.verify_betti_inequality`).
 The fixture search matches the base spectrum exactly; ``--tol`` is the
 tolerance of its float comparisons of the flip's signed and cover spectra.
 """
@@ -26,7 +28,7 @@ import hashlib
 import json
 import math
 import sys
-from functools import cache, reduce
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,7 @@ from .errors import (
 )
 from .reference_fixture import search_reference_fixture
 from .homology import verify_betti_inequality
-from .operators import SpectrumMultiset, laplacian_matrix, layer_spectra, spectrum
+from .operators import laplacian_matrix, spectrum
 from .representation import (
     RESIDUAL_TOL,
     abelian_decomposition,
@@ -201,20 +203,17 @@ def cmd_decompose(args, report):
     cov = _resolve_covering(args, report["inputs"])
     scheme = SCHEMES[args.scheme]
     _check_dim(cov, args.dim, 0 if args.direction == "up" else 1)
-    layer, side = _layer_side(args.direction, args.dim)
+    layer = _layer(args.direction, args.dim)
     psi = induced_incidence_voltage(cov, layer)
     group = voltage_group(psi.perms)
     dec = decompose_representation(group, seed=args.seed)
     weightings = block_weightings(psi, dec)
-    spectra = [layer_spectra(cov.base, layer, scheme, w)[side] for w in [None] + weightings]
     # block 0 is the base operator exactly when rho_0 is the trivial representation,
     # which holds on G when it holds at the generators
     first_err = float(np.abs(block_values(dec, group.generators)[0] - 1).max(initial=0.0))
     report["results"] = {
         "group_order": group.order,
         "block_sizes": list(dec.block_sizes),
-        "block_spectra": [_spec_values(s) for s in spectra],
-        "lifted_spectrum": _spec_values(reduce(SpectrumMultiset.union, spectra)),
         "residual": dec.residual,
     }
     return [
@@ -227,12 +226,11 @@ def cmd_decompose(args, report):
             factor_lifted_coboundary(cov, layer, psi, scheme),
             block_identity(psi, dec.transform, weightings),
             RESIDUAL_TOL,
-            _solved_sizes(cov.base, layer, weightings),
         ),
     ]
 
 
-def _certificate_verdict(claim, cov, psi, factorization, identity, tolerance, solved):
+def _certificate_verdict(claim, cov, psi, factorization, identity, tolerance):
     """The verdict that the cover's operators on ``psi``'s layer are
     similar to the direct sum of the blocks: the factorization of the
     cover's coboundary holds exactly, with the cover's face weights the
@@ -251,7 +249,6 @@ def _certificate_verdict(claim, cov, psi, factorization, identity, tolerance, so
         factorization_residual=factorization.residual,
         block_identity_residual=identity.residual,
         transform_defect=identity.defect,
-        solved_sizes=solved,
         witness=witness,
     )
 
@@ -273,14 +270,6 @@ def _witness(cov, i, factorization, identity, tolerance):
     return None
 
 
-def _solved_sizes(M, layer, weightings):
-    """The sizes of the Gram matrices :func:`layer_spectra` eigensolves for
-    the base blocks of a layer: the smaller side, once per block row of
-    each decoration; none at the top layer."""
-    n = min(M.face_count(layer + 1), M.face_count(layer)) if layer < M.top_dim else 0
-    return [n * d for d in [1] + [w.block_size for w in weightings]] if n else []
-
-
 def _check_dim(cov, requested, lowest):
     """Refuse a requested dimension outside ``lowest``..top of the base,
     where the claim would check nothing."""
@@ -291,10 +280,10 @@ def _check_dim(cov, requested, lowest):
         )
 
 
-def _layer_side(direction, i):
-    """The incidence layer of the i-dimensional operator, and its side
-    (0 up, 1 down) in that layer's :func:`layer_spectra`."""
-    return (i, 0) if direction == "up" else (i - 1, 1)
+def _layer(direction, i):
+    """The incidence layer of the i-dimensional operator: its coboundary
+    (up) or the one into it (down)."""
+    return i if direction == "up" else i - 1
 
 
 def _dims(cov, direction, requested):
@@ -321,39 +310,25 @@ def _constant(psi, args):
     return np.ones((psi.k, 1)), []
 
 
-def _union_results(cov, spectra, skipped):
-    keys = ("lifted", "base", "signed")
-    return {label: {key: _spec_values(s) for key, s in zip(keys, parts)} for label, parts in spectra.items()}
-
-
 # subcommand -> (claim, required cover degree, the transform T and the base
 # decorations of an incidence layer, the tolerance of their block identity,
-# whether the results report the layer's spectra, the results payload)
+# the results payload
 SPECTRAL_CLAIMS = {
-    "union": ("two-fold spectral union", 2, _two_fold, 0.0, True, _union_results),
-    "inclusion": (
-        "spectral inclusion",
-        None,
-        _constant,
-        0.0,
-        False,
-        lambda cov, spectra, skipped: {"degree": cov.degree},
-    ),
+    "union": ("two-fold spectral union", 2, _two_fold, 0.0, lambda cov, skipped: {"degree": cov.degree}),
+    "inclusion": ("spectral inclusion", None, _constant, 0.0, lambda cov, skipped: {"degree": cov.degree}),
     "abelian": (
         "abelian character decomposition",
         None,
         _characters,
         RESIDUAL_TOL,
-        False,
-        lambda cov, spectra, skipped: {"degree": cov.degree, "skipped_layers": skipped},
+        lambda cov, skipped: {"degree": cov.degree, "skipped_layers": skipped},
     ),
 }
 
 
-def _certify_layer(cov, layer, decorate, reported, args):
-    """The layer's voltages, transform and decorations, and per scheme the
-    factorization of the cover's coboundary with the base spectra under
-    each decoration (when ``reported``); the error where the claim's
+def _certify_layer(cov, layer, decorate, args):
+    """The layer's voltages, block identity and, per scheme, the
+    factorization of the cover's coboundary; the error where the claim's
     hypothesis is not met (trivial or intransitive voltage group), so the
     claim does not apply on this layer."""
     psi = induced_incidence_voltage(cov, layer)
@@ -363,52 +338,41 @@ def _certify_layer(cov, layer, decorate, reported, args):
         if args.dim is not None:
             raise
         return exc
-    schemes = {
-        name: (
-            factor_lifted_coboundary(cov, layer, psi, scheme),
-            [layer_spectra(cov.base, layer, scheme, w) for w in [None] + weightings] if reported else [],
-        )
-        for name, scheme in _schemes(args.scheme)
-    }
-    solved = _solved_sizes(cov.base, layer, weightings) if reported else []
-    return psi, block_identity(psi, transform, weightings), solved, schemes
+    schemes = {name: factor_lifted_coboundary(cov, layer, psi, scheme) for name, scheme in _schemes(args.scheme)}
+    return psi, block_identity(psi, transform, weightings), schemes
 
 
 def cmd_verify_spectral(args, report):
     """Each verdict is the certificate of its layer: the cover's operators
-    are similar to the direct sum of the base blocks, so the cover is
-    never solved; the union's spectra, reported, are the blocks'."""
-    claim, degree, decorate, tolerance, reported, results = SPECTRAL_CLAIMS[args.subcommand]
+    are similar to the direct sum of the base blocks, so neither the
+    cover nor any block is solved."""
+    claim, degree, decorate, tolerance, results = SPECTRAL_CLAIMS[args.subcommand]
     cov = _resolve_covering(args, report["inputs"])
     if degree is not None and cov.degree != degree:
         raise LiftlapError(f"the {claim} property needs a {degree}-fold cover, got degree {cov.degree}")
     _check_dim(cov, args.dim, 0)
     verdicts = []
-    spectra = {}
     skipped = []
     certified = {}
     for direction in ("up", "down"):
         for i in _dims(cov, direction, args.dim):
-            layer, side = _layer_side(direction, i)
+            layer = _layer(direction, i)
             if layer not in certified:
-                certified[layer] = _certify_layer(cov, layer, decorate, reported, args)
+                certified[layer] = _certify_layer(cov, layer, decorate, args)
             if isinstance(certified[layer], GroupStructureError):
                 skipped.append(f"{direction}/{i}")
                 continue
-            psi, identity, solved, schemes = certified[layer]
-            for name, (factorization, layers) in schemes.items():
+            psi, identity, schemes = certified[layer]
+            for name, factorization in schemes.items():
                 verdicts.append(
                     _certificate_verdict(
-                        f"{claim} ({direction}, dim {i}, {name})", cov, psi, factorization, identity, tolerance, solved
+                        f"{claim} ({direction}, dim {i}, {name})", cov, psi, factorization, identity, tolerance
                     )
                 )
-                if layers:
-                    parts = [pair[side] for pair in layers]
-                    spectra[f"{direction}/{i}/{name}"] = [reduce(SpectrumMultiset.union, parts)] + parts
     if not verdicts:
         # every layer was skipped, so nothing was verified: the first skip's reason
         raise next(iter(certified.values()))
-    report["results"] = results(cov, spectra, skipped)
+    report["results"] = results(cov, skipped)
     return verdicts
 
 

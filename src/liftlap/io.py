@@ -181,14 +181,16 @@ def load_signing(path, K: SimplicialComplex) -> IncidenceWeighting:
 def load_weighting(path, K: SimplicialComplex) -> IncidenceWeighting:
     """Weighting file: listed incidences of ``K`` carry the given value, others 1.
 
-    A value without a nonzero ``im`` part is real, so a file of real
-    values loads as a float64 weighting."""
+    A file whose every value has no nonzero ``im`` part holds real
+    values, so it loads as a float64 weighting."""
     data = _load(path)
     values = {}
     for rec in _records(path, data, "entries"):
         with _reading(path, f"record {rec!r}"):
             val = rec["value"]
             _add(values, _incidence(rec), complex(float(val.get("re", 0.0)), float(val.get("im", 0.0))))
+    if not any(v.imag for v in values.values()):
+        values = {pair: v.real for pair, v in values.items()}
     with _reading(path, "weighting"):
         return incidence_weighting(K, values)
 

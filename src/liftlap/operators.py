@@ -27,14 +27,14 @@ and ``A_i A_i^H``, the i-up and (i+1)-down operators, agree except for
 ``|n_{i+1} - n_i|`` extra zeros.  :func:`layer_spectra` therefore
 eigensolves only the smaller Gram matrix and pads the other side with
 exact zeros, and at the top dimension (no (i+1)-faces) it solves
-nothing.  The ``verify`` and ``decompose`` commands take every block
-spectrum they report from it, for base operators only: a cover's
-spectrum is the union of its blocks' once the factorization of
-:func:`~liftlap.covering.factor_lifted_coboundary` and the block
-identity of :func:`~liftlap.representation.block_identity` hold, so no
-operator of the cover is assembled.  ``liftlap spectrum`` eigensolves
-the assembled operator, so its ``clamped`` count reports the operator's
-own kernel noise.
+nothing.  A cover's spectrum is the union of its blocks' once the
+factorization of :func:`~liftlap.covering.factor_lifted_coboundary` and
+the block identity of :func:`~liftlap.representation.block_identity`
+hold, so it is :func:`layer_spectra` of the base under each block's
+weighting, and the ``verify`` and ``decompose`` commands, which prove
+that union, solve nothing.  ``liftlap spectrum`` eigensolves the
+assembled operator, so its ``clamped`` count reports the operator's own
+kernel noise.
 
 Incidence layers are stored as their nonzeros, (row, col, value)
 triplets: a plain coboundary row has i+2 of them, a decorated one
@@ -77,10 +77,11 @@ class IncidenceWeighting:
     ``layers[i]`` holds a value per nonzero of ``coboundary(complex, i)``,
     in its order: ``(nnz_i,)`` scalars or ``(nnz_i, d, d)`` matrices of
     one size ``block_size`` (a 1 x 1 matrix is its scalar); a layer not
-    listed carries the identity.  ``dtype`` is float64 when every value's
-    imaginary part is exactly zero, so a real weighting file or a real
-    block of a lifted operator is solved in real arithmetic, and
-    complex128 otherwise.  A signing has values -1."""
+    listed carries the identity.  ``dtype`` is complex128 when some
+    layer's values are complex, whatever their imaginary parts, and
+    float64 otherwise, so a block of a lifted operator is solved real
+    exactly where its columns of the transform are real, whatever the
+    rounding of its values.  A signing has values -1."""
 
     def __init__(self, K: SimplicialComplex, layers: Mapping | None = None):
         self.complex = K
@@ -93,14 +94,8 @@ class IncidenceWeighting:
                 raise WeightError(f"layer {i} weights of shape {v.shape} are neither scalars nor square matrices")
             if len(v) != len(coboundary(K, i)[0]):
                 raise WeightError(f"layer {i} has {len(v)} weights for its {len(coboundary(K, i)[0])} incidences")
-            axes = tuple(range(1, v.ndim))
-            if np.iscomplexobj(v):
-                # a real value loses the sign of its zeros, as it would if stored as floats
-                v = v.astype(np.complex128)
-                v.imag[(v.imag == 0).all(axis=axes)] = 0.0
-                v = v if v.imag.any() else v.real
             v = v.astype(np.complex128 if np.iscomplexobj(v) else np.float64)
-            zero = (v == 0).all(axis=axes)
+            zero = (v == 0).all(axis=tuple(range(1, v.ndim)))
             if zero.any():
                 raise WeightError(f"incidence weight {int(np.argmax(zero))} of layer {i} must be nonzero")
             self.layers[i] = v

@@ -6,6 +6,8 @@ A fault replaces its function in every ``liftlap`` module that binds it,
 so the CLI's certified route and the direct-solve oracle of
 :mod:`oracles` meet the same fault.  The covers are written as files and
 each command runs through ``liftlap.cli.main``, as it does from the shell.
+Each replacement adds its function's name to ``REACHED`` when called, so
+a run shows whether the fault was reached at all.
 """
 
 import json
@@ -25,14 +27,23 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import inputs  # noqa: E402
 
 
+# the names of the replaced functions called since the set was last cleared
+REACHED = set()
+
+
 def patch_everywhere(monkeypatch, module, name, make):
     """Replace ``module.name`` by ``make(original)`` in every liftlap
-    module that binds the original."""
+    module that binds the original; a call adds ``name`` to ``REACHED``."""
     real = getattr(module, name)
     fake = make(real)
+
+    def reached(*args, **kwargs):
+        REACHED.add(name)
+        return fake(*args, **kwargs)
+
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("liftlap") and getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, fake)
+            monkeypatch.setattr(mod, name, reached)
 
 
 def _edit_cover_layer_0(monkeypatch, edit):

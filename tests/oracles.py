@@ -392,20 +392,21 @@ def incidence_voltages(M: SimplicialComplex, k: int, i: int, table) -> Incidence
     return IncidenceVoltages(M, k, i, np.array(perms, np.int64).reshape(-1, k))
 
 
-def per_pair_decorated_coboundary(K: SimplicialComplex, i: int, values) -> tuple:
+def per_pair_decorated_coboundary(K: SimplicialComplex, i: int, values, dtype=None) -> tuple:
     """The decorated coboundary read pair by pair from ``values``, a dict
     keyed by (face, cofacet) pairs whose unlisted incidences carry the
-    identity.  A 1 x 1 matrix is its scalar and a value whose imaginary
-    part is exactly zero is real; the triplets are complex exactly when
-    some value is.  ``decorated_coboundary`` must give the same triplets
-    bit for bit from the weighting built for the same values."""
+    identity.  A 1 x 1 matrix is its scalar.  The triplets have
+    ``dtype``, by default complex exactly when some value has a complex
+    dtype, whatever its imaginary part.  ``decorated_coboundary`` must
+    give the same triplets bit for bit from the weighting built for the
+    same values."""
     table = {}
     for pair, v in values.items():
         v = np.asarray(v)
-        v = v[0, 0] if v.shape == (1, 1) else v
-        table[pair] = v.real if np.iscomplexobj(v) and not v.imag.any() else v
+        table[pair] = v[0, 0] if v.shape == (1, 1) else v
     d = next((len(v) for v in table.values() if v.ndim), 1)
-    dtype = np.complex128 if any(np.iscomplexobj(v) for v in table.values()) else np.float64
+    if dtype is None:
+        dtype = np.complex128 if any(np.iscomplexobj(v) for v in table.values()) else np.float64
     rows, cols, signs = coboundary(K, i)
     faces, cofacets = K.faces(i), K.faces(i + 1)
     unit = np.eye(d) if d > 1 else 1.0
@@ -1047,6 +1048,12 @@ def _direct_layer(cov, layer, args):
     }
 
 
+def _layer_side(direction, i):
+    """The incidence layer of the i-dimensional operator, and its side
+    (0 up, 1 down) in that layer's :func:`~liftlap.operators.layer_spectra`."""
+    return (i, 0) if direction == "up" else (i - 1, 1)
+
+
 def direct_verify_spectral(args, report):
     """``verify union|inclusion|abelian`` by solving the cover: per layer,
     the cover spectrum equals the union of the base spectra (inclusion:
@@ -1061,7 +1068,7 @@ def direct_verify_spectral(args, report):
     verdicts, solved = [], {}
     for direction in ("up", "down"):
         for i in cli._dims(cov, direction, args.dim):
-            layer, side = cli._layer_side(direction, i)
+            layer, side = _layer_side(direction, i)
             if layer not in solved:
                 solved[layer] = _direct_layer(cov, layer, args)
             if isinstance(solved[layer], GroupStructureError):
@@ -1088,7 +1095,7 @@ def direct_decompose(args, report):
     cov = cli._resolve_covering(args, report["inputs"])
     scheme = cli.SCHEMES[args.scheme]
     cli._check_dim(cov, args.dim, 0 if args.direction == "up" else 1)
-    layer, side = cli._layer_side(args.direction, args.dim)
+    layer, side = _layer_side(args.direction, args.dim)
     psi = covering.induced_incidence_voltage(cov, layer)
     dec = representation.decompose_representation(representation.voltage_group(psi.perms), seed=args.seed)
     lifted = operators.layer_spectra(cov.cover, layer, scheme)[side]

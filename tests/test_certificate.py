@@ -1,6 +1,6 @@
 """The certified block route: the factorization of the lifted coboundary,
-the block identity, and the spectra the spectral commands read off the
-blocks instead of solving the cover."""
+the block identity, and the block spectra they make the cover's, which
+the spectral commands prove without solving any operator."""
 
 import io
 import json
@@ -192,7 +192,7 @@ def _main(argv):
     ],
 )
 def test_no_spectral_command_assembles_or_solves_an_operator_of_the_cover(monkeypatch, tmp_path, cover, command):
-    covers, complexes, sizes = [], [], []
+    covers, complexes, solved = [], [], []
 
     def recording(name, log):
         def make(real):
@@ -204,18 +204,14 @@ def test_no_spectral_command_assembles_or_solves_an_operator_of_the_cover(monkey
 
         patch_everywhere(monkeypatch, operators, name, make)
 
-    recording("layer_spectra", complexes)
-    recording("laplacian_matrix", complexes)
+    recording("layer_spectra", solved)
+    recording("laplacian_matrix", solved)
     recording("_weighted_coboundary", complexes)
 
-    def spectrum_make(real):
-        def spectrum(op):
-            sizes.extend([op.size] if op.size else [])
-            return real(op)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectral command eigensolved")
 
-        return spectrum
-
-    patch_everywhere(monkeypatch, operators, "spectrum", spectrum_make)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
 
     def derived_make(real):
         def derived(M, psi):
@@ -227,37 +223,29 @@ def test_no_spectral_command_assembles_or_solves_an_operator_of_the_cover(monkey
 
     patch_everywhere(monkeypatch, covering, "derived_complex", derived_make)
     code, report = _main(COMMANDS[command] + write_cover(tmp_path, cover))
-    assert code == 0 and covers
+    assert code == 0 and covers and not solved
     assert not any(K is c for K in complexes for c in covers)
-    # what was solved is what the verdicts report (a union layer's solves
-    # serve its up and its down verdicts)
-    reported = [n for v in report["verdicts"] for n in v.get("solved_sizes", [])]
-    assert set(sizes) == set(reported)
-    if command == "decompose":
-        assert sorted(sizes) == sorted(reported)
+    assert not any("solved_sizes" in v for v in report["verdicts"])
 
 
 class TestVerdictReports:
-    def test_union_reports_the_certificate_and_what_it_solved(self, tmp_path):
+    def test_union_reports_the_certificate_and_the_degree(self, tmp_path):
         code, report = _main(COMMANDS["union"] + write_cover(tmp_path, "C3-double"))
-        assert code == 0
+        assert code == 0 and len(report["verdicts"]) == 6 and report["results"] == {"degree": 2}
         for v in report["verdicts"]:
             assert (v["tolerance"], v["max_error"], v["factorization_residual"], v["witness"]) == (0.0, 0.0, 0, None)
             assert (v["block_identity_residual"], v["transform_defect"]) == (0.0, 0.0)
-        # the vertex/edge layer solves the 3 x 3 base and signed Gram matrices; the top layer nothing
-        assert [v["solved_sizes"] for v in report["verdicts"]] == [[3, 3], [3, 3], [], [], [3, 3], [3, 3]]
-        lifted = report["results"]["up/0/combinatorial"]
-        assert lifted["lifted"] == sorted(lifted["base"] + lifted["signed"])
 
     def test_inclusion_solves_nothing(self, tmp_path):
         code, report = _main(COMMANDS["inclusion"] + write_cover(tmp_path, "S3-punctured-torus"))
-        assert code == 0 and all(v["solved_sizes"] == [] and v["tolerance"] == 0.0 for v in report["verdicts"])
+        assert code == 0 and all(v["tolerance"] == 0.0 for v in report["verdicts"])
+        assert report["results"] == {"degree": 3}
 
-    def test_decompose_reads_the_lifted_spectrum_off_the_blocks(self, tmp_path):
+    def test_decompose_reports_the_blocks_and_their_certificate(self, tmp_path):
         code, report = _main(COMMANDS["decompose"] + write_cover(tmp_path, "S3-punctured-torus"))
         assert code == 0
         results, certificate = report["results"], report["verdicts"][2]
-        assert results["lifted_spectrum"] == sorted(sum(results["block_spectra"], []))
+        # S_3 on 3 sheets: the trivial block and the 2-dimensional one
+        assert (results["group_order"], results["block_sizes"]) == (6, [1, 2])
+        assert set(results) == {"group_order", "block_sizes", "residual"}
         assert certificate["tolerance"] == RESIDUAL_TOL and certificate["max_error"] <= RESIDUAL_TOL
-        # the punctured 3 x 3 torus has 9 vertices; blocks of sizes 1 and 2
-        assert certificate["solved_sizes"] == [9, 18]

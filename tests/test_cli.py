@@ -395,7 +395,7 @@ class TestVerify:
         assert code == 3 and report is None
         assert f"--dim 7 is outside {lowest}..1" in err
 
-    def test_union_solves_each_incidence_layer_once(self, capsys, monkeypatch, tmp_path):
+    def test_union_certifies_each_incidence_layer_once(self, capsys, monkeypatch, tmp_path):
         import numpy as np
 
         from liftlap.covering import induced_incidence_voltage
@@ -427,10 +427,9 @@ class TestVerify:
         monkeypatch.setattr("liftlap.cli.induced_incidence_voltage", counting_voltage)
         code, report, _ = run(capsys, ["verify", "union", "--base", torus, "--voltage", psi])
         assert code == 0 and len(report["verdicts"]) == 10
-        # layers 0 and 1 are each solved once per scheme for the base and
-        # the signed base, and never for the cover; the top layer needs no
-        # eigensolve
-        assert calls == {"eigvalsh": 8, "induced_incidence_voltage": 3}
+        # each layer's voltages are induced once, and the certificates
+        # solve no operator, of the cover or of the base
+        assert calls == {"eigvalsh": 0, "induced_incidence_voltage": 3}
 
     def test_decompose(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(

@@ -7,7 +7,10 @@ harmonics.
 A cell is ``x`` when the command exits 1 (a verdict fails) and ``.`` when
 every verdict holds; a command whose claim does not apply to a cover
 (exit 3 without a fault) has no cell.  Each entry is the direct route's
-outcome, then the certified route's.
+outcome, then the certified route's.  An outcome is ``-`` when the
+route never calls the function the fault replaces, so there is nothing
+for it to catch: the certified routes read no spectrum, and a cell
+``--`` is a fault that does not apply to the command at all.
 """
 
 import io
@@ -16,6 +19,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import mutants
 from mutants import COMMANDS, COVERS, MUTANTS, write_cover
 from oracles import direct_decompose, direct_verify_betti, direct_verify_spectral
 
@@ -35,6 +39,7 @@ ALL_CAUGHT = {
     "S3-punctured-torus": {"inclusion": "xx", "decompose": "xx", "betti": "xx"},
 }
 NONE_CAUGHT = {cover: {command: ".." for command in row} for cover, row in ALL_CAUGHT.items()}
+NONE_REACHED = {cover: {command: "--" for command in row} for cover, row in ALL_CAUGHT.items()}
 
 
 def _with(table, **cells):
@@ -46,72 +51,71 @@ def _with(table, **cells):
     return out
 
 
-# Betti numbers read no weight, signing, block or padding
-BETTI_SURVIVES = {"C3_double__betti": "..", "Z3_triangle__betti": "..", "S3_punctured_torus__betti": ".."}
+BETTI = ("C3_double__betti", "Z3_triangle__betti", "S3_punctured_torus__betti")
+INCLUSION = ("C3_double__inclusion", "Z3_triangle__inclusion", "S3_punctured_torus__inclusion")
+# Betti numbers read no weight
+BETTI_SURVIVES = dict.fromkeys(BETTI, "..")
+# betti reads no decoration, block or spectrum, and inclusion no decoration or block
+BETTI_UNREACHED = dict.fromkeys(BETTI, "--")
+INCLUSION_UNREACHED = dict.fromkeys(INCLUSION, "--")
 
 KILL_MATRIX = {
     "cover-sign-flip": ALL_CAUGHT,
     # the swapped hexagon and the swapped 9-cycle still hold the base spectrum
     "cover-sheet-swap": _with(ALL_CAUGHT, C3_double__inclusion=".x", Z3_triangle__inclusion=".x"),
-    # the direct routes compare no voltage with the cover, and on the Z_3
-    # cover the faulty character blocks keep the union of their spectra
+    # the direct routes compare no voltage with the cover (the Betti oracle
+    # reads none), and on the Z_3 cover the faulty character blocks keep the
+    # union of their spectra
     "voltage-inverted": _with(
         NONE_CAUGHT,
+        C3_double__betti="-.",
         Z3_triangle__abelian=".x",
         Z3_triangle__inclusion=".x",
         Z3_triangle__decompose=".x",
-        Z3_triangle__betti=".x",
+        Z3_triangle__betti="-x",
         S3_punctured_torus__inclusion=".x",
         S3_punctured_torus__decompose="xx",
-        S3_punctured_torus__betti=".x",
+        S3_punctured_torus__betti="-x",
     ),
-    "signing-misses-swap": _with(NONE_CAUGHT, C3_double__union="xx"),
-    "block-transposed": _with(NONE_CAUGHT, S3_punctured_torus__decompose="xx"),
-    "weight-scaled": _with(
-        ALL_CAUGHT,
-        C3_double__inclusion="..",
-        Z3_triangle__inclusion="..",
-        S3_punctured_torus__inclusion="..",
-        **BETTI_SURVIVES,
+    # only the union reads the two-fold signing
+    "signing-misses-swap": _with(NONE_REACHED, C3_double__union="xx"),
+    "block-transposed": _with(
+        NONE_CAUGHT,
+        S3_punctured_torus__decompose="xx",
+        C3_double__union="--",
+        **INCLUSION_UNREACHED,
+        **BETTI_UNREACHED,
     ),
+    "weight-scaled": _with(ALL_CAUGHT, **INCLUSION_UNREACHED, **BETTI_UNREACHED),
     "cover-weight-off-by-one": _with(ALL_CAUGHT, **BETTI_SURVIVES),
-    "padding-short": _with(NONE_CAUGHT, C3_double__union="x.", S3_punctured_torus__decompose="x."),
+    # only the direct routes solve spectra; a graph cover has as many edges
+    # as vertices, so nothing is padded below the top layer, which abelian
+    # skips, and inclusion compares the base inside the cover, both short
+    # by one zero
+    "padding-short": _with(
+        {cover: {command: ".-" for command in row} for cover, row in ALL_CAUGHT.items()},
+        C3_double__union="x-",
+        S3_punctured_torus__decompose="x-",
+        **BETTI_UNREACHED,
+    ),
 }
 
 # why a fault survives a cell on both routes: it makes no fault there
 SURVIVORS = {
     "voltage-inverted": "every voltage of a 2-fold cover is its own inverse",
-    "signing-misses-swap": "only the union reads the two-fold signing, and Betti numbers read no signing",
-    "block-transposed": (
-        "a 1 x 1 block is its own transpose, inclusion reads no block, and the Betti certificate reads "
-        "its own integer blocks R(psi_e), not the decomposition's"
-    ),
-    "weight-scaled": "inclusion and betti read no decoration",
+    "block-transposed": "a 1 x 1 block is its own transpose",
     "cover-weight-off-by-one": (
         "Betti numbers read no weight: the certificate factors the cover under the combinatorial scheme, "
         "and a vertex weight leaves the harmonic cochains of dimension 1 and up where they were"
-    ),
-    "padding-short": (
-        "a graph cover has as many edges as vertices, so nothing is padded, inclusion compares "
-        "the base inside the cover, both short by one zero, and betti reads no spectrum"
-    ),
-}
-
-# faults that only the direct oracle can catch, with the reason
-ORACLE_ONLY = {
-    "padding-short": (
-        "the fault is inside layer_spectra, which both routes share: the certified verdicts rest on the "
-        "factorization and the block identity, not on the spectra they report, so a wrong padding changes "
-        "the reported spectra but no verdict; layer_spectra is checked against the assembled operator in "
-        "tests/test_operators.py, and the certified spectra against the direct solve in "
-        "tests/test_certificate.py"
     ),
 }
 
 
 def run(argv, monkeypatch, mutant=None, direct=False):
     """Exit code and report of ``liftlap argv`` under ``mutant``, on the
-    direct-solve oracle when ``direct``."""
+    direct-solve oracle when ``direct``; ``mutants.REACHED`` is left
+    holding the replaced functions the run called."""
+    mutants.REACHED.clear()
     with monkeypatch.context() as m:
         if mutant is not None:
             mutant.apply(m)
@@ -140,7 +144,12 @@ def test_claims_apply_where_listed_and_hold_without_a_fault(monkeypatch, cover_a
 
 
 def _outcome(code):
+    """A route's outcome, read right after its run: ``-`` when it never
+    reached the fault, which must leave every verdict holding."""
     assert code in (0, 1), f"exit {code}"
+    if not mutants.REACHED:
+        assert code == 0, "a fault that is never reached changed a verdict"
+        return "-"
     return "x" if code == 1 else "."
 
 
@@ -150,8 +159,9 @@ def test_kill_matrix(monkeypatch, cover_args, mutant):
     for cover, commands in APPLIES.items():
         for command in commands:
             argv = COMMANDS[command] + cover_args[cover]
-            (direct, _), (certified, report) = (run(argv, monkeypatch, mutant, d) for d in (True, False))
-            matrix.setdefault(cover, {})[command] = _outcome(direct) + _outcome(certified)
+            cell = _outcome(run(argv, monkeypatch, mutant, True)[0])
+            certified, report = run(argv, monkeypatch, mutant, False)
+            matrix.setdefault(cover, {})[command] = cell + _outcome(certified)
             if certified == 1:
                 # every failing certificate names where it fails
                 for v in report["verdicts"]:
@@ -159,5 +169,6 @@ def test_kill_matrix(monkeypatch, cover_args, mutant):
                         assert v["witness"]["kind"] and v["witness"].get("face"), v
     assert matrix == KILL_MATRIX[mutant.name]
     cells = [cell for row in matrix.values() for cell in row.values()]
-    assert "x." not in cells or mutant.name in ORACLE_ONLY, "the certified route misses a fault the oracle catches"
+    assert "x." not in cells, "the certified route misses a fault the oracle catches"
     assert ".." not in cells or mutant.name in SURVIVORS
+

@@ -432,17 +432,20 @@ class TestDecorations:
         D = decorated_coboundary(triangle, 1, w)
         assert D[2].dtype == np.complex128 and dense_matrix(D, (1, 3)).tolist() == [[1j, -1, 1]]
 
-    def test_value_with_zero_imaginary_part_is_stored_real(self, triangle):
+    def test_dtype_is_the_values_dtype_not_their_imaginary_parts(self, triangle):
+        # a complex value stays complex though its imaginary part is zero, so
+        # a block's dtype follows its transform, not the rounding of its values
         a, b = ((0, 1), (0, 1, 2)), ((0, 2), (0, 1, 2))
         w = incidence_weighting(triangle, {a: -1 + 0j, b: np.array([[2 + 0j]])})
-        assert w.dtype == np.float64 and w.layers[1].dtype == np.float64
+        assert w.dtype == np.complex128 and w.layers[1].dtype == np.complex128
         assert w.layers[1].tolist() == [-1.0, 2.0, 1.0]
-        assert decorated_coboundary(triangle, 1, w)[2].dtype == np.float64
+        assert decorated_coboundary(triangle, 1, w)[2].dtype == np.complex128
         block = incidence_weighting(triangle, {a: np.array([[0, 1], [1, 0]], dtype=complex)})
-        assert block.dtype == np.float64 and block.layers[1].dtype == np.float64
-        # one nonzero imaginary part anywhere keeps the weighting complex
-        assert incidence_weighting(triangle, {a: -1.0, b: np.array([[2 + 1e-300j]])}).dtype == np.complex128
-        mixed = incidence_weighting(triangle, {a: -1.0, ((0,), (0, 1)): 1j})
+        assert block.dtype == np.complex128 and block.layers[1].dtype == np.complex128
+        real = incidence_weighting(triangle, {a: -1.0, b: np.array([[2.0]])})
+        assert real.dtype == np.float64 and decorated_coboundary(triangle, 1, real)[2].dtype == np.float64
+        # one complex layer makes the weighting complex, and a layer keeps its own dtype
+        mixed = IncidenceWeighting(triangle, {0: [1j] + [1.0] * 5, 1: [-1.0, 1.0, 1.0]})
         assert mixed.layers[1].dtype == np.float64 and mixed.dtype == np.complex128
         assert decorated_coboundary(triangle, 1, mixed)[2].dtype == np.complex128
 

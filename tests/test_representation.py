@@ -268,13 +268,30 @@ class TestDecompositionProperties:
         picks = rng.integers(group.order, size=len(coboundary(M, i)[0]))
         psi = IncidenceVoltages(M, k, i, group.elements[picks])
 
-        # a complex block whose values at these voltages are real may or may
-        # not round to exactly zero imaginary parts; a real block is real
+        # a block is complex exactly where its columns of T are, even where
+        # its values at these voltages are real
         got, want = block_weightings(psi, dec), per_incidence_block_weightings(psi, dec)
         assert [w.layers[i].shape for w in got] == [w.layers[i].shape for w in want]
         for a, b, w, v in zip(offsets[1:], offsets[2:], got, want):
-            assert T[:, a:b].imag.any() or w.dtype == v.dtype == np.float64
+            assert w.dtype == v.dtype == (np.complex128 if T[:, a:b].imag.any() else np.float64)
             assert np.max(np.abs(w.layers[i] - v.layers[i]), initial=0.0) <= 1e-12
+
+    def test_block_dtype_follows_the_transform_not_the_rounding_of_its_values(self):
+        # the 3-cycle (1 3 4) on 5 points: every block after the first has
+        # complex columns (two complex characters, and the trivial one of
+        # multiplicity 3), each 1 at the identity, so a layer where the
+        # voltages present give real values can round to exactly zero
+        # imaginary parts in one product and not in the other; the
+        # weighting's dtype must still be the dense oracle's
+        group = voltage_group([(0, 3, 2, 4, 1)])
+        dec = decompose_representation(group, seed=0)
+        rng = np.random.default_rng(0)
+        M = random_complex(rng, max_vertices=6, max_faces=16)
+        i = int(rng.integers(0, M.top_dim))
+        picks = rng.integers(group.order, size=len(coboundary(M, i)[0]))
+        psi = IncidenceVoltages(M, 5, i, group.elements[picks])
+        got, want = block_weightings(psi, dec), per_incidence_block_weightings(psi, dec)
+        assert [w.dtype for w in got] == [w.dtype for w in want] == [np.complex128] * 4
 
     @settings(max_examples=150, deadline=None)
     @given(_GENERATORS, st.integers(0, 2**32 - 1))
@@ -568,16 +585,20 @@ class TestArrayRoute:
             voltages = per_face_induced_incidence_voltage(cov, i)
             group = voltage_group(psi.perms)
             dec = decompose_representation(group)
-            # the library's values at every element, keyed by the element
-            table = dict(zip(map(tuple, group.elements.tolist()), zip(*block_values(dec, group.elements))))
+            # the library's values at every element, keyed by the element; a
+            # block's dtype is its values', complex where its transform is
+            blocks = block_values(dec, group.elements)
+            table = dict(zip(map(tuple, group.elements.tolist()), zip(*blocks)))
             cases = [
-                (w, {pair: table[p][j] for pair, p in voltages.items()})
+                (w, {pair: table[p][j] for pair, p in voltages.items()}, blocks[j].dtype)
                 for j, w in enumerate(block_weightings(psi, dec), start=1)
             ]
             if k == 2:
-                cases.append((two_fold_signing(psi), {pair: -1.0 for pair, p in voltages.items() if p == (1, 0)}))
-            for w, values in cases:
-                assert _same_triplets(decorated_coboundary(M, i, w), per_pair_decorated_coboundary(M, i, values))
+                flips = {pair: -1.0 for pair, p in voltages.items() if p == (1, 0)}
+                cases.append((two_fold_signing(psi), flips, np.float64))
+            for w, values, dtype in cases:
+                want = per_pair_decorated_coboundary(M, i, values, dtype)
+                assert _same_triplets(decorated_coboundary(M, i, w), want)
             if i == 0:
                 first = cases[0][0]
 
@@ -588,7 +609,7 @@ class TestArrayRoute:
             "real": lambda: float(rng.choice([-2.0, -1.0, 0.5, 3.0])),
             "complex": lambda: np.exp(2j * np.pi * rng.integers(1, 5) / 5),
             "matrix": lambda: rng.normal(size=(2, 2)) + 1j * rng.integers(0, 2) * rng.normal(size=(2, 2)),
-            # signed zero imaginary parts, a value with one is real
+            # signed zero imaginary parts: complex values, though their imaginary parts are zero
             "1x1": lambda: np.array([[complex(rng.choice([-1.0, 2.0]), rng.choice([-0.0, 0.0, 0.5]))]]),
         }[kind]
         values = {pair: draw() for pair in picked}
