@@ -12,10 +12,11 @@ base coboundary lifted by the induced voltages
 (:func:`~liftlap.covering.factor_lifted_coboundary`), and a transform T
 carries the lift into the direct sum of the blocks
 (:func:`~liftlap.representation.block_identity`), so the lifted spectrum
-is the union of the block spectra, and no eigenvalue is read.  The
-block spectra themselves are ``spectrum`` of the base, with
-``--signing`` for the union's signed block.  ``verify betti`` ranks
-only base-size matrices, and its verdicts are exact
+is the union of the block spectra, and no eigenvalue is read.  Each
+layer is factored once, and the weight schemes asked for share that
+integer comparison.  The block spectra themselves are ``spectrum`` of
+the base, with ``--signing`` for the union's signed block.  ``verify
+betti`` ranks only base-size matrices, and its verdicts are exact
 (:func:`~liftlap.homology.verify_betti_inequality`).
 The fixture search matches the base spectrum exactly; ``--tol`` is the
 tolerance of its float comparisons of the flip's signed and cover spectra.
@@ -223,7 +224,7 @@ def cmd_decompose(args, report):
             "block decomposition: block spectra union to the lifted spectrum",
             cov,
             psi,
-            factor_lifted_coboundary(cov, layer, psi, scheme),
+            factor_lifted_coboundary(cov, layer, psi, [scheme])[0],
             block_identity(psi, dec.transform, weightings),
             RESIDUAL_TOL,
         ),
@@ -328,9 +329,10 @@ SPECTRAL_CLAIMS = {
 
 def _certify_layer(cov, layer, decorate, args):
     """The layer's voltages, block identity and, per scheme, the
-    factorization of the cover's coboundary; the error where the claim's
-    hypothesis is not met (trivial or intransitive voltage group), so the
-    claim does not apply on this layer."""
+    factorization of the cover's coboundary, whose integer comparison the
+    schemes share; the error where the claim's hypothesis is not met
+    (trivial or intransitive voltage group), so the claim does not apply
+    on this layer."""
     psi = induced_incidence_voltage(cov, layer)
     try:
         transform, weightings = decorate(psi, args)
@@ -338,8 +340,9 @@ def _certify_layer(cov, layer, decorate, args):
         if args.dim is not None:
             raise
         return exc
-    schemes = {name: factor_lifted_coboundary(cov, layer, psi, scheme) for name, scheme in _schemes(args.scheme)}
-    return psi, block_identity(psi, transform, weightings), schemes
+    names, schemes = zip(*_schemes(args.scheme))
+    factorizations = dict(zip(names, factor_lifted_coboundary(cov, layer, psi, schemes)))
+    return psi, block_identity(psi, transform, weightings), factorizations
 
 
 def cmd_verify_spectral(args, report):
@@ -390,7 +393,9 @@ def _betti_verdict(cov, v):
     """The exact verdict of one dimension, with the largest residual of
     each part of its layers' certificates and the first witness: that of
     :func:`_witness`, or an entry of a twisted coboundary squared at a
-    base face and (i+2)-face, with the coordinates of V at each."""
+    base face and (i+2)-face, with the coordinates of V at each, or the
+    least base vertex when the Betti numbers at dims -1 and 0 are not
+    those of a connected complex."""
     M, m = cov.base, cov.degree - 1
     witness = None
     for x in v.layers:
@@ -405,6 +410,8 @@ def _betti_verdict(cov, v):
             }
         if witness is not None:
             break
+    if witness is None and not v.components_agree:
+        witness = {"kind": "betti number of a connected complex", "face": list(M.faces(0)[0])}
     residuals = {
         "factorization_residual": max((x.factorization.residual for x in v.layers), default=0),
         "block_identity_residual": max((int(x.identity.residual) for x in v.layers), default=0),

@@ -11,8 +11,8 @@ else is computed from those arrays on first use and then kept:
 
 * the d-faces, one sorted, duplicate-free ``(n_d, d+1)`` int64 array
   per dimension, built from the top dimension down: the distinct rows,
-  by one ``lexsort`` and a comparison of neighbouring rows, among the
-  boundary rows of the (d+1)-faces and the given facets of width d+1;
+  by one stable sort of a packed int64 row key, among the boundary rows
+  of the (d+1)-faces and the given facets of width d+1;
 * the coboundary triplets of each degree, as read-only arrays, whose
   columns are the inverse of that sort: the position of each boundary
   row of a (d+1)-face among the d-faces;
@@ -22,7 +22,10 @@ else is computed from those arrays on first use and then kept:
 
 A face given by its vertices is looked up in the face array of its
 dimension, searched row by row with ``searchsorted``
-(:meth:`SimplicialComplex._locate`).  ``index``, ``has_face``,
+(:meth:`SimplicialComplex._locate`).  The faces of the complex are not
+searched for: the vertex indices of each face, and the keys ``_locate``
+searches, are gathered up the coboundary columns
+(:meth:`SimplicialComplex._vertex_index`).  ``index``, ``has_face``,
 ``cofacets``, ``facets`` and the weights read the coboundary or the
 same arrays, and weights are one float64 array per dimension.
 
@@ -81,14 +84,44 @@ def _ids(values, what="vertex") -> np.ndarray:
 
 
 def _unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a 2-D integer array, sorted, and the position of each
-    row of ``a`` among them: one ``lexsort``, keeping rows unlike the one before."""
-    order = np.lexsort(a.T[::-1])
-    a = a[order]
-    new = np.r_[True, (a[1:] != a[:-1]).any(axis=1)][: len(a)]
-    inverse = np.empty(len(a), np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return a[new], inverse
+    """The distinct rows of a 2-D int64 array, sorted, and the position of each
+    row of ``a`` among them, by the ranks of one packed row key.
+
+    Column by column the key becomes ``key * width + (value - least)``,
+    ``width`` the span of the column's values, so keys order like rows.
+    Where that could leave the int64 range, the key so far is first
+    replaced by its rank, and then, if the column still does not fit, the
+    column by its values' ranks: the key is exact for any input."""
+    key, span = np.zeros(len(a), np.int64), 1
+    for column in a.T:
+        least, most = (int(column.min()), int(column.max())) if len(a) else (0, 0)
+        width = most - least + 1
+        if span > 1 and span * width >= 2**63:
+            key, span = _ranks(key)
+        if span * width >= 2**63:
+            (column, width), least = _ranks(column), 0
+        key *= width
+        key += column
+        key -= least
+        span *= width
+    inverse, count = _ranks(key)
+    distinct = np.empty((count, a.shape[1]), a.dtype)
+    distinct[inverse] = a
+    return distinct, inverse
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """The rank of each entry of a 1-D array among its distinct entries, and
+    their number: one stable ``argsort``, quicker than the default sort on
+    the nearly sorted keys of face rows."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new = np.zeros(len(values), np.int64)
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered
+    rank = np.empty(len(values), np.int64)
+    rank[order] = np.cumsum(new, out=new)
+    return rank, int(new[-1]) + 1 if len(values) else 0
 
 
 def _id_or_minus_one(v) -> int:
@@ -267,14 +300,28 @@ class SimplicialComplex:
             self._arrays[d] = faces
         return self._arrays[d]
 
+    def _vertex_index(self, d: int) -> np.ndarray:
+        """The ``(n_d, d+1)`` int64 index in ``faces(0)`` of each vertex of
+        each d-face, by gathers up the coboundaries from the vertices: a
+        c-face's first boundary face (column 0 of the degree-(c-1)
+        coboundary) is its prefix, and its second (column 1) ends in its
+        last vertex."""
+        at = np.arange(self.face_count(0), dtype=np.int64)[:, None][:, : d + 1]
+        if d == -1:
+            return at[: self.face_count(-1)]
+        for c in range(1, d + 1):
+            first, second = coboundary(self, c - 1)[1].reshape(-1, c + 1)[:, :2].T
+            at = np.concatenate([at[first], at[second, -1:]], axis=1)
+        return at
+
     def _face_keys(self, d: int) -> np.ndarray:
-        """Key of each d-face (d >= 1): the index of its prefix (d-1)-face
-        times n_0 plus the index of its last vertex.  Keys increase with
-        the canonical order and stay below n_{d-1} * n_0, which no id
-        size can overflow."""
+        """Key of each d-face (d >= 1): the index of its prefix (d-1)-face,
+        column 0 of the degree-(d-1) coboundary, times n_0 plus the index
+        of its last vertex.  Keys increase with the canonical order and
+        stay below n_{d-1} * n_0, which no id size can overflow."""
         if d not in self._keys:
-            faces, verts = self._face_array(d), self._face_array(0)[:, 0]
-            self._keys[d] = self._locate(faces[:, :-1]) * len(verts) + np.searchsorted(verts, faces[:, -1])
+            prefix = coboundary(self, d - 1)[1][:: d + 1]
+            self._keys[d] = prefix * self.face_count(0) + self._vertex_index(d)[:, -1]
         return self._keys[d]
 
     def _locate(self, rows: np.ndarray) -> np.ndarray:

@@ -14,7 +14,10 @@ The pieces implemented here:
   that table and the cover's coboundary, and
 * the exact check that the cover's coboundary is the base coboundary
   lifted by given voltages, with the cover's face weights those of the
-  base (:func:`factor_lifted_coboundary`).
+  base (:func:`factor_lifted_coboundary`): one integer comparison per
+  layer, whatever the weight schemes, each lifted nonzero located in
+  its cover row by a gather, and one weight check per scheme and
+  covering.
 
 Array checks
 ------------
@@ -22,8 +25,9 @@ Verification and construction run on the int64 face arrays a
 :class:`~liftlap.complexes.SimplicialComplex` keeps per dimension, one
 pass per dimension rather than a Python step per face; vertex ids must
 therefore fit in int64, and larger ones are refused as malformed input.
-The image of every cover face is one sorted row of the vertex images,
-found among the base faces by ``searchsorted``; a (base face, cover
+The vertex indices of every cover face are gathered from the cover's
+coboundary columns, not searched for, and its image is one sorted row
+of their images, located among the base faces; a (base face, cover
 vertex) pair met twice is a fiber overlap.  The strong condition is
 certified by counts: once images are base faces, no face collapses and
 no fiber overlaps, the cofacets of a face over ``g`` lie over distinct
@@ -45,9 +49,9 @@ canonical (lexicographic) order, and a face's place in it is its sheet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -163,7 +167,9 @@ class CoveringMap:
     face, ``fibers[-1]`` is its one-point fiber ``[[0]]``, or ``[[]]``
     when the cover has no empty face.  :func:`verify_covering` fills it
     once and every reader of the covering reads it.  ``vertex_map`` is
-    the projection on vertices as a dict of ids.
+    the projection on vertices as a dict of ids.  The orientation signs
+    of each dimension and the weight check of each scheme are kept on
+    the covering once computed, as a complex keeps its face arrays.
     """
 
     cover: SimplicialComplex
@@ -171,6 +177,8 @@ class CoveringMap:
     vertex_map: Mapping
     degree: int
     fibers: Mapping
+    _signs: dict = field(default_factory=dict, init=False, repr=False)
+    _weight_witnesses: dict = field(default_factory=dict, init=False, repr=False)
 
 
 def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_map: Mapping) -> CoveringMap:
@@ -212,7 +220,7 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     images = []
     overlap = None
     for d in range(0, cover.top_dim + 1):
-        at = np.searchsorted(verts, cover._face_array(d))
+        at = cover._vertex_index(d)
         img = np.sort(vimg[at], axis=1)
         degenerate = (img[:, 1:] == img[:, :-1]).any(axis=1)
         g = base._locate(img)
@@ -388,11 +396,20 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
     k = cov.degree
     if i == M.top_dim:
         return IncidenceVoltages(M, k, i, np.zeros((0, k), np.int64))
-    # slot of a cover face in the fiber table: base face * degree + sheet
-    slot, slot_above = (np.argsort(cov.fibers[d].ravel()) for d in (i, i + 1))
+    slot, slot_above = _slots(cov, i), _slots(cov, i + 1)
     rows, cols, _ = coboundary(K, i)
-    order = np.lexsort((slot[cols], slot_above[rows] // k))
+    # one key: base cofacet, then the face's slot (base face * degree + sheet)
+    order = np.argsort(slot_above[rows] // k * len(slot) + slot[cols], kind="stable")
     return IncidenceVoltages(M, k, i, (slot_above[rows[order]] % k).reshape(-1, k))
+
+
+def _slots(cov: CoveringMap, d: int) -> np.ndarray:
+    """The slot, base face * degree + sheet, of each cover d-face: the
+    inverse of the fiber table, by one scatter."""
+    fibers = cov.fibers[d].ravel()
+    slot = np.empty(len(fibers), np.int64)
+    slot[fibers] = np.arange(len(fibers))
+    return slot
 
 
 # -- the lifted coboundary, factored -------------------------------------------
@@ -401,13 +418,16 @@ def induced_incidence_voltage(cov: CoveringMap, i: int) -> IncidenceVoltages:
 def _orientation_signs(cov: CoveringMap, d: int) -> np.ndarray:
     """The ``(n_d, degree)`` int64 signs, +1 or -1, of the cover d-faces in
     the fiber table: the parity of the inversions among the images of a
-    face's vertices, read in the face's own (increasing) order."""
-    K, fibers = cov.cover, cov.fibers[d]
-    # a cover vertex's image as its base vertex's index, which orders like its id
-    image = np.argsort(cov.fibers[0].ravel()) // cov.degree
-    lifted = image[np.searchsorted(K._face_array(0)[:, 0], K._face_array(d)[fibers.ravel()])]
-    inversions = np.triu(lifted[:, :, None] > lifted[:, None, :], 1).sum(axis=(1, 2))
-    return (1 - 2 * (inversions % 2)).reshape(fibers.shape)
+    face's vertices, read in the face's own (increasing) order.  Computed
+    once per dimension and kept on the covering."""
+    if d not in cov._signs:
+        fibers = cov.fibers[d]
+        # a cover vertex's image as its base vertex's index, which orders like its id
+        image = _slots(cov, 0) // cov.degree
+        lifted = image[cov.cover._vertex_index(d)[fibers.ravel()]]
+        inversions = np.triu(lifted[:, :, None] > lifted[:, None, :], 1).sum(axis=(1, 2))
+        cov._signs[d] = (1 - 2 * (inversions % 2)).reshape(fibers.shape)
+    return cov._signs[d]
 
 
 @dataclass(frozen=True)
@@ -429,50 +449,94 @@ class Factorization:
         return self.residual == 0 and self.weight_witness is None
 
 
-def factor_lifted_coboundary(cov: CoveringMap, i: int, psi: IncidenceVoltages, scheme: WeightScheme) -> Factorization:
+def factor_lifted_coboundary(
+    cov: CoveringMap, i: int, psi: IncidenceVoltages, schemes: Sequence[WeightScheme]
+) -> tuple[Factorization, ...]:
     """Check, in integers, that the cover's degree-i coboundary is
-    ``S_{i+1} D_psi S_i``, and that under ``scheme`` every cover i- and
-    (i+1)-face weighs exactly what its base face weighs.
+    ``S_{i+1} D_psi S_i``, and that under each of ``schemes`` every cover
+    i- and (i+1)-face weighs exactly what its base face weighs: one
+    :class:`Factorization` per scheme, in order.
 
     ``D_psi`` is the base coboundary with the nonzero of each incidence
     ``(G, Gbar)`` replaced by the block ``sign * P(psi)``: sheet j of
     ``G`` meets sheet ``psi[j]`` of ``Gbar``.  Rows and columns are read
     through the fiber table, and ``S_d`` is the diagonal of the
     orientation signs of the cover d-faces (:func:`_orientation_signs`).
-    Both matrices have k nonzeros per base incidence; they are compared
-    as one sorted list of (cover row, cover column) keys, the cover's
-    signs against the negated lifted ones, so the cost is that of a sort
-    of the nonzeros.  With the weights equal, the weighted coboundaries
-    factor the same way.  ``psi`` must be voltages on ``cov.base`` at
-    layer ``i`` with ``cov.degree`` sheets, and ``scheme`` must weigh
-    both complexes.
+    The matrices are compared once, whatever the schemes
+    (:func:`_coboundary_difference`); the weights are compared once per
+    scheme and covering.  With the weights equal, the weighted
+    coboundaries factor the same way.  ``psi`` must be voltages on
+    ``cov.base`` at layer ``i`` with ``cov.degree`` sheets, and each
+    scheme must weigh both complexes.
     """
-    M, K, k = cov.base, cov.cover, cov.degree
+    M, k = cov.base, cov.degree
     if not (0 <= i <= M.top_dim):
         raise DimensionError(f"the lifted coboundary needs 0 <= i <= {M.top_dim}, got {i}")
-    base_rows, base_cols, base_signs = coboundary(M, i)
-    if (psi.base is not M and psi.base != M) or psi.dim != i or psi.perms.shape != (len(base_rows), k):
+    if (psi.base is not M and psi.base != M) or psi.dim != i or psi.perms.shape != (len(coboundary(M, i)[0]), k):
         raise VoltageError(f"the voltages are not layer {i} voltages of the base on {k} sheets")
-    w_cover, w_base = compute_weights(K, scheme), compute_weights(M, scheme)
-    weight_witness = None
-    for d in (i, i + 1) if i < M.top_dim else (i,):
-        off = (w_cover[d][cov.fibers[d]] != w_base[d][:, None]).ravel()
-        if off.any():
-            weight_witness = K.faces(d)[cov.fibers[d].ravel()[np.argmax(off)]]
-            break
+    difference = _coboundary_difference(cov, i, psi)
+    dims = (i, i + 1) if i < M.top_dim else (i,)
+    out = []
+    for scheme in schemes:
+        off = _weight_witnesses(cov, scheme)
+        out.append(Factorization(*difference, next((off[d] for d in dims if off[d] is not None), None)))
+    return tuple(out)
+
+
+def _weight_witnesses(cov: CoveringMap, scheme: WeightScheme) -> dict:
+    """``{d: the first cover d-face, in the fiber table's order, whose weight
+    under scheme is not its base face's, or None}`` for every dimension
+    from 0, computed once per scheme and kept on the covering."""
+    if scheme not in cov._weight_witnesses:
+        K, M = cov.cover, cov.base
+        w_cover, w_base = compute_weights(K, scheme), compute_weights(M, scheme)
+        out = {}
+        for d in range(0, M.top_dim + 1):
+            off = (w_cover[d][cov.fibers[d]] != w_base[d][:, None]).ravel()
+            out[d] = K.faces(d)[cov.fibers[d].ravel()[np.argmax(off)]] if off.any() else None
+        cov._weight_witnesses[scheme] = out
+    return cov._weight_witnesses[scheme]
+
+
+def _coboundary_difference(cov: CoveringMap, i: int, psi: IncidenceVoltages) -> tuple[int, tuple | None]:
+    """The residual and witness of :class:`Factorization`: where the
+    cover's degree-i coboundary and the lifted one differ.
+
+    The lifted nonzeros, k per base incidence, are located in the cover's
+    triplets by :func:`_positions`, one gather, and subtracted there.
+    Only those that fall off the cover's pattern, which the induced
+    voltages never put there, are grouped by (row, column) key, so a
+    lift that holds sorts nothing."""
+    M, K, k = cov.base, cov.cover, cov.degree
     rows, cols, signs = coboundary(K, i)
     if not len(rows):
-        return Factorization(0, None, weight_witness)
-    # the lifted nonzeros, k per base incidence, as fiber slots (base face * k + sheet)
+        return 0, None
+    base_rows, base_cols, base_signs = coboundary(M, i)
+    # the lifted nonzeros as fiber slots (base face * k + sheet), then as cover faces
     below = base_cols.repeat(k) * k + np.tile(np.arange(k), len(base_cols))
     above = base_rows.repeat(k) * k + psi.perms.ravel()
     s_above, s_below = _orientation_signs(cov, i + 1).ravel(), _orientation_signs(cov, i).ravel()
     lifted = s_above[above] * base_signs.repeat(k) * s_below[below]
+    above, below = cov.fibers[i + 1].ravel()[above], cov.fibers[i].ravel()[below]
+    at = _positions(cols, i + 2, above, below)
+    on = at >= 0
+    difference = signs - np.bincount(at[on], lifted[on], len(signs))
     n = K.face_count(i)
-    keys = np.concatenate([rows * n + cols, cov.fibers[i + 1].ravel()[above] * n + cov.fibers[i].ravel()[below]])
-    distinct, at = _unique_rows(keys[:, None])
-    difference = np.bincount(at, np.concatenate([signs, -lifted]), len(distinct))
-    if not difference.any():
-        return Factorization(0, None, weight_witness)
-    row, col = divmod(int(distinct[np.argmax(difference != 0), 0]), n)
-    return Factorization(int(np.abs(difference).max()), (K.faces(i)[col], K.faces(i + 1)[row]), weight_witness)
+    keys, values = rows * n + cols, difference
+    if not on.all():
+        off, where = _unique_rows((above[~on] * n + below[~on])[:, None])
+        keys, values = np.r_[keys, off[:, 0]], np.r_[values, -np.bincount(where, lifted[~on], len(off))]
+    differs = values != 0
+    if not differs.any():
+        return 0, None
+    row, col = divmod(int(keys[differs].min()), n)
+    return int(np.abs(values).max()), (K.faces(i)[col], K.faces(i + 1)[row])
+
+
+def _positions(cols: np.ndarray, width: int, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Index in the triplets of the nonzero at each (row, column) pair
+    ``(rows[t], at[t])`` of a matrix whose ``width`` nonzeros per row, in
+    row order, have the columns ``cols``; -1 where the pair is no
+    nonzero.  One gather of each pair's row and a comparison."""
+    match = cols.reshape(-1, width)[rows] == at[:, None]
+    return np.where(match.any(axis=1), rows * width + match.argmax(axis=1), -1)

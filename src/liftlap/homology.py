@@ -37,8 +37,10 @@ b_i(cover) = b_i(base) + b_i(base; V_psi) >= b_i(base): Shapiro's lemma
 3.H), the paper's Betti inequality.  Each layer is certified in
 integers: the factorization, the identity of T
 (:func:`~liftlap.representation.block_identity`) and ``d^V_(i+1) d^V_i
-= 0``, which clearing needs, as a product of nonzeros.  Only base-size
-matrices are ranked; no operator of the cover is ranked or solved.
+= 0``, which clearing needs, as a product of nonzeros.  At dims -1 and
+0 the Betti numbers found must also be those of the connected base and
+cover, which checks the exact ranks there.  Only base-size matrices are
+ranked; no operator of the cover is ranked or solved.
 """
 
 from __future__ import annotations
@@ -212,17 +214,21 @@ class TwistedLayer:
 @dataclass(frozen=True, eq=False)
 class DimensionVerdict:
     """b_i of the base, of the cover and of the base with coefficients in
-    V_psi at ``dim``, and the certificates of the layers dim-1 and dim."""
+    V_psi at ``dim``, and the certificates of the layers dim-1 and dim.
+    ``components_agree`` is whether, at dims -1 and 0, b_i of the base and
+    of the cover are those of a connected complex, as the verified
+    covering makes both: there the exact ranks are checked as well."""
 
     dim: int
     betti_base: int
     betti_cover: int
     betti_twisted: int
     layers: tuple
+    components_agree: bool
 
     @property
     def holds(self) -> bool:
-        return all(layer.holds for layer in self.layers)
+        return self.components_agree and all(layer.holds for layer in self.layers)
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,7 +255,7 @@ def verify_betti_inequality(cov: CoveringMap) -> BettiInequalityReport:
         blocks = _reduced_blocks(psi.perms)
         twisted[i] = _twisted_coboundary(M, i, blocks)
         weightings = [IncidenceWeighting(M, {i: blocks})] if k > 1 else []
-        parts[i] = factor_lifted_coboundary(cov, i, psi, COMBINATORIAL), block_identity(psi, transform, weightings)
+        parts[i] = factor_lifted_coboundary(cov, i, psi, [COMBINATORIAL])[0], block_identity(psi, transform, weightings)
     squares = {i: _square(twisted[i + 1], twisted[i], (k - 1) * M.face_count(i)) for i in twisted if i + 1 in twisted}
     base = exact_betti_numbers(M)
     if any(residual for residual, _ in squares.values()):
@@ -262,10 +268,15 @@ def verify_betti_inequality(cov: CoveringMap) -> BettiInequalityReport:
         )
         for i in twisted
     }
+    # the reduced b_-1 and b_0 of a connected complex
+    connected = {-1: (0, 0), 0: (1 - M.include_empty, 1 - K.include_empty)}
     verdicts = []
     for i, b in base.items():
         b_twisted = (k - 1) * M.face_count(i) - ranks.get(i, 0) - ranks.get(i - 1, 0) if i >= 0 else 0
         # a cover read from a file may drop the empty face the base keeps, or keep one it drops
         b_cover = b + b_twisted + (i == 0) * (M.include_empty - K.include_empty)
-        verdicts.append(DimensionVerdict(i, b, b_cover, b_twisted, tuple(layers[j] for j in (i - 1, i) if j in layers)))
+        agree = connected.get(i, (b, b_cover)) == (b, b_cover)
+        verdicts.append(
+            DimensionVerdict(i, b, b_cover, b_twisted, tuple(layers[j] for j in (i - 1, i) if j in layers), agree)
+        )
     return BettiInequalityReport(tuple(verdicts))

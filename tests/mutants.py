@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from liftlap import complexes, covering, operators, representation
+from liftlap import complexes, covering, homology, operators, representation
 from liftlap.complexes import NORMALIZED_KIND, coboundary
 from liftlap.covering import IncidenceVoltages
 from liftlap.operators import IncidenceWeighting, SpectrumMultiset
@@ -192,6 +192,34 @@ def padding_short(monkeypatch):
     patch_everywhere(monkeypatch, operators, "layer_spectra", make)
 
 
+def factor_first_column(monkeypatch):
+    # a lifted nonzero is looked for at the first nonzero of its cover row only
+    def make(real):
+        def positions(cols, width, rows, at):
+            return np.where(cols.reshape(-1, width)[rows, 0] == at, rows * width, -1)
+
+        return positions
+
+    patch_everywhere(monkeypatch, covering, "_positions", make)
+
+
+def pivots_drop_last(monkeypatch):
+    def make(real):
+        def pivots(*args):
+            owners = real(*args)
+            if owners:
+                owners.popitem()
+            return owners
+
+        return pivots
+
+    patch_everywhere(monkeypatch, homology, "_pivots", make)
+
+
+def reduced_blocks_transposed(monkeypatch):
+    patch_everywhere(monkeypatch, homology, "_reduced_blocks", lambda real: lambda perms: real(perms).transpose(0, 2, 1))
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -216,6 +244,13 @@ MUTANTS = [
         "one cover vertex weighs 1 more than its base vertex under the normalized scheme",
     ),
     Mutant("padding-short", padding_short, "layer_spectra pads one zero too few"),
+    Mutant(
+        "factor-first-column",
+        factor_first_column,
+        "the factorization compares each lifted nonzero with the first nonzero of its cover row only",
+    ),
+    Mutant("pivots-drop-last", pivots_drop_last, "the exact elimination forgets its last pivot"),
+    Mutant("reduced-blocks-transposed", reduced_blocks_transposed, "the twisted blocks R(p) are read transposed"),
 ]
 
 

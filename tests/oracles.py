@@ -158,6 +158,18 @@ def union_find_components(vertices, edges) -> tuple[frozenset, ...]:
 
 
 
+def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a 2-D integer array, sorted, and the position of
+    each row among them, by one ``lexsort`` of the columns and a comparison
+    of neighbouring rows: what ``complexes._unique_rows`` must return."""
+    order = np.lexsort(a.T[::-1]) if a.shape[1] else np.arange(len(a))
+    ordered = a[order]
+    new = np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)][: len(a)]
+    inverse = np.empty(len(a), np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return ordered[new], inverse
+
+
 def face_positions(K: SimplicialComplex) -> dict:
     """Each face of ``K`` with its index in the canonical order of its
     dimension, in a dict: what ``K.index`` must return."""

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import scrambled_covering
+from conftest import cycle_complex, scrambled_covering
 from mutants import COMMANDS, patch_everywhere, write_cover
 from oracles import coboundary_factorization
 from randgen import random_complex, random_connected_cover
@@ -31,6 +31,7 @@ from liftlap import (
     block_weightings,
     build_complex,
     cli,
+    coboundary,
     compare_spectra,
     covering,
     decompose_representation,
@@ -40,6 +41,7 @@ from liftlap import (
     layer_spectra,
     operators,
     two_fold_signing,
+    verify_covering,
     voltage_group,
 )
 from liftlap.io import load_complex, load_edge_voltages
@@ -69,8 +71,7 @@ class TestFactorization:
         M = cov.base
         for i in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, i)
-            for scheme in (COMBINATORIAL, NORMALIZED):
-                assert factor_lifted_coboundary(cov, i, psi, scheme).holds
+            assert all(f.holds for f in factor_lifted_coboundary(cov, i, psi, [COMBINATORIAL, NORMALIZED]))
             assert coboundary_factorization(cov, i).residual == 0
             if not len(psi.perms):
                 continue
@@ -79,7 +80,7 @@ class TestFactorization:
             e = int(rng.integers(len(perms)))
             perms[e] = np.roll(perms[e], 1)
             bad = IncidenceVoltages(M, k, i, perms)
-            got, want = factor_lifted_coboundary(cov, i, bad, COMBINATORIAL), coboundary_factorization(cov, i, bad)
+            got, want = factor_lifted_coboundary(cov, i, bad, [COMBINATORIAL])[0], coboundary_factorization(cov, i, bad)
             assert got.residual == want.residual > 0
             # the witness is a pair of cover faces at which the two matrices differ
             face, cofacet = got.witness
@@ -92,15 +93,51 @@ class TestFactorization:
         psi = induced_incidence_voltage(cov, 0)
         perms = psi.perms.copy()
         perms[[0, 1]] = perms[[0, 1], ::-1]
-        fac = factor_lifted_coboundary(cov, 0, IncidenceVoltages(cov.base, 2, 0, perms), COMBINATORIAL)
+        (fac,) = factor_lifted_coboundary(cov, 0, IncidenceVoltages(cov.base, 2, 0, perms), [COMBINATORIAL])
         # sheet 0 of vertex 0 meets sheet 1 of vertex 1 across the swapped edge
         assert (fac.residual, fac.witness, fac.weight_witness) == (1, ((0,), (0, 3)), None)
         assert not fac.holds
 
+    @pytest.mark.parametrize(
+        "first, second, residual",
+        [
+            # the incidence ((1,), (0, 1)) at sheet image 2k + s lands in the fiber
+            # of (1, 2), where ((1,), (1, 2)) now puts sheet s: signs +1 and -1 cancel
+            (1, 4, 1),
+            # ((0,), (0, 1)) at k + s lands in the fiber of (0, 2), where
+            # ((0,), (0, 2)) now puts sheet s: both signs are -1
+            (0, 2, 2),
+        ],
+        ids=["cancel", "add"],
+    )
+    def test_lifted_nonzeros_off_the_covers_pattern_are_summed_by_position(self, first, second, residual):
+        # a 6-cycle over the 3-cycle, labelled so that the pair off the
+        # pattern comes first in the cover's order
+        M = cycle_complex(3)
+        K = build_complex([(0, 3), (0, 5), (1, 2), (1, 4), (2, 5), (3, 4)])
+        cov, k = verify_covering(K, M, {0: 2, 1: 2, 2: 0, 3: 0, 4: 1, 5: 1}), 2
+        base_rows = coboundary(M, 0)[0]
+        perms = induced_incidence_voltage(cov, 0).perms.copy()
+        # sheet 0 of the second incidence goes to the sheet it does not meet in the cover
+        s = 1 - perms[second, 0]
+        perms[second, 0] = s
+        perms[first, 0] = (base_rows[second] - base_rows[first]) * k + s
+        (got,) = factor_lifted_coboundary(cov, 0, IncidenceVoltages(M, k, 0, perms), [COMBINATORIAL])
+        # the dense oracle, its D_psi placed nonzero by nonzero at the slot each sheet image names
+        want = coboundary_factorization(cov, 0)
+        lifted = np.zeros_like(want.voltage_coboundary)
+        for (row, col, sign), p in zip(zip(*coboundary(M, 0)), perms):
+            for j in range(k):
+                lifted[row * k + p[j], col * k + j] += sign
+        difference = want.cover_coboundary - want.cofacet_signs.entries[:, None] * lifted * want.face_signs.entries
+        row, col = min((cov.fibers[1].ravel()[r], cov.fibers[0].ravel()[c]) for r, c in zip(*np.nonzero(difference)))
+        assert got.residual == np.abs(difference).max() == residual
+        assert got.witness == (K.faces(0)[col], K.faces(1)[row])
+
     def test_refuses_voltages_of_another_layer(self, c3_double_cover):
         cov = c3_double_cover.covering
         with pytest.raises(VoltageError, match="not layer 1 voltages"):
-            factor_lifted_coboundary(cov, 1, induced_incidence_voltage(cov, 0), COMBINATORIAL)
+            factor_lifted_coboundary(cov, 1, induced_incidence_voltage(cov, 0), [COMBINATORIAL])
 
 
 class TestBlockIdentity:
@@ -165,7 +202,7 @@ class TestCertifiedSpectra:
                 ident = block_identity(psi, transform, weightings)
                 assert max(ident.residual, ident.defect) <= RESIDUAL_TOL
                 for scheme in (COMBINATORIAL, NORMALIZED):
-                    assert factor_lifted_coboundary(cov, layer, psi, scheme).holds
+                    assert factor_lifted_coboundary(cov, layer, psi, [scheme])[0].holds
                     parts = [layer_spectra(M, layer, scheme, w) for w in [None] + weightings]
                     direct = layer_spectra(cov.cover, layer, scheme)
                     for side in (0, 1):
@@ -226,6 +263,28 @@ def test_no_spectral_command_assembles_or_solves_an_operator_of_the_cover(monkey
     assert code == 0 and covers and not solved
     assert not any(K is c for K in complexes for c in covers)
     assert not any("solved_sizes" in v for v in report["verdicts"])
+
+
+@pytest.mark.parametrize(
+    "cover, command", [("C3-double", "union"), ("Z3-triangle", "abelian"), ("S3-punctured-torus", "inclusion")]
+)
+def test_both_schemes_share_one_integer_comparison_per_layer(monkeypatch, tmp_path, cover, command):
+    compared = []
+    real = covering._coboundary_difference
+
+    def counted(cov, i, psi):
+        compared.append(i)
+        return real(cov, i, psi)
+
+    monkeypatch.setattr(covering, "_coboundary_difference", counted)
+    argv = COMMANDS[command] + write_cover(tmp_path, cover)
+    code, both = _main(argv)
+    layers = {int(v["claim"].split("dim ")[1][0]) - ("down" in v["claim"]) for v in both["verdicts"]}
+    assert code == 0 and sorted(compared) == sorted(layers)
+    separate = {name: _main(argv + ["--scheme", name])[1]["verdicts"] for name in ("combinatorial", "normalized")}
+    assert len(both["verdicts"]) == sum(map(len, separate.values()))
+    for v in both["verdicts"]:
+        assert v in separate[v["claim"].rsplit(", ", 1)[1][:-1]]
 
 
 class TestVerdictReports:

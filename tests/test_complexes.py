@@ -16,6 +16,7 @@ from oracles import (
     face_weights,
     relative_orientation_sign,
     union_find_components,
+    unique_rows,
 )
 from randgen import random_complex
 
@@ -32,7 +33,7 @@ from liftlap import (
     compute_weights,
     decorated_coboundary,
 )
-from liftlap.complexes import MAX_ID, _ids
+from liftlap.complexes import MAX_ID, _ids, _unique_rows
 
 
 class TestBuildComplex:
@@ -547,3 +548,32 @@ class TestOrderOfFirstUse:
             assert K.faces(d) == ref[d]
             for a, b in zip(coboundary(K, d), face_coboundary(ref.get(d + 1, ()), ref[d])):
                 assert a.dtype == b.dtype == np.int64 and a.tobytes() == b.tobytes()
+
+
+class TestGatheredPrimitives:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda width: st.lists(
+                st.lists(st.one_of(st.integers(0, 3), st.integers(MAX_ID - 2, MAX_ID)), min_size=width, max_size=width),
+                max_size=12,
+            ).map(lambda rows: np.array(rows, np.int64).reshape(len(rows), width))
+        )
+    )
+    def test_unique_rows_is_the_lexsort_oracle(self, a):
+        # ids near MAX_ID make the packed key overflow, so the rank step runs
+        got, want = _unique_rows(a), unique_rows(a)
+        assert got[0].dtype == want[0].dtype and got[0].shape == want[0].shape
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(_SEEDS, st.booleans())
+    def test_vertex_index_is_the_search_of_each_face_among_the_vertices(self, seed, include_empty):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng)
+        ids = np.sort(rng.choice(2**62, M.face_count(0), replace=False))
+        K = build_complex([[int(ids[v]) for v in f] for f in M.facets()], include_empty=include_empty)
+        verts = K._face_array(0)[:, 0]
+        for d in range(-1, K.top_dim + 1):
+            got, want = K._vertex_index(d), np.searchsorted(verts, K._face_array(d))
+            assert got.dtype == np.int64 and got.shape == want.shape and np.array_equal(got, want)

@@ -98,12 +98,22 @@ KILL_MATRIX = {
         S3_punctured_torus__decompose="x-",
         **BETTI_UNREACHED,
     ),
+    # only the certified routes factor the cover's coboundary
+    "factor-first-column": {cover: {command: "-x" for command in row} for cover, row in ALL_CAUGHT.items()},
+    # only betti ranks exactly; at dims -1 and 0 the certified route checks the
+    # ranks against the components of the connected base and cover
+    "pivots-drop-last": _with(NONE_REACHED, **dict.fromkeys(BETTI, "xx")),
+    # only the certified betti route reads the twisted blocks
+    "reduced-blocks-transposed": _with(
+        NONE_REACHED, C3_double__betti="-.", Z3_triangle__betti="-x", S3_punctured_torus__betti="-x"
+    ),
 }
 
-# why a fault survives a cell on both routes: it makes no fault there
+# why a fault survives a cell on every route that reaches it: it makes no fault there
 SURVIVORS = {
     "voltage-inverted": "every voltage of a 2-fold cover is its own inverse",
     "block-transposed": "a 1 x 1 block is its own transpose",
+    "reduced-blocks-transposed": "a 1 x 1 block is its own transpose: on 2 sheets R(p) is 1 x 1",
     "cover-weight-off-by-one": (
         "Betti numbers read no weight: the certificate factors the cover under the combinatorial scheme, "
         "and a vertex weight leaves the harmonic cochains of dimension 1 and up where they were"
