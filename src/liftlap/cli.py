@@ -18,8 +18,9 @@ integer comparison.  The block spectra themselves are ``spectrum`` of
 the base, with ``--signing`` for the union's signed block.  ``verify
 betti`` ranks only base-size matrices, and its verdicts are exact
 (:func:`~liftlap.homology.verify_betti_inequality`).
-The fixture search matches the base spectrum exactly; ``--tol`` is the
-tolerance of its float comparisons of the flip's signed and cover spectra.
+The fixture search matches the base, signed and cover spectra exactly,
+by integer power sums (:mod:`~liftlap.reference_fixture`), so its
+verdicts, like those of ``verify betti``, report tolerance 0.
 """
 
 from __future__ import annotations
@@ -432,10 +433,12 @@ def _betti_verdict(cov, v):
 
 
 def cmd_fixture(args, report):
-    fixture = search_reference_fixture(args.tol)
-    if fixture is None:
-        report["results"] = {"found": False}
-        return [_verdict("reference 2-complex recovered by spectrum search", False, args.tol, None)]
+    """A miss reports ``labeled_matches``: 0 when no candidate matches the
+    base spectrum, more when none of them has a matching flip."""
+    fixture = search_reference_fixture()
+    if fixture.flip is None:
+        report["results"] = {"found": False, "labeled_matches": fixture.matches}
+        return [_verdict("reference 2-complex recovered by spectrum search", False, 0, None)]
     doc = {
         "found": True,
         "facets": [list(f) for f in fixture.complex.facets()],
@@ -444,28 +447,10 @@ def cmd_fixture(args, report):
     }
     llio._save(args.out, doc)
     report["results"] = {**doc, "out": args.out}
-    return [
-        _verdict(
-            "reference 2-complex recovered and companion spectra reproduced",
-            True,
-            args.tol,
-            None,
-        )
-    ]
+    return [_verdict("reference 2-complex recovered and companion spectra reproduced", True, 0, None)]
 
 
 # -- argument parsing ----------------------------------------------------------
-
-
-def _tolerance(text):
-    """A comparison tolerance: a finite number of at least 0 (0 is exact)."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not 0 <= tol < math.inf:
-        raise argparse.ArgumentTypeError(f"expected a finite number of at least 0, got {text!r}")
-    return tol
 
 
 def _add_cover_inputs(p):
@@ -478,7 +463,6 @@ def _add_cover_inputs(p):
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="liftlap", description=__doc__)
     ap.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
-    ap.add_argument("--tol", type=_tolerance, default=1e-8, help="tolerance of the fixture flip's spectrum comparisons")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a Laplace operator")

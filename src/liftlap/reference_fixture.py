@@ -28,54 +28,70 @@ most 12 edges in all, and matches each kept 6 x 6 block exactly by its
 integer power sums (:func:`search_base_complexes`), solving none.  Only
 the matching triangle sets are completed by free edges into labeled
 candidates, as facet lists; only the one whose flip is searched is
-built.  The flip's spectra contain 3 ± √3, so :func:`locate_flip`
-compares floats at ``tol``, the search's only tolerance.
+built.  The flip is matched the same way (:func:`locate_flip`): every
+target value is a + b√3 with integers a and b, so the targets' power
+sums are exact integers, and no comparison in the search has a tolerance.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .complexes import COMBINATORIAL, SimplicialComplex, build_complex, coboundary
-from .operators import (
-    DOWN,
-    SpectrumMultiset,
-    compare_spectra,
-    incidence_weighting,
-    laplacian_matrix,
-    spectrum,
-)
+from .operators import DOWN, incidence_weighting, laplacian_matrix
 
-SQ3 = math.sqrt(3.0)
+# The spectra of the triangle Gram matrices D Dᵀ, each value a + b√3 as the
+# pair (a, b).  The edge up spectra add 6 zeros to the base and signed
+# targets (12 edges, 6 triangles) and 12 to the cover's (24 and 12 sheets).
+BASE_TARGET = ((5, 0), (4, 0), (4, 0), (2, 0), (2, 0), (1, 0))
+SIGNED_TARGET = ((3, 0), (3, 0), (3, 1), (3, 1), (3, -1), (3, -1))
+COVER_TARGET = ((5, 0), (4, 0), (4, 0), (3, 0), (3, 0), (2, 0), (2, 0), (1, 0), (3, 1), (3, 1), (3, -1), (3, -1))
 
-BASE_SPECTRUM = SpectrumMultiset((5.0, 4.0, 4.0, 2.0, 2.0, 1.0) + (0.0,) * 6)
-SIGNED_SPECTRUM = SpectrumMultiset((3.0, 3.0, 3 + SQ3, 3 + SQ3, 3 - SQ3, 3 - SQ3) + (0.0,) * 6)
-COVER_SPECTRUM = SpectrumMultiset(
-    (5.0, 4.0, 4.0, 3.0, 3.0, 2.0, 2.0, 1.0, 3 + SQ3, 3 + SQ3, 3 - SQ3, 3 - SQ3) + (0.0,) * 12
-)
+
+def _exact_power_sums(target, count: int) -> list[int]:
+    """The power sums Σ λᵃ, a = 1..count, of the values λ = x + y√3 given
+    as integer pairs (x, y), in Python ints.  The √3 parts must cancel,
+    as they do for the spectrum of an integer matrix."""
+    sums, powers = [], [(1, 0)] * len(target)
+    for _ in range(count):
+        powers = [(p * x + 3 * q * y, p * y + q * x) for (p, q), (x, y) in zip(powers, target)]
+        if sum(q for _, q in powers):
+            raise ValueError(f"the power sums of {target} are not integers")
+        sums.append(sum(p for p, _ in powers))
+    return sums
+
+
+BASE_SUMS = _exact_power_sums(BASE_TARGET, 6)
+SIGNED_SUMS = _exact_power_sums(SIGNED_TARGET, 6)
+COVER_SUMS = _exact_power_sums(COVER_TARGET, 12)
 
 
 @dataclass(frozen=True)
 class ReferenceFixture:
-    """The recovered base complex, its flip, and the match census."""
+    """The recovered base complex and its flip, both None on a miss, and
+    the number of labeled candidates that match the base target."""
 
-    complex: SimplicialComplex
-    flip: tuple
+    complex: SimplicialComplex | None
+    flip: tuple | None
     matches: int
 
 
-def _power_sums(blocks: np.ndarray) -> np.ndarray:
-    """The power sums tr Bᵃ, a = 1..6, of each symmetric B in an (n, m, m)
-    stack, as an (n, 6) array: tr B, then tr XY = Σ X∘Y for the pairs of
-    B, B² and B³ whose powers add to 2..6, so two batched matmuls."""
-    b2 = blocks @ blocks
-    b3 = b2 @ blocks
-    pairs = ((blocks, blocks), (blocks, b2), (b2, b2), (b2, b3), (b3, b3))
-    return np.stack([np.einsum("nii->n", blocks)] + [np.einsum("nij,nij->n", x, y) for x, y in pairs], axis=1)
+def _power_sums(blocks: np.ndarray, count: int) -> np.ndarray:
+    """The power sums tr Bᵃ, a = 1..count, of each symmetric B in an
+    (n, m, m) stack, as an (n, count) array: tr B, then tr XY = Σ X∘Y
+    for X = B^⌊a/2⌋ and Y = B^⌈a/2⌉.  They are exact for the search's
+    integer blocks: with diagonal 3 and every edge in at most two
+    triangles, ‖B‖∞ ≤ 6, so each partial sum is below 144·6¹² < 2^53."""
+    powers = [blocks]
+    while 2 * len(powers) < count:
+        powers.append(powers[-1] @ blocks)
+    sums = [np.einsum("nii->n", blocks)]
+    for a in range(2, count + 1):
+        sums.append(np.einsum("nij,nij->n", powers[a // 2 - 1], powers[(a + 1) // 2 - 1]))
+    return np.stack(sums, axis=1)
 
 
 def _triangle_sets(edges_of: np.ndarray, n_edges: int) -> np.ndarray:
@@ -103,33 +119,24 @@ def _triangle_sets(edges_of: np.ndarray, n_edges: int) -> np.ndarray:
 
 def search_base_complexes() -> list[tuple]:
     """The facets of all labeled candidates whose edge up spectrum is
-    exactly ``BASE_SPECTRUM``, sorted: the free edges, then the
-    triangles, each in canonical order.
+    exactly ``BASE_TARGET`` and six zeros, sorted: the free edges, then
+    the triangles, each in canonical order.
 
     A block B = P[T, T] matches when its power sums tr Bᵃ, a = 1..6,
-    equal those of ``BASE_SPECTRUM`` less six zeros: by Newton's
-    identities they fix the characteristic polynomial.  They are exact in
-    float64, every value being an integer below 2^53: B has diagonal 3
-    and at most five entries ±1 off it in a row, so ‖B‖∞ ≤ 8, each entry
-    of Bᵃ is at most 8ᵃ in size and each partial sum at most 6·8⁶.  The
-    eigenvalues are algebraic integers, so a nonzero target value that is
-    not an integer matches nothing.
+    equal ``BASE_SUMS``: by Newton's identities they fix the
+    characteristic polynomial.
     """
     simplex = build_complex(combinations(range(6), 3))
     triangles, edges = simplex.faces(2), simplex.faces(1)
     gram = laplacian_matrix(simplex, 2, DOWN).matrix
     # three triplets per triangle, in triangle order
     edges_of = coboundary(simplex, 1)[1].reshape(-1, 3)
-    values = sorted(BASE_SPECTRUM.values)
-    if len(values) != 12 or values[:6] != [0.0] * 6 or not all(v.is_integer() for v in values[6:]):
-        return []
-    target = [sum(int(v) ** a for v in values[6:]) for a in range(1, 7)]
     sets = _triangle_sets(edges_of, len(edges))
     matched = []
     for start in range(0, len(sets), 500):
         chunk = sets[start : start + 500]
-        sums = _power_sums(gram[chunk[:, :, None], chunk[:, None, :]])
-        matched.extend(chunk[(sums == target).all(axis=1)])
+        sums = _power_sums(gram[chunk[:, :, None], chunk[:, None, :]], 6)
+        matched.extend(chunk[(sums == BASE_SUMS).all(axis=1)])
     found = []
     for tri_set in matched:
         tris = [triangles[t] for t in tri_set]
@@ -142,36 +149,42 @@ def search_base_complexes() -> list[tuple]:
     return sorted(found)
 
 
-def locate_flip(M: SimplicialComplex, tol: float = 1e-8):
-    """First incidence whose single flip matches both companion spectra.
+def locate_flip(M: SimplicialComplex):
+    """First incidence (edge, triangle) whose single flip matches both
+    companion targets, or None: triangle by triangle in canonical order,
+    and within one its edges without vertex 0, 1 and 2 in turn.
 
-    The flipped signing must reproduce the signed target, and the
-    2-sheeted lift whose voltage swaps sheets on exactly that incidence
-    must reproduce the cover target.
+    A flip negates one entry of the coboundary D, so the 18 flipped
+    copies of D are one stack and one indexed negation, and their
+    triangle Gram matrices are matched with ``SIGNED_SUMS`` at once.  For
+    a flip that matches, the 2-sheeted lift whose voltage swaps the sheets
+    on that incidence alone must match ``COVER_SUMS``.
     """
-    for tri in M.faces(2):
-        for j in range(3):
-            edge = tri[:j] + tri[j + 1 :]
-            signing = incidence_weighting(M, {(edge, tri): -1.0})
-            signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing))
-            if not compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=tol).holds:
-                continue
-            # the lift's operator is the base operator decorated by the
-            # voltages' permutation matrices (the identity where unlisted)
-            swap = incidence_weighting(M, {(edge, tri): [[0, 1], [1, 0]]})
-            lifted = laplacian_matrix(M, 1, "up", COMBINATORIAL, swap)
-            if compare_spectra(spectrum(lifted), COVER_SPECTRUM, "equal", tol=tol).holds:
-                return (edge, tri)
+    rows, cols, signs = coboundary(M, 1)
+    # a coboundary row lists the triangle's edges without vertex 2, 1, 0
+    order = np.arange(len(rows)).reshape(-1, 3)[:, ::-1].ravel()
+    flipped = np.zeros((len(order), M.face_count(2), M.face_count(1)))
+    flipped[:, rows, cols] = signs
+    flipped[np.arange(len(order)), rows[order], cols[order]] *= -1
+    signed = flipped @ flipped.transpose(0, 2, 1)
+    for k in order[(_power_sums(signed, 6) == SIGNED_SUMS).all(axis=1)]:
+        flip = (M.faces(1)[cols[k]], M.faces(2)[rows[k]])
+        # the lift's operator is the base operator decorated by the
+        # voltages' permutation matrices (the identity where unlisted)
+        swap = incidence_weighting(M, {flip: [[0, 1], [1, 0]]})
+        lifted = laplacian_matrix(M, 2, DOWN, COMBINATORIAL, swap).matrix
+        if (_power_sums(lifted[None], 12) == COVER_SUMS).all():
+            return flip
     return None
 
 
-def search_reference_fixture(tol: float = 1e-8) -> ReferenceFixture | None:
-    """Run the full search; None when no labeled candidate matches.  The
-    base match is exact; ``tol`` is the tolerance of :func:`locate_flip`."""
+def search_reference_fixture() -> ReferenceFixture:
+    """Run the full search: the first labeled candidate, in sorted order,
+    with a matching flip, and the number of candidates."""
     candidates = search_base_complexes()
     for facets in candidates:
         M = build_complex(facets)
-        flip = locate_flip(M, tol)
+        flip = locate_flip(M)
         if flip is not None:
             return ReferenceFixture(M, flip, len(candidates))
-    return None
+    return ReferenceFixture(None, None, len(candidates))

@@ -49,7 +49,7 @@ def cycle_laplacian_values(n):
 @pytest.fixture(scope="session")
 def reference():
     fixture = search_reference_fixture()
-    assert fixture is not None, "reference complex not recovered by the spectrum search"
+    assert fixture.flip is not None, "reference complex not recovered by the spectrum search"
     return fixture
 
 

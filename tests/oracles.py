@@ -981,11 +981,17 @@ def greedy_subset(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> Spect
 # -- the reference fixture search ---------------------------------------------
 
 
+def target_spectrum(target, zeros: int) -> SpectrumMultiset:
+    """The float spectrum of an exact fixture target, its values a + b√3
+    given as integer pairs (a, b), with ``zeros`` zeros added."""
+    return SpectrumMultiset([a + b * math.sqrt(3) for a, b in target] + [0.0] * zeros)
+
+
 def brute_force_base_matches(tol: float) -> list[tuple]:
     """The facets of every labeled 6-vertex complex with 6 triangles and
     12 edges, each edge in at most two triangles, connected, with first
-    Betti number 1 and edge up-spectrum ``rf.BASE_SPECTRUM`` at ``tol``,
-    sorted.
+    Betti number 1 and edge up-spectrum ``rf.BASE_TARGET`` and six zeros
+    at ``tol``, sorted.
 
     Visits each labeled candidate apart: a union-find for connectivity,
     an exact rank for b₁, and the full 12 x 12 DᵀD eigensolve compared
@@ -1014,7 +1020,7 @@ def brute_force_base_matches(tol: float) -> list[tuple]:
                 continue
             D = dense_matrix(triplets, (6, 12))
             eigs = SpectrumMultiset(np.linalg.eigvalsh(D.T @ D))
-            if compare_spectra(eigs, rf.BASE_SPECTRUM, tol=tol).holds:
+            if compare_spectra(eigs, target_spectrum(rf.BASE_TARGET, 6), tol=tol).holds:
                 found.append(build_complex(list(tris) + list(free)).facets())
     return sorted(found)
 
@@ -1022,11 +1028,13 @@ def brute_force_base_matches(tol: float) -> list[tuple]:
 # -- the direct-solve route of the verify commands -----------------------------
 #
 # The spectral commands by the direct route: eigensolve the cover on every
-# layer and compare its spectrum with the base spectra at ``--tol``; the
+# layer and compare its spectrum with the base spectra at ``TOL``; the
 # Betti command by ranking the cover and lifting eigensolved harmonics.  They
 # are the oracle the certified route of the CLI is checked against, and
 # read every library function from its module at call time, so a fault
 # patched into the library (tests/mutants.py) reaches both routes alike.
+
+TOL = 1e-8
 
 DIRECT_CLAIMS = {
     "union": ("two-fold spectral union", 2),
@@ -1069,7 +1077,7 @@ def _layer_side(direction, i):
 def direct_verify_spectral(args, report):
     """``verify union|inclusion|abelian`` by solving the cover: per layer,
     the cover spectrum equals the union of the base spectra (inclusion:
-    contains the base spectrum) within ``args.tol``."""
+    contains the base spectrum) within ``TOL``."""
     from liftlap import cli, operators
 
     claim, degree = DIRECT_CLAIMS[args.subcommand]
@@ -1088,12 +1096,12 @@ def direct_verify_spectral(args, report):
             for name, layers in solved[layer].items():
                 lifted, *parts = [pair[side] for pair in layers]
                 if args.subcommand == "inclusion":
-                    cmp = operators.compare_spectra(parts[0], lifted, "subset", tol=args.tol)
+                    cmp = operators.compare_spectra(parts[0], lifted, "subset", tol=TOL)
                 else:
                     union = reduce(SpectrumMultiset.union, parts)
-                    cmp = operators.compare_spectra(lifted, union, "equal", tol=args.tol)
+                    cmp = operators.compare_spectra(lifted, union, "equal", tol=TOL)
                 claimed = f"{claim} ({direction}, dim {i}, {name})"
-                verdicts.append(cli._verdict(claimed, cmp.holds, args.tol, cmp.max_pairing_error))
+                verdicts.append(cli._verdict(claimed, cmp.holds, TOL, cmp.max_pairing_error))
     if not verdicts:
         raise next(iter(solved.values()))
     return verdicts
@@ -1101,7 +1109,7 @@ def direct_verify_spectral(args, report):
 
 def direct_decompose(args, report):
     """``decompose`` by solving the cover: the block spectra must union to
-    the cover's spectrum within ``args.tol``."""
+    the cover's spectrum within ``TOL``."""
     from liftlap import cli, covering, operators, representation
 
     cov = cli._resolve_covering(args, report["inputs"])
@@ -1113,7 +1121,7 @@ def direct_decompose(args, report):
     lifted = operators.layer_spectra(cov.cover, layer, scheme)[side]
     weightings = [None] + representation.block_weightings(psi, dec)
     spectra = [operators.layer_spectra(cov.base, layer, scheme, w)[side] for w in weightings]
-    cmp = operators.compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=args.tol)
+    cmp = operators.compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=TOL)
     first_err = max(abs(blocks[0][0, 0] - 1) for blocks in blocks_of(dec).values())
     tol = representation.RESIDUAL_TOL
     return [
@@ -1122,7 +1130,7 @@ def direct_decompose(args, report):
         cli._verdict(
             "block decomposition: block spectra union to the lifted spectrum",
             cmp.holds,
-            args.tol,
+            TOL,
             cmp.max_pairing_error,
         ),
     ]
@@ -1132,7 +1140,7 @@ def direct_verify_betti(args, report):
     """``verify betti`` by ranking the cover: per scheme and dimension, the
     cover's exact Betti number is at least the base's, and an eigensolved
     harmonic basis of the base lifts to harmonic cochains of the cover,
-    independent, both within ``args.tol``.  Reads the library at call
+    independent, both within ``TOL``.  Reads the library at call
     time, as the spectral oracles do."""
     from liftlap import cli, homology
 
@@ -1146,9 +1154,9 @@ def direct_verify_betti(args, report):
             if args.dim not in (None, i):
                 continue
             residual, sigma = lifted_harmonics(cov, i, bases[i], scheme) if b else (0.0, math.inf)
-            holds = cover.get(i, 0) >= b and residual <= args.tol and sigma >= args.tol
+            holds = cover.get(i, 0) >= b and residual <= TOL and sigma >= TOL
             claim = f"betti inequality via harmonic lifting (dim {i}, {name})"
-            verdicts.append(cli._verdict(claim, holds, args.tol, residual, betti_base=b, betti_cover=cover.get(i, 0)))
+            verdicts.append(cli._verdict(claim, holds, TOL, residual, betti_base=b, betti_cover=cover.get(i, 0)))
     table = {str(i): [b, cover.get(i, 0)] for i, b in base.items()}
     report["results"] = {name: table for name, _ in cli._schemes(args.scheme)}
     return verdicts

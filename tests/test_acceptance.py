@@ -31,6 +31,7 @@ from oracles import (
     nonzeros,
     numeric_kernel_dimension,
     symmetrized_form,
+    target_spectrum,
     transposition,
     voltage_coboundary_matrix,
 )
@@ -54,9 +55,12 @@ from liftlap import (
     verify_betti_inequality,
     voltage_group,
 )
-from liftlap.reference_fixture import BASE_SPECTRUM, COVER_SPECTRUM, SIGNED_SPECTRUM
+from liftlap.reference_fixture import BASE_TARGET, COVER_TARGET, SIGNED_TARGET
 
 TOL = 1e-8
+BASE_SPECTRUM = target_spectrum(BASE_TARGET, 6)
+SIGNED_SPECTRUM = target_spectrum(SIGNED_TARGET, 6)
+COVER_SPECTRUM = target_spectrum(COVER_TARGET, 12)
 SCHEMES = (COMBINATORIAL, NORMALIZED)
 
 

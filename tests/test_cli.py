@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import liftlap
+import liftlap.reference_fixture as rf
 from liftlap import cli
 from liftlap.cli import main
 
@@ -565,32 +566,44 @@ class TestFixtureSearch:
         assert code == 0
         assert report["results"]["found"] is True
         assert [tuple(f) for f in report["results"]["facets"]] == list(REFERENCE_FACETS)
+        assert report["results"]["labeled_matches"] == 420
+        # every comparison of the search is exact
+        assert [v["tolerance"] for v in report["verdicts"]] == [0]
         cached = json.loads((tmp_path / "fig1_fixture.json").read_text())
         assert cached["found"] is True
 
     @pytest.mark.parametrize("target", ["missing/f.json", "."], ids=["missing-directory", "a-directory"])
     def test_unwritable_out_exits_2_naming_the_path(self, capsys, tmp_path, monkeypatch, reference, target):
-        monkeypatch.setattr("liftlap.cli.search_reference_fixture", lambda tol: reference)
+        monkeypatch.setattr("liftlap.cli.search_reference_fixture", lambda: reference)
         out = str(tmp_path / target)
         code, report, err = run(capsys, ["fixture", "search-fig1", "--out", out])
         assert code == 2 and report is None
         assert f"error: {out}: " in err
 
+    @pytest.mark.parametrize(
+        "name, target, matches",
+        [
+            # the base target with its 1 made a 2: no candidate
+            ("BASE_SUMS", ((5, 0), (4, 0), (4, 0), (2, 0), (2, 0), (2, 0)), 0),
+            # the signed target with a 3 made a 4: all 420 candidates, no flip
+            ("SIGNED_SUMS", ((4, 0), (3, 0), (3, 1), (3, 1), (3, -1), (3, -1)), 420),
+        ],
+        ids=["base", "flip"],
+    )
+    def test_a_miss_reports_the_candidates_matched(self, capsys, tmp_path, monkeypatch, name, target, matches):
+        monkeypatch.setattr(rf, name, rf._exact_power_sums(target, 6))
+        out = tmp_path / "f.json"
+        code, report, _ = run(capsys, ["fixture", "search-fig1", "--out", str(out)])
+        assert code == 1 and report["results"] == {"found": False, "labeled_matches": matches}
+        assert [(v["holds"], v["tolerance"]) for v in report["verdicts"]] == [(False, 0)]
+        assert not out.exists()
 
-class TestTolerance:
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-    def test_tol_must_be_finite_and_non_negative(self, capsys, c3_file, c3_voltage_file, tol):
-        with pytest.raises(SystemExit) as exc:
-            main(["--tol", tol, "verify", "union", "--base", c3_file, "--voltage", c3_voltage_file])
-        assert exc.value.code == 2
-        assert "argument --tol: expected a finite number of at least 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tol", ["1e-6", "1e-10"])
-    def test_tol_is_the_fixture_verdicts_tolerance(self, capsys, tmp_path, tol):
-        # the base search is exact; --tol reaches the flip's comparisons alone
-        code, report, _ = run(capsys, ["--tol", tol, "fixture", "search-fig1", "--out", str(tmp_path / "f.json")])
-        assert code == 0 and report["results"]["labeled_matches"] == 420
-        assert [v["tolerance"] for v in report["verdicts"]] == [float(tol)]
+def test_tol_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--tol", "1e-8", "fixture", "search-fig1"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == "" and "liftlap: error:" in captured.err
 
 
 class TestMalformedInput:
