@@ -164,7 +164,7 @@ def cmd_cover_build(args, report):
         "fold": psi.k,
         "connected": result.connected,
         "components": [sorted(c) for c in result.components],
-        "vertex_map": [[v, result.vertex_map[v]] for v in sorted(result.vertex_map)],
+        "vertex_map": result.vertex_map.tolist(),
     }
     if args.out:
         llio.save_complex(K, args.out)
@@ -460,9 +460,20 @@ def _add_cover_inputs(p):
     p.add_argument("--voltage", help="1-skeleton voltage file (instead of --cover/--map)")
 
 
+COMMANDS = ("spectrum", "cover", "decompose", "verify", "fixture")
+
+
+@cache
+def _global_options() -> argparse.ArgumentParser:
+    """The options given before the command, which :func:`main` also
+    parses on their own."""
+    p = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="liftlap", description=__doc__)
-    ap.add_argument("--seed", type=int, default=0, help="seed for the randomized decomposition")
+    ap = argparse.ArgumentParser(prog="liftlap", description=__doc__, parents=[_global_options()])
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("spectrum", help="spectrum of a Laplace operator")
@@ -521,7 +532,22 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _refuse_unknown_option_with_value(argv) -> None:
+    """Exit 2 naming an unknown option given before the command with a
+    value, as argparse names one given alone ("unrecognized arguments"):
+    argparse itself would take the value for the command."""
+    try:
+        _, rest = _global_options().parse_known_args(argv)
+    except argparse.ArgumentError:
+        return  # a bad --seed, which the full parser names
+    j = next((j for j, a in enumerate(rest) if not a.startswith("-")), 0)
+    if j and rest[j] not in COMMANDS and not {"-h", "--help"} & set(rest[:j]):
+        _parser().error(f"unrecognized arguments: {' '.join(rest[: j + 1])}")
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    _refuse_unknown_option_with_value(argv)
     args = _parser().parse_args(argv)
     report = {
         "command": args.command + (f" {args.subcommand}" if getattr(args, "subcommand", None) else ""),

@@ -327,19 +327,26 @@ class SimplicialComplex:
     def _locate(self, rows: np.ndarray) -> np.ndarray:
         """Index in ``faces(d)`` of each row of an ``(m, d+1)`` int64 array
         of vertex ids, -1 where the row is not a face (an unsorted row is
-        not): one ``searchsorted`` per column, on the vertices and then on
-        the keys."""
-        width = rows.shape[1]
-        if not 1 <= width <= self._top_dim + 1:
-            return np.full(len(rows), -1, np.int64)
+        not): one ``searchsorted`` on the vertices, then
+        :meth:`_locate_indices` on the positions."""
         verts = self._face_array(0)[:, 0]
         # a position past the end (an id above every vertex) clips to the last
         pos = verts.searchsorted(rows)
         found = (verts.take(pos, mode="clip") == rows).all(axis=1)
-        idx = pos[:, 0]
+        return np.where(found, self._locate_indices(pos), -1)
+
+    def _locate_indices(self, at: np.ndarray) -> np.ndarray:
+        """Index in ``faces(d)`` of each row of an ``(m, d+1)`` int64 array
+        of vertex indices in ``faces(0)``, -1 where the row is not a face
+        (a row that is not strictly increasing is not): one
+        ``searchsorted`` per column after the first, on the keys."""
+        width = at.shape[1]
+        if not 1 <= width <= self._top_dim + 1:
+            return np.full(len(at), -1, np.int64)
+        idx, found = at[:, 0], np.ones(len(at), bool)
         for c in range(1, width):
             keys = self._face_keys(c)
-            key = idx * len(verts) + pos[:, c]
+            key = idx * self.face_count(0) + at[:, c]
             idx = keys.searchsorted(key)
             found &= keys.take(idx, mode="clip") == key
         return np.where(found, idx, -1)

@@ -25,14 +25,20 @@ Verification and construction run on the int64 face arrays a
 :class:`~liftlap.complexes.SimplicialComplex` keeps per dimension, one
 pass per dimension rather than a Python step per face; vertex ids must
 therefore fit in int64, and larger ones are refused as malformed input.
-The vertex indices of every cover face are gathered from the cover's
+The vertex map stays an ``(m, 2)`` int64 array of ``[vertex, image]``
+rows from the file to the report, and no dict of it is built.  Each
+cover vertex is mapped once to the index of its image among the base
+vertices, the projection (-1 for an image that is no base vertex).  The
+vertex indices of every cover face are gathered from the cover's
 coboundary columns, not searched for, and its image is one sorted row
-of their images, located among the base faces; a (base face, cover
-vertex) pair met twice is a fiber overlap.  The strong condition is
-certified by counts: once images are base faces, no face collapses and
-no fiber overlaps, the cofacets of a face over ``g`` lie over distinct
-cofacets of ``g``, so every incidence at ``g`` lifts at that face exactly
-when the two cofacet counts agree.  Every witness is the first failing
+of their projections, located among the base faces by their keys; a
+row that is no base face is a face whose image collapses or is no base
+face, and the first is named by its image ids.  A (base face, cover
+vertex) pair met twice is a fiber overlap.  The strong condition is certified by counts: once
+images are base faces, no face collapses and no fiber overlaps, the
+cofacets of a face over ``g`` lie over distinct cofacets of ``g``, so
+every incidence at ``g`` lifts at that face exactly when the two cofacet
+counts agree.  Every witness is the first failing
 face in the canonical order, as a face-by-face check finds it.
 
 Voltages
@@ -50,12 +56,14 @@ canonical (lexicographic) order, and a face's place in it is its sheet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, compress
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .complexes import (
+    MAX_ID,
     SimplicialComplex,
     WeightScheme,
     _ids,
@@ -104,7 +112,7 @@ def check_perms(ps, k: int) -> np.ndarray:
     lens = np.fromiter(map(len, ps), np.int64, len(ps))
     starts, bad = np.cumsum(lens) - lens, lens != k
     rows = ids[starts[~bad, None] + np.arange(k)]
-    bad[~bad] = (np.sort(rows, axis=1) != np.arange(k)).any(axis=1)
+    bad[~bad] = _non_permutations(rows, k)
     if bad.any():
         j = int(np.argmax(bad))
         p = tuple(ids[starts[j] : starts[j] + lens[j]].tolist())
@@ -112,30 +120,50 @@ def check_perms(ps, k: int) -> np.ndarray:
     return rows
 
 
+def _non_permutations(rows: np.ndarray, k: int) -> np.ndarray:
+    """Whether each row of an ``(n, k)`` int64 array is no permutation of 0..k-1."""
+    return (np.sort(rows, axis=1) != np.arange(k)).any(axis=1)
+
+
 def edge_voltages(M: SimplicialComplex, k: int, assignments: Mapping | None = None) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; unlisted edges get the identity.
 
     ``assignments[(u, v)]`` maps sheets at ``v`` to sheets at ``u``, so a
     key with ``u > v`` puts its inverse on ``(v, u)``.  The permutations
-    are checked and the edges located in one pass; an edge listed twice
-    is refused."""
-    table = np.tile(np.arange(k, dtype=np.int64), (M.face_count(1), 1))
-    if not assignments:
-        return EdgeVoltages(M, k, table)
+    are checked and the edges located in one pass (:func:`_edge_table`);
+    an edge listed twice is refused."""
+    assignments = assignments or {}
     keys = list(map(tuple, assignments))
     given = check_perms(assignments.values(), k)
     pair = np.fromiter(map(len, keys), np.int64, len(keys)) == 2
-    ends = _ids(chain.from_iterable(compress(keys, pair))).reshape(-1, 2)
-    at = np.full(len(keys), -1, np.int64)
-    at[pair] = M._locate(np.sort(ends, axis=1))
+    # -1 is no vertex id, so a key that is no pair is no edge
+    ends = np.full((len(keys), 2), -1, np.int64)
+    ends[pair] = _ids(chain.from_iterable(compress(keys, pair))).reshape(-1, 2)
+    return EdgeVoltages(M, k, _edge_table(M, k, ends, given, keys))
+
+
+def _edge_table(M: SimplicialComplex, k: int, ends: np.ndarray, perms: np.ndarray, keys=None) -> np.ndarray:
+    """The ``(n_1, k)`` int64 voltages of :class:`EdgeVoltages` from arrays:
+    row t of the ``(m, k)`` array ``perms`` maps sheets at ``ends[t, 1]``
+    to sheets at ``ends[t, 0]``, so its inverse goes on an edge listed
+    from its greater end, and every edge not listed gets the identity.
+    The rows must be permutations of 0..k-1 and the ``(m, 2)`` rows of
+    ``ends`` edges of ``M``, none listed twice; the first bad row is
+    named, a non-edge by its entry of ``keys`` when given."""
+    bad = _non_permutations(perms, k)
+    if bad.any():
+        raise VoltageError(f"{tuple(perms[np.argmax(bad)].tolist())!r} is not a permutation of 0..{k - 1}")
+    at = M._locate(np.sort(ends, axis=1))
     if (at < 0).any():
-        raise VoltageError(f"voltages given for non-edges: {[keys[j] for j in np.flatnonzero(at < 0)]}")
+        named = list(map(tuple, ends.tolist() if keys is None else keys))
+        raise VoltageError(f"voltages given for non-edges: {[named[j] for j in np.flatnonzero(at < 0)]}")
     twice = np.bincount(at, minlength=M.face_count(1)) > 1
     if twice.any():
         raise VoltageError(f"edge {M.faces(1)[np.argmax(twice)]!r} is listed twice")
+    table = np.tile(np.arange(k, dtype=np.int64), (M.face_count(1), 1))
     # the inverse of a permutation is its argsort
-    table[at] = np.where((ends[:, 0] > ends[:, 1])[:, None], np.argsort(given, axis=1), given)
-    return EdgeVoltages(M, k, table)
+    table[at] = np.where((ends[:, 0] > ends[:, 1])[:, None], np.argsort(perms, axis=1), perms)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,26 +194,66 @@ class CoveringMap:
     every dimension ``0 <= d <= top_dim``.  When the base keeps the empty
     face, ``fibers[-1]`` is its one-point fiber ``[[0]]``, or ``[[]]``
     when the cover has no empty face.  :func:`verify_covering` fills it
-    once and every reader of the covering reads it.  ``vertex_map`` is
-    the projection on vertices as a dict of ids.  The orientation signs
-    of each dimension and the weight check of each scheme are kept on
-    the covering once computed, as a complex keeps its face arrays.
+    once and every reader of the covering reads it.  ``projection`` is
+    the projection on vertices as an int64 array: the index in
+    ``base.faces(0)`` of the image of each cover vertex, in the order of
+    ``cover.faces(0)``.  The orientation signs of each dimension and the
+    weight check of each scheme are kept on the covering once computed,
+    as a complex keeps its face arrays.
     """
 
     cover: SimplicialComplex
     base: SimplicialComplex
-    vertex_map: Mapping
+    projection: np.ndarray
     degree: int
     fibers: Mapping
     _signs: dict = field(default_factory=dict, init=False, repr=False)
     _weight_witnesses: dict = field(default_factory=dict, init=False, repr=False)
 
+    @cached_property
+    def vertex_map(self) -> dict:
+        """The projection on vertices as a dict of ids, built on first read."""
+        images = self.base._face_array(0)[self.projection, 0]
+        return dict(zip(self.cover._face_array(0)[:, 0].tolist(), images.tolist()))
 
-def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_map: Mapping) -> CoveringMap:
+
+def _vertex_pairs(vertex_map) -> np.ndarray:
+    """A vertex map, a Mapping or an ``(m, 2)`` integer array of
+    ``[vertex, image]`` rows, as an ``(m, 2)`` int64 array; the first bad
+    id is named, and an array that lists a vertex twice is refused."""
+    labels = ("vertex", "vertex image")
+    if isinstance(vertex_map, Mapping):
+        return _ids(chain.from_iterable(vertex_map.items()), labels).reshape(-1, 2)
+    pairs = np.asarray(vertex_map)
+    if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+        raise MalformedInputError(f"a vertex map is a Mapping or an (m, 2) integer array, not {pairs.dtype} {pairs.shape}")
+    if pairs.size and (pairs.min() < 0 or pairs.max() > MAX_ID):
+        _ids(pairs.ravel().tolist(), labels)  # raises, naming the first bad id
+    pairs = pairs.astype(np.int64, copy=False)
+    r = _relisted(pairs[:, 0])
+    if r >= 0:
+        raise MalformedInputError(f"{int(pairs[r, 0])} is listed twice, the second time as {int(pairs[r, 1])}")
+    return pairs
+
+
+def _relisted(keys: np.ndarray) -> int:
+    """Position of the first entry of ``keys`` equal to an earlier one, or
+    -1: a scan when the keys increase, else one stable sort."""
+    if (keys[1:] > keys[:-1]).all():
+        return -1
+    order = np.argsort(keys, kind="stable")
+    again = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    return int(again.min()) if again.size else -1
+
+
+def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_map) -> CoveringMap:
     """Check the covering axioms and return a verified :class:`CoveringMap`.
 
-    Raises :class:`CoveringViolation` with a distinct ``kind`` and a
-    witness for the first axiom that fails:
+    ``vertex_map`` is a Mapping of vertex ids or an ``(m, 2)`` integer
+    array of ``[vertex, image]`` rows, as :func:`~liftlap.io.load_vertex_map`
+    reads one; an array that lists a vertex twice is refused.  Raises
+    :class:`CoveringViolation` with a distinct ``kind`` and a witness
+    for the first axiom that fails:
 
     * ``unmapped-vertex`` - the vertex map is not total,
     * ``not-connected`` - the covering complex is disconnected,
@@ -200,15 +268,22 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     (see the module notes); the witness is the first failing face in the
     canonical order.
     """
-    pairs = _ids(chain.from_iterable(dict(vertex_map).items()), ("vertex", "vertex image")).reshape(-1, 2)
-    vertex_map = dict(pairs.tolist())
+    pairs = _vertex_pairs(vertex_map)
     verts = cover._face_array(0)[:, 0]
-    keys, targets = pairs[np.argsort(pairs[:, 0])].T
-    mapped = np.isin(verts, keys)
-    if not mapped.all():
-        v = int(verts[np.argmin(mapped)])
-        raise CoveringViolation("unmapped-vertex", f"vertex {v} has no image", v)
-    vimg = targets[keys.searchsorted(verts)]
+    if np.array_equal(pairs[:, 0], verts):
+        vimg = pairs[:, 1]
+    else:
+        keys, targets = pairs[np.argsort(pairs[:, 0])].T
+        at = keys.searchsorted(verts)
+        mapped = keys.take(at, mode="clip") == verts if len(keys) else np.zeros(len(verts), bool)
+        if not mapped.all():
+            v = int(verts[np.argmin(mapped)])
+            raise CoveringViolation("unmapped-vertex", f"vertex {v} has no image", v)
+        vimg = targets[at]
+    # the index in base.faces(0) of each cover vertex's image, -1 for an image that is no base vertex
+    base_verts = base._face_array(0)[:, 0]
+    at = base_verts.searchsorted(vimg)
+    projection = np.where(base_verts.take(at, mode="clip") == vimg, at, -1)
     if not cover.connected:
         raise CoveringViolation(
             "not-connected",
@@ -216,21 +291,20 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
             tuple(sorted(map(sorted, cover.components()))),
         )
 
-    # images[d][r]: index in base.faces(d) of the image of cover.faces(d)[r]
+    # images[d][r]: index in base.faces(d) of the image of cover.faces(d)[r];
+    # a sorted row of base vertex indices is located as ids are, and -1
+    # sorts first, so a row with an image off the base is no face
     images = []
     overlap = None
     for d in range(0, cover.top_dim + 1):
         at = cover._vertex_index(d)
-        img = np.sort(vimg[at], axis=1)
-        degenerate = (img[:, 1:] == img[:, :-1]).any(axis=1)
-        g = base._locate(img)
-        bad = degenerate | (g < 0)
-        if bad.any():
-            r = int(np.argmax(bad))
-            f = cover.faces(d)[r]
-            if degenerate[r]:
+        g = base._locate_indices(np.sort(projection[at], axis=1))
+        if (g < 0).any():
+            # these are the faces whose image ids collapse or are no base face
+            r = int(np.argmax(g < 0))
+            f, image = cover.faces(d)[r], tuple(np.sort(vimg[at[r]]).tolist())
+            if len(set(image)) < len(image):
                 raise CoveringViolation("degenerate-face", f"face {f!r} collapses under the vertex map", f)
-            image = tuple(img[r].tolist())
             raise CoveringViolation("not-simplicial", f"image {image!r} of {f!r} is not a base face", f)
         images.append(g)
         if overlap is None:
@@ -290,7 +364,7 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     fibers = {-1: np.zeros((1, int(cover.include_empty)), np.int64)} if base.include_empty else {}
     for d in range(0, base.top_dim + 1):
         fibers[d] = np.argsort(images[d], kind="stable").reshape(-1, degree)
-    return CoveringMap(cover, base, vertex_map, degree, fibers)
+    return CoveringMap(cover, base, projection, degree, fibers)
 
 
 # -- derived complexes --------------------------------------------------------
@@ -303,13 +377,14 @@ class DerivedComplexResult:
     ``covering`` is a verified :class:`CoveringMap` when the construction
     is connected; otherwise it is ``None`` and ``components`` lists the
     vertex sets of the pieces (each one is a covering of the base in its
-    own right, only smaller).
+    own right, only smaller).  ``vertex_map`` is the projection as an
+    ``(m, 2)`` int64 array of ``[vertex, image]`` rows in vertex order.
     """
 
     complex: SimplicialComplex
     covering: CoveringMap | None
     components: tuple
-    vertex_map: Mapping
+    vertex_map: np.ndarray
 
     @property
     def connected(self) -> bool:
@@ -370,7 +445,7 @@ def derived_complex(M: SimplicialComplex, psi: EdgeVoltages) -> DerivedComplexRe
         lifted_facets.append((G[:, None, :] * k + sheets).reshape(-1, d + 1))
     K = build_complex(lifted_facets, include_empty=M.include_empty)
     verts = K._face_array(0)[:, 0]
-    vmap = dict(zip(verts.tolist(), (verts // k).tolist()))
+    vmap = np.stack([verts, verts // k], 1)
     cov = verify_covering(K, M, vmap) if K.connected else None
     return DerivedComplexResult(K, cov, K.components(), vmap)
 
@@ -423,8 +498,7 @@ def _orientation_signs(cov: CoveringMap, d: int) -> np.ndarray:
     if d not in cov._signs:
         fibers = cov.fibers[d]
         # a cover vertex's image as its base vertex's index, which orders like its id
-        image = _slots(cov, 0) // cov.degree
-        lifted = image[cov.cover._vertex_index(d)[fibers.ravel()]]
+        lifted = cov.projection[cov.cover._vertex_index(d)[fibers.ravel()]]
         inversions = np.triu(lifted[:, :, None] > lifted[:, None, :], 1).sum(axis=(1, 2))
         cov._signs[d] = (1 - 2 * (inversions % 2)).reshape(fibers.shape)
     return cov._signs[d]

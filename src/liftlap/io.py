@@ -17,7 +17,10 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .complexes import (
     COMBINATORIAL,
@@ -31,7 +34,7 @@ from .complexes import (
     build_complex,
     compute_weights,
 )
-from .covering import EdgeVoltages, edge_voltages
+from .covering import EdgeVoltages, _edge_table, _relisted, edge_voltages
 from .errors import MalformedInputError, VoltageError, WeightError
 from .operators import IncidenceWeighting, incidence_weighting
 
@@ -141,14 +144,26 @@ def save_complex(K: SimplicialComplex, path) -> None:
 
 def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; absent edges get the identity.
-    The permutations are checked together, and one at a time only to
-    name the record of a bad one, in the file's 1-based terms."""
+    The ``edge`` and ``perm`` lists of all records are converted by one
+    :func:`_ids` call each and checked together by the array core of
+    :func:`~liftlap.covering.edge_voltages`; the records are read one at
+    a time only when that fails, to name the first bad one, in the file's
+    1-based terms."""
     data = _load(path)
     with _reading(path, "fold count"):
         k = _index(data.get("k", 1), "fold count")
         if k < 1:
             raise ValueError(f"k must be an integer of at least 1, got {k!r}")
-    recs, table = _records(path, data, "edges"), {}
+    recs = _records(path, data, "edges")
+    try:
+        edges, perms = list(map(itemgetter("edge"), recs)), list(map(itemgetter("perm"), recs))
+        if set(map(type, edges + perms)) <= {list} and set(map(len, edges)) <= {2} and set(map(len, perms)) <= {k}:
+            ends = np.sort(_ids(chain.from_iterable(edges)).reshape(-1, 2), axis=1)
+            images = _ids(chain.from_iterable(perms), "perm image").reshape(-1, k) - 1
+            return EdgeVoltages(M, k, _edge_table(M, k, ends, images))
+    except (KeyError, TypeError, MalformedInputError, VoltageError):
+        pass
+    table = {}
     for rec in recs:
         with _reading(path, f"record {rec!r}"):
             perm = tuple(_index(x, "perm image") - 1 for x in rec["perm"])
@@ -195,20 +210,20 @@ def load_weighting(path, K: SimplicialComplex) -> IncidenceWeighting:
         return incidence_weighting(K, values)
 
 
-def load_vertex_map(path) -> dict:
-    """The ``[vertex, image]`` records as a dict of ids.  A list of pairs
-    is converted in one :func:`_ids` call; the records are read one at a
-    time only when that fails or a vertex repeats, to name the first bad
-    record."""
+def load_vertex_map(path) -> np.ndarray:
+    """The ``[vertex, image]`` records as an ``(m, 2)`` int64 array, in
+    file order.  A list of pairs is converted in one :func:`_ids` call and
+    searched for a repeated vertex by one sort; the records are read one
+    at a time only when that fails, to name the first bad record."""
     data = _load(path)
     if "vertex_map" not in data:
         raise MalformedInputError(f"{path}: missing 'vertex_map'")
     recs = data["vertex_map"]
-    if isinstance(recs, list) and all(type(rec) is list and len(rec) == 2 for rec in recs):
+    if isinstance(recs, list) and set(map(type, recs)) <= {list} and set(map(len, recs)) <= {2}:
         try:
-            table = dict(_ids(chain.from_iterable(recs)).reshape(-1, 2).tolist())
-            if len(table) == len(recs):  # else a vertex repeats
-                return table
+            pairs = _ids(chain.from_iterable(recs)).reshape(-1, 2)
+            if _relisted(pairs[:, 0]) < 0:
+                return pairs
         except MalformedInputError:
             pass
     table = {}
@@ -219,4 +234,4 @@ def load_vertex_map(path) -> dict:
                 _add(table, _index(a), _index(b))
             except (TypeError, ValueError, MalformedInputError) as exc:
                 raise MalformedInputError(f"record {rec!r}: {exc}") from None
-    return table
+    return np.array(list(table.items()), np.int64).reshape(-1, 2)

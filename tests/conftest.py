@@ -38,7 +38,8 @@ def scrambled_covering(rng, K, vertex_map, M):
     K2 = build_complex(
         [tuple(relabel[v] for v in f) for f in K.facets()], include_empty=K.include_empty
     )
-    return verify_covering(K2, M, {relabel[v]: vertex_map[v] for v in K.vertices})
+    images = dict(vertex_map.tolist())
+    return verify_covering(K2, M, {relabel[v]: images[v] for v in K.vertices})
 
 
 def cycle_laplacian_values(n):

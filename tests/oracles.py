@@ -814,7 +814,7 @@ def coboundary_factorization(cov: CoveringMap, i: int, psi: IncidenceVoltages | 
 def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_map) -> CoveringMap:
     """The covering axioms checked one cover face at a time, with sets and
     the cofacet table: ``verify_covering`` must raise the same kind with
-    an equal witness, or return an equal degree, vertex map and fibers."""
+    an equal witness, or return an equal degree, projection and fibers."""
     vertex_map = {_index(a, "vertex"): _index(b, "vertex image") for a, b in dict(vertex_map).items()}
     missing = [v for v in cover.vertices if v not in vertex_map]
     if missing:
@@ -874,7 +874,8 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
         )
         for d in base.dims()
     }
-    return CoveringMap(cover, base, vertex_map, degree, tables)
+    projection = np.array([base_faces[(vertex_map[v],)] for v in cover.vertices], np.int64)
+    return CoveringMap(cover, base, projection, degree, tables)
 
 
 def fiber_faces(cov: CoveringMap) -> dict:

@@ -531,7 +531,7 @@ class TestCoverMapInputs:
         _, result = out
         cover = tmp_path / "ref_cover.json"
         llio.save_complex(result.complex, cover)
-        phi = write(tmp_path, "ref_phi.json", {"vertex_map": sorted(result.vertex_map.items())})
+        phi = write(tmp_path, "ref_phi.json", {"vertex_map": result.vertex_map.tolist()})
         code, report, _ = run(
             capsys,
             ["verify", "betti", "--cover", str(cover), "--base", str(base), "--map", phi],
@@ -599,11 +599,21 @@ class TestFixtureSearch:
         assert not out.exists()
 
 
+def test_the_commands_are_those_of_the_parser():
+    import argparse
+
+    from liftlap import cli
+
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert tuple(sub.choices) == cli.COMMANDS
+
+
 def test_tol_is_refused(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--tol", "1e-8", "fixture", "search-fig1"])
     captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == "" and "liftlap: error:" in captured.err
+    assert exc.value.code == 2 and captured.out == ""
+    assert "liftlap: error: unrecognized arguments: --tol 1e-8" in captured.err
 
 
 class TestMalformedInput:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -174,12 +176,13 @@ class TestVerifyCovering:
             assert sorted(cov.fibers[d].ravel().tolist()) == list(range(cov.cover.face_count(d)))
 
 
-MUTATIONS = ("none", "swap-images", "drop-facet", "add-face", "merge-vertices", "unmap-vertex")
+MUTATIONS = ("none", "swap-images", "drop-facet", "add-face", "merge-vertices", "unmap-vertex", "image-off-base")
 
 
 def _mutated(rng, K, vertex_map, mutation):
-    """Facets and vertex map of a cover after one mutation."""
-    facets, vmap = [set(f) for f in K.facets()], dict(vertex_map)
+    """Facets and vertex map of a cover after one mutation; ``vertex_map``
+    is the ``[vertex, image]`` array of a derived complex."""
+    facets, vmap = [set(f) for f in K.facets()], dict(vertex_map.tolist())
     u, v, w = (int(x) for x in rng.choice(K.vertices, 3, replace=False))
     if mutation == "swap-images":
         vmap[u], vmap[v] = vmap[v], vmap[u]
@@ -192,19 +195,29 @@ def _mutated(rng, K, vertex_map, mutation):
         del vmap[v]
     elif mutation == "unmap-vertex":
         del vmap[u]
+    elif mutation == "image-off-base":
+        # ids that are no base vertex: below the images, above them and past every one
+        images = set(vmap.values())
+        off = sorted({0, min(images) - 1, max(images) + 1, max(images) + 7, 2**62} - images - {-1})
+        first, second = (int(x) for x in rng.choice(off, 2, replace=False))
+        vmap[u] = first
+        if rng.integers(2):
+            # a second vertex of a face at u, on another such id
+            vmap[next(x for f in K.faces(1) if u in f for x in f if x != u)] = second
     return build_complex(facets, include_empty=K.include_empty), vmap
 
 
 def _outcome(check, K, M, vertex_map) -> str:
     """The violation's kind and witness, or the verified covering's degree,
-    vertex map and fibers (dtype, shape and entries of each array); as a
-    repr, so a numpy scalar shows."""
+    projection, vertex map and fibers (dtype, shape and entries of each
+    array); as a repr, so a numpy scalar shows."""
     try:
         cov = check(K, M, vertex_map)
     except CoveringViolation as exc:
         return repr((exc.kind, exc.witness))
-    fibers = {d: (f.dtype.str, f.shape, f.tolist()) for d, f in cov.fibers.items()}
-    return repr((cov.degree, cov.vertex_map, fibers))
+    arrays = {d: (f.dtype.str, f.shape, f.tolist()) for d, f in cov.fibers.items()}
+    arrays["projection"] = (cov.projection.dtype.str, cov.projection.shape, cov.projection.tolist())
+    return repr((cov.degree, cov.vertex_map, arrays))
 
 
 class TestVerifyCoveringOracle:
@@ -219,6 +232,39 @@ class TestVerifyCoveringOracle:
         K, vmap = _mutated(rng, result.complex, result.vertex_map, mutation)
         expected = _outcome(per_face_verify_covering, K, M, vmap)
         assert _outcome(verify_covering, K, M, vmap) == expected
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_an_array_and_a_mapping_give_one_covering(self, seed, shuffle, extra):
+        rng = np.random.default_rng(seed)
+        M = random_complex(rng, max_vertices=6, min_beta1=1)
+        out = random_connected_cover(M, int(rng.integers(2, 4)), rng)
+        assume(out is not None)
+        K, pairs = out[1].complex, out[1].vertex_map
+        if extra:  # a vertex the cover does not have is ignored
+            pairs = np.vstack([pairs, [[max(K.vertices) + 1, min(M.vertices)]]])
+        if shuffle:
+            pairs = pairs[rng.permutation(len(pairs))]
+        by_array, by_mapping = verify_covering(K, M, pairs), verify_covering(K, M, dict(pairs.tolist()))
+        assert by_array.degree == by_mapping.degree
+        assert by_array.projection.dtype == by_mapping.projection.dtype == np.int64
+        assert np.array_equal(by_array.projection, by_mapping.projection)
+        assert by_array.fibers.keys() == by_mapping.fibers.keys()
+        for d, fiber in by_array.fibers.items():
+            assert fiber.dtype == by_mapping.fibers[d].dtype and np.array_equal(fiber, by_mapping.fibers[d])
+        assert by_array.vertex_map == dict(zip(K.vertices, (dict(pairs.tolist())[v] for v in K.vertices)))
+
+    def test_an_array_listing_a_vertex_twice_is_refused(self, tmp_path):
+        from liftlap import io as llio
+
+        rows = [[v, v % 3] for v in range(6)] + [[3, 1]]
+        message = "3 is listed twice, the second time as 1"
+        with pytest.raises(MalformedInputError, match=message):
+            verify_covering(cycle_complex(6), cycle_complex(3), np.array(rows))
+        path = tmp_path / "phi.json"
+        path.write_text(json.dumps({"vertex_map": rows}))
+        with pytest.raises(MalformedInputError, match=message):
+            llio.load_vertex_map(path)
 
     MIXED = [(0, 1, 2), (2, 3), (7,)]
 

@@ -6,7 +6,7 @@ import pytest
 
 from oracles import edge_table, identity, pair_table, to_one_based
 
-from liftlap import MalformedInputError, build_complex
+from liftlap import MalformedInputError, build_complex, edge_voltages
 from liftlap import io as llio
 
 
@@ -95,6 +95,21 @@ class TestVoltageFiles:
         assert psi.perms.dtype == np.int64
         # absent edges default to identity
         assert edge_table(M, psi) == {(1, 2): (1, 0), (1, 3): (0, 1), (2, 3): (0, 1)}
+
+    def test_a_passing_load_reads_no_record_alone(self, tmp_path, monkeypatch):
+        # the edges and perms of all records are converted and checked together
+        M = build_complex([{1, 2, 6}, {2, 6, 9}])
+        edges = [{"edge": [2, 1], "perm": [2, 3, 1]}, {"edge": [6, 9.0], "perm": [3, 1, 2]}, {"edge": [1, 6], "perm": [1, 2, 3]}]
+        p = write(tmp_path, "psi.json", {"k": 3, "edges": edges})
+
+        def per_record(*args):
+            raise AssertionError("a record was read alone")
+
+        monkeypatch.setattr(llio, "as_face", per_record)
+        psi = llio.load_edge_voltages(p, M)
+        # an edge is listed by its vertices, in either order, with no inverse taken
+        expected = edge_voltages(M, 3, {(1, 2): (1, 2, 0), (6, 9): (2, 0, 1), (1, 6): (0, 1, 2)})
+        assert psi.perms.dtype == np.int64 and psi.perms.tolist() == expected.perms.tolist()
 
     def test_the_first_bad_permutation_is_named_by_its_record(self, tmp_path):
         M = build_complex([{1, 2}, {2, 3}, {1, 3}])
@@ -201,9 +216,9 @@ class TestSigningAndWeightingFiles:
 
 class TestVertexMapFiles:
     def test_roundtrip(self, tmp_path):
-        vmap = {0: 0, 1: 1, 2: 2, 3: 0, 4: 1, 5: 2}
-        p = write(tmp_path, "phi.json", {"vertex_map": [[a, b] for a, b in vmap.items()]})
-        assert llio.load_vertex_map(p) == vmap
+        rows = [[3, 0], [0, 0], [1, 1], [2, 2], [4, 1], [5, 2]]
+        pairs = llio.load_vertex_map(write(tmp_path, "phi.json", {"vertex_map": rows}))
+        assert pairs.dtype == np.int64 and pairs.tolist() == rows
 
 
 def _twice(face, cofacet, **extra):
