@@ -281,9 +281,7 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
             raise CoveringViolation("unmapped-vertex", f"vertex {v} has no image", v)
         vimg = targets[at]
     # the index in base.faces(0) of each cover vertex's image, -1 for an image that is no base vertex
-    base_verts = base._face_array(0)[:, 0]
-    at = base_verts.searchsorted(vimg)
-    projection = np.where(base_verts.take(at, mode="clip") == vimg, at, -1)
+    projection = base._locate(vimg[:, None])
     if not cover.connected:
         raise CoveringViolation(
             "not-connected",
