@@ -171,7 +171,7 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     try:
         return edge_voltages(M, k, table)
     except (MalformedInputError, VoltageError):
-        for rec, perm in zip(recs, table.values()):
+        for rec, (edge, perm) in zip(recs, table.items()):
             with _reading(path, f"record {rec!r}"):
                 images = [x + 1 for x in perm]
                 outside = [x for x in images if not 1 <= x <= k]
@@ -179,6 +179,8 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
                     raise VoltageError(f"perm image {outside[0]} is outside 1..{k}")
                 if sorted(images) != list(range(1, k + 1)):
                     raise VoltageError(f"{images} is not a permutation of 1..{k}")
+                # with a permutation, one record alone fails only on a non-edge
+                edge_voltages(M, k, {edge: perm})
         raise
 
 

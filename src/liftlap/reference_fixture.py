@@ -8,29 +8,37 @@ every labeled candidate that matches, and then locates a single
 incidence whose voltage flip reproduces the companion signed and
 2-lift spectra.
 
-Three facts let the search test triangle sets rather than labeled
+Four facts let the search test triangle sets rather than labeled
 complexes:
 
-* The free edges do not matter.  They are zero columns of the 6 x 12
-  coboundary D, so D Dᵀ depends on the triangles T alone: it is the
-  principal submatrix P[T, T] of the 20 x 20 Gram matrix P of the
-  triangles of the 5-simplex (its 2-down Laplacian).  D Dᵀ and Dᵀ D
-  share their nonzero spectrum, so spec(Dᵀ D) = spec(P[T, T]) ⊎ 0⁶ for
-  every completion of T by free edges.
+* Edges in no triangle do not change the nonzero spectrum.  They are
+  zero columns of the 6 x 12 coboundary D, so D Dᵀ depends on the
+  triangles T alone: it is the principal submatrix P[T, T] of the
+  20 x 20 Gram matrix P of the triangles of the 5-simplex (its 2-down
+  Laplacian).  D Dᵀ and Dᵀ D share their nonzero spectrum, so
+  spec(Dᵀ D) = spec(P[T, T]) ⊎ 0⁶.
+* A match uses 12 edges, so none is left in no triangle.  P[T, T] has
+  diagonal 3 and an entry ±1 for each ordered pair of triangles sharing
+  an edge, and no other.  When T uses e edges, each at most twice, 18 - e
+  of them are used twice, so tr P[T, T] = 18 and tr P[T, T]² =
+  54 + 2 (18 - e) = 90 - 2e.  The target's second power sum is 66, which
+  forces e = 12: a match is its six triangles and their edges.
 * Connectivity always holds: a graph on 6 vertices with 12 edges is
   connected, since a disconnected one has at most C(5, 2) = 10 edges.
 * A match has Betti number 1: the target has six nonzero eigenvalues,
   all at least 1, so rank D = 6 and b₁ = 12 - 5 - 6 = 1.
 
-The search therefore grows triangle sets in increasing index order,
-keeping at every level those that use every edge at most twice and at
-most 12 edges in all, and matches each kept 6 x 6 block exactly by its
-integer power sums (:func:`search_base_complexes`), solving none.  Only
-the matching triangle sets are completed by free edges into labeled
-candidates, as facet lists; only the one whose flip is searched is
-built.  The flip is matched the same way (:func:`locate_flip`): every
-target value is a + b√3 with integers a and b, so the targets' power
-sums are exact integers, and no comparison in the search has a tolerance.
+The search therefore grows triangle sets in increasing index order
+(:func:`_triangle_sets`), keeping each set's edges as two bitmasks,
+those used and those used twice, and at every level only the sets that
+use every edge at most twice and can still end with exactly 12 edges.
+Each 6 x 6 block is matched exactly by its integer power sums
+(:func:`search_base_complexes`), solving none, and the matching sets
+become facet lists by one gather of the triangles; only the candidate
+whose flip is searched is built.  The flip is matched the same way
+(:func:`locate_flip`): every target value is a + b√3 with integers a and
+b, so the targets' power sums are exact integers, and no comparison in
+the search has a tolerance.
 """
 
 from __future__ import annotations
@@ -94,59 +102,74 @@ def _power_sums(blocks: np.ndarray, count: int) -> np.ndarray:
     return np.stack(sums, axis=1)
 
 
-def _triangle_sets(edges_of: np.ndarray, n_edges: int) -> np.ndarray:
-    """The 6-sets of triangles that use every edge at most twice and at
-    most 12 edges, as rows of increasing indices in lexicographic order,
-    given each triangle's three edge indices.  A set grows one triangle
-    at a time, each above its last, and is kept at every level where it
-    qualifies; only the new triangle's edges are read."""
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """The number of set bits of each entry of a uint16 array, summed by
+    bit pairs, nibbles and bytes (``np.bitwise_count`` is numpy 2 only)."""
+    x = x - ((x >> 1) & 0x5555)
+    x = (x & 0x3333) + ((x >> 2) & 0x3333)
+    x = (x + (x >> 4)) & 0x0F0F
+    return (x + (x >> 8)) & 0x1F
+
+
+def _triangle_sets(edges_of: np.ndarray) -> np.ndarray:
+    """The 6-sets of triangles that use every edge at most twice and
+    exactly 12 edges, as int8 rows of increasing indices in lexicographic
+    order, given each triangle's three edge indices (at most 16 edges).
+
+    A set grows one triangle at a time, each above its last.  Its edges
+    are two uint16 bitmasks, those it uses and those it uses twice, so
+    adding triangle t with edge mask m is a few bitwise operations: t
+    conflicts when ``twice & m``, and the set then uses ``used | m``.  A
+    set is kept while it uses at most 12 edges, and at least 3·size - 6,
+    since each of the 6 - size triangles still to come adds at most
+    three.  Only 12-edge sets can match (see the module notes)."""
     n = len(edges_of)
+    mask = (np.uint16(1) << edges_of.astype(np.uint16)).sum(axis=1, dtype=np.uint16)
     sets = np.arange(n, dtype=np.int8)[:, None]
-    uses = np.zeros((n, n_edges), np.int8)  # each set's uses of each edge
-    uses[sets, edges_of] = 1
-    used = np.full(n, 3)  # each set's count of edges used
-    for _ in range(5):
-        prefix, t = np.nonzero(np.arange(n) > sets[:, -1:])
-        before = uses[prefix[:, None], edges_of[t]]
-        count = used[prefix] + (before == 0).sum(axis=1)
-        kept = (before.max(axis=1) < 2) & (count <= 12)
-        prefix, t, used = prefix[kept], t[kept], count[kept]
+    used, twice = mask, np.zeros(n, np.uint16)
+    for size in range(2, 7):
+        # set i with each of the n - 1 - last[i] triangles above its last:
+        # its children start at position first[i] of the pair arrays
+        last = sets[:, -1].astype(np.intp)
+        kids = n - 1 - last
+        first = np.cumsum(kids) - kids
+        prefix = np.repeat(np.arange(len(sets)), kids)
+        t = np.arange(len(prefix)) + np.repeat(last + 1 - first, kids)
+        u, tw, m = used[prefix], twice[prefix], mask[t]
+        count = _popcount(u | m)
+        kept = np.flatnonzero(((tw & m) == 0) & (count >= 3 * size - 6) & (count <= 12))
+        prefix, t, u, tw, m = prefix[kept], t[kept], u[kept], tw[kept], m[kept]
         sets = np.hstack([sets[prefix], t[:, None].astype(np.int8)])
-        uses = uses[prefix]
-        uses[np.arange(len(t))[:, None], edges_of[t]] += 1
+        used, twice = u | m, tw | (u & m)
     return sets
 
 
 def search_base_complexes() -> list[tuple]:
     """The facets of all labeled candidates whose edge up spectrum is
-    exactly ``BASE_TARGET`` and six zeros, sorted: the free edges, then
-    the triangles, each in canonical order.
+    exactly ``BASE_TARGET`` and six zeros, sorted: six triangles, in
+    canonical order, which hold all 12 edges.
 
     A block B = P[T, T] matches when its power sums tr Bᵃ, a = 1..6,
     equal ``BASE_SUMS``: by Newton's identities they fix the
     characteristic polynomial.
     """
     simplex = build_complex(combinations(range(6), 3))
-    triangles, edges = simplex.faces(2), simplex.faces(1)
     gram = laplacian_matrix(simplex, 2, DOWN).matrix
     # three triplets per triangle, in triangle order
     edges_of = coboundary(simplex, 1)[1].reshape(-1, 3)
-    sets = _triangle_sets(edges_of, len(edges))
+    sets = _triangle_sets(edges_of)
     matched = []
-    for start in range(0, len(sets), 500):
-        chunk = sets[start : start + 500]
-        sums = _power_sums(gram[chunk[:, :, None], chunk[:, None, :]], 6)
-        matched.extend(chunk[(sums == BASE_SUMS).all(axis=1)])
-    found = []
-    for tri_set in matched:
-        tris = [triangles[t] for t in tri_set]
-        used = {e for t in tris for e in combinations(t, 2)}
-        pool = [e for e in edges if e not in used]
-        for free in combinations(pool, 12 - len(used)):
-            # connected, with b₁ = 1, by the module docstring; the free
-            # edges and then the triangles are the facets, both sorted
-            found.append(free + tuple(tris))
-    return sorted(found)
+    for start in range(0, len(sets), 1000):
+        chunk = sets[start : start + 1000]
+        # the blocks by flat positions, which one take reads faster than
+        # a pair of broadcast int8 index arrays
+        at = chunk.astype(np.intp)
+        sums = _power_sums(gram.take(at[:, :, None] * len(gram) + at[:, None, :]), 6)
+        matched.append(chunk[(sums == BASE_SUMS).all(axis=1)])
+    # the rows, like the triangles, are in lexicographic order, so the
+    # facet lists come out sorted
+    triangles = np.fromiter(simplex.faces(2), object)
+    return list(map(tuple, triangles[np.concatenate(matched)]))
 
 
 def locate_flip(M: SimplicialComplex):

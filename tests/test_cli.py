@@ -659,6 +659,13 @@ class TestMalformedInput:
         assert code == 2 and report is None
         assert "psi.json" in err and "'perm': [2, 3, 1]" in err
 
+    def test_voltage_on_a_non_edge(self, capsys, tmp_path, triangle_file):
+        record = {"edge": [1, 4], "perm": [2, 1]}
+        psi = write(tmp_path, "psi.json", {"k": 2, "edges": [record]})
+        code, report, err = run(capsys, ["cover", "build", "--base", triangle_file, "--voltage", psi])
+        assert code == 2 and report is None
+        assert "psi.json" in err and repr(record) in err and "non-edges: [(1, 4)]" in err
+
     def test_facet_not_a_list(self, capsys, tmp_path):
         bad = write(tmp_path, "flat.json", {"facets": [0, 1, 2]})
         code, report, err = run(capsys, ["spectrum", "--complex", bad, "--dim", "0"])

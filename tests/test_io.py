@@ -131,8 +131,10 @@ class TestVoltageFiles:
 
     def test_voltage_on_non_edge_rejected(self, tmp_path):
         M = build_complex([{1, 2}])
-        p = write(tmp_path, "psi.json", {"k": 2, "edges": [{"edge": [1, 3], "perm": [2, 1]}]})
-        with pytest.raises(Exception):
+        edges = [{"edge": [2, 1], "perm": [2, 1]}, {"edge": [1, 3], "perm": [2, 1]}]
+        p = write(tmp_path, "psi.json", {"k": 2, "edges": edges})
+        message = f"psi.json: malformed record {edges[1]!r} (VoltageError: voltages given for non-edges: [(1, 3)])"
+        with pytest.raises(MalformedInputError, match=re.escape(message)):
             llio.load_edge_voltages(p, M)
 
     def test_fold_count_must_be_an_integer(self, tmp_path):

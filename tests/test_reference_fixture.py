@@ -4,7 +4,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import brute_force_base_matches, coboundary_matrix, target_spectrum
 
@@ -77,16 +77,54 @@ def test_search_equals_the_per_candidate_brute_force():
     assert found == brute_force_base_matches(1e-8)
 
 
+def _edge_uses(T):
+    return Counter(e for t in T for e in combinations(TRIANGLES[t], 2))
+
+
 def test_triangle_sets_are_the_pruned_six_subsets():
     # every 6-subset of the triangles, in lexicographic order, that uses
-    # every edge at most twice and at most 12 edges
+    # every edge at most twice and exactly 12 edges; the 1,950 such sets
+    # with 9 or 11 edges cannot match, since tr P[T,T]² = 90 - 2e ≠ 66
     want = []
     for T in combinations(range(len(TRIANGLES)), 6):
-        uses = Counter(e for t in T for e in combinations(TRIANGLES[t], 2))
-        if max(uses.values()) <= 2 and len(uses) <= 12:
+        uses = _edge_uses(T)
+        if max(uses.values()) <= 2 and len(uses) == 12:
             want.append(list(T))
+    assert len(want) == 5040
     edges_of = coboundary(build_complex(TRIANGLES), 1)[1].reshape(-1, 3)
-    assert rf._triangle_sets(edges_of, 15).tolist() == want
+    assert rf._triangle_sets(edges_of).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.permutations(range(len(TRIANGLES))))
+def test_the_trace_identity_that_forces_twelve_edges(order):
+    # for 6 triangles using every edge at most twice: tr P[T,T] = 18 and
+    # tr P[T,T]² = 90 - 2e, with e the number of edges used; the set takes
+    # each triangle in the drawn order that keeps every edge's uses at
+    # most 2, so every such set can be drawn (put first)
+    T = []
+    for t in order:
+        if len(T) < 6 and max(_edge_uses(T + [t]).values()) <= 2:
+            T.append(t)
+    assume(len(T) == 6)
+    block = TRIANGLE_GRAM[np.ix_(T, T)]
+    assert np.trace(block) == 18
+    assert np.trace(block @ block) == 90 - 2 * len(_edge_uses(T))
+
+
+def test_power_sums_read_exactly_the_twelve_edge_blocks(monkeypatch):
+    blocks, power_sums = [], rf._power_sums
+
+    def recording(stack, count):
+        blocks.append(stack)
+        return power_sums(stack, count)
+
+    monkeypatch.setattr(rf, "_power_sums", recording)
+    assert len(rf.search_base_complexes()) == 420
+    blocks = np.concatenate(blocks)
+    assert len(blocks) == 5040
+    # 90 - 2e = 66 on every block: each is a 12-edge set's
+    assert (np.einsum("nij,nji->n", blocks, blocks) == 66).all()
 
 
 def test_search_memory_stays_small():
