@@ -47,7 +47,6 @@ from .errors import (
 from .homology import (
     BettiInequalityReport,
     exact_betti_numbers,
-    integer_rank,
     verify_betti_inequality,
 )
 from .operators import (
@@ -55,14 +54,10 @@ from .operators import (
     FULL,
     UP,
     IncidenceWeighting,
-    OperatorMatrix,
-    SpectrumComparison,
     SpectrumMultiset,
-    compare_spectra,
     decorated_coboundary,
     incidence_weighting,
     laplacian_matrix,
-    layer_spectra,
     spectrum,
 )
 from .representation import (
@@ -70,7 +65,6 @@ from .representation import (
     BlockIdentity,
     VoltageGroup,
     abelian_decomposition,
-    abelian_weightings,
     block_identity,
     block_values,
     block_weightings,

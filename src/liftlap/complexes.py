@@ -25,9 +25,9 @@ dimension, searched row by row with ``searchsorted``
 (:meth:`SimplicialComplex._locate`).  The faces of the complex are not
 searched for: the vertex indices of each face, and the keys ``_locate``
 searches, are gathered up the coboundary columns
-(:meth:`SimplicialComplex._vertex_index`).  ``index``, ``has_face``,
-``cofacets``, ``facets`` and the weights read the coboundary or the
-same arrays, and weights are one float64 array per dimension.
+(:meth:`SimplicialComplex._vertex_index`).  ``index``, ``facets`` and
+the weights read the coboundary or the same arrays, and weights are one
+float64 array per dimension.
 
 A complex never changes after construction and every operation is a
 pure function, so concurrent reads are safe (a cache filled twice holds
@@ -244,26 +244,9 @@ class SimplicialComplex:
             raise MalformedInputError(f"{face!r} is not a face of the complex")
         return r
 
-    def has_face(self, face) -> bool:
-        return bool(self._indices([tuple(face)])[0] >= 0)
-
     @property
     def vertices(self) -> tuple[int, ...]:
         return tuple(self._face_array(0)[:, 0].tolist())
-
-    def all_faces(self):
-        for d in self.dims():
-            yield from self.faces(d)
-
-    def cofacets(self, face: Face) -> tuple[Face, ...]:
-        """Faces of one dimension higher containing ``face``, in canonical
-        order: the rows of the coboundary triplets at its column."""
-        c = self.index(tuple(face))
-        d = len(face) - 1
-        if d == self._top_dim:
-            return ()
-        rows, cols, _ = coboundary(self, d)
-        return tuple(map(self.faces(d + 1).__getitem__, rows[cols == c].tolist()))
 
     def facets(self) -> tuple[Face, ...]:
         """The faces without cofacets, by dimension, each in canonical order."""

@@ -57,32 +57,6 @@ from .operators import IncidenceWeighting
 from .representation import BlockIdentity, block_identity
 
 
-def integer_rank(triplets) -> int:
-    """Exact rank over the rationals of an integer matrix, by sparse elimination.
-
-    The matrix is given by its nonzeros ``(rows, cols, values)``, three
-    1-d integer arrays of one length naming each (row, column) pair at
-    most once, as :func:`~liftlap.complexes.coboundary` returns
-    them; a zero value is no entry.  The rank is the number of pivots of
-    the elimination that :func:`exact_betti_numbers` runs as well.  All
-    arithmetic is in Python ints, so the result is exact and independent
-    of any floating point path.
-
-    Entries may still grow on dense inputs, where fill-in compounds the
-    multipliers; coboundaries (entries +-1, i+2 nonzeros per row) do not
-    trigger this.  Any other input raises :class:`LiftlapError`.
-    """
-    if not isinstance(triplets, (tuple, list)) or len(triplets) != 3:
-        raise LiftlapError("integer_rank needs the nonzeros (rows, cols, values) of a matrix")
-    arrays = tuple(map(np.asarray, triplets))
-    at_row, at_col, values = arrays
-    one_length = at_row.shape == at_col.shape == values.shape == (values.size,)
-    if not one_length or {a.dtype.kind for a in arrays} - {"i", "u"}:
-        got = ", ".join(f"{a.dtype} of shape {a.shape}" for a in arrays)
-        raise LiftlapError(f"integer_rank needs three 1-d integer arrays of one length, got {got}")
-    return len(_pivots(*arrays))
-
-
 def _pivots(at_row, at_col, values) -> dict[int, int]:
     """``{pivot column: original row}`` of the sparse elimination of the
     matrix with nonzeros ``(at_row, at_col, values)``.
@@ -93,14 +67,16 @@ def _pivots(at_row, at_col, values) -> dict[int, int]:
     row[c])``, and divided by the gcd of their entries; a row whose
     lowest column has no pivot yet becomes that column's pivot.  Each
     pivot row is its original row plus a combination of earlier pivot
-    rows, so the original rows named are independent.
+    rows, so the original rows named are independent, and their number
+    is the rank over the rationals, exact as every step is in Python
+    ints.  Each (row, column) pair may be given at most once.
     """
     rows: dict[int, dict[int, int]] = {}
     for r, c, v in zip(at_row.tolist(), at_col.tolist(), values.tolist()):
         if v:
             rows.setdefault(r, {})[c] = v
     if sum(map(len, rows.values())) != np.count_nonzero(values):
-        raise LiftlapError("integer_rank was given one (row, column) pair twice")
+        raise LiftlapError("the exact elimination was given one (row, column) pair twice")
     pivots: dict[int, dict[int, int]] = {}
     owners: dict[int, int] = {}
     for r, row in rows.items():

@@ -1,4 +1,4 @@
-"""Up/down/full Laplace operators and tolerance-aware spectra.
+"""Up/down/full Laplace operators and their spectra.
 
 The degree-i coboundary ``D_i`` of :mod:`liftlap.complexes` has rows
 indexed by (i+1)-faces and columns by i-faces.  Every operator is
@@ -22,19 +22,12 @@ operator (values rho_j(psi)), and the lifted coboundary itself (values
 the permutation matrices P(psi)).  The adjoint uses the conjugate
 transpose.
 
-One incidence layer serves two operators: the spectra of ``A_i^H A_i``
-and ``A_i A_i^H``, the i-up and (i+1)-down operators, agree except for
-``|n_{i+1} - n_i|`` extra zeros.  :func:`layer_spectra` therefore
-eigensolves only the smaller Gram matrix and pads the other side with
-exact zeros, and at the top dimension (no (i+1)-faces) it solves
-nothing.  A cover's spectrum is the union of its blocks' once the
-factorization of :func:`~liftlap.covering.factor_lifted_coboundary` and
-the block identity of :func:`~liftlap.representation.block_identity`
-hold, so it is :func:`layer_spectra` of the base under each block's
-weighting, and the ``verify`` and ``decompose`` commands, which prove
-that union, solve nothing.  ``liftlap spectrum`` eigensolves the
-assembled operator, so its ``clamped`` count reports the operator's own
-kernel noise.
+A cover's spectrum is the union of its blocks' once the factorization
+of :func:`~liftlap.covering.factor_lifted_coboundary` and the block
+identity of :func:`~liftlap.representation.block_identity` hold, so the
+``verify`` and ``decompose`` commands, which prove that union, solve
+nothing.  ``liftlap spectrum`` eigensolves the assembled operator, so
+its ``clamped`` count reports the operator's own kernel noise.
 
 Incidence layers are stored as their nonzeros, (row, col, value)
 triplets: a plain coboundary row has i+2 of them, a decorated one
@@ -66,8 +59,6 @@ from .errors import DimensionError, EigensolverError, LiftlapError, WeightError
 UP = "up"
 DOWN = "down"
 FULL = "full"
-
-DEFAULT_TOL = 1e-8
 
 
 class IncidenceWeighting:
@@ -167,37 +158,16 @@ def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
     return rows.ravel(), cols.ravel(), values.ravel()
 
 
-@dataclass
-class OperatorMatrix:
-    """A Laplace operator and the weight diagonal ``W`` of its degree.
-
-    ``matrix`` is the Hermitian PSD form ``W^{1/2} L W^{-1/2}`` of the
-    operator ``L`` on cochains; ``L = W^{-1/2} matrix W^{1/2}``.
-    """
-
-    matrix: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix)
-        self.weights = np.asarray(self.weights, dtype=float)
-        n = self.matrix.shape[0]
-        if self.matrix.shape != (n, n) or len(self.weights) != n:
-            raise DimensionError("operator matrix must be square and match its weights")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-
 def laplacian_matrix(
     K: SimplicialComplex,
     i: int,
     kind: str = UP,
     scheme: WeightScheme = COMBINATORIAL,
     decoration=None,
-) -> OperatorMatrix:
-    """Assemble the i-dimensional up/down/full Laplace operator of ``K``.
+) -> np.ndarray:
+    """The i-dimensional up/down/full Laplace operator of ``K``, assembled
+    as the Hermitian PSD form ``W^{1/2} L W^{-1/2}`` of the operator ``L``
+    on cochains, ``W`` the weight diagonal of the degree.
 
     Up is ``A_i^H A_i``, down is ``A_{i-1} A_{i-1}^H`` and full is their
     sum, with ``A`` the weighted coboundary of the module docstring.
@@ -222,7 +192,7 @@ def laplacian_matrix(
         if not K.min_dim + 1 <= i <= K.top_dim:
             raise DimensionError(f"down operator needs {K.min_dim + 1} <= i <= {K.top_dim}, got {i}")
         mat = mat + _gram(_weighted_coboundary(K, i - 1, w, decoration), DOWN)
-    return OperatorMatrix(mat, _weights(w[i], decoration))
+    return mat
 
 
 def _weights(w: np.ndarray, decoration) -> np.ndarray:
@@ -281,47 +251,22 @@ def _gram(layer, kind: str) -> np.ndarray:
     return gram.reshape(n, n)
 
 
-def layer_spectra(
-    K: SimplicialComplex,
-    i: int,
-    scheme: WeightScheme = COMBINATORIAL,
-    decoration=None,
-) -> tuple["SpectrumMultiset", "SpectrumMultiset"]:
-    """Spectra of the i-up and the (i+1)-down operator from one eigensolve.
-
-    Returns ``(up_i, down_{i+1})``, each the multiset :func:`spectrum`
-    gives for the assembled operator, up to rounding.  The weighted
-    coboundary ``A`` is built once; the smaller of ``A^H A`` (up) and
-    ``A A^H`` (down) goes through :func:`spectrum`, and the other side
-    is the same multiset padded with exact zeros.  At ``i == top_dim``
-    the up spectrum is all zeros and the down side is empty, and nothing
-    is solved.  Valid layers: ``min_dim <= i <= top_dim``.
-    """
-    if not K.min_dim <= i <= K.top_dim:
-        raise DimensionError(f"incidence layer needs {K.min_dim} <= i <= {K.top_dim}, got {i}")
-    layer = _weighted_coboundary(K, i, compute_weights(K, scheme), decoration)
-    n_hi, n_lo = layer[3]
-    up = n_lo <= n_hi
-    solved = spectrum(OperatorMatrix(_gram(layer, UP if up else DOWN), np.ones(min(n_hi, n_lo))))
-    padded = SpectrumMultiset(solved.values + (0.0,) * abs(n_hi - n_lo), solved.clamped)
-    return (solved, padded) if up else (padded, solved)
-
-
-def spectrum(op: OperatorMatrix) -> "SpectrumMultiset":
-    """Eigenvalues of an operator, sorted ascending, clamped at zero.
+def spectrum(op: np.ndarray) -> "SpectrumMultiset":
+    """Eigenvalues of an operator's Hermitian array, sorted ascending,
+    clamped at zero.
 
     Eigenvalues with ``|v| <= 1e-9`` (relative) are the kernel up to
     eigensolver noise: they are set to exactly 0, and ``clamped`` counts
     those that were not 0 already.  Anything below ``-1e-9`` means the
     operator was not positive semidefinite and raises.  ``eigvalsh``
-    reads one triangle of ``op.matrix``, which this module assembles
+    reads one triangle of ``op``, which :func:`laplacian_matrix` assembles
     exactly Hermitian; a matrix built elsewhere should be as well.
     """
     if op.size == 0:
         return SpectrumMultiset()
-    scale = max(1.0, float(np.max(np.abs(op.matrix))))
+    scale = max(1.0, float(np.max(np.abs(op))))
     try:
-        vals = np.linalg.eigvalsh(op.matrix)
+        vals = np.linalg.eigvalsh(op)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     if np.any(vals < -1e-9 * scale):
@@ -344,79 +289,3 @@ class SpectrumMultiset:
 
     def __len__(self):
         return len(self.values)
-
-    def union(self, other: "SpectrumMultiset") -> "SpectrumMultiset":
-        return SpectrumMultiset(self.values + other.values)
-
-
-def _close(a, b, tol: float):
-    """``|a - b| <= tol * max(1, |a|, |b|)``, elementwise on floats or arrays."""
-    return abs(a - b) <= tol * np.maximum(1.0, np.maximum(abs(a), abs(b)))
-
-
-@dataclass(frozen=True)
-class SpectrumComparison:
-    """``witness`` is the first unmatched value (None when ``holds``)."""
-
-    holds: bool
-    max_pairing_error: float
-    witness: float | None
-
-
-def compare_spectra(
-    a: SpectrumMultiset,
-    b: SpectrumMultiset,
-    mode: str = "equal",
-    tol: float = DEFAULT_TOL,
-) -> SpectrumComparison:
-    """Compare eigenvalue multisets: ``equal`` or ``subset``.
-
-    Two values match when ``|a - b| <= tol * max(1, |a|, |b|)``.
-    ``subset`` greedily matches the sorted values of ``a`` into ``b``:
-    each takes the first unused value of ``b`` it matches, passing over
-    the smaller ones it does not (found in array passes, which is exact
-    for ``tol < 1`` and for spectra without negative values).  A union
-    claim compares against ``b.union(c)`` with ``equal``.  Failure is
-    reported (with the first unmatched value as witness), never raised.
-    """
-    if mode == "equal":
-        return _equal(a, b, tol)
-    if mode == "subset":
-        return _subset(a, b, tol)
-    raise ValueError(f"unknown comparison mode {mode!r}")
-
-
-def _equal(a, b, tol) -> SpectrumComparison:
-    n = min(len(a), len(b))
-    x, y = np.array(a.values[:n]), np.array(b.values[:n])
-    close = _close(x, y, tol)
-    if not close.all():
-        j = int(np.argmin(close))
-        return SpectrumComparison(False, float(abs(x[j] - y[j])), a.values[j])
-    if len(a) != len(b):
-        extra = a.values[n] if len(a) > n else b.values[n]
-        return SpectrumComparison(False, float("inf"), extra)
-    return SpectrumComparison(True, float(np.max(abs(x - y), initial=0.0)), None)
-
-
-def _subset(a, b, tol) -> SpectrumComparison:
-    # The greedy pointer stops for x at the first value of b that is not
-    # both below x and apart from it.  Below x, the values close to x are
-    # the largest ones (when tol < 1 |x - y| falls faster than the bound
-    # as y rises, and for 0 <= y < x the bound is fixed), so with no
-    # pointer that stop is a bisection on the t values below x, and the
-    # pointer moves it to the place after the previous match if later.
-    # y has one pad value so that a stop or match past the end indexes it
-    x, y = np.array(a.values), np.array(b.values + (0.0,))
-    lo, hi = np.zeros(len(x), np.int64), np.searchsorted(y[: len(b)], x)
-    while (lo < hi).any():
-        mid = (lo + hi) // 2
-        near, open_ = _close(y[mid], x, tol), lo < hi
-        hi = np.where(open_ & near, mid, hi)
-        lo = np.where(open_ & ~near, mid + 1, lo)
-    steps = np.arange(len(x))
-    match = np.maximum.accumulate(lo - steps) + steps
-    paired = (match < len(b)) & _close(y[np.minimum(match, len(b))], x, tol)
-    if not paired.all():
-        return SpectrumComparison(False, float("inf"), a.values[int(np.argmin(paired))])
-    return SpectrumComparison(True, float(np.max(abs(y[match] - x), initial=0.0)), None)

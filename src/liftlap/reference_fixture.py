@@ -154,7 +154,7 @@ def search_base_complexes() -> list[tuple]:
     characteristic polynomial.
     """
     simplex = build_complex(combinations(range(6), 3))
-    gram = laplacian_matrix(simplex, 2, DOWN).matrix
+    gram = laplacian_matrix(simplex, 2, DOWN)
     # three triplets per triangle, in triangle order
     edges_of = coboundary(simplex, 1)[1].reshape(-1, 3)
     sets = _triangle_sets(edges_of)
@@ -195,7 +195,7 @@ def locate_flip(M: SimplicialComplex):
         # the lift's operator is the base operator decorated by the
         # voltages' permutation matrices (the identity where unlisted)
         swap = incidence_weighting(M, {flip: [[0, 1], [1, 0]]})
-        lifted = laplacian_matrix(M, 2, DOWN, COMBINATORIAL, swap).matrix
+        lifted = laplacian_matrix(M, 2, DOWN, COMBINATORIAL, swap)
         if (_power_sums(lifted[None], 12) == COVER_SUMS).all():
             return flip
     return None

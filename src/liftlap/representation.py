@@ -4,8 +4,8 @@ Conjugating by a matrix that block-diagonalizes the permutation
 representation splits the lifted Laplacian into one block per
 sub-representation rho_j.  Block j is itself a decorated base Laplacian:
 the base operator with every incidence (F, Fbar) weighted by the matrix
-rho_j(psi(F, Fbar)), given by :func:`block_weightings` and solved by
-:func:`~liftlap.operators.layer_spectra` like any other weighting.  The
+rho_j(psi(F, Fbar)), given by :func:`block_weightings` and assembled by
+:func:`~liftlap.operators.laplacian_matrix` like any other weighting.  The
 first block is the base Laplacian itself; a two-fold cover's second
 block is the signed Laplacian, and the blocks of an abelian group are
 its character-weighted Laplacians.
@@ -294,18 +294,13 @@ def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
     return IncidenceWeighting(psi.base, {psi.dim: np.where(psi.perms[:, 0] == 1, -1.0, 1.0)})
 
 
-def abelian_weightings(psi: IncidenceVoltages, seed: int = 0) -> list[IncidenceWeighting]:
-    """The k-1 nontrivial character weightings of ``psi``'s voltage group,
-    which must be abelian and transitive (then regular of order k, with k
-    degree-one characters): each sends an incidence to the character
-    value of its voltage, on the unit circle."""
-    return block_weightings(psi, abelian_decomposition(psi, seed))
-
-
 def abelian_decomposition(psi: IncidenceVoltages, seed: int = 0) -> BlockDecomposition:
     """The decomposition of ``psi``'s voltage group into its k characters,
     refused with the reason when the group is not abelian or not
-    transitive (see :func:`abelian_weightings`)."""
+    transitive.  Then the group is regular of order k, and
+    :func:`block_weightings` of the decomposition are its k-1 nontrivial
+    character weightings: each sends an incidence to the character value
+    of its voltage, on the unit circle."""
     group = voltage_group(psi.perms)
     if not group.abelian:
         raise GroupStructureError("character weightings require an abelian voltage group")

@@ -1,6 +1,6 @@
 """Named faults for the verify and decompose commands, each a
-``monkeypatch`` of one library function, and the small covers they are
-run on.
+``monkeypatch`` of one library function (``padding-short`` one of the
+direct-solve oracle's), and the small covers they are run on.
 
 A fault replaces its function in every ``liftlap`` module that binds it,
 so the CLI's certified route and the direct-solve oracle of
@@ -18,7 +18,8 @@ from typing import Callable
 
 import numpy as np
 
-from liftlap import complexes, covering, homology, operators, representation
+import oracles
+from liftlap import complexes, covering, homology, representation
 from liftlap.complexes import NORMALIZED_KIND, coboundary
 from liftlap.covering import IncidenceVoltages
 from liftlap.operators import IncidenceWeighting, SpectrumMultiset
@@ -32,8 +33,9 @@ REACHED = set()
 
 
 def patch_everywhere(monkeypatch, module, name, make):
-    """Replace ``module.name`` by ``make(original)`` in every liftlap
-    module that binds the original; a call adds ``name`` to ``REACHED``."""
+    """Replace ``module.name`` by ``make(original)`` in ``module`` and in
+    every liftlap module that binds the original; a call adds ``name`` to
+    ``REACHED``."""
     real = getattr(module, name)
     fake = make(real)
 
@@ -42,7 +44,8 @@ def patch_everywhere(monkeypatch, module, name, make):
         return fake(*args, **kwargs)
 
     for mod in list(sys.modules.values()):
-        if getattr(mod, "__name__", "").startswith("liftlap") and getattr(mod, name, None) is real:
+        ours = mod is module or getattr(mod, "__name__", "").startswith("liftlap")
+        if ours and getattr(mod, name, None) is real:
             monkeypatch.setattr(mod, name, reached)
 
 
@@ -175,7 +178,7 @@ def cover_weight_off_by_one(monkeypatch):
 
 
 def padding_short(monkeypatch):
-    # the side padded with zeros gets one zero too few
+    # the side the direct oracle pads with zeros gets one zero too few
     def make(real):
         def layer_spectra(K, i, scheme=complexes.COMBINATORIAL, decoration=None):
             up, down = real(K, i, scheme, decoration)
@@ -189,7 +192,7 @@ def padding_short(monkeypatch):
 
         return layer_spectra
 
-    patch_everywhere(monkeypatch, operators, "layer_spectra", make)
+    patch_everywhere(monkeypatch, oracles, "layer_spectra", make)
 
 
 def factor_first_column(monkeypatch):
@@ -243,7 +246,7 @@ MUTANTS = [
         cover_weight_off_by_one,
         "one cover vertex weighs 1 more than its base vertex under the normalized scheme",
     ),
-    Mutant("padding-short", padding_short, "layer_spectra pads one zero too few"),
+    Mutant("padding-short", padding_short, "the direct oracle's layer_spectra pads one zero too few"),
     Mutant(
         "factor-first-column",
         factor_first_column,

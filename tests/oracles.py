@@ -3,7 +3,6 @@ factorization they are checked with, that only the tests call."""
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, combinations, repeat
 
 import numpy as np
@@ -27,19 +26,17 @@ from liftlap import (
     block_weightings,
     build_complex,
     coboundary,
-    compare_spectra,
     compute_weights,
     decompose_representation,
     decorated_coboundary,
     exact_betti_numbers,
     induced_incidence_voltage,
-    integer_rank,
     laplacian_matrix,
     voltage_group,
 )
 from liftlap.complexes import COMBINATORIAL_KIND, NORMALIZED_KIND, _index
 from liftlap.covering import _orientation_signs
-from liftlap.operators import SpectrumComparison, _close
+from liftlap.homology import _pivots
 
 
 # a permutation p of 0..k-1 as its image tuple: p maps j to p[j]
@@ -100,11 +97,18 @@ def to_one_based(p: Perm) -> list:
 
 
 def nonzeros(matrix) -> tuple:
-    """The ``(rows, cols, values)`` of a 2-d array's nonzeros, the input
-    form of ``integer_rank``."""
+    """The ``(rows, cols, values)`` of a 2-d array's nonzeros, the form
+    in which :func:`exact_rank` and ``coboundary`` give a matrix."""
     a = np.asarray(matrix)
     rows, cols = np.nonzero(a)
     return rows, cols, a[rows, cols]
+
+
+def exact_rank(triplets) -> int:
+    """The exact rank over the rationals of the integer matrix with
+    nonzeros ``(rows, cols, values)``: the number of pivots of the
+    elimination that ``exact_betti_numbers`` runs."""
+    return len(_pivots(*map(np.asarray, triplets)))
 
 
 def dense_matrix(triplets, shape) -> np.ndarray:
@@ -178,9 +182,8 @@ def face_positions(K: SimplicialComplex) -> dict:
 
 def cofacet_table(K: SimplicialComplex) -> dict:
     """Each face of ``K`` with its cofacets in canonical order, found by
-    deleting each vertex of every face in turn: what ``K.cofacets`` must
-    return."""
-    table: dict = {f: [] for f in K.all_faces()}
+    deleting each vertex of every face in turn."""
+    table: dict = {f: [] for f in face_positions(K)}
     for d in range(0, K.top_dim + 1):
         for f in K.faces(d):
             for j in range(len(f)):
@@ -249,7 +252,7 @@ def face_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict:
     checked face by face.  ``compute_weights`` must give the same values,
     bitwise, and raise the same errors."""
     if scheme.kind == COMBINATORIAL_KIND:
-        return {f: 1.0 for f in K.all_faces()}
+        return {f: 1.0 for f in face_positions(K)}
     if scheme.kind == NORMALIZED_KIND:
         w: dict = {}
         cofacets = cofacet_table(K)
@@ -264,7 +267,7 @@ def face_weights(K: SimplicialComplex, scheme: WeightScheme) -> dict:
     if stray:
         raise WeightError(f"explicit scheme weights {stray[0]!r}, which is not a face of the complex")
     out = {}
-    for f in K.all_faces():
+    for f in face_positions(K):
         if f not in table:
             raise WeightError(f"explicit scheme does not weight face {f!r}")
         if not 0 < table[f] < math.inf:
@@ -343,7 +346,7 @@ def harmonic_bases(K: SimplicialComplex, betti: dict, scheme: WeightScheme) -> d
             bases[i] = np.zeros((K.face_count(i), 0))
             continue
         op = laplacian_matrix(K, i, "full" if i > K.min_dim else "up", scheme)
-        bases[i] = np.linalg.eigh(op.matrix)[1][:, :b] / np.sqrt(op.weights)[:, None]
+        bases[i] = np.linalg.eigh(op)[1][:, :b] / np.sqrt(compute_weights(K, scheme)[i])[:, None]
     return bases
 
 
@@ -827,7 +830,7 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
         )
 
     base_faces, base_cofacets, cover_cofacets = face_positions(base), cofacet_table(base), cofacet_table(cover)
-    fibers: dict = {g: [] for g in base.all_faces()}
+    fibers: dict = {g: [] for g in face_positions(base)}
     for d in range(0, cover.top_dim + 1):
         for f in cover.faces(d):
             img = tuple(sorted({vertex_map[v] for v in f}))
@@ -930,16 +933,17 @@ def lifted_harmonics(cov: CoveringMap, i: int, basis: np.ndarray, scheme: Weight
     largest entry of ``L x`` over the lifts x, each of norm 1, with L the
     cover's full degree-i cochain operator under ``scheme`` (the up part
     alone at the lowest dimension), and the smallest singular value of
-    the lifts.  The operator comes from ``laplacian_matrix`` at call
-    time, so a fault patched into the library reaches it."""
-    from liftlap import operators
+    the lifts.  The operator and the weights come from ``laplacian_matrix``
+    and ``compute_weights`` at call time, so a fault patched into the
+    library reaches them."""
+    from liftlap import complexes, operators
 
     lifted = lift_cochain(basis, i, cov)
     lifted = lifted / np.linalg.norm(lifted, axis=0)
     op = operators.laplacian_matrix(cov.cover, i, "full" if i > cov.cover.min_dim else "up", scheme)
-    root = np.sqrt(op.weights)[:, None]
+    root = np.sqrt(complexes.compute_weights(cov.cover, scheme)[i])[:, None]
     # L x in cochain units, L = W^{-1/2} (Hermitian form) W^{1/2}
-    residual = float(np.max(np.abs(op.matrix @ (root * lifted) / root)))
+    residual = float(np.max(np.abs(op @ (root * lifted) / root)))
     return residual, float(np.linalg.svd(lifted, compute_uv=False)[-1])
 
 
@@ -960,23 +964,64 @@ def per_face_lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
     return out
 
 
-# -- spectrum comparison --------------------------------------------------------
+# -- spectra ---------------------------------------------------------------------
 
 
-def greedy_subset(a: SpectrumMultiset, b: SpectrumMultiset, tol: float) -> SpectrumComparison:
-    """``compare_spectra(a, b, "subset", tol)`` one scalar step at a time:
-    each sorted value of ``a`` takes the first unused value of ``b`` it is
-    close to, skipping the smaller values of ``b`` that it is not."""
-    worst = 0.0
-    j = 0
-    for x in a.values:
-        while j < len(b.values) and b.values[j] < x and not _close(b.values[j], x, tol):
+def layer_spectra(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATORIAL, decoration=None) -> tuple:
+    """Spectra of the i-up and the (i+1)-down operator from one eigensolve:
+    ``(up_i, down_{i+1})``, each the multiset ``spectrum`` gives for the
+    assembled operator, up to rounding.  The spectra of ``A^H A`` and
+    ``A A^H`` agree except for ``|n_{i+1} - n_i|`` extra zeros, so only the
+    smaller Gram side of the weighted coboundary ``A`` is solved and the
+    other is padded with exact zeros; at the top dimension nothing is
+    solved.  Reads the library at call time, so a fault patched into it
+    reaches this too."""
+    from liftlap import complexes, operators
+
+    layer = operators._weighted_coboundary(K, i, complexes.compute_weights(K, scheme), decoration)
+    n_hi, n_lo = layer[3]
+    up = n_lo <= n_hi
+    solved = operators.spectrum(operators._gram(layer, "up" if up else "down"))
+    padded = SpectrumMultiset(solved.values + (0.0,) * abs(n_hi - n_lo), solved.clamped)
+    return (solved, padded) if up else (padded, solved)
+
+
+@dataclass(frozen=True)
+class SpectrumComparison:
+    """``witness`` is the first unmatched value (None when ``holds``)."""
+
+    holds: bool
+    max_pairing_error: float
+    witness: float | None
+
+
+def _close(a: float, b: float, tol: float) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(a), abs(b))
+
+
+def compare_spectra(a: SpectrumMultiset, b: SpectrumMultiset, mode: str = "equal", tol: float = 1e-8):
+    """Compare eigenvalue multisets, two values matching when ``|a - b| <=
+    tol * max(1, |a|, |b|)``.  ``equal``: as many values, the sorted ones
+    matching pairwise.  ``subset``: each sorted value of ``a`` takes the
+    first unused value of ``b`` it matches, skipping the smaller values of
+    ``b`` that it does not.  Failure is reported with the first unmatched
+    value as witness, never raised."""
+    if mode == "subset":
+        worst, j = 0.0, 0
+        for x in a.values:
+            while j < len(b) and b.values[j] < x and not _close(b.values[j], x, tol):
+                j += 1
+            if j >= len(b) or not _close(b.values[j], x, tol):
+                return SpectrumComparison(False, math.inf, x)
+            worst = max(worst, abs(b.values[j] - x))
             j += 1
-        if j >= len(b.values) or not _close(b.values[j], x, tol):
-            return SpectrumComparison(False, float("inf"), x)
-        worst = max(worst, abs(b.values[j] - x))
-        j += 1
-    return SpectrumComparison(True, worst, None)
+        return SpectrumComparison(True, worst, None)
+    if len(a) != len(b):
+        return SpectrumComparison(False, math.inf, max(a.values, b.values, key=len)[min(len(a), len(b))])
+    for x, y in zip(a.values, b.values):
+        if not _close(x, y, tol):
+            return SpectrumComparison(False, abs(x - y), x)
+    return SpectrumComparison(True, max((abs(x - y) for x, y in zip(a.values, b.values)), default=0.0), None)
 
 
 # -- the reference fixture search ---------------------------------------------
@@ -1017,7 +1062,7 @@ def brute_force_base_matches(tol: float) -> list[tuple]:
             if len(union_find_components(verts, edges)) != 1:
                 continue
             triplets = face_coboundary(tris, edges)
-            if 12 - 5 - integer_rank(triplets) != 1:
+            if 12 - 5 - exact_rank(triplets) != 1:
                 continue
             D = dense_matrix(triplets, (6, 12))
             eigs = SpectrumMultiset(np.linalg.eigvalsh(D.T @ D))
@@ -1055,7 +1100,9 @@ def _direct_layer(cov, layer, args):
         if args.subcommand == "union":
             decorations = [representation.two_fold_signing(psi)]
         elif args.subcommand == "abelian":
-            decorations = representation.abelian_weightings(psi, seed=args.seed)
+            decorations = representation.block_weightings(
+                psi, representation.abelian_decomposition(psi, seed=args.seed)
+            )
         else:
             decorations = []
     except GroupStructureError as exc:
@@ -1063,15 +1110,15 @@ def _direct_layer(cov, layer, args):
             raise
         return exc
     return {
-        name: [operators.layer_spectra(cov.cover, layer, scheme)]
-        + [operators.layer_spectra(cov.base, layer, scheme, d) for d in [None] + decorations]
+        name: [layer_spectra(cov.cover, layer, scheme)]
+        + [layer_spectra(cov.base, layer, scheme, d) for d in [None] + decorations]
         for name, scheme in cli._schemes(args.scheme)
     }
 
 
 def _layer_side(direction, i):
     """The incidence layer of the i-dimensional operator, and its side
-    (0 up, 1 down) in that layer's :func:`~liftlap.operators.layer_spectra`."""
+    (0 up, 1 down) in that layer's :func:`layer_spectra`."""
     return (i, 0) if direction == "up" else (i - 1, 1)
 
 
@@ -1079,7 +1126,7 @@ def direct_verify_spectral(args, report):
     """``verify union|inclusion|abelian`` by solving the cover: per layer,
     the cover spectrum equals the union of the base spectra (inclusion:
     contains the base spectrum) within ``TOL``."""
-    from liftlap import cli, operators
+    from liftlap import cli
 
     claim, degree = DIRECT_CLAIMS[args.subcommand]
     cov = cli._resolve_covering(args, report["inputs"])
@@ -1097,10 +1144,10 @@ def direct_verify_spectral(args, report):
             for name, layers in solved[layer].items():
                 lifted, *parts = [pair[side] for pair in layers]
                 if args.subcommand == "inclusion":
-                    cmp = operators.compare_spectra(parts[0], lifted, "subset", tol=TOL)
+                    cmp = compare_spectra(parts[0], lifted, "subset", tol=TOL)
                 else:
-                    union = reduce(SpectrumMultiset.union, parts)
-                    cmp = operators.compare_spectra(lifted, union, "equal", tol=TOL)
+                    union = SpectrumMultiset([v for part in parts for v in part.values])
+                    cmp = compare_spectra(lifted, union, "equal", tol=TOL)
                 claimed = f"{claim} ({direction}, dim {i}, {name})"
                 verdicts.append(cli._verdict(claimed, cmp.holds, TOL, cmp.max_pairing_error))
     if not verdicts:
@@ -1111,7 +1158,7 @@ def direct_verify_spectral(args, report):
 def direct_decompose(args, report):
     """``decompose`` by solving the cover: the block spectra must union to
     the cover's spectrum within ``TOL``."""
-    from liftlap import cli, covering, operators, representation
+    from liftlap import cli, covering, representation
 
     cov = cli._resolve_covering(args, report["inputs"])
     scheme = cli.SCHEMES[args.scheme]
@@ -1119,10 +1166,10 @@ def direct_decompose(args, report):
     layer, side = _layer_side(args.direction, args.dim)
     psi = covering.induced_incidence_voltage(cov, layer)
     dec = representation.decompose_representation(representation.voltage_group(psi.perms), seed=args.seed)
-    lifted = operators.layer_spectra(cov.cover, layer, scheme)[side]
+    lifted = layer_spectra(cov.cover, layer, scheme)[side]
     weightings = [None] + representation.block_weightings(psi, dec)
-    spectra = [operators.layer_spectra(cov.base, layer, scheme, w)[side] for w in weightings]
-    cmp = operators.compare_spectra(lifted, reduce(SpectrumMultiset.union, spectra), "equal", tol=TOL)
+    spectra = [layer_spectra(cov.base, layer, scheme, w)[side] for w in weightings]
+    cmp = compare_spectra(lifted, SpectrumMultiset([v for s in spectra for v in s.values]), "equal", tol=TOL)
     first_err = max(abs(blocks[0][0, 0] - 1) for blocks in blocks_of(dec).values())
     tol = representation.RESIDUAL_TOL
     return [

@@ -103,7 +103,7 @@ class TestClosureProperty:
     def test_closed_canonical_and_sorted(self, facets, include_empty):
         K = build_complex(facets, include_empty=include_empty)
         assert K.faces(-1) == (((),) if include_empty else ())
-        spans = [set(f) for f in facets]
+        spans, position = [set(f) for f in facets], face_positions(K)
         for d in K.dims():
             fs = K.faces(d)
             assert list(fs) == sorted(set(fs))
@@ -111,9 +111,9 @@ class TestClosureProperty:
                 assert as_face(f) == f and len(f) == d + 1
                 assert any(set(f) <= span for span in spans)
                 if d >= 1 or include_empty:
-                    assert all(K.has_face(f[:j] + f[j + 1 :]) for j in range(len(f)))
+                    assert all(f[:j] + f[j + 1 :] in position for j in range(len(f)))
         for facet in facets:
-            assert K.has_face(as_face(facet))
+            assert as_face(facet) in position
 
 
 class TestBoundary:
@@ -180,7 +180,7 @@ class TestCoboundaryMatrix:
             for i in range(K.min_dim, K.top_dim):
                 D = coboundary_matrix(K, i)
                 cols = (np.abs(D) != 0).sum(axis=0)
-                expected = [len(K.cofacets(f)) for f in K.faces(i)]
+                expected = [len(cofacet_table(K)[f]) for f in K.faces(i)]
                 assert cols.tolist() == expected
 
     def test_face_lists_agree_with_boundary_faces(self):
@@ -224,11 +224,11 @@ class TestWeights:
         rng = np.random.default_rng(21)
         for _ in range(10):
             K = random_complex(rng)
-            w = compute_weights(K, NORMALIZED)
+            w, cofacets = compute_weights(K, NORMALIZED), cofacet_table(K)
             for d in K.dims():
                 assert w[d].dtype == np.float64 and w[d].shape == (K.face_count(d),)
                 for r, f in enumerate(K.faces(d)):
-                    cof = K.cofacets(f)
+                    cof = cofacets[f]
                     if cof:
                         assert w[d][r] - sum(w[d + 1][K.index(c)] for c in cof) == 0.0
 
@@ -236,7 +236,7 @@ class TestWeights:
         partial = WeightScheme.explicit({(0, 1): 1.0})
         with pytest.raises(WeightError):
             compute_weights(hollow_triangle, partial)
-        faces = list(hollow_triangle.all_faces())
+        faces = list(face_positions(hollow_triangle))
         bad = WeightScheme.explicit({f: (-1.0 if f == (0, 1) else 1.0) for f in faces})
         with pytest.raises(WeightError):
             compute_weights(hollow_triangle, bad)
@@ -247,7 +247,7 @@ class TestWeights:
         ids=["non-face", "nan"],
     )
     def test_explicit_refuses_non_faces_and_non_finite_weights(self, hollow_triangle, extra, message):
-        scheme = WeightScheme.explicit({**{f: 1.0 for f in hollow_triangle.all_faces()}, **extra})
+        scheme = WeightScheme.explicit({**{f: 1.0 for f in face_positions(hollow_triangle)}, **extra})
         with pytest.raises(WeightError, match=re.escape(message)):
             compute_weights(hollow_triangle, scheme)
 
@@ -307,19 +307,16 @@ class TestFaceArraysAgainstPerFaceOracles:
 
     @settings(max_examples=60, deadline=None)
     @given(_SEEDS, st.booleans(), _PROBES)
-    def test_index_has_face_and_cofacets_agree_with_the_face_lists(self, seed, include_empty, probes):
+    def test_index_agrees_with_the_face_lists(self, seed, include_empty, probes):
         K = build_complex(random_complex(np.random.default_rng(seed)).facets(), include_empty=include_empty)
-        position, cofacets = face_positions(K), cofacet_table(K)
+        position = face_positions(K)
         # the raw probes are often unsorted or repeat a vertex; sorted, often faces
         for face in [()] + probes + [tuple(sorted(set(p))) for p in probes] + list(position):
-            assert K.has_face(face) is (face in position)
             if face in position:
                 assert K.index(face) == K.index(list(face)) == position[face]
-                assert K.cofacets(face) == cofacets[face]
             else:
-                for lookup in (K.index, K.cofacets):
-                    with pytest.raises(MalformedInputError, match="is not a face of the complex"):
-                        lookup(face)
+                with pytest.raises(MalformedInputError, match="is not a face of the complex"):
+                    K.index(face)
 
     @settings(max_examples=60, deadline=None)
     @given(_SEEDS, st.booleans())
@@ -334,7 +331,8 @@ class TestFaceArraysAgainstPerFaceOracles:
     def test_explicit_weights_raise_what_the_per_face_check_raises(self, seed, include_empty, mutations):
         rng = np.random.default_rng(seed)
         K = build_complex(random_complex(rng).facets(), include_empty=include_empty)
-        faces = list(K.all_faces())
+        position = face_positions(K)
+        faces = list(position)
         table = {f: float(rng.uniform(0.1, 10.0)) for f in faces}
         for mutation in mutations:
             f = faces[int(rng.integers(len(faces)))]
@@ -342,7 +340,7 @@ class TestFaceArraysAgainstPerFaceOracles:
                 table.pop(f, None)
             elif mutation == "non-face":
                 extra = tuple(sorted({int(v) for v in rng.integers(0, 12, int(rng.integers(0, 4)))}))
-                if not K.has_face(extra):
+                if extra not in position:
                     table[extra] = 1.0
             else:
                 table[f] = {"nan": float("nan"), "negative": -1.0, "zero": 0.0, "inf": float("inf")}[mutation]

@@ -571,8 +571,8 @@ class TestPermutationWeighting:
                 order = cov.fibers[i].ravel()
                 signs = orientation_sign_diagonal(cov, i).entries
                 for kind in ("up", "down", "full") if i >= 1 else ("up",):
-                    cover_op = laplacian_matrix(K, i, kind).matrix[np.ix_(order, order)]
+                    cover_op = laplacian_matrix(K, i, kind)[np.ix_(order, order)]
                     expected = signs[:, None] * cover_op * signs[None, :]
-                    got = laplacian_matrix(M, i, kind, COMBINATORIAL, P).matrix
+                    got = laplacian_matrix(M, i, kind, COMBINATORIAL, P)
                     assert np.array_equal(got, expected)
             done += 1

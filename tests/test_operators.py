@@ -11,10 +11,13 @@ from oracles import (
     coboundary_matrix,
     cochain_laplacian,
     cochain_weights,
+    cofacet_table,
+    compare_spectra,
     dense_decorated_coboundary,
     dense_laplacian,
     dense_matrix,
-    greedy_subset,
+    face_positions,
+    layer_spectra,
     pair_table,
     permutation_matrix,
     symmetrized_form,
@@ -27,18 +30,14 @@ from liftlap import (
     DimensionError,
     IncidenceWeighting,
     LiftlapError,
-    OperatorMatrix,
     SpectrumMultiset,
     WeightError,
     WeightScheme,
     build_complex,
-    coboundary,
-    compare_spectra,
     compute_weights,
     decorated_coboundary,
     incidence_weighting,
     laplacian_matrix,
-    layer_spectra,
     spectrum,
 )
 
@@ -47,7 +46,7 @@ class TestLaplacianMatrix:
     def test_triangle_edge_up(self, triangle):
         op = laplacian_matrix(triangle, 1, "up")
         D = np.array([[1, -1, 1]])
-        assert np.array_equal(op.matrix, D.T @ D)
+        assert np.array_equal(op, D.T @ D)
         assert sorted(np.round(spectrum(op).values, 9)) == [0.0, 0.0, 3.0]
 
     def test_cycle_vertex_up_matches_closed_form(self):
@@ -60,16 +59,16 @@ class TestLaplacianMatrix:
         K = random_complex(rng)
         plain = laplacian_matrix(K, 0, "up")
         signed = laplacian_matrix(K, 0, "up", decoration=IncidenceWeighting(K))
-        assert np.array_equal(plain.matrix, signed.matrix)
+        assert np.array_equal(plain, signed)
 
     def test_full_is_up_plus_down(self):
         rng = np.random.default_rng(6)
         for _ in range(5):
             K = random_complex(rng)
             for i in range(0, K.top_dim + 1):
-                up = laplacian_matrix(K, i, "up").matrix
-                down = laplacian_matrix(K, i, "down").matrix
-                full = laplacian_matrix(K, i, "full").matrix
+                up = laplacian_matrix(K, i, "up")
+                down = laplacian_matrix(K, i, "down")
+                full = laplacian_matrix(K, i, "full")
                 assert np.array_equal(full, up + down)
 
     def test_down_range_needs_empty_face(self):
@@ -86,21 +85,21 @@ class TestLaplacianMatrix:
 
     def test_top_dim_up_is_zero(self, hollow_triangle):
         op = laplacian_matrix(hollow_triangle, 1, "up")
-        assert op.size == 3
-        assert not op.matrix.any()
+        assert op.shape == (3, 3)
+        assert not op.any()
 
     def test_trace_matches_cofacet_weight_sums(self):
         rng = np.random.default_rng(7)
         for _ in range(10):
             K = random_complex(rng)
             for scheme in (COMBINATORIAL, NORMALIZED):
-                w = compute_weights(K, scheme)
+                w, cofacets = compute_weights(K, scheme), cofacet_table(K)
                 for i in range(0, K.top_dim + 1):
                     op = laplacian_matrix(K, i, "up", scheme)
                     expected = sum(
-                        w[i + 1][K.index(c)] / w[i][r] for r, f in enumerate(K.faces(i)) for c in K.cofacets(f)
+                        w[i + 1][K.index(c)] / w[i][r] for r, f in enumerate(K.faces(i)) for c in cofacets[f]
                     )
-                    assert abs(np.trace(op.matrix) - expected) <= 1e-10
+                    assert abs(np.trace(op) - expected) <= 1e-10
 
     def test_adjoint_pair_duality(self):
         # nonzero spectrum of the i-up operator equals that of the (i+1)-down
@@ -121,7 +120,7 @@ def _decoration(K, kind, rng):
     """A decoration of every incidence layer of ``K``: none, a -1 signing,
     a complex character weighting, a 2 x 2 matrix weighting or the
     permutation matrices P(psi) of a 3-fold lift."""
-    pairs = [(f, c) for d in K.dims() for f in K.faces(d) for c in K.cofacets(f)]
+    pairs = [(f, c) for f, cofacets in cofacet_table(K).items() for c in cofacets]
     picked = [p for p in pairs if rng.random() < 0.5]
     if kind == "none":
         return None
@@ -169,14 +168,9 @@ class TestLayerSpectra:
         up, down = layer_spectra(triangle, 2, NORMALIZED)
         assert up.values == (0.0,) and down.values == ()
 
-    def test_out_of_range(self, triangle):
-        for i in (-2, 3):
-            with pytest.raises(DimensionError):
-                layer_spectra(triangle, i)
-
 
 def _explicit_scheme(K, rng):
-    return WeightScheme.explicit({f: float(rng.uniform(0.5, 3.0)) for f in K.all_faces()})
+    return WeightScheme.explicit({f: float(rng.uniform(0.5, 3.0)) for f in face_positions(K)})
 
 
 class TestSymmetrizedForm:
@@ -185,15 +179,15 @@ class TestSymmetrizedForm:
     def test_identity_weights_are_a_no_op(self, triangle):
         op = laplacian_matrix(triangle, 1, "up")
         cochain = cochain_laplacian(triangle, 1, "up")
-        assert np.array_equal(symmetrized_form(cochain, op.weights), cochain)
-        assert np.array_equal(op.matrix, cochain)
+        assert np.array_equal(symmetrized_form(cochain, compute_weights(triangle, COMBINATORIAL)[1]), cochain)
+        assert np.array_equal(op, cochain)
 
     def test_normalized_form_is_hermitian(self, triangle):
         op = laplacian_matrix(triangle, 0, "up", NORMALIZED)
-        assert np.max(np.abs(op.matrix - op.matrix.T)) < 1e-12
+        assert np.max(np.abs(op - op.T)) < 1e-12
         # weights map it back to cochains: L = W^{-1/2} matrix W^{1/2}
-        root = np.sqrt(op.weights)
-        cochain = op.matrix / root[:, None] * root[None, :]
+        root = np.sqrt(compute_weights(triangle, NORMALIZED)[0])
+        cochain = op / root[:, None] * root[None, :]
         assert np.max(np.abs(cochain - cochain_laplacian(triangle, 0, "up", NORMALIZED))) < 1e-12
 
     def test_spectrum_matches_general_eigensolve(self):
@@ -223,7 +217,7 @@ class TestSymmetrizedForm:
             for op_kind in ("up", "down", "full"):
                 if op_kind != "up" and i == K.min_dim:
                     continue
-                M = laplacian_matrix(K, i, op_kind, scheme, w).matrix
+                M = laplacian_matrix(K, i, op_kind, scheme, w)
                 scale = max(1.0, float(np.max(np.abs(M), initial=0.0)))
                 assert np.max(np.abs(M - M.conj().T), initial=0.0) <= 1e-12 * scale
                 oracle = symmetrized_form(
@@ -259,7 +253,7 @@ class TestGram:
             for op_kind in ("up", "down", "full"):
                 if op_kind != "up" and i == K.min_dim:
                     continue
-                M = laplacian_matrix(K, i, op_kind, scheme, w).matrix
+                M = laplacian_matrix(K, i, op_kind, scheme, w)
                 assert np.array_equal(M, M.conj().T), (i, op_kind)
                 oracle = dense_laplacian(K, i, op_kind, scheme, w)
                 scale = max(1.0, float(np.max(np.abs(oracle), initial=0.0)))
@@ -284,7 +278,7 @@ class TestGram:
         K = build_complex(facets)
         tracemalloc.start()
         try:
-            M = laplacian_matrix(K, i, kind).matrix
+            M = laplacian_matrix(K, i, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -310,8 +304,7 @@ class TestGram:
 
 class TestSpectrum:
     def test_empty_operator(self):
-        op = OperatorMatrix(np.zeros((0, 0)), np.zeros(0))
-        assert spectrum(op).values == ()
+        assert spectrum(np.zeros((0, 0))).values == ()
 
     def test_values_sorted_and_clamped(self, triangle):
         s = spectrum(laplacian_matrix(triangle, 0, "full", NORMALIZED))
@@ -370,28 +363,11 @@ class TestCompareSpectra:
         assert (rep.holds, rep.witness) == (False, 1.0)
         assert compare_spectra(SpectrumMultiset((1.0, 1.0)), SpectrumMultiset((1.0, 1.0 + 1e-12)), "subset").holds
 
-    @settings(max_examples=300, deadline=None)
-    @given(
-        st.sampled_from([0.0, 1e-8, 1e-3, 0.25, 0.9]),
-        st.lists(st.tuples(st.integers(-2, 5), st.sampled_from([-1.01, -1.0, -0.99, -0.5, 0.0, 0.5, 0.99, 1.0, 1.01])), max_size=8),
-        st.lists(st.tuples(st.integers(-2, 5), st.sampled_from([-1.01, -1.0, -0.99, -0.5, 0.0, 0.5, 0.99, 1.0, 1.01])), max_size=10),
-    )
-    def test_subset_matches_the_scalar_greedy_loop(self, tol, a, b):
-        """Values sit on or next to the match bound of a few centres, so
-        near-ties at ``tol`` are common; the array pass must agree with
-        the loop in verdict, witness and largest gap."""
-
-        def spectrum_of(pairs):
-            return SpectrumMultiset([c / 2 + f * tol * max(1.0, abs(c / 2)) for c, f in pairs])
-
-        a, b = spectrum_of(a), spectrum_of(b)
-        assert compare_spectra(a, b, "subset", tol) == greedy_subset(a, b, tol)
-
     def test_union(self):
         a = SpectrumMultiset((0, 1, 1, 3, 3, 4))
         b = SpectrumMultiset((0, 3, 3))
         c = SpectrumMultiset((1, 1, 4))
-        assert compare_spectra(a, b.union(c)).holds
+        assert compare_spectra(a, SpectrumMultiset(b.values + c.values)).holds
         assert not compare_spectra(a, b).holds
 
     def test_failure_reports_witness(self):
@@ -426,8 +402,8 @@ class TestDecorations:
         # the float coboundary gives the Laplacian of the int one, bit for bit
         signed_int = coboundary_matrix(triangle, 1) * np.array([-1, 1, 1])
         op = laplacian_matrix(triangle, 1, "full", decoration=signing)
-        down = laplacian_matrix(triangle, 1, "down").matrix
-        assert np.array_equal(op.matrix, signed_int.T @ signed_int + down)
+        down = laplacian_matrix(triangle, 1, "down")
+        assert np.array_equal(op, signed_int.T @ signed_int + down)
         w = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): 1j})
         D = decorated_coboundary(triangle, 1, w)
         assert D[2].dtype == np.complex128 and dense_matrix(D, (1, 3)).tolist() == [[1j, -1, 1]]
@@ -524,6 +500,6 @@ class TestDecorations:
         w = incidence_weighting(C3, {((0,), (0, 1)): np.exp(2j * np.pi / 3), ((1,), (1, 2)): -1.0})
         plain = laplacian_matrix(C3, 0, "up")
         weighted = laplacian_matrix(C3, 0, "up", decoration=w)
-        assert np.allclose(np.diag(weighted.matrix), np.diag(plain.matrix))
+        assert np.allclose(np.diag(weighted), np.diag(plain))
         s = spectrum(weighted)
         assert all(v >= 0 for v in s.values)

@@ -14,11 +14,13 @@ from oracles import (
     blocks_of,
     closure,
     coboundary_matrix,
+    cofacet_table,
     compose,
     conjugated_weighting,
     cycle,
     incidence_voltages,
     kronecker_coboundary,
+    layer_spectra,
     pair_table,
     per_face_induced_incidence_voltage,
     per_incidence_block_weightings,
@@ -35,7 +37,7 @@ from liftlap import (
     GroupStructureError,
     IncidenceVoltages,
     VoltageError,
-    abelian_weightings,
+    abelian_decomposition,
     block_values,
     block_weightings,
     WeightError,
@@ -48,7 +50,6 @@ from liftlap import (
     incidence_weighting,
     induced_incidence_voltage,
     laplacian_matrix,
-    layer_spectra,
     two_fold_signing,
     voltage_group,
 )
@@ -461,7 +462,7 @@ class TestTwoFoldSigning:
 class TestAbelianWeightings:
     def test_two_sheets_match_the_signing(self, c3_double_cover):
         iv = induced_incidence_voltage(c3_double_cover.covering, 0)
-        (weighting,) = abelian_weightings(iv)
+        (weighting,) = block_weightings(iv, abelian_decomposition(iv))
         signing = two_fold_signing(iv)
         assert np.allclose(weighting.layers[0].real, signing.layers[0])
         assert np.abs(weighting.layers[0].imag).max(initial=0.0) < 1e-12
@@ -471,7 +472,7 @@ class TestAbelianWeightings:
         psi = edge_voltages(M, 3, {(0, 1): cycle(3)})
         cov = derived_complex(M, psi).covering
         iv = induced_incidence_voltage(cov, 0)
-        ws = abelian_weightings(iv)
+        ws = block_weightings(iv, abelian_decomposition(iv))
         assert len(ws) == 2
         roots = {np.round(np.exp(2j * np.pi * j / 3), 9) for j in range(3)}
         for w in ws:
@@ -488,7 +489,7 @@ class TestAbelianWeightings:
         iv = induced_incidence_voltage(cov, 0)
         group = voltage_group(iv.perms)
         assert group.order == 4 and group.abelian
-        ws = abelian_weightings(iv)
+        ws = block_weightings(iv, abelian_decomposition(iv))
         assert len(ws) == 3
         for w in ws:
             assert set(np.round(w.layers[0].real, 9).tolist()) <= {1.0, -1.0}
@@ -500,7 +501,7 @@ class TestAbelianWeightings:
         iv = induced_incidence_voltage(derived_complex(M, psi).covering, 0)
         assert not voltage_group(iv.perms).abelian
         with pytest.raises(GroupStructureError):
-            abelian_weightings(iv)
+            abelian_decomposition(iv)
 
     def test_non_transitive_rejected(self):
         M = cycle_complex(3)
@@ -510,7 +511,7 @@ class TestAbelianWeightings:
         assert not result.connected
         iv = incidence_voltages(M, 3, 0, {})
         with pytest.raises(GroupStructureError):
-            abelian_weightings(iv)
+            abelian_decomposition(iv)
 
 
 class TestBlockLaplacians:
@@ -526,12 +527,12 @@ class TestBlockLaplacians:
         group = voltage_group(iv.perms)
         assert group.abelian and group.transitive
         dec = decompose_representation(group)
-        weightings = abelian_weightings(iv)
+        weightings = block_weightings(iv, abelian_decomposition(iv))
         blocks = block_laplacians(M, iv, 0, COMBINATORIAL, "up", dec)
         assert len(blocks) == 1 + len(weightings)
         for j, w in enumerate(weightings, start=1):
             expected = laplacian_matrix(M, 0, "up", COMBINATORIAL, w)
-            assert np.max(np.abs(blocks[j].matrix - expected.matrix)) <= 1e-12
+            assert np.max(np.abs(blocks[j] - expected)) <= 1e-12
 
     def test_single_sheet_single_block(self):
         M = cycle_complex(3)
@@ -539,7 +540,7 @@ class TestBlockLaplacians:
         iv = induced_incidence_voltage(cov, 0)
         blocks = block_laplacians(M, iv, 0)
         assert len(blocks) == 1
-        assert np.array_equal(blocks[0].matrix, laplacian_matrix(M, 0, "up").matrix)
+        assert np.array_equal(blocks[0], laplacian_matrix(M, 0, "up"))
 
     def test_two_fold_blocks_match_plain_and_signed(self):
         rng = np.random.default_rng(44)
@@ -557,8 +558,8 @@ class TestBlockLaplacians:
                 blocks = block_laplacians(M, iv, i)
                 plain = laplacian_matrix(M, i, "up")
                 signed = laplacian_matrix(M, i, "up", decoration=signing)
-                assert np.max(np.abs(blocks[0].matrix - plain.matrix)) <= 1e-12
-                assert np.max(np.abs(blocks[1].matrix - signed.matrix)) <= 1e-12
+                assert np.max(np.abs(blocks[0] - plain)) <= 1e-12
+                assert np.max(np.abs(blocks[1] - signed)) <= 1e-12
             done += 1
 
 
@@ -603,7 +604,7 @@ class TestArrayRoute:
                 first = cases[0][0]
 
         # a weighting keyed by pairs, listed in random order across every layer
-        pairs = [(f, c) for d in M.dims() for f in M.faces(d) for c in M.cofacets(f)]
+        pairs = [(f, c) for f, cofacets in cofacet_table(M).items() for c in cofacets]
         picked = [pairs[j] for j in rng.permutation(len(pairs)) if rng.random() < 0.5]
         draw = {
             "real": lambda: float(rng.choice([-2.0, -1.0, 0.5, 3.0])),
