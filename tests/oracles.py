@@ -975,9 +975,11 @@ def layer_spectra(K: SimplicialComplex, i: int, scheme: WeightScheme = COMBINATO
     smaller Gram side of the weighted coboundary ``A`` is solved and the
     other is padded with exact zeros; at the top dimension nothing is
     solved.  Reads the library at call time, so a fault patched into it
-    reaches this too."""
+    reaches this too.  Valid layers: ``min_dim <= i <= top_dim``."""
     from liftlap import complexes, operators
 
+    if not K.min_dim <= i <= K.top_dim:
+        raise DimensionError(f"incidence layer needs {K.min_dim} <= i <= {K.top_dim}, got {i}")
     layer = operators._weighted_coboundary(K, i, complexes.compute_weights(K, scheme), decoration)
     n_hi, n_lo = layer[3]
     up = n_lo <= n_hi

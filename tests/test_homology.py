@@ -61,8 +61,18 @@ class TestIntegerRank:
             m = rng.integers(-3, 4, size=(rng.integers(1, 8), rng.integers(1, 8)))
             assert exact_rank(nonzeros(m)) == np.linalg.matrix_rank(m)
 
-    def test_a_pair_given_twice_is_refused(self):
-        rows, cols, values = (np.array(a) for a in ([0, 0], [1, 1], [1, 2]))
+    @pytest.mark.parametrize(
+        "triplets",
+        [
+            ([0, 0], [1, 1], [1, 2]),
+            # a sum of the two would read as no entry
+            ([0, 0], [1, 1], [1, -1]),
+            ([0, 1, 2, 1], [0, 1, 2, 1], [1, 1, 1, 1]),
+        ],
+        ids=["repeated", "cancelling", "among-others"],
+    )
+    def test_a_pair_given_twice_is_refused(self, triplets):
+        rows, cols, values = map(np.array, triplets)
         with pytest.raises(LiftlapError, match=re.escape("exact elimination was given one (row, column) pair twice")):
             liftlap.homology._pivots(rows, cols, values)
 

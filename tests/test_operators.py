@@ -49,6 +49,14 @@ class TestLaplacianMatrix:
         assert np.array_equal(op, D.T @ D)
         assert sorted(np.round(spectrum(op).values, 9)) == [0.0, 0.0, 3.0]
 
+    @pytest.mark.parametrize("kind", ["up", "down", "full"])
+    def test_is_the_array_spectrum_takes(self, triangle, kind):
+        w = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): 1j, ((0,), (0, 2)): -1j})
+        op = laplacian_matrix(triangle, 1, kind, NORMALIZED, w)
+        assert type(op) is np.ndarray and op.dtype == np.complex128 and op.shape == (3, 3)
+        expected = np.linalg.eigvalsh(op)
+        assert np.allclose(spectrum(op).values, np.where(np.abs(expected) <= 1e-9, 0.0, expected), atol=1e-12)
+
     def test_cycle_vertex_up_matches_closed_form(self):
         C3 = cycle_complex(3)
         vals = spectrum(laplacian_matrix(C3, 0, "up")).values
@@ -167,6 +175,11 @@ class TestLayerSpectra:
         monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
         up, down = layer_spectra(triangle, 2, NORMALIZED)
         assert up.values == (0.0,) and down.values == ()
+
+    def test_out_of_range(self, triangle):
+        for i in (-2, 3):
+            with pytest.raises(DimensionError):
+                layer_spectra(triangle, i)
 
 
 def _explicit_scheme(K, rng):

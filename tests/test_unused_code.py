@@ -11,6 +11,8 @@ the README or ``__init__.py`` read belongs in the tests.
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liftlap"
 
 
@@ -76,3 +78,52 @@ def test_a_definition_used_only_by_itself_is_named(tmp_path):
     )
     (tmp_path / "b.py").write_text("from .a import build\n\nbuild(None, True)\n")
     assert unreferenced(tmp_path) == ["a.py:1 helper", "a.py:17 size"]
+
+
+# one rule each: a tiny package, and the names the scan must report for it
+_RULES = {
+    "self-recursion": (
+        {"a.py": "def walk(n):\n    return walk(n - 1) if n else 0\n"},
+        ["a.py:1 walk"],
+    ),
+    "init-only": (
+        {"__init__.py": "from .a import shown\n\nrun = shown\n", "a.py": "def shown():\n    return 1\n"},
+        ["a.py:1 shown"],
+    ),
+    "other-module": (
+        {"a.py": "def shared():\n    return 1\n", "b.py": "from .a import shared\n\nshared()\n"},
+        [],
+    ),
+    "attribute": (
+        {"a.py": "class Box:\n    def size(self):\n        return 0\n", "b.py": "from . import a\n\na.Box().size()\n"},
+        [],
+    ),
+    "unused-method": (
+        {"a.py": "class Box:\n    def size(self):\n        return 0\n", "b.py": "from .a import Box\n\nBox()\n"},
+        ["a.py:2 size"],
+    ),
+    "dunder": (
+        {"a.py": "class Box:\n    def __len__(self):\n        return 0\n", "b.py": "from .a import Box\n\nlen(Box())\n"},
+        [],
+    ),
+    "handler-string": (
+        {"a.py": 'def cmd_run(args):\n    return 0\n\n\ndef build(p):\n    p.set_defaults(handler="cmd_run")\n'},
+        ["a.py:5 build"],
+    ),
+    "other-string": (
+        {"a.py": 'def cmd_run(args):\n    return 0\n\n\ndef build(p):\n    p.set_defaults(name="cmd_run")\n'},
+        ["a.py:1 cmd_run", "a.py:5 build"],
+    ),
+    "class-used-in-its-own-body": (
+        {"a.py": "class Node:\n    def copy(self):\n        return Node()\n", "b.py": "from . import a\n\na.copy\n"},
+        ["a.py:1 Node"],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_RULES))
+def test_each_rule_of_the_scan(tmp_path, rule):
+    files, expected = _RULES[rule]
+    for name, text in {"__init__.py": "", **files}.items():
+        (tmp_path / name).write_text(text)
+    assert unreferenced(tmp_path) == expected
