@@ -67,9 +67,8 @@ from .representation import (
     abelian_decomposition,
     block_identity,
     block_values,
-    block_weightings,
     decompose_representation,
-    two_fold_signing,
+    integer_split,
     voltage_group,
 )
 

@@ -12,11 +12,13 @@ base coboundary lifted by the induced voltages
 (:func:`~liftlap.covering.factor_lifted_coboundary`), and a transform T
 carries the lift into the direct sum of the blocks
 (:func:`~liftlap.representation.block_identity`), so the lifted spectrum
-is the union of the block spectra, and no eigenvalue is read.  Each
-layer is factored once, and the weight schemes asked for share that
-integer comparison.  The block spectra themselves are ``spectrum`` of
-the base, with ``--signing`` for the union's signed block.  ``verify
-betti`` ranks only base-size matrices, and its verdicts are exact
+is the union of the block spectra, and no eigenvalue is read.  The union
+and ``verify betti`` read T and R off one integer split
+(:func:`~liftlap.representation.integer_split`).  Each layer is factored
+once, and the weight schemes asked for share that integer comparison.
+The block spectra themselves are ``spectrum`` of the base, with
+``--signing`` for the union's signed block.  ``verify betti`` ranks only
+base-size matrices, and its verdicts are exact
 (:func:`~liftlap.homology.verify_betti_inequality`).
 The fixture search matches the base, signed and cover spectra exactly,
 by integer power sums (:mod:`~liftlap.reference_fixture`), so its
@@ -53,9 +55,8 @@ from .representation import (
     abelian_decomposition,
     block_identity,
     block_values,
-    block_weightings,
     decompose_representation,
-    two_fold_signing,
+    integer_split,
     voltage_group,
 )
 
@@ -209,7 +210,6 @@ def cmd_decompose(args, report):
     psi = induced_incidence_voltage(cov, layer)
     group = voltage_group(psi.perms)
     dec = decompose_representation(group, seed=args.seed)
-    weightings = block_weightings(psi, dec)
     # block 0 is the base operator exactly when rho_0 is the trivial representation,
     # which holds on G when it holds at the generators
     first_err = float(np.abs(block_values(dec, group.generators)[0] - 1).max(initial=0.0))
@@ -226,7 +226,7 @@ def cmd_decompose(args, report):
             cov,
             psi,
             factor_lifted_coboundary(cov, layer, psi, [scheme])[0],
-            block_identity(psi, dec.transform, weightings),
+            block_identity(psi, dec.transform, block_values(dec, psi.perms)[1:]),
             RESIDUAL_TOL,
         ),
     ]
@@ -297,14 +297,14 @@ def _dims(cov, direction, requested):
 
 
 def _two_fold(psi, args):
-    # T = [[1, 1], [1, -1]] spans the constant and the alternating sheet
-    # vectors; it is integral and T^T T = 2I, so the identity is exact
-    return np.array([[1.0, 1.0], [1.0, -1.0]]), [two_fold_signing(psi)]
+    # T = [[1, 1], [1, -1]], T^T T = 2I, and the signing: exact in integers
+    transform, signing = integer_split(psi)
+    return transform, [signing]
 
 
 def _characters(psi, args):
     dec = abelian_decomposition(psi, seed=args.seed)
-    return dec.transform, block_weightings(psi, dec)
+    return dec.transform, block_values(dec, psi.perms)[1:]
 
 
 def _constant(psi, args):
@@ -312,9 +312,9 @@ def _constant(psi, args):
     return np.ones((psi.k, 1)), []
 
 
-# subcommand -> (claim, required cover degree, the transform T and the base
-# decorations of an incidence layer, the tolerance of their block identity,
-# the results payload
+# subcommand -> (claim, required cover degree, the transform T and the values
+# of the blocks after the first on an incidence layer, the tolerance of
+# their block identity, the results payload
 SPECTRAL_CLAIMS = {
     "union": ("two-fold spectral union", 2, _two_fold, 0.0, lambda cov, skipped: {"degree": cov.degree}),
     "inclusion": ("spectral inclusion", None, _constant, 0.0, lambda cov, skipped: {"degree": cov.degree}),
@@ -336,14 +336,14 @@ def _certify_layer(cov, layer, decorate, args):
     on this layer."""
     psi = induced_incidence_voltage(cov, layer)
     try:
-        transform, weightings = decorate(psi, args)
+        transform, values = decorate(psi, args)
     except GroupStructureError as exc:
         if args.dim is not None:
             raise
         return exc
     names, schemes = zip(*_schemes(args.scheme))
     factorizations = dict(zip(names, factor_lifted_coboundary(cov, layer, psi, schemes)))
-    return psi, block_identity(psi, transform, weightings), factorizations
+    return psi, block_identity(psi, transform, values), factorizations
 
 
 def cmd_verify_spectral(args, report):

@@ -25,8 +25,8 @@ dimension, searched row by row with ``searchsorted``
 (:meth:`SimplicialComplex._locate`).  The faces of the complex are not
 searched for: the vertex indices of each face, and the keys ``_locate``
 searches, are gathered up the coboundary columns
-(:meth:`SimplicialComplex._vertex_index`).  ``index``, ``facets`` and
-the weights read the coboundary or the same arrays, and weights are one
+(:meth:`SimplicialComplex._vertex_index`).  ``facets`` and the
+weights read the coboundary or the same arrays, and weights are one
 float64 array per dimension.
 
 A complex never changes after construction and every operation is a
@@ -237,16 +237,6 @@ class SimplicialComplex:
 
     def face_count(self, dim: int) -> int:
         return len(self._face_array(dim))
-
-    def index(self, face: Face) -> int:
-        r = int(self._indices([tuple(face)])[0])
-        if r < 0:
-            raise MalformedInputError(f"{face!r} is not a face of the complex")
-        return r
-
-    @property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self._face_array(0)[:, 0].tolist())
 
     def facets(self) -> tuple[Face, ...]:
         """The faces without cofacets, by dimension, each in canonical order."""

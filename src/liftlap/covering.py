@@ -56,7 +56,6 @@ canonical (lexicographic) order, and a face's place in it is its sheet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain, compress
 from typing import Mapping, Sequence
 
@@ -209,12 +208,6 @@ class CoveringMap:
     fibers: Mapping
     _signs: dict = field(default_factory=dict, init=False, repr=False)
     _weight_witnesses: dict = field(default_factory=dict, init=False, repr=False)
-
-    @cached_property
-    def vertex_map(self) -> dict:
-        """The projection on vertices as a dict of ids, built on first read."""
-        images = self.base._face_array(0)[self.projection, 0]
-        return dict(zip(self.cover._face_array(0)[:, 0].tolist(), images.tolist()))
 
 
 def _vertex_pairs(vertex_map) -> np.ndarray:

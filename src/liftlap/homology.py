@@ -27,20 +27,22 @@ coboundary is the base's with each incidence carrying the permutation
 matrix P(psi_e) of its voltage, between orientation signs
 (:func:`~liftlap.covering.factor_lifted_coboundary`), so its cochain
 complex is the base's with coefficients in the permutation module Q^k =
-Q.1 (+) V, V the vectors summing to zero.  The integer matrix ``T = [1 |
-e_j - e_(k-1)]`` has determinant +-k and ``P(p) T = T (1 (+) R(p))``,
-``R(p)[a, j] = [p_j = a] - [p_(k-1) = a]`` with entries in {-1, 0, 1}.
-So the cover's rank is rank d_i + rank d^V_i, where the twisted
-coboundary d^V_i carries ``sign * R(psi_e)`` at each incidence, and
-b_i(cover) = b_i(base) + b_i(base; V_psi) >= b_i(base): Shapiro's lemma
-(Brown, *Cohomology of Groups*, III.6; Hatcher, *Algebraic Topology*,
-3.H), the paper's Betti inequality.  Each layer is certified in
-integers: the factorization, the identity of T
-(:func:`~liftlap.representation.block_identity`) and ``d^V_(i+1) d^V_i
-= 0``, which clearing needs, as a product of nonzeros.  At dims -1 and
-0 the Betti numbers found must also be those of the connected base and
-cover, which checks the exact ranks there.  Only base-size matrices are
-ranked; no operator of the cover is ranked or solved.
+Q.1 (+) V, V the vectors summing to zero.  Its integer split
+(:func:`~liftlap.representation.integer_split`, through which the
+two-fold union is certified too) is ``T = [1 | e_j - e_(k-1)]``, of
+determinant +-k, with ``P(p) T = T (1 (+) R(p))`` and ``R(p)[a, j] =
+[p_j = a] - [p_(k-1) = a]``, entries in {-1, 0, 1}.  So the cover's rank
+is rank d_i + rank d^V_i, where the twisted coboundary d^V_i carries
+``sign * R(psi_e)`` at each incidence, and b_i(cover) = b_i(base) +
+b_i(base; V_psi) >= b_i(base): Shapiro's lemma (Brown, *Cohomology of
+Groups*, III.6; Hatcher, *Algebraic Topology*, 3.H), the paper's Betti
+inequality.  Each layer is certified in integers: the factorization,
+the identity of T (:func:`~liftlap.representation.block_identity`) and
+``d^V_(i+1) d^V_i = 0``, which clearing needs, as a product of
+nonzeros.  At dims -1 and 0 the Betti numbers found must also be those
+of the connected base and cover, which checks the exact ranks there.
+Only base-size matrices are ranked; no operator of the cover is ranked
+or solved.
 """
 
 from __future__ import annotations
@@ -53,8 +55,7 @@ import numpy as np
 from .complexes import COMBINATORIAL, SimplicialComplex, _unique_rows, coboundary
 from .covering import CoveringMap, Factorization, factor_lifted_coboundary, induced_incidence_voltage
 from .errors import LiftlapError
-from .operators import IncidenceWeighting
-from .representation import BlockIdentity, block_identity
+from .representation import BlockIdentity, block_identity, integer_split
 
 
 def _pivots(at_row, at_col, values) -> dict[int, int]:
@@ -123,15 +124,6 @@ def exact_betti_numbers(K: SimplicialComplex) -> dict:
 
 
 # -- the twisted coboundary ----------------------------------------------------
-
-
-def _reduced_blocks(perms: np.ndarray) -> np.ndarray:
-    """The ``(n, k-1, k-1)`` int64 stack of R(p) for the rows p of
-    ``perms``: the action of p on V in the basis e_j - e_(k-1),
-    ``R[a, j] = [p_j = a] - [p_(k-1) = a]``."""
-    m = perms.shape[1] - 1
-    a = np.arange(m)[:, None]
-    return (perms[:, None, :m] == a).astype(np.int64) - (perms[:, None, m:] == a)
 
 
 def _twisted_coboundary(M: SimplicialComplex, i: int, blocks: np.ndarray) -> tuple:
@@ -223,15 +215,12 @@ def verify_betti_inequality(cov: CoveringMap) -> BettiInequalityReport:
     The twisted coboundaries are ranked with clearing only when every
     square is zero.  A failed certificate never raises."""
     M, K, k = cov.base, cov.cover, cov.degree
-    transform = np.hstack([np.ones((k, 1), np.int64), np.eye(k, k - 1, dtype=np.int64)])
-    transform[k - 1, 1:] = -1
     twisted, parts = {}, {}
     for i in range(0, M.top_dim):
         psi = induced_incidence_voltage(cov, i)
-        blocks = _reduced_blocks(psi.perms)
+        transform, blocks = integer_split(psi)
         twisted[i] = _twisted_coboundary(M, i, blocks)
-        weightings = [IncidenceWeighting(M, {i: blocks})] if k > 1 else []
-        parts[i] = factor_lifted_coboundary(cov, i, psi, [COMBINATORIAL])[0], block_identity(psi, transform, weightings)
+        parts[i] = factor_lifted_coboundary(cov, i, psi, [COMBINATORIAL])[0], block_identity(psi, transform, [blocks])
     squares = {i: _square(twisted[i + 1], twisted[i], (k - 1) * M.face_count(i)) for i in twisted if i + 1 in twisted}
     base = exact_betti_numbers(M)
     if any(residual for residual, _ in squares.values()):

@@ -16,15 +16,14 @@ A layer's values are one array in the order of the coboundary's
 nonzeros, so decorating is one elementwise product.
 With matrix values each face becomes d rows and columns, each nonzero
 the d² entries of its block, and each face weight is repeated d times,
-so one assembly serves every case: the plain operator, a signing
-(values -1), a complex character weighting, a block of a lifted
-operator (values rho_j(psi)), and the lifted coboundary itself (values
-the permutation matrices P(psi)).  The adjoint uses the conjugate
-transpose.
+so one assembly serves the plain operator, a signing (values -1) and a
+weighting by scalars or matrices, real or complex.  The adjoint uses the
+conjugate transpose.
 
 A cover's spectrum is the union of its blocks' once the factorization
 of :func:`~liftlap.covering.factor_lifted_coboundary` and the block
-identity of :func:`~liftlap.representation.block_identity` hold, so the
+identity of :func:`~liftlap.representation.block_identity` hold.  The
+identity reads the blocks' value arrays, not a weighting, so the
 ``verify`` and ``decompose`` commands, which prove that union, solve
 nothing.  ``liftlap spectrum`` eigensolves the assembled operator, so
 its ``clamped`` count reports the operator's own kernel noise.
@@ -70,9 +69,9 @@ class IncidenceWeighting:
     one size ``block_size`` (a 1 x 1 matrix is its scalar); a layer not
     listed carries the identity.  ``dtype`` is complex128 when some
     layer's values are complex, whatever their imaginary parts, and
-    float64 otherwise, so a block of a lifted operator is solved real
-    exactly where its columns of the transform are real, whatever the
-    rounding of its values.  A signing has values -1."""
+    float64 otherwise, so an operator is solved real exactly where its
+    values are given real, whatever their rounding.  A signing has values
+    -1."""
 
     def __init__(self, K: SimplicialComplex, layers: Mapping | None = None):
         self.complex = K

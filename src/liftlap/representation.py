@@ -1,30 +1,24 @@
-"""Voltage groups, their permutation representations, and block Laplacians.
+"""Voltage groups, their permutation representations, and block values.
 
-Conjugating by a matrix that block-diagonalizes the permutation
+Conjugating by a matrix T that block-diagonalizes the permutation
 representation splits the lifted Laplacian into one block per
-sub-representation rho_j.  Block j is itself a decorated base Laplacian:
-the base operator with every incidence (F, Fbar) weighted by the matrix
-rho_j(psi(F, Fbar)), given by :func:`block_weightings` and assembled by
-:func:`~liftlap.operators.laplacian_matrix` like any other weighting.  The
-first block is the base Laplacian itself; a two-fold cover's second
-block is the signed Laplacian, and the blocks of an abelian group are
-its character-weighted Laplacians.
+sub-representation rho_j: the base operator with every incidence (F,
+Fbar) carrying the matrix rho_j(psi(F, Fbar)).  The first block is the
+base operator itself; a two-fold cover's second block is the signed
+operator, and the blocks of an abelian group are its character-weighted
+operators.  :func:`block_identity` certifies ``P(psi_e) T = T (+)_j
+rho_j(psi_e)`` at every incidence, on the value arrays of the blocks,
+and the orthogonality of T's columns.  With the factorization of the
+lifted coboundary (:func:`~liftlap.covering.factor_lifted_coboundary`)
+the lifted operator is then similar to the direct sum of the blocks, so
+the lifted spectrum is read off the blocks and the cover is never solved.
 
-The split is certified on the values the blocks are solved with:
-:func:`block_identity` checks ``P(psi_e) T = T (+)_j rho_j(psi_e)`` at
-every incidence, together with the orthogonality of T's columns.  With
-the factorization of the lifted coboundary
-(:func:`~liftlap.covering.factor_lifted_coboundary`) this makes the
-lifted operator similar to the direct sum of the blocks, so the lifted
-spectrum is read off the blocks and the cover is never solved.  T is
-exact for the two-fold union (``[[1, 1], [1, -1]]``) and for spectral
-inclusion (the constant column ``1_k``); otherwise it is the transform
-found below.
-
-Layout.  A group is the sorted int64 array of its permutations, one row
-per element, with its generators; no array holds a matrix per element.
-:func:`block_values` computes rho_j(p) = T_j^H P(p) T_j where it is read,
-and :func:`block_weightings` once per distinct voltage of a layer.
+T is exact in integers for the two-fold union, whose T ``[[1, 1], [1,
+-1]]`` and signing are :func:`integer_split` at k = 2 (the split the
+Betti identity of :mod:`liftlap.homology` reads), and for inclusion (the
+column ``1_k``); otherwise it is the transform found below.  No array
+holds a matrix per group element: a group is the sorted int64 array of
+its permutations, and :func:`block_values` conjugates each voltage once.
 
 The transform is found numerically from the generators: the mean of a
 random Hermitian matrix over each orbital (an orbit of G on ordered pairs
@@ -58,7 +52,6 @@ import numpy as np
 from .complexes import _label_components, _unique_rows
 from .covering import IncidenceVoltages, check_perms
 from .errors import DecompositionError, GroupStructureError, VoltageError
-from .operators import IncidenceWeighting
 
 # the off-block residual that certifies a decomposition, and how many
 # random commutant elements are tried before giving up
@@ -234,36 +227,25 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
 
 def block_values(dec: BlockDecomposition, perms) -> list[np.ndarray]:
     """``rho_j(p) = T_j^H P(p) T_j`` for every block j at each row p of the
-    ``(m, k)`` array ``perms``, an ``(m, d_j, d_j)`` array per block,
-    float64 where block j's columns of T are real.  ``P(p) T`` is the
-    rows of T gathered by the inverse of p."""
-    T = dec.transform
-    conj = T.conj().T @ T[np.argsort(perms, axis=1)]
-    offsets = np.cumsum((0,) + dec.block_sizes)
-    return [conj[:, a:b, a:b] if T[:, a:b].imag.any() else conj[:, a:b, a:b].real for a, b in zip(offsets, offsets[1:])]
-
-
-def block_weightings(psi: IncidenceVoltages, dec: BlockDecomposition) -> list[IncidenceWeighting]:
-    """The decorations of the blocks after the first.
-
-    Block 0 of the lifted operator is the base operator itself; block
-    ``j >= 1`` is the base operator with each incidence weighted by
-    ``rho_j(psi(F, Fbar))``.  ``psi`` lives on the incidence layer the
-    blocks are taken on: ``(i, i+1)`` for the i-up operator, and the same
-    layer serves the (i+1)-down operator.  The first voltage outside the
+    ``(m, k)`` array ``perms``, such as a layer's ``psi.perms``: an ``(m,
+    d_j, d_j)`` array per block, float64 where block j's columns of T are
+    real.  Each distinct row is located among the sorted elements by one
+    binary search and conjugated once; ``P(p) T`` is the rows of T gathered
+    by the inverse of p.  The first row that is no element of the
     decomposed group, one on another number of sheets included, is named
-    in a :class:`VoltageError`.
-    """
-    elements = dec.group.elements
-    # the distinct voltages, sorted, and the position of each incidence's among them
-    used, where = _unique_rows(psi.perms)
+    in a :class:`VoltageError`."""
+    perms, elements = np.asarray(perms), dec.group.elements
+    # the distinct voltages, sorted, and the position of each row's among them
+    used, where = _unique_rows(perms)
     # a voltage on another number of sheets equals no element
-    at = _locate_rows(elements, used) if psi.k == dec.group.k else np.full(len(used), -1)
+    at = _locate_rows(elements, used) if perms.shape[1] == dec.group.k else np.full(len(used), -1)
     if (at < 0).any():
-        p = tuple(psi.perms[np.argmax(at[where] < 0)].tolist())
+        p = tuple(perms[np.argmax(at[where] < 0)].tolist())
         raise VoltageError(f"voltage {p!r} is not an element of the decomposed group")
-    values = block_values(dec, elements[at])
-    return [IncidenceWeighting(psi.base, {psi.dim: v[where]}) for v in values[1:]]
+    T = dec.transform
+    conj = T.conj().T @ T[np.argsort(used, axis=1)]
+    offsets = np.cumsum((0,) + dec.block_sizes)
+    return [(conj if T[:, a:b].imag.any() else conj.real)[where, a:b, a:b] for a, b in zip(offsets, offsets[1:])]
 
 
 def _locate_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -283,24 +265,27 @@ def _locate_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return np.where(hit, below, -1)
 
 
-def two_fold_signing(psi: IncidenceVoltages) -> IncidenceWeighting:
-    """The incidence signing of a 2-fold cover: -1 where the voltage swaps.
-
-    A layer with no swapped incidence, the empty top layer among them,
-    gets the all-plus signing, whose operator is the base operator.
-    """
-    if psi.k != 2:
-        raise VoltageError(f"two-fold signing needs k = 2, got k = {psi.k}")
-    return IncidenceWeighting(psi.base, {psi.dim: np.where(psi.perms[:, 0] == 1, -1.0, 1.0)})
+def integer_split(psi: IncidenceVoltages) -> tuple[np.ndarray, np.ndarray]:
+    """Q^k = Q.1 (+) V in integers: the int64 ``T = [1 | e_j - e_(k-1)]``
+    and the ``(n, k-1, k-1)`` int64 stack of R(psi_e), each voltage's
+    action on V in the basis e_j - e_(k-1), ``R[a, j] = [p_j = a] -
+    [p_(k-1) = a]``, so ``P(p) T = T (1 (+) R(p))`` and ``T^T T = diag(k,
+    I + J)``.  At k = 2, ``T = [[1, 1], [1, -1]]`` and R(p) = -1 exactly
+    where p swaps the sheets: the incidence signing."""
+    m = psi.k - 1
+    transform = np.hstack([np.ones((m + 1, 1), np.int64), np.eye(m + 1, m, dtype=np.int64)])
+    transform[m, 1:] = -1
+    a = np.arange(m)[:, None]
+    return transform, (psi.perms[:, None, :m] == a).astype(np.int64) - (psi.perms[:, None, m:] == a)
 
 
 def abelian_decomposition(psi: IncidenceVoltages, seed: int = 0) -> BlockDecomposition:
     """The decomposition of ``psi``'s voltage group into its k characters,
     refused with the reason when the group is not abelian or not
-    transitive.  Then the group is regular of order k, and
-    :func:`block_weightings` of the decomposition are its k-1 nontrivial
-    character weightings: each sends an incidence to the character value
-    of its voltage, on the unit circle."""
+    transitive.  Then the group is regular of order k, and the
+    :func:`block_values` after the first are its k-1 nontrivial
+    characters: each sends a voltage to its character value, on the unit
+    circle."""
     group = voltage_group(psi.perms)
     if not group.abelian:
         raise GroupStructureError("character weightings require an abelian voltage group")
@@ -328,32 +313,32 @@ class BlockIdentity:
     witness: int | None
 
 
-def block_identity(psi: IncidenceVoltages, transform, weightings: list[IncidenceWeighting]) -> BlockIdentity:
+def block_identity(psi: IncidenceVoltages, transform, values: list) -> BlockIdentity:
     """Check ``P(psi_e) T = T (+)_j value_j[e]`` at every incidence e of
-    ``psi``'s layer, on the decoration values the blocks are solved with.
+    ``psi``'s layer.
 
-    Block 0 is the base operator (value 1) and block ``j >= 1`` carries
-    ``weightings[j - 1]``'s values on the layer, the identity where the
-    layer is not listed; the columns of the ``(k, m)`` matrix ``transform``
-    are taken block by block, so m is the sum of the block sizes.  With
-    the identity and T's columns orthogonal of one length, the lifted
-    coboundary that :func:`~liftlap.covering.factor_lifted_coboundary`
-    certifies is carried by ``1 (x) T`` into the direct sum of the
-    decorated base coboundaries, and with them every Laplacian: when T is
-    square the lifted spectrum is the union of the block spectra, and a
-    single column spans an invariant subspace whose spectrum is block 0's.
-    ``P(p) T`` is the rows of T gathered by the inverse of p.
+    Block 0 is the base operator (value 1) and block ``j >= 1`` has the
+    ``(n, d_j, d_j)`` values ``values[j - 1]``, a matrix per incidence as
+    :func:`block_values` and :func:`integer_split` give them (another shape
+    is refused); the columns
+    of the ``(k, m)`` matrix ``transform`` are taken block by block, so m
+    is the sum of the block sizes.  With the identity and T's columns
+    orthogonal of one length, the lifted coboundary that
+    :func:`~liftlap.covering.factor_lifted_coboundary` certifies is
+    carried by ``1 (x) T`` into the direct sum of the decorated base
+    coboundaries, and with them every Laplacian: when T is square the
+    lifted spectrum is the union of the block spectra, and a single column
+    spans an invariant subspace whose spectrum is block 0's.  ``P(p) T``
+    is the rows of T gathered by the inverse of p.
     """
     T = np.asarray(transform)
-    i, n, k = psi.dim, len(psi.perms), psi.k
-    values = [np.ones(n)]
-    for w in weightings:
-        d = w.block_size
-        values.append(w.layers.get(i, np.ones(n) if d == 1 else np.broadcast_to(np.eye(d), (n, d, d))))
-    offsets = np.cumsum([0] + [1 if v.ndim == 1 else v.shape[-1] for v in values])
-    if T.ndim != 2 or T.shape != (k, offsets[-1]):
+    n, k = len(psi.perms), psi.k
+    values = [np.ones((n, 1, 1), np.int64), *map(np.asarray, values)]
+    offsets = np.cumsum([0] + [v.shape[-1] for v in values])
+    if T.ndim != 2 or T.shape != (k, offsets[-1]) or any(v.shape != (n,) + v.shape[-1:] * 2 for v in values):
         raise DecompositionError(
-            f"a transform of shape {T.shape} does not fit {k} sheets and blocks of size {offsets[-1]}"
+            f"a transform of shape {T.shape} does not fit {k} sheets and blocks of size {offsets[-1]}, "
+            f"or block values of shapes {[v.shape for v in values[1:]]} do not fit {n} incidences"
         )
     gram = T.conj().T @ T
     defect = float(np.max(np.abs(gram - gram[0, 0].real * np.eye(len(gram)))))
@@ -362,6 +347,6 @@ def block_identity(psi: IncidenceVoltages, transform, weightings: list[Incidence
     moved = T[np.argsort(psi.perms, axis=1)]
     blocked = np.empty(moved.shape, np.result_type(T, *values))
     for a, b, v in zip(offsets, offsets[1:], values):
-        blocked[:, :, a:b] = T[:, a:b] @ v.reshape(n, b - a, b - a)
+        blocked[:, :, a:b] = T[:, a:b] @ v
     worst = np.abs(moved - blocked).max(axis=(1, 2))
     return BlockIdentity(float(worst.max()), defect, int(np.argmax(worst)))

@@ -5,6 +5,7 @@ import pytest
 
 from liftlap import build_complex, edge_voltages, verify_covering
 from liftlap.reference_fixture import search_reference_fixture
+from oracles import vertex_ids
 
 _CRITERION = re.compile(r"test_criterion_(\d+[a-z]?)_(\w+)")
 
@@ -34,12 +35,13 @@ def cycle_complex(n, include_empty=True):
 def scrambled_covering(rng, K, vertex_map, M):
     """The covering with the cover's vertices relabelled at random, so the
     projection is not monotone and the orientation signs are nontrivial."""
-    relabel = {v: int(r) for v, r in zip(K.vertices, rng.permutation(len(K.vertices)))}
+    vertices = vertex_ids(K)
+    relabel = {v: int(r) for v, r in zip(vertices, rng.permutation(len(vertices)))}
     K2 = build_complex(
         [tuple(relabel[v] for v in f) for f in K.facets()], include_empty=K.include_empty
     )
     images = dict(vertex_map.tolist())
-    return verify_covering(K2, M, {relabel[v]: images[v] for v in K.vertices})
+    return verify_covering(K2, M, {relabel[v]: images[v] for v in vertices})
 
 
 def cycle_laplacian_values(n):

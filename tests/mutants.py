@@ -22,7 +22,7 @@ import oracles
 from liftlap import complexes, covering, homology, representation
 from liftlap.complexes import NORMALIZED_KIND, coboundary
 from liftlap.covering import IncidenceVoltages
-from liftlap.operators import IncidenceWeighting, SpectrumMultiset
+from liftlap.operators import SpectrumMultiset
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 from perfbench import inputs  # noqa: E402
@@ -100,55 +100,62 @@ def voltage_inverted(monkeypatch):
     patch_everywhere(monkeypatch, covering, "induced_incidence_voltage", make)
 
 
-def _edited(w: IncidenceWeighting, edit) -> IncidenceWeighting:
-    """A copy of ``w`` with ``edit(values)`` applied to each layer's values."""
-    layers = {}
-    for i, v in w.layers.items():
-        v = v.copy()
-        edit(v)
-        layers[i] = v
-    return IncidenceWeighting(w.complex, layers)
+def _patch_split(monkeypatch, edit):
+    """``integer_split`` returns ``edit(R)`` in place of its stack R(psi_e)."""
+
+    def make(real):
+        def split(psi):
+            transform, blocks = real(psi)
+            return transform, edit(blocks.copy())
+
+        return split
+
+    patch_everywhere(monkeypatch, representation, "integer_split", make)
+
+
+def _patch_block_values(monkeypatch, edit):
+    """``block_values`` returns ``edit(values)`` in place of its list of value arrays."""
+    patch_everywhere(monkeypatch, representation, "block_values", lambda real: lambda dec, perms: edit(real(dec, perms)))
 
 
 def signing_misses_swap(monkeypatch):
-    def unflip(v):
-        if (v == -1).any():
-            v[np.argmax(v == -1)] = 1.0
+    # R(p) is the identity at the first incidence whose voltage moves a
+    # sheet: on two sheets, one swap is missed
+    def unflip(blocks):
+        unit = np.eye(blocks.shape[-1], dtype=blocks.dtype)
+        moved = (blocks != unit).any(axis=(1, 2))
+        if moved.any():
+            blocks[np.argmax(moved)] = unit
+        return blocks
 
-    def make(real):
-        return lambda psi: _edited(real(psi), unflip)
-
-    patch_everywhere(monkeypatch, representation, "two_fold_signing", make)
+    _patch_split(monkeypatch, unflip)
 
 
 def block_transposed(monkeypatch):
     # rho_j(g) read transposed at the first incidence where that differs
     def transpose(v):
-        if v.ndim == 3:
-            asym = (v != v.transpose(0, 2, 1)).any(axis=(1, 2))
-            if asym.any():
-                e = int(np.argmax(asym))
-                v[e] = v[e].T.copy()
+        asym = (v != v.transpose(0, 2, 1)).any(axis=(1, 2))
+        if asym.any():
+            v = v.copy()
+            e = int(np.argmax(asym))
+            v[e] = v[e].T.copy()
+        return v
 
-    def make(real):
-        return lambda psi, dec: [_edited(w, transpose) for w in real(psi, dec)]
-
-    patch_everywhere(monkeypatch, representation, "block_weightings", make)
+    _patch_block_values(monkeypatch, lambda values: [transpose(v) for v in values])
 
 
 def weight_scaled(monkeypatch):
-    # the first incidence of the first decoration, scaled by 1 + 1e-6
-    def scale(v):
+    # the first incidence's value of the first block after block 0 is
+    # scaled: by 1 + 1e-6 among the float block values, and by 2 in the
+    # integer split, whose values must stay integers for the exact ranks
+    def scaled(v, factor):
+        v = v.copy()
         if len(v):
-            v[0] = v[0] * (1 + 1e-6)
+            v[0] = v[0] * factor
+        return v
 
-    def first_scaled(weightings):
-        return [_edited(w, scale) if j == 0 else w for j, w in enumerate(weightings)]
-
-    patch_everywhere(monkeypatch, representation, "two_fold_signing", lambda real: lambda psi: _edited(real(psi), scale))
-    patch_everywhere(
-        monkeypatch, representation, "block_weightings", lambda real: lambda psi, dec: first_scaled(real(psi, dec))
-    )
+    _patch_split(monkeypatch, lambda blocks: scaled(blocks, 2))
+    _patch_block_values(monkeypatch, lambda values: [scaled(v, 1 + 1e-6) if j == 1 else v for j, v in enumerate(values)])
 
 
 def cover_weight_off_by_one(monkeypatch):
@@ -220,7 +227,7 @@ def pivots_drop_last(monkeypatch):
 
 
 def reduced_blocks_transposed(monkeypatch):
-    patch_everywhere(monkeypatch, homology, "_reduced_blocks", lambda real: lambda perms: real(perms).transpose(0, 2, 1))
+    _patch_split(monkeypatch, lambda blocks: blocks.transpose(0, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -238,9 +245,17 @@ MUTANTS = [
         "one lifted vertex/edge incidence of the cover meets the other sheet of its base vertex",
     ),
     Mutant("voltage-inverted", voltage_inverted, "induced_incidence_voltage inverts one incidence's voltage"),
-    Mutant("signing-misses-swap", signing_misses_swap, "two_fold_signing misses one swapped incidence"),
-    Mutant("block-transposed", block_transposed, "block_weightings reads rho_j transposed on one incidence"),
-    Mutant("weight-scaled", weight_scaled, "one decoration value is scaled by 1 + 1e-6"),
+    Mutant(
+        "signing-misses-swap",
+        signing_misses_swap,
+        "integer_split gives R(p) = 1 at one moved incidence: on two sheets it misses one swap",
+    ),
+    Mutant("block-transposed", block_transposed, "block_values reads rho_j transposed on one incidence"),
+    Mutant(
+        "weight-scaled",
+        weight_scaled,
+        "one block value is scaled: by 1 + 1e-6 in block_values, by 2 in integer_split",
+    ),
     Mutant(
         "cover-weight-off-by-one",
         cover_weight_off_by_one,
@@ -253,7 +268,7 @@ MUTANTS = [
         "the factorization compares each lifted nonzero with the first nonzero of its cover row only",
     ),
     Mutant("pivots-drop-last", pivots_drop_last, "the exact elimination forgets its last pivot"),
-    Mutant("reduced-blocks-transposed", reduced_blocks_transposed, "the twisted blocks R(p) are read transposed"),
+    Mutant("reduced-blocks-transposed", reduced_blocks_transposed, "integer_split gives each R(p) transposed"),
 ]
 
 

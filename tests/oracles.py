@@ -23,7 +23,7 @@ from liftlap import (
     WeightError,
     WeightScheme,
     as_face,
-    block_weightings,
+    block_values,
     build_complex,
     coboundary,
     compute_weights,
@@ -176,8 +176,20 @@ def unique_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def face_positions(K: SimplicialComplex) -> dict:
     """Each face of ``K`` with its index in the canonical order of its
-    dimension, in a dict: what ``K.index`` must return."""
+    dimension, in a dict: what the face search ``K._indices`` must find."""
     return {f: r for d in K.dims() for r, f in enumerate(K.faces(d))}
+
+
+def vertex_ids(K: SimplicialComplex) -> tuple:
+    """The vertex ids of ``K`` in canonical order."""
+    return tuple(v for (v,) in K.faces(0))
+
+
+def vertex_dict(cov: CoveringMap) -> dict:
+    """The projection of a covering on vertices as a dict of ids, read
+    through ``cov.projection``."""
+    images = cov.base.faces(0)
+    return {v: images[j][0] for v, j in zip(vertex_ids(cov.cover), cov.projection.tolist())}
 
 
 def cofacet_table(K: SimplicialComplex) -> dict:
@@ -487,13 +499,21 @@ def block_laplacians(
 ):
     """The assembled blocks whose spectra union to the lifted i-dimensional
     Laplacian's: block 0 the base operator, block j >= 1 the base operator
-    decorated by ``block_weightings``.  ``psi`` lives on the incidence layer
-    the operator reads, (i, i+1) for up and (i-1, i) for down."""
+    weighted by block j's ``block_values``.  ``psi`` lives on the incidence
+    layer the operator reads, (i, i+1) for up and (i-1, i) for down."""
     layer = i if direction == "up" else i - 1
     if psi.dim != layer:
         raise DimensionError(f"{direction} blocks at dim {i} need voltages on layer {layer}")
     dec = decomposition or decompose_representation(voltage_group(psi.perms))
-    return [laplacian_matrix(M, i, direction, scheme, w) for w in [None] + block_weightings(psi, dec)]
+    weightings = as_weightings(psi, block_values(dec, psi.perms)[1:])
+    return [laplacian_matrix(M, i, direction, scheme, w) for w in [None] + weightings]
+
+
+def as_weightings(psi: IncidenceVoltages, values) -> list:
+    """Each per-incidence value array of ``psi``'s layer, such as a block's
+    ``block_values`` or the R of ``integer_split``, as a weighting of the
+    base, so that the block it carries can be assembled and solved."""
+    return [IncidenceWeighting(psi.base, {psi.dim: v}) for v in values]
 
 
 def blocks_of(dec) -> dict:
@@ -511,16 +531,20 @@ def blocks_of(dec) -> dict:
     return table
 
 
-def per_incidence_block_weightings(psi: IncidenceVoltages, dec) -> list:
-    """What ``block_weightings(psi, dec)`` must return: block j >= 1 of
-    each incidence's voltage, looked up in :func:`blocks_of` one incidence
-    at a time; a voltage outside the group raises ``KeyError``."""
+def per_incidence_block_values(dec, perms) -> list:
+    """What ``block_values(dec, perms)`` must return: block j of each
+    row's voltage, looked up in :func:`blocks_of` one row at a time; a
+    voltage outside the group raises ``KeyError``."""
     table = blocks_of(dec)
-    values = [table[p] for p in map(tuple, psi.perms.tolist())]
-    return [
-        IncidenceWeighting(psi.base, {psi.dim: np.array([v[j] for v in values])})
-        for j in range(1, len(dec.block_sizes))
-    ]
+    values = [table[p] for p in map(tuple, perms.tolist())]
+    return [np.array([v[j] for v in values]) for j in range(len(dec.block_sizes))]
+
+
+def per_incidence_signing(psi: IncidenceVoltages) -> np.ndarray:
+    """The incidence signing of a two-fold cover, one incidence at a time:
+    -1 where the voltage swaps the two sheets, +1 where it fixes them."""
+    signs = {(0, 1): 1, (1, 0): -1}
+    return np.array([signs[p] for p in map(tuple, psi.perms.tolist())], np.int64)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -751,11 +775,11 @@ def orientation_sign_diagonal(cov: CoveringMap, i: int) -> SignDiagonal:
     """Signs comparing each lifted face's orientation with its image's."""
     M = cov.base
     k = cov.degree
-    fibers = fiber_faces(cov)
+    fibers, images = fiber_faces(cov), vertex_dict(cov)
     entries = np.zeros(M.face_count(i) * k, dtype=np.int64)
     for c, g in enumerate(M.faces(i)):
         for j, f in enumerate(fibers[g]):
-            entries[c * k + j] = relative_orientation_sign(f, [cov.vertex_map[v] for v in f])
+            entries[c * k + j] = relative_orientation_sign(f, [images[v] for v in f])
     return SignDiagonal(i, entries)
 
 
@@ -819,7 +843,7 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
     the cofacet table: ``verify_covering`` must raise the same kind with
     an equal witness, or return an equal degree, projection and fibers."""
     vertex_map = {_index(a, "vertex"): _index(b, "vertex image") for a, b in dict(vertex_map).items()}
-    missing = [v for v in cover.vertices if v not in vertex_map]
+    missing = [v for v in vertex_ids(cover) if v not in vertex_map]
     if missing:
         raise CoveringViolation("unmapped-vertex", f"vertex {missing[0]} has no image", missing[0])
     if not cover.connected:
@@ -877,7 +901,7 @@ def per_face_verify_covering(cover: SimplicialComplex, base: SimplicialComplex, 
         )
         for d in base.dims()
     }
-    projection = np.array([base_faces[(vertex_map[v],)] for v in cover.vertices], np.int64)
+    projection = np.array([base_faces[(vertex_map[v],)] for v in vertex_ids(cover)], np.int64)
     return CoveringMap(cover, base, projection, degree, tables)
 
 
@@ -951,13 +975,13 @@ def per_face_lift_cochain(values, i: int, cov: CoveringMap) -> np.ndarray:
     """A base i-cochain (or a matrix of them) lifted face by face: each
     cover face takes its image's value times ``relative_orientation_sign``;
     ``lift_cochain`` must match it bitwise."""
-    fibers, position = fiber_faces(cov), face_positions(cov.cover)
+    fibers, position, images = fiber_faces(cov), face_positions(cov.cover), vertex_dict(cov)
     rows, cols, signs = [], [], []
     for c, g in enumerate(cov.base.faces(i)):
         for face in fibers[g]:
             rows.append(position[face])
             cols.append(c)
-            signs.append(relative_orientation_sign(face, [cov.vertex_map[v] for v in face]))
+            signs.append(relative_orientation_sign(face, [images[v] for v in face]))
     values = np.asarray(values)
     out = np.zeros((cov.cover.face_count(i),) + values.shape[1:], np.result_type(values.dtype, float))
     out[rows] = np.reshape(signs, (-1,) + (1,) * (values.ndim - 1)) * values[cols]
@@ -1100,11 +1124,10 @@ def _direct_layer(cov, layer, args):
     psi = covering.induced_incidence_voltage(cov, layer)
     try:
         if args.subcommand == "union":
-            decorations = [representation.two_fold_signing(psi)]
+            decorations = as_weightings(psi, representation.integer_split(psi)[1:])
         elif args.subcommand == "abelian":
-            decorations = representation.block_weightings(
-                psi, representation.abelian_decomposition(psi, seed=args.seed)
-            )
+            dec = representation.abelian_decomposition(psi, seed=args.seed)
+            decorations = as_weightings(psi, representation.block_values(dec, psi.perms)[1:])
         else:
             decorations = []
     except GroupStructureError as exc:
@@ -1169,7 +1192,7 @@ def direct_decompose(args, report):
     psi = covering.induced_incidence_voltage(cov, layer)
     dec = representation.decompose_representation(representation.voltage_group(psi.perms), seed=args.seed)
     lifted = layer_spectra(cov.cover, layer, scheme)[side]
-    weightings = [None] + representation.block_weightings(psi, dec)
+    weightings = [None] + as_weightings(psi, representation.block_values(dec, psi.perms)[1:])
     spectra = [layer_spectra(cov.base, layer, scheme, w)[side] for w in weightings]
     cmp = compare_spectra(lifted, SpectrumMultiset([v for s in spectra for v in s.values]), "equal", tol=TOL)
     first_err = max(abs(blocks[0][0, 0] - 1) for blocks in blocks_of(dec).values())

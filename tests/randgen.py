@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from oracles import compose, cycle, identity, inverse
+from oracles import compose, cycle, identity, inverse, vertex_ids
 
 from liftlap.complexes import SimplicialComplex, build_complex
 from liftlap.covering import DerivedComplexResult, EdgeVoltages, derived_complex, edge_voltages
@@ -57,10 +57,10 @@ def random_complex(
 
 
 def _spanning_tree(M: SimplicialComplex) -> set:
-    root = M.vertices[0]
+    root = vertex_ids(M)[0]
     seen = {root}
     tree = set()
-    adj: dict[int, list] = {v: [] for v in M.vertices}
+    adj: dict[int, list] = {v: [] for v in vertex_ids(M)}
     for u, v in M.faces(1):
         adj[u].append(v)
         adj[v].append(u)

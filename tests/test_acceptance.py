@@ -13,6 +13,7 @@ import numpy as np
 
 from conftest import REFERENCE_FACETS, REFERENCE_FLIP
 from oracles import (
+    as_weightings,
     betti_numbers,
     block_laplacians,
     coboundary_factorization,
@@ -44,15 +45,15 @@ from liftlap import (
     NORMALIZED,
     SpectrumMultiset,
     abelian_decomposition,
-    block_weightings,
+    block_values,
     build_complex,
     decompose_representation,
     derived_complex,
     edge_voltages,
     induced_incidence_voltage,
+    integer_split,
     laplacian_matrix,
     spectrum,
-    two_fold_signing,
     verify_betti_inequality,
     voltage_group,
 )
@@ -97,7 +98,7 @@ def test_criterion_1_reference_fixture_and_companion_spectra(reference):
     assert compare_spectra(base, BASE_SPECTRUM, "equal", tol=TOL).holds
 
     psi = _swap_only_voltage(M, reference.flip)
-    signing = two_fold_signing(psi)
+    (signing,) = as_weightings(psi, integer_split(psi)[1:])
     signed = spectrum(laplacian_matrix(M, 1, "up", COMBINATORIAL, signing))
     assert compare_spectra(signed, SIGNED_SPECTRUM, "equal", tol=TOL).holds
 
@@ -129,7 +130,7 @@ def test_criterion_2_two_fold_union():
         K = result.complex
         for i in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, i)
-            signing = two_fold_signing(psi)
+            (signing,) = as_weightings(psi, integer_split(psi)[1:])
             for scheme in SCHEMES:
                 lifted = spectrum(laplacian_matrix(K, i, "up", scheme))
                 plain = spectrum(laplacian_matrix(M, i, "up", scheme))
@@ -186,7 +187,7 @@ def test_criterion_4_abelian_cyclic_decomposition():
             if not group.transitive:
                 # the regular-action hypothesis fails on this layer
                 continue
-            weightings = block_weightings(psi, abelian_decomposition(psi))
+            weightings = as_weightings(psi, block_values(abelian_decomposition(psi), psi.perms)[1:])
             assert len(weightings) == k - 1
             for scheme in SCHEMES:
                 lifted = spectrum(laplacian_matrix(K, i, "up", scheme))

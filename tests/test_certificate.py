@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_complex, scrambled_covering
 from mutants import COMMANDS, patch_everywhere, write_cover
-from oracles import coboundary_factorization, compare_spectra, layer_spectra
+from oracles import as_weightings, coboundary_factorization, compare_spectra, face_positions, layer_spectra
 from randgen import random_complex, random_connected_cover
 
 from liftlap import (
@@ -22,12 +22,11 @@ from liftlap import (
     DecompositionError,
     GroupStructureError,
     IncidenceVoltages,
-    IncidenceWeighting,
     SpectrumMultiset,
     VoltageError,
     abelian_decomposition,
     block_identity,
-    block_weightings,
+    block_values,
     build_complex,
     cli,
     coboundary,
@@ -36,8 +35,8 @@ from liftlap import (
     derived_complex,
     factor_lifted_coboundary,
     induced_incidence_voltage,
+    integer_split,
     operators,
-    two_fold_signing,
     verify_covering,
     voltage_group,
 )
@@ -46,7 +45,6 @@ from liftlap.representation import RESIDUAL_TOL
 
 TOL = 1e-8
 SEEDS = st.integers(0, 2**32 - 1)
-TWO_FOLD = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _random_cover(seed, k, flavor):
@@ -81,7 +79,8 @@ class TestFactorization:
             assert got.residual == want.residual > 0
             # the witness is a pair of cover faces at which the two matrices differ
             face, cofacet = got.witness
-            row, col = (int(np.argmax(cov.fibers[d].ravel() == cov.cover.index(f))) for d, f in ((i + 1, cofacet), (i, face)))
+            position = face_positions(cov.cover)
+            row, col = (int(np.argmax(cov.fibers[d].ravel() == position[f])) for d, f in ((i + 1, cofacet), (i, face)))
             product = want.cofacet_signs.entries[:, None] * want.voltage_coboundary * want.face_signs.entries
             assert want.cover_coboundary[row, col] != product[row, col]
 
@@ -140,7 +139,8 @@ class TestFactorization:
 class TestBlockIdentity:
     def test_two_fold_transform_is_exact(self, c3_double_cover):
         psi = induced_incidence_voltage(c3_double_cover.covering, 0)
-        ident = block_identity(psi, TWO_FOLD, [two_fold_signing(psi)])
+        transform, signing = integer_split(psi)
+        ident = block_identity(psi, transform, [signing])
         assert (ident.residual, ident.defect) == (0.0, 0.0)
 
     def test_the_constant_column_is_exact_for_any_voltages(self):
@@ -158,21 +158,26 @@ class TestBlockIdentity:
         M = load_complex(base)[0]
         psi = induced_incidence_voltage(derived_complex(M, load_edge_voltages(voltage, M)).covering, layer)
         dec = decompose_representation(voltage_group(psi.perms))
-        ident = block_identity(psi, dec.transform, block_weightings(psi, dec))
+        ident = block_identity(psi, dec.transform, block_values(dec, psi.perms)[1:])
         assert ident.residual <= RESIDUAL_TOL and ident.defect <= RESIDUAL_TOL
 
     def test_a_faulty_value_is_found_at_its_incidence(self, c3_double_cover):
         psi = induced_incidence_voltage(c3_double_cover.covering, 0)
-        signing = two_fold_signing(psi)
-        values = signing.layers[0].copy()
+        transform, signing = integer_split(psi)
+        values = signing.astype(float)
         values[3] *= 1 + 1e-6
-        ident = block_identity(psi, TWO_FOLD, [IncidenceWeighting(psi.base, {0: values})])
+        ident = block_identity(psi, transform, [values])
         assert ident.witness == 3 and ident.residual == pytest.approx(1e-6)
 
     def test_a_transform_that_does_not_fit_is_refused(self, c3_double_cover):
         psi = induced_incidence_voltage(c3_double_cover.covering, 0)
         with pytest.raises(DecompositionError, match="does not fit 2 sheets"):
-            block_identity(psi, np.ones((2, 1)), [two_fold_signing(psi)])
+            block_identity(psi, np.ones((2, 1)), integer_split(psi)[1:])
+        # values for one incidence, or scalars, are not a matrix per incidence
+        transform, signing = integer_split(psi)
+        for values in (signing[:1], signing[:, 0, 0]):
+            with pytest.raises(DecompositionError, match=r"do not fit 6 incidences"):
+                block_identity(psi, transform, [values])
 
     def test_abelian_decomposition_refuses_a_non_abelian_group(self):
         M = build_complex([[0, 1], [1, 2], [0, 2]])
@@ -192,15 +197,16 @@ class TestCertifiedSpectra:
         for layer in range(0, M.top_dim + 1):
             psi = induced_incidence_voltage(cov, layer)
             dec = decompose_representation(voltage_group(psi.perms), seed=seed % 1000)
-            routes = [(dec.transform, block_weightings(psi, dec))]
+            routes = [(dec.transform, block_values(dec, psi.perms)[1:])]
             if k == 2:
-                routes.append((TWO_FOLD, [two_fold_signing(psi)]))
-            for transform, weightings in routes:
-                ident = block_identity(psi, transform, weightings)
+                transform, signing = integer_split(psi)
+                routes.append((transform, [signing]))
+            for transform, values in routes:
+                ident = block_identity(psi, transform, values)
                 assert max(ident.residual, ident.defect) <= RESIDUAL_TOL
                 for scheme in (COMBINATORIAL, NORMALIZED):
                     assert factor_lifted_coboundary(cov, layer, psi, [scheme])[0].holds
-                    parts = [layer_spectra(M, layer, scheme, w) for w in [None] + weightings]
+                    parts = [layer_spectra(M, layer, scheme, w) for w in [None] + as_weightings(psi, values)]
                     direct = layer_spectra(cov.cover, layer, scheme)
                     for side in (0, 1):
                         certified = SpectrumMultiset([v for p in parts for v in p[side].values])
@@ -259,6 +265,31 @@ def test_no_spectral_command_assembles_or_solves_an_operator_of_the_cover(monkey
     assert code == 0 and covers and not solved
     assert not any(K is c for K in complexes for c in covers)
     assert not any("solved_sizes" in v for v in report["verdicts"])
+
+
+@pytest.mark.parametrize(
+    "cover, command",
+    [
+        ("C3-double", "union"),
+        ("C3-double", "abelian"),
+        ("Z3-triangle", "abelian"),
+        ("S3-punctured-torus", "inclusion"),
+        ("S3-punctured-torus", "decompose"),
+        ("C3-double", "betti"),
+        ("S3-punctured-torus", "betti"),
+    ],
+)
+def test_no_verdict_builds_a_weighting(monkeypatch, tmp_path, cover, command):
+    # the certificates read the blocks' value arrays; a weighting is only
+    # what an operator is assembled from, and no verdict assembles one
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a verdict built an IncidenceWeighting")
+
+    monkeypatch.setattr(operators.IncidenceWeighting, "__init__", refuse)
+    with pytest.raises(AssertionError, match="built an IncidenceWeighting"):
+        operators.IncidenceWeighting(build_complex([[0, 1]]))
+    code, report = _main(COMMANDS[command] + write_cover(tmp_path, cover))
+    assert code == 0 and report["verdicts"] and all(v["holds"] for v in report["verdicts"])
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from oracles import (
     relative_orientation_sign,
     union_find_components,
     unique_rows,
+    vertex_ids,
 )
 from randgen import random_complex
 
@@ -84,7 +85,7 @@ class TestBuildComplex:
 
     def test_vertices_need_not_be_contiguous(self):
         K = build_complex([{10, 20}, {20, 105}])
-        assert K.vertices == (10, 20, 105)
+        assert vertex_ids(K) == (10, 20, 105)
         assert K.connected
 
     def test_connectivity_cached(self):
@@ -193,8 +194,9 @@ class TestCoboundaryMatrix:
                 D = coboundary_matrix(K, i)
                 assert np.array_equal(dense_matrix(triplets, D.shape), D)
                 # row by row in row order, each row's boundary faces sorted
+                position = face_positions(K)
                 expected = [
-                    (r, K.index(f), sgn)
+                    (r, position[f], sgn)
                     for r, fbar in enumerate(K.faces(i + 1))
                     for f, sgn in sorted(boundary_faces(fbar))
                 ]
@@ -224,13 +226,13 @@ class TestWeights:
         rng = np.random.default_rng(21)
         for _ in range(10):
             K = random_complex(rng)
-            w, cofacets = compute_weights(K, NORMALIZED), cofacet_table(K)
+            w, cofacets, position = compute_weights(K, NORMALIZED), cofacet_table(K), face_positions(K)
             for d in K.dims():
                 assert w[d].dtype == np.float64 and w[d].shape == (K.face_count(d),)
                 for r, f in enumerate(K.faces(d)):
                     cof = cofacets[f]
                     if cof:
-                        assert w[d][r] - sum(w[d + 1][K.index(c)] for c in cof) == 0.0
+                        assert w[d][r] - sum(w[d + 1][position[c]] for c in cof) == 0.0
 
     def test_explicit_requires_coverage_and_positivity(self, hollow_triangle):
         partial = WeightScheme.explicit({(0, 1): 1.0})
@@ -307,16 +309,13 @@ class TestFaceArraysAgainstPerFaceOracles:
 
     @settings(max_examples=60, deadline=None)
     @given(_SEEDS, st.booleans(), _PROBES)
-    def test_index_agrees_with_the_face_lists(self, seed, include_empty, probes):
+    def test_face_search_agrees_with_the_face_lists(self, seed, include_empty, probes):
         K = build_complex(random_complex(np.random.default_rng(seed)).facets(), include_empty=include_empty)
         position = face_positions(K)
         # the raw probes are often unsorted or repeat a vertex; sorted, often faces
-        for face in [()] + probes + [tuple(sorted(set(p))) for p in probes] + list(position):
-            if face in position:
-                assert K.index(face) == K.index(list(face)) == position[face]
-            else:
-                with pytest.raises(MalformedInputError, match="is not a face of the complex"):
-                    K.index(face)
+        faces = [()] + probes + [tuple(sorted(set(p))) for p in probes] + list(position)
+        want = [position.get(face, -1) for face in faces]
+        assert K._indices(faces).tolist() == K._indices([list(f) for f in faces]).tolist() == want
 
     @settings(max_examples=60, deadline=None)
     @given(_SEEDS, st.booleans())
@@ -402,11 +401,10 @@ class TestFaceArraysAgainstTheSetClosure:
         for d in range(-2, K.top_dim + 2):
             assert K.faces(d) == ref.get(d, ()) and K.face_count(d) == len(ref.get(d, ()))
             assert all(type(v) is int for f in K.faces(d) for v in f)
-            assert all(K.index(f) == r for r, f in enumerate(ref.get(d, ())))
+            assert K._indices(list(ref.get(d, ()))).tolist() == list(range(len(ref.get(d, ()))))
         maximal = _maximal(ref)
         assert K.facets() == tuple(maximal)
-        assert K.vertices == tuple(v for (v,) in ref[0])
-        components = union_find_components(K.vertices, ref.get(1, ()))
+        components = union_find_components(vertex_ids(K), ref.get(1, ()))
         assert K.components() == components and K.connected is (len(components) == 1)
         assert K == build_complex(maximal[::-1], include_empty=include_empty)
         assert K != build_complex(facets, include_empty=not include_empty)
@@ -513,7 +511,7 @@ def _randgen_inputs(draw):
         if len(f) > 1 and draw(st.booleans()):
             facets.append(sorted(draw(st.permutations(f))[: draw(st.integers(1, len(f) - 1))]))
     if draw(st.booleans()):
-        facets.append([max(K.vertices) + 1])
+        facets.append([max(vertex_ids(K)) + 1])
     width = draw(st.sampled_from(sorted({len(f) for f in facets})))
     block = np.array([f for f in facets if len(f) == width], np.int64)
     return draw(st.permutations([f for f in facets if len(f) != width] + [block]))

@@ -13,6 +13,7 @@ from oracles import (
     coboundary_factorization,
     derived_graph,
     edge_table,
+    face_positions,
     fiber_faces,
     incidence_graph,
     inverse,
@@ -21,6 +22,8 @@ from oracles import (
     per_face_induced_incidence_voltage,
     per_face_verify_covering,
     permutation_matrix,
+    vertex_dict,
+    vertex_ids,
 )
 from randgen import random_complex, random_connected_cover, random_edge_voltages
 
@@ -91,7 +94,7 @@ class TestVerifyCovering:
         cov = verify_covering(K, M, {v: v % 3 for v in range(6)})
         assert cov.degree == 2
         # the base edge (0, 1) is edge 0; (0, 1) and (3, 4) are cover edges 0 and 4
-        assert cov.fibers[1][M.index((0, 1))].tolist() == [K.index((0, 1)), K.index((3, 4))] == [0, 4]
+        assert cov.fibers[1][face_positions(M)[(0, 1)]].tolist() == [face_positions(K)[f] for f in ((0, 1), (3, 4))] == [0, 4]
         assert fiber_faces(cov)[(0, 1)] == ((0, 1), (3, 4))
         assert cov.fibers[-1].tolist() == [[0]]
 
@@ -159,7 +162,7 @@ class TestVerifyCovering:
             verify_covering(K, M, vertex_map)
         # numpy integers are integers
         cov = verify_covering(K, M, {np.int64(v): np.int64(v % 3) for v in range(6)})
-        assert cov.vertex_map[3] == 0 and type(cov.vertex_map[3]) is int
+        assert vertex_dict(cov)[3] == 0 and type(vertex_dict(cov)[3]) is int
 
     @pytest.mark.parametrize("perm", [(1, 0.9), (True, 0)])
     def test_perm_images_are_not_coerced(self, perm):
@@ -183,7 +186,7 @@ def _mutated(rng, K, vertex_map, mutation):
     """Facets and vertex map of a cover after one mutation; ``vertex_map``
     is the ``[vertex, image]`` array of a derived complex."""
     facets, vmap = [set(f) for f in K.facets()], dict(vertex_map.tolist())
-    u, v, w = (int(x) for x in rng.choice(K.vertices, 3, replace=False))
+    u, v, w = (int(x) for x in rng.choice(vertex_ids(K), 3, replace=False))
     if mutation == "swap-images":
         vmap[u], vmap[v] = vmap[v], vmap[u]
     elif mutation == "drop-facet":
@@ -217,7 +220,7 @@ def _outcome(check, K, M, vertex_map) -> str:
         return repr((exc.kind, exc.witness))
     arrays = {d: (f.dtype.str, f.shape, f.tolist()) for d, f in cov.fibers.items()}
     arrays["projection"] = (cov.projection.dtype.str, cov.projection.shape, cov.projection.tolist())
-    return repr((cov.degree, cov.vertex_map, arrays))
+    return repr((cov.degree, vertex_dict(cov), arrays))
 
 
 class TestVerifyCoveringOracle:
@@ -242,7 +245,7 @@ class TestVerifyCoveringOracle:
         assume(out is not None)
         K, pairs = out[1].complex, out[1].vertex_map
         if extra:  # a vertex the cover does not have is ignored
-            pairs = np.vstack([pairs, [[max(K.vertices) + 1, min(M.vertices)]]])
+            pairs = np.vstack([pairs, [[max(vertex_ids(K)) + 1, min(vertex_ids(M))]]])
         if shuffle:
             pairs = pairs[rng.permutation(len(pairs))]
         by_array, by_mapping = verify_covering(K, M, pairs), verify_covering(K, M, dict(pairs.tolist()))
@@ -252,7 +255,7 @@ class TestVerifyCoveringOracle:
         assert by_array.fibers.keys() == by_mapping.fibers.keys()
         for d, fiber in by_array.fibers.items():
             assert fiber.dtype == by_mapping.fibers[d].dtype and np.array_equal(fiber, by_mapping.fibers[d])
-        assert by_array.vertex_map == dict(zip(K.vertices, (dict(pairs.tolist())[v] for v in K.vertices)))
+        assert vertex_dict(by_array) == dict(zip(vertex_ids(K), (dict(pairs.tolist())[v] for v in vertex_ids(K))))
 
     def test_an_array_listing_a_vertex_twice_is_refused(self, tmp_path):
         from liftlap import io as llio
@@ -292,7 +295,7 @@ class TestVerifyCoveringOracle:
         M = build_complex([(shift + i, shift + (i + 1) % 3) for i in range(3)])
         psi = edge_voltages(M, 2, {(shift, shift + 1): (1, 0)})
         result = derived_complex(M, psi)
-        assert result.covering.degree == 2 and min(result.complex.vertices) == 2 * shift
+        assert result.covering.degree == 2 and min(vertex_ids(result.complex)) == 2 * shift
         K, vmap = _mutated(np.random.default_rng(5), result.complex, result.vertex_map, mutation)
         assert _outcome(verify_covering, K, M, vmap) == _outcome(per_face_verify_covering, K, M, vmap)
 
@@ -304,7 +307,7 @@ class TestIdRange:
         with pytest.raises(MalformedInputError, match=f"vertex image {2**63} does not fit"):
             verify_covering(cycle_complex(6), cycle_complex(3), {**{v: v % 3 for v in range(5)}, 5: 2**63})
         K = build_complex([(0, 2**63 - 1)])
-        assert K.vertices == (0, 2**63 - 1) and K.facets() == ((0, 2**63 - 1),)
+        assert vertex_ids(K) == (0, 2**63 - 1) and K.facets() == ((0, 2**63 - 1),)
 
     def test_a_cover_whose_ids_would_not_fit_is_refused(self):
         M = build_complex([(2**62, 2**62 + 1), (2**62 + 1, 2**62 + 2), (2**62, 2**62 + 2)])
@@ -441,7 +444,7 @@ class TestDerivedComplex:
         rng = np.random.default_rng(32)
         for _ in range(5):
             base = random_complex(rng, max_vertices=5, max_dim=2)
-            apex = max(base.vertices) + 1
+            apex = max(vertex_ids(base)) + 1
             cone = build_complex(
                 [tuple(f) + (apex,) for f in base.facets()]
             )

@@ -42,6 +42,7 @@ from liftlap import (
     edge_voltages,
     exact_betti_numbers,
     induced_incidence_voltage,
+    integer_split,
     laplacian_matrix,
     verify_betti_inequality,
     verify_covering,
@@ -357,12 +358,10 @@ class TestBettiRoute:
         # each face first: exactly, in integers, and of rank d + rank d^V
         for cov in _covers(seed)[:1]:
             M, k = cov.base, cov.degree
-            T = np.hstack([np.ones((k, 1), np.int64), np.eye(k, k - 1, dtype=np.int64)])
-            T[k - 1, 1:] = -1
             for i in range(0, M.top_dim):
                 psi = induced_incidence_voltage(cov, i)
                 n_hi, n_lo = M.face_count(i + 1), M.face_count(i)
-                blocks = liftlap.homology._reduced_blocks(psi.perms)
+                T, blocks = integer_split(psi)
                 twisted = dense_matrix(liftlap.homology._twisted_coboundary(M, i, blocks), (n_hi * (k - 1), n_lo * (k - 1)))
                 split = np.zeros((n_hi, k, n_lo, k), np.int64)
                 split[:, 0, :, 0] = coboundary_matrix(M, i)
@@ -527,6 +526,6 @@ class TestBettiInequality:
         layers = {layer.dim: layer for v in rep.per_dim for layer in v.layers}
         assert layers[0].factorization.witness is not None and layers[0].square > 0
         for i, layer in layers.items():
-            blocks = liftlap.homology._reduced_blocks(inverted(cov, i).perms)
+            blocks = integer_split(inverted(cov, i))[1]
             twisted = liftlap.homology._twisted_coboundary(M, i, blocks)
             assert layer.rank == bareiss_rank(dense_matrix(twisted, layer.shape))

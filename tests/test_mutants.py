@@ -55,8 +55,10 @@ BETTI = ("C3_double__betti", "Z3_triangle__betti", "S3_punctured_torus__betti")
 INCLUSION = ("C3_double__inclusion", "Z3_triangle__inclusion", "S3_punctured_torus__inclusion")
 # Betti numbers read no weight
 BETTI_SURVIVES = dict.fromkeys(BETTI, "..")
-# betti reads no decoration, block or spectrum, and inclusion no decoration or block
+# betti reads no block value or spectrum, and inclusion no block value;
+# only the certified betti route reads the integer split
 BETTI_UNREACHED = dict.fromkeys(BETTI, "--")
+BETTI_CERTIFIED = dict.fromkeys(BETTI, "-x")
 INCLUSION_UNREACHED = dict.fromkeys(INCLUSION, "--")
 
 KILL_MATRIX = {
@@ -77,8 +79,9 @@ KILL_MATRIX = {
         S3_punctured_torus__decompose="xx",
         S3_punctured_torus__betti="-x",
     ),
-    # only the union reads the two-fold signing
-    "signing-misses-swap": _with(NONE_REACHED, C3_double__union="xx"),
+    # the union and the certified betti route read the integer split; its
+    # identity catches an R(p) that is not p's
+    "signing-misses-swap": _with(NONE_REACHED, C3_double__union="xx", **BETTI_CERTIFIED),
     "block-transposed": _with(
         NONE_CAUGHT,
         S3_punctured_torus__decompose="xx",
@@ -86,7 +89,7 @@ KILL_MATRIX = {
         **INCLUSION_UNREACHED,
         **BETTI_UNREACHED,
     ),
-    "weight-scaled": _with(ALL_CAUGHT, **INCLUSION_UNREACHED, **BETTI_UNREACHED),
+    "weight-scaled": _with(ALL_CAUGHT, **INCLUSION_UNREACHED, **BETTI_CERTIFIED),
     "cover-weight-off-by-one": _with(ALL_CAUGHT, **BETTI_SURVIVES),
     # only the direct routes solve spectra; a graph cover has as many edges
     # as vertices, so nothing is padded below the top layer, which abelian
@@ -103,9 +106,14 @@ KILL_MATRIX = {
     # only betti ranks exactly; at dims -1 and 0 the certified route checks the
     # ranks against the components of the connected base and cover
     "pivots-drop-last": _with(NONE_REACHED, **dict.fromkeys(BETTI, "xx")),
-    # only the certified betti route reads the twisted blocks
+    # the union and the certified betti route read the integer split, and
+    # on two sheets R(p) is 1 x 1
     "reduced-blocks-transposed": _with(
-        NONE_REACHED, C3_double__betti="-.", Z3_triangle__betti="-x", S3_punctured_torus__betti="-x"
+        NONE_REACHED,
+        C3_double__union="..",
+        C3_double__betti="-.",
+        Z3_triangle__betti="-x",
+        S3_punctured_torus__betti="-x",
     ),
 }
 

@@ -101,11 +101,11 @@ class TestLaplacianMatrix:
         for _ in range(10):
             K = random_complex(rng)
             for scheme in (COMBINATORIAL, NORMALIZED):
-                w, cofacets = compute_weights(K, scheme), cofacet_table(K)
+                w, cofacets, position = compute_weights(K, scheme), cofacet_table(K), face_positions(K)
                 for i in range(0, K.top_dim + 1):
                     op = laplacian_matrix(K, i, "up", scheme)
                     expected = sum(
-                        w[i + 1][K.index(c)] / w[i][r] for r, f in enumerate(K.faces(i)) for c in cofacets[f]
+                        w[i + 1][position[c]] / w[i][r] for r, f in enumerate(K.faces(i)) for c in cofacets[f]
                     )
                     assert abs(np.trace(op) - expected) <= 1e-10
 

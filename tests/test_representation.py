@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_complex
 from oracles import (
+    as_weightings,
     block_laplacians,
     blocks_of,
     closure,
@@ -23,7 +24,8 @@ from oracles import (
     layer_spectra,
     pair_table,
     per_face_induced_incidence_voltage,
-    per_incidence_block_weightings,
+    per_incidence_block_values,
+    per_incidence_signing,
     per_pair_decorated_coboundary,
     permutation_matrix,
     random_unitary,
@@ -38,8 +40,8 @@ from liftlap import (
     IncidenceVoltages,
     VoltageError,
     abelian_decomposition,
+    block_identity,
     block_values,
-    block_weightings,
     WeightError,
     build_complex,
     coboundary,
@@ -49,8 +51,8 @@ from liftlap import (
     edge_voltages,
     incidence_weighting,
     induced_incidence_voltage,
+    integer_split,
     laplacian_matrix,
-    two_fold_signing,
     voltage_group,
 )
 from liftlap import io as llio
@@ -212,7 +214,7 @@ class TestDecomposeRepresentation:
         dec = decompose_representation(voltage_group(iv.perms), seed=int(argv[argv.index("--seed") + 1]))
         assert dec.block_sizes == (1, 3)
         assert dec.residual <= RESIDUAL_TOL
-        assert [w.dtype for w in block_weightings(iv, dec)] == [np.float64]
+        assert [v.dtype for v in block_values(dec, iv.perms)[1:]] == [np.float64]
         assert main(argv) == 0
         results = json.loads(capsys.readouterr().out)["results"]
         assert results["block_sizes"] == [1, 3]
@@ -237,7 +239,7 @@ class TestDecompositionProperties:
         # the array route against the tuple route: the group is the closure
         # of the generator tuples, the residual taken at the generators
         # bounds the off-block entries at every element, block j of element
-        # g is row g of block_values, and the weightings equal one
+        # g is row g of block_values, and the values at incidences equal one
         # per-incidence lookup each
         k = len(gens[0])
         group = voltage_group(gens)
@@ -271,11 +273,11 @@ class TestDecompositionProperties:
 
         # a block is complex exactly where its columns of T are, even where
         # its values at these voltages are real
-        got, want = block_weightings(psi, dec), per_incidence_block_weightings(psi, dec)
-        assert [w.layers[i].shape for w in got] == [w.layers[i].shape for w in want]
-        for a, b, w, v in zip(offsets[1:], offsets[2:], got, want):
+        got, want = block_values(dec, psi.perms), per_incidence_block_values(dec, psi.perms)
+        assert [w.shape for w in got] == [v.shape for v in want]
+        for a, b, w, v in zip(offsets, offsets[1:], got, want):
             assert w.dtype == v.dtype == (np.complex128 if T[:, a:b].imag.any() else np.float64)
-            assert np.max(np.abs(w.layers[i] - v.layers[i]), initial=0.0) <= 1e-12
+            assert np.max(np.abs(w - v), initial=0.0) <= 1e-12
 
     def test_block_dtype_follows_the_transform_not_the_rounding_of_its_values(self):
         # the 3-cycle (1 3 4) on 5 points: every block after the first has
@@ -283,7 +285,7 @@ class TestDecompositionProperties:
         # multiplicity 3), each 1 at the identity, so a layer where the
         # voltages present give real values can round to exactly zero
         # imaginary parts in one product and not in the other; the
-        # weighting's dtype must still be the dense oracle's
+        # values' dtype must still be the dense oracle's
         group = voltage_group([(0, 3, 2, 4, 1)])
         dec = decompose_representation(group, seed=0)
         rng = np.random.default_rng(0)
@@ -291,8 +293,9 @@ class TestDecompositionProperties:
         i = int(rng.integers(0, M.top_dim))
         picks = rng.integers(group.order, size=len(coboundary(M, i)[0]))
         psi = IncidenceVoltages(M, 5, i, group.elements[picks])
-        got, want = block_weightings(psi, dec), per_incidence_block_weightings(psi, dec)
-        assert [w.dtype for w in got] == [w.dtype for w in want] == [np.complex128] * 4
+        got, want = block_values(dec, psi.perms)[1:], per_incidence_block_values(dec, psi.perms)[1:]
+        assert [w.dtype for w in got] == [v.dtype for v in want] == [np.complex128] * 4
+        assert [w.dtype for w in as_weightings(psi, got)] == [np.complex128] * 4
 
     @settings(max_examples=150, deadline=None)
     @given(_GENERATORS, st.integers(0, 2**32 - 1))
@@ -325,7 +328,7 @@ class TestDecompositionProperties:
         try:
             dec = decompose_representation(group)
             psi = IncidenceVoltages(cycle_complex(3), k, 0, group.elements[:6])
-            block_weightings(psi, dec)
+            block_values(dec, psi.perms)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -348,7 +351,7 @@ class TestDecompositionProperties:
             for j in range(len(c))
         }
         psi = incidence_voltages(M, group.k, i, table)
-        for j, w in enumerate(block_weightings(psi, dec), start=1):
+        for j, w in enumerate(as_weightings(psi, block_values(dec, psi.perms)[1:]), start=1):
             turned = conjugated_weighting(w, random_unitary(rng, dec.block_sizes[j]))
             for plain, other in zip(layer_spectra(M, i, decoration=w), layer_spectra(M, i, decoration=turned)):
                 assert len(plain) == len(other)
@@ -381,7 +384,7 @@ def test_records_holding_arrays_compare_by_identity(name):
     assert hash(x) == hash(x) and len({x, y}) == 2
 
 
-class TestBlockWeightingsRefusal:
+class TestBlockValuesRefusal:
     @pytest.mark.parametrize(
         "k, voltage, gens, named",
         [
@@ -396,7 +399,7 @@ class TestBlockWeightingsRefusal:
         iv = induced_incidence_voltage(derived_complex(M, edge_voltages(M, k, voltage)).covering, 0)
         dec = decompose_representation(voltage_group(gens))
         with pytest.raises(VoltageError, match=re.escape(f"voltage {named} is not an element of the decomposed group")):
-            block_weightings(iv, dec)
+            block_values(dec, iv.perms)
 
     def test_the_first_incidence_outside_the_group_is_named(self):
         # (1, 0, 2) is in the group and sorts before both voltages outside
@@ -406,7 +409,7 @@ class TestBlockWeightingsRefusal:
         psi = IncidenceVoltages(M, 3, 0, np.array(perms))
         dec = decompose_representation(voltage_group([(1, 0, 2)]))
         with pytest.raises(VoltageError, match=re.escape("voltage (2, 0, 1) is not an element")):
-            block_weightings(psi, dec)
+            block_values(dec, psi.perms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -422,7 +425,36 @@ def test_locate_rows_is_a_lookup_among_the_sorted_rows(table, queries):
     assert got.tolist() == [position.get(tuple(q), -1) for q in queries]
 
 
-class TestTwoFoldSigning:
+_VOLTAGE_ROWS = st.integers(1, 6).flatmap(
+    lambda k: st.tuples(st.just(k), st.lists(st.permutations(range(k)), min_size=6, max_size=6))
+)
+
+
+class TestIntegerSplit:
+    @settings(max_examples=150, deadline=None)
+    @given(_VOLTAGE_ROWS)
+    def test_split_of_the_permutation_module(self, case):
+        # P(p) T = T (1 (+) R(p)) exactly at every voltage, T^T T = diag(k,
+        # I + J), and on two sheets T = [[1, 1], [1, -1]] with R(p) the
+        # signing, found one incidence at a time
+        k, perms = case
+        psi = IncidenceVoltages(cycle_complex(3), k, 0, np.array(perms, np.int64).reshape(6, k))
+        T, R = integer_split(psi)
+        assert T.dtype == R.dtype == np.int64 and T.shape == (k, k) and R.shape == (6, k - 1, k - 1)
+        for p, r in zip(perms, R):
+            split = np.zeros((k, k), np.int64)
+            split[0, 0] = 1
+            split[1:, 1:] = r
+            assert np.array_equal(permutation_matrix(p) @ T, T @ split)
+        gram = np.zeros((k, k), np.int64)
+        gram[0, 0] = k
+        gram[1:, 1:] = np.eye(k - 1, dtype=np.int64) + 1
+        assert np.array_equal(T.T @ T, gram)
+        assert block_identity(psi, T, [R]).residual == 0
+        if k == 2:
+            assert T.tolist() == [[1, 1], [1, -1]]
+            assert np.array_equal(R[:, 0, 0], per_incidence_signing(psi))
+
     def test_flip_from_reference_voltage(self, reference):
         M = reference.complex
         table = {}
@@ -430,54 +462,53 @@ class TestTwoFoldSigning:
             for j in range(3):
                 e = t[:j] + t[j + 1 :]
                 table[(e, t)] = (1, 0) if (e, t) == reference.flip else (0, 1)
-        signing = pair_table(M, 1, two_fold_signing(incidence_voltages(M, 2, 1, table)).layers[1])
-        assert signing == {pair: -1.0 if pair == reference.flip else 1.0 for pair in table}
+        signing = pair_table(M, 1, integer_split(incidence_voltages(M, 2, 1, table))[1][:, 0, 0])
+        assert signing == {pair: -1 if pair == reference.flip else 1 for pair in table}
 
     def test_all_identity_does_not_warn(self):
         M = cycle_complex(3)
         table = {((v,), e): (0, 1) for e in M.faces(1) for v in [e[0], e[1]]}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            signing = two_fold_signing(incidence_voltages(M, 2, 0, table))
-            empty_top = two_fold_signing(IncidenceVoltages(M, 2, 1, np.zeros((0, 2), np.int64)))
-        assert signing.layers[0].tolist() == [1.0] * 6 and empty_top.layers[1].shape == (0,)
-        for i, w in ((0, signing), (1, empty_top)):
+            signing = integer_split(incidence_voltages(M, 2, 0, table))[1]
+            empty_top = integer_split(IncidenceVoltages(M, 2, 1, np.zeros((0, 2), np.int64)))[1]
+        assert signing.tolist() == [[[1]]] * 6 and empty_top.shape == (0, 1, 1)
+        for i, values in ((0, signing), (1, empty_top)):
+            (w,) = as_weightings(IncidenceVoltages(M, 2, i, np.zeros((0, 2), np.int64)), [values])
             assert np.array_equal(decorated_coboundary(M, i, w)[2], coboundary(M, i)[2])
 
     def test_all_swapped(self):
         M = cycle_complex(3)
         table = {((v,), e): (1, 0) for e in M.faces(1) for v in [e[0], e[1]]}
-        signing = two_fold_signing(incidence_voltages(M, 2, 0, table))
-        assert signing.layers[0].tolist() == [-1.0] * 6
+        assert integer_split(incidence_voltages(M, 2, 0, table))[1].tolist() == [[[-1]]] * 6
 
-    def test_wrong_fold_count(self):
+    def test_one_sheet_has_the_base_block_alone(self):
         M = cycle_complex(3)
-        iv = induced_incidence_voltage(
-            derived_complex(M, edge_voltages(M, 1)).covering, 0
-        )
-        with pytest.raises(VoltageError):
-            two_fold_signing(iv)
+        iv = induced_incidence_voltage(derived_complex(M, edge_voltages(M, 1)).covering, 0)
+        T, R = integer_split(iv)
+        assert T.tolist() == [[1]] and R.shape == (6, 0, 0)
+        assert block_identity(iv, T, [R]) == block_identity(iv, T, [])
 
 
 class TestAbelianWeightings:
     def test_two_sheets_match_the_signing(self, c3_double_cover):
         iv = induced_incidence_voltage(c3_double_cover.covering, 0)
-        (weighting,) = block_weightings(iv, abelian_decomposition(iv))
-        signing = two_fold_signing(iv)
-        assert np.allclose(weighting.layers[0].real, signing.layers[0])
-        assert np.abs(weighting.layers[0].imag).max(initial=0.0) < 1e-12
+        (character,) = block_values(abelian_decomposition(iv), iv.perms)[1:]
+        signing = integer_split(iv)[1]
+        assert np.allclose(character.real, signing)
+        assert np.abs(character.imag).max(initial=0.0) < 1e-12
 
     def test_cyclic_three_values_are_roots_of_unity(self):
         M = cycle_complex(3)
         psi = edge_voltages(M, 3, {(0, 1): cycle(3)})
         cov = derived_complex(M, psi).covering
         iv = induced_incidence_voltage(cov, 0)
-        ws = block_weightings(iv, abelian_decomposition(iv))
-        assert len(ws) == 2
+        characters = block_values(abelian_decomposition(iv), iv.perms)[1:]
+        assert len(characters) == 2
         roots = {np.round(np.exp(2j * np.pi * j / 3), 9) for j in range(3)}
-        for w in ws:
-            assert len(w.layers[0]) == len(iv.perms)
-            assert set(np.round(w.layers[0], 9).tolist()) <= roots
+        for v in characters:
+            assert v.shape == (len(iv.perms), 1, 1)
+            assert set(np.round(v.ravel(), 9).tolist()) <= roots
 
     def test_klein_four_group(self):
         # regular action of Z2 x Z2 on four sheets
@@ -489,10 +520,10 @@ class TestAbelianWeightings:
         iv = induced_incidence_voltage(cov, 0)
         group = voltage_group(iv.perms)
         assert group.order == 4 and group.abelian
-        ws = block_weightings(iv, abelian_decomposition(iv))
-        assert len(ws) == 3
-        for w in ws:
-            assert set(np.round(w.layers[0].real, 9).tolist()) <= {1.0, -1.0}
+        characters = block_values(abelian_decomposition(iv), iv.perms)[1:]
+        assert len(characters) == 3
+        for v in characters:
+            assert set(np.round(v.real.ravel(), 9).tolist()) <= {1.0, -1.0}
 
     def test_non_abelian_rejected(self):
         # a transposition and a 3-cycle on the two loops of a theta graph
@@ -527,7 +558,7 @@ class TestBlockLaplacians:
         group = voltage_group(iv.perms)
         assert group.abelian and group.transitive
         dec = decompose_representation(group)
-        weightings = block_weightings(iv, abelian_decomposition(iv))
+        weightings = as_weightings(iv, block_values(abelian_decomposition(iv), iv.perms)[1:])
         blocks = block_laplacians(M, iv, 0, COMBINATORIAL, "up", dec)
         assert len(blocks) == 1 + len(weightings)
         for j, w in enumerate(weightings, start=1):
@@ -554,7 +585,7 @@ class TestBlockLaplacians:
             cov = result.covering
             for i in range(0, M.top_dim + 1):
                 iv = induced_incidence_voltage(cov, i)
-                signing = two_fold_signing(iv)
+                (signing,) = as_weightings(iv, integer_split(iv)[1:])
                 blocks = block_laplacians(M, iv, i)
                 plain = laplacian_matrix(M, i, "up")
                 signed = laplacian_matrix(M, i, "up", decoration=signing)
@@ -592,11 +623,11 @@ class TestArrayRoute:
             table = dict(zip(map(tuple, group.elements.tolist()), zip(*blocks)))
             cases = [
                 (w, {pair: table[p][j] for pair, p in voltages.items()}, blocks[j].dtype)
-                for j, w in enumerate(block_weightings(psi, dec), start=1)
+                for j, w in enumerate(as_weightings(psi, block_values(dec, psi.perms)[1:]), start=1)
             ]
             if k == 2:
                 flips = {pair: -1.0 for pair, p in voltages.items() if p == (1, 0)}
-                cases.append((two_fold_signing(psi), flips, np.float64))
+                cases.append((*as_weightings(psi, integer_split(psi)[1:]), flips, np.float64))
             for w, values, dtype in cases:
                 want = per_pair_decorated_coboundary(M, i, values, dtype)
                 assert _same_triplets(decorated_coboundary(M, i, w), want)

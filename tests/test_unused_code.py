@@ -3,8 +3,10 @@
 A definition counts as used when its name is referenced somewhere in
 ``src/liftlap`` outside its own body and outside ``__init__.py``: as a
 name, as an attribute, or as the ``handler`` string of a CLI subparser's
-``set_defaults``, which ``cli.main`` looks up by name.  Dunder methods
-are called by Python itself and are exempt.  A name that only the tests,
+``set_defaults``, which ``cli.main`` looks up by name.  A method or
+property is reached through its object, so only an attribute counts for
+it: a local variable or a parameter of the same name does not.  Dunder
+methods are called by Python itself and are exempt.  A name that only the tests,
 the README or ``__init__.py`` read belongs in the tests.
 """
 
@@ -17,18 +19,19 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "liftlap"
 
 
 def _references(tree):
-    """``(name, line)`` of every name, attribute and subparser handler string in ``tree``."""
+    """``(name, line, is_attribute)`` of every name, attribute and
+    subparser handler string in ``tree``."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "set_defaults":
             for keyword in node.keywords:
                 if keyword.arg == "handler":
                     for value in ast.walk(keyword.value):
                         if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                            yield value.value, value.lineno
+                            yield value.value, value.lineno, False
 
 
 def unreferenced(package: Path) -> list[str]:
@@ -38,17 +41,19 @@ def unreferenced(package: Path) -> list[str]:
     refs: dict[str, list] = {}
     for module, tree in trees.items():
         if module != "__init__.py":
-            for name, line in _references(tree):
-                refs.setdefault(name, []).append((module, line))
+            for name, line, is_attribute in _references(tree):
+                refs.setdefault(name, []).append((module, line, is_attribute))
     unused = []
     for module, tree in trees.items():
+        methods = {id(f) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 continue
             if node.name.startswith("__") and node.name.endswith("__"):
                 continue
             body = range(node.lineno, node.end_lineno + 1)
-            if all(m == module and line in body for m, line in refs.get(node.name, [])):
+            uses = [(m, line) for m, line, is_attribute in refs.get(node.name, []) if is_attribute or id(node) not in methods]
+            if all(m == module and line in body for m, line in uses):
                 unused.append(f"{module}:{node.lineno} {node.name}")
     return unused
 
@@ -113,6 +118,20 @@ _RULES = {
     "other-string": (
         {"a.py": 'def cmd_run(args):\n    return 0\n\n\ndef build(p):\n    p.set_defaults(name="cmd_run")\n'},
         ["a.py:1 cmd_run", "a.py:5 build"],
+    ),
+    "method-named-by-a-variable": (
+        {
+            "a.py": "class Box:\n    def size(self):\n        return 0\n",
+            "b.py": "from .a import Box\n\nsize = 1\nBox(size)\n",
+        },
+        ["a.py:2 size"],
+    ),
+    "property-named-by-a-parameter": (
+        {
+            "a.py": "class Box:\n    @property\n    def vertices(self):\n        return ()\n",
+            "b.py": "from .a import Box\n\n\ndef face(vertices):\n    return vertices\n\n\nface(Box())\n",
+        },
+        ["a.py:3 vertices"],
     ),
     "class-used-in-its-own-body": (
         {"a.py": "class Node:\n    def copy(self):\n        return Node()\n", "b.py": "from . import a\n\na.copy\n"},
