@@ -19,6 +19,7 @@ from .complexes import (
     build_complex,
     coboundary,
     compute_weights,
+    decorated_coboundary,
 )
 from .covering import (
     CoveringMap,
@@ -55,7 +56,6 @@ from .operators import (
     UP,
     IncidenceWeighting,
     SpectrumMultiset,
-    decorated_coboundary,
     incidence_weighting,
     laplacian_matrix,
     spectrum,

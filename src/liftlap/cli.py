@@ -210,9 +210,10 @@ def cmd_decompose(args, report):
     psi = induced_incidence_voltage(cov, layer)
     group = voltage_group(psi.perms)
     dec = decompose_representation(group, seed=args.seed)
+    values = block_values(dec, psi.perms)
     # block 0 is the base operator exactly when rho_0 is the trivial representation,
-    # which holds on G when it holds at the generators
-    first_err = float(np.abs(block_values(dec, group.generators)[0] - 1).max(initial=0.0))
+    # which holds on G when it holds at the generators, the distinct voltages
+    first_err = float(np.abs(values[0] - 1).max(initial=0.0))
     report["results"] = {
         "group_order": group.order,
         "block_sizes": list(dec.block_sizes),
@@ -226,7 +227,7 @@ def cmd_decompose(args, report):
             cov,
             psi,
             factor_lifted_coboundary(cov, layer, psi, [scheme])[0],
-            block_identity(psi, dec.transform, block_values(dec, psi.perms)[1:]),
+            block_identity(psi, dec.transform, values[1:]),
             RESIDUAL_TOL,
         ),
     ]

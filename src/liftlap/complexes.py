@@ -27,7 +27,9 @@ searched for: the vertex indices of each face, and the keys ``_locate``
 searches, are gathered up the coboundary columns
 (:meth:`SimplicialComplex._vertex_index`).  ``facets`` and the
 weights read the coboundary or the same arrays, and weights are one
-float64 array per dimension.
+float64 array per dimension.  :func:`decorated_coboundary` puts a
+scalar or d x d value on each incidence; it builds the operators'
+weightings, the reference fixture's lift and the Betti twist alike.
 
 A complex never changes after construction and every operation is a
 pure function, so concurrent reads are safe (a cache filled twice holds
@@ -442,6 +444,26 @@ def coboundary(K: SimplicialComplex, i: int) -> tuple[np.ndarray, np.ndarray, np
         K._coboundaries[i] = _triplets(n, 1, np.zeros(n, np.int64))
     K._face_array(i)
     return K._coboundaries[i]
+
+
+def decorated_coboundary(K: SimplicialComplex, i: int, values=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nonzeros ``(row, col, value)`` of the degree-i coboundary of ``K``,
+    each incidence carrying its entry of ``values``: the layer's ``(nnz,)``
+    scalars or ``(nnz, d, d)`` matrices, of any dtype, in the order of
+    :func:`coboundary`; another shape raises :class:`WeightError`.  The
+    nonzero at (r, c) of sign s becomes the nonzero entries of ``s *
+    value``, entry (a, j) at row ``r*d + a`` and column ``c*d + j``, in
+    row-major order.  Without values these are :func:`coboundary`'s."""
+    rows, cols, signs = coboundary(K, i)
+    if values is None:
+        return rows, cols, signs
+    values = np.asarray(values)
+    blocks = values.reshape(-1, 1, 1) if values.ndim == 1 else values
+    if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2] or len(blocks) != len(rows):
+        raise WeightError(f"layer {i} values of shape {values.shape} do not fit its {len(rows)} incidences")
+    d = blocks.shape[-1]
+    e, a, j = np.nonzero(blocks)
+    return rows[e] * d + a, cols[e] * d + j, signs[e] * blocks[e, a, j]
 
 
 def _triplets(n: int, width: int, col: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

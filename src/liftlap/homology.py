@@ -33,7 +33,8 @@ two-fold union is certified too) is ``T = [1 | e_j - e_(k-1)]``, of
 determinant +-k, with ``P(p) T = T (1 (+) R(p))`` and ``R(p)[a, j] =
 [p_j = a] - [p_(k-1) = a]``, entries in {-1, 0, 1}.  So the cover's rank
 is rank d_i + rank d^V_i, where the twisted coboundary d^V_i carries
-``sign * R(psi_e)`` at each incidence, and b_i(cover) = b_i(base) +
+``sign * R(psi_e)`` at each incidence (the R stack's
+:func:`~liftlap.complexes.decorated_coboundary`), and b_i(cover) = b_i(base) +
 b_i(base; V_psi) >= b_i(base): Shapiro's lemma (Brown, *Cohomology of
 Groups*, III.6; Hatcher, *Algebraic Topology*, 3.H), the paper's Betti
 inequality.  Each layer is certified in integers: the factorization,
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import COMBINATORIAL, SimplicialComplex, _unique_rows, coboundary
+from .complexes import COMBINATORIAL, SimplicialComplex, _unique_rows, coboundary, decorated_coboundary
 from .covering import CoveringMap, Factorization, factor_lifted_coboundary, induced_incidence_voltage
 from .errors import LiftlapError
 from .representation import BlockIdentity, block_identity, integer_split
@@ -121,18 +122,6 @@ def exact_betti_numbers(K: SimplicialComplex) -> dict:
     """Betti numbers ``dim C^i - rank d_i - rank d_(i-1)`` from exact ranks,
     each coboundary ranked once, from the top degree down with clearing."""
     return _betti(K, _cleared_pivots({j: coboundary(K, j) for j in range(K.min_dim, K.top_dim)}))
-
-
-# -- the twisted coboundary ----------------------------------------------------
-
-
-def _twisted_coboundary(M: SimplicialComplex, i: int, blocks: np.ndarray) -> tuple:
-    """The nonzeros of d^V_i: base incidence e, sign s, at row ``cofacet *
-    (k-1) + a`` and column ``face * (k-1) + j`` holds ``s * blocks[e, a, j]``."""
-    rows, cols, signs = coboundary(M, i)
-    m = blocks.shape[-1]
-    e, a, j = np.nonzero(blocks)
-    return rows[e] * m + a, cols[e] * m + j, signs[e] * blocks[e, a, j]
 
 
 def _square(upper: tuple, lower: tuple, width: int) -> tuple[int, tuple | None]:
@@ -219,7 +208,7 @@ def verify_betti_inequality(cov: CoveringMap) -> BettiInequalityReport:
     for i in range(0, M.top_dim):
         psi = induced_incidence_voltage(cov, i)
         transform, blocks = integer_split(psi)
-        twisted[i] = _twisted_coboundary(M, i, blocks)
+        twisted[i] = decorated_coboundary(M, i, blocks)
         parts[i] = factor_lifted_coboundary(cov, i, psi, [COMBINATORIAL])[0], block_identity(psi, transform, [blocks])
     squares = {i: _square(twisted[i + 1], twisted[i], (k - 1) * M.face_count(i)) for i in twisted if i + 1 in twisted}
     base = exact_betti_numbers(M)

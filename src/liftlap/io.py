@@ -146,9 +146,12 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
     """Voltages on the 1-skeleton of ``M``; absent edges get the identity.
     The ``edge`` and ``perm`` lists of all records are converted by one
     :func:`_ids` call each and checked together by the array core of
-    :func:`~liftlap.covering.edge_voltages`; the records are read one at
-    a time only when that fails, to name the first bad one, in the file's
-    1-based terms."""
+    :func:`~liftlap.covering.edge_voltages`.  When that fails, the records
+    are read once in file order, to name the first bad one in the file's
+    1-based terms: each checks its ids and its edge, a repeated edge, its
+    images and whether they are a permutation, and the edges of the
+    records before the first such fault are then located by one face
+    search, to name the first non-edge among them."""
     data = _load(path)
     with _reading(path, "fold count"):
         k = _index(data.get("k", 1), "fold count")
@@ -163,25 +166,30 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
             return EdgeVoltages(M, k, _edge_table(M, k, ends, images))
     except (KeyError, TypeError, MalformedInputError, VoltageError):
         pass
-    table = {}
-    for rec in recs:
-        with _reading(path, f"record {rec!r}"):
-            perm = tuple(_index(x, "perm image") - 1 for x in rec["perm"])
-            _add(table, as_face(rec["edge"]), perm)
-    try:
-        return edge_voltages(M, k, table)
-    except (MalformedInputError, VoltageError):
-        for rec, (edge, perm) in zip(recs, table.items()):
+    table, fault = {}, None
+    for j, rec in enumerate(recs):
+        try:
             with _reading(path, f"record {rec!r}"):
-                images = [x + 1 for x in perm]
+                images = [_index(x, "perm image") for x in rec["perm"]]
+                _add(table, as_face(rec["edge"]), tuple(x - 1 for x in images))
                 outside = [x for x in images if not 1 <= x <= k]
                 if outside:
                     raise VoltageError(f"perm image {outside[0]} is outside 1..{k}")
                 if sorted(images) != list(range(1, k + 1)):
                     raise VoltageError(f"{images} is not a permutation of 1..{k}")
-                # with a permutation, one record alone fails only on a non-edge
-                edge_voltages(M, k, {edge: perm})
-        raise
+        except MalformedInputError as exc:
+            fault = exc
+            break
+    read = list(table)[:j] if fault else list(table)
+    # -1 is no vertex id, so a face that is no pair is no edge
+    at = M._locate(np.array([e if len(e) == 2 else (-1, -1) for e in read], np.int64).reshape(-1, 2))
+    if (at < 0).any():
+        j = int(np.argmax(at < 0))
+        with _reading(path, f"record {recs[j]!r}"):
+            raise VoltageError(f"voltages given for non-edges: {[read[j]]}")
+    if fault:
+        raise fault
+    return edge_voltages(M, k, table)
 
 
 def load_signing(path, K: SimplicialComplex) -> IncidenceWeighting:

@@ -9,16 +9,14 @@ assembled Hermitian positive semidefinite from the weighted coboundary
 ``W_i^{-1} D_i^H W_{i+1} D_i`` (up) or ``D_{i-1} W_{i-1}^{-1}
 D_{i-1}^H W_i`` (down), so the spectrum is the same.
 
-An incidence weighting decorates the coboundary: each nonzero, the sign
-of an incidence, is multiplied by the incidence's value, a nonzero
-scalar or a d x d matrix (every value of one weighting has the same d).
-A layer's values are one array in the order of the coboundary's
-nonzeros, so decorating is one elementwise product.
-With matrix values each face becomes d rows and columns, each nonzero
-the d² entries of its block, and each face weight is repeated d times,
-so one assembly serves the plain operator, a signing (values -1) and a
-weighting by scalars or matrices, real or complex.  The adjoint uses the
-conjugate transpose.
+An incidence weighting decorates the coboundary by
+:func:`~liftlap.complexes.decorated_coboundary`, the builder the Betti
+twist shares: each nonzero, the sign of an incidence, becomes the block
+of the sign times the incidence's value, a nonzero scalar or a d x d
+matrix (one d per weighting), less its zero entries.  Each face weight
+is repeated d times, so one assembly serves the plain operator, a
+signing (values -1) and a weighting by scalars or matrices, real or
+complex.  The adjoint uses the conjugate transpose.
 
 A cover's spectrum is the union of its blocks' once the factorization
 of :func:`~liftlap.covering.factor_lifted_coboundary` and the block
@@ -29,8 +27,8 @@ nothing.  ``liftlap spectrum`` eigensolves the assembled operator, so
 its ``clamped`` count reports the operator's own kernel noise.
 
 Incidence layers are stored as their nonzeros, (row, col, value)
-triplets: a plain coboundary row has i+2 of them, a decorated one
-(i+2)·d.  Only the eigensolve is dense: each entry of a Gram product is
+triplets: a plain coboundary row has i+2 of them, a decorated one at
+most (i+2)·d.  Only the eigensolve is dense: each entry of a Gram product is
 summed over the cofacets (up) or faces (down) its two faces share,
 straight into a dense array.  The package targets desk-scale complexes,
 where dense eigensolves are simpler and exactly testable.  A product of
@@ -52,6 +50,7 @@ from .complexes import (
     WeightScheme,
     coboundary,
     compute_weights,
+    decorated_coboundary,
 )
 from .errors import DimensionError, EigensolverError, LiftlapError, WeightError
 
@@ -131,32 +130,6 @@ def incidence_weighting(K: SimplicialComplex, values: Mapping) -> IncidenceWeigh
     return IncidenceWeighting(K, layers)
 
 
-def decorated_coboundary(K: SimplicialComplex, i: int, decoration=None):
-    """Nonzeros ``(row, col, value)`` of the degree-i coboundary, each
-    scaled by its incidence weight.
-
-    Without a decoration these are the triplets of
-    :func:`~liftlap.complexes.coboundary`.  With d x d weights the
-    nonzero at (r, c) becomes the d² entries of the block ``sign *
-    value``, zeros included, at rows ``r*d .. r*d+d-1`` and columns
-    ``c*d .. c*d+d-1``.  A weighting of another complex is refused.
-    """
-    rows, cols, signs = coboundary(K, i)
-    if decoration is None:
-        return rows, cols, signs
-    if not isinstance(decoration, IncidenceWeighting):
-        raise TypeError(f"unsupported decoration {decoration!r}")
-    if decoration.complex is not K and decoration.complex != K:
-        raise WeightError("the weighting was built for another complex")
-    d = decoration.block_size
-    values = decoration.layers.get(i, np.broadcast_to(np.eye(d), (len(rows), d, d)))
-    values = signs[:, None, None] * values.reshape(-1, d, d).astype(decoration.dtype)
-    within = np.arange(d)
-    rows = np.broadcast_to((rows * d)[:, None, None] + within[:, None], values.shape)
-    cols = np.broadcast_to((cols * d)[:, None, None] + within, values.shape)
-    return rows.ravel(), cols.ravel(), values.ravel()
-
-
 def laplacian_matrix(
     K: SimplicialComplex,
     i: int,
@@ -194,19 +167,21 @@ def laplacian_matrix(
     return mat
 
 
-def _weights(w: np.ndarray, decoration) -> np.ndarray:
-    """A weight diagonal, each weight repeated once per row of the
-    decoration's d x d values."""
-    return np.repeat(w, getattr(decoration, "block_size", 1))
-
-
 def _weighted_coboundary(K: SimplicialComplex, i: int, w, decoration):
     """Nonzeros ``(row, col, value)`` of ``A = W_{i+1}^{1/2} D_i W_i^{-1/2}``
-    for the decorated degree-i coboundary ``D_i`` and the face weights
-    ``w`` (all positive), followed by the shape of ``A``."""
+    for the degree-i coboundary ``D_i`` decorated by the weighting's layer
+    i (the identity where it lists none) and the face weights ``w`` (all
+    positive), followed by the shape of ``A``.  A weighting of another
+    complex, one that is neither the same object nor equal, is refused."""
+    values, d = None, getattr(decoration, "block_size", 1)
+    if decoration is not None:
+        if decoration.complex is not K and decoration.complex != K:
+            raise WeightError("the weighting was built for another complex")
+        unit = np.broadcast_to(np.eye(d), (len(coboundary(K, i)[0]), d, d))
+        values = decoration.layers.get(i, unit).astype(decoration.dtype)
     # at the top dimension there are no (i+1)-faces to weight
-    hi, lo = _weights(w.get(i + 1, np.zeros(0)), decoration), _weights(w[i], decoration)
-    rows, cols, values = decorated_coboundary(K, i, decoration)
+    hi, lo = np.repeat(w.get(i + 1, np.zeros(0)), d), np.repeat(w[i], d)
+    rows, cols, values = decorated_coboundary(K, i, values)
     return rows, cols, values * np.sqrt(hi[rows] / lo[cols]), (len(hi), len(lo))
 
 

@@ -36,7 +36,8 @@ Each 6 x 6 block is matched exactly by its integer power sums
 (:func:`search_base_complexes`), solving none, and the matching sets
 become facet lists by one gather of the triangles; only the candidate
 whose flip is searched is built.  The flip is matched the same way
-(:func:`locate_flip`): every target value is a + b√3 with integers a and
+(:func:`locate_flip`), its 2-lift as the base coboundary decorated by a
+swap at the flipped incidence: every target value is a + b√3 with integers a and
 b, so the targets' power sums are exact integers, and no comparison in
 the search has a tolerance.
 """
@@ -49,7 +50,7 @@ from itertools import combinations
 import numpy as np
 
 from .complexes import COMBINATORIAL, SimplicialComplex, build_complex, coboundary
-from .operators import DOWN, incidence_weighting, laplacian_matrix
+from .operators import DOWN, IncidenceWeighting, laplacian_matrix
 
 # The spectra of the triangle Gram matrices D Dᵀ, each value a + b√3 as the
 # pair (a, b).  The edge up spectra add 6 zeros to the base and signed
@@ -193,9 +194,10 @@ def locate_flip(M: SimplicialComplex):
     for k in order[(_power_sums(signed, 6) == SIGNED_SUMS).all(axis=1)]:
         flip = (M.faces(1)[cols[k]], M.faces(2)[rows[k]])
         # the lift's operator is the base operator decorated by the
-        # voltages' permutation matrices (the identity where unlisted)
-        swap = incidence_weighting(M, {flip: [[0, 1], [1, 0]]})
-        lifted = laplacian_matrix(M, 2, DOWN, COMBINATORIAL, swap)
+        # voltages' permutation matrices: the swap at k, else the identity
+        swap = np.tile(np.eye(2), (len(rows), 1, 1))
+        swap[k] = swap[k, ::-1]
+        lifted = laplacian_matrix(M, 2, DOWN, COMBINATORIAL, IncidenceWeighting(M, {1: swap}))
         if (_power_sums(lifted[None], 12) == COVER_SUMS).all():
             return flip
     return None

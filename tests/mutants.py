@@ -230,6 +230,23 @@ def reduced_blocks_transposed(monkeypatch):
     _patch_split(monkeypatch, lambda blocks: blocks.transpose(0, 2, 1))
 
 
+def decorated_block_transposed(monkeypatch):
+    # the shared builder places the first asymmetric d x d block transposed
+    def make(real):
+        def decorated(K, i, values=None):
+            if values is not None and np.ndim(values) == 3:
+                asym = (values != np.swapaxes(values, 1, 2)).any(axis=(1, 2))
+                if asym.any():
+                    values = np.array(values)
+                    e = int(np.argmax(asym))
+                    values[e] = values[e].T.copy()
+            return real(K, i, values)
+
+        return decorated
+
+    patch_everywhere(monkeypatch, complexes, "decorated_coboundary", make)
+
+
 @dataclass(frozen=True)
 class Mutant:
     name: str
@@ -269,6 +286,11 @@ MUTANTS = [
     ),
     Mutant("pivots-drop-last", pivots_drop_last, "the exact elimination forgets its last pivot"),
     Mutant("reduced-blocks-transposed", reduced_blocks_transposed, "integer_split gives each R(p) transposed"),
+    Mutant(
+        "decorated-block-transposed",
+        decorated_block_transposed,
+        "decorated_coboundary places the first asymmetric d x d block transposed",
+    ),
 ]
 
 

@@ -424,9 +424,9 @@ def per_pair_decorated_coboundary(K: SimplicialComplex, i: int, values, dtype=No
     keyed by (face, cofacet) pairs whose unlisted incidences carry the
     identity.  A 1 x 1 matrix is its scalar.  The triplets have
     ``dtype``, by default complex exactly when some value has a complex
-    dtype, whatever its imaginary part.  ``decorated_coboundary`` must
-    give the same triplets bit for bit from the weighting built for the
-    same values."""
+    dtype, whatever its imaginary part.  Zero entries are dropped.
+    ``decorated_coboundary`` must give the same triplets bit for bit from
+    the same values in coboundary order."""
     table = {}
     for pair, v in values.items():
         v = np.asarray(v)
@@ -442,7 +442,17 @@ def per_pair_decorated_coboundary(K: SimplicialComplex, i: int, values, dtype=No
     within = np.arange(d)
     rows = np.broadcast_to((rows * d)[:, None, None] + within[:, None], blocks.shape)
     cols = np.broadcast_to((cols * d)[:, None, None] + within, blocks.shape)
-    return rows.ravel(), cols.ravel(), blocks.ravel()
+    kept = blocks.ravel() != 0
+    return rows.ravel()[kept], cols.ravel()[kept], blocks.ravel()[kept]
+
+
+def assembled_coboundary(K: SimplicialComplex, i: int, decoration=None) -> tuple:
+    """The nonzeros ``(row, col, value)`` of the decorated coboundary the
+    operators assemble from, under the combinatorial scheme, whose unit
+    weights leave every value equal.  Reads the library at call time."""
+    from liftlap import operators
+
+    return operators._weighted_coboundary(K, i, compute_weights(K, COMBINATORIAL), decoration)[:3]
 
 
 def cochain_laplacian(
@@ -795,11 +805,8 @@ def voltage_coboundary_matrix(M: SimplicialComplex, psi: IncidenceVoltages, i: i
     if psi.dim != i:
         raise DimensionError(f"voltages are for layer {psi.dim}, not {i}")
     shape = (M.face_count(i + 1) * psi.k, M.face_count(i) * psi.k)
-    if not len(psi.perms):
-        # a layer without incidences has no voltage to read k from
-        return np.zeros(shape, dtype=np.int64)
-    P = IncidenceWeighting(M, {i: [permutation_matrix(p) for p in psi.perms.tolist()]})
-    return dense_matrix(decorated_coboundary(M, i, P), shape).astype(np.int64)
+    P = np.array([permutation_matrix(p) for p in psi.perms.tolist()], np.int64).reshape(-1, psi.k, psi.k)
+    return dense_matrix(decorated_coboundary(M, i, P), shape)
 
 
 def relabeled_cover_coboundary(cov: CoveringMap, i: int) -> np.ndarray:

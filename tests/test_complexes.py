@@ -498,6 +498,30 @@ class TestCoboundaryCache:
             coboundary(K, 0)[1][0] = 5
 
 
+class TestDecoratedCoboundary:
+    def test_blocks_are_placed_by_incidence_and_zeros_dropped(self):
+        # the hollow triangle's vertex/edge layer with 2 x 2 values: entry
+        # (a, j) of incidence e lands at (row*2 + a, col*2 + j) times its sign
+        K = build_complex([{0, 1}, {1, 2}, {0, 2}])
+        rows, cols, signs = coboundary(K, 0)
+        values = np.arange(len(rows) * 4).reshape(-1, 2, 2) % 3
+        want = np.zeros((6, 6), np.int64)
+        for e, (r, c, s) in enumerate(zip(rows, cols, signs)):
+            want[2 * r : 2 * r + 2, 2 * c : 2 * c + 2] = s * values[e]
+        got = decorated_coboundary(K, 0, values)
+        assert got[2].dtype == np.int64 and np.all(got[2] != 0)
+        assert len(got[2]) == np.count_nonzero(values) and np.array_equal(dense_matrix(got, (6, 6)), want)
+        # scalars are 1 x 1 blocks
+        scalars = decorated_coboundary(K, 0, values[:, 0, 0])
+        assert all(np.array_equal(a, b) for a, b in zip(scalars, decorated_coboundary(K, 0, values[:, :1, :1])))
+
+    @pytest.mark.parametrize("shape", [(5,), (7,), (6, 2), (6, 2, 3), (5, 2, 2), (6, 1, 1, 1)])
+    def test_values_of_the_wrong_shape_are_refused(self, shape):
+        K = build_complex([{0, 1}, {1, 2}, {0, 2}])
+        with pytest.raises(WeightError, match=re.escape(f"layer 0 values of shape {shape} do not fit its 6")):
+            decorated_coboundary(K, 0, np.ones(shape))
+
+
 @st.composite
 def _randgen_inputs(draw):
     """The facets of a ``randgen`` complex, with repeated and non-maximal

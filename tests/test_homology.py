@@ -38,6 +38,7 @@ from liftlap import (
     WeightScheme,
     build_complex,
     coboundary,
+    decorated_coboundary,
     derived_complex,
     edge_voltages,
     exact_betti_numbers,
@@ -362,7 +363,7 @@ class TestBettiRoute:
                 psi = induced_incidence_voltage(cov, i)
                 n_hi, n_lo = M.face_count(i + 1), M.face_count(i)
                 T, blocks = integer_split(psi)
-                twisted = dense_matrix(liftlap.homology._twisted_coboundary(M, i, blocks), (n_hi * (k - 1), n_lo * (k - 1)))
+                twisted = dense_matrix(decorated_coboundary(M, i, blocks), (n_hi * (k - 1), n_lo * (k - 1)))
                 split = np.zeros((n_hi, k, n_lo, k), np.int64)
                 split[:, 0, :, 0] = coboundary_matrix(M, i)
                 split[:, 1:, :, 1:] = twisted.reshape(n_hi, k - 1, n_lo, k - 1)
@@ -527,5 +528,5 @@ class TestBettiInequality:
         assert layers[0].factorization.witness is not None and layers[0].square > 0
         for i, layer in layers.items():
             blocks = integer_split(inverted(cov, i))[1]
-            twisted = liftlap.homology._twisted_coboundary(M, i, blocks)
+            twisted = decorated_coboundary(M, i, blocks)
             assert layer.rank == bareiss_rank(dense_matrix(twisted, layer.shape))

@@ -129,6 +129,29 @@ class TestVoltageFiles:
         with pytest.raises(MalformedInputError, match=re.escape(message)):
             llio.load_edge_voltages(p, M)
 
+    @pytest.mark.parametrize(
+        "edges, fault",
+        [
+            (
+                [{"edge": [1, 2], "perm": [1, 1]}, {"edge": [2, 3], "perm": [2, 1]}, {"edge": [1, 3], "perm": ["x", 1]}],
+                "[1, 1] is not a permutation of 1..2",
+            ),
+            ([{"edge": [1, 4], "perm": [2, 1]}, {"edge": [1, -2], "perm": [2, 1]}], "non-edges: [(1, 4)]"),
+            (
+                [{"edge": [1, 4], "perm": [2, 1]}, {"edge": [1, 2], "perm": [2, 1]}, {"edge": [2, 1], "perm": [1, 2]}],
+                "non-edges: [(1, 4)]",
+            ),
+        ],
+        ids=["not-a-permutation-then-bad-image", "non-edge-then-bad-vertex", "non-edge-then-repeated-edge"],
+    )
+    def test_of_two_faults_the_first_record_is_named(self, tmp_path, edges, fault):
+        # a fault of a later record that every record's parse would meet first is not the one named
+        M = build_complex([{1, 2}, {2, 3}, {1, 3}])
+        p = write(tmp_path, "psi.json", {"k": 2, "edges": edges})
+        with pytest.raises(MalformedInputError, match=re.escape(f"malformed record {edges[0]!r}")) as err:
+            llio.load_edge_voltages(p, M)
+        assert fault in str(err.value)
+
     def test_voltage_on_non_edge_rejected(self, tmp_path):
         M = build_complex([{1, 2}])
         edges = [{"edge": [2, 1], "perm": [2, 1]}, {"edge": [1, 3], "perm": [2, 1]}]

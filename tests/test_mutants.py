@@ -115,6 +115,18 @@ KILL_MATRIX = {
         Z3_triangle__betti="-x",
         S3_punctured_torus__betti="-x",
     ),
+    # the direct routes assemble every operator through the shared builder,
+    # but only the S_3 blocks of decompose are asymmetric; of the certified
+    # routes only betti builds the twist, where a transposed 2 x 2 R(p) fails
+    # a square on the S_3 torus.  The Z_3 triangle has no 2-faces, so no square is
+    # checked there, and the transposed R(p) leaves the twisted rank as it was
+    "decorated-block-transposed": _with(
+        {cover: {command: ".-" for command in row} for cover, row in ALL_CAUGHT.items()},
+        C3_double__betti="..",
+        Z3_triangle__betti="..",
+        S3_punctured_torus__decompose="x-",
+        S3_punctured_torus__betti=".x",
+    ),
 }
 
 # why a fault survives a cell on every route that reaches it: it makes no fault there
@@ -122,6 +134,10 @@ SURVIVORS = {
     "voltage-inverted": "every voltage of a 2-fold cover is its own inverse",
     "block-transposed": "a 1 x 1 block is its own transpose",
     "reduced-blocks-transposed": "a 1 x 1 block is its own transpose: on 2 sheets R(p) is 1 x 1",
+    "decorated-block-transposed": (
+        "a 1 x 1 block is its own transpose: on 2 sheets R(p) is 1 x 1; on the Z_3 triangle the fault is real "
+        "but the Betti certificate checks the assembled d^V against R only through squares, and there are none"
+    ),
     "cover-weight-off-by-one": (
         "Betti numbers read no weight: the certificate factors the cover under the combinatorial scheme, "
         "and a vertex weight leaves the harmonic cochains of dimension 1 and up where they were"

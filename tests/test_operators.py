@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_complex, cycle_laplacian_values
 from oracles import (
+    assembled_coboundary,
     coboundary_matrix,
     cochain_laplacian,
     cochain_weights,
@@ -262,7 +263,7 @@ class TestGram:
         scheme = schemes[scheme_kind] if scheme_kind in schemes else _explicit_scheme(K, rng)
         for i in K.dims():
             oracle = dense_decorated_coboundary(K, i, w)
-            assert np.array_equal(dense_matrix(decorated_coboundary(K, i, w), oracle.shape), oracle)
+            assert np.array_equal(dense_matrix(assembled_coboundary(K, i, w), oracle.shape), oracle)
             for op_kind in ("up", "down", "full"):
                 if op_kind != "up" and i == K.min_dim:
                     continue
@@ -410,7 +411,7 @@ class TestCompareSpectra:
 class TestDecorations:
     def test_dtype_follows_the_values(self, triangle):
         signing = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): -1})
-        D = decorated_coboundary(triangle, 1, signing)
+        D = decorated_coboundary(triangle, 1, signing.layers[1])
         assert D[2].dtype == np.float64 and dense_matrix(D, (1, 3)).tolist() == [[-1.0, -1.0, 1.0]]
         # the float coboundary gives the Laplacian of the int one, bit for bit
         signed_int = coboundary_matrix(triangle, 1) * np.array([-1, 1, 1])
@@ -418,8 +419,11 @@ class TestDecorations:
         down = laplacian_matrix(triangle, 1, "down")
         assert np.array_equal(op, signed_int.T @ signed_int + down)
         w = incidence_weighting(triangle, {((0, 1), (0, 1, 2)): 1j})
-        D = decorated_coboundary(triangle, 1, w)
+        D = decorated_coboundary(triangle, 1, w.layers[1])
         assert D[2].dtype == np.complex128 and dense_matrix(D, (1, 3)).tolist() == [[1j, -1, 1]]
+        # values of any dtype: integer values give integer triplets
+        D = decorated_coboundary(triangle, 1, np.array([-1, 1, 1]))
+        assert D[2].dtype == np.int64 and dense_matrix(D, (1, 3)).tolist() == [[-1, -1, 1]]
 
     def test_dtype_is_the_values_dtype_not_their_imaginary_parts(self, triangle):
         # a complex value stays complex though its imaginary part is zero, so
@@ -428,15 +432,19 @@ class TestDecorations:
         w = incidence_weighting(triangle, {a: -1 + 0j, b: np.array([[2 + 0j]])})
         assert w.dtype == np.complex128 and w.layers[1].dtype == np.complex128
         assert w.layers[1].tolist() == [-1.0, 2.0, 1.0]
-        assert decorated_coboundary(triangle, 1, w)[2].dtype == np.complex128
+        assert assembled_coboundary(triangle, 1, w)[2].dtype == np.complex128
         block = incidence_weighting(triangle, {a: np.array([[0, 1], [1, 0]], dtype=complex)})
         assert block.dtype == np.complex128 and block.layers[1].dtype == np.complex128
         real = incidence_weighting(triangle, {a: -1.0, b: np.array([[2.0]])})
-        assert real.dtype == np.float64 and decorated_coboundary(triangle, 1, real)[2].dtype == np.float64
-        # one complex layer makes the weighting complex, and a layer keeps its own dtype
+        assert real.dtype == np.float64 and assembled_coboundary(triangle, 1, real)[2].dtype == np.float64
+        # one complex layer makes the weighting complex, and a layer keeps its
+        # own dtype until the operators cast it, and the identity of a layer
+        # not listed, to the weighting's
         mixed = IncidenceWeighting(triangle, {0: [1j] + [1.0] * 5, 1: [-1.0, 1.0, 1.0]})
         assert mixed.layers[1].dtype == np.float64 and mixed.dtype == np.complex128
-        assert decorated_coboundary(triangle, 1, mixed)[2].dtype == np.complex128
+        for i in (-1, 1):
+            assert assembled_coboundary(triangle, i, mixed)[2].dtype == np.complex128
+            assert laplacian_matrix(triangle, i, "up", decoration=mixed).dtype == np.complex128
 
     def test_weighting_rejects_zero(self):
         K = build_complex([(0, 1)])
@@ -499,10 +507,10 @@ class TestDecorations:
         for K in (hollow_triangle, build_complex([(3, 4, 5)])):
             for i in (0, 1):
                 with pytest.raises(WeightError, match="built for another complex"):
-                    decorated_coboundary(K, i, signing)
+                    laplacian_matrix(K, i, "up", decoration=signing)
         # an equal complex built again has the same incidences
         again = build_complex([(0, 1, 2)])
-        assert np.array_equal(decorated_coboundary(again, 1, signing)[2], decorated_coboundary(triangle, 1, signing)[2])
+        assert np.array_equal(assembled_coboundary(again, 1, signing)[2], assembled_coboundary(triangle, 1, signing)[2])
 
     def test_a_layer_of_the_wrong_length_is_refused(self, triangle):
         with pytest.raises(WeightError, match="layer 1 has 2 weights for its 3 incidences"):

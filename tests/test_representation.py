@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_complex
 from oracles import (
+    assembled_coboundary,
     as_weightings,
     block_laplacians,
     blocks_of,
@@ -474,8 +475,7 @@ class TestIntegerSplit:
             empty_top = integer_split(IncidenceVoltages(M, 2, 1, np.zeros((0, 2), np.int64)))[1]
         assert signing.tolist() == [[[1]]] * 6 and empty_top.shape == (0, 1, 1)
         for i, values in ((0, signing), (1, empty_top)):
-            (w,) = as_weightings(IncidenceVoltages(M, 2, i, np.zeros((0, 2), np.int64)), [values])
-            assert np.array_equal(decorated_coboundary(M, i, w)[2], coboundary(M, i)[2])
+            assert np.array_equal(decorated_coboundary(M, i, values)[2], coboundary(M, i)[2])
 
     def test_all_swapped(self):
         M = cycle_complex(3)
@@ -622,17 +622,17 @@ class TestArrayRoute:
             blocks = block_values(dec, group.elements)
             table = dict(zip(map(tuple, group.elements.tolist()), zip(*blocks)))
             cases = [
-                (w, {pair: table[p][j] for pair, p in voltages.items()}, blocks[j].dtype)
-                for j, w in enumerate(as_weightings(psi, block_values(dec, psi.perms)[1:]), start=1)
+                (layer, {pair: table[p][j] for pair, p in voltages.items()}, blocks[j].dtype)
+                for j, layer in enumerate(block_values(dec, psi.perms)[1:], start=1)
             ]
             if k == 2:
-                flips = {pair: -1.0 for pair, p in voltages.items() if p == (1, 0)}
-                cases.append((*as_weightings(psi, integer_split(psi)[1:]), flips, np.float64))
-            for w, values, dtype in cases:
+                flips = {pair: -1 for pair, p in voltages.items() if p == (1, 0)}
+                cases.append((integer_split(psi)[1], flips, np.int64))
+            for layer, values, dtype in cases:
                 want = per_pair_decorated_coboundary(M, i, values, dtype)
-                assert _same_triplets(decorated_coboundary(M, i, w), want)
+                assert _same_triplets(decorated_coboundary(M, i, layer), want)
             if i == 0:
-                first = cases[0][0]
+                (first,) = as_weightings(psi, [cases[0][0]])
 
         # a weighting keyed by pairs, listed in random order across every layer
         pairs = [(f, c) for f, cofacets in cofacet_table(M).items() for c in cofacets]
@@ -645,9 +645,12 @@ class TestArrayRoute:
             "1x1": lambda: np.array([[complex(rng.choice([-1.0, 2.0]), rng.choice([-0.0, 0.0, 0.5]))]]),
         }[kind]
         values = {pair: draw() for pair in picked}
+        # the operators' route: unlisted layers carry the identity, and every
+        # layer the weighting's dtype
         w = incidence_weighting(M, values)
         for i in M.dims():
-            assert _same_triplets(decorated_coboundary(M, i, w), per_pair_decorated_coboundary(M, i, values))
+            got, want = assembled_coboundary(M, i, w), per_pair_decorated_coboundary(M, i, values)
+            assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got, want))
 
         # a pair off the complex is named, and a weighting fits only its own complex
         with pytest.raises(WeightError, match=r"\(\[0, 1\], \[0, 1, 99\]\) is not a \(face, cofacet\) incidence"):
@@ -657,4 +660,4 @@ class TestArrayRoute:
         for K in (cov.cover, relabelled):
             for weighting in (first, w):
                 with pytest.raises(WeightError, match="built for another complex"):
-                    decorated_coboundary(K, 0, weighting)
+                    assembled_coboundary(K, 0, weighting)
