@@ -194,13 +194,7 @@ def load_edge_voltages(path, M: SimplicialComplex) -> EdgeVoltages:
 
 def load_signing(path, K: SimplicialComplex) -> IncidenceWeighting:
     """Signing file: listed (face, cofacet) incidences of ``K`` are -1, others +1."""
-    data = _load(path)
-    flips = {}
-    for rec in _records(path, data, "flips"):
-        with _reading(path, f"record {rec!r}"):
-            _add(flips, _incidence(rec), -1.0)
-    with _reading(path, "signing"):
-        return incidence_weighting(K, flips)
+    return _load_incidence_values(path, K, "flips", "signing", lambda rec: -1.0)
 
 
 def load_weighting(path, K: SimplicialComplex) -> IncidenceWeighting:
@@ -208,16 +202,36 @@ def load_weighting(path, K: SimplicialComplex) -> IncidenceWeighting:
 
     A file whose every value has no nonzero ``im`` part holds real
     values, so it loads as a float64 weighting."""
-    data = _load(path)
-    values = {}
-    for rec in _records(path, data, "entries"):
-        with _reading(path, f"record {rec!r}"):
-            val = rec["value"]
-            _add(values, _incidence(rec), complex(float(val.get("re", 0.0)), float(val.get("im", 0.0))))
+
+    def value(rec):
+        val = rec["value"]
+        return complex(float(val.get("re", 0.0)), float(val.get("im", 0.0)))
+
+    return _load_incidence_values(path, K, "entries", "weighting", value)
+
+
+def _load_incidence_values(path, K, key, what, value) -> IncidenceWeighting:
+    """The weighting of ``K`` by the ``key`` records of ``path``, each an
+    incidence and ``value(rec)``, real when no value has an imaginary part.
+    Records are read in file order up to the first malformed one; those
+    before it are checked by :func:`~liftlap.operators.incidence_weighting`,
+    which names a non-incidence or a zero value, before the malformed one
+    is named, so the first bad record in the file is the one named."""
+    values, fault = {}, None
+    for rec in _records(path, _load(path), key):
+        try:
+            with _reading(path, f"record {rec!r}"):
+                _add(values, _incidence(rec), value(rec))
+        except MalformedInputError as exc:
+            fault = exc
+            break
     if not any(v.imag for v in values.values()):
         values = {pair: v.real for pair, v in values.items()}
-    with _reading(path, "weighting"):
-        return incidence_weighting(K, values)
+    with _reading(path, what):
+        weighting = incidence_weighting(K, values)
+    if fault:
+        raise fault
+    return weighting
 
 
 def load_vertex_map(path) -> np.ndarray:

@@ -27,18 +27,10 @@ lies in the commutant algebra, and its eigenspaces are invariant
 subspaces, the blocks.  They are certified by the off-block residual at
 the generators, since a subspace invariant under every generator is
 invariant under G.  Irreducibility is not certified, only invariance and
-the trivial first block, which is all the spectral statements need.
-
-Real blocks.  The commutant element stays complex Hermitian: a real one
-cannot separate complex-conjugate characters (on Z_3 it leaves one block
-of size 2).  But an eigenspace whose projector ``Q Q^H`` has imaginary
-parts at most ``REAL_TOL`` is closed under conjugation and gets the top
-eigenvectors of the real projector as its basis, so its values are
-float64; every block of the natural action of S_k is real (Serre, 13.2).
-This moves the span by about k * ``REAL_TOL``, far below
-``RESIDUAL_TOL``, and the residual is read from the final transform.  A
-real irreducible of multiplicity m > 1 keeps a complex block, one copy
-``v (x) rho`` for a random v in C^m (the regular action of S_3).
+the trivial first block, which is all the spectral statements need.  The
+commutant element is complex Hermitian, since a real one cannot separate
+complex-conjugate characters (on Z_3 it leaves one block of size 2), so
+T and every block value are complex.
 """
 
 from __future__ import annotations
@@ -57,9 +49,6 @@ from .errors import DecompositionError, GroupStructureError, VoltageError
 # random commutant elements are tried before giving up
 RESIDUAL_TOL = 1e-10
 MAX_RETRIES = 8
-# an eigenspace whose projector has imaginary parts at most this is
-# closed under conjugation and gets a real basis (module docstring)
-REAL_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,12 +161,12 @@ def _orbital_mean(orbital: np.ndarray, h: np.ndarray) -> np.ndarray:
 def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecomposition:
     """Numerically split the permutation representation into blocks.
 
-    The first column of the transform is the normalized all-ones vector
-    (the trivial sub-representation).  The orthogonal complement is
-    split along the eigenspaces of a random Hermitian commutant element,
-    the mean of H over each orbital; an eigenspace closed under
-    conjugation gets a real basis (module docstring).  Fresh randomness
-    is drawn until the off-block residual of the final transform at the
+    The transform is ``T = [1/sqrt(k) | comp V]``: the normalized
+    all-ones vector (the trivial sub-representation), then an orthonormal
+    basis comp of its complement times the eigenvectors V, in eigenvalue
+    order, of a random Hermitian commutant element, the mean of H over
+    each orbital; the eigenvalue clusters give the block sizes.  Fresh
+    randomness is drawn until the off-block residual of T at the
     generators certifies the result, and a failure to certify raises.
     The blocks follow the trivial one by size, then by character over
     the sorted group elements.
@@ -193,16 +182,8 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
         reduced = comp.conj().T @ _orbital_mean(orbital, (raw + raw.conj().T) / 2) @ comp
         vals, vecs = np.linalg.eigh((reduced + reduced.conj().T) / 2)
         spread = max(1.0, float(vals[-1] - vals[0])) if len(vals) else 1.0
-        clusters = _cluster(vals, 1e-6 * spread)
-        columns = [ones]
-        for sl in clusters:
-            span = comp @ vecs[:, sl]
-            proj = span @ span.conj().T
-            if np.max(np.abs(proj.imag)) <= REAL_TOL:
-                span = np.linalg.eigh(proj.real)[1][:, -span.shape[1] :]
-            columns.append(span)
-        transform = np.hstack(columns).astype(complex)
-        sizes = [1] + [sl.stop - sl.start for sl in clusters]
+        sizes = [1] + [sl.stop - sl.start for sl in _cluster(vals, 1e-6 * spread)]
+        transform = np.hstack([ones, comp @ vecs])
         block = np.repeat(np.arange(len(sizes)), sizes)
         # a subspace invariant under every generator is invariant under G
         conj = transform.conj().T @ transform[np.argsort(gens, axis=1)]
@@ -228,12 +209,11 @@ def decompose_representation(group: VoltageGroup, seed: int = 0) -> BlockDecompo
 def block_values(dec: BlockDecomposition, perms) -> list[np.ndarray]:
     """``rho_j(p) = T_j^H P(p) T_j`` for every block j at each row p of the
     ``(m, k)`` array ``perms``, such as a layer's ``psi.perms``: an ``(m,
-    d_j, d_j)`` array per block, float64 where block j's columns of T are
-    real.  Each distinct row is located among the sorted elements by one
-    binary search and conjugated once; ``P(p) T`` is the rows of T gathered
-    by the inverse of p.  The first row that is no element of the
-    decomposed group, one on another number of sheets included, is named
-    in a :class:`VoltageError`."""
+    d_j, d_j)`` complex128 array per block.  Each distinct row is located
+    among the sorted elements by one binary search and conjugated once;
+    ``P(p) T`` is the rows of T gathered by the inverse of p.  The first
+    row that is no element of the decomposed group, one on another number
+    of sheets included, is named in a :class:`VoltageError`."""
     perms, elements = np.asarray(perms), dec.group.elements
     # the distinct voltages, sorted, and the position of each row's among them
     used, where = _unique_rows(perms)
@@ -245,7 +225,7 @@ def block_values(dec: BlockDecomposition, perms) -> list[np.ndarray]:
     T = dec.transform
     conj = T.conj().T @ T[np.argsort(used, axis=1)]
     offsets = np.cumsum((0,) + dec.block_sizes)
-    return [(conj if T[:, a:b].imag.any() else conj.real)[where, a:b, a:b] for a, b in zip(offsets, offsets[1:])]
+    return [conj[where, a:b, a:b] for a, b in zip(offsets, offsets[1:])]
 
 
 def _locate_rows(table: np.ndarray, rows: np.ndarray) -> np.ndarray:

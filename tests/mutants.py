@@ -19,6 +19,7 @@ from typing import Callable
 import numpy as np
 
 import oracles
+from conftest import RP2_FACETS, RP2_SWAPPED_EDGES
 from liftlap import complexes, covering, homology, representation
 from liftlap.complexes import NORMALIZED_KIND, coboundary
 from liftlap.covering import IncidenceVoltages
@@ -131,10 +132,16 @@ def signing_misses_swap(monkeypatch):
     _patch_split(monkeypatch, unflip)
 
 
+def _asymmetric(values) -> np.ndarray:
+    """Per d x d value, whether it differs from its transpose by more than
+    1e-9: a complex block symmetric up to rounding does not count."""
+    return (np.abs(values - np.swapaxes(values, 1, 2)) > 1e-9).any(axis=(1, 2))
+
+
 def block_transposed(monkeypatch):
     # rho_j(g) read transposed at the first incidence where that differs
     def transpose(v):
-        asym = (v != v.transpose(0, 2, 1)).any(axis=(1, 2))
+        asym = _asymmetric(v)
         if asym.any():
             v = v.copy()
             e = int(np.argmax(asym))
@@ -235,7 +242,7 @@ def decorated_block_transposed(monkeypatch):
     def make(real):
         def decorated(K, i, values=None):
             if values is not None and np.ndim(values) == 3:
-                asym = (values != np.swapaxes(values, 1, 2)).any(axis=(1, 2))
+                asym = _asymmetric(values)
                 if asym.any():
                     values = np.array(values)
                     e = int(np.argmax(asym))
@@ -307,6 +314,11 @@ COVERS = {
     "C3-double": (TRIANGLE, {"k": 2, "edges": [{"edge": [0, 1], "perm": [2, 1]}]}),
     "Z3-triangle": (TRIANGLE, {"k": 3, "edges": [{"edge": [0, 1], "perm": [2, 3, 1]}]}),
     "S3-punctured-torus": _torus_s3(),
+    # the icosahedron over RP^2, the first non-orientable base
+    "RP2-double": (
+        {"facets": [list(f) for f in RP2_FACETS]},
+        {"k": 2, "edges": [{"edge": list(e), "perm": [2, 1]} for e in RP2_SWAPPED_EDGES]},
+    ),
 }
 
 # each command reads the vertex/edge layer, where the cover faults sit;

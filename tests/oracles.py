@@ -529,15 +529,13 @@ def as_weightings(psi: IncidenceVoltages, values) -> list:
 def blocks_of(dec) -> dict:
     """The blocks of every group element keyed by its permutation tuple:
     ``blocks_of(dec)[g][j]`` is block j of ``transform^H P^g transform``,
-    one dense product per element, real where block j's columns of the
-    transform are."""
+    one dense product per element."""
     T = dec.transform
     offsets = np.cumsum((0,) + tuple(dec.block_sizes))
-    spans = [(a, b, T[:, a:b].imag.any()) for a, b in zip(offsets, offsets[1:])]
     table = {}
     for g in map(tuple, dec.group.elements.tolist()):
         conj = T.conj().T @ permutation_matrix(g) @ T
-        table[g] = [conj[a:b, a:b] if is_complex else conj[a:b, a:b].real for a, b, is_complex in spans]
+        table[g] = [conj[a:b, a:b] for a, b in zip(offsets, offsets[1:])]
     return table
 
 

@@ -239,6 +239,36 @@ class TestSigningAndWeightingFiles:
             load(p, self.K)
 
 
+_OFF = {"face": [1, 4], "cofacet": [1, 2, 4]}
+
+
+@pytest.mark.parametrize(
+    "load, doc, named",
+    [
+        (
+            llio.load_signing,
+            {"flips": [_OFF, {"face": ["x"], "cofacet": [1, 2, 3]}]},
+            r"\(\[1, 4\], \[1, 2, 4\]\) is not a",
+        ),
+        (
+            llio.load_weighting,
+            {"entries": [{**_OFF, "value": {"re": 2.0}}, {"face": [1, 2], "cofacet": [1, 2, 3], "value": {"re": "y"}}]},
+            r"\(\[1, 4\], \[1, 2, 4\]\) is not a",
+        ),
+        (
+            llio.load_weighting,
+            {"entries": [{"face": [1, 2], "cofacet": [1, 2, 3], "value": {"re": 0}}, {"face": [1, 3]}]},
+            r"\(\[1, 2\], \[1, 2, 3\]\) must be nonzero",
+        ),
+    ],
+    ids=["signing-non-incidence", "weighting-non-incidence", "weighting-zero"],
+)
+def test_the_first_bad_record_is_named(tmp_path, load, doc, named):
+    # record 1 is bad for the complex and record 2 malformed: record 1 is named
+    with pytest.raises(MalformedInputError, match=named):
+        load(write(tmp_path, "in.json", doc), build_complex([[1, 2, 3]]))
+
+
 class TestVertexMapFiles:
     def test_roundtrip(self, tmp_path):
         rows = [[3, 0], [0, 0], [1, 1], [2, 2], [4, 1], [5, 2]]

@@ -1,5 +1,5 @@
 """The kill matrix: every named fault of :mod:`mutants` run through the
-verify and decompose commands on three small covers, on the certified
+verify and decompose commands on four small covers, on the certified
 route (the CLI) and on the direct oracle: the spectral commands solve the
 cover, and ``verify betti`` ranks the cover and lifts eigensolved base
 harmonics.
@@ -30,6 +30,7 @@ APPLIES = {
     "C3-double": ("union", "abelian", "inclusion", "decompose", "betti"),
     "Z3-triangle": ("abelian", "inclusion", "decompose", "betti"),
     "S3-punctured-torus": ("inclusion", "decompose", "betti"),
+    "RP2-double": ("union", "abelian", "inclusion", "decompose", "betti"),
 }
 
 # mutant -> cover -> command -> direct outcome, certified outcome
@@ -37,6 +38,7 @@ ALL_CAUGHT = {
     "C3-double": {"union": "xx", "abelian": "xx", "inclusion": "xx", "decompose": "xx", "betti": "xx"},
     "Z3-triangle": {"abelian": "xx", "inclusion": "xx", "decompose": "xx", "betti": "xx"},
     "S3-punctured-torus": {"inclusion": "xx", "decompose": "xx", "betti": "xx"},
+    "RP2-double": {"union": "xx", "abelian": "xx", "inclusion": "xx", "decompose": "xx", "betti": "xx"},
 }
 NONE_CAUGHT = {cover: {command: ".." for command in row} for cover, row in ALL_CAUGHT.items()}
 NONE_REACHED = {cover: {command: "--" for command in row} for cover, row in ALL_CAUGHT.items()}
@@ -51,8 +53,8 @@ def _with(table, **cells):
     return out
 
 
-BETTI = ("C3_double__betti", "Z3_triangle__betti", "S3_punctured_torus__betti")
-INCLUSION = ("C3_double__inclusion", "Z3_triangle__inclusion", "S3_punctured_torus__inclusion")
+BETTI = tuple(cover.replace("-", "_") + "__betti" for cover in APPLIES)
+INCLUSION = tuple(cover.replace("-", "_") + "__inclusion" for cover in APPLIES)
 # Betti numbers read no weight
 BETTI_SURVIVES = dict.fromkeys(BETTI, "..")
 # betti reads no block value or spectrum, and inclusion no block value;
@@ -62,9 +64,14 @@ BETTI_CERTIFIED = dict.fromkeys(BETTI, "-x")
 INCLUSION_UNREACHED = dict.fromkeys(INCLUSION, "--")
 
 KILL_MATRIX = {
-    "cover-sign-flip": ALL_CAUGHT,
-    # the swapped hexagon and the swapped 9-cycle still hold the base spectrum
-    "cover-sheet-swap": _with(ALL_CAUGHT, C3_double__inclusion=".x", Z3_triangle__inclusion=".x"),
+    # every rational Betti number of RP^2 is 0, so the Betti oracle's
+    # inequality holds on any cover of it and it lifts no harmonic
+    "cover-sign-flip": _with(ALL_CAUGHT, RP2_double__betti=".x"),
+    # the swapped hexagon and the swapped 9-cycle still hold the base spectrum;
+    # the Betti oracle checks nothing over RP^2
+    "cover-sheet-swap": _with(
+        ALL_CAUGHT, C3_double__inclusion=".x", Z3_triangle__inclusion=".x", RP2_double__betti=".x"
+    ),
     # the direct routes compare no voltage with the cover (the Betti oracle
     # reads none), and on the Z_3 cover the faulty character blocks keep the
     # union of their spectra
@@ -78,14 +85,16 @@ KILL_MATRIX = {
         S3_punctured_torus__inclusion=".x",
         S3_punctured_torus__decompose="xx",
         S3_punctured_torus__betti="-x",
+        RP2_double__betti="-.",
     ),
     # the union and the certified betti route read the integer split; its
     # identity catches an R(p) that is not p's
-    "signing-misses-swap": _with(NONE_REACHED, C3_double__union="xx", **BETTI_CERTIFIED),
+    "signing-misses-swap": _with(NONE_REACHED, C3_double__union="xx", RP2_double__union="xx", **BETTI_CERTIFIED),
     "block-transposed": _with(
         NONE_CAUGHT,
         S3_punctured_torus__decompose="xx",
         C3_double__union="--",
+        RP2_double__union="--",
         **INCLUSION_UNREACHED,
         **BETTI_UNREACHED,
     ),
@@ -94,11 +103,14 @@ KILL_MATRIX = {
     # only the direct routes solve spectra; a graph cover has as many edges
     # as vertices, so nothing is padded below the top layer, which abelian
     # skips, and inclusion compares the base inside the cover, both short
-    # by one zero
+    # by one zero; the icosahedron pads its vertex/edge layer
     "padding-short": _with(
         {cover: {command: ".-" for command in row} for cover, row in ALL_CAUGHT.items()},
         C3_double__union="x-",
         S3_punctured_torus__decompose="x-",
+        RP2_double__union="x-",
+        RP2_double__abelian="x-",
+        RP2_double__decompose="x-",
         **BETTI_UNREACHED,
     ),
     # only the certified routes factor the cover's coboundary
@@ -111,21 +123,25 @@ KILL_MATRIX = {
     "reduced-blocks-transposed": _with(
         NONE_REACHED,
         C3_double__union="..",
+        RP2_double__union="..",
         C3_double__betti="-.",
         Z3_triangle__betti="-x",
         S3_punctured_torus__betti="-x",
+        RP2_double__betti="-.",
     ),
     # the direct routes assemble every operator through the shared builder,
     # but only the S_3 blocks of decompose are asymmetric; of the certified
     # routes only betti builds the twist, where a transposed 2 x 2 R(p) fails
     # a square on the S_3 torus.  The Z_3 triangle has no 2-faces, so no square is
-    # checked there, and the transposed R(p) leaves the twisted rank as it was
+    # checked there, and the transposed R(p) leaves the twisted rank as it was.
+    # Over RP^2 the Betti oracle has no harmonic to lift, so it builds nothing
     "decorated-block-transposed": _with(
         {cover: {command: ".-" for command in row} for cover, row in ALL_CAUGHT.items()},
         C3_double__betti="..",
         Z3_triangle__betti="..",
         S3_punctured_torus__decompose="x-",
         S3_punctured_torus__betti=".x",
+        RP2_double__betti="-.",
     ),
 }
 
