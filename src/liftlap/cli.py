@@ -12,8 +12,9 @@ base coboundary lifted by the induced voltages
 (:func:`~liftlap.covering.factor_lifted_coboundary`), and a transform T
 carries the lift into the direct sum of the blocks
 (:func:`~liftlap.representation.block_identity`), so the lifted spectrum
-is the union of the block spectra, and no eigenvalue is read.  The union
-and ``verify betti`` read T and R off one integer split
+is the union of the block spectra, and no eigenvalue is read.  One
+function, :func:`_split`, gives each claim of ``verify`` its transform;
+the union and ``verify betti`` read T and R off one integer split
 (:func:`~liftlap.representation.integer_split`).  Each layer is factored
 once, and the weight schemes asked for share that integer comparison.
 The block spectra themselves are ``spectrum`` of the base, with
@@ -84,31 +85,35 @@ def _schemes(name):
     return [(name, SCHEMES[name])]
 
 
+def _mapped_inputs(args, inputs):
+    """The cover, base and vertex map of ``--cover/--base/--map``, hashed into ``inputs``."""
+    cover, _ = llio.load_complex(args.cover)
+    base, _ = llio.load_complex(args.base)
+    vmap = llio.load_vertex_map(args.map)
+    inputs.update({"cover": _hash_file(args.cover), "base": _hash_file(args.base), "map": _hash_file(args.map)})
+    return cover, base, vmap
+
+
+def _voltage_inputs(args, inputs):
+    """The base and edge voltages of ``--base/--voltage``, hashed into ``inputs``."""
+    base, _ = llio.load_complex(args.base)
+    psi = llio.load_edge_voltages(args.voltage, base)
+    inputs.update({"base": _hash_file(args.base), "voltage": _hash_file(args.voltage)})
+    return base, psi
+
+
 def _resolve_covering(args, inputs):
     """The cover given as files (``--cover`` with ``--map``) or as
     ``--voltage``: exactly one of the two."""
     given = (args.cover is not None, args.map is not None, args.voltage is not None)
     if given == (True, True, False):
-        cover, _ = llio.load_complex(args.cover)
-        base, _ = llio.load_complex(args.base)
-        vmap = llio.load_vertex_map(args.map)
-        inputs.update({"cover": _hash_file(args.cover), "base": _hash_file(args.base), "map": _hash_file(args.map)})
-        return verify_covering(cover, base, vmap)
+        return verify_covering(*_mapped_inputs(args, inputs))
     if given == (False, False, True):
-        base, _ = llio.load_complex(args.base)
-        psi = llio.load_edge_voltages(args.voltage, base)
-        inputs.update({"base": _hash_file(args.base), "voltage": _hash_file(args.voltage)})
-        result = derived_complex(base, psi)
+        result = derived_complex(*_voltage_inputs(args, inputs))
         if not result.connected:
-            raise LiftlapError(
-                "the derived complex is disconnected; run 'cover build' to inspect its components"
-            )
+            raise LiftlapError("the derived complex is disconnected; run 'cover build' to inspect its components")
         return result.covering
     raise MalformedInputError("provide either --cover/--base/--map or --base/--voltage")
-
-
-def _spec_values(s):
-    return [float(v) for v in s.values]
 
 
 def _listed_incidence(K, i, values) -> str:
@@ -147,17 +152,14 @@ def cmd_spectrum(args, report):
         "dim": args.dim,
         "kind": args.kind,
         "scheme": scheme.kind,
-        "values": _spec_values(s),
+        "values": [float(v) for v in s.values],
         "clamped": s.clamped,
     }
     return []
 
 
 def cmd_cover_build(args, report):
-    base, _ = llio.load_complex(args.base)
-    psi = llio.load_edge_voltages(args.voltage, base)
-    report["inputs"]["base"] = _hash_file(args.base)
-    report["inputs"]["voltage"] = _hash_file(args.voltage)
+    base, psi = _voltage_inputs(args, report["inputs"])
     result = derived_complex(base, psi)
     K = result.complex
     report["results"] = {
@@ -187,14 +189,8 @@ def cmd_cover_build(args, report):
 
 
 def cmd_cover_verify(args, report):
-    cover, _ = llio.load_complex(args.cover)
-    base, _ = llio.load_complex(args.base)
-    vmap = llio.load_vertex_map(args.map)
-    report["inputs"].update(
-        {"cover": _hash_file(args.cover), "base": _hash_file(args.base), "map": _hash_file(args.map)}
-    )
     try:
-        cov = verify_covering(cover, base, vmap)
+        cov = verify_covering(*_mapped_inputs(args, report["inputs"]))
     except CoveringViolation as exc:
         report["results"] = {"violation": exc.kind, "witness": repr(exc.witness)}
         return [_verdict(f"covering axioms hold ({exc.kind})", False, None, None)]
@@ -297,87 +293,68 @@ def _dims(cov, direction, requested):
     return [requested] if requested in valid else []
 
 
-def _two_fold(psi, args):
-    # T = [[1, 1], [1, -1]], T^T T = 2I, and the signing: exact in integers
-    transform, signing = integer_split(psi)
-    return transform, [signing]
-
-
-def _characters(psi, args):
-    dec = abelian_decomposition(psi, seed=args.seed)
-    return dec.transform, block_values(dec, psi.perms)[1:]
-
-
-def _constant(psi, args):
-    # T_0 = 1_k: every permutation fixes the constant sheet vector
+def _split(claim, psi, seed):
+    """The transform T of the permutation module that splits the lift on
+    ``psi``'s layer for ``claim``, and the values of the blocks after the
+    first, as :func:`~liftlap.representation.block_identity` takes them."""
+    if claim == "union":
+        # T = [[1, 1], [1, -1]], T^T T = 2I, and the signing: exact in integers
+        transform, signing = integer_split(psi)
+        return transform, [signing]
+    if claim == "abelian":
+        dec = abelian_decomposition(psi, seed=seed)
+        return dec.transform, block_values(dec, psi.perms)[1:]
+    # inclusion: T_0 = 1_k, since every permutation fixes the constant sheet vector
     return np.ones((psi.k, 1)), []
-
-
-# subcommand -> (claim, required cover degree, the transform T and the values
-# of the blocks after the first on an incidence layer, the tolerance of
-# their block identity, the results payload
-SPECTRAL_CLAIMS = {
-    "union": ("two-fold spectral union", 2, _two_fold, 0.0, lambda cov, skipped: {"degree": cov.degree}),
-    "inclusion": ("spectral inclusion", None, _constant, 0.0, lambda cov, skipped: {"degree": cov.degree}),
-    "abelian": (
-        "abelian character decomposition",
-        None,
-        _characters,
-        RESIDUAL_TOL,
-        lambda cov, skipped: {"degree": cov.degree, "skipped_layers": skipped},
-    ),
-}
-
-
-def _certify_layer(cov, layer, decorate, args):
-    """The layer's voltages, block identity and, per scheme, the
-    factorization of the cover's coboundary, whose integer comparison the
-    schemes share; the error where the claim's hypothesis is not met
-    (trivial or intransitive voltage group), so the claim does not apply
-    on this layer."""
-    psi = induced_incidence_voltage(cov, layer)
-    try:
-        transform, values = decorate(psi, args)
-    except GroupStructureError as exc:
-        if args.dim is not None:
-            raise
-        return exc
-    names, schemes = zip(*_schemes(args.scheme))
-    factorizations = dict(zip(names, factor_lifted_coboundary(cov, layer, psi, schemes)))
-    return psi, block_identity(psi, transform, values), factorizations
 
 
 def cmd_verify_spectral(args, report):
     """Each verdict is the certificate of its layer: the cover's operators
     are similar to the direct sum of the base blocks, so neither the
     cover nor any block is solved."""
-    claim, degree, decorate, tolerance, results = SPECTRAL_CLAIMS[args.subcommand]
+    claim = args.subcommand
+    title = {
+        "union": "two-fold spectral union",
+        "inclusion": "spectral inclusion",
+        "abelian": "abelian character decomposition",
+    }[claim]
     cov = _resolve_covering(args, report["inputs"])
-    if degree is not None and cov.degree != degree:
-        raise LiftlapError(f"the {claim} property needs a {degree}-fold cover, got degree {cov.degree}")
+    if claim == "union" and cov.degree != 2:
+        raise LiftlapError(f"the {title} property needs a 2-fold cover, got degree {cov.degree}")
     _check_dim(cov, args.dim, 0)
-    verdicts = []
-    skipped = []
-    certified = {}
+    # the characters are found in floats; the other two transforms are exact
+    tolerance = RESIDUAL_TOL if claim == "abelian" else 0.0
+    names, schemes = zip(*_schemes(args.scheme))
+    verdicts, skipped, certified = [], [], {}
     for direction in ("up", "down"):
         for i in _dims(cov, direction, args.dim):
             layer = _layer(direction, i)
             if layer not in certified:
-                certified[layer] = _certify_layer(cov, layer, decorate, args)
+                psi = induced_incidence_voltage(cov, layer)
+                try:
+                    split = _split(claim, psi, args.seed)
+                except GroupStructureError as exc:
+                    # the characters need an abelian, transitive voltage group: the claim does not apply
+                    if args.dim is not None:
+                        raise
+                    certified[layer] = exc
+                else:
+                    identity = block_identity(psi, *split)
+                    certified[layer] = psi, identity, factor_lifted_coboundary(cov, layer, psi, schemes)
             if isinstance(certified[layer], GroupStructureError):
                 skipped.append(f"{direction}/{i}")
                 continue
-            psi, identity, schemes = certified[layer]
-            for name, factorization in schemes.items():
-                verdicts.append(
-                    _certificate_verdict(
-                        f"{claim} ({direction}, dim {i}, {name})", cov, psi, factorization, identity, tolerance
-                    )
-                )
+            psi, identity, factorizations = certified[layer]
+            verdicts += [
+                _certificate_verdict(f"{title} ({direction}, dim {i}, {name})", cov, psi, f, identity, tolerance)
+                for name, f in zip(names, factorizations)
+            ]
     if not verdicts:
         # every layer was skipped, so nothing was verified: the first skip's reason
         raise next(iter(certified.values()))
-    report["results"] = results(cov, skipped)
+    report["results"] = {"degree": cov.degree}
+    if claim == "abelian":
+        report["results"]["skipped_layers"] = skipped
     return verdicts
 
 
@@ -509,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify a spectral or homological claim")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
-    for name in list(SPECTRAL_CLAIMS) + ["betti"]:
+    for name in ("union", "inclusion", "abelian", "betti"):
         p = vsub.add_parser(name)
         _add_cover_inputs(p)
         p.add_argument("--dim", type=int)

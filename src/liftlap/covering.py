@@ -33,13 +33,15 @@ vertex indices of every cover face are gathered from the cover's
 coboundary columns, not searched for, and its image is one sorted row
 of their projections, located among the base faces by their keys; a
 row that is no base face is a face whose image collapses or is no base
-face, and the first is named by its image ids.  A (base face, cover
-vertex) pair met twice is a fiber overlap.  The strong condition is certified by counts: once
-images are base faces, no face collapses and no fiber overlaps, the
-cofacets of a face over ``g`` lie over distinct cofacets of ``g``, so
-every incidence at ``g`` lifts at that face exactly when the two cofacet
-counts agree.  Every witness is the first failing
-face in the canonical order, as a face-by-face check finds it.
+face, and the first is named by its image ids.  A (base edge, cover
+vertex) pair met twice is a fiber overlap: two faces of one fiber that
+share a vertex hold two edges of one fiber that share it.  The strong
+condition is certified by counts: once images are base faces, no face
+collapses and no fiber overlaps, the cofacets of a face over ``g`` lie
+over distinct cofacets of ``g``, so every incidence at ``g`` lifts at
+that face exactly when the two cofacet counts agree.  Every witness is
+the first failing face in the canonical order, as a face-by-face check
+finds it.
 
 Voltages
 --------
@@ -286,7 +288,6 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
     # a sorted row of base vertex indices is located as ids are, and -1
     # sorts first, so a row with an image off the base is no face
     images = []
-    overlap = None
     for d in range(0, cover.top_dim + 1):
         at = cover._vertex_index(d)
         g = base._locate_indices(np.sort(projection[at], axis=1))
@@ -298,17 +299,17 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
                 raise CoveringViolation("degenerate-face", f"face {f!r} collapses under the vertex map", f)
             raise CoveringViolation("not-simplicial", f"image {image!r} of {f!r} is not a base face", f)
         images.append(g)
-        if overlap is None:
-            # a (base face, cover vertex) pair met twice; in a stable sort
-            # every repeat comes from a face after the first one holding it
-            pairs = (g[:, None] * len(verts) + at).ravel()
-            order = np.argsort(pairs, kind="stable")
-            rows = order[1:][pairs[order[1:]] == pairs[order[:-1]]] // (d + 1)
-            if rows.size:
-                r = rows[np.lexsort((rows, g[rows]))[0]]
-                overlap = (base.faces(d)[g[r]], cover.faces(d)[r])
-    if overlap is not None:
-        raise CoveringViolation("fiber-overlap", f"fiber of {overlap[0]!r} contains overlapping faces", overlap)
+    # fiber overlap, which shows first on the edges; in a stable sort every
+    # repeated (image, vertex) pair comes from an edge after the first one
+    if cover.top_dim >= 1:
+        g = images[1]
+        pairs = (g[:, None] * len(verts) + cover._vertex_index(1)).ravel()
+        order = np.argsort(pairs, kind="stable")
+        rows = order[1:][pairs[order[1:]] == pairs[order[:-1]]] // 2
+        if rows.size:
+            r = rows[np.lexsort((rows, g[rows]))[0]]
+            overlap = (base.faces(1)[g[r]], cover.faces(1)[r])
+            raise CoveringViolation("fiber-overlap", f"fiber of {overlap[0]!r} contains overlapping faces", overlap)
 
     # strong condition: every base incidence lifts at every fiber point.
     # Images are base faces, no face collapses and fibers do not overlap,
@@ -345,10 +346,6 @@ def verify_covering(cover: SimplicialComplex, base: SimplicialComplex, vertex_ma
         if off.size:
             g = base.faces(d)[off[0]]
             raise CoveringViolation("fiber-size", f"fiber of {g!r} has size {int(sizes[off[0]])}, expected {degree}", g)
-    if cover.top_dim != base.top_dim:
-        raise CoveringViolation(
-            "fiber-size", "cover and base have different top dimensions", cover.top_dim
-        )
 
     # a stable sort by image keeps each fiber in the canonical order of
     # cover.faces(d); every fiber now has ``degree`` faces

@@ -1216,15 +1216,22 @@ def direct_decompose(args, report):
 
 def direct_verify_betti(args, report):
     """``verify betti`` by ranking the cover: per scheme and dimension, the
-    cover's exact Betti number is at least the base's, and an eigensolved
-    harmonic basis of the base lifts to harmonic cochains of the cover,
-    independent, both within ``TOL``.  Reads the library at call
-    time, as the spectral oracles do."""
+    cover's exact Betti number is at least the base's, the cover's
+    coboundaries into and out of that dimension compose to zero (exact
+    ranks count cohomology only for a cochain complex), and an
+    eigensolved harmonic basis of the base lifts to harmonic cochains of
+    the cover, independent, both within ``TOL``.  Reads the library at
+    call time, as the spectral oracles do."""
     from liftlap import cli, homology
 
     cov = cli._resolve_covering(args, report["inputs"])
     cli._check_dim(cov, args.dim, cov.base.min_dim)
     base, cover = homology.exact_betti_numbers(cov.base), homology.exact_betti_numbers(cov.cover)
+    K = cov.cover
+    closed = {
+        i: not K.min_dim < i < K.top_dim or not (coboundary_matrix(K, i) @ coboundary_matrix(K, i - 1)).any()
+        for i in base
+    }
     verdicts = []
     for name, scheme in cli._schemes(args.scheme):
         bases = harmonic_bases(cov.base, base, scheme)
@@ -1232,7 +1239,7 @@ def direct_verify_betti(args, report):
             if args.dim not in (None, i):
                 continue
             residual, sigma = lifted_harmonics(cov, i, bases[i], scheme) if b else (0.0, math.inf)
-            holds = cover.get(i, 0) >= b and residual <= TOL and sigma >= TOL
+            holds = cover.get(i, 0) >= b and closed[i] and residual <= TOL and sigma >= TOL
             claim = f"betti inequality via harmonic lifting (dim {i}, {name})"
             verdicts.append(cli._verdict(claim, holds, TOL, residual, betti_base=b, betti_cover=cover.get(i, 0)))
     table = {str(i): [b, cover.get(i, 0)] for i, b in base.items()}

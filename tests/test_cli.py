@@ -222,6 +222,13 @@ class TestCover:
         assert report["results"]["connected"] is False
         assert len(report["results"]["components"]) == 2
 
+    def test_disconnected_base_exits_2(self, capsys, tmp_path):
+        base = write(tmp_path, "two_edges.json", {"facets": [[0, 1], [2, 3]]})
+        psi = write(tmp_path, "trivial.json", {"k": 2, "edges": []})
+        code, report, err = run(capsys, ["cover", "build", "--base", base, "--voltage", psi])
+        assert code == 2 and report is None
+        assert "error: base complex must be connected" in err
+
     def test_bad_map_fails_verdict(self, capsys, tmp_path, c3_file):
         path = write(tmp_path, "path.json", {"facets": [[0, 1], [1, 2]]})
         phi = write(tmp_path, "phi.json", {"vertex_map": [[0, 0], [1, 1], [2, 2]]})
@@ -298,6 +305,29 @@ class TestVerify:
             capsys, ["verify", "union", "--base", c3_file, "--voltage", psi3]
         )
         assert code == 3
+
+    def test_union_on_a_disconnected_lift_exits_3(self, capsys, tmp_path, triangle_file):
+        psi = write(tmp_path, "trivial.json", {"k": 2, "edges": []})
+        code, report, err = run(capsys, ["verify", "union", "--base", triangle_file, "--voltage", psi])
+        assert code == 3 and report is None
+        assert "error: the derived complex is disconnected; run 'cover build' to inspect its components" in err
+
+    def test_a_transform_with_columns_of_unequal_length_is_the_witness(
+        self, capsys, monkeypatch, c3_file, c3_voltage_file
+    ):
+        from liftlap.representation import integer_split
+
+        # a doubled second column keeps P(p) T = T (1 (+) R(p)), but T^T T = diag(2, 8)
+        def doubled(psi):
+            transform, signing = integer_split(psi)
+            return transform * [1, 2], signing
+
+        monkeypatch.setattr(cli, "integer_split", doubled)
+        code, report, _ = run(capsys, ["verify", "union", "--base", c3_file, "--voltage", c3_voltage_file])
+        assert code == 1 and report["verdicts"]
+        for v in report["verdicts"]:
+            assert (v["holds"], v["block_identity_residual"], v["transform_defect"]) == (False, 0, 6)
+            assert v["witness"] == {"kind": "transform"}
 
     def test_inclusion(self, capsys, c3_file, c3_voltage_file):
         code, report, _ = run(
