@@ -69,20 +69,17 @@ def _hash_file(path) -> str:
 
 
 def _verdict(claim, holds, tolerance, max_error, **extra):
-    out = {
+    return {
         "claim": claim,
         "holds": bool(holds),
         "tolerance": tolerance,
         "max_error": None if max_error is None else float(max_error),
+        **extra,
     }
-    out.update(extra)
-    return out
 
 
 def _schemes(name):
-    if name == "both":
-        return [("combinatorial", COMBINATORIAL), ("normalized", NORMALIZED)]
-    return [(name, SCHEMES[name])]
+    return list(SCHEMES.items()) if name == "both" else [(name, SCHEMES[name])]
 
 
 def _mapped_inputs(args, inputs):
@@ -111,7 +108,9 @@ def _resolve_covering(args, inputs):
     if given == (False, False, True):
         result = derived_complex(*_voltage_inputs(args, inputs))
         if not result.connected:
-            raise LiftlapError("the derived complex is disconnected; run 'cover build' to inspect its components")
+            raise LiftlapError(
+                "the derived complex is disconnected; run 'cover build' to inspect its components"
+            )
         return result.covering
     raise MalformedInputError("provide either --cover/--base/--map or --base/--voltage")
 
@@ -293,6 +292,14 @@ def _dims(cov, direction, requested):
     return [requested] if requested in valid else []
 
 
+# the spectral claims of ``verify``, each split by :func:`_split`
+TITLES = {
+    "union": "two-fold spectral union",
+    "inclusion": "spectral inclusion",
+    "abelian": "abelian character decomposition",
+}
+
+
 def _split(claim, psi, seed):
     """The transform T of the permutation module that splits the lift on
     ``psi``'s layer for ``claim``, and the values of the blocks after the
@@ -312,48 +319,44 @@ def cmd_verify_spectral(args, report):
     """Each verdict is the certificate of its layer: the cover's operators
     are similar to the direct sum of the base blocks, so neither the
     cover nor any block is solved."""
-    claim = args.subcommand
-    title = {
-        "union": "two-fold spectral union",
-        "inclusion": "spectral inclusion",
-        "abelian": "abelian character decomposition",
-    }[claim]
+    claim = TITLES[args.subcommand]
     cov = _resolve_covering(args, report["inputs"])
-    if claim == "union" and cov.degree != 2:
-        raise LiftlapError(f"the {title} property needs a 2-fold cover, got degree {cov.degree}")
+    if args.subcommand == "union" and cov.degree != 2:
+        raise LiftlapError(f"the {claim} property needs a 2-fold cover, got degree {cov.degree}")
     _check_dim(cov, args.dim, 0)
     # the characters are found in floats; the other two transforms are exact
-    tolerance = RESIDUAL_TOL if claim == "abelian" else 0.0
+    tolerance = RESIDUAL_TOL if args.subcommand == "abelian" else 0.0
     names, schemes = zip(*_schemes(args.scheme))
-    verdicts, skipped, certified = [], [], {}
+    verdicts = []
+    skipped = []
+    certified = {}
     for direction in ("up", "down"):
         for i in _dims(cov, direction, args.dim):
             layer = _layer(direction, i)
             if layer not in certified:
                 psi = induced_incidence_voltage(cov, layer)
                 try:
-                    split = _split(claim, psi, args.seed)
+                    identity = block_identity(psi, *_split(args.subcommand, psi, args.seed))
                 except GroupStructureError as exc:
                     # the characters need an abelian, transitive voltage group: the claim does not apply
                     if args.dim is not None:
                         raise
                     certified[layer] = exc
                 else:
-                    identity = block_identity(psi, *split)
                     certified[layer] = psi, identity, factor_lifted_coboundary(cov, layer, psi, schemes)
             if isinstance(certified[layer], GroupStructureError):
                 skipped.append(f"{direction}/{i}")
                 continue
             psi, identity, factorizations = certified[layer]
             verdicts += [
-                _certificate_verdict(f"{title} ({direction}, dim {i}, {name})", cov, psi, f, identity, tolerance)
+                _certificate_verdict(f"{claim} ({direction}, dim {i}, {name})", cov, psi, f, identity, tolerance)
                 for name, f in zip(names, factorizations)
             ]
     if not verdicts:
         # every layer was skipped, so nothing was verified: the first skip's reason
         raise next(iter(certified.values()))
     report["results"] = {"degree": cov.degree}
-    if claim == "abelian":
+    if args.subcommand == "abelian":
         report["results"]["skipped_layers"] = skipped
     return verdicts
 
@@ -486,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="verify a spectral or homological claim")
     vsub = pv.add_subparsers(dest="subcommand", required=True)
-    for name in ("union", "inclusion", "abelian", "betti"):
+    for name in [*TITLES, "betti"]:
         p = vsub.add_parser(name)
         _add_cover_inputs(p)
         p.add_argument("--dim", type=int)

@@ -138,21 +138,22 @@ class TestVerifyCovering:
             verify_covering(K, build_complex([(0, 1)]), {0: 0, 1: 1, 2: 0})
         assert (err.value.kind, err.value.witness) == ("degenerate-face", (0, 2))
 
-    def test_first_overlapping_fiber_is_the_witness(self):
-        # (0, 2) and (0, 3) lie over (0, 2) and share vertex 0; the
-        # fiber of (1, 2) overlaps too, but comes later
-        K = build_complex([(0, 1, 2), (0, 1, 3)])
+    @pytest.mark.parametrize(
+        "facets, vertex_map, witness",
+        [
+            # (0, 2) and (0, 3) lie over (0, 2) and share vertex 0; the
+            # fiber of (1, 2) overlaps too, but comes later
+            ([(0, 1, 2), (0, 1, 3)], {0: 0, 1: 1, 2: 2, 3: 2}, ((0, 2), (0, 3))),
+            # (0, 1, 2) and (0, 3, 4) both lie over (0, 1, 2) and share vertex 0
+            # alone; the overlap shows first on their edges (0, 1) and (0, 3)
+            ([(0, 1, 2), (0, 3, 4)], {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}, ((0, 1), (0, 3))),
+        ],
+        ids=["shared-edge", "shared-vertex"],
+    )
+    def test_first_overlapping_fiber_is_the_witness(self, facets, vertex_map, witness):
         with pytest.raises(CoveringViolation) as err:
-            verify_covering(K, build_complex([(0, 1, 2)]), {0: 0, 1: 1, 2: 2, 3: 2})
-        assert (err.value.kind, err.value.witness) == ("fiber-overlap", ((0, 2), (0, 3)))
-
-    def test_triangles_sharing_one_vertex_are_named_by_their_first_overlapping_edges(self):
-        # (0, 1, 2) and (0, 3, 4) both lie over (0, 1, 2) and share vertex 0
-        # alone; the overlap shows first on their edges (0, 1) and (0, 3)
-        K = build_complex([(0, 1, 2), (0, 3, 4)])
-        with pytest.raises(CoveringViolation) as err:
-            verify_covering(K, build_complex([(0, 1, 2)]), {0: 0, 1: 1, 2: 2, 3: 1, 4: 2})
-        assert (err.value.kind, err.value.witness) == ("fiber-overlap", ((0, 1), (0, 3)))
+            verify_covering(build_complex(facets), build_complex([(0, 1, 2)]), vertex_map)
+        assert (err.value.kind, err.value.witness) == ("fiber-overlap", witness)
 
     def test_missing_vertex_rejected(self):
         K = cycle_complex(6)
